@@ -10,9 +10,9 @@ Two entry modes:
   :mod:`repro.core.batch` against their legacy per-query counterparts.
 
 * **perf-trajectory script** (``python benchmarks/bench_perf_core.py``):
-  runs the end-to-end performance suite — dense-regime CSR
-  construction (counting vs sort at the paper's ``Gamma = n/2``,
-  ``n = 10^5``), a fig2-style required-queries sweep (legacy engine vs
+  runs the end-to-end performance suite — sparse large-``n`` CSR
+  construction (uint32 vs int64 sort), a fig2-style required-queries
+  sweep (legacy engine vs
   batch, serial vs sharded across ``--workers`` processes), a
   full-scale sparse AMP run with the dense path poisoned, batched
   (block-diagonal) AMP sweep cells against the pre-batching per-trial
@@ -240,17 +240,15 @@ def test_perf_required_queries_amp_linear(benchmark):
     )
 
 
-# Dense-regime CSR construction beyond the uint16 radix fast path:
-# compare the counting-sort construction (dispatched automatically for
-# n > 2**16, gamma >= n/8) against the comparison-sort construction it
-# replaces.
+# Dense-regime CSR construction beyond the uint16 radix fast path: the
+# uint32 row-chunked construction against the int64 sort it replaced.
 
 
-def test_perf_csr_dense_counting(benchmark):
-    from repro.core.batch import _csr_from_draws_counting
+def test_perf_csr_dense(benchmark):
+    from repro.core.batch import _csr_from_draws
 
     draws = np.random.default_rng(6).integers(0, 100_000, size=(64, 50_000))
-    benchmark(lambda: _csr_from_draws_counting(draws, 100_000))
+    benchmark(lambda: _csr_from_draws(draws, 100_000))
 
 
 def test_perf_csr_dense_sort(benchmark):
@@ -279,7 +277,7 @@ def _timed(fn, repeats=1):
 
 
 def _legacy_sort_csr(draws, gamma):
-    """The pre-counting construction at n > 2**16: int64 comparison sort."""
+    """The pre-narrowing construction at n > 2**16: int64 comparison sort."""
     flat = np.sort(draws, axis=1).ravel()
     starts = np.empty(flat.size, dtype=bool)
     starts[0] = True
@@ -289,51 +287,13 @@ def _legacy_sort_csr(draws, gamma):
     return flat[idx].astype(np.int64), np.diff(idx, append=flat.size)
 
 
-def _case_csr_dense(smoke):
-    """Counting vs old sort CSR construction at Gamma = n/2, n beyond uint16.
-
-    On memory-bandwidth-starved hosts the two are near time-parity; the
-    counting construction additionally avoids the sort's full ``(m,
-    gamma)`` int64 sorted copy (recorded as ``sort_copy_mib_avoided``),
-    which is the memory half of the dense-regime sampling ceiling.
-    """
-    from repro.core.batch import _csr_from_draws_counting, _use_counting_csr
-
-    n = 70_000 if smoke else 100_000
-    m = 64 if smoke else 400
-    gamma = n // 2
-    assert _use_counting_csr(n, gamma)
-    draws = np.random.default_rng(6).integers(0, n, size=(m, gamma))
-    repeats = 1 if smoke else 3
-    baseline_s, (sort_agents, sort_counts) = _timed(
-        lambda: _legacy_sort_csr(draws, gamma), repeats
-    )
-    wall_s, (_, agents, counts) = _timed(
-        lambda: _csr_from_draws_counting(draws, n), repeats
-    )
-    assert np.array_equal(agents, sort_agents)
-    assert np.array_equal(counts, sort_counts)
-    return {
-        "case": "csr_dense_gamma_half_counting",
-        "n": n,
-        "m": m,
-        "gamma": gamma,
-        "wall_s": round(wall_s, 4),
-        "baseline": "int64 comparison-sort CSR (pre-PR construction)",
-        "baseline_s": round(baseline_s, 4),
-        "speedup": round(baseline_s / wall_s, 3) if wall_s else None,
-        "sort_copy_mib_avoided": round(m * gamma * 8 / 2**20, 1),
-    }
-
-
 def _case_csr_sparse_u32(smoke):
     """uint32-narrowed sort vs old int64 sort in the sparse n > 2**16 regime."""
-    from repro.core.batch import _csr_from_draws, _use_counting_csr
+    from repro.core.batch import _csr_from_draws
 
     n = 70_000 if smoke else 100_000
     m = 500 if smoke else 2000
     gamma = 1000
-    assert not _use_counting_csr(n, gamma)
     draws = np.random.default_rng(7).integers(0, n, size=(m, gamma))
     repeats = 2 if smoke else 3
     baseline_s, (sort_agents, sort_counts) = _timed(
@@ -1208,7 +1168,6 @@ def run_perf_suite(smoke=False, workers=4, only=None):
     import time
 
     available = {
-        "csr_dense_gamma_half_counting": lambda: _case_csr_dense(smoke),
         "csr_sparse_uint32_sort": lambda: _case_csr_sparse_u32(smoke),
         "fig2_sweep": lambda: _case_fig2_sweep(smoke, workers),
         "amp_sparse_full_scale": lambda: _case_amp_sparse(smoke),

@@ -9,8 +9,11 @@ replaces them with batched equivalents:
 
 * :func:`sample_pooling_graph_batch` draws all ``m * gamma`` edges with
   a **single** ``rng.integers`` call and assembles the CSR layout with
-  one (radix) sort + a vectorized boundary scan instead of ``m``
-  Python iterations;
+  one construction instead of ``m`` Python iterations: rows sorted as
+  the narrowest unsigned dtype holding the agent ids (a radix sort up
+  to 2**16 agents), run starts counted per row, and the runs written
+  into preallocated outputs — in row chunks, spread over a small
+  thread pool when a call is large;
 * :class:`BatchTrialRunner` runs many independent trials
   (graph -> measure -> score -> decode) with per-trial child seeds,
   stacking the decode/evaluate stages into single array operations
@@ -48,6 +51,8 @@ calls.  Consequently:
 from __future__ import annotations
 
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,7 +64,6 @@ from repro.core.noise import Channel, NoiselessChannel
 from repro.core.pooling import PoolingGraph, default_gamma, sample_pooling_graph
 from repro.core.scores import decode_top_k_stacked, expected_query_result
 from repro.core.types import ReconstructionResult, RequiredQueriesResult
-from repro.utils import config
 from repro.utils.rng import RngLike, normalize_rng, spawn_rngs
 from repro.utils.validation import check_positive_int
 
@@ -71,153 +75,134 @@ DEFAULT_BLOCK_ELEMENTS = 2**22
 #: grow geometrically (doubling) up to the element cap.
 DEFAULT_INITIAL_BLOCK = 32
 
-#: largest agent-id value np.sort still radix-sorts (16-bit integers);
-#: above it the row sort falls back to a comparison sort
-_RADIX_MAX_N = 2**16
+#: draws per row chunk of the CSR construction; bounds the chunk's
+#: transient run-index array to a few MiB
+_CSR_CHUNK_DRAWS = 2**18
 
-#: environment variable bounding the threads of the counting-sort CSR
-#: scatter; ``1`` switches the threaded path off entirely.
-CSR_THREADS_ENV = "REPRO_CSR_THREADS"
-
-#: minimum per-call histogram work (``rows * (n + gamma)`` elements)
-#: before the counting scatter fans out across threads — below this the
-#: pool start-up outweighs any overlap.
-_CSR_THREAD_MIN_ELEMENTS = 2**24
+#: draws per call from which the row chunks fan out over the thread
+#: pool: fig2's dense blocks (up to ~4M draws) cross it, fig6's graphs
+#: (at most 300k draws) stay serial, where the hand-off costs more than
+#: the overlap saves
+_CSR_PARALLEL_MIN_DRAWS = 2**20
 
 
-def _csr_threads() -> int:
-    """Thread budget for the counting-sort scatter.
-
-    ``REPRO_CSR_THREADS`` wins when set (``1`` = off switch, forcing
-    the serial row loop); otherwise a conservative default of up to 4
-    threads, capped at the CPU count. The scatter is embarrassingly
-    column-parallel — each row's histogram touches disjoint output —
-    so the thread count never changes the constructed triple.
-    """
-    threads = config.env_int(CSR_THREADS_ENV, minimum=1)
-    if threads is not None:
-        return threads
-    return min(4, os.cpu_count() or 1)
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
 
-def _use_counting_csr(n: int, gamma: int) -> bool:
-    """Dense-regime dispatch rule for the CSR construction.
+#: threads the CSR construction may use, read once at import (the CPU
+#: query costs tens of microseconds, too much for every sampler call);
+#: process-pool workers drop it to 1 (:func:`_serial_csr`) because the
+#: pool already fills the cores
+_csr_budget = min(4, _available_cpus())
 
-    The counting construction takes over when (a) queries are dense
-    enough that the per-query histogram is well filled —
-    ``gamma >= n/8`` — and (b) there is no radix fast path for the row
-    sort (``n > 2**16`` overflows 16-bit ids, leaving only the
-    comparison sort). In that regime it matches or beats the
-    comparison sort in time (O(gamma + n) per query instead of
-    O(gamma log gamma)) and needs only an O(n) transient histogram
-    instead of the sort's full ``(b, gamma)`` sorted copy — the memory
-    half of the dense-regime sampling ceiling. Below 2**16 the uint16
-    radix sort is measurably faster than counting at every density, so
-    it keeps the job.
-    """
-    return n > _RADIX_MAX_N and 8 * gamma >= n
+_csr_pool: Optional[ThreadPoolExecutor] = None
+_csr_pool_lock = threading.Lock()
 
 
-def _counting_rows(
-    draws: np.ndarray, n: int, lo: int, hi: int
-) -> Tuple[List[np.ndarray], List[np.ndarray], np.ndarray]:
-    """Histogram-scatter rows ``lo:hi`` of ``draws`` into CSR pieces.
-
-    Returns per-row distinct-agent and multiplicity arrays plus the
-    per-row sizes — the unit of work of the counting construction,
-    shared by the serial loop and the threaded fan-out (rows touch
-    disjoint outputs, so any row partition assembles to the same
-    triple).
-    """
-    agents_parts: List[np.ndarray] = []
-    counts_parts: List[np.ndarray] = []
-    sizes = np.empty(hi - lo, dtype=np.int64)
-    for i in range(lo, hi):
-        grid = np.bincount(draws[i], minlength=n)
-        distinct = np.flatnonzero(grid)
-        agents_parts.append(distinct)
-        counts_parts.append(grid[distinct])
-        sizes[i - lo] = distinct.size
-    return agents_parts, counts_parts, sizes
+def _serial_csr() -> None:
+    """Process-pool worker initializer: build CSR triples on one thread."""
+    global _csr_budget
+    _csr_budget = 1
 
 
-def _csr_from_draws_counting(
-    draws: np.ndarray, n: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Counting-sort (bincount) CSR construction for the dense regime.
-
-    Histograms each query's draws with ``bincount`` instead of sorting
-    the row: the nonzero histogram cells, read in increasing agent
-    order, are exactly the query's distinct incidences with their
-    multiplicities — the same CSR triple (and the same edge multiset)
-    as the sort-based construction, from the same draws. The O(n)
-    histogram is transient per row, so peak memory stays at the output
-    size rather than a full sorted copy of ``draws``.
-
-    Large constructions fan the row loop out across a thread pool
-    (column-parallel scatter; see :func:`_csr_threads` and the
-    ``REPRO_CSR_THREADS`` off switch). Row chunks are assembled in row
-    order, so the threaded triple is identical to the serial one.
-    """
-    b, gamma = draws.shape
-    threads = _csr_threads()
-    if (
-        threads > 1
-        and b >= 2 * threads
-        and b * (n + gamma) >= _CSR_THREAD_MIN_ELEMENTS
-    ):
-        from concurrent.futures import ThreadPoolExecutor
-
-        bounds = chunk_bounds(b, threads)
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            parts = list(
-                pool.map(lambda span: _counting_rows(draws, n, *span), bounds)
+def _csr_map(fn, items) -> list:
+    """``list(map(fn, items))`` on the lazily created CSR thread pool."""
+    global _csr_pool
+    with _csr_pool_lock:
+        if _csr_pool is None:
+            _csr_pool = ThreadPoolExecutor(
+                max_workers=_csr_budget, thread_name_prefix="repro-csr"
             )
-        agents_parts = [arr for part in parts for arr in part[0]]
-        counts_parts = [arr for part in parts for arr in part[1]]
-        sizes = np.concatenate([part[2] for part in parts])
-    else:
-        agents_parts, counts_parts, sizes = _counting_rows(draws, n, 0, b)
-    indptr = np.empty(b + 1, dtype=np.int64)
-    indptr[0] = 0
-    np.cumsum(sizes, out=indptr[1:])
-    return indptr, np.concatenate(agents_parts), np.concatenate(counts_parts)
+    return list(_csr_pool.map(fn, items))
 
 
-def _csr_from_draws(draws: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sorted_runs(draws: np.ndarray, dtype: np.dtype):
+    """Sort a row chunk narrowed to ``dtype``; flag where value runs start.
+
+    Returns the sorted rows, the ``(rows, gamma)`` run-start flags and
+    the number of distinct agents per row.
+    """
+    rows = draws.astype(dtype)
+    # 16-bit keys take NumPy's radix sort only when stability is asked for
+    rows.sort(axis=1, kind="stable" if dtype.itemsize <= 2 else None)
+    starts = np.empty(rows.shape, dtype=bool)
+    starts[:, 0] = True
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
+    return rows, starts, np.count_nonzero(starts, axis=1)
+
+
+def _write_runs(rows, starts, agents: np.ndarray, counts: np.ndarray) -> None:
+    """Write a chunk's run values and run lengths into output slices."""
+    idx = np.flatnonzero(starts)
+    agents[:] = rows.ravel()[idx]
+    np.subtract(idx[1:], idx[:-1], out=counts[:-1])
+    counts[-1] = rows.size - idx[-1]
+
+
+def _csr_from_draws(
+    draws: np.ndarray, n: int, *, narrow: bool = False
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collapse raw edge draws ``(b, gamma)`` into the CSR triple.
 
     Each row is sorted, and runs of equal values become one distinct
     incidence with a multiplicity — the batched equivalent of the
-    per-query ``np.unique(..., return_counts=True)``. Agent ids below
-    2**16 take a radix-sort fast path (roughly 2x faster than the
-    comparison sort for the paper's dense ``gamma = n/2`` queries).
-    Dense queries over larger agent sets dispatch to the sort-free
-    counting construction (see :func:`_use_counting_csr`); the
-    remaining sparse large-``n`` case narrows to uint32 before the
-    comparison sort (~1.5x — the sort is memory-bound). All paths
-    return the identical triple.
+    per-query ``np.unique(..., return_counts=True)``. Rows are sorted as
+    the narrowest unsigned integers holding ``n - 1``: up to 2**16
+    agents that is NumPy's radix sort, up to 2**32 a sort over half the
+    bytes of int64. The work runs in row chunks — a first pass sorts
+    and counts the distinct agents per row, which fixes ``indptr``; a
+    second pass writes each chunk's runs straight into its slice of the
+    preallocated outputs. Chunks fan out over a small thread pool once
+    a call has :data:`_CSR_PARALLEL_MIN_DRAWS` draws; rows are
+    independent and chunks write disjoint slices, so the triple never
+    depends on the thread count.
+
+    ``agents`` is int64 unless ``narrow`` asks to keep the sort dtype
+    (for consumers that only index with it); ``indptr`` and ``counts``
+    are always int64.
     """
     b, gamma = draws.shape
-    if _use_counting_csr(n, gamma):
-        return _csr_from_draws_counting(draws, n)
-    if n <= _RADIX_MAX_N:
-        flat = np.sort(draws.astype(np.uint16), axis=1, kind="stable").ravel()
-    elif n <= 2**32:
-        flat = np.sort(draws.astype(np.uint32), axis=1).ravel()
-    else:
-        flat = np.sort(draws, axis=1).ravel()
-    starts = np.empty(flat.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
-    starts[::gamma] = True  # value runs never cross query boundaries
-    idx = np.flatnonzero(starts)
-    agents = flat[idx].astype(np.int64)
-    counts = np.diff(idx, append=flat.size)
+    dtype = np.min_scalar_type(n - 1)
+    bounds = chunk_bounds(b, -(-b * gamma // _CSR_CHUNK_DRAWS))
+    threaded = _csr_budget > 1 and b * gamma >= _CSR_PARALLEL_MIN_DRAWS
+    run = _csr_map if threaded else lambda fn, items: [fn(x) for x in items]
+    runs = run(lambda span: _sorted_runs(draws[span[0] : span[1]], dtype), bounds)
     indptr = np.empty(b + 1, dtype=np.int64)
     indptr[0] = 0
-    indptr[1:] = np.searchsorted(idx, np.arange(gamma, b * gamma + 1, gamma))
+    np.cumsum(np.concatenate([sizes for _, _, sizes in runs]), out=indptr[1:])
+    edges = int(indptr[-1])
+    agents = np.empty(edges, dtype=dtype if narrow else np.int64)
+    counts = np.empty(edges, dtype=np.int64)
+
+    def write(i: int) -> None:
+        (lo, hi), (rows, starts, _) = bounds[i], runs[i]
+        e_lo, e_hi = indptr[lo], indptr[hi]
+        _write_runs(rows, starts, agents[e_lo:e_hi], counts[e_lo:e_hi])
+
+    run(write, range(len(bounds)))
     return indptr, agents, counts
+
+
+def _draw_agents(gen: np.random.Generator, n: int, shape) -> np.ndarray:
+    """Uniform agent ids in ``[0, n)``; int32 whenever they fit.
+
+    An int32 draw yields the same values as the default int64 one and
+    leaves the generator in the same state, in half the memory.
+    (Narrower draws do not: 16-bit draws consume the stream
+    differently.)
+    """
+    if n <= 2**31:
+        return gen.integers(0, n, size=shape, dtype=np.int32)
+    return gen.integers(0, n, size=shape)
+
+
+def _rows_of(indptr: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """CSR rows owning the incidence ``positions`` (empty rows allowed)."""
+    return np.searchsorted(indptr, positions, side="right") - 1
 
 
 def sample_pooling_graph_batch(
@@ -253,8 +238,7 @@ def sample_pooling_graph_batch(
             agents=np.zeros(0, dtype=np.int64),
             counts=np.zeros(0, dtype=np.int64),
         )
-    gen = normalize_rng(rng)
-    draws = gen.integers(0, n, size=(m, gamma))
+    draws = _draw_agents(normalize_rng(rng), n, (m, gamma))
     indptr, agents, counts = _csr_from_draws(draws, n)
     # The construction guarantees the CSR invariants, so skip the
     # multi-pass __post_init__ validation on this hot path.
@@ -310,7 +294,7 @@ class MeasurementStream:
         self.gen = normalize_rng(gen)
         self.max_m = check_positive_int(max_m, "max_m", minimum=0)
         self.retain = retain
-        self._sigma64 = truth.sigma.astype(np.int64)
+        self._one_flag = truth.sigma.astype(bool)
         # Bound the per-block incidence arrays (b * gamma) AND the
         # greedy scanner's (b, k) ones-prefix matrix — one shared
         # schedule for both consumers.
@@ -340,10 +324,18 @@ class MeasurementStream:
         if self.m_done >= self.max_m:
             return None
         b = min(self._block, self.max_m - self.m_done)
-        draws = self.gen.integers(0, self.n, size=(b, self.gamma))
-        indptr, agents, counts = _csr_from_draws(draws, self.n)
-        weighted = counts * self._sigma64[agents]
-        e1 = np.add.reduceat(weighted, indptr[:-1])
+        draws = _draw_agents(self.gen, self.n, (b, self.gamma))
+        # A streamed block is only indexed with, so its agents may stay
+        # in the narrow sort dtype; retained ones become int64 arrays.
+        indptr, agents, counts = _csr_from_draws(
+            draws, self.n, narrow=not self.retain
+        )
+        # E1 sums the multiplicities of the few 1-agent incidences per row
+        # (exact in float64: a row sums to at most gamma).
+        ones = np.flatnonzero(self._one_flag[agents])
+        e1 = np.bincount(
+            _rows_of(indptr, ones), weights=counts[ones], minlength=b
+        ).astype(np.int64)
         results = self.channel.measure(e1, self.gamma, self.gen)
         lo = self.m_done
         self.m_done += b
@@ -714,8 +706,7 @@ class _SuccessScanner:
         returns ``None``.
         """
         b = indptr.size - 1
-        rows = np.repeat(np.arange(b), np.diff(indptr))
-        d_inc = deltas[rows]
+        d_inc = np.repeat(deltas, np.diff(indptr))
         if self.ones_idx.size == 0 or self.zeros_idx.size == 0:
             # Degenerate truths separate vacuously (margin +inf).
             hits = np.flatnonzero(checkable)
@@ -723,9 +714,13 @@ class _SuccessScanner:
                 return int(hits[0])
         else:
             k = self.ones_idx.size
-            sel = self._one_flag[agents]
+            # Only the few incidences of 1-agents (and below, of the
+            # champion) need their query row: look it up in indptr.
+            sel = np.flatnonzero(self._one_flag[agents])
             ones_prefix = np.zeros((b, k), dtype=np.float64)
-            ones_prefix[rows[sel], self._one_col[agents[sel]]] = d_inc[sel]
+            ones_prefix[_rows_of(indptr, sel), self._one_col[agents[sel]]] = (
+                d_inc[sel]
+            )
             np.cumsum(ones_prefix, axis=0, out=ones_prefix)
             ones_prefix += self.scores[self.ones_idx]
             ones_min = ones_prefix.min(axis=1)
@@ -733,9 +728,9 @@ class _SuccessScanner:
             t0 = 0
             ts = np.arange(b)
             while True:
-                champ_sel = agents == champion
+                champ_sel = np.flatnonzero(agents == int(champion))
                 champ_prefix = np.zeros(b, dtype=np.float64)
-                champ_prefix[rows[champ_sel]] = d_inc[champ_sel]
+                champ_prefix[_rows_of(indptr, champ_sel)] = d_inc[champ_sel]
                 np.cumsum(champ_prefix, out=champ_prefix)
                 champ_prefix += self.scores[champion]
                 cand = np.flatnonzero(checkable & (ones_min > champ_prefix) & (ts >= t0))
@@ -1029,7 +1024,6 @@ class BatchTrialRunner:
 
 
 __all__ = [
-    "CSR_THREADS_ENV",
     "DEFAULT_BLOCK_ELEMENTS",
     "DEFAULT_INITIAL_BLOCK",
     "sample_pooling_graph_batch",

@@ -165,15 +165,13 @@ class PoolingGraph:
 
     def multi_degrees(self) -> np.ndarray:
         """``Delta_i``: how often agent ``i`` is queried, with multiplicity."""
-        deg = np.zeros(self.n, dtype=np.int64)
-        np.add.at(deg, self.agents, self.counts)
-        return deg
+        # float64 sums of integer counts are exact below 2**53
+        deg = np.bincount(self.agents, weights=self.counts, minlength=self.n)
+        return deg.astype(np.int64)
 
     def distinct_degrees(self) -> np.ndarray:
         """``Delta*_i``: number of distinct queries containing agent ``i``."""
-        deg = np.zeros(self.n, dtype=np.int64)
-        np.add.at(deg, self.agents, 1)
-        return deg
+        return np.bincount(self.agents, minlength=self.n).astype(np.int64, copy=False)
 
     # -- measurement support ----------------------------------------------
 
@@ -204,9 +202,10 @@ class PoolingGraph:
         if results.shape != (self.m,):
             raise ValueError(f"results must have shape ({self.m},), got {results.shape}")
         per_incidence = np.repeat(results, np.diff(self.indptr))
-        psi = np.zeros(self.n, dtype=np.float64)
-        np.add.at(psi, self.agents, per_incidence)
-        return psi
+        # bincount adds in input order, exactly as np.add.at would (and
+        # returns integers for an empty graph, hence the cast)
+        psi = np.bincount(self.agents, weights=per_incidence, minlength=self.n)
+        return psi.astype(np.float64, copy=False)
 
     # -- conversions -------------------------------------------------------
 

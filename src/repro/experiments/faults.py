@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import socket
 import threading
-import time
 from typing import Optional
 
 from repro.experiments.worker import _HEADER, _TAG_SIZE, _recv_exact
@@ -106,7 +105,8 @@ class FaultyWorkerProxy:
     delay_reply:
         Sleep this many seconds before relaying each chunk reply — a
         straggler (handshake and heartbeat frames pass undelayed, so
-        the worker stays *live*, just slow).
+        the worker stays *live*, just slow). :meth:`stop` cuts the
+        sleep short and drops the held reply.
     corrupt_reply_index:
         Flip one payload bit of the Nth (0-based) chunk reply — the
         driver's tag verification must reject the frame before
@@ -245,8 +245,8 @@ class FaultyWorkerProxy:
                     self.chunks_relayed += 1
                 if self.corrupt_reply_index == index:
                     payload = _flip_byte(payload)
-                if self.delay_reply:
-                    time.sleep(self.delay_reply)
+                if self.delay_reply and self._stop.wait(self.delay_reply):
+                    break  # stopped while holding the reply back
                 driver_conn.sendall(header + tag + payload)
                 if (
                     self.kill_after_chunks is not None

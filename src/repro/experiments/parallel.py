@@ -65,6 +65,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.batch import _serial_csr
 from repro.utils import config
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_non_negative_int
@@ -120,6 +121,8 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
         _pool = ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context(START_METHOD),
+            # the pool already fills the cores: no CSR threads on top
+            initializer=_serial_csr,
         )
         _pool_workers = workers
     return _pool

@@ -3,8 +3,8 @@
 Every runtime knob the library reads from the environment —
 ``REPRO_WORKERS``, ``REPRO_HEARTBEAT_INTERVAL`` /
 ``REPRO_HEARTBEAT_TIMEOUT``, ``REPRO_CONNECT_RETRY``,
-``REPRO_MAX_FRAME_BYTES``, ``REPRO_CSR_THREADS``, ``REPRO_SPECULATE``,
-``REPRO_SHM`` and the ``REPRO_SERVICE_*`` family — is parsed through
+``REPRO_MAX_FRAME_BYTES``, ``REPRO_SPECULATE``, ``REPRO_SHM`` and the
+``REPRO_SERVICE_*`` family — is parsed through
 the helpers below, so a bad value always fails the same way: a
 ``ConfigError`` (a ``ValueError``) whose message leads with the
 variable name, states the expected shape, and quotes the offending
@@ -50,7 +50,7 @@ def env_int(name: str, *, minimum: Optional[int] = None) -> Optional[int]:
     """Parse an integer variable, or ``None`` when unset/blank.
 
     ``minimum`` folds the range rule into the one error message, e.g.
-    ``REPRO_CSR_THREADS must be an integer >= 1, got '0'``.
+    ``REPRO_MAX_FRAME_BYTES must be an integer >= 1, got '0'``.
     """
     raw = env_raw(name)
     if raw is None:

@@ -76,46 +76,63 @@ class TestGraphEquivalence:
         assert g.total_edges == 25 * 50
 
 
+def _csr_budget_in_worker():
+    from repro.core import batch as batch_mod
+
+    return batch_mod._csr_budget
+
+
+def _reference_csr(draws):
+    """The plain int64 sort-and-scan construction the sampler must match."""
+    m, gamma = draws.shape
+    flat = np.sort(draws, axis=1).ravel()
+    starts = np.empty(flat.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    starts[::gamma] = True
+    idx = np.flatnonzero(starts)
+    indptr = np.concatenate(
+        ([0], np.searchsorted(idx, np.arange(gamma, m * gamma + 1, gamma)))
+    )
+    return indptr, flat[idx], np.diff(idx, append=flat.size)
+
+
 class TestCountingCsr:
-    """The dense-regime counting-sort CSR construction."""
+    """Dense and large-n regimes of the CSR construction.
+
+    (The class keeps the name of the counting-sort construction that
+    once served the dense n > 2**16 regime.)
+    """
 
     def test_dispatch_rule(self):
-        from repro.core.batch import _use_counting_csr
+        from repro.core.batch import _csr_from_draws
 
-        # counting needs BOTH density (gamma >= n/8) and n beyond the
-        # uint16 radix fast path
-        assert _use_counting_csr(70_000, 35_000)
-        assert _use_counting_csr(100_000, 12_500)
-        assert not _use_counting_csr(70_000, 100)  # too sparse
-        assert not _use_counting_csr(10_000, 5_000)  # radix still wins
-        assert not _use_counting_csr(65_536, 32_768)  # boundary: radix
+        # rows sort as the narrowest unsigned dtype holding n - 1
+        cases = [(256, np.uint8), (257, np.uint16), (65_536, np.uint16),
+                 (65_537, np.uint32)]
+        for n, dtype in cases:
+            draws = np.random.default_rng(n).integers(0, n, size=(3, 40))
+            draws[0, 0] = n - 1
+            _, agents, _ = _csr_from_draws(draws, n, narrow=True)
+            assert agents.dtype == dtype
+            assert agents.max() == n - 1
+            indptr, agents, counts = _csr_from_draws(draws, n)
+            assert (indptr.dtype, agents.dtype, counts.dtype) == (np.int64,) * 3
 
     @pytest.mark.parametrize("n,m,gamma", [(70_000, 6, 35_000), (66_000, 9, 9_000)])
     def test_identical_to_sort_construction(self, n, m, gamma):
-        from repro.core.batch import (
-            _csr_from_draws_counting,
-            _use_counting_csr,
-        )
+        from repro.core.batch import _csr_from_draws
 
-        assert _use_counting_csr(n, gamma)
         draws = np.random.default_rng(13).integers(0, n, size=(m, gamma))
-        flat = np.sort(draws, axis=1).ravel()
-        starts = np.empty(flat.size, dtype=bool)
-        starts[0] = True
-        np.not_equal(flat[1:], flat[:-1], out=starts[1:])
-        starts[::gamma] = True
-        idx = np.flatnonzero(starts)
-        indptr, agents, counts = _csr_from_draws_counting(draws, n)
-        assert np.array_equal(agents, flat[idx])
-        assert np.array_equal(counts, np.diff(idx, append=flat.size))
-        expected_indptr = np.concatenate(
-            ([0], np.searchsorted(idx, np.arange(gamma, m * gamma + 1, gamma)))
-        )
-        assert np.array_equal(indptr, expected_indptr)
-        assert counts.sum() == m * gamma
+        expected = _reference_csr(draws)
+        for narrow in (False, True):
+            got = _csr_from_draws(draws.astype(np.int32), n, narrow=narrow)
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b)
+        assert got[2].sum() == m * gamma
 
     def test_seed_identical_to_legacy_sampler_dense_regime(self):
-        # The counting path must return the same *graph* (not just the
+        # The sampler must return the same *graph* (not just the
         # same edge multiset) as the legacy per-query sampler.
         n, m = 70_000, 5
         g1 = sample_pooling_graph(n, m, None, np.random.default_rng(41))
@@ -133,8 +150,8 @@ class TestCountingCsr:
         assert np.array_equal(g1.counts, g2.counts)
 
     def test_sparse_uint32_sort_path_matches_legacy(self):
-        # n > 2**16 but too sparse for counting: the uint32-narrowed
-        # comparison sort must still return the legacy graph.
+        # n > 2**16 and sparse: the uint32-narrowed sort must still
+        # return the legacy graph.
         n, m, gamma = 70_000, 30, 500
         g1 = sample_pooling_graph(n, m, gamma, np.random.default_rng(19))
         g2 = sample_pooling_graph_batch(n, m, gamma, np.random.default_rng(19))
@@ -144,69 +161,161 @@ class TestCountingCsr:
         assert g2.agents.dtype == np.int64
 
 
+class TestAgentDraws:
+    """int32 agent draws stand in for the default int64 ones."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2022])
+    @pytest.mark.parametrize(
+        "n", [2, 3, 1000, 2**16, 2**16 + 1, 2**31 - 1, 2**31]
+    )
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (4, 1000)])
+    def test_same_values_and_generator_state(self, seed, n, shape):
+        from repro.core.batch import _draw_agents
+
+        wide_gen = np.random.default_rng(seed)
+        narrow_gen = np.random.default_rng(seed)
+        wide = wide_gen.integers(0, n, size=shape)
+        narrow = _draw_agents(narrow_gen, n, shape)
+        assert narrow.dtype == np.int32
+        assert np.array_equal(wide, narrow)
+        assert wide_gen.bit_generator.state == narrow_gen.bit_generator.state
+        assert wide_gen.random() == narrow_gen.random()
+        assert np.array_equal(
+            wide_gen.binomial(20, 0.3, size=5), narrow_gen.binomial(20, 0.3, size=5)
+        )
+
+    def test_wide_agent_sets_draw_int64(self):
+        from repro.core.batch import _draw_agents
+
+        draws = _draw_agents(np.random.default_rng(0), 2**31 + 1, (4,))
+        assert draws.dtype == np.int64
+
+
 class TestCountingCsrThreads:
-    """The threaded column-parallel scatter of the counting construction."""
+    """The row-chunk fan-out of the CSR construction over its thread pool.
+
+    (The class keeps the name of the threaded counting scatter it
+    replaced.)
+    """
+
+    @staticmethod
+    def _force_fan_out(monkeypatch, batch_mod, threads):
+        monkeypatch.setattr(batch_mod, "_csr_budget", threads)
+        monkeypatch.setattr(batch_mod, "_CSR_PARALLEL_MIN_DRAWS", 1)
+        monkeypatch.setattr(batch_mod, "_CSR_CHUNK_DRAWS", 2**10)
 
     def test_threaded_triple_identical_to_serial(self, monkeypatch):
         from repro.core import batch as batch_mod
 
-        n, m, gamma = 70_000, 16, 35_000
-        draws = np.random.default_rng(23).integers(0, n, size=(m, gamma))
-        monkeypatch.setenv(batch_mod.CSR_THREADS_ENV, "1")
-        serial = batch_mod._csr_from_draws_counting(draws, n)
-        monkeypatch.setenv(batch_mod.CSR_THREADS_ENV, "3")
-        # Drop the work floor so this test-sized call actually threads.
-        monkeypatch.setattr(batch_mod, "_CSR_THREAD_MIN_ELEMENTS", 1)
-        threaded = batch_mod._csr_from_draws_counting(draws, n)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a, b)
+        for n, m, gamma in [(70_000, 16, 35_000), (1000, 37, 500), (200, 9, 3)]:
+            draws = np.random.default_rng(23).integers(0, n, size=(m, gamma))
+            monkeypatch.setattr(batch_mod, "_csr_budget", 1)
+            serial = batch_mod._csr_from_draws(draws, n)
+            fanned = []
+            monkeypatch.setattr(
+                batch_mod, "_csr_map",
+                lambda fn, items, run=batch_mod._csr_map: fanned.append(1)
+                or run(fn, items),
+            )
+            self._force_fan_out(monkeypatch, batch_mod, 3)
+            threaded = batch_mod._csr_from_draws(draws, n)
+            monkeypatch.undo()
+            assert fanned
+            for a, b in zip(serial, threaded):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
 
     def test_threaded_sampler_seed_identical(self, monkeypatch):
         from repro.core import batch as batch_mod
 
-        monkeypatch.setenv(batch_mod.CSR_THREADS_ENV, "4")
-        monkeypatch.setattr(batch_mod, "_CSR_THREAD_MIN_ELEMENTS", 1)
+        self._force_fan_out(monkeypatch, batch_mod, 4)
         n, m = 70_000, 8
         g1 = sample_pooling_graph_batch(n, m, None, np.random.default_rng(41))
-        monkeypatch.setenv(batch_mod.CSR_THREADS_ENV, "1")
         g2 = sample_pooling_graph(n, m, None, np.random.default_rng(41))
         assert np.array_equal(g1.indptr, g2.indptr)
         assert np.array_equal(g1.agents, g2.agents)
         assert np.array_equal(g1.counts, g2.counts)
 
-    def test_off_switch_and_defaults(self, monkeypatch):
+    def test_greedy_required_queries_unchanged_across_budgets(self, monkeypatch):
         from repro.core import batch as batch_mod
 
-        monkeypatch.setenv(batch_mod.CSR_THREADS_ENV, "1")
-        assert batch_mod._csr_threads() == 1
-        monkeypatch.setenv(batch_mod.CSR_THREADS_ENV, "6")
-        assert batch_mod._csr_threads() == 6
-        monkeypatch.delenv(batch_mod.CSR_THREADS_ENV, raising=False)
-        assert 1 <= batch_mod._csr_threads() <= 4
+        runner = BatchTrialRunner(600, 4, repro.ZChannel(0.2))
+        monkeypatch.setattr(batch_mod, "_csr_budget", 1)
+        serial = runner.required_queries_trials(4, seed=11)
+        self._force_fan_out(monkeypatch, batch_mod, 2)
+        threaded = runner.required_queries_trials(4, seed=11)
+        assert [r.required_m for r in serial] == [r.required_m for r in threaded]
+        assert [r.checks for r in serial] == [r.checks for r in threaded]
+        assert all(r.succeeded for r in serial)
 
-    def test_invalid_env_rejected(self, monkeypatch):
+    def test_concurrent_callers_stress(self, monkeypatch):
+        # More caller threads than cores, each fanning out over the
+        # shared pool while the interpreter switches threads constantly:
+        # every triple must still equal its serial construction.
+        import sys
+        import threading
+
         from repro.core import batch as batch_mod
 
-        monkeypatch.setenv(batch_mod.CSR_THREADS_ENV, "many")
-        with pytest.raises(ValueError, match="REPRO_CSR_THREADS"):
-            batch_mod._csr_threads()
-        monkeypatch.setenv(batch_mod.CSR_THREADS_ENV, "0")
-        with pytest.raises(ValueError, match="REPRO_CSR_THREADS"):
-            batch_mod._csr_threads()
+        cases = [(1000 + 37 * i, 12 + i, 300) for i in range(6)]
+        draws = [
+            np.random.default_rng(i).integers(0, n, size=(m, gamma))
+            for i, (n, m, gamma) in enumerate(cases)
+        ]
+        expected = [_reference_csr(d) for d in draws]
+        self._force_fan_out(monkeypatch, batch_mod, 4)
+        monkeypatch.setattr(batch_mod, "_csr_pool", None)
+        got = [None] * len(cases)
+
+        def build(i):
+            for _ in range(5):
+                got[i] = batch_mod._csr_from_draws(draws[i], cases[i][0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=build, args=(i,))
+                for i in range(len(cases))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            if batch_mod._csr_pool is not None:
+                batch_mod._csr_pool.shutdown()
+        assert not any(thread.is_alive() for thread in threads)
+        for triple, reference in zip(got, expected):
+            for a, b in zip(triple, reference):
+                assert np.array_equal(a, b)
 
     def test_small_calls_stay_serial(self, monkeypatch):
         from repro.core import batch as batch_mod
 
         calls = []
-        monkeypatch.setenv(batch_mod.CSR_THREADS_ENV, "4")
         monkeypatch.setattr(
-            batch_mod,
-            "chunk_bounds",
-            lambda *a: calls.append(a) or [(0, a[0])],
+            batch_mod, "_csr_map", lambda fn, items: calls.append(1) or []
         )
+        monkeypatch.setattr(batch_mod, "_csr_budget", 4)
         draws = np.random.default_rng(1).integers(0, 70_000, size=(4, 100))
-        batch_mod._csr_from_draws_counting(draws, 70_000)
+        batch_mod._csr_from_draws(draws, 70_000)
         assert calls == []  # below the work floor: no fan-out
+        # a budget of one never fans out, however large the call
+        monkeypatch.setattr(batch_mod, "_csr_budget", 1)
+        monkeypatch.setattr(batch_mod, "_CSR_PARALLEL_MIN_DRAWS", 1)
+        batch_mod._csr_from_draws(draws, 70_000)
+        assert calls == []
+
+    def test_pool_workers_run_single_threaded(self):
+        from repro.experiments import parallel
+
+        try:
+            budget = parallel._get_pool(2).submit(_csr_budget_in_worker).result()
+        finally:
+            parallel.shutdown_pool()
+        assert budget == 1
 
 
 class TestRunTrialsSeeded:

@@ -167,11 +167,3 @@ def test_connect_retry_env_uses_config(monkeypatch):
     monkeypatch.setenv(CONNECT_RETRY_ENV, "forever")
     with pytest.raises(ValueError, match=r"REPRO_CONNECT_RETRY must be a number >= 0"):
         resolve_connect_retry(None)
-
-
-def test_csr_threads_env_uses_config(monkeypatch):
-    from repro.core.batch import CSR_THREADS_ENV, _csr_threads
-
-    monkeypatch.setenv(CSR_THREADS_ENV, "0")
-    with pytest.raises(ValueError, match=r"REPRO_CSR_THREADS must be an integer >= 1"):
-        _csr_threads()

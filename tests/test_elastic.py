@@ -351,7 +351,12 @@ class TestFaultRecovery:
             proxy.stop()
 
     def test_straggler_speculation(self, socket_hosts, serial_reference):
-        proxy = FaultyWorkerProxy(socket_hosts[0], delay_reply=1.5).start()
+        # The held reply outlasts the healthy worker's whole share of the
+        # sweep (a second or two), so that worker goes idle while the
+        # straggler's chunk is past the deadline: speculation is certain.
+        # The sweep then ends on the duplicate, and stop() drops the
+        # held reply, so the delay never adds to the test's wall time.
+        proxy = FaultyWorkerProxy(socket_hosts[0], delay_reply=20.0).start()
         try:
             ex = SweepExecutor(
                 backend="socket",

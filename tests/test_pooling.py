@@ -295,3 +295,57 @@ class TestPoolingGraphBuilder:
     def test_default_gamma_used(self):
         builder = PoolingGraphBuilder(100)
         assert builder.gamma == 50
+
+
+class TestScatterBitIdentity:
+    """The bincount scatters match the np.add.at loops bit for bit."""
+
+    @staticmethod
+    def _add_at_reference(graph, results):
+        multi = np.zeros(graph.n, dtype=np.int64)
+        np.add.at(multi, graph.agents, graph.counts)
+        distinct = np.zeros(graph.n, dtype=np.int64)
+        np.add.at(distinct, graph.agents, 1)
+        psi = np.zeros(graph.n, dtype=np.float64)
+        np.add.at(psi, graph.agents, np.repeat(results, np.diff(graph.indptr)))
+        return multi, distinct, psi
+
+    def _check(self, graph, results):
+        multi, distinct, psi = self._add_at_reference(graph, results)
+        assert graph.multi_degrees().dtype == np.int64
+        assert np.array_equal(graph.multi_degrees(), multi)
+        assert graph.distinct_degrees().dtype == np.int64
+        assert np.array_equal(graph.distinct_degrees(), distinct)
+        got = graph.neighborhood_sums(results)
+        assert got.dtype == np.float64
+        assert got.tobytes() == psi.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_gaussian_noise_results(self, seed):
+        import repro
+
+        gen = np.random.default_rng(seed)
+        truth = repro.sample_ground_truth(600, 6, gen)
+        graph = sample_pooling_graph(600, 120, rng=gen)
+        meas = repro.measure(graph, truth, repro.GaussianQueryNoise(1.5), gen)
+        self._check(graph, meas.results)
+
+    def test_cauchy_corrupted_results(self):
+        import repro
+        from repro.core.corruption import CorruptionModel, apply_corruption
+
+        gen = np.random.default_rng(3)
+        truth = repro.sample_ground_truth(500, 5, gen)
+        graph = sample_pooling_graph(500, 150, rng=gen)
+        meas = repro.measure(graph, truth, repro.ZChannel(0.1), gen)
+        report = apply_corruption(
+            meas, CorruptionModel(outlier_rate=0.3, outlier_scale=50.0), gen
+        )
+        assert report.outliers > 0
+        corrupted = report.measurements
+        self._check(corrupted.graph, np.asarray(corrupted.results, dtype=np.float64))
+
+    def test_empty_and_irregular_graphs(self):
+        self._check(sample_pooling_graph(30, 0, rng=1), np.zeros(0))
+        design = sample_regular_design(40, 25, 3, rng=2)
+        self._check(design, np.random.default_rng(2).standard_normal(design.m))
