@@ -61,7 +61,7 @@ from repro.core.batch import (
     DEFAULT_INITIAL_BLOCK,
     MeasurementStream,
     ReplayedStream,
-    sample_pooling_graph_batch,
+    draw_instance,
 )
 from repro.core.ground_truth import sample_ground_truth
 from repro.core.incremental import default_max_queries
@@ -351,9 +351,7 @@ def run_amp_trials(
     kern = resolve_kernel(kernel)
     if _expected_trial_nnz(n, m, gamma) > STACK_NNZ_CUTOFF:
         for seed in seeds:
-            gen = normalize_rng(seed)
-            truth = sample_ground_truth(n, k, gen)
-            graph = sample_pooling_graph_batch(n, m, gamma, gen)
+            gen, truth, graph = draw_instance(n, k, m, gamma, seed)
             out.append(
                 run_amp(
                     measure(graph, truth, channel, gen),
@@ -367,9 +365,7 @@ def run_amp_trials(
     for lo in range(0, len(seeds), stack):
         batch: List[Measurements] = []
         for seed in seeds[lo : lo + stack]:
-            gen = normalize_rng(seed)
-            truth = sample_ground_truth(n, k, gen)
-            graph = sample_pooling_graph_batch(n, m, gamma, gen)
+            gen, truth, graph = draw_instance(n, k, m, gamma, seed)
             batch.append(measure(graph, truth, channel, gen))
         out.extend(
             run_amp_batch(batch, denoiser=denoiser, config=config, kernel=kern)
@@ -409,9 +405,7 @@ def sample_amp_cell_chunk(
     results = np.empty((trials, m), dtype=np.float64)
     sigma = np.empty((trials, n), dtype=np.int8)
     for t, seed in enumerate(seeds):
-        gen = normalize_rng(seed)
-        truth = sample_ground_truth(n, k, gen)
-        graph = sample_pooling_graph_batch(n, m, gamma, gen)
+        gen, truth, graph = draw_instance(n, k, m, gamma, seed)
         meas = measure(graph, truth, channel, gen)
         blocks.append((graph.indptr, graph.agents, graph.counts))
         results[t] = meas.results
@@ -437,8 +431,11 @@ def run_amp_prepared(
     denoiser: Optional[Denoiser] = None,
     config: Optional[AMPConfig] = None,
     kernel=None,
+    blocks: Optional[
+        Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    ] = None,
 ) -> List[Tuple[bool, float]]:
-    """Decode a driver-prepared fixed-``m`` chunk; ``(exact, overlap)`` rows.
+    """Decode a prepared fixed-``m`` stack; ``(exact, overlap)`` rows.
 
     The worker half of :func:`sample_amp_cell_chunk`: rebuilds the
     chunk's block-diagonal scipy CSR directly on the (read-only,
@@ -447,9 +444,10 @@ def run_amp_prepared(
     kernel seam. Per-trial outcomes are identical to
     :func:`run_amp_trials` on the same seeds: the stack-composition
     and compaction contracts make every trial's decode independent of
-    how its stack was assembled (compaction is skipped here — with the
-    whole chunk in one stack there is no per-stack operator rebuild to
-    save).
+    how its stack was assembled. Callers that still hold the per-trial
+    CSR triples pass them as ``blocks``, and the stack is compacted to
+    the live trials once at most half remain (as :func:`run_amp_batch`
+    does); without them the whole stack iterates to the end.
     """
     from scipy import sparse
 
@@ -469,8 +467,13 @@ def run_amp_prepared(
         shape=(trials * m, trials * n),
     )
     operator = CSRStackOperator(a, n=n, c=c, scale=scale)
+    restrict = None
+    if blocks is not None:
+        restrict = _StackedOperators(
+            blocks, n, m, c, scale, dtype=kern.dtype
+        ).operators
     scores, _, _, _ = iterate_amp(
-        operator, y, denoiser, config, n=n, kernel=kern
+        operator, y, denoiser, config, n=n, restrict=restrict, kernel=kern
     )
     _, errors, overlap, _ = decode_top_k_stacked(scores, sigma_truth, k)
     return [

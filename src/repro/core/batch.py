@@ -245,6 +245,23 @@ def sample_pooling_graph_batch(
     return PoolingGraph._unchecked(n, gamma, indptr, agents, counts)
 
 
+def draw_instance(
+    n: int, k: int, m: int, gamma: int, seed: RngLike
+) -> Tuple[np.random.Generator, GroundTruth, PoolingGraph]:
+    """Draw one fixed-``m`` trial's ground truth and pooling graph.
+
+    The shared prologue of every stacked fixed-``m`` path: the trial's
+    generator yields the truth, then the with-replacement graph, and is
+    returned positioned for the channel draw. Two trials on equal seeds
+    therefore sample the same instance whatever their channels, which
+    is what lets sibling sweep cells share one draw
+    (:func:`repro.experiments.parallel._fixed_m_group`).
+    """
+    gen = normalize_rng(seed)
+    truth = sample_ground_truth(n, k, gen)
+    return gen, truth, sample_pooling_graph_batch(n, m, gamma, gen)
+
+
 class MeasurementStream:
     """Block-grown, prefix-sliceable measured query stream of one trial.
 
@@ -889,9 +906,7 @@ class BatchTrialRunner:
         scores = np.empty((trials, n), dtype=np.float64)
         sigma = np.empty((trials, n), dtype=np.int8)
         for t, seed_t in enumerate(seeds):
-            gen = normalize_rng(seed_t)
-            truth = sample_ground_truth(n, k, gen)
-            graph = sample_pooling_graph_batch(n, m, self.gamma, gen)
+            gen, truth, graph = draw_instance(n, k, m, self.gamma, seed_t)
             e1 = graph.edges_into_ones(truth.sigma)
             results = self.channel.measure(e1, graph.query_sizes(), gen)
             psi = graph.neighborhood_sums(results)

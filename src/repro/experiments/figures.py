@@ -71,6 +71,13 @@ def _required_m_rows(cells, samples) -> "List[Dict[str, object]]":
     ]
 
 
+def _check_distinct(name: str, labels: Sequence[str]) -> None:
+    """Reject repeated series labels: they would merge into one series."""
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ValueError(f"duplicate {name} entries: {repeated}")
+
+
 def _series_label(algorithm: str, label: str, algorithms) -> str:
     """Series name for a required-m curve.
 
@@ -434,9 +441,18 @@ def figure6(
 
     The paper's headline comparison: both algorithms show a phase
     transition; AMP's window is narrower and sits at smaller m.
+
+    Series are paired on common instances: every series samples the
+    same truth and graph at each ``(m, trial)`` (one seed for all
+    cells), and only the channel noise and the decoder differ. On the
+    batch engine the sweep draws each instance once and decodes it per
+    series.
+    Repeated ``ps`` or ``algorithms`` entries raise ``ValueError``.
     """
     if m_values is None:
         m_values = list(range(25, 601, 25))
+    _check_distinct("ps", [f"{p:g}" for p in ps])
+    _check_distinct("algorithms", list(algorithms))
     k = sublinear_k(n, theta)
     plan = SweepPlan()
     cells = []
@@ -505,9 +521,15 @@ def figure7(
     workers: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
-    """Figure 7: overlap (fraction of identified 1-agents) vs m, greedy."""
+    """Figure 7: overlap (fraction of identified 1-agents) vs m, greedy.
+
+    Series are paired on common instances, as in :func:`figure6`: the
+    ``p`` series share each ``(m, trial)``'s truth and graph and differ
+    only in channel noise. Repeated ``ps`` entries raise ``ValueError``.
+    """
     if m_values is None:
         m_values = list(range(25, 601, 25))
+    _check_distinct("ps", [f"{p:g}" for p in ps])
     k = sublinear_k(n, theta)
     plan = SweepPlan()
     cells = []

@@ -11,10 +11,11 @@ exploits it without changing a single seeded output:
    ``SeedSequence.spawn`` calls, in the same order);
 2. **Chunking** — the seed list is partitioned into contiguous,
    order-preserving chunks (:func:`repro.core.chunking.chunk_bounds`);
-3. **Ordered merge** — each chunk runs through
-   :class:`~repro.core.batch.BatchTrialRunner`, the batched AMP stack
-   (:func:`repro.amp.batch_amp.run_amp_trials` — one block-diagonal
-   system per chunk instead of chunk-size serial runs), the stacked
+3. **Ordered merge** — each chunk runs through the fixed-m group
+   (:func:`_fixed_m_group` — each instance drawn once for every
+   sibling cell that samples it, stacked greedy scoring and one
+   block-diagonal AMP system per chunk instead of chunk-size serial
+   runs), :class:`~repro.core.batch.BatchTrialRunner`, the stacked
    AMP required-m scan (:func:`repro.amp.batch_amp.
    required_queries_amp` — a chunk's trials share probe rounds), or
    the legacy per-query loop inside a worker process, and the
@@ -68,7 +69,7 @@ import numpy as np
 from repro.core.batch import _serial_csr
 from repro.utils import config
 from repro.utils.rng import RngLike
-from repro.utils.validation import check_non_negative_int
+from repro.utils.validation import check_non_negative_int, check_positive_int
 
 #: environment variable consulted when ``workers`` is not given
 #: explicitly; lets CI (and users) shard whole test/benchmark runs
@@ -350,42 +351,14 @@ def _fixed_m_chunk(
     Returns ``(exact, overlap)`` per trial, in chunk order. The heavy
     per-trial artifacts (score vectors, estimates) stay in the worker —
     only the curve statistics cross the process boundary. A chunk runs
-    whichever stacked engine path the scheduler selected
-    (``batch_mode``): stacked greedy trials, one batched AMP stack per
-    chunk, or the legacy per-trial loop. Each trial is a pure function
-    of its own seed in every mode, so the chunk layout never shows in
-    the merged output.
+    whichever engine path the scheduler selected (``batch_mode``): the
+    stacked greedy/AMP engines as a draw-sharing group of one
+    (:func:`_fixed_m_group`), or the legacy per-trial loop. Each trial
+    is a pure function of its own seed in every mode, so the chunk
+    layout never shows in the merged output.
     """
-    if spec["batch_mode"] == "greedy":
-        from repro.core.batch import BatchTrialRunner
-
-        runner = BatchTrialRunner(
-            spec["n"],
-            spec["k"],
-            spec["channel"],
-            gamma=spec["gamma"],
-            centering=spec["algorithm_kwargs"].get("centering", "half_k"),
-        )
-        return [
-            (bool(r.exact), float(r.overlap))
-            for r in runner.run_trials_seeded(m, list(seeds))
-        ]
-    if spec["batch_mode"] == "amp":
-        from repro.amp.batch_amp import run_amp_trials
-        from repro.experiments.runner import _amp_batch_kwargs
-
-        return [
-            (bool(r.exact), float(r.overlap))
-            for r in run_amp_trials(
-                spec["n"],
-                spec["k"],
-                spec["channel"],
-                m,
-                list(seeds),
-                gamma=spec["gamma"],
-                **_amp_batch_kwargs(spec["algorithm_kwargs"]),
-            )
-        ]
+    if spec["batch_mode"] in ("greedy", "amp"):
+        return _fixed_m_group([spec], m, seeds)[0]
     from repro.core.corruption import (
         apply_corruption,
         corruption_rng,
@@ -436,6 +409,133 @@ def _fixed_m_chunk(
             )
         else:
             out.append((bool(result.exact), float(result.overlap)))
+    return out
+
+
+def _spec_gamma(spec: Dict[str, object]) -> int:
+    """A cell's query size: its ``gamma``, else the default for ``n``."""
+    from repro.core.pooling import default_gamma
+
+    if spec["gamma"] is None:
+        return default_gamma(check_positive_int(spec["n"], "n"))
+    return check_positive_int(spec["gamma"], "gamma")
+
+
+def _fixed_m_group(
+    specs: Sequence[Dict[str, object]],
+    m: int,
+    seeds: Sequence[np.random.SeedSequence],
+) -> List[List[Tuple[bool, float]]]:
+    """Run one fixed-``m`` chunk for sibling cells that share their draws.
+
+    ``specs`` are stacked-engine success-curve specs (``batch_mode``
+    ``"greedy"`` or ``"amp"``) of one ``(n, k, gamma)``; they may differ
+    in channel and algorithm kwargs. On equal seeds every member would
+    sample the same truth and graph, so each seed's instance is drawn
+    once (:func:`repro.core.batch.draw_instance`), and every member
+    measures it through its own channel on its own copy of the
+    post-graph generator — exactly the generator states its own chunk
+    would consume. Greedy members then decode through the stacked top-k
+    scan; AMP members of one kernel dtype share a single block-diagonal
+    stack per sub-stack of trials and decode through
+    :func:`repro.amp.batch_amp.run_amp_prepared`, compacting from the
+    per-trial blocks as :func:`~repro.amp.batch_amp.run_amp_batch`
+    does. Outcomes are therefore bit-identical to per-cell chunks, and
+    a lone cell is a group of one. Returns one ``(exact, overlap)``
+    list per member.
+    """
+    import copy
+
+    from repro.amp.batch_amp import (
+        DEFAULT_STACK_ELEMENTS,
+        STACK_NNZ_CUTOFF,
+        _expected_trial_nnz,
+        _stack_blocks,
+        _stack_size,
+        run_amp_prepared,
+    )
+    from repro.amp.kernels import resolve_kernel
+    from repro.core.batch import BatchTrialRunner, draw_instance
+    from repro.core.scores import decode_top_k_stacked
+    from repro.experiments.runner import _amp_batch_kwargs
+
+    n, k = specs[0]["n"], specs[0]["k"]
+    gamma = _spec_gamma(specs[0])
+    seeds = list(seeds)
+    trials = len(seeds)
+    offsets: Dict[int, float] = {}
+    amp: Dict[int, dict] = {}
+    for i, spec in enumerate(specs):
+        kwargs = spec["algorithm_kwargs"]
+        if spec["batch_mode"] == "greedy":
+            offsets[i] = BatchTrialRunner(
+                n, k, spec["channel"], gamma=gamma,
+                centering=kwargs.get("centering", "half_k"),
+            )._offset()
+        else:
+            amp[i] = _amp_batch_kwargs(kwargs)
+    m = check_positive_int(m, "m", minimum=1 if amp else 0)
+    out: List[List[Tuple[bool, float]]] = [[] for _ in specs]
+    if not trials:
+        return out
+    # AMP sub-stacks bound peak memory exactly like run_amp_trials;
+    # trials past the stacking cutoff decode one per stack.
+    stack = trials
+    if amp:
+        stack = (
+            1 if _expected_trial_nnz(n, m, gamma) > STACK_NNZ_CUTOFF
+            else _stack_size(n, m, gamma, DEFAULT_STACK_ELEMENTS)
+        )
+    sigma = np.empty((trials, n), dtype=np.int8)
+    scores = {i: np.empty((trials, n), dtype=np.float64) for i in offsets}
+    last = len(specs) - 1
+    for lo in range(0, trials, stack):
+        part = seeds[lo : lo + stack]
+        results = {i: np.empty((len(part), m), dtype=np.float64) for i in amp}
+        blocks = []
+        for t, seed in enumerate(part, start=lo):
+            gen, truth, graph = draw_instance(n, k, m, gamma, seed)
+            sigma[t] = truth.sigma
+            e1 = graph.edges_into_ones(truth.sigma)
+            sizes = graph.query_sizes()
+            if offsets:
+                delta_star = graph.distinct_degrees().astype(np.float64)
+            for i, spec in enumerate(specs):
+                member_gen = gen if i == last else copy.deepcopy(gen)
+                measured = spec["channel"].measure(e1, sizes, member_gen)
+                if i in offsets:
+                    scores[i][t] = (
+                        graph.neighborhood_sums(measured)
+                        - delta_star * offsets[i]
+                    )
+                else:
+                    results[i][t - lo] = measured
+            if amp:
+                blocks.append((graph.indptr, graph.agents, graph.counts))
+        stacks = {}
+        for i, kwargs in amp.items():
+            dtype = resolve_kernel(kwargs.get("kernel")).dtype
+            if dtype not in stacks:
+                stacks[dtype] = _stack_blocks(blocks, n, dtype)
+            a = stacks[dtype]
+            out[i].extend(
+                run_amp_prepared(
+                    n, k, specs[i]["channel"], m,
+                    {
+                        "indptr": a.indptr,
+                        "indices": a.indices,
+                        "data": a.data,
+                        "results": results[i],
+                        "truth": sigma[lo : lo + len(part)],
+                    },
+                    gamma=gamma,
+                    blocks=blocks,
+                    **kwargs,
+                )
+            )
+    for i, member_scores in scores.items():
+        _, errors, overlap, _ = decode_top_k_stacked(member_scores, sigma, k)
+        out[i] = [(bool(e == 0), float(o)) for e, o in zip(errors, overlap)]
     return out
 
 

@@ -81,6 +81,24 @@ and restored outcomes are the chunks' own recorded values. Works on
 every backend (the filtering happens before dispatch); a plan whose
 content hash changed is rejected instead of silently resumed.
 
+Draw sharing
+------------
+Figure-style plans add many success-curve cells with one ``seed`` and
+one m-grid, so their chunks carry identical child seeds — and a
+stacked-engine trial draws truth, then graph, then channel noise from
+its seed. Before dispatch the executor therefore **fuses** pending
+chunks whose draws coincide — same ``n``, ``k``, resolved ``gamma``
+and ``m``, same seeds by ``(entropy, spawn_key)``, both on the
+``greedy``/``amp`` batch mode — into one ``CELL_FUSED`` work item:
+each seed's instance is drawn once and every member measures and
+decodes it on its own copy of the post-graph generator
+(:func:`repro.experiments.parallel._fixed_m_group`). Members consume
+exactly the generator states of their own chunks, so fusion is
+bit-identical by construction; eligibility reads the cell specs only.
+A fused item rides the same chunk seam on every backend, its outcomes
+split back per member, and checkpoint records stay keyed per member
+chunk — a resume fuses only the members still missing.
+
 Per-worker payload interning
 ----------------------------
 A chunk's payload splits into a per-cell **invariant** part (the
@@ -143,9 +161,12 @@ BACKEND_ENV = "REPRO_BACKEND"
 #: ``host:port`` pairs (consulted when ``hosts`` is not given)
 HOSTS_ENV = "REPRO_HOSTS"
 
-#: cell kinds understood by the chunk runner
+#: cell kinds understood by the chunk runner; a fused group of sibling
+#: success-curve chunks travels as one ``CELL_FUSED`` work item whose
+#: spec lists the member cells' specs
 CELL_REQUIRED = "required_queries"
 CELL_CURVE = "success_curve"
+CELL_FUSED = "fused_success_curve"
 
 #: pooling designs selectable per success-curve cell: the paper's
 #: with-replacement multigraph (default), the distinct-agents simple
@@ -369,6 +390,8 @@ class SweepPlan:
         ``design`` selects the pooling design (:data:`DESIGNS`); the
         non-default designs run the seed-compatible legacy per-trial
         loop, which is the one place that knows how to sample them.
+        Every grid point must be ``>= 0`` (``>= 1`` for the AMP
+        algorithms); a bad point raises here, before anything runs.
         ``batch_mode="auto"`` (default) lets
         :func:`repro.experiments.runner._batch_mode` pick the stacked
         chunk implementation; pass ``None`` / ``"greedy"`` / ``"amp"``
@@ -454,6 +477,11 @@ class SweepPlan:
             "fault": fault,
         }
         m_values = [int(m) for m in m_values]
+        # Reject a bad grid point now, before any chunk of the plan
+        # runs (AMP standardizes by m, so it needs at least one query).
+        minimum = 1 if algorithm in ("amp", "distributed_amp") else 0
+        for m in m_values:
+            check_positive_int(m, "m", minimum=minimum)
         per_m_seeds = [
             spawn_seeds(m_rng, trials)
             for m_rng in spawn_rngs(seed, len(m_values))
@@ -515,6 +543,8 @@ def _run_chunk(spec: Dict[str, object], kind: str, m, seeds) -> list:
         return parallel._required_queries_chunk(spec, list(seeds))
     if kind == CELL_CURVE:
         return parallel._fixed_m_chunk(spec, int(m), list(seeds))
+    if kind == CELL_FUSED:
+        return parallel._fixed_m_group(spec["members"], int(m), list(seeds))
     raise ValueError(f"unknown cell kind {kind!r}")
 
 
@@ -645,13 +675,98 @@ class _Task:
     hi: int = 0  # layout-independent, unlike ``index``)
 
 
+@dataclass(frozen=True)
+class _Unit:
+    """One dispatched work item: one cell's chunk, or a fused group's.
+
+    ``tasks`` are the member cells' chunks; a fused group's members
+    share ``m`` and seeds, and their outcomes split back per task.
+    """
+
+    uid: int  # position in the dispatch list (speculation dedup)
+    kind: str
+    tasks: Tuple[_Task, ...]
+
+    @property
+    def cells(self) -> Tuple[int, ...]:
+        """Member cell indices — the unit's spec identity."""
+        return tuple(t.cell for t in self.tasks)
+
+    @property
+    def m(self) -> Optional[int]:
+        return self.tasks[0].m
+
+    @property
+    def seeds(self) -> tuple:
+        return self.tasks[0].seeds
+
+
+def _draw_key(cell: _PlanCell, task: _Task) -> Optional[tuple]:
+    """Key under which a task's draws coincide with its siblings'.
+
+    A stacked-engine success-curve chunk draws each trial's truth and
+    then its graph from the trial's seed before the channel draws
+    (:func:`repro.core.batch.draw_instance`), so chunks with equal
+    ``(n, k, gamma, m)`` and equal seeds sample identical instances,
+    whatever their channels and algorithm kwargs. ``None`` for every
+    other task: legacy-loop cells (corrupted, non-replacement designs,
+    distributed algorithms) and required-m cells.
+    """
+    spec = cell.spec
+    if cell.kind != CELL_CURVE or spec["batch_mode"] not in ("greedy", "amp"):
+        return None
+    return (
+        spec["n"],
+        spec["k"],
+        parallel._spec_gamma(spec),
+        task.m,
+        tuple((s.entropy, s.spawn_key, s.pool_size) for s in task.seeds),
+    )
+
+
+def _fuse(tasks: Sequence[_Task], cells: Sequence[_PlanCell]) -> List[_Unit]:
+    """Group tasks with equal draw keys into units, in first-member order.
+
+    A task without siblings is a group of one and keeps its cell's own
+    kind and spec; a larger group runs as one ``CELL_FUSED`` item
+    (:func:`repro.experiments.parallel._fixed_m_group`).
+    """
+    groups: List[List[_Task]] = []
+    by_key: Dict[tuple, List[_Task]] = {}
+    for task in tasks:
+        key = _draw_key(cells[task.cell], task)
+        group = by_key.get(key) if key is not None else None
+        if group is None:
+            group = []
+            groups.append(group)
+            if key is not None:
+                by_key[key] = group
+        group.append(task)
+    return [
+        _Unit(
+            uid,
+            CELL_FUSED if len(group) > 1 else cells[group[0].cell].kind,
+            tuple(group),
+        )
+        for uid, group in enumerate(groups)
+    ]
+
+
+def _unit_spec(unit: _Unit, cells: Sequence[_PlanCell]) -> Dict[str, object]:
+    """The spec a unit ships: its cell's, or the fused members' list."""
+    if unit.kind == CELL_FUSED:
+        return {"members": [cells[ci].spec for ci in unit.cells]}
+    return cells[unit.cells[0]].spec
+
+
 #: unique spec-cache keys; the pid prefix keeps keys from different
 #: driver processes (which may share a worker) from colliding
 _spec_key_counter = itertools.count()
 
 
-def _next_spec_key(cell: int) -> str:
-    return f"{os.getpid()}:{next(_spec_key_counter)}:{cell}"
+def _next_spec_key(cells: Tuple[int, ...]) -> str:
+    members = "+".join(map(str, cells))
+    return f"{os.getpid()}:{next(_spec_key_counter)}:{members}"
 
 
 class SweepExecutor:
@@ -878,7 +993,7 @@ class SweepExecutor:
                     # cell record): compact now.
                     ckpt.record_cell(ci, assemble(ci))
 
-        def emit(task: _Task, result: list) -> None:
+        def emit_task(task: _Task, result: list) -> None:
             fresh = slots[task.cell][task.index] is None
             store(task, result)
             if ckpt is not None and fresh:
@@ -889,24 +1004,36 @@ class SweepExecutor:
                 if remaining[task.cell] == 0:
                     ckpt.record_cell(task.cell, assemble(task.cell))
 
-        pending = [
-            t
-            for t in tasks
-            if t.cell not in restored and slots[t.cell][t.index] is None
-        ]
-        if pending:
+        def emit(unit: _Unit, result: list) -> None:
+            # A fused unit returns one outcome list per member; each
+            # lands (and checkpoints) under its own cell's chunk key.
+            members = result if unit.kind == CELL_FUSED else [result]
+            for task, outcomes in zip(unit.tasks, members):
+                emit_task(task, outcomes)
+
+        # Siblings fuse only among still-pending chunks, so a resume
+        # recomputes exactly the members whose records did not survive.
+        units = _fuse(
+            [
+                t
+                for t in tasks
+                if t.cell not in restored and slots[t.cell][t.index] is None
+            ],
+            cells,
+        )
+        if units:
             # (a plan can be task-free — no cells, cells with empty
             # m-grids, or everything restored from the checkpoint —
             # and must still fold one result per cell)
             if self.backend == "serial":
-                self._execute_serial(pending, cells, emit)
+                self._execute_serial(units, cells, emit)
             elif self.backend == "process":
                 if self.shm:
-                    self._execute_process_shm(pending, cells, emit)
+                    self._execute_process_shm(units, cells, emit)
                 else:
-                    self._execute_process(pending, cells, emit)
+                    self._execute_process(units, cells, emit)
             else:
-                self._execute_socket(pending, cells, emit)
+                self._execute_socket(units, cells, emit)
 
         missing = [ci for ci, left in enumerate(remaining) if left]
         if missing:  # pragma: no cover - backends raise before this
@@ -919,15 +1046,15 @@ class SweepExecutor:
 
     # ---- backends ----
 
-    def _execute_serial(self, tasks, cells, emit) -> None:
-        for task in tasks:
+    def _execute_serial(self, units, cells, emit) -> None:
+        for unit in units:
             emit(
-                task,
-                _run_chunk(cells[task.cell].spec, cells[task.cell].kind,
-                           task.m, task.seeds),
+                unit,
+                _run_chunk(_unit_spec(unit, cells), unit.kind, unit.m,
+                           unit.seeds),
             )
 
-    def _execute_process(self, tasks, cells, emit) -> None:
+    def _execute_process(self, units, cells, emit) -> None:
         """Submit the queue to the cached spawn pool; retry once if it
         breaks mid-sweep, resubmitting every unfinished chunk.
 
@@ -938,60 +1065,61 @@ class SweepExecutor:
         fresh pool (results are pure functions of their seeds, so the
         retry is bit-identical). A second breakage fails the sweep.
         """
-        blobs = {
-            ci: pickle.dumps(cells[ci].spec, pickle.HIGHEST_PROTOCOL)
-            for ci in {t.cell for t in tasks}
-        }
-        keys = {ci: _next_spec_key(ci) for ci in blobs}
-        # Seed each cell's spec into the pool with its first chunks
+        blobs = {}
+        for unit in units:
+            if unit.cells not in blobs:
+                blobs[unit.cells] = pickle.dumps(
+                    _unit_spec(unit, cells), pickle.HIGHEST_PROTOCOL
+                )
+        keys = {spec_id: _next_spec_key(spec_id) for spec_id in blobs}
+        # Seed each unit spec into the pool with its first chunks
         # (likely to land on distinct workers); later chunks ship only
         # seeds + indices and fall back to the miss-retry protocol.
         # FIFO order matters: the blob-carrying chunks must reach the
-        # pool before their cell's blob-less ones.
-        unsent: "deque[Tuple[_Task, bool]]" = deque()
-        seen: Dict[int, int] = {}
-        for task in tasks:
-            shipped = seen.get(task.cell, 0)
-            unsent.append((task, shipped < self.workers))
-            seen[task.cell] = shipped + 1
+        # pool before their spec's blob-less ones.
+        unsent: "deque[Tuple[_Unit, bool]]" = deque()
+        seen: Dict[Tuple[int, ...], int] = {}
+        for unit in units:
+            shipped = seen.get(unit.cells, 0)
+            unsent.append((unit, shipped < self.workers))
+            seen[unit.cells] = shipped + 1
 
         retried_broken = False
         while True:
             pool = parallel._get_pool(self.workers)
-            pending: Dict[object, _Task] = {}
+            pending: Dict[object, _Unit] = {}
             try:
                 while unsent or pending:
                     while unsent:
                         # peek, submit, then pop — a submit() that
                         # raises BrokenProcessPool leaves the chunk
                         # queued for the fresh-pool retry
-                        task, with_blob = unsent[0]
-                        cell = cells[task.cell]
+                        unit, with_blob = unsent[0]
                         blob = (
-                            blobs[task.cell]
+                            blobs[unit.cells]
                             if (with_blob or not self.intern_specs)
                             else None
                         )
                         future = pool.submit(
-                            _process_chunk, keys[task.cell], blob,
-                            cell.kind, task.m, task.seeds,
+                            _process_chunk, keys[unit.cells], blob,
+                            unit.kind, unit.m, unit.seeds,
                         )
                         unsent.popleft()
-                        pending[future] = task
+                        pending[future] = unit
                     done, _ = wait(
                         list(pending), return_when=FIRST_COMPLETED
                     )
                     for future in done:
-                        task = pending.pop(future)
+                        unit = pending.pop(future)
                         try:
                             result = future.result()
                         except _SpecMissing:
-                            unsent.append((task, True))
+                            unsent.append((unit, True))
                             continue
                         except BrokenProcessPool:
-                            unsent.append((task, True))
+                            unsent.append((unit, True))
                             raise
-                        emit(task, result)
+                        emit(unit, result)
                 return
             except BrokenProcessPool:
                 # A worker died (OOM kill, segfault): the whole
@@ -999,10 +1127,10 @@ class SweepExecutor:
                 if retried_broken:
                     raise
                 retried_broken = True
-                unsent.extend((t, True) for t in pending.values())
+                unsent.extend((u, True) for u in pending.values())
                 parallel.shutdown_pool()
 
-    def _execute_process_shm(self, tasks, cells, emit) -> None:
+    def _execute_process_shm(self, units, cells, emit) -> None:
         """Process backend with shared-memory payload dispatch.
 
         All cell specs and per-task payloads are laid out once in one
@@ -1018,29 +1146,35 @@ class SweepExecutor:
         required-``m`` chunk's fully grown measurement streams — into
         the arena, and the worker attaches zero-copy read-only views
         (:func:`~repro.experiments.shm.shm_graph_chunk`) instead of
-        re-sampling and re-stacking per chunk. Ineligible tasks ship
-        pickled seeds exactly as before, in the same arena. The arena
-        is unlinked in the ``finally`` whether the sweep finishes,
-        raises, or retries; the retry-once ``BrokenProcessPool``
-        semantics mirror :meth:`_execute_process` (payloads are pure
-        functions of their seeds, and the arena outlives the broken
-        pool, so the fresh pool replays the identical payload).
+        re-sampling and re-stacking per chunk. Ineligible tasks — fused
+        groups among them — ship pickled seeds exactly as before, in
+        the same arena. The arena is unlinked in the ``finally``
+        whether the sweep finishes, raises, or retries; the retry-once
+        ``BrokenProcessPool`` semantics mirror :meth:`_execute_process`
+        (payloads are pure functions of their seeds, and the arena
+        outlives the broken pool, so the fresh pool replays the
+        identical payload).
         """
-        used = sorted({t.cell for t in tasks})
-        spec_index = {ci: i for i, ci in enumerate(used)}
-        blobs: List[object] = [
-            pickle.dumps(cells[ci].spec, pickle.HIGHEST_PROTOCOL)
-            for ci in used
-        ]
-        # Per task, either ("seeds", blob_index) or
+        spec_index: Dict[Tuple[int, ...], int] = {}
+        blobs: List[object] = []
+        for unit in units:
+            if unit.cells not in spec_index:
+                spec_index[unit.cells] = len(blobs)
+                blobs.append(pickle.dumps(
+                    _unit_spec(unit, cells), pickle.HIGHEST_PROTOCOL
+                ))
+        # Per unit, either ("seeds", blob_index) or
         # ("prep", {array_name: (blob_index, dtype_str, shape)}).
         descriptors: List[Tuple[str, object]] = []
-        for task in tasks:
-            prep = _prepared_arrays(cells[task.cell], task)
+        for unit in units:
+            prep = None
+            if unit.kind != CELL_FUSED:
+                task = unit.tasks[0]
+                prep = _prepared_arrays(cells[task.cell], task)
             if prep is None:
                 descriptors.append(("seeds", len(blobs)))
                 blobs.append(
-                    pickle.dumps(task.seeds, pickle.HIGHEST_PROTOCOL)
+                    pickle.dumps(unit.seeds, pickle.HIGHEST_PROTOCOL)
                 )
             else:
                 entry = {}
@@ -1054,7 +1188,9 @@ class SweepExecutor:
         # the prepared arrays before the dispatch loop holds memory.
         del blobs
         try:
-            spec_refs = {ci: arena.refs[spec_index[ci]] for ci in used}
+            spec_refs = {
+                spec_id: arena.refs[i] for spec_id, i in spec_index.items()
+            }
             payloads: List[Tuple[str, object]] = []
             for form, body in descriptors:
                 if form == "seeds":
@@ -1064,7 +1200,7 @@ class SweepExecutor:
                         key: (arena.refs[bi], dt, shape)
                         for key, (bi, dt, shape) in body.items()
                     }))
-            unsent: "deque[int]" = deque(range(len(tasks)))
+            unsent: "deque[int]" = deque(range(len(units)))
             retried_broken = False
             while True:
                 pool = parallel._get_pool(self.workers)
@@ -1075,7 +1211,7 @@ class SweepExecutor:
                             # peek, submit, then pop — see
                             # _execute_process
                             ti = unsent[0]
-                            task = tasks[ti]
+                            unit = units[ti]
                             form, body = payloads[ti]
                             entry = (
                                 shm_module.shm_chunk
@@ -1084,8 +1220,8 @@ class SweepExecutor:
                             )
                             future = pool.submit(
                                 entry, arena.name,
-                                spec_refs[task.cell], body,
-                                cells[task.cell].kind, task.m,
+                                spec_refs[unit.cells], body,
+                                unit.kind, unit.m,
                             )
                             unsent.popleft()
                             pending[future] = ti
@@ -1099,7 +1235,7 @@ class SweepExecutor:
                             except BrokenProcessPool:
                                 unsent.append(ti)
                                 raise
-                            emit(tasks[ti], result)
+                            emit(units[ti], result)
                     return
                 except BrokenProcessPool:
                     if retried_broken:
@@ -1110,7 +1246,7 @@ class SweepExecutor:
         finally:
             arena.dispose()
 
-    def _execute_socket(self, tasks, cells, emit) -> None:
+    def _execute_socket(self, units, cells, emit) -> None:
         """Drive remote socket workers elastically.
 
         One feeder thread per host pulls chunks off the shared queue
@@ -1145,10 +1281,10 @@ class SweepExecutor:
             )
             if hb_timeout is None:
                 hb_timeout = worker_mod.DEFAULT_HEARTBEAT_TIMEOUT
-        keys = {ci: _next_spec_key(ci) for ci in {t.cell for t in tasks}}
-        task_queue: "queue_module.Queue[_Task]" = queue_module.Queue()
-        for task in tasks:
-            task_queue.put(task)
+        keys = {u.cells: _next_spec_key(u.cells) for u in units}
+        task_queue: "queue_module.Queue[_Unit]" = queue_module.Queue()
+        for unit in units:
+            task_queue.put(unit)
         results: "queue_module.Queue[tuple]" = queue_module.Queue()
         done_event = threading.Event()
 
@@ -1158,7 +1294,7 @@ class SweepExecutor:
         # observed durations (the adaptive deadline), and counters.
         lock = threading.Lock()
         done_keys: set = set()
-        inflight: Dict[tuple, Tuple[float, _Task]] = {}
+        inflight: Dict[int, Tuple[float, _Unit]] = {}
         idle: set = set()
         durations: List[float] = []
         stats = {
@@ -1242,33 +1378,33 @@ class SweepExecutor:
             try:
                 while not done_event.is_set():
                     try:
-                        task = task_queue.get(timeout=0.05)
+                        unit = task_queue.get(timeout=0.05)
                     except queue_module.Empty:
                         with lock:
                             idle.add(address)
                         continue
-                    key = (task.cell, task.index)
+                    key = unit.uid
                     with lock:
                         idle.discard(address)
                         if key in done_keys:
                             continue  # speculation duplicate, resolved
-                        inflight[key] = (time.monotonic(), task)
+                        inflight[key] = (time.monotonic(), unit)
                     try:
                         # intern_specs=False is the benchmark baseline:
                         # re-ship the spec with every chunk instead of
                         # once per connection.
-                        if not self.intern_specs or task.cell not in sent:
+                        if not self.intern_specs or unit.cells not in sent:
                             worker_mod.send_message(
                                 conn,
-                                ("spec", keys[task.cell],
-                                 cells[task.cell].spec),
+                                ("spec", keys[unit.cells],
+                                 _unit_spec(unit, cells)),
                                 auth_key,
                             )
-                            sent.add(task.cell)
+                            sent.add(unit.cells)
                         worker_mod.send_message(
                             conn,
-                            ("chunk", keys[task.cell],
-                             cells[task.cell].kind, task.m, task.seeds),
+                            ("chunk", keys[unit.cells],
+                             unit.kind, unit.m, unit.seeds),
                             auth_key,
                         )
                         start = time.monotonic()
@@ -1276,7 +1412,7 @@ class SweepExecutor:
                     except _Abandoned:
                         with lock:
                             inflight.pop(key, None)
-                        task_queue.put(task)
+                        task_queue.put(unit)
                         return
                     except Exception as exc:
                         # Not only transport errors (OSError/EOFError):
@@ -1286,7 +1422,7 @@ class SweepExecutor:
                         # a surviving worker can pick the chunk up.
                         with lock:
                             inflight.pop(key, None)
-                        task_queue.put(task)
+                        task_queue.put(unit)
                         failures += 1
                         if failures >= _MAX_WORKER_FAILURES:
                             results.put(("worker-dead", address, exc))
@@ -1300,11 +1436,11 @@ class SweepExecutor:
                     failures = 0  # a completed exchange resets the strike
                     if reply[0] == "ok":
                         results.put(
-                            ("ok", task, reply[1],
+                            ("ok", unit, reply[1],
                              time.monotonic() - start)
                         )
                     else:
-                        results.put(("task-error", task, reply[1]))
+                        results.put(("task-error", unit, reply[1]))
                 try:
                     worker_mod.send_message(conn, ("close",), auth_key)
                 except OSError:
@@ -1334,13 +1470,13 @@ class SweepExecutor:
             with lock:
                 if not idle:
                     return  # nobody free: re-dispatch would just queue
-                for key, (start, task) in list(inflight.items()):
+                for key, (start, unit) in list(inflight.items()):
                     if key in speculated or key in done_keys:
                         continue
                     if now - start > deadline:
                         speculated.add(key)
                         stats["speculated"] += 1
-                        task_queue.put(task)
+                        task_queue.put(unit)
 
         threads = [
             threading.Thread(target=drive, args=(addr,), daemon=True)
@@ -1351,7 +1487,7 @@ class SweepExecutor:
         completed = 0
         failure_notes: List[str] = []
         try:
-            while completed < len(tasks):
+            while completed < len(units):
                 maybe_speculate()
                 try:
                     message = results.get(timeout=0.25)
@@ -1359,20 +1495,19 @@ class SweepExecutor:
                     if not any(t.is_alive() for t in threads):
                         raise RuntimeError(
                             "all socket workers exited with "
-                            f"{len(tasks) - completed} chunks unfinished"
+                            f"{len(units) - completed} chunks unfinished"
                             + (f" (failures: {failure_notes})"
                                if failure_notes else "")
                         )
                     continue
                 if message[0] == "ok":
-                    _, task, outcome, duration = message
-                    key = (task.cell, task.index)
+                    _, unit, outcome, duration = message
                     with lock:
-                        if key in done_keys:
+                        if unit.uid in done_keys:
                             continue  # the speculation loser
-                        done_keys.add(key)
+                        done_keys.add(unit.uid)
                         durations.append(duration)
-                    emit(task, outcome)
+                    emit(unit, outcome)
                     completed += 1
                 elif message[0] == "task-error":
                     raise RuntimeError(

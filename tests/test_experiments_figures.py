@@ -160,7 +160,26 @@ class TestFigure6:
         )
 
 
+    @pytest.mark.parametrize(
+        "kwargs, repeated",
+        [
+            (dict(ps=(0.1, 0.1)), "ps"),
+            (dict(ps=(0.1, 0.1000000001)), "ps"),  # same "p=0.1" label
+            (dict(algorithms=("amp", "greedy", "amp")), "algorithms"),
+        ],
+    )
+    def test_duplicate_series_rejected(self, kwargs, repeated):
+        # Repeated entries would emit two identically labelled series
+        # that FigureResult.series() silently merges.
+        with pytest.raises(ValueError, match=f"duplicate {repeated}"):
+            figure6(n=150, m_values=(60,), trials=2, seed=0, **kwargs)
+
+
 class TestFigure7:
+    def test_duplicate_ps_rejected(self):
+        with pytest.raises(ValueError, match="duplicate ps"):
+            figure7(n=150, ps=(0.3, 0.1, 0.3), m_values=(60,), trials=2)
+
     def test_overlap_curve(self):
         result = figure7(n=150, ps=(0.1,), m_values=(10, 150), trials=8, seed=0)
         rows = result.series("p=0.1")

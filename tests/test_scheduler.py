@@ -417,3 +417,242 @@ class TestSearchThroughEngine:
         )
         assert serial.threshold_m == sharded.threshold_m
         assert serial.probes == sharded.probes
+
+
+# -- draw sharing: fused sibling success-curve cells --------------------
+
+#: one plan mixing fusable siblings (greedy + AMP over several
+#: channels, a float32-kernel AMP member beside float64 ones, an oracle
+#: centering) with cells that must not fuse: a same-seed cell whose
+#: m-grid order differs (so its per-m seeds differ by index), a
+#: different-k cell, a corrupted cell and a distributed cell
+FUSED_SEED = 21
+FUSED_M = [40, 80]
+
+
+def build_fused_plan():
+    from repro.core.corruption import CorruptionModel
+
+    plan = SweepPlan()
+    common = dict(trials=5, seed=FUSED_SEED)
+    plan.add_success_curve(120, 3, repro.ZChannel(0.1), FUSED_M, **common)
+    plan.add_success_curve(
+        120, 3, repro.ZChannel(0.1), FUSED_M, algorithm="amp", **common
+    )
+    plan.add_success_curve(
+        120, 3, repro.ZChannel(0.3), FUSED_M, algorithm="amp", **common
+    )
+    plan.add_success_curve(
+        120, 3, repro.NoisyChannel(0.05, 0.1), FUSED_M,
+        algorithm_kwargs={"centering": "oracle"}, **common,
+    )
+    plan.add_success_curve(
+        120, 3, repro.ZChannel(0.2), FUSED_M, algorithm="amp",
+        algorithm_kwargs={"kernel": "numpy32"}, **common,
+    )
+    plan.add_success_curve(
+        120, 3, repro.ZChannel(0.2), FUSED_M[::-1], **common
+    )
+    plan.add_success_curve(120, 4, repro.ZChannel(0.1), FUSED_M, **common)
+    plan.add_success_curve(
+        120, 3, repro.ZChannel(0.1), FUSED_M,
+        corruption=CorruptionModel(flip_rate=0.05), **common,
+    )
+    # (one grid point keeps the message-passing protocol cheap)
+    plan.add_success_curve(
+        120, 3, repro.ZChannel(0.1), FUSED_M[:1], algorithm="distributed",
+        **common,
+    )
+    return plan
+
+
+def reference_cell_outcomes(cell):
+    """Per-cell, unfused outcomes: the stacked entry points for batch
+    cells, the per-cell chunk function for the rest."""
+    from repro.experiments.runner import _amp_batch_kwargs
+
+    spec = cell.spec
+    out = []
+    for m, seeds in zip(cell.m_values, cell.per_m_seeds):
+        if spec["batch_mode"] == "greedy":
+            runner = BatchTrialRunner(
+                spec["n"], spec["k"], spec["channel"],
+                centering=spec["algorithm_kwargs"].get("centering", "half_k"),
+            )
+            runs = runner.run_trials_seeded(m, list(seeds))
+        elif spec["batch_mode"] == "amp":
+            runs = run_amp_trials(
+                spec["n"], spec["k"], spec["channel"], m, list(seeds),
+                **_amp_batch_kwargs(spec["algorithm_kwargs"]),
+            )
+        else:
+            out.append(parallel._fixed_m_chunk(spec, m, list(seeds)))
+            continue
+        out.append([(bool(r.exact), float(r.overlap)) for r in runs])
+    return out
+
+
+@pytest.fixture(scope="module")
+def fused_reference():
+    plan = build_fused_plan()
+    cells = plan._cells
+    unfused = [reference_cell_outcomes(cell) for cell in cells]
+    # the per-cell chunk function agrees with the unfused entry points
+    for cell, ref in zip(cells, unfused):
+        assert ref == [
+            parallel._fixed_m_chunk(cell.spec, m, list(seeds))
+            for m, seeds in zip(cell.m_values, cell.per_m_seeds)
+        ]
+    return unfused
+
+
+class TestDrawSharing:
+    def test_eligibility_reads_specs_only(self):
+        from repro.experiments.scheduler import (
+            CELL_FUSED,
+            _Task,
+            _fuse,
+        )
+
+        plan = build_fused_plan()
+        cells = plan._cells
+        tasks = [
+            _Task(ci, mi, mi, m, tuple(cell.per_m_seeds[mi]), 0, 5)
+            for ci, cell in enumerate(cells)
+            for mi, m in enumerate(cell.m_values)
+        ]
+        groups = sorted(sorted(u.cells) for u in _fuse(tasks, cells))
+        # m=40 and m=80 each fuse the five siblings; the swapped grid,
+        # the k=4, corrupted and distributed cells stay alone
+        assert groups.count([0, 1, 2, 3, 4]) == 2
+        assert sorted(g for g in groups if len(g) == 1) == [
+            [c] for c in (5, 5, 6, 6, 7, 7, 8)
+        ]
+        for unit in _fuse(tasks, cells):
+            assert (unit.kind == CELL_FUSED) == (len(unit.tasks) > 1)
+
+    @pytest.mark.parametrize(
+        "run_kwargs",
+        [
+            dict(backend="serial"),
+            dict(backend="process", workers=2),
+            dict(backend="process", workers=2, shm=True),
+            dict(backend="socket"),
+        ],
+        ids=["serial", "process", "process-shm", "socket"],
+    )
+    def test_backends_match_unfused_reference(
+        self, run_kwargs, fused_reference, request
+    ):
+        if run_kwargs["backend"] == "socket":
+            run_kwargs = dict(
+                run_kwargs, hosts=request.getfixturevalue("socket_hosts")
+            )
+        executor = SweepExecutor(**run_kwargs)
+        assert executor.run_outcomes(build_fused_plan()) == fused_reference
+
+    def test_one_draw_per_distinct_instance(self, monkeypatch):
+        from repro.core import batch
+
+        real = batch.sample_pooling_graph_batch
+        drawn = []
+
+        def counting(n, m, gamma=None, rng=None, **kwargs):
+            drawn.append(m)
+            return real(n, m, gamma, rng, **kwargs)
+
+        monkeypatch.setattr(batch, "sample_pooling_graph_batch", counting)
+        plan = build_fused_plan()
+        SweepExecutor(backend="serial").run_outcomes(plan)
+        instances = {
+            (cell.spec["k"], m, s.entropy, s.spawn_key)
+            for cell in plan._cells
+            if cell.spec["batch_mode"] is not None
+            for m, seeds in zip(cell.m_values, cell.per_m_seeds)
+            for s in seeds
+        }
+        assert len(drawn) == len(instances)
+
+    def test_resume_with_some_member_records(
+        self, tmp_path, monkeypatch, fused_reference
+    ):
+        """Only some members' chunk records survive: the resume fuses
+        just the missing members and merges bit-identically."""
+        import repro.experiments.scheduler as sched
+        from repro.experiments.checkpoint import SweepCheckpoint, chunk_key
+
+        plan = build_fused_plan()
+        ckpt = SweepCheckpoint.open(tmp_path, plan)
+        survivors = {(0, 0), (2, 0), (4, 0), (1, 1), (3, 1)}
+        for ci, mi in survivors:
+            ckpt.record_chunk(chunk_key(ci, mi, 0, 5), fused_reference[ci][mi])
+
+        real = sched._run_chunk
+        dispatched = []
+
+        def recording(spec, kind, m, seeds):
+            members = spec["members"] if kind == sched.CELL_FUSED else [spec]
+            dispatched.append((m, len(members)))
+            return real(spec, kind, m, seeds)
+
+        monkeypatch.setattr(sched, "_run_chunk", recording)
+        executor = SweepExecutor(backend="serial", checkpoint=tmp_path)
+        got = executor.run_outcomes(build_fused_plan())
+        # restored records come back from JSON as lists, not tuples
+        assert [
+            [[tuple(o) for o in per_m] for per_m in cell] for cell in got
+        ] == fused_reference
+        # m=40 re-ran members 1 and 3; m=80 members 0, 2 and 4
+        assert (40, 2) in dispatched and (80, 3) in dispatched
+        assert not any(size == 5 for _, size in dispatched)
+
+    def test_stacking_cutoff_members_match(self):
+        """Past the stacking cutoff each trial decodes alone; the fused
+        AMP members still match standalone run_amp_trials."""
+        from repro.amp.batch_amp import STACK_NNZ_CUTOFF, _expected_trial_nnz
+
+        n, m = 2000, 400
+        assert _expected_trial_nnz(n, m, n // 2) > STACK_NNZ_CUTOFF
+        plan = SweepPlan()
+        for p in (0.1, 0.2):
+            plan.add_success_curve(
+                n, 6, repro.ZChannel(p), [m], algorithm="amp", trials=2,
+                seed=3,
+            )
+        got = SweepExecutor(backend="serial").run_outcomes(plan)
+        for cell, outcomes in zip(plan._cells, got):
+            runs = run_amp_trials(
+                n, 6, cell.spec["channel"], m, list(cell.per_m_seeds[0])
+            )
+            assert outcomes == [[(r.exact, r.overlap) for r in runs]]
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("algorithm", ["amp", "distributed_amp"])
+    def test_amp_rejects_zero_m_when_added(self, algorithm):
+        plan = SweepPlan()
+        plan.add_success_curve(100, 3, repro.ZChannel(0.1), [0, 20], trials=2)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            plan.add_success_curve(
+                100, 3, repro.ZChannel(0.1), [0, 20], algorithm=algorithm,
+                trials=2,
+            )
+        assert len(plan) == 1  # the rejected cell was not added
+
+    def test_negative_m_rejected_for_every_algorithm(self):
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            SweepPlan().add_success_curve(
+                100, 3, repro.ZChannel(0.1), [20, -1]
+            )
+
+    def test_figure6_bad_grid_fails_before_any_chunk(self, monkeypatch):
+        import repro.experiments.scheduler as sched
+        from repro.experiments.figures import figure6
+
+        calls = []
+        monkeypatch.setattr(
+            sched, "_run_chunk", lambda *args: calls.append(args)
+        )
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            figure6(n=100, trials=2, m_values=(0, 60), backend="serial")
+        assert calls == []

@@ -218,7 +218,7 @@ def test_prepared_fixed_m_chunk_skips_worker_sampling(monkeypatch):
         assert len(pickle.dumps(refs)) < 1024
         _poison(
             monkeypatch, batch_amp,
-            "sample_ground_truth", "sample_pooling_graph_batch",
+            "sample_ground_truth", "draw_instance",
             "_stack_blocks", "measure",
         )
         got = shm_module.shm_graph_chunk(
