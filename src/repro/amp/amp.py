@@ -104,7 +104,8 @@ class AMPConfig:
         check_positive_int(self.max_iter, "max_iter")
         if not 0.0 <= self.damping < 1.0:
             raise ValueError(f"damping must lie in [0, 1), got {self.damping}")
-        if self.tol < 0:
+        # ``not >=`` also rejects NaN, which would never converge.
+        if not self.tol >= 0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
 
 
@@ -277,6 +278,7 @@ def iterate_amp(
 
     live = np.arange(total)  # original trial ids of the current rows
     active = np.ones(total, dtype=bool)  # per current row
+    frozen = False  # whether some current row has stopped iterating
     sigma = np.zeros((total, n), dtype=kern.dtype)
     z = y.copy()
     out_sigma = np.zeros((total, n), dtype=kern.dtype)
@@ -285,6 +287,8 @@ def iterate_amp(
     histories: Optional[List[List[dict]]] = (
         [[] for _ in range(total)] if config.track_history else None
     )
+    if total == 0:
+        return out_sigma, iterations, converged, histories
 
     for t in range(config.max_iter):
         # Damping is skipped on the very first iteration (there is no
@@ -301,9 +305,10 @@ def iterate_amp(
 
         # Frozen rows must stay bit-frozen: their (discarded) updates
         # above were computed from stale state purely so the stacked
-        # operators could run unmasked.
-        inactive = ~active
-        if inactive.any():
+        # operators could run unmasked. Until a row freezes there is
+        # nothing to restore.
+        if frozen:
+            inactive = ~active
             sigma_new[inactive] = sigma[inactive]
             layout.restore_rows(z_new, z, inactive)
 
@@ -321,24 +326,31 @@ def iterate_amp(
 
         sigma = sigma_new
         z = z_new
-        iterations[live[active]] = t + 1
-        newly = active & (step < config.tol)
+        newly = step < config.tol
+        if frozen:
+            newly &= active
         if newly.any():
+            # A row's count is the iteration it froze at; rows still
+            # active take theirs after the loop.
+            iterations[live[newly]] = t + 1
             converged[live[newly]] = True
             out_sigma[live[newly]] = sigma[newly]
             active &= ~newly
-        if not active.any():
-            break
-        if restrict is not None and 2 * int(np.count_nonzero(active)) <= live.size:
-            live = live[active]
-            sigma = np.ascontiguousarray(sigma[active])
-            z = layout.compact_measure(z, active)
-            y = layout.compact_measure(y, active)
-            layout = layout.restrict(active)
-            active = np.ones(live.size, dtype=bool)
-            operator = restrict(live)
+            frozen = True
+            if not active.any():
+                break
+            if restrict is not None and 2 * int(np.count_nonzero(active)) <= live.size:
+                live = live[active]
+                sigma = np.ascontiguousarray(sigma[active])
+                z = layout.compact_measure(z, active)
+                y = layout.compact_measure(y, active)
+                layout = layout.restrict(active)
+                active = np.ones(live.size, dtype=bool)
+                frozen = False
+                operator = restrict(live)
 
-    if active.any():  # trials that exhausted max_iter without converging
+    if active.any():  # trials still iterating when the loop ended
+        iterations[live[active]] = t + 1
         out_sigma[live[active]] = sigma[active]
     return out_sigma, iterations, converged, histories
 

@@ -173,10 +173,28 @@ class BayesBernoulliDenoiser(Denoiser):
         denoiser cost of every AMP iteration. One evaluation feeds
         both; the returned arrays are bit-identical to the separate
         calls (same inputs, same operations).
+
+        The passes after the exponent run in place on its fresh
+        temporary: ``np.maximum``/``np.minimum`` give ``np.clip``'s
+        values (NaN included) without its wrapper, and flooring
+        ``tau`` once equals flooring it twice.
         """
-        tau = _floor_tau(tau, _working_dtype(x))
-        eta = self(x, tau)
-        return eta, eta * (1.0 - eta) / (tau * tau)
+        dtype = _working_dtype(x)
+        x = np.asarray(x, dtype=dtype)
+        tau = _floor_tau(tau, dtype)
+        exponent = self._log_odds_prior + (1.0 - 2.0 * x) / (2.0 * tau * tau)
+        if not isinstance(exponent, np.ndarray):
+            exponent = np.asarray(exponent)  # 0-d: give the passes an array
+        clip = self.exp_clip_for(dtype)
+        np.maximum(exponent, -clip, out=exponent)
+        np.minimum(exponent, clip, out=exponent)
+        np.exp(exponent, out=exponent)
+        exponent += 1.0
+        eta = np.divide(1.0, exponent, out=exponent)
+        deriv = 1.0 - eta
+        deriv *= eta
+        deriv /= tau * tau
+        return eta, deriv
 
     def kernel_form(self) -> Tuple[str, Tuple[float, ...]]:
         return ("bayes-bernoulli", (self._log_odds_prior,))

@@ -19,9 +19,11 @@ into two phase calls an :class:`AMPKernel` backend implements,
 The matvec pair lives *inside* the seam: the driver hands each phase a
 :class:`CSRStackOperator` (the standardized block-diagonal stack in
 raw CSR form), and the backend decides how to apply it — the reference
-kernel delegates to the operator's scipy CSR / CSC-view products (the
-exact pre-seam closures), the fused backend runs one jitted CSR
-segment loop per phase with the adjacent array passes inlined (no
+kernel applies the operator's own products (scipy's sparsetools
+CSR / CSC routines on the stored arrays, the ones ``@`` dispatches
+to, then the pre-seam centering and scaling), the fused backend runs
+one jitted CSR segment loop per phase with the adjacent array passes
+inlined (no
 ``(T*m,)``/``(T*n,)`` intermediates), and the GPU backend keeps a
 cached device copy of the stack. The narrower ``posterior_step`` /
 ``residual_step`` phase methods remain as the matvec-free inner
@@ -34,11 +36,13 @@ interface cover both stack shapes.
 Backends
 --------
 ``numpy`` (default)
-    The reference kernel: performs exactly the array operations the
-    pre-seam loops performed, in the same order, in float64 — its
-    outputs are **bit-identical by construction** to the pre-refactor
-    implementation (pinned against captured goldens in
-    ``tests/test_kernels.py``).
+    The reference kernel: performs exactly the floating-point
+    operations the pre-seam loops performed, in the same order, in
+    float64 — its outputs are **bit-identical by construction** to the
+    pre-refactor implementation (pinned against captured goldens in
+    ``tests/test_kernels.py``). It reaches them through as few Python
+    calls as it can: bare ufuncs and reductions, in-place passes, and
+    the sparse products without scipy's ``@`` dispatch.
 ``numpy32``
     The same operations computed in float32 end to end (inputs are
     cast once at the seam; the denoisers honor the input dtype).
@@ -99,6 +103,26 @@ KERNELS = ("numpy", "numpy32", "numba", "numba32", "cupy", "cupy32")
 # -- stack layout --------------------------------------------------------
 
 
+def _common_length(m: Optional[int], m_cur: Optional[np.ndarray]) -> Optional[int]:
+    """The one segment length of a stack, or ``None`` when lengths differ."""
+    if m_cur is None:
+        return int(m)
+    if m_cur.size and (m_cur == m_cur[0]).all():
+        return int(m_cur[0])
+    return None
+
+
+def _ragged_sums(flat: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Pairwise sum of each flat segment, bit for bit ``flat[a:b].sum()``.
+
+    One reduction per segment: ``np.add.reduceat`` sums sequentially
+    and would change the bits.
+    """
+    return np.array(
+        [np.add.reduce(flat[bounds[i] : bounds[i + 1]]) for i in range(bounds.size - 1)]
+    )
+
+
 class StackLayout:
     """Shape descriptor for one AMP trial stack.
 
@@ -140,6 +164,10 @@ class StackLayout:
             )
             self.nm_ratio = (n / m_cur).astype(self.dtype, copy=False)
         self.sqrt_n = self.dtype.type(np.sqrt(n))
+        # np.mean's divisor: the intp count, which its float64 loop
+        # converts exactly; a float64 ``n`` is the same divisor.
+        self.n_items = np.float64(n)
+        self.seg_len = _common_length(m, m_cur)
         self._bounds: Optional[np.ndarray] = None
 
     @classmethod
@@ -169,6 +197,17 @@ class StackLayout:
                 np.cumsum(self.m_cur, out=bounds[1:])
                 self._bounds = bounds
         return self._bounds
+
+    def segment_sums(self, arr: np.ndarray) -> np.ndarray:
+        """Per-trial sums of a measurement-side array (``y``/``z``).
+
+        Equal-length segments reduce through one reshaped pairwise sum,
+        others one segment at a time; both give each trial exactly the
+        bits of its own ``segment.sum()``.
+        """
+        if self.seg_len is not None:
+            return np.add.reduce(arr.reshape(self.rows, self.seg_len), axis=1)
+        return _ragged_sums(arr, self.bounds)
 
     def per_row(self, value) -> np.ndarray:
         """Broadcast a layout scalar (or pass a vector) to ``(rows,)``."""
@@ -246,17 +285,18 @@ class CSRStackOperator:
     otherwise the stack is the ragged heterogeneous-m form with
     per-trial ``scales``.
 
-    :meth:`matvec` / :meth:`rmatvec` are the scipy reference
-    implementations — verbatim the pre-seam closure bodies of the
-    batched operators (and, for ``T = 1``, bit-identical to the
-    standalone ``run_amp`` closures: same pairwise sums over the same
-    contiguous data, same per-element centering and scaling) — which
-    is what keeps the default kernel's in-seam matvec pinned to the
-    captured goldens. Fused and GPU backends bypass them and read the
-    raw ``a.indptr`` / ``a.indices`` / ``a.data`` arrays directly;
-    they may cache derived device state on the instance (see
-    :class:`CupyKernel`). The transpose is the free CSC view, exactly
-    as before.
+    :meth:`matvec` / :meth:`rmatvec` are the reference
+    implementations. The raw products call scipy's
+    ``csr_matvec`` / ``csc_matvec`` sparsetools routines on the stored
+    arrays — the routines ``a @ x`` and ``a.T @ z`` end up in — so
+    they are the same sequential per-row sums without scipy's
+    per-call dispatch. Centering and scaling follow per element, in
+    the pre-seam order (for ``T = 1`` exactly the standalone
+    ``run_amp`` closures). That keeps the default kernel's in-seam
+    matvec pinned to the captured goldens. Fused and GPU backends
+    bypass these methods and read the raw ``a.indptr`` /
+    ``a.indices`` / ``a.data`` arrays directly; they may cache derived
+    device state on the instance (see :class:`CupyKernel`).
     """
 
     def __init__(
@@ -269,8 +309,13 @@ class CSRStackOperator:
         m_per: Optional[np.ndarray] = None,
         scales: Optional[np.ndarray] = None,
     ) -> None:
+        # ``a`` is a scipy matrix, so scipy.sparse is already imported;
+        # importing it here keeps it off the package's import path.
+        from scipy.sparse import _sparsetools
+
+        self._csr_matvec = _sparsetools.csr_matvec
+        self._csc_matvec = _sparsetools.csc_matvec
         self.a = a
-        self.a_t = a.T
         self.n = int(n)
         self.trials = a.shape[1] // self.n
         self.c = c
@@ -281,12 +326,14 @@ class CSRStackOperator:
                 raise ValueError("uniform stacks require scale=")
             self.m = a.shape[0] // max(self.trials, 1)
             self.scale = float(scale)
+            self.seg_len = self.m
         else:
             if scales is None:
                 raise ValueError("ragged stacks require scales=")
             self.m_per = np.asarray(m_per, dtype=np.int64)
             self.scales = np.asarray(scales, dtype=np.float64)
             self.bounds = np.concatenate(([0], np.cumsum(self.m_per)))
+            self.seg_len = _common_length(None, self.m_per)
             # Per-trial scale vectors in the working dtype: float64
             # stays the exact pre-float32 arithmetic, float32 avoids
             # the silent promotion a float64 divisor would cause under
@@ -304,28 +351,46 @@ class CSRStackOperator:
             return np.full(self.trials, self.scale, dtype=np.float64)
         return self.scales
 
+    def _product(self, routine, rows: int, cols: int, v: np.ndarray) -> np.ndarray:
+        """``routine`` applied to the stored arrays, as scipy's ``@`` does.
+
+        The routine accumulates into a zeroed output of the stack's
+        dtype (and raises if ``v`` would need a wider one).
+        """
+        out = np.zeros(rows, dtype=self.dtype)
+        a = self.a
+        routine(rows, cols, a.indptr, a.indices, a.data, v, out)
+        return out
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        trials, n, c = self.trials, self.n, self.c
-        s = x.reshape(trials, n).sum(axis=1)
-        if self.uniform:
-            return (self.a @ x - c * np.repeat(s, self.m)) / self.scale
-        return (self.a @ x - c * np.repeat(s, self.m_per)) / self.row_scale
+        rows, cols = self.a.shape
+        out = self._product(self._csr_matvec, rows, cols, x)
+        centering = self.c * np.add.reduce(
+            x.reshape(self.trials, self.n), axis=1
+        )
+        if self.seg_len is not None:
+            view = out.reshape(self.trials, self.seg_len)
+            view -= centering[:, None]
+        else:
+            out -= np.repeat(centering, self.m_per)
+        out /= self.scale if self.uniform else self.row_scale
+        return out
 
     def rmatvec(self, z: np.ndarray) -> np.ndarray:
-        trials, n, c = self.trials, self.n, self.c
-        if self.uniform:
-            s = z.reshape(trials, self.m).sum(axis=1)
-            return (self.a_t @ z - c * np.repeat(s, n)) / self.scale
-        bounds = self.bounds
-        s = np.array(
-            [z[bounds[i] : bounds[i + 1]].sum() for i in range(trials)]
-        )
-        # Column side is uniform (n per trial): broadcast the
-        # per-trial centering/scale on a (T, n) view — the same
-        # per-element arithmetic as a flat np.repeat, without the
-        # (T*n,) repeat temporaries every iteration.
-        out = (self.a_t @ z).reshape(trials, n)
-        return ((out - (c * s)[:, None]) / self.scales_col).reshape(-1)
+        rows, cols = self.a.shape
+        # The transpose is the CSC reading of the same arrays.
+        out = self._product(self._csc_matvec, cols, rows, z)
+        if self.seg_len is not None:
+            s = np.add.reduce(z.reshape(self.trials, self.seg_len), axis=1)
+        else:
+            s = _ragged_sums(z, self.bounds)
+        # Column side is uniform (n per trial): broadcast the per-trial
+        # centering/scale on a (T, n) view, the same per-element
+        # arithmetic as a flat np.repeat.
+        view = out.reshape(self.trials, self.n)
+        view -= (self.c * s)[:, None]
+        view /= self.scale if self.uniform else self.scales_col
+        return out
 
 
 # -- kernel interface ----------------------------------------------------
@@ -335,11 +400,15 @@ class AMPKernel:
     """One backend of the AMP compute seam (the NumPy reference).
 
     The float64 instance of this class *is* the pre-refactor
-    implementation: each method performs the identical NumPy
+    implementation: each method performs the identical floating-point
     operations, in the identical order, that the uniform and ragged
     ``iterate_amp`` loops previously inlined — which is what makes the
-    default kernel bit-identical by construction. Subclasses override
-    the phase methods with fused implementations.
+    default kernel bit-identical by construction. Only the calls that
+    reach them are leaner: ufuncs and their reductions
+    (``np.add.reduce``, in-place passes) instead of the ``np.sum`` /
+    ``np.mean`` / ``np.clip`` wrappers, which cost several times a
+    1000-element pass at the sizes the decode service runs.
+    Subclasses override the phase methods with fused implementations.
     """
 
     def __init__(self, dtype=np.float64, name: str = "numpy") -> None:
@@ -358,23 +427,12 @@ class AMPKernel:
     ) -> np.ndarray:
         """Per-trial ``sum(arr_i^2)`` over the stack's segments.
 
-        Uniform stacks reduce along the last axis of the ``(T, m)``
-        array; ragged stacks use per-segment pairwise sums on
-        contiguous views, with the all-equal-length fast path reducing
-        via one reshape (both orderings match a standalone run's
-        single-row reduction bit for bit — see
-        :func:`repro.amp.amp.iterate_amp`).
+        The pairwise sum of each trial's own segment (see
+        :meth:`StackLayout.segment_sums`), which matches a standalone
+        run's single-row reduction bit for bit — see
+        :func:`repro.amp.amp.iterate_amp`.
         """
-        if layout.uniform:
-            return np.sum(arr * arr, axis=1)
-        flat = arr * arr
-        m_cur = layout.m_cur
-        if m_cur.size and (m_cur == m_cur[0]).all():
-            return np.sum(flat.reshape(m_cur.size, int(m_cur[0])), axis=1)
-        bounds = layout.bounds
-        return np.array(
-            [flat[bounds[i] : bounds[i + 1]].sum() for i in range(layout.rows)]
-        )
+        return layout.segment_sums(arr * arr)
 
     def posterior_step(
         self,
@@ -407,10 +465,14 @@ class AMPKernel:
         if damping > 0.0:
             sigma_new = (1.0 - damping) * sigma_new + damping * sigma
         # Onsager coefficient for the *next* residual update (from the
-        # undamped derivative).
-        onsager = layout.nm_ratio * np.mean(deriv, axis=1)
+        # undamped derivative). The mean is np.mean's own arithmetic:
+        # the pairwise sum divided in place by n in float64.
+        mean = np.add.reduce(deriv, axis=1)
+        mean /= layout.n_items
+        onsager = layout.nm_ratio * mean
         diff = sigma_new - sigma
-        step = np.sqrt(np.sum(diff * diff, axis=1)) / layout.sqrt_n
+        diff *= diff
+        step = np.sqrt(np.add.reduce(diff, axis=1)) / layout.sqrt_n
         return sigma_new, onsager, tau, step
 
     def residual_step(
@@ -424,9 +486,11 @@ class AMPKernel:
     ) -> np.ndarray:
         """The post-matvec phase: Onsager-corrected residual update."""
         if layout.uniform:
-            z_new = y - mv.reshape(layout.rows, layout.m) + onsager[:, None] * z
+            z_new = y - mv.reshape(layout.rows, layout.m)
+            z_new += onsager[:, None] * z
         else:
-            z_new = y - mv + np.repeat(onsager, layout.m_cur) * z
+            z_new = y - mv
+            z_new += np.repeat(onsager, layout.m_cur) * z
         if damping > 0.0:
             z_new = (1.0 - damping) * z_new + damping * z
         return z_new
@@ -449,7 +513,7 @@ class AMPKernel:
         """Adjoint matvec plus :meth:`posterior_step` in one phase call.
 
         The reference implementation applies the operator's own
-        ``rmatvec`` (the pre-seam scipy arithmetic, bit-identical by
+        ``rmatvec`` (the pre-seam arithmetic, bit-identical by
         construction) and feeds the result into the matvec-free inner
         phase; fused/GPU subclasses override this to run the matvec
         inside their own loop.

@@ -23,6 +23,7 @@ the service's own authenticated frame protocol.
 from __future__ import annotations
 
 import asyncio
+import numbers
 from typing import Callable, Optional, Tuple
 
 from repro.service import wire
@@ -281,8 +282,10 @@ class DecodeService:
             raise InvalidRequest(
                 f"unknown algorithm {algorithm!r}; valid: ('amp', 'greedy')"
             )
-        m = request.get("m")
-        m = session.m if m is None else int(m)
+        m = _decode_m(request.get("m"), session.m)
+        budget = _deadline_budget(
+            request.get("deadline", self.default_deadline)
+        )
         if m < 1:
             raise InvalidRequest(
                 f"AMP decode requires at least one query, session has m={m}"
@@ -294,12 +297,8 @@ class DecodeService:
         request_id = request.get("request_id")
         if request_id is not None and request_id in session.decode_cache:
             return dict(session.decode_cache[request_id])
-        budget = request.get("deadline", self.default_deadline)
         deadline = None
         if budget is not None:
-            budget = float(budget)
-            if budget <= 0:
-                raise InvalidRequest(f"deadline must be > 0 s, got {budget}")
             deadline = asyncio.get_running_loop().time() + budget
         response = await self.batcher.submit(
             session,
@@ -310,6 +309,32 @@ class DecodeService:
         if request_id is not None:
             session.decode_cache[str(request_id)] = dict(response)
         return response
+
+
+def _decode_m(value, session_m: int) -> int:
+    """A decode's prefix length: the whole session, or an integer."""
+    if value is None:
+        return session_m
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidRequest(f"m must be an integer, got {value!r}")
+    return int(value)
+
+
+def _deadline_budget(value) -> Optional[float]:
+    """A decode's deadline budget in seconds: ``None`` or a number > 0.
+
+    NaN is rejected, as ``REPRO_SERVICE_DEADLINE`` rejects it: it
+    compares false against every bound, so it would never expire.
+    """
+    if value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not value > 0
+    ):
+        raise InvalidRequest(f"deadline must be a number > 0 s, got {value!r}")
+    return float(value)
 
 
 def serve(

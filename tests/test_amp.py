@@ -163,6 +163,14 @@ class TestAMPConfig:
         with pytest.raises(ValueError):
             AMPConfig(tol=-1.0)
 
+    def test_nan_tol_rejected(self):
+        # NaN passes a plain ``tol < 0`` check but never converges, so
+        # it would silently run every iteration.
+        with pytest.raises(ValueError, match="tol"):
+            AMPConfig(tol=float("nan"))
+        with pytest.raises(ValueError, match="tol"):
+            AMPConfig(tol=np.float64("nan"))
+
     def test_invalid_max_iter(self):
         with pytest.raises(ValueError):
             AMPConfig(max_iter=0)

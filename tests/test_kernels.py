@@ -360,3 +360,206 @@ def test_numba_required_m_matches_reference():
         gamma=32, check_every=8, max_m=400, kernel="numba",
     )
     assert [r.required_m for r in fused] == GOLDEN_REQUIRED_M
+
+
+# -- the lean reference path: same products, no scipy dispatch -----------
+
+
+def _random_stack(rng, n, m_per, dtype, index_dtype):
+    """A column-shifted block-diagonal CSR stack with the given dtypes."""
+    from scipy import sparse
+
+    from repro.amp.batch_amp import _stack_blocks
+
+    blocks = []
+    for m in m_per:
+        rows = np.repeat(np.arange(m), 7)
+        cols = rng.integers(0, n, size=rows.size)
+        block = sparse.csr_matrix(
+            (rng.integers(1, 4, size=rows.size).astype(np.float64), (rows, cols)),
+            shape=(m, n),
+        )
+        block.sum_duplicates()
+        blocks.append((block.indptr, block.indices, block.data))
+    a = _stack_blocks(blocks, n, dtype)
+    a.indices = a.indices.astype(index_dtype)
+    a.indptr = a.indptr.astype(index_dtype)
+    return a
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize(
+    "m_per, ragged_form",
+    [([9], False), ([9], True), ([9, 9, 9], False), ([9, 9, 9], True),
+     ([5, 12, 1, 8], True)],
+    ids=["T1-uniform", "T1-ragged", "uniform", "equal-ragged", "ragged"],
+)
+def test_stack_products_equal_scipy_bytes(dtype, index_dtype, m_per, ragged_form):
+    # The operator's products run the sparsetools routines behind
+    # scipy's ``@`` directly: raw products (c=0, unit scale) equal
+    # ``a @ x`` / ``a.T @ z`` byte for byte, and the standardized ones
+    # equal the pre-seam closure arithmetic on those products.
+    from repro.amp.kernels import CSRStackOperator
+
+    rng = np.random.default_rng(len(m_per) * 10 + int(ragged_form))
+    n, trials = 13, len(m_per)
+    a = _random_stack(rng, n, m_per, dtype, index_dtype)
+    assert a.indices.dtype == index_dtype and a.data.dtype == dtype
+    x = rng.normal(size=trials * n).astype(dtype)
+    z = rng.normal(size=a.shape[0]).astype(dtype)
+    m_arr = np.asarray(m_per)
+    scales = rng.uniform(0.5, 3.0, size=trials)
+
+    def make(c, unit):
+        if ragged_form:
+            s = np.ones(trials) if unit else scales
+            return CSRStackOperator(a, n=n, c=c, m_per=m_arr, scales=s)
+        return CSRStackOperator(a, n=n, c=c, scale=1.0 if unit else scales[0])
+
+    raw = make(0.0, True)
+    mv, rmv = raw.matvec(x), raw.rmatvec(z)
+    assert mv.dtype == rmv.dtype == np.dtype(dtype)
+    assert mv.tobytes() == (a @ x).tobytes()
+    assert rmv.tobytes() == (a.T @ z).tobytes()
+
+    op = make(0.3, False)
+    c = 0.3
+    sx = x.reshape(trials, n).sum(axis=1)
+    bounds = np.concatenate(([0], np.cumsum(m_arr)))
+    sz = np.array([z[bounds[i] : bounds[i + 1]].sum() for i in range(trials)])
+    if ragged_form:
+        row_scale = np.repeat(scales, m_arr).astype(dtype)
+        ref_mv = (a @ x - c * np.repeat(sx, m_arr)) / row_scale
+        ref_rmv = (
+            ((a.T @ z).reshape(trials, n) - (c * sz)[:, None])
+            / scales.astype(dtype)[:, None]
+        ).reshape(-1)
+    else:
+        scale = float(scales[0])
+        ref_mv = (a @ x - c * np.repeat(sx, m_per[0])) / scale
+        ref_rmv = (a.T @ z - c * np.repeat(sz, n)) / scale
+    assert op.matvec(x).tobytes() == ref_mv.tobytes()
+    assert op.rmatvec(z).tobytes() == ref_rmv.tobytes()
+
+
+def test_iteration_never_dispatches_through_scipy_matmul(monkeypatch):
+    # Every product of an AMP run on a CSRStackOperator goes straight to
+    # sparsetools; scipy's ``@`` dispatch (``__matmul__`` and the
+    # ``_matmul_dispatch`` it shares with ``*``/``dot``) is never
+    # entered. The spy is live: a direct product still counts.
+    from scipy.sparse import _base
+
+    from repro.amp.batch_amp import decode_prefix_batch
+
+    monkeypatch.delenv(KERNEL_ENV, raising=False)
+    calls = {"n": 0}
+    for name in ("__matmul__", "_matmul_dispatch"):
+        orig = getattr(_base._spbase, name)
+
+        def spy(self, other, _orig=orig):
+            calls["n"] += 1
+            return _orig(self, other)
+
+        monkeypatch.setattr(_base._spbase, name, spy)
+
+    result = run_amp(_standalone_instance())
+    assert _hash(result.scores) == GOLDEN_STANDALONE
+    results = run_amp_trials(
+        512, 4, repro.ZChannel(0.1), 90, spawn_seeds(7, 6), gamma=32
+    )
+    assert _hash(np.vstack([r.scores for r in results])) == GOLDEN_TRIALS
+    results = required_queries_amp(
+        256, 3, repro.ZChannel(0.1), spawn_seeds(11, 5),
+        gamma=32, check_every=8, max_m=400,
+    )
+    assert [r.required_m for r in results] == GOLDEN_REQUIRED_M
+    stream = _ragged_streams(1)[0]
+    decode_prefix_batch([(0, 40)], [stream], 200, 3, repro.NoiselessChannel(), gamma=50)
+    assert calls["n"] == 0
+
+    graph = _standalone_instance().graph.adjacency_sparse()
+    graph @ np.ones(graph.shape[1])
+    assert calls["n"] > 0
+
+
+def _ragged_streams(count, n=200, k=3, gamma=50, max_m=260):
+    from repro.core.batch import MeasurementStream
+
+    streams = []
+    for seed in spawn_seeds(31, count):
+        gen = np.random.default_rng(seed)
+        truth = repro.sample_ground_truth(n, k, gen)
+        stream = MeasurementStream(
+            n, gamma, repro.NoiselessChannel(), truth, gen, max_m=max_m
+        )
+        stream.grow_to(max_m)
+        streams.append(stream)
+    return streams
+
+
+@pytest.mark.parametrize("kernel", ["numpy", "numpy32"])
+def test_ragged_damped_compacting_stack_matches_standalone(kernel, monkeypatch):
+    # Unequal-m ragged stack, damping on, and trials freezing at
+    # different iterations so the stack compacts mid-run: every trial's
+    # scores, iteration count, convergence flag and history still equal
+    # a standalone run_amp on its own prefix.
+    from repro.amp.amp import (
+        channel_corrected_results,
+        default_denoiser,
+        iterate_amp,
+        standardization_constants,
+    )
+    from repro.amp.batch_amp import _PrefixStackOperators
+    from repro.core.measurement import Measurements
+    from repro.core.pooling import PoolingGraph
+
+    monkeypatch.delenv(KERNEL_ENV, raising=False)
+    n, k, gamma = 200, 3, 50
+    channel = repro.NoiselessChannel()
+    config = AMPConfig(damping=0.2, max_iter=40, tol=1e-6, track_history=True)
+    denoiser = default_denoiser(n, k)
+    kern = resolve_kernel(kernel)
+    streams = _ragged_streams(5)
+    m_per = np.array([250, 30, 240, 45, 260])
+    prefixes, y_parts, scales = [], [], []
+    for stream, m in zip(streams, m_per):
+        indptr, agents, counts, results = stream.prefix(int(m))
+        c, scale = standardization_constants(n, int(m), gamma)
+        prefixes.append((indptr, agents, counts))
+        scales.append(scale)
+        y_parts.append(
+            (channel_corrected_results(results, gamma, channel) - c * k) / scale
+        )
+    ops = _PrefixStackOperators(
+        prefixes, n, m_per, gamma / n, np.array(scales), dtype=kern.dtype
+    )
+    restricted = []
+
+    def restrict(live):
+        restricted.append(live.size)
+        return ops.operators(live)
+
+    scores, iterations, converged, histories = iterate_amp(
+        ops.operators(np.arange(m_per.size)), np.concatenate(y_parts),
+        denoiser, config, n=n, restrict=restrict, row_sizes=m_per,
+        kernel=kern,
+    )
+    # The combination under test really happened: a mid-run compaction
+    # with trials still iterating, and mixed stopping iterations.
+    assert restricted and restricted[0] < m_per.size
+    assert len(set(iterations.tolist())) > 1
+
+    for i, (stream, m) in enumerate(zip(streams, m_per)):
+        indptr, agents, counts, results = stream.prefix(int(m))
+        meas = Measurements(
+            graph=PoolingGraph._unchecked(n, gamma, indptr, agents, counts),
+            truth=stream.truth,
+            channel=channel,
+            results=results,
+        )
+        single = run_amp(meas, denoiser=denoiser, config=config, kernel=kern)
+        assert single.scores.tobytes() == scores[i].tobytes()
+        assert single.meta["iterations"] == int(iterations[i])
+        assert single.meta["converged"] == bool(converged[i])
+        assert single.meta["history"] == histories[i]

@@ -549,6 +549,65 @@ class TestEndToEnd:
             with pytest.raises(InvalidRequest):
                 client.decode("e2e-empty", algorithm="amp")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("m", "abc"),
+            ("m", 2.7),
+            ("m", 3.0),
+            ("m", True),
+            ("m", False),
+            ("m", [5]),
+            ("deadline", "abc"),
+            ("deadline", float("nan")),
+            ("deadline", np.float64("nan")),
+            ("deadline", 0.0),
+            ("deadline", -1.0),
+            ("deadline", True),
+            ("deadline", "0.5"),
+        ],
+    )
+    def test_decode_fields_validated_on_the_wire(self, server, field, value):
+        # Each malformed field is a terminal invalid_request before
+        # admission: never an internal error, a truncated m, or a NaN
+        # deadline that would never expire.
+        session_id = f"e2e-fields-{field}-{value!r}"
+        request = {
+            "op": "decode",
+            "session_id": session_id,
+            "algorithm": "amp",
+            field: value,
+        }
+        with ServiceClient(server.host, server.port) as client:
+            open_and_fill(
+                client, session_id, 40, 2, repro.NoiselessChannel(), 25, 10
+            )
+            before = client.stats()
+            with pytest.raises(InvalidRequest, match=field):
+                client.call(request)
+            after = client.stats()
+        assert after["decoded"] == before["decoded"]
+
+    @pytest.mark.parametrize(
+        "m, deadline", [(np.int64(6), None), (6, np.float64(30.0)), (None, 30)]
+    )
+    def test_decode_fields_accept_numpy_and_python_numbers(
+        self, server, m, deadline
+    ):
+        session_id = f"e2e-fields-ok-{m!r}-{deadline!r}"
+        with ServiceClient(server.host, server.port) as client:
+            open_and_fill(
+                client, session_id, 40, 2, repro.NoiselessChannel(), 26, 10
+            )
+            reply = client.call({
+                "op": "decode",
+                "session_id": session_id,
+                "algorithm": "amp",
+                "m": m,
+                "deadline": deadline,
+            })
+        assert reply["m"] == (10 if m is None else 6)
+
     def test_wrong_token_is_rejected(self, server):
         with pytest.raises(AuthError):
             ServiceClient(
