@@ -75,14 +75,15 @@ DEFAULT_BLOCK_ELEMENTS = 2**22
 #: grow geometrically (doubling) up to the element cap.
 DEFAULT_INITIAL_BLOCK = 32
 
-#: draws per row chunk of the CSR construction; bounds the chunk's
+#: draws per row chunk of the CSR construction, and per row slice a
+#: streaming :class:`MeasurementStream` hands out; bounds the chunk's
 #: transient run-index array to a few MiB
 _CSR_CHUNK_DRAWS = 2**18
 
 #: draws per call from which the row chunks fan out over the thread
-#: pool: fig2's dense blocks (up to ~4M draws) cross it, fig6's graphs
-#: (at most 300k draws) stay serial, where the hand-off costs more than
-#: the overlap saves
+#: pool: retained stream blocks and large fixed-m graphs cross it;
+#: streamed slices never do, and fig6's graphs (at most 300k draws)
+#: stay serial, where the hand-off costs more than the overlap saves
 _CSR_PARALLEL_MIN_DRAWS = 2**20
 
 
@@ -266,29 +267,39 @@ class MeasurementStream:
     """Block-grown, prefix-sliceable measured query stream of one trial.
 
     Samples one trial's query stream in geometric-growth blocks — each
-    block is a single ``rng.integers`` draw collapsed to CSR plus one
-    vectorized channel measurement — exactly the generator-consumption
-    order of the chunked incremental simulator. Both incremental
-    consumers share it:
+    block is a single ``rng.integers`` draw plus one vectorized channel
+    measurement — exactly the generator-consumption order of the
+    chunked incremental simulator. E1 (the draws landing on 1-agents,
+    per row) is counted straight from the draws, so measuring a block
+    needs no CSR. Both incremental consumers share the stream:
 
-    * the greedy required-queries path drives :meth:`next_block` and
-      scans each block as it appears (``retain=False`` — nothing is
-      stored, matching the legacy streaming memory profile);
+    * the greedy required-queries path drives :meth:`next_block` with
+      ``retain=False``: each call hands out the next **row slice** of
+      the current block (about :data:`_CSR_CHUNK_DRAWS` draws), with
+      its CSR built only then, so a scan that stops mid-block never
+      builds or scans the rows past its stopping query. Nothing is
+      stored, matching the legacy streaming memory profile;
     * the AMP required-m scan (:func:`repro.amp.batch_amp.
       required_queries_amp`) drives :meth:`grow_to` with ``retain=True``
-      and replays **prefixes**: the pooling graph at ``m'`` queries is a
-      row-prefix of the graph at ``m >= m'``, so :meth:`prefix` is a
-      free ``indptr[:m'+1]`` / ``agents[:indptr[m']]`` slice plus the
-      matching results slice — no resampling, no re-measurement.
+      (one whole block per call) and replays **prefixes**: the pooling
+      graph at ``m'`` queries is a row-prefix of the graph at
+      ``m >= m'``, so :meth:`prefix` is a free ``indptr[:m'+1]`` /
+      ``agents[:indptr[m']]`` slice plus the matching results slice —
+      no resampling, no re-measurement.
+
+    After each :meth:`next_block` call, :attr:`slice_ones` holds the
+    slice's draw-level 1-agent incidences ``(rows, agents)`` (rows
+    local to the slice, repeats possible) and :attr:`block_end` says
+    whether the slice closes its block.
 
     Determinism contract: the block schedule (sizes and order) is a
     pure function of ``(initial_block, block_elements, gamma, k,
     max_m)``, and growth only ever appends blocks, so the stream's
     first ``m`` queries — and therefore every prefix probe — are
-    identical no matter which consumer drives the growth or how far
-    past ``m`` it grows. A trial is thus a pure function of its child
-    seed, which is what keeps sharded and stacked required-m scans
-    bit-identical to serial ones.
+    identical no matter which consumer drives the growth, how far past
+    ``m`` it grows, or how a block is sliced. A trial is thus a pure
+    function of its child seed, which is what keeps sharded and
+    stacked required-m scans bit-identical to serial ones.
     """
 
     def __init__(
@@ -318,6 +329,10 @@ class MeasurementStream:
         self._cap = max(1, block_elements // max(self.gamma, truth.k, 1))
         self._block = min(check_positive_int(initial_block, "initial_block"), self._cap)
         self.m_done = 0
+        #: row slices of the current block not yet handed out
+        self._slices: List[tuple] = []
+        self.slice_ones: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self.block_end = True
         # Retained blocks accumulate in per-block part lists and are
         # concatenated lazily on first prefix access after growth —
         # eager per-block concatenation would re-copy the whole stream
@@ -330,33 +345,61 @@ class MeasurementStream:
         self._results_parts: List[np.ndarray] = []
         self._consolidated = None
 
-    def next_block(self):
-        """Sample and measure the next block of the stream.
+    def _sample_block(self) -> List[tuple]:
+        """Draw and measure the next block; split it into row slices.
 
-        Returns ``(lo, indptr, agents, counts, results)`` — the block's
+        Returns ``(lo, draws, results, one_rows, one_agents)`` per
+        slice — one slice for a retained stream, else slices of about
+        :data:`_CSR_CHUNK_DRAWS` draws.
+        """
+        b = min(self._block, self.max_m - self.m_done)
+        gamma = self.gamma
+        draws = _draw_agents(self.gen, self.n, (b, gamma))
+        pos = np.flatnonzero(self._one_flag.take(draws))
+        one_rows = pos // gamma
+        results = self.channel.measure(
+            np.bincount(one_rows, minlength=b), gamma, self.gen
+        )
+        one_agents = draws.take(pos)
+        lo = self.m_done
+        self.m_done += b
+        self._block = min(self._block * 2, self._cap)
+        if self.retain:
+            return [(lo, draws, results, one_rows, one_agents)]
+        bounds = chunk_bounds(b, -(-b * gamma // _CSR_CHUNK_DRAWS))
+        cuts = np.searchsorted(one_rows, [r0 for r0, _ in bounds] + [b])
+        return [
+            (
+                lo + r0,
+                draws[r0:r1],
+                results[r0:r1],
+                one_rows[c0:c1] - r0,
+                one_agents[c0:c1],
+            )
+            for (r0, r1), c0, c1 in zip(bounds, cuts[:-1], cuts[1:])
+        ]
+
+    def next_block(self):
+        """Hand out the next slice of the stream, sampling as needed.
+
+        Returns ``(lo, indptr, agents, counts, results)`` — the slice's
         0-based starting query index plus its *local* CSR triple and
         raw channel results — or ``None`` once ``max_m`` queries exist.
-        In retain mode the block is also appended to the stream arrays.
+        A retained stream hands out whole blocks and also appends them
+        to the stream arrays.
         """
-        if self.m_done >= self.max_m:
-            return None
-        b = min(self._block, self.max_m - self.m_done)
-        draws = _draw_agents(self.gen, self.n, (b, self.gamma))
-        # A streamed block is only indexed with, so its agents may stay
+        if not self._slices:
+            if self.m_done >= self.max_m:
+                return None
+            self._slices = self._sample_block()
+        lo, draws, results, one_rows, one_agents = self._slices.pop(0)
+        self.slice_ones = (one_rows, one_agents)
+        self.block_end = not self._slices
+        # A streamed slice is only indexed with, so its agents may stay
         # in the narrow sort dtype; retained ones become int64 arrays.
         indptr, agents, counts = _csr_from_draws(
             draws, self.n, narrow=not self.retain
         )
-        # E1 sums the multiplicities of the few 1-agent incidences per row
-        # (exact in float64: a row sums to at most gamma).
-        ones = np.flatnonzero(self._one_flag[agents])
-        e1 = np.bincount(
-            _rows_of(indptr, ones), weights=counts[ones], minlength=b
-        ).astype(np.int64)
-        results = self.channel.measure(e1, self.gamma, self.gen)
-        lo = self.m_done
-        self.m_done += b
-        self._block = min(self._block * 2, self._cap)
         if self.retain:
             self._indptr_parts.append(indptr[1:] + self._edges)
             self._edges += int(indptr[-1])
@@ -666,7 +709,7 @@ class _SuccessScanner:
     Checking strict score separation after every query costs O(n) per
     query in the legacy loop, and a dense O(block x n) cumulative
     matrix would make blocks no cheaper. The scanner instead tracks,
-    per block of queries:
+    per slice of queries:
 
     * exact prefix scores of all ``k`` 1-agents (a ``(b, k)``
       cumulative sum — ``k`` is tiny in every regime of the paper), and
@@ -682,18 +725,24 @@ class _SuccessScanner:
     run or strictly improves the certificate, so pre-threshold blocks
     cost O(incidences) total.
 
-    Within a block, the suspicion test and the exact check use the same
-    floating-point groupings (partial sum plus carried-in scores), so
-    the certificate itself has no rounding slack. Across blocks the
-    carried scores are accumulated blockwise (``s + sum(block)``)
-    rather than query by query, which is exact — and hence identical
-    to :class:`~repro.core.incremental.IncrementalDecoder` — whenever
-    the deltas are half-integers (integer-valued channels under
-    ``half_k`` centering). For float deltas (Gaussian noise, oracle
-    centering) scores agree only up to ~1 ulp of associativity error,
-    so a stopping decision sitting within rounding of a score tie may
-    in principle differ from the sequential scan or vary with the
-    block size.
+    A block may arrive in several row slices (a streaming
+    :class:`MeasurementStream` hands them out one at a time); scores
+    still group **per block**, not per slice. Each block's deltas
+    accumulate query by query into a block-local partial score vector
+    that carries across its slices — the cumulative sums start from
+    it and the exact checks continue it — and the partial is folded
+    into the carried scores only at block end (``s + sum(block)``).
+    The suspicion test and the exact check therefore use the same
+    floating-point groupings, so the certificate itself has no
+    rounding slack, and the scores never depend on the slicing. The
+    blockwise fold is exact — and hence identical to
+    :class:`~repro.core.incremental.IncrementalDecoder` — whenever the
+    deltas are half-integers (integer-valued channels under ``half_k``
+    centering). For float deltas (Gaussian noise, oracle centering)
+    scores agree only up to ~1 ulp of associativity error, so a
+    stopping decision sitting within rounding of a score tie may in
+    principle differ from the sequential scan or vary with the block
+    size.
     """
 
     def __init__(self, truth: GroundTruth):
@@ -701,10 +750,9 @@ class _SuccessScanner:
         self.ones_idx = truth.ones
         self.zeros_idx = truth.zeros
         self.scores = np.zeros(self.n, dtype=np.float64)
+        self._partial = np.zeros(self.n, dtype=np.float64)
         self._one_col = np.zeros(self.n, dtype=np.int64)
         self._one_col[self.ones_idx] = np.arange(self.ones_idx.size)
-        self._one_flag = np.zeros(self.n, dtype=bool)
-        self._one_flag[self.ones_idx] = True
 
     def scan(
         self,
@@ -712,18 +760,25 @@ class _SuccessScanner:
         agents: np.ndarray,
         deltas: np.ndarray,
         checkable: np.ndarray,
+        one_rows: np.ndarray,
+        one_agents: np.ndarray,
+        *,
+        block_end: bool = True,
     ) -> Optional[int]:
-        """Scan one block; return the first successful prefix index.
+        """Scan one slice; return the first successful prefix index.
 
         ``deltas`` are the per-query centered result increments and
         ``checkable[t]`` flags the prefixes where the stopping rule may
-        fire (the ``check_every`` stride). On success, returns the
-        0-based block index ``t`` (scores are left untouched — the run
-        is over); otherwise ingests the whole block into ``scores`` and
-        returns ``None``.
+        fire (the ``check_every`` stride). ``(one_rows, one_agents)``
+        lists the slice's 1-agent incidences (slice-local rows; a
+        repeated pair is harmless). ``block_end`` marks the last slice
+        of a block. On success, returns the 0-based slice index ``t``
+        (scores are left untouched — the run is over); otherwise
+        ingests the slice and returns ``None``.
         """
         b = indptr.size - 1
         d_inc = np.repeat(deltas, np.diff(indptr))
+        partial = self._partial
         if self.ones_idx.size == 0 or self.zeros_idx.size == 0:
             # Degenerate truths separate vacuously (margin +inf).
             hits = np.flatnonzero(checkable)
@@ -731,23 +786,25 @@ class _SuccessScanner:
                 return int(hits[0])
         else:
             k = self.ones_idx.size
-            # Only the few incidences of 1-agents (and below, of the
-            # champion) need their query row: look it up in indptr.
-            sel = np.flatnonzero(self._one_flag[agents])
+            # delta depends only on the row, so every draw of a 1-agent
+            # writes its row's value; cumsums start from the partial.
             ones_prefix = np.zeros((b, k), dtype=np.float64)
-            ones_prefix[_rows_of(indptr, sel), self._one_col[agents[sel]]] = (
-                d_inc[sel]
-            )
+            ones_prefix[one_rows, self._one_col[one_agents]] = deltas[one_rows]
+            ones_prefix[0] += partial[self.ones_idx]
             np.cumsum(ones_prefix, axis=0, out=ones_prefix)
             ones_prefix += self.scores[self.ones_idx]
             ones_min = ones_prefix.min(axis=1)
-            champion = self.zeros_idx[np.argmax(self.scores[self.zeros_idx])]
+            zeros_now = self.scores[self.zeros_idx] + partial[self.zeros_idx]
+            champion = self.zeros_idx[np.argmax(zeros_now)]
             t0 = 0
             ts = np.arange(b)
             while True:
+                # Only the champion's incidences need their query row:
+                # look it up in indptr.
                 champ_sel = np.flatnonzero(agents == int(champion))
                 champ_prefix = np.zeros(b, dtype=np.float64)
                 champ_prefix[_rows_of(indptr, champ_sel)] = d_inc[champ_sel]
+                champ_prefix[0] += partial[champion]
                 np.cumsum(champ_prefix, out=champ_prefix)
                 champ_prefix += self.scores[champion]
                 cand = np.flatnonzero(checkable & (ones_min > champ_prefix) & (ts >= t0))
@@ -755,14 +812,19 @@ class _SuccessScanner:
                     break
                 t = int(cand[0])
                 hi = int(indptr[t + 1])
-                scores_t = self.scores + np.bincount(
-                    agents[:hi], weights=d_inc[:hi], minlength=self.n
-                )
+                block_t = partial.copy()
+                np.add.at(block_t, agents[:hi], d_inc[:hi])
+                scores_t = self.scores + block_t
                 if scores_t[self.ones_idx].min() > scores_t[self.zeros_idx].max():
                     return t
                 champion = self.zeros_idx[np.argmax(scores_t[self.zeros_idx])]
                 t0 = t + 1
-        self.scores += np.bincount(agents, weights=d_inc, minlength=self.n)
+        # np.add.at adds one incidence at a time, in order: the partial
+        # continues the block's query-by-query grouping across slices.
+        np.add.at(partial, agents, d_inc)
+        if block_end:
+            self.scores += partial
+            partial.fill(0.0)
         return None
 
 
@@ -808,16 +870,22 @@ def first_success_m(
     deltas = results - offset
     scanner = _SuccessScanner(truth)
     block = max(1, block_elements // max(int(graph.gamma), truth.k, 1))
+    one_flag = truth.sigma.astype(bool)
     for lo in range(0, graph.m, block):
         hi = min(lo + block, graph.m)
         e_lo = int(graph.indptr[lo])
         e_hi = int(graph.indptr[hi])
+        indptr = graph.indptr[lo : hi + 1] - e_lo
+        agents = graph.agents[e_lo:e_hi]
+        ones = np.flatnonzero(one_flag[agents])
         ms = np.arange(lo + 1, hi + 1)
         t = scanner.scan(
-            graph.indptr[lo : hi + 1] - e_lo,
-            graph.agents[e_lo:e_hi],
+            indptr,
+            agents,
             deltas[lo:hi],
             ms % check_every == 0,
+            _rows_of(indptr, ones),
+            agents[ones],
         )
         if t is not None:
             return int(ms[t])
@@ -975,7 +1043,8 @@ class BatchTrialRunner:
         offset = self._offset()
         scanner = _SuccessScanner(truth)
         # The shared block-grown stream (sampling + measurement); the
-        # greedy scan consumes blocks as they appear and retains nothing.
+        # greedy scan consumes it slice by slice and retains nothing, so
+        # the slices past the stopping query are never built.
         stream = MeasurementStream(
             self.n,
             self.gamma,
@@ -995,14 +1064,21 @@ class BatchTrialRunner:
         }
         checks = 0
         while True:
-            block = stream.next_block()
-            if block is None:
+            part = stream.next_block()
+            if part is None:
                 break
-            lo, indptr, agents, counts, results = block
+            lo, indptr, agents, counts, results = part
             deltas = np.asarray(results, dtype=np.float64) - offset
             ms = np.arange(lo + 1, lo + indptr.size)
             checkable = ms % check_every == 0
-            t = scanner.scan(indptr, agents, deltas, checkable)
+            t = scanner.scan(
+                indptr,
+                agents,
+                deltas,
+                checkable,
+                *stream.slice_ones,
+                block_end=stream.block_end,
+            )
             if t is not None:
                 return RequiredQueriesResult(
                     required_m=int(ms[t]),

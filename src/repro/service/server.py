@@ -283,8 +283,11 @@ class DecodeService:
                 f"unknown algorithm {algorithm!r}; valid: ('amp', 'greedy')"
             )
         m = _decode_m(request.get("m"), session.m)
+        # An absent or null deadline means "the server's default": the
+        # client sends ``"deadline": None`` unless the caller set one.
+        requested = request.get("deadline")
         budget = _deadline_budget(
-            request.get("deadline", self.default_deadline)
+            self.default_deadline if requested is None else requested
         )
         if m < 1:
             raise InvalidRequest(

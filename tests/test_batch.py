@@ -531,6 +531,183 @@ class TestFirstSuccessM:
             first_success_m(graph, truth, np.zeros(20), centering="oracle")
 
 
+def _whole_block_required_queries(runner, seed, max_m, check_every):
+    """Reference greedy run: each block drawn, measured and scanned whole.
+
+    Every checkable prefix gets the exact separation test; scores group
+    per block (query-by-query inside a block, ``s + sum(block)`` across
+    blocks), the grouping the scanner promises. The certificate only
+    skips prefixes that cannot separate, so its stop is this one.
+    """
+    from repro.core.batch import DEFAULT_BLOCK_ELEMENTS, DEFAULT_INITIAL_BLOCK
+
+    n, k, gamma = runner.n, runner.k, runner.gamma
+    gen = np.random.default_rng(seed)
+    truth = repro.sample_ground_truth(n, k, gen)
+    offset = runner._offset()
+    cap = max(1, DEFAULT_BLOCK_ELEMENTS // max(gamma, k, 1))
+    size = min(DEFAULT_INITIAL_BLOCK, cap)
+    scores = np.zeros(n)
+    m = checks = 0
+    while m < max_m:
+        b = min(size, max_m - m)
+        draws = gen.integers(0, n, size=(b, gamma))
+        results = runner.channel.measure(
+            truth.sigma[draws].sum(axis=1), gamma, gen
+        )
+        partial = np.zeros(n)
+        for row, result in zip(draws, results):
+            m += 1
+            partial[np.unique(row)] += result - offset
+            if m % check_every == 0:
+                checks += 1
+                s = scores + partial
+                if s[truth.ones].min() > s[truth.zeros].max():
+                    return m, checks
+        scores += partial
+        size = min(size * 2, cap)
+    return None, checks
+
+
+def _stop_position(runner, required_m, max_m):
+    """Where a stop falls among its block's row slices."""
+    from repro.core import batch as batch_mod
+    from repro.core.chunking import chunk_bounds
+
+    cap = max(1, batch_mod.DEFAULT_BLOCK_ELEMENTS // max(runner.gamma, runner.k))
+    lo, size = 0, min(batch_mod.DEFAULT_INITIAL_BLOCK, cap)
+    while lo + size < required_m:
+        lo, size = lo + size, min(size * 2, cap)
+    size = min(size, max_m - lo)
+    slices = chunk_bounds(
+        size, -(-size * runner.gamma // batch_mod._CSR_CHUNK_DRAWS)
+    )
+    if len(slices) < 3:
+        return None
+    row = required_m - 1 - lo
+    i = next(i for i, (r0, r1) in enumerate(slices) if r0 <= row < r1)
+    return "first" if i == 0 else "last" if i == len(slices) - 1 else "middle"
+
+
+class TestSlicedStreamScan:
+    """The streaming scan hands blocks out in row slices and stops early.
+
+    Draws and measurements stay whole-block and scores group per block,
+    so outputs equal a whole-block scan for every channel and centering.
+    """
+
+    N, K, MAX_M = 240, 4, 2500
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            repro.ZChannel(0.1),
+            repro.NoisyChannel(0.1, 0.01),
+            repro.GaussianQueryNoise(1.5),
+            repro.NoiselessChannel(),
+        ],
+        ids=["z", "noisy", "gaussian", "noiseless"],
+    )
+    def test_matches_whole_block_scan(self, channel, monkeypatch):
+        from repro.core import batch as batch_mod
+
+        positions = set()
+        for centering in ("half_k", "oracle"):
+            for gamma in (self.N // 2, 12):
+                runner = BatchTrialRunner(
+                    self.N, self.K, channel, gamma=gamma, centering=centering
+                )
+                for check_every in (1, 3):
+                    for seed in range(3):
+                        ref = _whole_block_required_queries(
+                            runner, seed, self.MAX_M, check_every
+                        )
+                        # Several slicings of the same blocks move the
+                        # stop between first, middle and last slices.
+                        for rows in (2, 21, 40):
+                            monkeypatch.setattr(
+                                batch_mod, "_CSR_CHUNK_DRAWS", rows * gamma
+                            )
+                            got = runner.required_queries(
+                                seed, max_m=self.MAX_M, check_every=check_every
+                            )
+                            assert (got.required_m, got.checks) == ref
+                            if got.succeeded:
+                                positions.add(
+                                    _stop_position(
+                                        runner, got.required_m, self.MAX_M
+                                    )
+                                )
+        assert {"first", "middle", "last"} <= positions
+
+    def test_scores_group_per_block_not_per_slice(self):
+        # Float deltas expose any regrouping: a block fed in slices must
+        # leave the scanner's scores bit-identical to one whole feed.
+        from repro.core.batch import _SuccessScanner, _rows_of
+
+        gen = np.random.default_rng(11)
+        truth = repro.sample_ground_truth(self.N, self.K, gen)
+        graph = sample_pooling_graph_batch(self.N, 90, 60, gen)
+        deltas = gen.normal(size=graph.m) / 3.0
+        never = np.zeros(graph.m, dtype=bool)
+
+        def feed(scanner, lo, hi, block_end):
+            e_lo, e_hi = graph.indptr[lo], graph.indptr[hi]
+            indptr = graph.indptr[lo : hi + 1] - e_lo
+            agents = graph.agents[e_lo:e_hi]
+            ones = np.flatnonzero(truth.sigma[agents])
+            assert scanner.scan(
+                indptr, agents, deltas[lo:hi], never[lo:hi],
+                _rows_of(indptr, ones), agents[ones], block_end=block_end,
+            ) is None
+
+        whole, sliced = _SuccessScanner(truth), _SuccessScanner(truth)
+        for lo, hi in ((0, 30), (30, 90)):
+            feed(whole, lo, hi, True)
+        for lo, hi, end in ((0, 7, False), (7, 30, True), (30, 31, False),
+                            (31, 64, False), (64, 90, True)):
+            feed(sliced, lo, hi, end)
+        assert np.array_equal(whole.scores, sliced.scores)
+
+    def test_builds_csr_only_up_to_the_stopping_slice(self, monkeypatch):
+        from repro.core import batch as batch_mod
+
+        n, k, gamma = 400, 4, 200
+        chunk_rows = 16
+        monkeypatch.setattr(batch_mod, "_CSR_CHUNK_DRAWS", chunk_rows * gamma)
+        csr_rows, draw_shapes = [], []
+        csr_from_draws = batch_mod._csr_from_draws
+        draw_agents = batch_mod._draw_agents
+
+        def spy_csr(draws, *args, **kwargs):
+            csr_rows.append(draws.shape[0])
+            return csr_from_draws(draws, *args, **kwargs)
+
+        def spy_draw(gen, n_, shape):
+            draw_shapes.append(tuple(shape))
+            return draw_agents(gen, n_, shape)
+
+        monkeypatch.setattr(batch_mod, "_csr_from_draws", spy_csr)
+        monkeypatch.setattr(batch_mod, "_draw_agents", spy_draw)
+        runner = BatchTrialRunner(n, k, repro.ZChannel(0.1), gamma=gamma)
+        res = runner.required_queries(np.random.SeedSequence(5))
+        assert res.succeeded
+        assert max(csr_rows) <= chunk_rows
+        assert sum(csr_rows) <= res.required_m + chunk_rows
+        # The parent's block schedule: doubling from the initial block,
+        # up to the block holding the stop, each drawn whole.
+        cap = batch_mod.DEFAULT_BLOCK_ELEMENTS // gamma
+        expected, lo, size = [], 0, batch_mod.DEFAULT_INITIAL_BLOCK
+        while lo < res.required_m:
+            expected.append((size, gamma))
+            lo, size = lo + size, min(size * 2, cap)
+        assert draw_shapes == expected
+        # The stop is past the first slice of a multi-slice block, so
+        # the early exit is what the row bound above checks.
+        assert expected[-1][0] > chunk_rows
+        assert sum(csr_rows) < sum(shape[0] for shape in expected)
+
+
 class TestSessionStream:
     """The decode service's append-fed stream (PR 10, satellite 3)."""
 

@@ -608,6 +608,28 @@ class TestEndToEnd:
             })
         assert reply["m"] == (10 if m is None else 6)
 
+    def test_server_default_deadline_applies_to_client_decodes(self, tmp_path):
+        # ServiceClient.decode always sends a "deadline" field, null
+        # unless the caller set one: null must mean the server default
+        # (REPRO_SERVICE_DEADLINE), and an explicit number still wins.
+        proc = start_server(
+            tmp_path / "state", env={"REPRO_SERVICE_DEADLINE": "1e-9"}
+        )
+        try:
+            with ServiceClient(proc.host, proc.port, retry_budget=1.0) as client:
+                open_and_fill(
+                    client, "e2e-default-deadline", 40, 2,
+                    repro.NoiselessChannel(), 27, 10,
+                )
+                with pytest.raises(DeadlineExceeded):
+                    client.decode("e2e-default-deadline")
+                reply = client.decode("e2e-default-deadline", deadline=30.0)
+                stats = client.stats()
+        finally:
+            proc.stop()
+        assert reply["m"] == 10
+        assert stats["deadline_expired"] >= 1
+
     def test_wrong_token_is_rejected(self, server):
         with pytest.raises(AuthError):
             ServiceClient(
