@@ -20,10 +20,8 @@ Two entry modes:
   scan (prefix replay + galloping/stacked bisection) against the
   naive per-m probe loop, the sweep engine's flattened cross-cell
   queue against per-cell-barrier execution (with the per-worker
-  spec-interning dispatch payloads), the AMP kernel seam (NumPy
-  reference vs the fused Numba backend when importable, float32
-  opt-in alongside), and the shared-memory arena dispatch payload
-  against the pipe-pickled protocols — and appends
+  spec-interning dispatch payloads), and the shared-memory arena
+  dispatch payload against the pipe-pickled protocols — and appends
   one machine-readable entry (per-case wall time, speedup vs baseline,
   workers used, host info) to ``BENCH_perf_core.json`` at the repo
   root, so regressions across PRs stay visible. ``--smoke`` shrinks
@@ -746,151 +744,6 @@ def _case_sweep_pipeline(smoke, workers):
     }
 
 
-def _case_amp_fused_kernel(smoke):
-    """AMP kernel seam: NumPy reference vs fused Numba vs float32.
-
-    Times the batched AMP sweep cell (sparse Gamma = 64, stacked
-    block-diagonally) under each kernel of the seam. The float64
-    Numba backend is asserted decode-identical to the reference and
-    JIT-warmed outside the timed region; the float32 variant's wall
-    time is recorded alongside (its scores differ only at float32
-    rounding — pinned by tolerance in tests/test_kernels.py, not
-    asserted here). On hosts without Numba (this repo's CI default)
-    the case records the graceful name-level fallback instead of a
-    fused speedup, so the trajectory file shows which backend actually
-    ran.
-    """
-    from repro.amp.batch_amp import run_amp_trials
-    from repro.amp.kernels import numba_available, resolve_kernel
-    from repro.utils.rng import spawn_seeds
-
-    n = 1024 if smoke else 4096
-    trials = 8 if smoke else 32
-    m = 200 if smoke else 600
-    k = repro.sublinear_k(n, 0.25)
-    channel = repro.ZChannel(0.1)
-    seeds = spawn_seeds(2022, trials)
-    repeats = 1 if smoke else 3
-
-    def sweep(kernel):
-        return run_amp_trials(
-            n, k, channel, m, seeds, gamma=64, kernel=kernel
-        )
-
-    baseline_s, reference = _timed(lambda: sweep("numpy"), repeats)
-    f32_s, _ = _timed(lambda: sweep("numpy32"), repeats)
-    entry = {
-        "case": "amp_fused_kernel",
-        "n": n,
-        "m": m,
-        "trials": trials,
-        "gamma": 64,
-        "baseline": 'kernel="numpy" (float64 reference, bit-identical '
-        "to the pre-seam path)",
-        "baseline_s": round(baseline_s, 4),
-        "numpy32_s": round(f32_s, 4),
-        "numba_available": numba_available(),
-    }
-    if numba_available():
-        sweep("numba")  # JIT compilation is a one-time session cost
-        wall_s, fused = _timed(lambda: sweep("numba"), repeats)
-        assert all(
-            np.array_equal(a.estimate, b.estimate)
-            for a, b in zip(reference, fused)
-        )
-        entry["wall_s"] = round(wall_s, 4)
-        entry["speedup"] = round(baseline_s / wall_s, 3) if wall_s else None
-    else:
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            entry["fallback_kernel"] = resolve_kernel("numba").name
-    return entry
-
-
-def _case_amp_matvec_fused(smoke):
-    """Matvec inside the kernel seam: fused CSR loops vs scipy matvec.
-
-    Times the batched AMP sweep cell under the fused Numba kernel with
-    its matvec-inclusive phases against the same kernel with the
-    seam's generic phases restored (scipy CSR matvec outside the
-    jitted region + fused elementwise loops — the pre-seam dispatch),
-    at a sparse (``Gamma = 64``) and a dense (``Gamma = n/2``) design
-    point. Decode is asserted identical both ways — the phase split is
-    a dispatch change, never an arithmetic one. **1-core-container
-    caveat**: the fused loops win by keeping the iterate resident
-    across the matvec and the elementwise tail; the quoted speedups
-    come from CI's multi-core runners, the bench host records the
-    single-thread trajectory only. On hosts without Numba (this repo's
-    CI default) the case records the graceful name-level fallback
-    instead.
-    """
-    from repro.amp.batch_amp import run_amp_trials
-    from repro.amp.kernels import (
-        AMPKernel,
-        NumbaKernel,
-        numba_available,
-        resolve_kernel,
-    )
-    from repro.utils.rng import spawn_seeds
-
-    n = 1024 if smoke else 4096
-    trials = 8 if smoke else 32
-    m = 200 if smoke else 600
-    k = repro.sublinear_k(n, 0.25)
-    channel = repro.ZChannel(0.1)
-    seeds = spawn_seeds(2022, trials)
-    repeats = 1 if smoke else 3
-
-    entry = {
-        "case": "amp_matvec_fused",
-        "n": n,
-        "m": m,
-        "trials": trials,
-        "gammas": {"sparse": 64, "dense": n // 2},
-        "baseline": "NumbaKernel with the generic seam phases (scipy "
-        "CSR matvec + fused elementwise loops — the pre-seam dispatch)",
-        "numba_available": numba_available(),
-    }
-    if not numba_available():
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            entry["fallback_kernel"] = resolve_kernel("numba").name
-        return entry
-
-    def sweep(gamma):
-        return run_amp_trials(
-            n, k, channel, m, seeds, gamma=gamma, kernel="numba"
-        )
-
-    for label, gamma in (("sparse", 64), ("dense", n // 2)):
-        sweep(gamma)  # JIT compilation is a one-time session cost
-        fused_s, fused = _timed(lambda: sweep(gamma), repeats)
-        orig_adjoint = NumbaKernel.adjoint_posterior
-        orig_forward = NumbaKernel.forward_residual
-        NumbaKernel.adjoint_posterior = AMPKernel.adjoint_posterior
-        NumbaKernel.forward_residual = AMPKernel.forward_residual
-        try:
-            sweep(gamma)  # warm the generic phases' jitted helpers too
-            generic_s, generic = _timed(lambda: sweep(gamma), repeats)
-        finally:
-            NumbaKernel.adjoint_posterior = orig_adjoint
-            NumbaKernel.forward_residual = orig_forward
-        assert all(
-            np.array_equal(a.estimate, b.estimate)
-            for a, b in zip(generic, fused)
-        )
-        entry[f"{label}_generic_s"] = round(generic_s, 4)
-        entry[f"{label}_fused_s"] = round(fused_s, 4)
-        entry[f"{label}_speedup"] = (
-            round(generic_s / fused_s, 3) if fused_s else None
-        )
-    return entry
-
-
 def _case_shm_dispatch_bytes(smoke, workers):
     """Shared-memory arena dispatch vs the pipe-pickled protocols.
 
@@ -1177,8 +1030,6 @@ def run_perf_suite(smoke=False, workers=4, only=None):
         ),
         "amp_required_m": lambda: _case_amp_required_m(smoke),
         "sweep_pipeline": lambda: _case_sweep_pipeline(smoke, workers),
-        "amp_fused_kernel": lambda: _case_amp_fused_kernel(smoke),
-        "amp_matvec_fused": lambda: _case_amp_matvec_fused(smoke),
         "shm_dispatch_bytes": lambda: _case_shm_dispatch_bytes(smoke, workers),
         "sweep_resume_overhead": lambda: _case_sweep_resume_overhead(smoke),
         "decode_service": lambda: _case_decode_service(smoke),

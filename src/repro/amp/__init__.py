@@ -16,10 +16,10 @@ This package provides:
   (:func:`required_queries_amp_linear`);
 * denoisers (:class:`BayesBernoulliDenoiser`,
   :class:`SoftThresholdDenoiser`);
-* the kernel seam (:mod:`repro.amp.kernels`) — every AMP entry point
-  takes ``kernel=`` (a name from :data:`KERNELS` or an
+* the compute kernel (:mod:`repro.amp.kernels`) — every AMP entry
+  point takes ``kernel=`` (``"numpy"``, ``"numpy32"`` or an
   :class:`AMPKernel` instance; default from the ``REPRO_KERNEL`` env
-  var) selecting the compute backend for the inner array passes;
+  var) selecting the precision of the inner array passes;
 * :func:`state_evolution` — the scalar recursion predicting AMP's MSE
   trajectory.
 """
@@ -55,7 +55,6 @@ from repro.amp.kernels import (
     KERNELS,
     AMPKernel,
     StackLayout,
-    numba_available,
     resolve_kernel,
 )
 from repro.amp.state_evolution import (
@@ -84,7 +83,6 @@ __all__ = [
     "KERNELS",
     "AMPKernel",
     "StackLayout",
-    "numba_available",
     "resolve_kernel",
     "denoiser_mse",
     "state_evolution",

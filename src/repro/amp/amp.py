@@ -44,16 +44,15 @@ broadcasts against per-trial ``(T, 1)`` scalars, and sequential
 per-row CSR matvecs — so a trial's iterate sequence is bit-identical
 no matter which stack (of any size or composition) it runs in.
 
-The per-iteration array passes themselves live behind the pluggable
-compute seam of :mod:`repro.amp.kernels`: :func:`iterate_amp` is one
-stack-shape-agnostic driver (a :class:`~repro.amp.kernels.StackLayout`
-describes uniform vs ragged) that alternates the backend's
-``posterior_step`` / ``residual_step`` phases with the caller's
-matvecs. The default ``numpy`` backend performs exactly the operations
-this module's pre-seam loops performed — bit-identical by construction
-— while ``kernel="numba"`` fuses each phase into one jitted loop and
-``"numpy32"``/``"numba32"`` compute in float32 (both opt-in,
-tolerance-tested; see the kernels module docstring).
+The per-iteration array passes live in :mod:`repro.amp.kernels`:
+:func:`iterate_amp` is one stack-shape-agnostic driver (a
+:class:`~repro.amp.kernels.StackLayout` describes uniform vs ragged)
+that alternates the kernel's two phases, ``adjoint_posterior`` and
+``forward_residual``, each of which applies its own matvec through
+the stack operator. The default ``numpy`` kernel performs exactly the
+operations this module's pre-seam loops performed — bit-identical by
+construction — while ``"numpy32"`` computes the same operations in
+float32 (opt-in, tolerance-tested; see the kernels module docstring).
 """
 
 from __future__ import annotations
@@ -192,18 +191,17 @@ def iterate_amp(
     operator:
         The standardized stack operator — normally a
         :class:`~repro.amp.kernels.CSRStackOperator` (raw block-
-        diagonal CSR plus centering/scales), which lets the kernel
-        backend run the matvec pair inside the seam (scipy reference,
-        fused CSR loop, or GPU). Any object with flat-vector
-        ``matvec`` / ``rmatvec`` methods works (e.g. a
-        :class:`~repro.amp.kernels.MatvecOperator` wrapping closures);
-        such generic operators run through the kernels' reference
-        phase implementations. ``matvec`` maps a ``(T*n,)`` stack of
-        signal vectors to a ``(T*m,)`` stack of measurement vectors,
-        ``rmatvec`` the reverse. For ``T = 1`` these are the ordinary
+        diagonal CSR plus centering/scales), whose products the kernel
+        phases apply. Any object with flat-vector ``matvec`` /
+        ``rmatvec`` methods works (e.g. a
+        :class:`~repro.amp.kernels.MatvecOperator` wrapping closures).
+        ``matvec`` maps a ``(T*n,)`` stack of signal vectors to a
+        ``(T*m,)`` stack of measurement vectors, ``rmatvec`` the
+        reverse. For ``T = 1`` these are the ordinary
         per-trial maps. Under a float32 kernel the operator must
         produce the kernel dtype (cast the CSR data once; see
-        :mod:`repro.amp.batch_amp`).
+        :mod:`repro.amp.batch_amp`); a :class:`CSRStackOperator` of
+        another dtype raises ``ValueError``.
     y:
         Standardized measurements, shape ``(T, m)`` (one row per trial),
         or — with ``row_sizes`` — one flat concatenation of the
@@ -257,10 +255,16 @@ def iterate_amp(
     :class:`~repro.amp.kernels.StackLayout` carries the per-trial
     standardization scalars and segment bounds, and the kernel's two
     matvec-inclusive phase methods (``adjoint_posterior`` /
-    ``forward_residual``) do the entire iteration body — matvecs
-    included — so a backend can fuse or offload the whole pass.
+    ``forward_residual``) do the entire iteration body.
     """
     kern = resolve_kernel(kernel)
+    if isinstance(operator, CSRStackOperator) and operator.dtype != kern.dtype:
+        # A wider stack would silently promote every pass (and loosen
+        # the denoiser's exp clip) under a float32 kernel.
+        raise ValueError(
+            f"stack operator dtype {operator.dtype} does not match the "
+            f"{kern.name!r} kernel dtype {kern.dtype}"
+        )
     if row_sizes is None:
         y = kern.as_working(y)
         total, m = y.shape
@@ -428,11 +432,9 @@ def run_amp(
         adjacency = adjacency.astype(kern.dtype)
     if sparse:
         # The one-trial stack operator: its transpose is the free CSC
-        # view (no O(nnz) tocsr() per call), and its reference
-        # matvec/rmatvec perform the same pairwise sums and per-element
-        # centering/scaling as the pre-seam closures — bit-identical —
-        # while handing fused/GPU kernels the raw CSR arrays so the
-        # matvec runs inside the seam.
+        # view (no O(nnz) tocsr() per call), and its matvec/rmatvec
+        # perform the same pairwise sums and per-element
+        # centering/scaling as the pre-seam closures — bit-identical.
         operator = CSRStackOperator(adjacency, n=n, c=c, scale=scale)
     else:
         adjacency_t = adjacency.T

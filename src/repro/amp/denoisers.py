@@ -20,7 +20,7 @@ Dtype contract
 --------------
 Every method computes in the dtype of its input: float64 inputs (the
 default everywhere) run the exact arithmetic they always ran, while
-float32 inputs — produced by the opt-in float32 AMP kernels
+float32 inputs — produced by the opt-in ``numpy32`` AMP kernel
 (:mod:`repro.amp.kernels`) — stay float32 end to end instead of being
 silently upcast through float64 intermediates. The scalar constants a
 denoiser bakes in (prior log-odds, threshold multipliers) are kept as
@@ -28,20 +28,11 @@ Python floats, which NumPy treats as weak scalars: they never promote
 a float32 array. The exponent clip is dtype-dependent
 (:meth:`Denoiser.exp_clip_for`) because ``exp(88)`` already overflows
 float32.
-
-Fused-kernel form
------------------
-:meth:`Denoiser.kernel_form` exposes the denoiser as a flat
-``(kind, parameters)`` pair so the fused native kernels can inline the
-value *and* derivative computation in one loop over the stack without
-calling back into Python per segment. Denoisers without a fused form
-return ``None`` and run through the NumPy phase implementation.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -104,18 +95,6 @@ class Denoiser(ABC):
         only removes redundant recomputation, never changes arithmetic.
         """
         return self(x, tau), self.derivative(x, tau)
-
-    def kernel_form(self) -> Optional[Tuple[str, Tuple[float, ...]]]:
-        """Flat ``(kind, parameters)`` form for fused native kernels.
-
-        ``kind`` names the fused value+derivative loop a native
-        backend may implement for this family and ``parameters`` are
-        its scalar constants (plain floats, ready to pass into a
-        jitted function). ``None`` (the default) means "no fused form"
-        — the backend falls back to the NumPy phase implementation,
-        which evaluates :meth:`value_and_derivative` vectorized.
-        """
-        return None
 
     @staticmethod
     def exp_clip_for(dtype) -> float:
@@ -196,9 +175,6 @@ class BayesBernoulliDenoiser(Denoiser):
         deriv /= tau * tau
         return eta, deriv
 
-    def kernel_form(self) -> Tuple[str, Tuple[float, ...]]:
-        return ("bayes-bernoulli", (self._log_odds_prior,))
-
     def posterior_variance(self, x: np.ndarray, tau) -> np.ndarray:
         """``Var(sigma | x) = eta (1 - eta)`` for the 0/1 prior."""
         eta = self(x, tau)
@@ -230,9 +206,6 @@ class SoftThresholdDenoiser(Denoiser):
         x = np.asarray(x, dtype=dtype)
         tau = _floor_tau(tau, dtype)
         return (np.abs(x) > self.alpha * tau).astype(dtype)
-
-    def kernel_form(self) -> Tuple[str, Tuple[float, ...]]:
-        return ("soft-threshold", (self.alpha,))
 
     def describe(self) -> str:
         return f"soft-threshold(alpha={self.alpha:g})"

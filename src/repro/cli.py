@@ -146,9 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         choices=KERNELS,
         default=None,
-        help="AMP compute backend (default: the REPRO_KERNEL env var, "
-        "else numpy); float64 kernels are bit-identical, the *32 "
-        "variants trade bit-identity for float32 throughput",
+        help="AMP compute kernel (default: the REPRO_KERNEL env var, "
+        "else numpy); numpy is the bit-identical float64 reference, "
+        "numpy32 runs the same passes in float32",
     )
     execution.add_argument(
         "--shm",
@@ -387,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         choices=KERNELS,
         default=None,
-        help="AMP compute backend (AMP algorithm only; float64 kernels "
-        "are bit-identical, the *32 variants are float32)",
+        help="AMP compute kernel (AMP algorithm only; numpy is the "
+        "bit-identical float64 reference, numpy32 runs in float32)",
     )
     rq.add_argument(
         "--shm",

@@ -75,7 +75,7 @@ class DecodeBatcher:
         max_queue: int = DEFAULT_MAX_QUEUE,
         degrade_depth: int = DEFAULT_DEGRADE_DEPTH,
         max_batch: int = DEFAULT_MAX_BATCH,
-        kernel: Optional[str] = None,
+        kernel=None,
     ):
         if not 1 <= degrade_depth <= max_queue:
             raise ValueError(

@@ -26,6 +26,7 @@ import asyncio
 import numbers
 from typing import Callable, Optional, Tuple
 
+from repro.amp.kernels import resolve_kernel
 from repro.service import wire
 from repro.service.batcher import (
     DEFAULT_DEGRADE_DEPTH,
@@ -103,7 +104,9 @@ class DecodeService:
             max_queue=max_queue,
             degrade_depth=min(degrade_depth, max_queue),
             max_batch=max_batch,
-            kernel=kernel,
+            # Resolved once here, so a bad REPRO_KERNEL fails at
+            # startup rather than on every decode.
+            kernel=resolve_kernel(kernel),
         )
         self.sessions: dict = {}
         self._server: Optional[asyncio.AbstractServer] = None

@@ -5,8 +5,8 @@ Parametrized (and hypothesis-driven) invariants of
 derivatives match central finite differences away from kinks,
 ``value_and_derivative`` is bit-identical to the separate calls,
 float32 inputs stay float32 end to end and agree with the float64
-arithmetic within float32 tolerance, and the fused ``kernel_form``
-parameters reproduce the NumPy evaluation exactly.
+arithmetic within float32 tolerance, and the Bayes posterior mean
+equals its closed form written out by hand, bit for bit.
 """
 
 import numpy as np
@@ -157,38 +157,16 @@ def test_exp_clip_for_dtypes():
     assert np.exp(Denoiser.exp_clip_for(np.float32)) < np.finfo(np.float32).max
 
 
-# -- fused kernel form ---------------------------------------------------
+# -- closed form ---------------------------------------------------------
 
 
-def test_kernel_form_parameters():
-    bayes = BayesBernoulliDenoiser(0.05)
-    kind, params = bayes.kernel_form()
-    assert kind == "bayes-bernoulli"
-    assert params == (float(np.log(0.95 / 0.05)),)
-    soft = SoftThresholdDenoiser(2.5)
-    assert soft.kernel_form() == ("soft-threshold", (2.5,))
-
-
-def test_kernel_form_defaults_to_none():
-    class Identity(Denoiser):
-        def __call__(self, x, tau):
-            return np.asarray(x)
-
-        def derivative(self, x, tau):
-            return np.ones_like(np.asarray(x))
-
-        def describe(self):
-            return "identity"
-
-    assert Identity().kernel_form() is None
-
-
-def test_bayes_kernel_form_reproduces_numpy_evaluation():
-    # The fused form's flat parameters, evaluated by hand, must equal
-    # the vectorized NumPy path bit for bit — that is what lets a
-    # native backend inline the denoiser.
-    denoiser = BayesBernoulliDenoiser(0.02)
-    (log_odds,) = denoiser.kernel_form()[1]
+def test_bayes_posterior_mean_matches_hand_formula():
+    # The vectorized posterior mean equals the closed form
+    # 1 / (1 + ((1-pi)/pi) exp((1-2x) / (2 tau^2))), evaluated by hand
+    # with the prior log-odds folded into the clipped exponent.
+    pi = 0.02
+    denoiser = BayesBernoulliDenoiser(pi)
+    log_odds = float(np.log((1 - pi) / pi))
     x, tau = _grid(), 0.3
     exponent = np.clip(
         log_odds + (1.0 - 2.0 * x) / (2.0 * tau * tau), -500.0, 500.0

@@ -8,13 +8,12 @@ implementation. The golden hashes below were captured by running the
 pre-seam code on the pinned instances; the seam must keep reproducing
 them exactly, for the standalone runner, the block-diagonal batched
 runner, and the ragged required-m scan in every verify mode. The
-float32 kernels are opt-in and tolerance-tested; the numba kernels
-fall back to the matching NumPy kernel (with one warning) when numba
-is not installed.
+float32 kernel is opt-in and tolerance-tested; any other kernel name
+is rejected.
 """
 
 import hashlib
-import warnings
+import re
 
 import numpy as np
 import pytest
@@ -26,12 +25,11 @@ from repro.amp.kernels import (
     KERNEL_ENV,
     KERNELS,
     AMPKernel,
+    CSRStackOperator,
     StackLayout,
-    cupy_available,
-    numba_available,
     resolve_kernel,
 )
-from repro.amp import kernels as kernels_module
+from repro.utils.config import ConfigError
 from repro.utils.rng import spawn_seeds
 
 
@@ -87,72 +85,22 @@ def test_resolved_kernels_are_cached():
     assert resolve_kernel("numpy") is resolve_kernel("numpy")
 
 
-@pytest.mark.skipif(numba_available(), reason="numba installed: no fallback")
-def test_numba_fallback_warns_once_and_keeps_precision(monkeypatch):
-    monkeypatch.setattr(kernels_module, "_fallback_warned", {})
-    for name in ("numba", "numba32"):
-        kernels_module._kernel_cache.pop(name, None)
-    with pytest.warns(RuntimeWarning, match="falling back") as caught:
-        kern = resolve_kernel("numba")
-    assert kern.name == "numpy"
-    assert kern.dtype == np.float64
-    # The warning names both the requested backend and the precision
-    # actually substituted.
-    assert "numba -> numpy" in str(caught[0].message)
-    # Warn-once: the second numba-family request resolves silently,
-    # and a float32 request degrades to the float32 NumPy kernel.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        kern32 = resolve_kernel("numba32")
-    assert kern32.name == "numpy32"
-    assert kern32.dtype == np.float32
-
-
-@pytest.mark.skipif(cupy_available(), reason="cupy installed: no fallback")
-def test_cupy_fallback_warns_once_and_keeps_precision(monkeypatch):
-    monkeypatch.setattr(kernels_module, "_fallback_warned", {})
-    for name in ("cupy", "cupy32"):
-        kernels_module._kernel_cache.pop(name, None)
-    with pytest.warns(RuntimeWarning, match="falling back") as caught:
-        kern32 = resolve_kernel("cupy32")
-    assert kern32.name == "numpy32"
-    assert kern32.dtype == np.float32
-    assert "cupy32 -> numpy32" in str(caught[0].message)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        kern = resolve_kernel("cupy")
-    assert kern.name == "numpy"
-    assert kern.dtype == np.float64
-
-
-@pytest.mark.skipif(cupy_available(), reason="cupy installed: no fallback")
-def test_cupy_fallback_warns_even_after_numba_fallback(monkeypatch):
-    # The warn-once flag is per accelerator family: a numba fallback
-    # must not swallow the first cupy fallback's warning.
-    monkeypatch.setattr(kernels_module, "_fallback_warned", {"numba": True})
-    kernels_module._kernel_cache.pop("cupy", None)
-    with pytest.warns(RuntimeWarning, match="cupy"):
-        resolve_kernel("cupy")
-
-
-@pytest.mark.skipif(cupy_available(), reason="cupy installed: no fallback")
-def test_cupy_fallback_runs_the_golden_pins(monkeypatch):
-    # A cupy request without cupy must keep every decode unchanged:
-    # the substituted kernel is the bit-identical NumPy reference.
-    monkeypatch.setattr(kernels_module, "_fallback_warned", {})
-    kernels_module._kernel_cache.pop("cupy", None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        result = run_amp(_standalone_instance(), kernel="cupy")
-    assert _hash(result.scores) == GOLDEN_STANDALONE
-    assert result.meta["kernel"] == "numpy"
+@pytest.mark.parametrize("name", ["numba", "numba32", "cupy", "cupy32"])
+def test_removed_kernel_names_rejected(name, monkeypatch):
+    # Only the two NumPy kernels exist: a former accelerator name fails
+    # loudly on both selection routes instead of falling back.
+    with pytest.raises(ValueError, match=re.escape("valid: ('numpy', 'numpy32')")):
+        resolve_kernel(name)
+    monkeypatch.setenv(KERNEL_ENV, name)
+    message = f"REPRO_KERNEL must be one of ('numpy', 'numpy32'), got '{name}'"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        resolve_kernel()
 
 
 def test_registry_names_all_resolve():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for name in KERNELS:
-            assert isinstance(resolve_kernel(name), AMPKernel)
+    assert KERNELS == ("numpy", "numpy32")
+    for name in KERNELS:
+        assert isinstance(resolve_kernel(name), AMPKernel)
 
 
 # -- stack layout --------------------------------------------------------
@@ -161,10 +109,8 @@ def test_registry_names_all_resolve():
 def test_layout_uniform_bounds_and_scalars():
     layout = StackLayout.for_uniform(3, 10, 4, np.float64)
     assert layout.uniform
-    np.testing.assert_array_equal(layout.bounds, [0, 4, 8, 12])
     assert layout.sqrt_m == np.sqrt(4)
     assert layout.nm_ratio == 10 / 4
-    np.testing.assert_array_equal(layout.per_row(layout.sqrt_m), [2.0] * 3)
 
 
 def test_layout_ragged_restrict_slices_scalars():
@@ -277,8 +223,6 @@ def test_matvec_runs_inside_the_seam(monkeypatch):
     # count operator applications during a run. One adjoint per
     # iteration, one forward per iteration (plus the initial
     # residual), and spying must not perturb the golden decode.
-    from repro.amp.kernels import CSRStackOperator
-
     monkeypatch.delenv(KERNEL_ENV, raising=False)
     calls = {"matvec": 0, "rmatvec": 0}
     orig_matvec = CSRStackOperator.matvec
@@ -306,6 +250,25 @@ def test_env_kernel_reaches_run_amp(monkeypatch):
     result = run_amp(_standalone_instance())
     assert result.meta["kernel"] == "numpy32"
     assert result.scores.dtype == np.float32
+
+
+@pytest.mark.parametrize(
+    "stack_dtype, kernel", [(np.float64, "numpy32"), (np.float32, "numpy")]
+)
+def test_stack_dtype_must_match_kernel(stack_dtype, kernel):
+    # A float64 stack under numpy32 would silently promote every pass
+    # (and the denoiser's exp clip with it); iterate_amp refuses it.
+    from repro.amp.amp import default_denoiser, iterate_amp
+
+    meas = _standalone_instance()
+    n, m = meas.graph.n, meas.graph.m
+    a = meas.graph.adjacency_sparse().astype(stack_dtype)
+    op = CSRStackOperator(a, n=n, c=0.5, scale=1.0)
+    with pytest.raises(ValueError, match="does not match"):
+        iterate_amp(
+            op, np.zeros((1, m)), default_denoiser(n, meas.k), AMPConfig(),
+            n=n, kernel=kernel,
+        )
 
 
 # -- float32 opt-in (tolerance, not bit-identity) ------------------------
@@ -339,27 +302,6 @@ def test_float32_required_m_matches_on_pinned_instance():
         gamma=32, check_every=8, max_m=400, kernel="numpy32",
     )
     assert [r.required_m for r in f32] == GOLDEN_REQUIRED_M
-
-
-# -- numba backend (tolerance-equivalence when installed) ----------------
-
-
-@pytest.mark.skipif(not numba_available(), reason="numba not installed")
-def test_numba_kernel_close_to_reference():
-    ref = run_amp(_standalone_instance(), kernel="numpy")
-    fused = run_amp(_standalone_instance(), kernel="numba")
-    assert fused.meta["kernel"] == "numba"
-    assert np.max(np.abs(ref.scores - fused.scores)) < 1e-9
-    np.testing.assert_array_equal(ref.estimate, fused.estimate)
-
-
-@pytest.mark.skipif(not numba_available(), reason="numba not installed")
-def test_numba_required_m_matches_reference():
-    fused = required_queries_amp(
-        256, 3, repro.ZChannel(0.1), spawn_seeds(11, 5),
-        gamma=32, check_every=8, max_m=400, kernel="numba",
-    )
-    assert [r.required_m for r in fused] == GOLDEN_REQUIRED_M
 
 
 # -- the lean reference path: same products, no scipy dispatch -----------
@@ -400,8 +342,6 @@ def test_stack_products_equal_scipy_bytes(dtype, index_dtype, m_per, ragged_form
     # scipy's ``@`` directly: raw products (c=0, unit scale) equal
     # ``a @ x`` / ``a.T @ z`` byte for byte, and the standardized ones
     # equal the pre-seam closure arithmetic on those products.
-    from repro.amp.kernels import CSRStackOperator
-
     rng = np.random.default_rng(len(m_per) * 10 + int(ragged_form))
     n, trials = 13, len(m_per)
     a = _random_stack(rng, n, m_per, dtype, index_dtype)

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.amp import AMPConfig, run_amp
+from repro.amp import AMPConfig, AMPKernel, run_amp
 from repro.experiments.worker import AuthError
 from repro.service.batcher import DecodeBatcher
 from repro.service.client import ServiceClient
@@ -35,9 +35,11 @@ from repro.service.errors import (
     UnknownSession,
     error_from_wire,
 )
+from repro.service.server import DecodeService
 from repro.service.session import Session, SessionParams, channel_to_spec
 from repro.service.store import SessionStore
 from repro.service.testing import start_server
+from repro.utils.config import ConfigError
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +402,20 @@ class TestDecodeBatcher:
 
         response = asyncio.run(scenario())
         assert response["algorithm"] == "amp"
+
+
+class TestDecodeServiceStartup:
+    def test_kernel_resolved_once_at_construction(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "numpy32")
+        service = DecodeService()
+        assert isinstance(service.batcher.kernel, AMPKernel)
+        assert service.batcher.kernel.name == "numpy32"
+
+    def test_bad_kernel_fails_at_construction(self, monkeypatch):
+        # Not on the first decode: the constructor resolves the kernel.
+        monkeypatch.setenv("REPRO_KERNEL", "cupy")
+        with pytest.raises(ConfigError, match="REPRO_KERNEL must be one of"):
+            DecodeService()
 
 
 # ---------------------------------------------------------------------------
