@@ -60,7 +60,6 @@ from repro.core.batch import (
     DEFAULT_BLOCK_ELEMENTS,
     DEFAULT_INITIAL_BLOCK,
     MeasurementStream,
-    ReplayedStream,
     draw_instance,
 )
 from repro.core.ground_truth import sample_ground_truth
@@ -373,109 +372,48 @@ def run_amp_trials(
     return out
 
 
-# -- driver-prepared chunks (shared-memory arena dispatch) --------------
-
-
-def sample_amp_cell_chunk(
-    n: int,
-    k: int,
-    channel: Channel,
-    m: int,
-    seeds: Sequence[RngLike],
-    *,
-    gamma: Optional[int] = None,
-    dtype=np.float64,
-) -> Dict[str, np.ndarray]:
-    """Sample one fixed-``m`` AMP chunk and stack its CSR once (driver side).
-
-    Consumes each seed's generator exactly like the sampling prologue
-    of :func:`run_amp_trials` — ground truth, pooling graph, channel
-    noise, in that order — then assembles the chunk's single
-    block-diagonal CSR with :func:`_stack_blocks`. The returned array
-    dict (stacked ``indptr``/``indices``/``data`` plus per-trial
-    ``results`` and ``truth`` sigma rows) is what the sweep driver
-    publishes into the :class:`~repro.experiments.shm.SweepArena`;
-    :func:`run_amp_prepared` decodes it without any worker-side
-    sampling or stacking. ``dtype`` must match the kernel the workers
-    will resolve (float32 under a float32 backend).
-    """
-    gamma = default_gamma(n) if gamma is None else gamma
-    trials = len(seeds)
-    blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    results = np.empty((trials, m), dtype=np.float64)
-    sigma = np.empty((trials, n), dtype=np.int8)
-    for t, seed in enumerate(seeds):
-        gen, truth, graph = draw_instance(n, k, m, gamma, seed)
-        meas = measure(graph, truth, channel, gen)
-        blocks.append((graph.indptr, graph.agents, graph.counts))
-        results[t] = meas.results
-        sigma[t] = truth.sigma
-    a = _stack_blocks(blocks, n, dtype)
-    return {
-        "indptr": a.indptr,
-        "indices": a.indices,
-        "data": a.data,
-        "results": results,
-        "truth": sigma,
-    }
-
-
 def run_amp_prepared(
     n: int,
     k: int,
     channel: Channel,
-    m: int,
-    arrays: Dict[str, np.ndarray],
+    a,
+    results: np.ndarray,
+    truth: np.ndarray,
+    blocks: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     *,
     gamma: Optional[int] = None,
     denoiser: Optional[Denoiser] = None,
     config: Optional[AMPConfig] = None,
     kernel=None,
-    blocks: Optional[
-        Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]]
-    ] = None,
 ) -> List[Tuple[bool, float]]:
-    """Decode a prepared fixed-``m`` stack; ``(exact, overlap)`` rows.
+    """Decode an already stacked fixed-``m`` chunk; ``(exact, overlap)`` rows.
 
-    The worker half of :func:`sample_amp_cell_chunk`: rebuilds the
-    chunk's block-diagonal scipy CSR directly on the (read-only,
-    zero-copy) array views — no resampling, no re-stacking — and runs
-    one stacked :func:`~repro.amp.amp.iterate_amp` call through the
-    kernel seam. Per-trial outcomes are identical to
-    :func:`run_amp_trials` on the same seeds: the stack-composition
-    and compaction contracts make every trial's decode independent of
-    how its stack was assembled. Callers that still hold the per-trial
-    CSR triples pass them as ``blocks``, and the stack is compacted to
-    the live trials once at most half remain (as :func:`run_amp_batch`
-    does); without them the whole stack iterates to the end.
+    ``a`` is the chunk's block-diagonal CSR (:func:`_stack_blocks` over
+    ``blocks``, the per-trial ``(indptr, indices, data)`` triples),
+    ``results`` the ``(trials, m)`` channel outputs and ``truth`` the
+    ``(trials, n)`` sigma rows. Runs one stacked
+    :func:`~repro.amp.amp.iterate_amp` call through the kernel seam,
+    compacting the stack from ``blocks`` once at most half the trials
+    remain active (as :func:`run_amp_batch` does), so sibling cells
+    that measured the same graphs share one stack. Per-trial outcomes
+    are identical to :func:`run_amp_trials` on the same seeds: the
+    stack-composition and compaction contracts make every trial's
+    decode independent of how its stack was assembled.
     """
-    from scipy import sparse
-
     gamma = default_gamma(n) if gamma is None else gamma
     config = config if config is not None else _default_batch_config()
     kern = resolve_kernel(kernel)
     if denoiser is None:
         denoiser = default_denoiser(n, k)
-    sigma_truth = arrays["truth"]
-    trials = sigma_truth.shape[0]
+    m = results.shape[1]
     c, scale = standardization_constants(n, m, gamma)
-    y = (
-        channel_corrected_results(arrays["results"], gamma, channel) - c * k
-    ) / scale
-    a = sparse.csr_matrix(
-        (arrays["data"], arrays["indices"], arrays["indptr"]),
-        shape=(trials * m, trials * n),
-    )
-    operator = CSRStackOperator(a, n=n, c=c, scale=scale)
-    restrict = None
-    if blocks is not None:
-        restrict = _StackedOperators(
-            blocks, n, m, c, scale, dtype=kern.dtype
-        ).operators
+    y = (channel_corrected_results(results, gamma, channel) - c * k) / scale
+    stacked = _StackedOperators(blocks, n, m, c, scale, dtype=kern.dtype)
     scores, _, _, _ = iterate_amp(
-        operator, y, denoiser, config, n=n, restrict=restrict, kernel=kern
+        CSRStackOperator(a, n=n, c=c, scale=scale), y, denoiser, config,
+        n=n, restrict=stacked.operators, kernel=kern,
     )
-    _, errors, overlap, _ = decode_top_k_stacked(scores, sigma_truth, k)
+    _, errors, overlap, _ = decode_top_k_stacked(scores, truth, k)
     return [
         (bool(e == 0), float(o)) for e, o in zip(errors, overlap)
     ]
@@ -977,44 +915,7 @@ def required_queries_amp(
             )
         )
 
-    _drive_required_scan(
-        searches, streams, n, k, gamma, channel, denoiser, config,
-        stack_elements, kern,
-    )
-    return [
-        RequiredQueriesResult(
-            required_m=search.required_m,
-            n=n,
-            k=k,
-            succeeded=search.required_m is not None,
-            checks=search.checks,
-            meta=meta,
-        )
-        for search in searches
-    ]
-
-
-def _drive_required_scan(
-    searches: Sequence[_RequiredMSearch],
-    streams: Sequence[MeasurementStream],
-    n: int,
-    k: int,
-    gamma: int,
-    channel: Channel,
-    denoiser: Denoiser,
-    config: AMPConfig,
-    stack_elements: int,
-    kern: AMPKernel,
-) -> None:
-    """Run every trial's search to completion over shared probe rounds.
-
-    The round loop of :func:`required_queries_amp`, factored so the
-    replayed scan (:func:`required_queries_amp_replayed`) can drive it
-    over :class:`~repro.core.batch.ReplayedStream` views instead of
-    live :class:`~repro.core.batch.MeasurementStream` objects — the
-    probe scheduling, stacking and decode never touch the stream's
-    growth machinery beyond ``grow_to``/``prefix``/``indptr``/``truth``.
-    """
+    # Every trial's search runs to completion over shared probe rounds.
     while True:
         jobs: List[Tuple[int, int]] = []
         for i, search in enumerate(searches):
@@ -1033,150 +934,6 @@ def _drive_required_scan(
                 touched.append(i)
         for i in touched:
             searches[i].advance()
-
-
-def sample_required_stream_chunk(
-    n: int,
-    k: int,
-    channel: Channel,
-    seeds: Sequence[RngLike],
-    *,
-    gamma: Optional[int] = None,
-    max_m: Optional[int] = None,
-    check_every: int = 1,
-    initial_block: int = DEFAULT_INITIAL_BLOCK,
-    block_elements: int = DEFAULT_BLOCK_ELEMENTS,
-) -> Dict[str, np.ndarray]:
-    """Grow one required-m chunk's streams to the full grid (driver side).
-
-    Consumes each seed exactly like :func:`required_queries_amp`'s
-    prologue (ground truth, then a retained
-    :class:`~repro.core.batch.MeasurementStream` with the same block
-    schedule), grows every stream to the last grid point, and packs
-    the ``grid_max``-prefixes into flat arrays: per-trial ``indptr``
-    rows, concatenated ``agents``/``counts`` with ``edge_offsets``
-    boundaries, ``results`` rows and ``truth`` sigma rows. The
-    prefix-independence contract makes every prefix of the published
-    arrays identical to what a lazily grown scan would have probed, so
-    :func:`required_queries_amp_replayed` on these arrays reproduces
-    :func:`required_queries_amp` on the same seeds exactly.
-    """
-    n = check_positive_int(n, "n")
-    gamma = default_gamma(n) if gamma is None else gamma
-    if max_m is None:
-        max_m = default_max_queries(n, k, channel)
-    step = check_positive_int(check_every, "check_every")
-    grid_max = (max_m // step) * step
-    trials = len(seeds)
-    indptr_rows = np.empty((trials, grid_max + 1), dtype=np.int64)
-    results_rows = np.empty((trials, grid_max), dtype=np.float64)
-    sigma = np.empty((trials, n), dtype=np.int8)
-    edge_offsets = np.zeros(trials + 1, dtype=np.int64)
-    agents_parts: List[np.ndarray] = []
-    counts_parts: List[np.ndarray] = []
-    for t, seed in enumerate(seeds):
-        gen = normalize_rng(seed)
-        truth = sample_ground_truth(n, k, gen)
-        stream = MeasurementStream(
-            n,
-            gamma,
-            channel,
-            truth,
-            gen,
-            max_m=max_m,
-            initial_block=initial_block,
-            block_elements=block_elements,
-            retain=True,
-        )
-        stream.grow_to(grid_max)
-        indptr, agents, counts, results = stream.prefix(grid_max)
-        indptr_rows[t] = indptr
-        results_rows[t] = results
-        sigma[t] = truth.sigma
-        agents_parts.append(agents)
-        counts_parts.append(counts)
-        edge_offsets[t + 1] = edge_offsets[t] + agents.size
-    return {
-        "indptr": indptr_rows,
-        "edge_offsets": edge_offsets,
-        "agents": (
-            np.concatenate(agents_parts)
-            if agents_parts
-            else np.zeros(0, dtype=np.int64)
-        ),
-        "counts": (
-            np.concatenate(counts_parts)
-            if counts_parts
-            else np.zeros(0, dtype=np.int64)
-        ),
-        "results": results_rows,
-        "truth": sigma,
-    }
-
-
-def required_queries_amp_replayed(
-    n: int,
-    k: int,
-    channel: Channel,
-    arrays: Dict[str, np.ndarray],
-    *,
-    gamma: Optional[int] = None,
-    max_m: Optional[int] = None,
-    check_every: int = 1,
-    verify: str = "full",
-    denoiser: Optional[Denoiser] = None,
-    config: Optional[AMPConfig] = None,
-    stack_elements: int = DEFAULT_STACK_ELEMENTS,
-    kernel=None,
-) -> List[RequiredQueriesResult]:
-    """Required-m scan over driver-published, fully grown stream arrays.
-
-    The worker half of :func:`sample_required_stream_chunk`: wraps the
-    (read-only, zero-copy) array views in
-    :class:`~repro.core.batch.ReplayedStream` objects and drives the
-    identical search machinery as :func:`required_queries_amp` — the
-    only difference is that the streams were grown by the sweep driver
-    and attached from the shared-memory arena instead of being sampled
-    here. Returns the same per-trial
-    :class:`~repro.core.types.RequiredQueriesResult` values.
-    """
-    from repro.core.ground_truth import GroundTruth
-
-    n = check_positive_int(n, "n")
-    k = check_positive_int(k, "k")
-    check_every = check_positive_int(check_every, "check_every")
-    gamma = default_gamma(n) if gamma is None else check_positive_int(gamma, "gamma")
-    if max_m is None:
-        max_m = default_max_queries(n, k, channel)
-    if denoiser is None:
-        denoiser = default_denoiser(n, k)
-    config = config if config is not None else _default_batch_config()
-    kern = resolve_kernel(kernel)
-    step = check_every
-    grid_max = (max_m // step) * step
-    meta = _required_meta(channel, gamma, max_m, check_every, denoiser, "batch")
-    meta["verify"] = verify
-    meta["kernel"] = kern.name
-
-    edge_offsets = arrays["edge_offsets"]
-    trials = arrays["truth"].shape[0]
-    streams = [
-        ReplayedStream(
-            n,
-            gamma,
-            GroundTruth(arrays["truth"][t]),
-            arrays["indptr"][t],
-            arrays["agents"][edge_offsets[t] : edge_offsets[t + 1]],
-            arrays["counts"][edge_offsets[t] : edge_offsets[t + 1]],
-            arrays["results"][t],
-        )
-        for t in range(trials)
-    ]
-    searches = [_RequiredMSearch(step, grid_max, verify) for _ in range(trials)]
-    _drive_required_scan(
-        searches, streams, n, k, gamma, channel, denoiser, config,
-        stack_elements, kern,
-    )
     return [
         RequiredQueriesResult(
             required_m=search.required_m,
@@ -1277,9 +1034,6 @@ __all__ = [
     "run_amp_batch",
     "run_amp_trials",
     "run_amp_prepared",
-    "sample_amp_cell_chunk",
-    "sample_required_stream_chunk",
     "required_queries_amp",
     "required_queries_amp_linear",
-    "required_queries_amp_replayed",
 ]

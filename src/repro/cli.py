@@ -44,7 +44,6 @@ from repro.amp.kernels import KERNEL_ENV, KERNELS
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.runner import ALGORITHMS, REQUIRED_QUERIES_ALGORITHMS
 from repro.experiments.scheduler import BACKENDS
-from repro.experiments.shm import SHM_ENV
 from repro.experiments.stats import geometric_space
 from repro.experiments.worker import DEFAULT_PORT as DEFAULT_WORKER_PORT
 
@@ -149,14 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="AMP compute kernel (default: the REPRO_KERNEL env var, "
         "else numpy); numpy is the bit-identical float64 reference, "
         "numpy32 runs the same passes in float32",
-    )
-    execution.add_argument(
-        "--shm",
-        action="store_true",
-        default=None,
-        help="dispatch process-backend chunks through a shared-memory "
-        "arena instead of the pool pipe (default: the REPRO_SHM env "
-        "var); bit-identical output",
     )
     execution.add_argument(
         "--checkpoint",
@@ -391,13 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-identical float64 reference, numpy32 runs in float32)",
     )
     rq.add_argument(
-        "--shm",
-        action="store_true",
-        default=None,
-        help="shared-memory chunk dispatch on the process backend; "
-        "bit-identical output",
-    )
-    rq.add_argument(
         "--checkpoint",
         type=str,
         default=None,
@@ -585,7 +569,6 @@ def _run_required_queries(args: argparse.Namespace) -> int:
         workers=args.workers,
         backend=args.backend,
         kernel=args.kernel,
-        shm=args.shm,
     )
     elapsed = time.perf_counter() - started
     print(
@@ -823,14 +806,12 @@ def _figure_kwargs(args: argparse.Namespace, name: str) -> dict:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # The figure pipelines resolve kernel/shm from the environment (the
-    # runner has no per-figure plumbing for them), and spawned pool
+    # The figure pipelines resolve the kernel from the environment (the
+    # runner has no per-figure plumbing for it), and spawned pool
     # workers inherit the variables either way — so the flags become
     # env vars before any dispatch.
     if getattr(args, "kernel", None) is not None:
         os.environ[KERNEL_ENV] = args.kernel
-    if getattr(args, "shm", None):
-        os.environ[SHM_ENV] = "1"
     if getattr(args, "checkpoint", None):
         from repro.experiments.checkpoint import CHECKPOINT_ENV
 

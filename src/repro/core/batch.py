@@ -12,8 +12,7 @@ replaces them with batched equivalents:
   one construction instead of ``m`` Python iterations: rows sorted as
   the narrowest unsigned dtype holding the agent ids (a radix sort up
   to 2**16 agents), run starts counted per row, and the runs written
-  into preallocated outputs — in row chunks, spread over a small
-  thread pool when a call is large;
+  into preallocated outputs, in row chunks;
 * :class:`BatchTrialRunner` runs many independent trials
   (graph -> measure -> score -> decode) with per-trial child seeds,
   stacking the decode/evaluate stages into single array operations
@@ -50,9 +49,6 @@ calls.  Consequently:
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -79,46 +75,6 @@ DEFAULT_INITIAL_BLOCK = 32
 #: streaming :class:`MeasurementStream` hands out; bounds the chunk's
 #: transient run-index array to a few MiB
 _CSR_CHUNK_DRAWS = 2**18
-
-#: draws per call from which the row chunks fan out over the thread
-#: pool: retained stream blocks and large fixed-m graphs cross it;
-#: streamed slices never do, and fig6's graphs (at most 300k draws)
-#: stay serial, where the hand-off costs more than the overlap saves
-_CSR_PARALLEL_MIN_DRAWS = 2**20
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-#: threads the CSR construction may use, read once at import (the CPU
-#: query costs tens of microseconds, too much for every sampler call);
-#: process-pool workers drop it to 1 (:func:`_serial_csr`) because the
-#: pool already fills the cores
-_csr_budget = min(4, _available_cpus())
-
-_csr_pool: Optional[ThreadPoolExecutor] = None
-_csr_pool_lock = threading.Lock()
-
-
-def _serial_csr() -> None:
-    """Process-pool worker initializer: build CSR triples on one thread."""
-    global _csr_budget
-    _csr_budget = 1
-
-
-def _csr_map(fn, items) -> list:
-    """``list(map(fn, items))`` on the lazily created CSR thread pool."""
-    global _csr_pool
-    with _csr_pool_lock:
-        if _csr_pool is None:
-            _csr_pool = ThreadPoolExecutor(
-                max_workers=_csr_budget, thread_name_prefix="repro-csr"
-            )
-    return list(_csr_pool.map(fn, items))
 
 
 def _sorted_runs(draws: np.ndarray, dtype: np.dtype):
@@ -157,10 +113,7 @@ def _csr_from_draws(
     bytes of int64. The work runs in row chunks — a first pass sorts
     and counts the distinct agents per row, which fixes ``indptr``; a
     second pass writes each chunk's runs straight into its slice of the
-    preallocated outputs. Chunks fan out over a small thread pool once
-    a call has :data:`_CSR_PARALLEL_MIN_DRAWS` draws; rows are
-    independent and chunks write disjoint slices, so the triple never
-    depends on the thread count.
+    preallocated outputs.
 
     ``agents`` is int64 unless ``narrow`` asks to keep the sort dtype
     (for consumers that only index with it); ``indptr`` and ``counts``
@@ -169,22 +122,16 @@ def _csr_from_draws(
     b, gamma = draws.shape
     dtype = np.min_scalar_type(n - 1)
     bounds = chunk_bounds(b, -(-b * gamma // _CSR_CHUNK_DRAWS))
-    threaded = _csr_budget > 1 and b * gamma >= _CSR_PARALLEL_MIN_DRAWS
-    run = _csr_map if threaded else lambda fn, items: [fn(x) for x in items]
-    runs = run(lambda span: _sorted_runs(draws[span[0] : span[1]], dtype), bounds)
+    runs = [_sorted_runs(draws[lo:hi], dtype) for lo, hi in bounds]
     indptr = np.empty(b + 1, dtype=np.int64)
     indptr[0] = 0
     np.cumsum(np.concatenate([sizes for _, _, sizes in runs]), out=indptr[1:])
     edges = int(indptr[-1])
     agents = np.empty(edges, dtype=dtype if narrow else np.int64)
     counts = np.empty(edges, dtype=np.int64)
-
-    def write(i: int) -> None:
-        (lo, hi), (rows, starts, _) = bounds[i], runs[i]
+    for (lo, hi), (rows, starts, _) in zip(bounds, runs):
         e_lo, e_hi = indptr[lo], indptr[hi]
         _write_runs(rows, starts, agents[e_lo:e_hi], counts[e_lo:e_hi])
-
-    run(write, range(len(bounds)))
     return indptr, agents, counts
 
 
@@ -483,20 +430,16 @@ class ReplayedStream:
 
     Mirrors the prefix-replay surface of :class:`MeasurementStream`
     (``prefix`` / ``grow_to`` / the consolidated array properties /
-    ``truth``) on arrays that were grown *elsewhere*: the driver of a
-    shared-memory sweep grows each trial's stream once, publishes the
-    consolidated arrays into the sweep arena, and workers wrap the
-    attached read-only views in this class instead of resampling the
-    stream. The determinism contract of :class:`MeasurementStream`
-    (a stream's first ``m`` queries are identical no matter how far
-    past ``m`` it has grown) is exactly what makes the replayed
-    prefixes bit-identical to the ones the worker would have sampled
-    itself from the same child seed.
+    ``truth``) on arrays that were grown *elsewhere*: the decode
+    service snapshots a session's consolidated prefix
+    (:meth:`repro.service.session.Session.snapshot_stream`) into this
+    class, so a decode thread reads immutable arrays while later
+    appends land on the live stream.
 
     ``grow_to`` within the stored length is a no-op; growing past it
     raises — a replayed stream carries no generator to extend it, and
-    a consumer probing beyond the published prefix is a driver-side
-    eligibility bug, not something to paper over.
+    a consumer probing beyond the stored prefix is a bug, not
+    something to paper over.
     """
 
     def __init__(

@@ -66,7 +66,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import _serial_csr
 from repro.utils import config
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_non_negative_int, check_positive_int
@@ -122,8 +121,6 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
         _pool = ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context(START_METHOD),
-            # the pool already fills the cores: no CSR threads on top
-            initializer=_serial_csr,
         )
         _pool_workers = workers
     return _pool
@@ -517,77 +514,17 @@ def _fixed_m_group(
             dtype = resolve_kernel(kwargs.get("kernel")).dtype
             if dtype not in stacks:
                 stacks[dtype] = _stack_blocks(blocks, n, dtype)
-            a = stacks[dtype]
             out[i].extend(
                 run_amp_prepared(
-                    n, k, specs[i]["channel"], m,
-                    {
-                        "indptr": a.indptr,
-                        "indices": a.indices,
-                        "data": a.data,
-                        "results": results[i],
-                        "truth": sigma[lo : lo + len(part)],
-                    },
-                    gamma=gamma,
-                    blocks=blocks,
-                    **kwargs,
+                    n, k, specs[i]["channel"], stacks[dtype], results[i],
+                    sigma[lo : lo + len(part)], blocks,
+                    gamma=gamma, **kwargs,
                 )
             )
     for i, member_scores in scores.items():
         _, errors, overlap, _ = decode_top_k_stacked(member_scores, sigma, k)
         out[i] = [(bool(e == 0), float(o)) for e, o in zip(errors, overlap)]
     return out
-
-
-def _fixed_m_prepared_chunk(
-    spec: Dict[str, object], m: int, arrays: Dict[str, np.ndarray]
-) -> List[Tuple[bool, float]]:
-    """Decode a driver-prepared fixed-``m`` AMP chunk.
-
-    ``arrays`` holds the chunk's stacked CSR and per-trial results /
-    truth rows, attached zero-copy from the sweep arena (see
-    :func:`repro.experiments.shm.shm_graph_chunk`). Outcomes are
-    identical to :func:`_fixed_m_chunk` on the chunk's seeds — the
-    sampling simply happened on the driver instead of here.
-    """
-    from repro.amp.batch_amp import run_amp_prepared
-    from repro.experiments.runner import _amp_batch_kwargs
-
-    return run_amp_prepared(
-        spec["n"],
-        spec["k"],
-        spec["channel"],
-        m,
-        arrays,
-        gamma=spec["gamma"],
-        **_amp_batch_kwargs(spec["algorithm_kwargs"]),
-    )
-
-
-def _required_prepared_chunk(
-    spec: Dict[str, object], arrays: Dict[str, np.ndarray]
-) -> List[Tuple[bool, Optional[int]]]:
-    """Run a driver-prepared required-queries AMP chunk.
-
-    ``arrays`` holds the chunk's fully grown measurement streams
-    (prefix-replay form), attached zero-copy from the sweep arena.
-    Outcomes are identical to :func:`_required_queries_chunk` on the
-    chunk's seeds.
-    """
-    from repro.amp.batch_amp import required_queries_amp_replayed
-
-    runs = required_queries_amp_replayed(
-        spec["n"],
-        spec["k"],
-        spec["channel"],
-        arrays,
-        gamma=spec["gamma"],
-        max_m=spec["max_m"],
-        check_every=spec["check_every"],
-        verify=spec.get("verify", "full"),
-        kernel=spec.get("kernel"),
-    )
-    return [(result.succeeded, result.required_m) for result in runs]
 
 
 def _sample_design_graph(spec: Dict[str, object], m: int, gen):
@@ -642,7 +579,6 @@ def required_queries_outcomes(
     verify: str = "full",
     engine: str = "batch",
     kernel: Optional[str] = None,
-    shm: Optional[bool] = None,
     checkpoint=None,
 ) -> List[Tuple[bool, Optional[int]]]:
     """Sharded required-queries trials; outcomes in trial order.
@@ -676,7 +612,7 @@ def required_queries_outcomes(
         kernel=kernel,
     )
     executor = SweepExecutor(
-        backend="process", workers=workers, shm=shm, checkpoint=checkpoint
+        backend="process", workers=workers, checkpoint=checkpoint
     )
     return executor.run_outcomes(plan)[0]
 
@@ -694,7 +630,6 @@ def success_curve_outcomes(
     algorithm_kwargs: Optional[dict] = None,
     gamma: Optional[int] = None,
     batch_mode: Optional[str] = None,
-    shm: Optional[bool] = None,
     checkpoint=None,
 ) -> List[List[Tuple[bool, float]]]:
     """Sharded fixed-``m`` trials for a whole m-grid.
@@ -730,7 +665,7 @@ def success_curve_outcomes(
         batch_mode=batch_mode,
     )
     executor = SweepExecutor(
-        backend="process", workers=workers, shm=shm, checkpoint=checkpoint
+        backend="process", workers=workers, checkpoint=checkpoint
     )
     return executor.run_outcomes(plan)[0]
 

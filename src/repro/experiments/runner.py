@@ -81,9 +81,12 @@ variable, else serial; ``0`` means one worker per CPU) sizes the
 ``process`` backend's pool; ``backend`` (default ``None``: the
 ``REPRO_BACKEND`` environment variable, else ``process`` when
 ``workers > 1`` and ``serial`` otherwise) selects where chunks run.
-Multi-cell sweeps — the figure pipelines — build one
-:class:`~repro.experiments.scheduler.SweepPlan` with many cells so all
-cells' chunks share one global work queue (no per-cell barrier).
+The ``process`` backend has one dispatch path: chunks travel through
+the pool pipe as seeds + indices, and each cell's invariant spec is
+interned once per worker. Multi-cell sweeps — the figure pipelines —
+build one :class:`~repro.experiments.scheduler.SweepPlan` with many
+cells so all cells' chunks share one global work queue (no per-cell
+barrier).
 
 Sharding helps when per-trial work dominates dispatch overhead (large
 ``n``, dense ``gamma``, many trials); for small instances or few trials
@@ -249,7 +252,6 @@ def required_queries_trials(
     workers: Optional[int] = None,
     backend: Optional[str] = None,
     kernel: Optional[str] = None,
-    shm: Optional[bool] = None,
     corruption=None,
 ) -> RequiredQueriesSample:
     """Run the required-m procedure ``trials`` times, collect required m.
@@ -277,9 +279,8 @@ def required_queries_trials(
     :mod:`repro.experiments.scheduler`). Multi-cell sweeps should
     build one plan directly so cells share the global work queue.
     ``kernel`` selects the AMP compute backend by name (AMP only; see
-    :mod:`repro.amp.kernels`); ``shm`` routes process-backend dispatch
-    through the shared-memory arena (:mod:`repro.experiments.shm`) —
-    neither changes any float64-default output.
+    :mod:`repro.amp.kernels`); it never changes any float64-default
+    output.
 
     ``algorithm="twostage"`` — and any algorithm under a
     ``corruption`` model (:class:`~repro.core.corruption.
@@ -305,7 +306,7 @@ def required_queries_trials(
         kernel=kernel,
         corruption=corruption,
     )
-    return plan.run(backend=backend, workers=workers, shm=shm)[0]
+    return plan.run(backend=backend, workers=workers)[0]
 
 
 def fold_required_queries(
@@ -372,7 +373,6 @@ def success_rate_curve(
     backend: Optional[str] = None,
     design: str = "replacement",
     kernel: Optional[str] = None,
-    shm: Optional[bool] = None,
     corruption=None,
     fault=None,
 ) -> SuccessCurve:
@@ -404,9 +404,8 @@ def success_rate_curve(
 
     ``kernel`` selects the AMP compute backend by name and is merged
     into ``algorithm_kwargs`` (``"amp"`` and ``"distributed_amp"``
-    cells only — other algorithms reject it);
-    ``shm`` routes process-backend dispatch through the shared-memory
-    arena. Neither changes any float64-default output.
+    cells only — other algorithms reject it); it never changes any
+    float64-default output.
 
     ``corruption`` (a :class:`~repro.core.corruption.CorruptionModel`)
     corrupts every trial's measurements post-channel — any algorithm;
@@ -444,7 +443,7 @@ def success_rate_curve(
         corruption=corruption,
         fault=fault,
     )
-    return plan.run(backend=backend, workers=workers, shm=shm)[0]
+    return plan.run(backend=backend, workers=workers)[0]
 
 
 def fold_success_curve(

@@ -43,7 +43,8 @@ Backends
 ``process``
     The cached ``spawn``-start :class:`~concurrent.futures.
     ProcessPoolExecutor` of :mod:`repro.experiments.parallel`,
-    submitting through the shared queue. A ``BrokenProcessPool``
+    submitting through the shared queue over the pool pipe, with each
+    cell's spec interned per worker (see below). A ``BrokenProcessPool``
     raised mid-sweep (a worker OOM-killed or segfaulted) is retried
     once on a fresh pool before failing the sweep. The default when
     ``workers > 1``.
@@ -110,14 +111,8 @@ a unique cell id: the process backend seeds the first chunks of each
 cell with the pickled spec and retries on a worker-side cache miss;
 the socket backend tracks per-connection which specs it has sent.
 Steady-state chunk dispatch therefore ships only seeds + indices
-(measured in the ``sweep_pipeline`` benchmark case).
-
-The ``shm`` option (``REPRO_SHM``) moves even that residue out of the
-pipe for the process backend: specs *and* per-task seed tuples are
-written once into a sweep-scoped shared-memory arena
-(:mod:`repro.experiments.shm`) and each submission ships only the
-arena name plus two ``(offset, length)`` refs — near-constant bytes
-per chunk, measured in the ``shm_dispatch_bytes`` benchmark case.
+through the pool pipe (or the socket), the one dispatch path of each
+remote backend.
 
 When the engine helps
 ---------------------
@@ -146,7 +141,6 @@ import numpy as np
 
 from repro.core.chunking import chunk_bounds
 from repro.experiments import parallel
-from repro.experiments import shm as shm_module
 from repro.utils import config
 from repro.utils.rng import RngLike, spawn_rngs, spawn_seeds
 from repro.utils.validation import check_positive_int
@@ -210,7 +204,7 @@ def resolve_backend(backend: Optional[str] = None, workers: int = 1) -> str:
     PR 2 behaviour) and anything else runs ``serial``.
     """
     if backend is None:
-        backend = os.environ.get(BACKEND_ENV) or None
+        backend = config.env_str(BACKEND_ENV, choices=BACKENDS)
     if backend is None:
         return "process" if workers > 1 else "serial"
     if backend not in BACKENDS:
@@ -503,8 +497,6 @@ class SweepPlan:
         backend: Optional[str] = None,
         workers: Optional[int] = None,
         hosts=None,
-        intern_specs: bool = True,
-        shm: Optional[bool] = None,
         checkpoint=None,
         auth_token: Optional[str] = None,
         connect_retry: Optional[float] = None,
@@ -523,8 +515,6 @@ class SweepPlan:
             backend=backend,
             workers=workers,
             hosts=hosts,
-            intern_specs=intern_specs,
-            shm=shm,
             checkpoint=checkpoint,
             auth_token=auth_token,
             connect_retry=connect_retry,
@@ -581,82 +571,6 @@ def _intern_spec(key: str, blob: Optional[bytes]) -> Dict[str, object]:
 def _process_chunk(key: str, blob: Optional[bytes], kind: str, m, seeds):
     """Pool-worker entry point: intern the spec, run the chunk."""
     return _run_chunk(_intern_spec(key, blob), kind, m, seeds)
-
-
-# -- driver-side graph preparation (shm backend) ------------------------
-
-#: soft cap on the expected incidence elements one prepared chunk may
-#: publish into the arena; larger chunks fall back to seed dispatch
-#: (the eligibility dial bounds driver memory and arena size, never
-#: correctness — both dispatch forms are bit-identical)
-_PREPARED_ELEMENTS_CAP = 2**24
-
-
-def _prepared_arrays(cell, task) -> Optional[Dict[str, np.ndarray]]:
-    """Sample an eligible AMP task's graph buffers on the driver.
-
-    Returns the array dict to publish into the sweep arena, or
-    ``None`` when the task must ship seeds as before. Eligible are
-
-    * fixed-m AMP cells on the stacked path (``batch_mode == "amp"``)
-      whose whole chunk fits one block-diagonal stack
-      (:func:`repro.amp.batch_amp.sample_amp_cell_chunk`), and
-    * honest batch-engine required-m AMP cells
-      (:func:`repro.amp.batch_amp.sample_required_stream_chunk`) —
-      corrupted cells replay a corruption realization the generic scan
-      owns, so they keep the seed path.
-
-    Sampling consumes each seed exactly as the worker-side chunk
-    functions would, so prepared and seed dispatch are bit-identical.
-    """
-    from repro.amp.batch_amp import (
-        STACK_NNZ_CUTOFF,
-        _expected_trial_nnz,
-        sample_amp_cell_chunk,
-        sample_required_stream_chunk,
-    )
-    from repro.amp.kernels import resolve_kernel
-    from repro.core.incremental import default_max_queries
-    from repro.core.pooling import default_gamma
-
-    spec = cell.spec
-    n = spec["n"]
-    gamma = spec["gamma"] or default_gamma(n)
-    if cell.kind == CELL_CURVE:
-        if spec.get("batch_mode") != "amp" or not task.m:
-            return None
-        m = int(task.m)
-        per_trial = _expected_trial_nnz(n, m, gamma)
-        if (
-            per_trial > STACK_NNZ_CUTOFF
-            or per_trial * len(task.seeds) > _PREPARED_ELEMENTS_CAP
-        ):
-            return None
-        kern = resolve_kernel(spec["algorithm_kwargs"].get("kernel"))
-        return sample_amp_cell_chunk(
-            n, spec["k"], spec["channel"], m, task.seeds,
-            gamma=gamma, dtype=kern.dtype,
-        )
-    corruption = spec.get("corruption")
-    if (
-        spec.get("algorithm") != "amp"
-        or spec.get("engine") != "batch"
-        or (corruption is not None and not corruption.is_null)
-    ):
-        return None
-    max_m = spec["max_m"] or default_max_queries(n, spec["k"], spec["channel"])
-    step = max(1, int(spec["check_every"]))
-    grid_max = (max_m // step) * step
-    if not grid_max:
-        return None
-    per_trial = _expected_trial_nnz(n, grid_max, gamma)
-    if per_trial * len(task.seeds) > _PREPARED_ELEMENTS_CAP:
-        return None
-    return sample_required_stream_chunk(
-        n, spec["k"], spec["channel"], task.seeds,
-        gamma=spec["gamma"], max_m=spec["max_m"],
-        check_every=spec["check_every"],
-    )
 
 
 # -- executor -----------------------------------------------------------
@@ -772,6 +686,11 @@ def _next_spec_key(cells: Tuple[int, ...]) -> str:
 class SweepExecutor:
     """Runs a :class:`SweepPlan` through one shared cross-cell queue.
 
+    The ``process`` and ``socket`` backends ship each cell's spec at
+    most once per worker and every chunk as seeds + grid indices (see
+    "Per-worker payload interning" in the module docstring); the
+    ``serial`` backend runs the chunks in process with no dispatch.
+
     Parameters
     ----------
     backend:
@@ -784,22 +703,6 @@ class SweepExecutor:
     hosts:
         Socket worker addresses (``"host:port"`` strings) for the
         ``socket`` backend; ``None`` falls back to ``REPRO_HOSTS``.
-    intern_specs:
-        Ship each cell's invariant payload at most once per worker
-        (default). ``False`` re-ships the full spec with every chunk —
-        kept as a benchmark baseline for the dispatch-overhead
-        measurement in ``bench_perf_core.py``.
-    shm:
-        Dispatch the ``process`` backend's chunk payloads through a
-        sweep-scoped shared-memory arena
-        (:class:`~repro.experiments.shm.SweepArena`): specs and seed
-        tuples live in one segment and each submission ships only
-        ``(arena name, offsets)`` — near-constant bytes per chunk.
-        ``None`` (default) consults the ``REPRO_SHM`` environment
-        variable. Ignored by the serial backend (nothing to dispatch)
-        and the socket backend (remote hosts cannot see local shared
-        memory). Results are bit-identical either way — the arena
-        only changes how the identical payload travels.
     checkpoint:
         Directory for crash-safe resume (any backend): finished chunks
         and completed cells persist as they land, and a re-run of the
@@ -838,8 +741,6 @@ class SweepExecutor:
         backend: Optional[str] = None,
         workers: Optional[int] = None,
         hosts=None,
-        intern_specs: bool = True,
-        shm: Optional[bool] = None,
         checkpoint=None,
         auth_token: Optional[str] = None,
         connect_retry: Optional[float] = None,
@@ -852,8 +753,6 @@ class SweepExecutor:
         self.workers = parallel.resolve_workers(workers)
         self.backend = resolve_backend(backend, self.workers)
         self._hosts = hosts
-        self.intern_specs = intern_specs
-        self.shm = shm_module.resolve_shm(shm)
         if checkpoint is None:
             checkpoint = os.environ.get(CHECKPOINT_ENV) or None
         self.checkpoint = checkpoint
@@ -1028,10 +927,7 @@ class SweepExecutor:
             if self.backend == "serial":
                 self._execute_serial(units, cells, emit)
             elif self.backend == "process":
-                if self.shm:
-                    self._execute_process_shm(units, cells, emit)
-                else:
-                    self._execute_process(units, cells, emit)
+                self._execute_process(units, cells, emit)
             else:
                 self._execute_socket(units, cells, emit)
 
@@ -1095,11 +991,7 @@ class SweepExecutor:
                         # raises BrokenProcessPool leaves the chunk
                         # queued for the fresh-pool retry
                         unit, with_blob = unsent[0]
-                        blob = (
-                            blobs[unit.cells]
-                            if (with_blob or not self.intern_specs)
-                            else None
-                        )
+                        blob = blobs[unit.cells] if with_blob else None
                         future = pool.submit(
                             _process_chunk, keys[unit.cells], blob,
                             unit.kind, unit.m, unit.seeds,
@@ -1129,122 +1021,6 @@ class SweepExecutor:
                 retried_broken = True
                 unsent.extend((u, True) for u in pending.values())
                 parallel.shutdown_pool()
-
-    def _execute_process_shm(self, units, cells, emit) -> None:
-        """Process backend with shared-memory payload dispatch.
-
-        All cell specs and per-task payloads are laid out once in one
-        :class:`~repro.experiments.shm.SweepArena`; every submission
-        then carries only the arena name plus ``(offset, length)``
-        refs, so steady-state dispatch bytes are near-constant per
-        chunk (no stacked seed pickling through the pool pipe, no
-        spec-miss retry protocol — the arena always has everything).
-
-        Eligible AMP chunks go further: :func:`_prepared_arrays`
-        samples their pooling graphs on the driver and publishes the
-        raw buffers — the fixed-``m`` chunk's single stacked CSR, or a
-        required-``m`` chunk's fully grown measurement streams — into
-        the arena, and the worker attaches zero-copy read-only views
-        (:func:`~repro.experiments.shm.shm_graph_chunk`) instead of
-        re-sampling and re-stacking per chunk. Ineligible tasks — fused
-        groups among them — ship pickled seeds exactly as before, in
-        the same arena. The arena is unlinked in the ``finally``
-        whether the sweep finishes, raises, or retries; the retry-once
-        ``BrokenProcessPool`` semantics mirror :meth:`_execute_process`
-        (payloads are pure functions of their seeds, and the arena
-        outlives the broken pool, so the fresh pool replays the
-        identical payload).
-        """
-        spec_index: Dict[Tuple[int, ...], int] = {}
-        blobs: List[object] = []
-        for unit in units:
-            if unit.cells not in spec_index:
-                spec_index[unit.cells] = len(blobs)
-                blobs.append(pickle.dumps(
-                    _unit_spec(unit, cells), pickle.HIGHEST_PROTOCOL
-                ))
-        # Per unit, either ("seeds", blob_index) or
-        # ("prep", {array_name: (blob_index, dtype_str, shape)}).
-        descriptors: List[Tuple[str, object]] = []
-        for unit in units:
-            prep = None
-            if unit.kind != CELL_FUSED:
-                task = unit.tasks[0]
-                prep = _prepared_arrays(cells[task.cell], task)
-            if prep is None:
-                descriptors.append(("seeds", len(blobs)))
-                blobs.append(
-                    pickle.dumps(unit.seeds, pickle.HIGHEST_PROTOCOL)
-                )
-            else:
-                entry = {}
-                for key in sorted(prep):
-                    arr = prep[key]
-                    entry[key] = (len(blobs), arr.dtype.str, arr.shape)
-                    blobs.append(arr)
-                descriptors.append(("prep", entry))
-        arena = shm_module.SweepArena(blobs, align=64)
-        # The arena owns the bytes now; drop the driver-side copies of
-        # the prepared arrays before the dispatch loop holds memory.
-        del blobs
-        try:
-            spec_refs = {
-                spec_id: arena.refs[i] for spec_id, i in spec_index.items()
-            }
-            payloads: List[Tuple[str, object]] = []
-            for form, body in descriptors:
-                if form == "seeds":
-                    payloads.append((form, arena.refs[body]))
-                else:
-                    payloads.append((form, {
-                        key: (arena.refs[bi], dt, shape)
-                        for key, (bi, dt, shape) in body.items()
-                    }))
-            unsent: "deque[int]" = deque(range(len(units)))
-            retried_broken = False
-            while True:
-                pool = parallel._get_pool(self.workers)
-                pending: Dict[object, int] = {}
-                try:
-                    while unsent or pending:
-                        while unsent:
-                            # peek, submit, then pop — see
-                            # _execute_process
-                            ti = unsent[0]
-                            unit = units[ti]
-                            form, body = payloads[ti]
-                            entry = (
-                                shm_module.shm_chunk
-                                if form == "seeds"
-                                else shm_module.shm_graph_chunk
-                            )
-                            future = pool.submit(
-                                entry, arena.name,
-                                spec_refs[unit.cells], body,
-                                unit.kind, unit.m,
-                            )
-                            unsent.popleft()
-                            pending[future] = ti
-                        done, _ = wait(
-                            list(pending), return_when=FIRST_COMPLETED
-                        )
-                        for future in done:
-                            ti = pending.pop(future)
-                            try:
-                                result = future.result()
-                            except BrokenProcessPool:
-                                unsent.append(ti)
-                                raise
-                            emit(units[ti], result)
-                    return
-                except BrokenProcessPool:
-                    if retried_broken:
-                        raise
-                    retried_broken = True
-                    unsent.extend(pending.values())
-                    parallel.shutdown_pool()
-        finally:
-            arena.dispose()
 
     def _execute_socket(self, units, cells, emit) -> None:
         """Drive remote socket workers elastically.
@@ -1390,10 +1166,7 @@ class SweepExecutor:
                             continue  # speculation duplicate, resolved
                         inflight[key] = (time.monotonic(), unit)
                     try:
-                        # intern_specs=False is the benchmark baseline:
-                        # re-ship the spec with every chunk instead of
-                        # once per connection.
-                        if not self.intern_specs or unit.cells not in sent:
+                        if unit.cells not in sent:
                             worker_mod.send_message(
                                 conn,
                                 ("spec", keys[unit.cells],

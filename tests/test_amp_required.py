@@ -137,6 +137,28 @@ class TestGridExactness:
     def test_empty_seed_list(self):
         assert required_queries_amp(100, 3, repro.NoiselessChannel(), []) == []
 
+    def test_window_mode_agrees_with_exact_scan_on_sampled_streams(self):
+        # The windowed sweep misses only a success hiding below a failed
+        # gallop point. On real streams that is rare: a collapse in
+        # agreement would mean the profile assumption (or the scan)
+        # broke. The exact scan never exhausts this budget.
+        n, trials = 1024, 8
+        kwargs = dict(gamma=64, check_every=8, max_m=1024)
+        k = repro.sublinear_k(n, 0.25)
+        exact, window = (
+            _required(
+                required_queries_amp(
+                    n, k, repro.ZChannel(0.1), spawn_seeds(2022, trials),
+                    verify=verify, **kwargs,
+                )
+            )
+            for verify in ("full", "window")
+        )
+        assert all(m is not None for m in exact)
+        assert sum(a == b for a, b in zip(exact, window)) >= (3 * trials) // 4
+        # the exact scan's answer is the smallest success on the grid
+        assert all(w >= e for e, w in zip(exact, window) if w is not None)
+
 
 class TestRaggedKernelBitIdentity:
     def test_heterogeneous_stack_matches_standalone_run_amp(self):

@@ -76,12 +76,6 @@ class TestGraphEquivalence:
         assert g.total_edges == 25 * 50
 
 
-def _csr_budget_in_worker():
-    from repro.core import batch as batch_mod
-
-    return batch_mod._csr_budget
-
-
 def _reference_csr(draws):
     """The plain int64 sort-and-scan construction the sampler must match."""
     m, gamma = draws.shape
@@ -191,44 +185,32 @@ class TestAgentDraws:
         assert draws.dtype == np.int64
 
 
-class TestCountingCsrThreads:
-    """The row-chunk fan-out of the CSR construction over its thread pool.
+class TestCsrRowChunks:
+    """Calls spanning many row chunks build the same CSR triple.
 
-    (The class keeps the name of the threaded counting scatter it
-    replaced.)
+    Each test shrinks ``_CSR_CHUNK_DRAWS`` so a small call runs the
+    chunked two-pass construction over many row chunks.
     """
 
     @staticmethod
-    def _force_fan_out(monkeypatch, batch_mod, threads):
-        monkeypatch.setattr(batch_mod, "_csr_budget", threads)
-        monkeypatch.setattr(batch_mod, "_CSR_PARALLEL_MIN_DRAWS", 1)
+    def _small_chunks(monkeypatch, batch_mod):
         monkeypatch.setattr(batch_mod, "_CSR_CHUNK_DRAWS", 2**10)
 
-    def test_threaded_triple_identical_to_serial(self, monkeypatch):
+    def test_multi_chunk_triple_identical_to_reference(self, monkeypatch):
         from repro.core import batch as batch_mod
 
+        self._small_chunks(monkeypatch, batch_mod)
         for n, m, gamma in [(70_000, 16, 35_000), (1000, 37, 500), (200, 9, 3)]:
             draws = np.random.default_rng(23).integers(0, n, size=(m, gamma))
-            monkeypatch.setattr(batch_mod, "_csr_budget", 1)
-            serial = batch_mod._csr_from_draws(draws, n)
-            fanned = []
-            monkeypatch.setattr(
-                batch_mod, "_csr_map",
-                lambda fn, items, run=batch_mod._csr_map: fanned.append(1)
-                or run(fn, items),
-            )
-            self._force_fan_out(monkeypatch, batch_mod, 3)
-            threaded = batch_mod._csr_from_draws(draws, n)
-            monkeypatch.undo()
-            assert fanned
-            for a, b in zip(serial, threaded):
-                assert a.dtype == b.dtype
+            got = batch_mod._csr_from_draws(draws, n)
+            for a, b in zip(got, _reference_csr(draws)):
+                assert a.dtype == np.int64
                 assert np.array_equal(a, b)
 
-    def test_threaded_sampler_seed_identical(self, monkeypatch):
+    def test_multi_chunk_sampler_seed_identical(self, monkeypatch):
         from repro.core import batch as batch_mod
 
-        self._force_fan_out(monkeypatch, batch_mod, 4)
+        self._small_chunks(monkeypatch, batch_mod)
         n, m = 70_000, 8
         g1 = sample_pooling_graph_batch(n, m, None, np.random.default_rng(41))
         g2 = sample_pooling_graph(n, m, None, np.random.default_rng(41))
@@ -236,86 +218,18 @@ class TestCountingCsrThreads:
         assert np.array_equal(g1.agents, g2.agents)
         assert np.array_equal(g1.counts, g2.counts)
 
-    def test_greedy_required_queries_unchanged_across_budgets(self, monkeypatch):
+    def test_greedy_required_queries_unchanged_across_chunk_sizes(
+        self, monkeypatch
+    ):
         from repro.core import batch as batch_mod
 
         runner = BatchTrialRunner(600, 4, repro.ZChannel(0.2))
-        monkeypatch.setattr(batch_mod, "_csr_budget", 1)
-        serial = runner.required_queries_trials(4, seed=11)
-        self._force_fan_out(monkeypatch, batch_mod, 2)
-        threaded = runner.required_queries_trials(4, seed=11)
-        assert [r.required_m for r in serial] == [r.required_m for r in threaded]
-        assert [r.checks for r in serial] == [r.checks for r in threaded]
-        assert all(r.succeeded for r in serial)
-
-    def test_concurrent_callers_stress(self, monkeypatch):
-        # More caller threads than cores, each fanning out over the
-        # shared pool while the interpreter switches threads constantly:
-        # every triple must still equal its serial construction.
-        import sys
-        import threading
-
-        from repro.core import batch as batch_mod
-
-        cases = [(1000 + 37 * i, 12 + i, 300) for i in range(6)]
-        draws = [
-            np.random.default_rng(i).integers(0, n, size=(m, gamma))
-            for i, (n, m, gamma) in enumerate(cases)
-        ]
-        expected = [_reference_csr(d) for d in draws]
-        self._force_fan_out(monkeypatch, batch_mod, 4)
-        monkeypatch.setattr(batch_mod, "_csr_pool", None)
-        got = [None] * len(cases)
-
-        def build(i):
-            for _ in range(5):
-                got[i] = batch_mod._csr_from_draws(draws[i], cases[i][0])
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=build, args=(i,))
-                for i in range(len(cases))
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-            if batch_mod._csr_pool is not None:
-                batch_mod._csr_pool.shutdown()
-        assert not any(thread.is_alive() for thread in threads)
-        for triple, reference in zip(got, expected):
-            for a, b in zip(triple, reference):
-                assert np.array_equal(a, b)
-
-    def test_small_calls_stay_serial(self, monkeypatch):
-        from repro.core import batch as batch_mod
-
-        calls = []
-        monkeypatch.setattr(
-            batch_mod, "_csr_map", lambda fn, items: calls.append(1) or []
-        )
-        monkeypatch.setattr(batch_mod, "_csr_budget", 4)
-        draws = np.random.default_rng(1).integers(0, 70_000, size=(4, 100))
-        batch_mod._csr_from_draws(draws, 70_000)
-        assert calls == []  # below the work floor: no fan-out
-        # a budget of one never fans out, however large the call
-        monkeypatch.setattr(batch_mod, "_csr_budget", 1)
-        monkeypatch.setattr(batch_mod, "_CSR_PARALLEL_MIN_DRAWS", 1)
-        batch_mod._csr_from_draws(draws, 70_000)
-        assert calls == []
-
-    def test_pool_workers_run_single_threaded(self):
-        from repro.experiments import parallel
-
-        try:
-            budget = parallel._get_pool(2).submit(_csr_budget_in_worker).result()
-        finally:
-            parallel.shutdown_pool()
-        assert budget == 1
+        default = runner.required_queries_trials(4, seed=11)
+        self._small_chunks(monkeypatch, batch_mod)
+        chunked = runner.required_queries_trials(4, seed=11)
+        assert [r.required_m for r in default] == [r.required_m for r in chunked]
+        assert [r.checks for r in default] == [r.checks for r in chunked]
+        assert all(r.succeeded for r in default)
 
 
 class TestRunTrialsSeeded:

@@ -213,15 +213,6 @@ class TestBitIdentity:
         )
         assert_matches_references(results)
 
-    def test_interning_disabled_is_identical(self):
-        plan = build_mixed_plan()
-        interned = SweepExecutor(backend="process", workers=2).run(plan)
-        shipped = SweepExecutor(
-            backend="process", workers=2, intern_specs=False
-        ).run(plan)
-        for a, b in zip(interned, shipped):
-            assert a == b
-
     def test_plans_are_reusable(self):
         plan = build_mixed_plan()
         first = plan.run(backend="serial")
@@ -316,6 +307,23 @@ class TestBackendResolution:
         with pytest.raises(ValueError, match="backend"):
             resolve_backend("quantum", 1)
         assert set(BACKENDS) == {"serial", "process", "socket"}
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [(" process ", "process"), ("bogus", None)],
+        ids=["whitespace-stripped", "unknown-named"],
+    )
+    def test_env_var_validated(self, monkeypatch, raw, expected):
+        # REPRO_BACKEND goes through utils.config like every other
+        # knob: padding is stripped, and a bad value names the variable.
+        from repro.utils.config import ConfigError
+
+        monkeypatch.setenv("REPRO_BACKEND", raw)
+        if expected is None:
+            with pytest.raises(ConfigError, match="REPRO_BACKEND"):
+                resolve_backend(None, 1)
+        else:
+            assert resolve_backend(None, 1) == expected
 
     def test_parse_hosts(self, monkeypatch):
         assert parse_hosts(["a:1", ("b", 2)]) == [("a", 1), ("b", 2)]
@@ -536,10 +544,9 @@ class TestDrawSharing:
         [
             dict(backend="serial"),
             dict(backend="process", workers=2),
-            dict(backend="process", workers=2, shm=True),
             dict(backend="socket"),
         ],
-        ids=["serial", "process", "process-shm", "socket"],
+        ids=["serial", "process", "socket"],
     )
     def test_backends_match_unfused_reference(
         self, run_kwargs, fused_reference, request
