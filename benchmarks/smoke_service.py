@@ -16,7 +16,12 @@ Choreography:
    ``run_amp`` on the same query prefix bit-for-bit, and its greedy
    certificate must match an :class:`IncrementalDecoder` fed the same
    stream — proving the write-ahead replay reconstructed each session
-   exactly and micro-batching across users stayed invisible.
+   exactly and micro-batching across users stayed invisible. Those
+   answers come from the restarted server, whose result cache started
+   empty: the cache is never persisted.
+4. Each session is then decoded twice more: the second answer must
+   equal the first and come from the result cache (``cache_hits``
+   rises, ``decoded`` does not).
 
 Run: ``PYTHONPATH=src python benchmarks/smoke_service.py``
 """
@@ -110,6 +115,16 @@ def verify(record):
     assert greedy["separated"] == bool(dec.separation() > 0.0)
 
 
+def verify_cache_hit(client, session_id):
+    first = client.decode(session_id, return_scores=True)
+    before = client.stats()
+    second = client.decode(session_id, return_scores=True)
+    after = client.stats()
+    assert second == first, "cached AMP answer differs from the computed one"
+    assert after["cache_hits"] == before["cache_hits"] + 1, "no cache hit"
+    assert after["decoded"] == before["decoded"], "a repeat was recomputed"
+
+
 def main() -> int:
     state = tempfile.mkdtemp(prefix="repro-service-smoke-")
     server = start_server(state)
@@ -137,9 +152,13 @@ def main() -> int:
             if isinstance(record, BaseException):
                 raise AssertionError(f"client {i} failed") from record
             verify(record)
+        with ServiceClient(server.host, server.port) as client:
+            for i in range(JOBS):
+                verify_cache_hit(client, f"smoke-{i}")
         print(
             f"service smoke ok: {JOBS} sessions rode through a SIGKILL "
-            "restart, all bit-identical to standalone decoding"
+            "restart, all bit-identical to standalone decoding, and "
+            "repeated decodes were served from the result cache"
         )
         return 0
     finally:

@@ -34,6 +34,18 @@ The scheduler snapshots each session's prefix on the event loop
 (:meth:`repro.service.session.Session.snapshot_stream`) before
 handing the batch to a worker thread, so concurrent ingests can never
 race an in-flight decode.
+
+Result cache: a session's stream is append-only, so an AMP answer is
+a pure function of the prefix length ``m``. Every completed AMP decode
+(even one whose requester's deadline ran out during the decode)
+replaces the session's one cached result
+(:attr:`repro.service.session.Session.amp_result`), and :meth:`submit`
+answers a request for that same ``m`` from it, before admission
+control: a hit is never shed, degraded or expired, and never leaves
+the event loop. Degraded answers and failed decodes never fill it.
+Hits and misses build their responses with the same helper, so a hit
+is byte-for-byte the answer of the decode that filled the entry,
+``batch_size`` included.
 """
 
 from __future__ import annotations
@@ -44,7 +56,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
 from repro.service.errors import DeadlineExceeded, Overloaded
-from repro.service.session import Session
+from repro.service.session import AMPResult, Session
 
 #: default bound on queued decode requests (admission control)
 DEFAULT_MAX_QUEUE = 64
@@ -98,6 +110,7 @@ class DecodeBatcher:
             "deadline_expired": 0,
             "batches": 0,
             "batched_requests": 0,
+            "cache_hits": 0,
         }
 
     # -- lifecycle ------------------------------------------------------
@@ -137,14 +150,22 @@ class DecodeBatcher:
     ) -> dict:
         """Admit one AMP decode request and await its result.
 
-        Applies the ladder described in the module docstring; raises
-        :class:`Overloaded` / :class:`DeadlineExceeded`, or returns the
-        response dict (possibly the degraded greedy fallback).
+        Answers from the session's cached result when its ``m``
+        matches, otherwise applies the ladder described in the module
+        docstring; raises :class:`Overloaded` / :class:`DeadlineExceeded`,
+        or returns the response dict (possibly the degraded greedy
+        fallback).
         """
         if not self._running:
             # Refusing is the robust answer: with no scheduler alive an
             # enqueued future would never resolve — a silent hang.
             raise Overloaded("decode scheduler is not running")
+        # The key is m alone: the kernel and AMPConfig are fixed for the
+        # batcher's lifetime, and a prefix never changes once ingested.
+        cached = session.amp_result
+        if cached is not None and cached.m == m:
+            self.counters["cache_hits"] += 1
+            return _amp_response(session, cached, return_scores)
         depth = len(self._queue)
         if depth >= self.max_queue:
             self.counters["shed"] += 1
@@ -256,21 +277,36 @@ class DecodeBatcher:
             self.counters["batched_requests"] += len(group)
             done = loop.time()
             for j, request in enumerate(group):
+                # Cached even past the deadline: the answer is correct,
+                # only too late for this requester.
+                result = AMPResult(
+                    request.m, bool(exact[j]), scores[j].copy(), len(group)
+                )
+                request.session.amp_result = result
                 if self._expire(request, done, "during decode"):
                     continue  # past-budget work is discarded
                 self.counters["decoded"] += 1
-                response = {
-                    "session_id": request.session.session_id,
-                    "algorithm": "amp",
-                    "m": request.m,
-                    "exact": bool(exact[j]),
-                    "degraded": False,
-                    "batch_size": len(group),
-                }
-                if request.return_scores:
-                    response["scores"] = scores[j].tolist()
                 if not request.future.done():
-                    request.future.set_result(response)
+                    request.future.set_result(_amp_response(
+                        request.session, result, request.return_scores
+                    ))
+
+
+def _amp_response(
+    session: Session, result: AMPResult, return_scores: bool
+) -> dict:
+    """The wire answer of one AMP decode, computed or cached."""
+    response = {
+        "session_id": session.session_id,
+        "algorithm": "amp",
+        "m": result.m,
+        "exact": result.exact,
+        "degraded": False,
+        "batch_size": result.batch_size,
+    }
+    if return_scores:
+        response["scores"] = result.scores.tolist()
+    return response
 
 
 __all__ = [

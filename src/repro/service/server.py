@@ -7,6 +7,15 @@ the loop and runs stacked AMP decodes in a worker thread. Concurrent
 clients on separate connections therefore batch *across users* while
 every individual result stays bit-identical to a standalone decode.
 
+Decodes are validated in full (``m``, ``deadline``, ``return_scores``)
+for both algorithms before anything is answered. An AMP decode goes to
+the batcher, which answers a repeat of the session's latest decoded
+prefix from its one-entry result cache; the greedy certificate exists
+only at the current prefix, so a greedy decode at any other ``m`` is
+refused. A decode never changes a session's stream, so a retransmitted
+decode needs no request-id bookkeeping: it is answered again, from the
+cache when nothing was ingested in between.
+
 Durability: every state-changing request persists its session through
 :class:`~repro.service.store.SessionStore` (atomic write-then-rename)
 **before** the acknowledgement is sent, so anything a client saw
@@ -25,6 +34,8 @@ from __future__ import annotations
 import asyncio
 import numbers
 from typing import Callable, Optional, Tuple
+
+import numpy as np
 
 from repro.amp.kernels import resolve_kernel
 from repro.service import wire
@@ -279,9 +290,7 @@ class DecodeService:
     async def _decode(self, request: dict) -> dict:
         session = self._session(request)
         algorithm = str(request.get("algorithm", "amp"))
-        if algorithm == "greedy":
-            return session.greedy_response()
-        if algorithm != "amp":
+        if algorithm not in ("amp", "greedy"):
             raise InvalidRequest(
                 f"unknown algorithm {algorithm!r}; valid: ('amp', 'greedy')"
             )
@@ -292,6 +301,15 @@ class DecodeService:
         budget = _deadline_budget(
             self.default_deadline if requested is None else requested
         )
+        return_scores = _return_scores(request.get("return_scores", False))
+        if algorithm == "greedy":
+            # The running scores certify the current prefix only.
+            if m != session.m:
+                raise InvalidRequest(
+                    f"greedy decode answers only the session's current "
+                    f"m={session.m}, got m={m}"
+                )
+            return session.greedy_response()
         if m < 1:
             raise InvalidRequest(
                 f"AMP decode requires at least one query, session has m={m}"
@@ -300,21 +318,12 @@ class DecodeService:
             raise InvalidRequest(
                 f"decode at m={m} exceeds the session's {session.m} queries"
             )
-        request_id = request.get("request_id")
-        if request_id is not None and request_id in session.decode_cache:
-            return dict(session.decode_cache[request_id])
         deadline = None
         if budget is not None:
             deadline = asyncio.get_running_loop().time() + budget
-        response = await self.batcher.submit(
-            session,
-            m,
-            deadline=deadline,
-            return_scores=bool(request.get("return_scores", False)),
+        return await self.batcher.submit(
+            session, m, deadline=deadline, return_scores=return_scores
         )
-        if request_id is not None:
-            session.decode_cache[str(request_id)] = dict(response)
-        return response
 
 
 def _decode_m(value, session_m: int) -> int:
@@ -324,6 +333,13 @@ def _decode_m(value, session_m: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidRequest(f"m must be an integer, got {value!r}")
     return int(value)
+
+
+def _return_scores(value) -> bool:
+    """A decode's ``return_scores``: a real bool, never a truthy value."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidRequest(f"return_scores must be a bool, got {value!r}")
+    return bool(value)
 
 
 def _deadline_budget(value) -> Optional[float]:

@@ -27,7 +27,7 @@ session is bit-for-bit the uninterrupted one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,6 +113,17 @@ class SessionParams:
         return channel_from_spec(dict(self.channel_spec))
 
 
+class AMPResult(NamedTuple):
+    """One completed AMP decode of a session prefix."""
+
+    m: int
+    exact: bool
+    #: the session's own ``(n,)`` float64 copy, never a view of a batch
+    scores: np.ndarray
+    #: requests in the ragged stack that computed it
+    batch_size: int
+
+
 class Session:
     """One client's accumulated measurements plus decode state."""
 
@@ -143,8 +154,10 @@ class Session:
         #: ingest was applied (persisted; a replayed frame is acked
         #: from here instead of double-appending)
         self.applied: Dict[str, int] = {}
-        #: decode idempotency (in-memory only — decodes never mutate)
-        self.decode_cache: Dict[str, dict] = {}
+        #: the latest completed AMP decode, owned by
+        #: :class:`~repro.service.batcher.DecodeBatcher` (in-memory
+        #: only: the first decode after a restart recomputes it)
+        self.amp_result: Optional[AMPResult] = None
 
     # -- properties -----------------------------------------------------
 
@@ -300,5 +313,6 @@ __all__ = [
     "channel_to_spec",
     "channel_from_spec",
     "SessionParams",
+    "AMPResult",
     "Session",
 ]

@@ -16,6 +16,7 @@ Three layers:
 """
 
 import asyncio
+import pickle
 import threading
 
 import numpy as np
@@ -36,7 +37,12 @@ from repro.service.errors import (
     error_from_wire,
 )
 from repro.service.server import DecodeService
-from repro.service.session import Session, SessionParams, channel_to_spec
+from repro.service.session import (
+    AMPResult,
+    Session,
+    SessionParams,
+    channel_to_spec,
+)
 from repro.service.store import SessionStore
 from repro.service.testing import start_server
 from repro.utils.config import ConfigError
@@ -404,6 +410,244 @@ class TestDecodeBatcher:
         assert response["algorithm"] == "amp"
 
 
+# ---------------------------------------------------------------------------
+# per-session decode result cache
+# ---------------------------------------------------------------------------
+
+CACHE_M = (40, 60)
+
+
+@pytest.fixture(scope="module")
+def cache_inputs():
+    """One session definition plus its 60 measured queries."""
+    session, rng = make_session("cache", 90, 4, {"kind": "z", "p": 0.1}, 40)
+    return session.params, session.truth.sigma, measured_queries(
+        session, rng, CACHE_M[-1]
+    )
+
+
+@pytest.fixture(scope="module")
+def cache_refs(cache_inputs):
+    """Standalone ``run_amp`` answers at each prefix in ``CACHE_M``."""
+    refs = {}
+    for m in CACHE_M:
+        session = cache_session(cache_inputs, m)
+        refs[m] = local_amp_reference(session)
+    return refs
+
+
+def cache_session(cache_inputs, m, session_id="cache"):
+    """A fresh session holding the first ``m`` queries (empty cache)."""
+    params, sigma, queries = cache_inputs
+    session = Session(session_id, params, sigma)
+    session.ingest("fill", queries[:m])
+    return session
+
+
+def with_batcher(scenario, **knobs):
+    """Run ``await scenario(batcher)`` against a started batcher."""
+
+    async def main():
+        batcher = DecodeBatcher(**knobs)
+        batcher.start()
+        try:
+            return await scenario(batcher)
+        finally:
+            await batcher.stop()
+
+    return asyncio.run(main())
+
+
+def assert_matches(response, reference):
+    assert response["algorithm"] == "amp"
+    assert response["degraded"] is False
+    assert response["exact"] == bool(reference.exact)
+    assert np.array_equal(np.asarray(response["scores"]), reference.scores)
+
+
+class TestDecodeResultCache:
+    @pytest.mark.parametrize("miss_scores", [True, False])
+    @pytest.mark.parametrize("hit_scores", [True, False])
+    def test_hit_is_bit_identical_to_miss_and_run_amp(
+        self, cache_inputs, cache_refs, miss_scores, hit_scores
+    ):
+        session = cache_session(cache_inputs, 60)
+
+        async def scenario(batcher):
+            miss = await batcher.submit(session, 60, return_scores=miss_scores)
+            counters = dict(batcher.counters)
+            hit = await batcher.submit(session, 60, return_scores=hit_scores)
+            return miss, counters, hit, dict(batcher.counters)
+
+        miss, before, hit, after = with_batcher(scenario)
+        assert after["cache_hits"] == before["cache_hits"] + 1
+        assert after["decoded"] == before["decoded"] == 1
+        assert ("scores" in miss) is miss_scores
+        assert ("scores" in hit) is hit_scores
+        shared = {key: miss[key] for key in miss if key != "scores"}
+        assert {key: hit[key] for key in hit if key != "scores"} == shared
+        if hit_scores:
+            assert_matches(hit, cache_refs[60])
+        if miss_scores and hit_scores:
+            assert hit == miss
+        assert session.amp_result.scores.base is None  # its own copy
+
+    def test_ingest_makes_the_next_decode_a_miss(
+        self, cache_inputs, cache_refs
+    ):
+        session = cache_session(cache_inputs, 40)
+        queries = cache_inputs[2]
+
+        async def scenario(batcher):
+            await batcher.submit(session, session.m)
+            session.ingest("grow", queries[40:])
+            grown = await batcher.submit(
+                session, session.m, return_scores=True
+            )
+            grown_counters = dict(batcher.counters)
+            probe = await batcher.submit(session, 40, return_scores=True)
+            return grown, grown_counters, probe, dict(batcher.counters)
+
+        grown, grown_counters, probe, after = with_batcher(scenario)
+        assert grown["m"] == 60
+        assert_matches(grown, cache_refs[60])
+        assert grown_counters["decoded"] == 2
+        assert grown_counters["cache_hits"] == 0
+        # An explicit probe of an older prefix is a miss as well, and
+        # its answer replaces the entry.
+        assert probe["m"] == 40
+        assert_matches(probe, cache_refs[40])
+        assert after["decoded"] == 3 and after["cache_hits"] == 0
+        assert session.amp_result.m == 40
+
+    def test_degraded_answers_never_fill(self, cache_inputs):
+        first = cache_session(cache_inputs, 40, "first")
+        second = cache_session(cache_inputs, 40, "second")
+
+        async def scenario(batcher):
+            loop = asyncio.get_running_loop()
+            tasks = [
+                loop.create_task(batcher.submit(s, 40))
+                for s in (first, second)
+            ]
+            answers = await asyncio.gather(*tasks)
+            filled = second.amp_result
+            again = await batcher.submit(second, 40)
+            return answers, filled, again, dict(batcher.counters)
+
+        answers, filled, again, counters = with_batcher(
+            scenario, max_queue=8, degrade_depth=1
+        )
+        assert answers[1]["degraded"] is True
+        assert filled is None
+        assert first.amp_result.m == 40
+        # The degraded session's next decode computes instead of hitting.
+        assert again["degraded"] is False
+        assert counters["decoded"] == 2 and counters["cache_hits"] == 0
+
+    def test_deadline_expired_during_decode_still_fills(
+        self, cache_inputs, cache_refs, monkeypatch
+    ):
+        import time
+
+        from repro.amp import batch_amp
+
+        real = batch_amp.decode_prefix_batch
+
+        def slow(*args, **kwargs):
+            time.sleep(0.3)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(batch_amp, "decode_prefix_batch", slow)
+        session = cache_session(cache_inputs, 60)
+
+        async def scenario(batcher):
+            deadline = asyncio.get_running_loop().time() + 0.1
+            with pytest.raises(DeadlineExceeded, match="during decode"):
+                await batcher.submit(session, 60, deadline=deadline)
+            hit = await batcher.submit(session, 60, return_scores=True)
+            return hit, dict(batcher.counters)
+
+        hit, counters = with_batcher(scenario)
+        assert counters["deadline_expired"] == 1
+        assert counters["decoded"] == 0
+        assert counters["cache_hits"] == 1
+        assert hit["batch_size"] == 1
+        assert_matches(hit, cache_refs[60])
+
+    def test_stopped_batcher_refuses_a_would_be_hit(self, cache_inputs):
+        session = cache_session(cache_inputs, 40)
+
+        async def scenario():
+            batcher = DecodeBatcher()
+            batcher.start()
+            await batcher.submit(session, 40)
+            await batcher.stop()
+            with pytest.raises(Overloaded, match="not running"):
+                await batcher.submit(session, 40)
+            return dict(batcher.counters)
+
+        counters = asyncio.run(scenario())
+        assert session.amp_result.m == 40
+        assert counters["cache_hits"] == 0
+
+    def test_first_decode_after_restart_is_a_miss(
+        self, cache_inputs, tmp_path
+    ):
+        session = cache_session(cache_inputs, 60)
+        store = SessionStore(tmp_path)
+
+        async def before_restart(batcher):
+            answer = await batcher.submit(session, 60, return_scores=True)
+            store.save(session)
+            return answer
+
+        answer = with_batcher(before_restart)
+        (restored,) = SessionStore(tmp_path).load_all().values()
+        assert restored.amp_result is None  # the cache is never persisted
+
+        async def after_restart(batcher):
+            again = await batcher.submit(restored, 60, return_scores=True)
+            return again, dict(batcher.counters)
+
+        again, counters = with_batcher(after_restart)
+        assert counters["decoded"] == 1 and counters["cache_hits"] == 0
+        assert again == answer
+
+    def test_decode_state_stays_constant_over_many_decodes(self, cache_inputs):
+        # Decodes with fresh request ids used to pile up one stored
+        # response each; now the session keeps a single cached result.
+        session = cache_session(cache_inputs, 40)
+
+        def footprint():
+            return len(pickle.dumps(vars(session)))
+
+        async def scenario():
+            service = DecodeService()
+            service.sessions[session.session_id] = session
+            service.batcher.start()
+            sizes = []
+            try:
+                for i in range(200):
+                    reply = await service._safe_dispatch({
+                        "op": "decode",
+                        "session_id": session.session_id,
+                        "request_id": f"decode-{i}",
+                        "return_scores": True,
+                    })
+                    assert reply["ok"], reply
+                    sizes.append(footprint())
+            finally:
+                await service.batcher.stop()
+            return sizes, dict(service.batcher.counters)
+
+        sizes, counters = asyncio.run(scenario())
+        assert counters["decoded"] == 1 and counters["cache_hits"] == 199
+        assert isinstance(session.amp_result, AMPResult)
+        assert session.amp_result.m == 40
+        assert sizes[-1] == sizes[0]
+
+
 class TestDecodeServiceStartup:
     def test_kernel_resolved_once_at_construction(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "numpy32")
@@ -581,6 +825,9 @@ class TestEndToEnd:
             ("deadline", -1.0),
             ("deadline", True),
             ("deadline", "0.5"),
+            ("return_scores", "no"),
+            ("return_scores", 1),
+            ("return_scores", [True]),
         ],
     )
     def test_decode_fields_validated_on_the_wire(self, server, field, value):
@@ -623,6 +870,75 @@ class TestEndToEnd:
                 "deadline": deadline,
             })
         assert reply["m"] == (10 if m is None else 6)
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"m": "abc", "deadline": -1}, "m must be an integer"),
+            ({"m": True}, "m must be an integer"),
+            ({"m": 5}, "current m=10, got m=5"),
+            ({"m": 11}, "current m=10, got m=11"),
+            ({"deadline": -1}, "deadline"),
+            ({"deadline": "abc"}, "deadline"),
+            ({"return_scores": "no"}, "return_scores"),
+        ],
+    )
+    def test_greedy_decode_fields_validated(self, server, fields, match):
+        # Greedy decodes get the same field checks as AMP ones, and the
+        # certificate exists only at the session's current prefix.
+        session_id = f"e2e-greedy-{sorted(fields.items())!r}"
+        with ServiceClient(server.host, server.port) as client:
+            open_and_fill(
+                client, session_id, 40, 2, repro.NoiselessChannel(), 28, 10
+            )
+            with pytest.raises(InvalidRequest, match=match):
+                client.call({
+                    "op": "decode",
+                    "session_id": session_id,
+                    "algorithm": "greedy",
+                    **fields,
+                })
+
+    @pytest.mark.parametrize("m", [None, 10, np.int64(10)])
+    def test_greedy_decode_at_the_session_length(self, server, m):
+        session_id = f"e2e-greedy-ok-{m!r}"
+        with ServiceClient(server.host, server.port) as client:
+            open_and_fill(
+                client, session_id, 40, 2, repro.NoiselessChannel(), 29, 10
+            )
+            reply = client.call({
+                "op": "decode",
+                "session_id": session_id,
+                "algorithm": "greedy",
+                "m": m,
+                "deadline": 30.0,
+                "return_scores": np.False_,
+            })
+        assert reply["algorithm"] == "greedy"
+        assert reply["m"] == 10
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"m": "10"},
+            {"m": 10.0},
+            {"deadline": -1.0},
+            {"return_scores": "yes"},
+        ],
+    )
+    def test_invalid_fields_raise_even_on_a_hit(self, server, fields):
+        session_id = f"e2e-hit-fields-{sorted(fields.items())!r}"
+        with ServiceClient(server.host, server.port) as client:
+            open_and_fill(
+                client, session_id, 40, 2, repro.NoiselessChannel(), 30, 10
+            )
+            client.decode(session_id)  # fills the cache at m=10
+            before = client.stats()
+            request = {"op": "decode", "session_id": session_id, "m": 10}
+            with pytest.raises(InvalidRequest):
+                client.call({**request, **fields})
+            after = client.stats()
+        assert after["cache_hits"] == before["cache_hits"]
 
     def test_server_default_deadline_applies_to_client_decodes(self, tmp_path):
         # ServiceClient.decode always sends a "deadline" field, null
