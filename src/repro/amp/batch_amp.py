@@ -104,6 +104,7 @@ def _stack_blocks(
     blocks: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     cols: int,
     dtype=np.float64,
+    origins: Optional[Sequence[int]] = None,
 ):
     """Assemble per-trial CSR triples into one block-diagonal CSR.
 
@@ -116,10 +117,16 @@ def _stack_blocks(
     every output coordinate by the same sequential sum as the per-trial
     matvec. ``dtype`` is the stacked data dtype — float64 (default)
     for the bit-identical path, float32 under a float32 kernel.
+
+    ``origins`` reads blocks that are views into another stack: block
+    ``t``'s indices are already shifted by ``origins[t] * cols`` and its
+    ``indptr`` need not start at 0.
     """
     from scipy import sparse
 
     trials = len(blocks)
+    if origins is None:
+        origins = [0] * trials
     nnz = np.array([indices.size for _, indices, _ in blocks], dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(nnz)))
     rows = np.array([indptr.size - 1 for indptr, _, _ in blocks], dtype=np.int64)
@@ -140,22 +147,27 @@ def _stack_blocks(
         lo, hi = offsets[t], offsets[t + 1]
         data[lo:hi] = block_data
         indices[lo:hi] = block_indices
-        indices[lo:hi] += t * cols
-        indptr[row_offsets[t] + 1 : row_offsets[t + 1] + 1] = block_indptr[1:] + lo
+        indices[lo:hi] += (t - origins[t]) * cols
+        indptr[row_offsets[t] + 1 : row_offsets[t + 1] + 1] = (
+            block_indptr[1:] + (lo - block_indptr[0])
+        )
     return sparse.csr_matrix(
         (data, indices, indptr), shape=(int(row_offsets[-1]), trials * cols)
     )
 
 
 class _StackedOperators:
-    """Block-diagonal standardized operators over per-trial CSR blocks.
+    """Standardized operators over a uniform-``m`` block-diagonal stack.
 
-    Holds the raw per-trial CSR triples and materializes, for any
+    Holds the raw stacked CSR ``a`` (``T`` trials of ``m`` rows, trial
+    ``t``'s columns shifted by ``t * n``) and materializes, for any
     subset of trials, the stacked forward map ``x -> (A x - c s_t)/scale``
     and its adjoint as a :class:`~repro.amp.kernels.CSRStackOperator`
-    for the kernel seam. The centering is applied as a rank-one
-    correction per trial block, so no dense matrix is ever formed (the
-    sparse-path contract of ``run_amp`` extends to the whole stack).
+    for the kernel seam. The whole stack serves as is; a compacted
+    subset is rebuilt from per-trial views of it. The centering is
+    applied as a rank-one correction per trial block, so no dense matrix
+    is ever formed (the sparse-path contract of ``run_amp`` extends to
+    the whole stack).
 
     The adjoint is the stacked matrix's free CSC transpose view — its
     matvec scatters only within each trial's own output segment (the
@@ -165,29 +177,27 @@ class _StackedOperators:
     adjoint so stacked and standalone iterates stay bit-identical.
     """
 
-    def __init__(
-        self,
-        blocks: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-        n: int,
-        m: int,
-        c: float,
-        scale: float,
-        dtype=np.float64,
-    ):
-        self.blocks = list(blocks)
+    def __init__(self, a, n: int, m: int, c: float, scale: float):
+        self.a = a
         self.n = n
         self.m = m
         self.c = c
         # Plain floats are weak scalars: under a float32 kernel the
         # standardization constants never upcast the working arrays.
         self.scale = float(scale)
-        self.dtype = np.dtype(dtype)
 
     def operators(self, idx: Sequence[int]) -> CSRStackOperator:
         """Build the stack operator for the trial subset ``idx``."""
+        a, m = self.a, self.m
         chosen = [int(i) for i in idx]
-        # the fill loop casts int64 counts to the data dtype on assignment
-        a = _stack_blocks([self.blocks[i] for i in chosen], self.n, self.dtype)
+        if chosen != list(range(a.shape[1] // self.n)):
+            ptr = a.indptr
+            views = []
+            for t in chosen:
+                rows = ptr[t * m : (t + 1) * m + 1]
+                lo, hi = rows[0], rows[-1]
+                views.append((rows, a.indices[lo:hi], a.data[lo:hi]))
+            a = _stack_blocks(views, self.n, a.dtype, origins=chosen)
         return CSRStackOperator(a, n=self.n, c=self.c, scale=self.scale)
 
 
@@ -244,11 +254,13 @@ def run_amp_batch(
         results_2d[t] = meas.results
     y = (channel_corrected_results(results_2d, gamma, first.channel) - c * k) / scale
 
-    stacked = _StackedOperators(
+    # the fill loop casts int64 counts to the data dtype on assignment
+    a = _stack_blocks(
         [(meas.graph.indptr, meas.graph.agents, meas.graph.counts)
          for meas in measurements],
-        n, m, c, scale, dtype=kern.dtype,
+        n, kern.dtype,
     )
+    stacked = _StackedOperators(a, n, m, c, scale)
     scores, iterations, converged, histories = iterate_amp(
         stacked.operators(np.arange(trials)), y, denoiser, config, n=n,
         restrict=stacked.operators, kernel=kern,
@@ -379,7 +391,6 @@ def run_amp_prepared(
     a,
     results: np.ndarray,
     truth: np.ndarray,
-    blocks: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     *,
     gamma: Optional[int] = None,
     denoiser: Optional[Denoiser] = None,
@@ -388,17 +399,18 @@ def run_amp_prepared(
 ) -> List[Tuple[bool, float]]:
     """Decode an already stacked fixed-``m`` chunk; ``(exact, overlap)`` rows.
 
-    ``a`` is the chunk's block-diagonal CSR (:func:`_stack_blocks` over
-    ``blocks``, the per-trial ``(indptr, indices, data)`` triples),
-    ``results`` the ``(trials, m)`` channel outputs and ``truth`` the
-    ``(trials, n)`` sigma rows. Runs one stacked
-    :func:`~repro.amp.amp.iterate_amp` call through the kernel seam,
-    compacting the stack from ``blocks`` once at most half the trials
-    remain active (as :func:`run_amp_batch` does), so sibling cells
-    that measured the same graphs share one stack. Per-trial outcomes
-    are identical to :func:`run_amp_trials` on the same seeds: the
-    stack-composition and compaction contracts make every trial's
-    decode independent of how its stack was assembled.
+    ``a`` is the chunk's block-diagonal CSR in the kernel dtype (trial
+    ``t``'s ``m`` rows at ``t * m``, its columns shifted by ``t * n``;
+    see :class:`repro.core.batch.InstanceStack`), ``results`` the
+    ``(trials, m)`` channel outputs and ``truth`` the ``(trials, n)``
+    sigma rows. Runs one stacked :func:`~repro.amp.amp.iterate_amp`
+    call through the kernel seam, compacting from per-trial views of
+    ``a`` once at most half the trials remain active (as
+    :func:`run_amp_batch` does), so sibling cells that measured the
+    same graphs share one stack. Per-trial outcomes are identical to
+    :func:`run_amp_trials` on the same seeds: the stack-composition and
+    compaction contracts make every trial's decode independent of how
+    its stack was assembled.
     """
     gamma = default_gamma(n) if gamma is None else gamma
     config = config if config is not None else _default_batch_config()
@@ -408,9 +420,9 @@ def run_amp_prepared(
     m = results.shape[1]
     c, scale = standardization_constants(n, m, gamma)
     y = (channel_corrected_results(results, gamma, channel) - c * k) / scale
-    stacked = _StackedOperators(blocks, n, m, c, scale, dtype=kern.dtype)
+    stacked = _StackedOperators(a, n, m, c, scale)
     scores, _, _, _ = iterate_amp(
-        CSRStackOperator(a, n=n, c=c, scale=scale), y, denoiser, config,
+        stacked.operators(range(results.shape[0])), y, denoiser, config,
         n=n, restrict=stacked.operators, kernel=kern,
     )
     _, errors, overlap, _ = decode_top_k_stacked(scores, truth, k)

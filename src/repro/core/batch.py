@@ -11,7 +11,7 @@ replaces them with batched equivalents:
   a **single** ``rng.integers`` call and assembles the CSR layout with
   one construction instead of ``m`` Python iterations: rows sorted as
   the narrowest unsigned dtype holding the agent ids (a radix sort up
-  to 2**16 agents), run starts counted per row, and the runs written
+  to 2**8 agents), run starts counted per row, and the runs written
   into preallocated outputs, in row chunks;
 * :class:`BatchTrialRunner` runs many independent trials
   (graph -> measure -> score -> decode) with per-trial child seeds,
@@ -84,8 +84,10 @@ def _sorted_runs(draws: np.ndarray, dtype: np.dtype):
     the number of distinct agents per row.
     """
     rows = draws.astype(dtype)
-    # 16-bit keys take NumPy's radix sort only when stability is asked for
-    rows.sort(axis=1, kind="stable" if dtype.itemsize <= 2 else None)
+    # Sorted integer rows are unique, so the kind never shows in the
+    # output. NumPy's radix sort ("stable") pays only for 1-byte keys;
+    # for wider keys the default sort measured 2-5x faster.
+    rows.sort(axis=1, kind="stable" if dtype.itemsize == 1 else None)
     starts = np.empty(rows.shape, dtype=bool)
     starts[:, 0] = True
     np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
@@ -100,6 +102,31 @@ def _write_runs(rows, starts, agents: np.ndarray, counts: np.ndarray) -> None:
     counts[-1] = rows.size - idx[-1]
 
 
+def _sort_rows(draws: np.ndarray, n: int):
+    """First CSR pass: sort ``draws`` in row chunks, narrowed for ``n`` agents.
+
+    Returns the sort dtype, the chunks' row bounds and their
+    :func:`_sorted_runs`.
+    """
+    b, gamma = draws.shape
+    dtype = np.min_scalar_type(n - 1)
+    bounds = chunk_bounds(b, -(-b * gamma // _CSR_CHUNK_DRAWS))
+    return dtype, bounds, [_sorted_runs(draws[lo:hi], dtype) for lo, hi in bounds]
+
+
+def _fill_indptr(runs, indptr: np.ndarray) -> None:
+    """Write ``indptr[1:]`` from the runs' per-row sizes, after ``indptr[0]``."""
+    np.cumsum(np.concatenate([sizes for _, _, sizes in runs]), out=indptr[1:])
+    indptr[1:] += indptr[0]
+
+
+def _write_csr(bounds, runs, indptr, agents, counts) -> None:
+    """Second CSR pass: write each chunk's runs at its ``indptr`` slice."""
+    for (lo, hi), (rows, starts, _) in zip(bounds, runs):
+        e_lo, e_hi = indptr[lo], indptr[hi]
+        _write_runs(rows, starts, agents[e_lo:e_hi], counts[e_lo:e_hi])
+
+
 def _csr_from_draws(
     draws: np.ndarray, n: int, *, narrow: bool = False
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,30 +135,24 @@ def _csr_from_draws(
     Each row is sorted, and runs of equal values become one distinct
     incidence with a multiplicity — the batched equivalent of the
     per-query ``np.unique(..., return_counts=True)``. Rows are sorted as
-    the narrowest unsigned integers holding ``n - 1``: up to 2**16
-    agents that is NumPy's radix sort, up to 2**32 a sort over half the
-    bytes of int64. The work runs in row chunks — a first pass sorts
-    and counts the distinct agents per row, which fixes ``indptr``; a
-    second pass writes each chunk's runs straight into its slice of the
-    preallocated outputs.
+    the narrowest unsigned integers holding ``n - 1`` (a radix sort up
+    to 2**8 agents, a sort over fewer bytes than int64 above). The work
+    runs in row chunks — a first pass sorts and counts the distinct
+    agents per row, which fixes ``indptr``; a second pass writes each
+    chunk's runs straight into its slice of the preallocated outputs.
 
     ``agents`` is int64 unless ``narrow`` asks to keep the sort dtype
     (for consumers that only index with it); ``indptr`` and ``counts``
     are always int64.
     """
-    b, gamma = draws.shape
-    dtype = np.min_scalar_type(n - 1)
-    bounds = chunk_bounds(b, -(-b * gamma // _CSR_CHUNK_DRAWS))
-    runs = [_sorted_runs(draws[lo:hi], dtype) for lo, hi in bounds]
-    indptr = np.empty(b + 1, dtype=np.int64)
+    dtype, bounds, runs = _sort_rows(draws, n)
+    indptr = np.empty(draws.shape[0] + 1, dtype=np.int64)
     indptr[0] = 0
-    np.cumsum(np.concatenate([sizes for _, _, sizes in runs]), out=indptr[1:])
+    _fill_indptr(runs, indptr)
     edges = int(indptr[-1])
     agents = np.empty(edges, dtype=dtype if narrow else np.int64)
     counts = np.empty(edges, dtype=np.int64)
-    for (lo, hi), (rows, starts, _) in zip(bounds, runs):
-        e_lo, e_hi = indptr[lo], indptr[hi]
-        _write_runs(rows, starts, agents[e_lo:e_hi], counts[e_lo:e_hi])
+    _write_csr(bounds, runs, indptr, agents, counts)
     return indptr, agents, counts
 
 
@@ -203,11 +224,128 @@ def draw_instance(
     returned positioned for the channel draw. Two trials on equal seeds
     therefore sample the same instance whatever their channels, which
     is what lets sibling sweep cells share one draw
-    (:func:`repro.experiments.parallel._fixed_m_group`).
+    (:func:`draw_instance_stack`, the same prologue for a whole chunk).
     """
     gen = normalize_rng(seed)
     truth = sample_ground_truth(n, k, gen)
     return gen, truth, sample_pooling_graph_batch(n, m, gamma, gen)
+
+
+class InstanceStack:
+    """Many fixed-``m`` instances as one block-diagonal CSR stack.
+
+    Trial ``t`` owns rows ``t*m .. (t+1)*m`` of the stack, its column
+    ids are shifted by ``t*n``, and its incidences are exactly the rows
+    :func:`draw_instance` would build on the same seed: ``indices`` are
+    int32 (int64 past 2**31), ``data`` holds the multiplicities as
+    float64. ``gens`` are the trials' generators positioned for the
+    channel draw and ``sigma`` the ``(T, n)`` truths.
+
+    The per-instance statistics read the whole stack in one pass each,
+    with the same arithmetic as the per-graph methods of
+    :class:`~repro.core.pooling.PoolingGraph`: integer sums are exact in
+    float64, and :meth:`neighborhood_sums` adds each agent's terms in
+    incidence order, as ``np.bincount`` does.
+    """
+
+    def __init__(self, n, m, gens, sigma, indptr, indices, data):
+        from scipy.sparse import _sparsetools
+
+        self.n, self.m = n, m
+        self.gens = gens
+        self.sigma = sigma
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self._unit = None
+        self._csr_matvec = _sparsetools.csr_matvec
+        self._csc_matvec = _sparsetools.csc_matvec
+
+    @property
+    def trials(self) -> int:
+        return len(self.gens)
+
+    def _pattern_adjoint(self, z: np.ndarray) -> np.ndarray:
+        """``B^T z`` for the stack's 0/1 incidence pattern ``B``, ``(T, n)``.
+
+        One ``csc_matvec`` with unit weights: each agent's terms are
+        added in incidence order, as ``np.bincount`` adds them.
+        """
+        if self._unit is None:
+            self._unit = np.ones(self.indices.size, dtype=np.float64)
+        rows, cols = self.trials * self.m, self.trials * self.n
+        out = np.zeros(cols, dtype=np.float64)
+        self._csc_matvec(
+            cols, rows, self.indptr, self.indices, self._unit, z, out
+        )
+        return out.reshape(self.trials, self.n)
+
+    def edges_into_ones(self) -> np.ndarray:
+        """``E1`` per query, ``(T, m)`` float64: one product with ``sigma``."""
+        rows, cols = self.trials * self.m, self.trials * self.n
+        out = np.zeros(rows, dtype=np.float64)
+        x = self.sigma.astype(np.float64).ravel()
+        self._csr_matvec(
+            rows, cols, self.indptr, self.indices, self.data, x, out
+        )
+        return out.reshape(self.trials, self.m)
+
+    def distinct_degrees(self) -> np.ndarray:
+        """``Delta*`` per agent, ``(T, n)`` float64."""
+        return self._pattern_adjoint(
+            np.ones(self.trials * self.m, dtype=np.float64)
+        )
+
+    def neighborhood_sums(self, results: np.ndarray) -> np.ndarray:
+        """``Psi`` per agent, ``(T, n)``, for ``(T, m)`` query ``results``."""
+        return self._pattern_adjoint(
+            np.asarray(results, dtype=np.float64).ravel()
+        )
+
+    def csr(self, dtype=np.float64):
+        """The stack as a scipy CSR matrix of ``dtype`` (float64: no copy)."""
+        from scipy import sparse
+
+        return sparse.csr_matrix(
+            (self.data.astype(dtype, copy=False), self.indices, self.indptr),
+            shape=(self.trials * self.m, self.trials * self.n),
+        )
+
+
+def draw_instance_stack(
+    n: int, k: int, m: int, gamma: int, seeds: Sequence[RngLike]
+) -> InstanceStack:
+    """Draw one instance per seed, as :func:`draw_instance`, into one stack.
+
+    Each seed's generator yields the truth, then one ``(m, gamma)``
+    draw of agents, and is kept positioned for the channel draw — the
+    generator order of :func:`draw_instance`. Draw and sort buffers are
+    per trial (and per :data:`_CSR_CHUNK_DRAWS` row chunk inside it);
+    the trial's rows are written straight into the stack, whose arrays
+    are allocated once at their ``T * m * min(gamma, n)`` bound and
+    trimmed by view.
+    """
+    trials = len(seeds)
+    cap = trials * m * min(gamma, n)
+    index_dtype = np.int32 if max(trials * n, cap) < 2**31 else np.int64
+    indptr = np.zeros(trials * m + 1, dtype=index_dtype)
+    indices = np.empty(cap, dtype=index_dtype)
+    data = np.empty(cap, dtype=np.float64)
+    sigma = np.empty((trials, n), dtype=np.int8)
+    gens = []
+    for t, seed in enumerate(seeds):
+        gen = normalize_rng(seed)
+        sigma[t] = sample_ground_truth(n, k, gen).sigma
+        gens.append(gen)
+        if m == 0:
+            continue
+        _, bounds, runs = _sort_rows(_draw_agents(gen, n, (m, gamma)), n)
+        rows = indptr[t * m : (t + 1) * m + 1]
+        _fill_indptr(runs, rows)
+        _write_csr(bounds, runs, rows, indices, data)
+        indices[rows[0] : rows[-1]] += t * n
+    edges = int(indptr[-1])
+    return InstanceStack(
+        n, m, gens, sigma, indptr, indices[:edges], data[:edges]
+    )
 
 
 class MeasurementStream:

@@ -12,10 +12,10 @@ exploits it without changing a single seeded output:
 2. **Chunking** — the seed list is partitioned into contiguous,
    order-preserving chunks (:func:`repro.core.chunking.chunk_bounds`);
 3. **Ordered merge** — each chunk runs through the fixed-m group
-   (:func:`_fixed_m_group` — each instance drawn once for every
-   sibling cell that samples it, stacked greedy scoring and one
-   block-diagonal AMP system per chunk instead of chunk-size serial
-   runs), :class:`~repro.core.batch.BatchTrialRunner`, the stacked
+   (:func:`_fixed_m_group` — the chunk's instances drawn once, into
+   one block-diagonal stack that every sibling cell sampling them
+   reads for greedy scoring and AMP decoding, instead of chunk-size
+   serial runs), :class:`~repro.core.batch.BatchTrialRunner`, the stacked
    AMP required-m scan (:func:`repro.amp.batch_amp.
    required_queries_amp` — a chunk's trials share probe rounds), or
    the legacy per-query loop inside a worker process, and the
@@ -80,9 +80,13 @@ WORKERS_ENV = "REPRO_WORKERS"
 #: of inheriting forked state).
 START_METHOD = "spawn"
 
-#: chunks submitted per worker for uneven workloads (required-queries
-#: trials vary widely in duration); more chunks -> better balance,
-#: at ~1 ms dispatch cost each.
+#: work items per worker that a sweep cell yields at least: a
+#: required-m cell splits its trials into this many chunks per worker
+#: (its trials vary widely in duration); a success-curve cell spreads
+#: them over its m grid first and splits a grid point's trials only as
+#: far as the grid falls short (``SweepExecutor._explode``), keeping
+#: trials together for the stacked engines. More items -> better
+#: balance, at ~1 ms dispatch cost each.
 _OVERSUBSCRIBE = 4
 
 
@@ -428,33 +432,36 @@ def _fixed_m_group(
     ``specs`` are stacked-engine success-curve specs (``batch_mode``
     ``"greedy"`` or ``"amp"``) of one ``(n, k, gamma)``; they may differ
     in channel and algorithm kwargs. On equal seeds every member would
-    sample the same truth and graph, so each seed's instance is drawn
-    once (:func:`repro.core.batch.draw_instance`), and every member
-    measures it through its own channel on its own copy of the
+    sample the same truth and graph, so the chunk's instances are drawn
+    once, into one block-diagonal stack
+    (:func:`repro.core.batch.draw_instance_stack`) that every member
+    reads: E1 is one product with the stacked truths, and every member
+    measures through its own channel on its own copy of each trial's
     post-graph generator — exactly the generator states its own chunk
-    would consume. Greedy members then decode through the stacked top-k
-    scan; AMP members of one kernel dtype share a single block-diagonal
-    stack per sub-stack of trials and decode through
-    :func:`repro.amp.batch_amp.run_amp_prepared`, compacting from the
-    per-trial blocks as :func:`~repro.amp.batch_amp.run_amp_batch`
-    does. Outcomes are therefore bit-identical to per-cell chunks, and
-    a lone cell is a group of one. Returns one ``(exact, overlap)``
-    list per member.
+    would consume. Greedy members score with one adjoint product each
+    (``Psi`` minus the centered ``Delta*``) and decode through the
+    stacked top-k scan; float64 AMP members decode on the stack itself,
+    float32 ones on one cast copy, through
+    :func:`repro.amp.batch_amp.run_amp_prepared`. Outcomes are therefore
+    bit-identical to per-cell chunks, and a lone cell is a group of
+    one. The chunk runs in sub-stacks of at most
+    ``DEFAULT_STACK_ELEMENTS`` expected incidences (one trial each past
+    ``STACK_NNZ_CUTOFF`` when a member runs AMP), which bounds peak
+    memory whatever the chunk's trial count. Returns one
+    ``(exact, overlap)`` list per member.
     """
-    import copy
-
     from repro.amp.batch_amp import (
         DEFAULT_STACK_ELEMENTS,
         STACK_NNZ_CUTOFF,
         _expected_trial_nnz,
-        _stack_blocks,
         _stack_size,
         run_amp_prepared,
     )
     from repro.amp.kernels import resolve_kernel
-    from repro.core.batch import BatchTrialRunner, draw_instance
+    from repro.core.batch import BatchTrialRunner, draw_instance_stack
     from repro.core.scores import decode_top_k_stacked
     from repro.experiments.runner import _amp_batch_kwargs
+    from repro.utils.rng import copy_generator
 
     n, k = specs[0]["n"], specs[0]["k"]
     gamma = _spec_gamma(specs[0])
@@ -475,50 +482,39 @@ def _fixed_m_group(
     out: List[List[Tuple[bool, float]]] = [[] for _ in specs]
     if not trials:
         return out
-    # AMP sub-stacks bound peak memory exactly like run_amp_trials;
-    # trials past the stacking cutoff decode one per stack.
-    stack = trials
-    if amp:
-        stack = (
-            1 if _expected_trial_nnz(n, m, gamma) > STACK_NNZ_CUTOFF
-            else _stack_size(n, m, gamma, DEFAULT_STACK_ELEMENTS)
-        )
+    stack = _stack_size(n, m, gamma, DEFAULT_STACK_ELEMENTS)
+    if amp and _expected_trial_nnz(n, m, gamma) > STACK_NNZ_CUTOFF:
+        stack = 1
+    dtypes = {i: resolve_kernel(kw.get("kernel")).dtype for i, kw in amp.items()}
     sigma = np.empty((trials, n), dtype=np.int8)
     scores = {i: np.empty((trials, n), dtype=np.float64) for i in offsets}
     last = len(specs) - 1
     for lo in range(0, trials, stack):
-        part = seeds[lo : lo + stack]
-        results = {i: np.empty((len(part), m), dtype=np.float64) for i in amp}
-        blocks = []
-        for t, seed in enumerate(part, start=lo):
-            gen, truth, graph = draw_instance(n, k, m, gamma, seed)
-            sigma[t] = truth.sigma
-            e1 = graph.edges_into_ones(truth.sigma)
-            sizes = graph.query_sizes()
-            if offsets:
-                delta_star = graph.distinct_degrees().astype(np.float64)
-            for i, spec in enumerate(specs):
-                member_gen = gen if i == last else copy.deepcopy(gen)
-                measured = spec["channel"].measure(e1, sizes, member_gen)
-                if i in offsets:
-                    scores[i][t] = (
-                        graph.neighborhood_sums(measured)
-                        - delta_star * offsets[i]
-                    )
-                else:
-                    results[i][t - lo] = measured
-            if amp:
-                blocks.append((graph.indptr, graph.agents, graph.counts))
-        stacks = {}
+        inst = draw_instance_stack(n, k, m, gamma, seeds[lo : lo + stack])
+        hi = lo + inst.trials
+        sigma[lo:hi] = inst.sigma
+        e1 = inst.edges_into_ones()
+        if offsets:
+            delta_star = inst.distinct_degrees()
+        results = {}
+        for i, spec in enumerate(specs):
+            measured = np.empty((inst.trials, m), dtype=np.float64)
+            for t, gen in enumerate(inst.gens):
+                member_gen = gen if i == last else copy_generator(gen)
+                measured[t] = spec["channel"].measure(e1[t], gamma, member_gen)
+            if i in offsets:
+                scores[i][lo:hi] = (
+                    inst.neighborhood_sums(measured) - delta_star * offsets[i]
+                )
+            else:
+                results[i] = measured
+        stacks = {dtype: inst.csr(dtype) for dtype in set(dtypes.values())}
+        del inst  # drops the unit weights greedy scoring used
         for i, kwargs in amp.items():
-            dtype = resolve_kernel(kwargs.get("kernel")).dtype
-            if dtype not in stacks:
-                stacks[dtype] = _stack_blocks(blocks, n, dtype)
             out[i].extend(
                 run_amp_prepared(
-                    n, k, specs[i]["channel"], stacks[dtype], results[i],
-                    sigma[lo : lo + len(part)], blocks,
-                    gamma=gamma, **kwargs,
+                    n, k, specs[i]["channel"], stacks[dtypes[i]], results[i],
+                    sigma[lo:hi], gamma=gamma, **kwargs,
                 )
             )
     for i, member_scores in scores.items():

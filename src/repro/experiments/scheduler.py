@@ -91,8 +91,9 @@ its seed. Before dispatch the executor therefore **fuses** pending
 chunks whose draws coincide — same ``n``, ``k``, resolved ``gamma``
 and ``m``, same seeds by ``(entropy, spawn_key)``, both on the
 ``greedy``/``amp`` batch mode — into one ``CELL_FUSED`` work item:
-each seed's instance is drawn once and every member measures and
-decodes it on its own copy of the post-graph generator
+the item's instances are drawn once, into one block-diagonal stack,
+and every member measures and decodes them on its own copy of each
+post-graph generator
 (:func:`repro.experiments.parallel._fixed_m_group`). Members consume
 exactly the generator states of their own chunks, so fusion is
 bit-identical by construction; eligibility reads the cell specs only.
@@ -778,7 +779,16 @@ class SweepExecutor:
         return self.workers * parallel._OVERSUBSCRIBE
 
     def _explode(self, plan: SweepPlan) -> List[_Task]:
-        """Flatten every cell into contiguous order-preserving chunks."""
+        """Flatten every cell into contiguous order-preserving chunks.
+
+        A required-m cell splits its trials into the backend's chunks
+        per cell. A success-curve cell already parallelises over its m
+        grid, so each grid point splits its trials into only
+        ``ceil(chunks / len(m_values))`` chunks: the cell still yields
+        at least ``chunks`` work items (trials permitting), and each
+        item keeps as many trials as possible for the stacked engines
+        to share one stack.
+        """
         chunks = self._chunks_per_cell()
         tasks: List[_Task] = []
         for ci, cell in enumerate(plan._cells):
@@ -791,9 +801,10 @@ class SweepExecutor:
                     )
                     index += 1
             else:
+                per_point = -(-chunks // max(1, len(cell.m_values)))
                 for mi, m in enumerate(cell.m_values):
                     seeds = cell.per_m_seeds[mi]
-                    for lo, hi in chunk_bounds(cell.trials, chunks):
+                    for lo, hi in chunk_bounds(cell.trials, per_point):
                         tasks.append(
                             _Task(ci, index, mi, m,
                                   tuple(seeds[lo:hi]), lo, hi)

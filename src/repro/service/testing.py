@@ -24,13 +24,20 @@ BANNER_RE = re.compile(r"listening on ([^\s:]+):(\d+)")
 
 
 class ServerProcess:
-    """A running ``repro serve`` subprocess."""
+    """A running ``repro serve`` subprocess.
 
-    def __init__(self, proc: subprocess.Popen, host: str, port: int):
+    A reader thread drains the merged stdout/stderr pipe from launch on
+    (so a chatty server never blocks on a full pipe), watching for the
+    ready banner; :attr:`host`/:attr:`port` are ``None`` until it shows.
+    """
+
+    def __init__(self, proc: subprocess.Popen):
         self.proc = proc
-        self.host = host
-        self.port = port
+        self.host: Optional[str] = None
+        self.port: Optional[int] = None
         self._lines: List[str] = []
+        #: set once the banner is parsed or the pipe hits end of file
+        self._ready = threading.Event()
         self._reader = threading.Thread(
             target=self._drain, name="serve-stdout", daemon=True
         )
@@ -39,15 +46,31 @@ class ServerProcess:
     def _drain(self) -> None:
         for line in self.proc.stdout:
             self._lines.append(line)
+            if self.port is None:
+                match = BANNER_RE.search(line)
+                if match:
+                    self.host, self.port = match.group(1), int(match.group(2))
+                    self._ready.set()
+        self._ready.set()
 
     @property
     def output(self) -> str:
         return "".join(self._lines)
 
+    def _close(self) -> None:
+        """Close the pipe once the reaped child's output is drained.
+
+        The reader gets end of file when the child exits; the bounded
+        join only guards against a grandchild still holding the pipe.
+        """
+        self._reader.join(timeout=5)
+        self.proc.stdout.close()
+
     def kill(self) -> None:
         """SIGKILL — the crash injection; no shutdown code runs."""
         self.proc.send_signal(signal.SIGKILL)
         self.proc.wait()
+        self._close()
 
     def stop(self) -> None:
         if self.proc.poll() is None:
@@ -57,6 +80,7 @@ class ServerProcess:
             except subprocess.TimeoutExpired:
                 self.proc.kill()
                 self.proc.wait()
+        self._close()
 
 
 def start_server(
@@ -73,7 +97,10 @@ def start_server(
     ``env`` entries overlay the inherited environment (use for
     ``REPRO_SERVICE_*`` knobs); ``args`` appends raw CLI flags. The
     default ``port=0`` binds an ephemeral port, read back from the
-    banner — so parallel test runs never collide.
+    banner — so parallel test runs never collide. A server that shows
+    no banner within ``timeout`` seconds, even a silent one, is killed
+    and reaped, and ``TimeoutError`` raised; one that exits first
+    raises ``RuntimeError``.
     """
     cmd = [
         sys.executable, "-m", "repro", "serve",
@@ -90,30 +117,31 @@ def start_server(
         text=True,
         env=full_env,
     )
+    server = ServerProcess(proc)
     deadline = time.monotonic() + timeout
-    lines: List[str] = []
-    while True:
-        if time.monotonic() > deadline:
-            proc.kill()
+    # the event wakes on the banner line itself: no polling delay
+    if not server._ready.wait(timeout):
+        server.kill()
+        raise TimeoutError(
+            "server did not print its ready banner within "
+            f"{timeout:.0f}s; output so far:\n{server.output}"
+        )
+    if server.port is None:
+        # End of output without a banner: the server is exiting.
+        try:
+            proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            server.kill()
             raise TimeoutError(
-                "server did not print its ready banner within "
-                f"{timeout:.0f}s; output so far:\n{''.join(lines)}"
-            )
-        line = proc.stdout.readline()
-        if line:
-            lines.append(line)
-            match = BANNER_RE.search(line)
-            if match:
-                server = ServerProcess(proc, match.group(1), int(match.group(2)))
-                server._lines = lines + server._lines
-                return server
-        elif proc.poll() is not None:
-            raise RuntimeError(
-                f"server exited with {proc.returncode} before becoming "
-                f"ready; output:\n{''.join(lines)}"
-            )
-        else:
-            time.sleep(0.01)
+                "server closed its output without a ready banner; "
+                f"output:\n{server.output}"
+            ) from None
+        server._close()
+        raise RuntimeError(
+            f"server exited with {proc.returncode} before becoming "
+            f"ready; output:\n{server.output}"
+        )
+    return server
 
 
 __all__ = ["BANNER_RE", "ServerProcess", "start_server"]

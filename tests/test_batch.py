@@ -113,7 +113,16 @@ class TestCountingCsr:
             indptr, agents, counts = _csr_from_draws(draws, n)
             assert (indptr.dtype, agents.dtype, counts.dtype) == (np.int64,) * 3
 
-    @pytest.mark.parametrize("n,m,gamma", [(70_000, 6, 35_000), (66_000, 9, 9_000)])
+    @pytest.mark.parametrize(
+        "n,m,gamma",
+        [
+            (200, 40, 100),  # uint8 keys: radix sort
+            (1000, 30, 500),  # uint16 keys: default sort
+            (60_000, 5, 30_000),
+            (70_000, 6, 35_000),  # uint32 keys
+            (66_000, 9, 9_000),
+        ],
+    )
     def test_identical_to_sort_construction(self, n, m, gamma):
         from repro.core.batch import _csr_from_draws
 

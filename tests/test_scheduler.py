@@ -561,14 +561,16 @@ class TestDrawSharing:
     def test_one_draw_per_distinct_instance(self, monkeypatch):
         from repro.core import batch
 
-        real = batch.sample_pooling_graph_batch
+        # a fused chunk draws each instance's (m, gamma) agents with one
+        # _draw_agents call (draw_instance_stack)
+        real = batch._draw_agents
         drawn = []
 
-        def counting(n, m, gamma=None, rng=None, **kwargs):
-            drawn.append(m)
-            return real(n, m, gamma, rng, **kwargs)
+        def counting(gen, n, shape):
+            drawn.append(shape[0])
+            return real(gen, n, shape)
 
-        monkeypatch.setattr(batch, "sample_pooling_graph_batch", counting)
+        monkeypatch.setattr(batch, "_draw_agents", counting)
         plan = build_fused_plan()
         SweepExecutor(backend="serial").run_outcomes(plan)
         instances = {
@@ -632,6 +634,158 @@ class TestDrawSharing:
                 n, 6, cell.spec["channel"], m, list(cell.per_m_seeds[0])
             )
             assert outcomes == [[(r.exact, r.overlap) for r in runs]]
+
+
+def fused_layout(plan, **run_kwargs):
+    """The units a plan dispatches on a backend: ``_explode`` + ``_fuse``."""
+    from repro.experiments.scheduler import _fuse
+
+    executor = SweepExecutor(**run_kwargs)
+    return _fuse(executor._explode(plan), plan._cells)
+
+
+class TestUnitLayout:
+    def test_fig6_dispatches_one_fused_unit_per_grid_point(self):
+        from repro.experiments.scheduler import CELL_FUSED
+
+        plan = SweepPlan()
+        m_values = list(range(25, 601, 25))
+        for algorithm in ("greedy", "amp"):
+            for p in (0.1, 0.3, 0.5):
+                plan.add_success_curve(
+                    1000, 10, repro.ZChannel(p), m_values,
+                    algorithm=algorithm, trials=6, seed=2022,
+                )
+        units = fused_layout(plan, backend="process", workers=2)
+        assert len(units) == 24
+        assert sorted(u.m for u in units) == m_values
+        for unit in units:
+            assert unit.kind == CELL_FUSED
+            assert unit.cells == (0, 1, 2, 3, 4, 5)
+            assert [len(t.seeds) for t in unit.tasks] == [6] * 6
+
+    @pytest.mark.parametrize(
+        "m_values,per_point",
+        [([40, 80], [2, 2, 2, 2]), ([40, 80, 120], [3, 3, 2]),
+         ([40] + list(range(60, 200, 20)), [8])],
+        ids=["2-points", "3-points", "8-points"],
+    )
+    def test_short_grid_splits_to_the_worker_budget(self, m_values, per_point):
+        # 2 workers x 4 items each: 8 items per cell, spread over the grid
+        plan = SweepPlan()
+        plan.add_success_curve(
+            120, 3, repro.ZChannel(0.1), m_values, trials=8, seed=5
+        )
+        units = fused_layout(plan, backend="process", workers=2)
+        assert len(units) >= 8
+        for m in m_values:
+            tasks = [u.tasks[0] for u in units if u.m == m]
+            assert [len(t.seeds) for t in tasks] == per_point
+            assert [t.lo for t in tasks] == [
+                sum(per_point[:j]) for j in range(len(per_point))
+            ]
+
+    def test_required_m_cells_keep_the_per_cell_split(self):
+        plan = SweepPlan()
+        plan.add_required_queries(120, 3, repro.ZChannel(0.1), trials=16, seed=5)
+        units = fused_layout(plan, backend="process", workers=2)
+        assert [len(u.seeds) for u in units] == [2] * 8
+        assert [len(u.seeds) for u in fused_layout(plan, backend="serial")] == [16]
+
+
+#: (n, m, trials) on either side of STACK_NNZ_CUTOFF
+UNIT_SIZES = {"stacked": (120, 40, 5), "past-cutoff": (2000, 400, 2)}
+UNIT_CHANNELS = {
+    "z": repro.ZChannel(0.1),
+    "noiseless": repro.NoiselessChannel(),
+    "noisy": repro.NoisyChannel(0.05, 0.1),
+    "gaussian": repro.GaussianQueryNoise(0.5),
+}
+#: (batch mode, algorithm kwargs) of the unit's members
+UNIT_MEMBERS = [
+    ("greedy", {"centering": "half_k"}),
+    ("greedy", {"centering": "oracle"}),
+    ("amp", {}),
+    ("amp", {"kernel": "numpy32"}),
+]
+
+
+def unit_member_spec(n, k, channel, mode, kwargs):
+    return {
+        "n": n, "k": k, "gamma": None, "channel": channel,
+        "batch_mode": mode, "algorithm_kwargs": kwargs,
+    }
+
+
+def per_trial_reference(n, k, channel, m, seeds, mode, kwargs):
+    """A member's outcomes from the per-trial entry points."""
+    if mode == "greedy":
+        runs = BatchTrialRunner(
+            n, k, channel, centering=kwargs["centering"]
+        ).run_trials_seeded(m, seeds)
+    else:
+        runs = run_amp_trials(n, k, channel, m, seeds, kernel=kwargs.get("kernel"))
+    return [(bool(r.exact), float(r.overlap)) for r in runs]
+
+
+@pytest.fixture(scope="module", params=list(UNIT_SIZES), ids=list(UNIT_SIZES))
+def unit_size(request):
+    from repro.amp.batch_amp import STACK_NNZ_CUTOFF, _expected_trial_nnz
+
+    n, m, trials = UNIT_SIZES[request.param]
+    past = _expected_trial_nnz(n, m, n // 2) > STACK_NNZ_CUTOFF
+    assert past == (request.param == "past-cutoff")
+    return n, m, spawn_seeds(17, trials)
+
+
+class TestUnitStack:
+    @pytest.mark.parametrize("channel", list(UNIT_CHANNELS))
+    def test_members_match_per_trial_references(self, unit_size, channel):
+        n, m, seeds = unit_size
+        k, chan = 4, UNIT_CHANNELS[channel]
+        specs = [unit_member_spec(n, k, chan, mode, kw) for mode, kw in UNIT_MEMBERS]
+        got = parallel._fixed_m_group(specs, m, seeds)
+        for (mode, kwargs), outcomes in zip(UNIT_MEMBERS, got):
+            assert outcomes == per_trial_reference(
+                n, k, chan, m, seeds, mode, kwargs
+            ), (mode, kwargs)
+
+    def test_greedy_unit_at_zero_queries(self):
+        seeds = spawn_seeds(3, 4)
+        spec = unit_member_spec(90, 3, repro.ZChannel(0.1), "greedy",
+                                {"centering": "half_k"})
+        assert parallel._fixed_m_group([spec], 0, seeds) == [
+            per_trial_reference(90, 3, spec["channel"], 0, seeds, "greedy",
+                                spec["algorithm_kwargs"])
+        ]
+
+    def test_stack_rows_are_the_per_trial_graphs(self):
+        from repro.core.batch import draw_instance, draw_instance_stack
+
+        n, k, m, gamma = 300, 5, 30, 150
+        seeds = spawn_seeds(8, 4)
+        inst = draw_instance_stack(n, k, m, gamma, seeds)
+        assert inst.indices.dtype == np.int32
+        assert inst.indptr[-1] == inst.indices.size == inst.data.size
+        e1 = inst.edges_into_ones()
+        degrees = inst.distinct_degrees()
+        results = np.random.default_rng(0).normal(size=(len(seeds), m))
+        psi = inst.neighborhood_sums(results)
+        for t, seed in enumerate(seeds):
+            gen, truth, graph = draw_instance(n, k, m, gamma, seed)
+            assert np.array_equal(inst.sigma[t], truth.sigma)
+            rows = inst.indptr[t * m : (t + 1) * m + 1]
+            lo, hi = rows[0], rows[-1]
+            assert np.array_equal(rows - lo, graph.indptr)
+            assert np.array_equal(inst.indices[lo:hi] - t * n, graph.agents)
+            assert np.array_equal(inst.data[lo:hi], graph.counts)
+            assert np.array_equal(e1[t], graph.edges_into_ones(truth.sigma))
+            assert np.array_equal(degrees[t], graph.distinct_degrees())
+            # bit-identical float sums, in the per-graph bincount order
+            assert np.array_equal(psi[t], graph.neighborhood_sums(results[t]))
+            assert (
+                inst.gens[t].bit_generator.state == gen.bit_generator.state
+            )
 
 
 class TestGridValidation:

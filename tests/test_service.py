@@ -975,6 +975,64 @@ class TestEndToEnd:
 # ---------------------------------------------------------------------------
 
 
+def fake_repro(root, main_source):
+    """A stand-in ``repro`` package whose ``python -m repro`` runs
+    ``main_source``; put ``root`` on PYTHONPATH to launch it."""
+    package = root / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text(main_source)
+    return {"PYTHONPATH": str(root)}
+
+
+@pytest.fixture
+def launched(monkeypatch):
+    """The Popen objects start_server creates, in launch order."""
+    import subprocess
+
+    procs = []
+    real = subprocess.Popen
+
+    def recording(*args, **kwargs):
+        procs.append(real(*args, **kwargs))
+        return procs[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording)
+    return procs
+
+
+class TestStartServer:
+    def test_silent_server_times_out_and_is_reaped(self, tmp_path, launched):
+        import time
+
+        env = fake_repro(tmp_path / "fake", "import time\ntime.sleep(30)\n")
+        start = time.monotonic()
+        with pytest.raises(TimeoutError, match="ready banner within 2s"):
+            start_server(tmp_path / "state", env=env, timeout=2)
+        assert time.monotonic() - start < 2 + 5
+        (proc,) = launched
+        assert proc.returncode is not None  # reaped: no zombie left
+        assert proc.stdout.closed
+
+    def test_server_exiting_before_ready_raises(self, tmp_path, launched):
+        env = fake_repro(
+            tmp_path / "fake", "print('no banner here')\nraise SystemExit(3)\n"
+        )
+        with pytest.raises(RuntimeError, match="exited with 3") as info:
+            start_server(tmp_path / "state", env=env, timeout=30)
+        assert "no banner here" in str(info.value)
+        (proc,) = launched
+        assert proc.stdout.closed
+
+    @pytest.mark.parametrize("exit_via", ["kill", "stop"])
+    def test_exit_closes_the_output_pipe(self, tmp_path, exit_via):
+        server = start_server(tmp_path / "state")
+        assert server.port > 0 and "listening on" in server.output
+        getattr(server, exit_via)()
+        assert server.proc.returncode is not None
+        assert server.proc.stdout.closed
+
+
 class TestChaos:
     N, K, M_TOTAL, BLOCKS, JOBS = 100, 4, 60, 6, 4
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils.rng import (
+    copy_generator,
     generator_state_fingerprint,
     interleave_seeds,
     normalize_rng,
@@ -81,6 +82,45 @@ class TestSpawning:
         before = generator_state_fingerprint(gen)
         gen.integers(0, 10)
         assert generator_state_fingerprint(gen) != before
+
+
+class TestCopyGenerator:
+    @staticmethod
+    def _draws(gen):
+        # a mix that reads 32-bit halves, full words, and float paths
+        return (
+            gen.integers(0, 1000, size=7, dtype=np.int32).tolist(),
+            gen.binomial(40, 0.3, size=5).tolist(),
+            gen.normal(size=3).tolist(),
+            gen.integers(0, 2**40, size=4).tolist(),
+        )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.random.default_rng(np.random.SeedSequence(5)),
+            lambda: np.random.Generator(np.random.PCG64DXSM(3)),
+            lambda: np.random.Generator(np.random.MT19937(4)),
+            lambda: np.random.Generator(np.random.Philox(6)),
+        ],
+        ids=["pcg64", "pcg64dxsm", "mt19937", "philox"],
+    )
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_same_stream_as_deepcopy(self, make, buffered):
+        import copy
+
+        gen = make()
+        if buffered:
+            # an odd count of 32-bit draws leaves a buffered half-word
+            gen.integers(0, 10, size=3, dtype=np.int32)
+        if isinstance(gen.bit_generator, np.random.PCG64):
+            assert gen.bit_generator.state["has_uint32"] == int(buffered)
+        expected = self._draws(copy.deepcopy(gen))
+        copied = copy_generator(gen)
+        assert copied.bit_generator is not gen.bit_generator
+        assert self._draws(copied) == expected
+        # the copy's draws leave the source where it was
+        assert self._draws(gen) == expected
 
 
 class TestValidation:
