@@ -229,7 +229,7 @@ def run_amp_batch(
     first = measurements[0]
     n, m, k = first.n, first.m, first.k
     gamma = first.graph.gamma
-    channel_desc = first.channel.describe()
+    channel_key = first.channel.key()
     if m == 0:
         raise ValueError("AMP requires at least one query")
     for meas in measurements:
@@ -239,10 +239,10 @@ def run_amp_batch(
                 f"({meas.n}, {meas.m}, {meas.k}, {meas.graph.gamma}) vs "
                 f"({n}, {m}, {k}, {gamma})"
             )
-        if meas.channel.describe() != channel_desc:
+        if meas.channel.key() != channel_key:
             raise ValueError(
                 "all measurements in a batch must share the channel; got "
-                f"{meas.channel.describe()!r} vs {channel_desc!r}"
+                f"{meas.channel.key()!r} vs {channel_key!r}"
             )
     if denoiser is None:
         denoiser = default_denoiser(n, k)
@@ -273,6 +273,7 @@ def run_amp_batch(
         scores, sigma_truth, k
     )
     denoiser_desc = denoiser.describe()
+    channel_desc = first.channel.describe()
     out: List[ReconstructionResult] = []
     for t in range(trials):
         out.append(

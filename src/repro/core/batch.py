@@ -63,27 +63,36 @@ from repro.core.types import ReconstructionResult, RequiredQueriesResult
 from repro.utils.rng import RngLike, normalize_rng, spawn_rngs
 from repro.utils.validation import check_positive_int
 
-#: soft cap on incidence-array elements a chunked block may touch;
-#: bounds the peak memory of a block at a few dozen MiB.
+#: soft cap on incidence-array elements a chunked block may touch. A
+#: block's draws are held in the narrow sort dtype (2 bytes per draw
+#: up to 2**16 agents, 4 above), so a streamed block's peak is that
+#: buffer plus one :data:`_CSR_CHUNK_DRAWS` chunk's transients: about
+#: 3 bytes per draw at n=10**4 (~13 MB at the cap), 5 at n=70000.
 DEFAULT_BLOCK_ELEMENTS = 2**22
 
 #: first block size of the chunked incremental simulator; blocks then
 #: grow geometrically (doubling) up to the element cap.
 DEFAULT_INITIAL_BLOCK = 32
 
-#: draws per row chunk of the CSR construction, and per row slice a
-#: streaming :class:`MeasurementStream` hands out; bounds the chunk's
-#: transient run-index array to a few MiB
+#: draws per row chunk of the CSR construction, per draw call of a
+#: :class:`MeasurementStream` block, and per row slice a streaming
+#: stream hands out. Bounds a chunk's transients (its int32 draws,
+#: their intp cast for the 1-agent lookup, the run flags and run
+#: indices) to a few MiB.
 _CSR_CHUNK_DRAWS = 2**18
 
 
 def _sorted_runs(draws: np.ndarray, dtype: np.dtype):
     """Sort a row chunk narrowed to ``dtype``; flag where value runs start.
 
-    Returns the sorted rows, the ``(rows, gamma)`` run-start flags and
-    the number of distinct agents per row.
+    A chunk of another dtype is sorted in a narrowed copy. A chunk
+    already in ``dtype`` is sorted in place: the caller hands over a
+    buffer it owns (:class:`MeasurementStream` stores its blocks in
+    the sort dtype for this). Returns the sorted rows, the
+    ``(rows, gamma)`` run-start flags and the number of distinct
+    agents per row.
     """
-    rows = draws.astype(dtype)
+    rows = draws.astype(dtype, copy=False)
     # Sorted integer rows are unique, so the kind never shows in the
     # output. NumPy's radix sort ("stable") pays only for 1-byte keys;
     # for wider keys the default sort measured 2-5x faster.
@@ -143,7 +152,9 @@ def _csr_from_draws(
 
     ``agents`` is int64 unless ``narrow`` asks to keep the sort dtype
     (for consumers that only index with it); ``indptr`` and ``counts``
-    are always int64.
+    are always int64. ``draws`` of another dtype (the int32/int64
+    draws) are left unmodified; ``draws`` already in the sort dtype
+    are sorted in place (see :func:`_sorted_runs`).
     """
     dtype, bounds, runs = _sort_rows(draws, n)
     indptr = np.empty(draws.shape[0] + 1, dtype=np.int64)
@@ -352,11 +363,12 @@ class MeasurementStream:
     """Block-grown, prefix-sliceable measured query stream of one trial.
 
     Samples one trial's query stream in geometric-growth blocks — each
-    block is a single ``rng.integers`` draw plus one vectorized channel
-    measurement — exactly the generator-consumption order of the
-    chunked incremental simulator. E1 (the draws landing on 1-agents,
-    per row) is counted straight from the draws, so measuring a block
-    needs no CSR. Both incremental consumers share the stream:
+    block is one ``(b, gamma)`` draw of agents plus one vectorized
+    channel measurement — exactly the generator-consumption order of
+    the chunked incremental simulator. E1 (the draws landing on
+    1-agents, per row) is counted straight from the draws, so
+    measuring a block needs no CSR. Both incremental consumers share
+    the stream:
 
     * the greedy required-queries path drives :meth:`next_block` with
       ``retain=False``: each call hands out the next **row slice** of
@@ -371,6 +383,14 @@ class MeasurementStream:
       ``m >= m'``, so :meth:`prefix` is a free ``indptr[:m'+1]`` /
       ``agents[:indptr[m']]`` slice plus the matching results slice —
       no resampling, no re-measurement.
+
+    Memory contract: a block is drawn in row chunks of about
+    :data:`_CSR_CHUNK_DRAWS` draws (the same values and generator
+    state as one draw) and held only in the narrow CSR sort dtype,
+    which the CSR construction sorts in place. A block's peak is
+    therefore that buffer (2 bytes per draw up to 2**16 agents, 4
+    above) plus one chunk's transients and the block's 1-agent
+    incidences, whatever the block size.
 
     After each :meth:`next_block` call, :attr:`slice_ones` holds the
     slice's draw-level 1-agent incidences ``(rows, agents)`` (rows
@@ -433,35 +453,44 @@ class MeasurementStream:
     def _sample_block(self) -> List[tuple]:
         """Draw and measure the next block; split it into row slices.
 
+        The block is drawn in row chunks of about
+        :data:`_CSR_CHUNK_DRAWS` draws: consecutive int32 draws consume
+        the generator exactly like one ``(b, gamma)`` draw, because the
+        buffered half-word lives in the bit generator. Each chunk's
+        1-agent incidences are read from the chunk alone, and the chunk
+        is then stored into one block buffer of the CSR sort dtype,
+        which :func:`_csr_from_draws` sorts in place. The channel
+        measures the whole block in one call, after all of its draws.
+
         Returns ``(lo, draws, results, one_rows, one_agents)`` per
-        slice — one slice for a retained stream, else slices of about
-        :data:`_CSR_CHUNK_DRAWS` draws.
+        slice — one slice for a retained stream, else one per chunk.
         """
         b = min(self._block, self.max_m - self.m_done)
         gamma = self.gamma
-        draws = _draw_agents(self.gen, self.n, (b, gamma))
-        pos = np.flatnonzero(self._one_flag.take(draws))
-        one_rows = pos // gamma
-        results = self.channel.measure(
-            np.bincount(one_rows, minlength=b), gamma, self.gen
-        )
-        one_agents = draws.take(pos)
+        bounds = chunk_bounds(b, -(-b * gamma // _CSR_CHUNK_DRAWS))
+        block = np.empty((b, gamma), dtype=np.min_scalar_type(self.n - 1))
+        e1 = np.empty(b, dtype=np.int64)
+        ones = []
+        for r0, r1 in bounds:
+            draws = _draw_agents(self.gen, self.n, (r1 - r0, gamma))
+            pos = np.flatnonzero(self._one_flag.take(draws))
+            rows = pos // gamma
+            e1[r0:r1] = np.bincount(rows, minlength=r1 - r0)
+            ones.append((rows, draws.take(pos)))
+            block[r0:r1] = draws
+        results = self.channel.measure(e1, gamma, self.gen)
         lo = self.m_done
         self.m_done += b
         self._block = min(self._block * 2, self._cap)
         if self.retain:
-            return [(lo, draws, results, one_rows, one_agents)]
-        bounds = chunk_bounds(b, -(-b * gamma // _CSR_CHUNK_DRAWS))
-        cuts = np.searchsorted(one_rows, [r0 for r0, _ in bounds] + [b])
-        return [
-            (
-                lo + r0,
-                draws[r0:r1],
-                results[r0:r1],
-                one_rows[c0:c1] - r0,
-                one_agents[c0:c1],
+            one_rows = np.concatenate(
+                [rows + r0 for (r0, _), (rows, _) in zip(bounds, ones)]
             )
-            for (r0, r1), c0, c1 in zip(bounds, cuts[:-1], cuts[1:])
+            one_agents = np.concatenate([agents for _, agents in ones])
+            return [(lo, block, results, one_rows, one_agents)]
+        return [
+            (lo + r0, block[r0:r1], results[r0:r1], rows, agents)
+            for (r0, r1), (rows, agents) in zip(bounds, ones)
         ]
 
     def next_block(self):

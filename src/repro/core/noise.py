@@ -89,6 +89,16 @@ class Channel(ABC):
     def describe(self) -> str:
         """Short human-readable channel description."""
 
+    def key(self) -> tuple:
+        """The channel's exact identity: its type and parameter values.
+
+        Channels with equal keys measure identically from equal
+        generator states. Compare channels by this, not by
+        :meth:`describe`, which rounds parameters to 6 significant
+        digits.
+        """
+        return (type(self), tuple(sorted(vars(self).items())))
+
     # -- moments used by oracle centering and the analysis -------------
 
     @abstractmethod

@@ -435,10 +435,11 @@ def _fixed_m_group(
     sample the same truth and graph, so the chunk's instances are drawn
     once, into one block-diagonal stack
     (:func:`repro.core.batch.draw_instance_stack`) that every member
-    reads: E1 is one product with the stacked truths, and every member
-    measures through its own channel on its own copy of each trial's
-    post-graph generator — exactly the generator states its own chunk
-    would consume. Greedy members score with one adjoint product each
+    reads: E1 is one product with the stacked truths, and each distinct
+    channel (:meth:`~repro.core.noise.Channel.key`) measures once, on
+    its own copy of each trial's post-graph generator — exactly the
+    generator states each of its members' own chunks would consume.
+    Greedy members score with one adjoint product each
     (``Psi`` minus the centered ``Delta*``) and decode through the
     stacked top-k scan; float64 AMP members decode on the stack itself,
     float32 ones on one cast copy, through
@@ -488,7 +489,13 @@ def _fixed_m_group(
     dtypes = {i: resolve_kernel(kw.get("kernel")).dtype for i, kw in amp.items()}
     sigma = np.empty((trials, n), dtype=np.int8)
     scores = {i: np.empty((trials, n), dtype=np.float64) for i in offsets}
-    last = len(specs) - 1
+    # Members with equal channels would measure the same E1 on copies
+    # of the same generators, so each distinct channel measures once
+    # (keyed on its exact parameters); the last one measures on the
+    # trials' own generators, after every copy was taken.
+    keys = [spec["channel"].key() for spec in specs]
+    channels = {key: spec["channel"] for key, spec in zip(keys, specs)}
+    last = len(channels) - 1
     for lo in range(0, trials, stack):
         inst = draw_instance_stack(n, k, m, gamma, seeds[lo : lo + stack])
         hi = lo + inst.trials
@@ -496,25 +503,23 @@ def _fixed_m_group(
         e1 = inst.edges_into_ones()
         if offsets:
             delta_star = inst.distinct_degrees()
-        results = {}
-        for i, spec in enumerate(specs):
-            measured = np.empty((inst.trials, m), dtype=np.float64)
+        measured = {}
+        for j, (key, channel) in enumerate(channels.items()):
+            measured[key] = np.empty((inst.trials, m), dtype=np.float64)
             for t, gen in enumerate(inst.gens):
-                member_gen = gen if i == last else copy_generator(gen)
-                measured[t] = spec["channel"].measure(e1[t], gamma, member_gen)
-            if i in offsets:
-                scores[i][lo:hi] = (
-                    inst.neighborhood_sums(measured) - delta_star * offsets[i]
-                )
-            else:
-                results[i] = measured
+                member_gen = gen if j == last else copy_generator(gen)
+                measured[key][t] = channel.measure(e1[t], gamma, member_gen)
+        for i, offset in offsets.items():
+            scores[i][lo:hi] = (
+                inst.neighborhood_sums(measured[keys[i]]) - delta_star * offset
+            )
         stacks = {dtype: inst.csr(dtype) for dtype in set(dtypes.values())}
         del inst  # drops the unit weights greedy scoring used
         for i, kwargs in amp.items():
             out[i].extend(
                 run_amp_prepared(
-                    n, k, specs[i]["channel"], stacks[dtypes[i]], results[i],
-                    sigma[lo:hi], gamma=gamma, **kwargs,
+                    n, k, specs[i]["channel"], stacks[dtypes[i]],
+                    measured[keys[i]], sigma[lo:hi], gamma=gamma, **kwargs,
                 )
             )
     for i, member_scores in scores.items():

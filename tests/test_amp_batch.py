@@ -170,6 +170,23 @@ class TestRunAmpBatchValidation:
         with pytest.raises(ValueError, match="channel"):
             run_amp_batch([a, b])
 
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            (repro.ZChannel(0.1), repro.ZChannel(0.1000001)),
+            (repro.GaussianQueryNoise(1.0), repro.GaussianQueryNoise(1.0000001)),
+            (repro.ZChannel(0.1), repro.NoisyChannel(0.1, 0.0)),
+        ],
+        ids=["z-7th-digit", "gaussian-7th-digit", "z-vs-noisy"],
+    )
+    def test_channels_compared_exactly(self, first, second):
+        # equal up to describe()'s 6 significant digits (or equal
+        # parameters on another type), yet not the same channel
+        a = self._measurements(0, channel=first)
+        b = self._measurements(1, channel=second)
+        with pytest.raises(ValueError, match="channel"):
+            run_amp_batch([a, b])
+
     def test_zero_queries_rejected(self):
         gen = np.random.default_rng(0)
         truth = repro.sample_ground_truth(50, 3, gen)

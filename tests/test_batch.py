@@ -91,6 +91,13 @@ def _reference_csr(draws):
     return indptr, flat[idx], np.diff(idx, append=flat.size)
 
 
+def _same_state(a, b) -> bool:
+    """Bit-generator states equal, key by key (MT19937's holds an array)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
 class TestCountingCsr:
     """Dense and large-n regimes of the CSR construction.
 
@@ -187,11 +194,84 @@ class TestAgentDraws:
             wide_gen.binomial(20, 0.3, size=5), narrow_gen.binomial(20, 0.3, size=5)
         )
 
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+         np.random.Philox, np.random.SFC64],
+    )
+    @pytest.mark.parametrize("n", [3, 1000, 2**16 + 1, 2**31 - 1])
+    def test_row_chunks_match_one_draw(self, bit_generator, n):
+        # A block drawn in consecutive row chunks (MeasurementStream)
+        # is the one-shot draw: 7-column rows give odd-sized chunks,
+        # which end on a half-word buffered in the bit generator.
+        from repro.core.batch import _draw_agents
+
+        rows, gamma = 23, 7
+        one_gen = np.random.Generator(bit_generator(5))
+        chunk_gen = np.random.Generator(bit_generator(5))
+        one = _draw_agents(one_gen, n, (rows, gamma))
+        cuts = [0, 1, 4, 9, 16, 23]
+        chunks, buffered = [], []
+        for lo, hi in zip(cuts, cuts[1:]):
+            chunks.append(_draw_agents(chunk_gen, n, (hi - lo, gamma)))
+            buffered.append(chunk_gen.bit_generator.state.get("has_uint32"))
+        assert np.array_equal(np.concatenate(chunks), one)
+        assert _same_state(
+            chunk_gen.bit_generator.state, one_gen.bit_generator.state
+        )
+        if buffered[0] is not None:  # MT19937 buffers no half-word
+            assert any(buffered)
+        assert np.array_equal(
+            chunk_gen.integers(0, n, size=9, dtype=np.int32),
+            one_gen.integers(0, n, size=9, dtype=np.int32),
+        )
+
     def test_wide_agent_sets_draw_int64(self):
         from repro.core.batch import _draw_agents
 
         draws = _draw_agents(np.random.default_rng(0), 2**31 + 1, (4,))
         assert draws.dtype == np.int64
+
+
+class TestStreamBlockMemory:
+    """A block is held narrow, and its transients are chunk-bounded."""
+
+    @pytest.mark.parametrize("n", [10_000, 70_000])
+    def test_capped_block_peak_per_draw(self, n):
+        import tracemalloc
+
+        from repro.core.batch import DEFAULT_BLOCK_ELEMENTS, MeasurementStream
+
+        gamma = n // 2
+        gen = np.random.default_rng(3)
+        truth = repro.sample_ground_truth(n, round(n**0.25), gen)
+        rows = DEFAULT_BLOCK_ELEMENTS // gamma
+        stream = MeasurementStream(
+            n, gamma, repro.ZChannel(0.1), truth, gen,
+            max_m=rows, initial_block=rows, retain=False,
+        )
+        tracemalloc.start()
+        try:
+            while stream.next_block() is not None:
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stream.m_done == rows
+        # a whole-block int32 draw plus its intp cast alone would take
+        # 12 bytes per draw
+        assert peak / (rows * gamma) < 6.0
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_csr_leaves_wide_caller_draws_unmodified(self, dtype):
+        from repro.core.batch import _csr_from_draws
+
+        draws = np.random.default_rng(4).integers(0, 1000, size=(30, 500))
+        draws = draws.astype(dtype)
+        before = draws.copy()
+        for narrow in (False, True):
+            _csr_from_draws(draws, 1000, narrow=narrow)
+            assert np.array_equal(draws, before)
 
 
 class TestCsrRowChunks:
@@ -617,18 +697,26 @@ class TestSlicedStreamScan:
         assert res.succeeded
         assert max(csr_rows) <= chunk_rows
         assert sum(csr_rows) <= res.required_m + chunk_rows
-        # The parent's block schedule: doubling from the initial block,
-        # up to the block holding the stop, each drawn whole.
+        # The block schedule: doubling from the initial block, up to
+        # the block holding the stop. Each block is drawn whole, in row
+        # chunks of at most _CSR_CHUNK_DRAWS draws that sum to its size.
+        assert all(g == gamma and rows <= chunk_rows for rows, g in draw_shapes)
         cap = batch_mod.DEFAULT_BLOCK_ELEMENTS // gamma
         expected, lo, size = [], 0, batch_mod.DEFAULT_INITIAL_BLOCK
         while lo < res.required_m:
-            expected.append((size, gamma))
+            expected.append(size)
             lo, size = lo + size, min(size * 2, cap)
-        assert draw_shapes == expected
+        drawn = iter(rows for rows, _ in draw_shapes)
+        for size in expected:
+            total = 0
+            while total < size:
+                total += next(drawn)
+            assert total == size
+        assert next(drawn, None) is None
         # The stop is past the first slice of a multi-slice block, so
         # the early exit is what the row bound above checks.
-        assert expected[-1][0] > chunk_rows
-        assert sum(csr_rows) < sum(shape[0] for shape in expected)
+        assert expected[-1] > chunk_rows
+        assert sum(csr_rows) < sum(expected)
 
 
 class TestSessionStream:

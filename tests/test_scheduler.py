@@ -750,6 +750,33 @@ class TestUnitStack:
                 n, k, chan, m, seeds, mode, kwargs
             ), (mode, kwargs)
 
+    def test_each_distinct_channel_measures_once_per_trial(self, monkeypatch):
+        # fig6's layout: greedy and AMP members per channel, each with
+        # its own (unpickled) channel object; a 7th-digit variant is a
+        # channel of its own
+        n, m, k, trials = 120, 40, 4, 5
+        seeds = spawn_seeds(17, trials)
+        ps = (0.1, 0.3, 0.5, 0.1000001)
+        members = [(mode, kw, p) for p in ps for mode, kw in UNIT_MEMBERS[1:3]]
+        calls = []
+        real = repro.NoisyChannel.measure
+
+        def spy(self, e1, gamma, rng=None):
+            calls.append(self.p)
+            return real(self, e1, gamma, rng)
+
+        monkeypatch.setattr(repro.NoisyChannel, "measure", spy)
+        specs = [
+            unit_member_spec(n, k, repro.ZChannel(p), mode, kw)
+            for mode, kw, p in members
+        ]
+        got = parallel._fixed_m_group(specs, m, seeds)
+        assert sorted(calls) == sorted(ps * trials)
+        for (mode, kwargs, p), outcomes in zip(members, got):
+            assert outcomes == per_trial_reference(
+                n, k, repro.ZChannel(p), m, seeds, mode, kwargs
+            ), (mode, kwargs, p)
+
     def test_greedy_unit_at_zero_queries(self):
         seeds = spawn_seeds(3, 4)
         spec = unit_member_spec(90, 3, repro.ZChannel(0.1), "greedy",
