@@ -23,10 +23,8 @@ every backend)::
 Use ``--full-scale`` to run the paper's complete grids (slow: the
 original sweeps extend to n = 10^5) and ``--workers N`` to shard the
 trials over N processes (``0`` = one per CPU) with bit-identical
-output. ``--backend socket`` ships a sweep's chunks to remote worker
-hosts (start one per host with ``python -m repro worker serve``, list
-them in ``REPRO_HOSTS``). Algorithm choice lists come from the
-runner's shared constants
+output. Algorithm choice lists come from the runner's shared
+constants
 (:data:`repro.experiments.runner.ALGORITHMS` /
 :data:`~repro.experiments.runner.REQUIRED_QUERIES_ALGORITHMS`), so the
 subcommands can never drift apart.
@@ -45,7 +43,6 @@ from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.runner import ALGORITHMS, REQUIRED_QUERIES_ALGORITHMS
 from repro.experiments.scheduler import BACKENDS
 from repro.experiments.stats import geometric_space
-from repro.experiments.worker import DEFAULT_PORT as DEFAULT_WORKER_PORT
 
 #: channel constructors selectable on the command line
 CHANNELS = ("z", "noiseless", "gaussian", "noisy")
@@ -138,8 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="sweep execution backend (default: the REPRO_BACKEND env "
         "var, else process when --workers > 1, serial otherwise); "
-        "socket ships chunks to the REPRO_HOSTS workers — results are "
-        "bit-identical on every backend",
+        "results are bit-identical on both backends",
     )
     execution.add_argument(
         "--kernel",
@@ -157,14 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         "chunks and cells persist as they land and a re-run of the "
         "same sweep skips them (default: the REPRO_CHECKPOINT env "
         "var); results are bit-identical with or without",
-    )
-    execution.add_argument(
-        "--auth-token",
-        type=str,
-        default=None,
-        help="shared cluster token authenticating socket-backend wire "
-        "frames via HMAC (default: the REPRO_AUTH_TOKEN env var); "
-        "set the same token on every worker host",
     )
     execution.add_argument(
         "--out", type=str, default=None, help="save JSON/CSV here"
@@ -371,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         default=None,
-        help="sweep execution backend (serial / process / socket); "
-        "bit-identical output on every backend",
+        help="sweep execution backend (serial / process); "
+        "bit-identical output on both backends",
     )
     rq.add_argument(
         "--kernel",
@@ -387,13 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="checkpoint directory for crash-safe resume (default: "
         "the REPRO_CHECKPOINT env var)",
-    )
-    rq.add_argument(
-        "--auth-token",
-        type=str,
-        default=None,
-        help="shared token for socket-backend frame HMAC (default: "
-        "the REPRO_AUTH_TOKEN env var)",
     )
 
     # -- threshold ------------------------------------------------------
@@ -430,39 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         default=None,
         help="sweep execution backend for the probe sweeps",
-    )
-
-    # -- worker ---------------------------------------------------------
-    worker = sub.add_parser(
-        "worker",
-        help="sweep-engine socket worker (cross-host trial sharding)",
-    )
-    worker_sub = worker.add_subparsers(
-        dest="worker_command", required=True, metavar="action"
-    )
-    serve = worker_sub.add_parser(
-        "serve",
-        help="serve chunk requests over TCP until interrupted; point "
-        "sweeps at this host via --backend socket and REPRO_HOSTS",
-    )
-    serve.add_argument(
-        "--host", default="127.0.0.1",
-        help="interface to bind (default 127.0.0.1; use 0.0.0.0 to "
-        "accept remote drivers — trusted networks only, the wire "
-        "format is pickle)",
-    )
-    serve.add_argument(
-        "--port", type=int, default=None,
-        help=f"TCP port (default {DEFAULT_WORKER_PORT}; 0 = ephemeral)",
-    )
-    serve.add_argument(
-        "--auth-token",
-        type=str,
-        default=None,
-        help="shared cluster token for frame HMAC authentication "
-        "(default: the REPRO_AUTH_TOKEN env var; with neither set, "
-        "frames carry an integrity-only tag and any same-version "
-        "driver is accepted)",
     )
 
     # -- decode service --------------------------------------------------
@@ -648,42 +596,10 @@ def _run_threshold(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_worker(args: argparse.Namespace) -> int:
-    from repro.experiments.worker import AUTH_TOKEN_ENV, serve_worker
-
-    port = DEFAULT_WORKER_PORT if args.port is None else args.port
-    token = args.auth_token or os.environ.get(AUTH_TOKEN_ENV) or None
-    auth = (
-        "authenticated (shared token)"
-        if token
-        else f"integrity-only — set {AUTH_TOKEN_ENV} for authentication"
-    )
-    try:
-        serve_worker(
-            args.host,
-            port,
-            token=token,
-            ready=lambda bound: print(
-                f"[worker] serving sweep chunks on {args.host}:{bound} "
-                f"[{auth}] (Ctrl-C to stop)",
-                flush=True,
-            ),
-        )
-    except KeyboardInterrupt:
-        print("[worker] stopped", flush=True)
-    except OSError as exc:
-        # serve_worker propagates bind/listen failures with the
-        # address attached; surface them as a clean CLI error instead
-        # of a traceback (the port is busy, the interface is wrong...).
-        print(f"[worker] error: {exc}", file=sys.stderr, flush=True)
-        return 1
-    return 0
-
-
 def _run_serve(args: argparse.Namespace) -> int:
-    from repro.experiments.worker import AUTH_TOKEN_ENV
     from repro.service.server import DEFAULT_PORT as DEFAULT_SERVICE_PORT
     from repro.service.server import serve as serve_decode
+    from repro.service.wire import AUTH_TOKEN_ENV
 
     port = DEFAULT_SERVICE_PORT if args.port is None else args.port
     token = args.auth_token or os.environ.get(AUTH_TOKEN_ENV) or None
@@ -816,18 +732,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.experiments.checkpoint import CHECKPOINT_ENV
 
         os.environ[CHECKPOINT_ENV] = args.checkpoint
-    if getattr(args, "auth_token", None) and args.command not in (
-        "worker", "serve"
-    ):
-        from repro.experiments.worker import AUTH_TOKEN_ENV
-
-        os.environ[AUTH_TOKEN_ENV] = args.auth_token
     if args.command == "required-queries":
         return _run_required_queries(args)
     if args.command == "threshold":
         return _run_threshold(args)
-    if args.command == "worker":
-        return _run_worker(args)
     if args.command == "serve":
         return _run_serve(args)
     # `all` regenerates the paper's figures; the design ablation is an

@@ -22,7 +22,6 @@ from repro.experiments.parallel import (
 from repro.experiments.scheduler import (
     BACKENDS,
     BACKEND_ENV,
-    HOSTS_ENV,
     SweepExecutor,
     SweepPlan,
     resolve_backend,
@@ -32,17 +31,6 @@ from repro.experiments.checkpoint import (
     CheckpointMismatch,
     SweepCheckpoint,
     plan_fingerprint,
-)
-from repro.experiments.faults import FaultyWorkerProxy
-from repro.experiments.worker import (
-    AUTH_TOKEN_ENV,
-    AuthError,
-    FrameTooLarge,
-    ProtocolError,
-    connect_with_retry,
-    resolve_auth_key,
-    serve_worker,
-    start_local_workers,
 )
 from repro.experiments.runner import (
     ALGORITHMS,
@@ -90,7 +78,6 @@ __all__ = [
     "run_figure",
     "BACKENDS",
     "BACKEND_ENV",
-    "HOSTS_ENV",
     "SweepPlan",
     "SweepExecutor",
     "resolve_backend",
@@ -98,15 +85,6 @@ __all__ = [
     "CheckpointMismatch",
     "SweepCheckpoint",
     "plan_fingerprint",
-    "FaultyWorkerProxy",
-    "AUTH_TOKEN_ENV",
-    "AuthError",
-    "FrameTooLarge",
-    "ProtocolError",
-    "resolve_auth_key",
-    "connect_with_retry",
-    "serve_worker",
-    "start_local_workers",
     "ALGORITHMS",
     "REQUIRED_QUERIES_ALGORITHMS",
     "ENGINES",

@@ -17,7 +17,7 @@ Every pipeline builds one multi-cell
 executes all cells' trial chunks through the sweep engine's single
 global work queue, so heterogeneous cells load-balance across workers
 with no per-cell barrier. ``workers`` and ``backend`` select the
-execution backend (``serial`` / ``process`` / ``socket``); results are
+execution backend (``serial`` / ``process``); results are
 bit-identical to the per-cell serial loop for every choice.
 """
 

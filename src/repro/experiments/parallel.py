@@ -29,7 +29,7 @@ greedy, AMP and distributed algorithms on both engines.
 As of PR 5 the scheduling itself lives in
 :mod:`repro.experiments.scheduler`: whole sweeps flatten into one
 global queue of ``(cell, chunk)`` work items executed out of order on
-a pluggable backend (``serial`` / ``process`` / ``socket``). This
+a pluggable backend (``serial`` / ``process``). This
 module keeps the pieces the engine builds on — the cached process
 pool, the worker-side chunk functions, and the PR 2 scheduler entry
 points (:func:`required_queries_outcomes` /

@@ -71,7 +71,7 @@ Both primitives are thin **one-cell sweep plans** on the execution
 engine of :mod:`repro.experiments.scheduler`: each call pre-spawns the
 serial path's per-trial child seeds, explodes them into contiguous
 order-preserving chunks, runs the chunks on a pluggable backend
-(``serial`` / ``process`` / ``socket``), and merges outcomes back in
+(``serial`` / ``process``), and merges outcomes back in
 trial order with the serial accumulation code. Every trial is a pure
 function of its own child seed, so results are bit-identical for any
 backend, worker count, algorithm and engine.

@@ -48,21 +48,6 @@ Backends
     raised mid-sweep (a worker OOM-killed or segfaulted) is retried
     once on a fresh pool before failing the sweep. The default when
     ``workers > 1``.
-``socket``
-    Ships pickled chunk payloads to remote worker hosts over TCP
-    (cross-host trial sharding). Start workers with ``python -m repro
-    worker serve --port 7920`` on each host and point the executor at
-    them via ``hosts=["host:7920", ...]`` or the ``REPRO_HOSTS``
-    environment variable. The wire frames are HMAC-authenticated
-    (``REPRO_AUTH_TOKEN``) and size-capped, and the backend is
-    elastic: initial connects and mid-sweep reconnects retry with
-    bounded exponential backoff, application-level heartbeats
-    (``ping``/``pong`` answered even mid-chunk) separate long chunks
-    from dead workers, a straggler's chunk is speculatively
-    re-dispatched onto an idle worker (first result wins — outputs
-    cannot change, chunks are pure functions of their seeds), and a
-    worker that dies mid-sweep has its in-flight chunk requeued onto
-    the survivors.
 
 Select a backend per call (``backend=``), via the ``REPRO_BACKEND``
 environment variable, or implicitly (``workers > 1`` → ``process``).
@@ -97,7 +82,7 @@ post-graph generator
 (:func:`repro.experiments.parallel._fixed_m_group`). Members consume
 exactly the generator states of their own chunks, so fusion is
 bit-identical by construction; eligibility reads the cell specs only.
-A fused item rides the same chunk seam on every backend, its outcomes
+A fused item rides the same chunk seam on both backends, its outcomes
 split back per member, and checkpoint records stay keyed per member
 chunk — a resume fuses only the members still missing.
 
@@ -107,13 +92,11 @@ A chunk's payload splits into a per-cell **invariant** part (the
 channel object, algorithm kwargs, budgets — identical for every chunk
 of the cell) and a per-chunk **variant** part (the seed slice and grid
 indices). Re-shipping the invariant with every chunk is pure dispatch
-overhead, so both remote backends intern it once per worker, keyed by
-a unique cell id: the process backend seeds the first chunks of each
-cell with the pickled spec and retries on a worker-side cache miss;
-the socket backend tracks per-connection which specs it has sent.
-Steady-state chunk dispatch therefore ships only seeds + indices
-through the pool pipe (or the socket), the one dispatch path of each
-remote backend.
+overhead, so the process backend interns it once per worker, keyed by
+a unique cell id: it seeds the first chunks of each cell with the
+pickled spec and retries on a worker-side cache miss. Steady-state
+chunk dispatch therefore ships only seeds + indices through the pool
+pipe, the backend's one dispatch path.
 
 When the engine helps
 ---------------------
@@ -129,9 +112,6 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
-import queue as queue_module
-import threading
-import time
 from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -147,14 +127,10 @@ from repro.utils.rng import RngLike, spawn_rngs, spawn_seeds
 from repro.utils.validation import check_positive_int
 
 #: pluggable execution backends (see the module docstring)
-BACKENDS = ("serial", "process", "socket")
+BACKENDS = ("serial", "process")
 
 #: environment variable consulted when ``backend`` is not given
 BACKEND_ENV = "REPRO_BACKEND"
-
-#: environment variable listing socket worker hosts, comma-separated
-#: ``host:port`` pairs (consulted when ``hosts`` is not given)
-HOSTS_ENV = "REPRO_HOSTS"
 
 #: cell kinds understood by the chunk runner; a fused group of sibling
 #: success-curve chunks travels as one ``CELL_FUSED`` work item whose
@@ -167,25 +143,6 @@ CELL_FUSED = "fused_success_curve"
 #: with-replacement multigraph (default), the distinct-agents simple
 #: graph, and the constant-column-weight regular design (ablation)
 DESIGNS = ("replacement", "distinct", "regular")
-
-#: environment variable forcing a fixed straggler-speculation deadline
-#: (seconds; ``0`` disables speculation). Unset = adaptive: once three
-#: chunk durations are observed, a chunk in flight longer than
-#: ``_SPECULATE_FACTOR`` x the upper-quartile duration is re-dispatched
-#: onto an idle worker (first result wins).
-SPECULATE_ENV = "REPRO_SPECULATE"
-
-#: adaptive speculation: multiple of the observed upper-quartile chunk
-#: duration before a chunk counts as a straggler
-_SPECULATE_FACTOR = 4.0
-
-#: adaptive speculation never fires below this in-flight age (seconds)
-_SPECULATE_MIN_SECONDS = 2.0
-
-#: consecutive transport failures after which a feeder retires its
-#: worker instead of reconnecting again (a flapping worker must not
-#: burn the sweep in an accept/die loop)
-_MAX_WORKER_FAILURES = 3
 
 #: worker-side interned-spec cache size (entries, not bytes). Sized
 #: above the largest realistic plan (a full-scale two-algorithm
@@ -211,36 +168,6 @@ def resolve_backend(backend: Optional[str] = None, workers: int = 1) -> str:
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; valid: {BACKENDS}")
     return backend
-
-
-def parse_hosts(hosts=None) -> List[Tuple[str, int]]:
-    """Normalize socket worker addresses into ``(host, port)`` pairs.
-
-    Accepts a sequence of ``"host:port"`` strings (or ready
-    ``(host, port)`` tuples); ``None`` falls back to the
-    ``REPRO_HOSTS`` environment variable (comma-separated).
-    """
-    if hosts is None:
-        raw = os.environ.get(HOSTS_ENV, "")
-        hosts = [part for part in raw.split(",") if part.strip()]
-    parsed: List[Tuple[str, int]] = []
-    for entry in hosts:
-        if isinstance(entry, tuple):
-            host, port = entry
-        else:
-            host, _, port = str(entry).strip().rpartition(":")
-            if not host:
-                raise ValueError(
-                    f"socket host {entry!r} must be 'host:port'"
-                )
-        parsed.append((host, int(port)))
-    if not parsed:
-        raise ValueError(
-            "socket backend needs worker addresses: pass hosts=[...] or "
-            f"set {HOSTS_ENV}; start workers with "
-            "'python -m repro worker serve'"
-        )
-    return parsed
 
 
 # -- plan ---------------------------------------------------------------
@@ -497,31 +424,16 @@ class SweepPlan:
         *,
         backend: Optional[str] = None,
         workers: Optional[int] = None,
-        hosts=None,
         checkpoint=None,
-        auth_token: Optional[str] = None,
-        connect_retry: Optional[float] = None,
-        heartbeat_interval: Optional[float] = None,
-        heartbeat_timeout: Optional[float] = None,
-        speculate: Optional[float] = None,
     ) -> List[object]:
         """Execute the plan; one result object per cell, in add order.
 
+        The arguments are documented on :class:`SweepExecutor`;
         ``checkpoint`` names a directory for crash-safe resume (see
-        the module docstring); the remaining keyword arguments tune
-        the socket backend's elasticity and are documented on
-        :class:`SweepExecutor`.
+        the module docstring).
         """
         return SweepExecutor(
-            backend=backend,
-            workers=workers,
-            hosts=hosts,
-            checkpoint=checkpoint,
-            auth_token=auth_token,
-            connect_retry=connect_retry,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            speculate=speculate,
+            backend=backend, workers=workers, checkpoint=checkpoint
         ).run(self)
 
 
@@ -598,7 +510,6 @@ class _Unit:
     share ``m`` and seeds, and their outcomes split back per task.
     """
 
-    uid: int  # position in the dispatch list (speculation dedup)
     kind: str
     tasks: Tuple[_Task, ...]
 
@@ -659,11 +570,10 @@ def _fuse(tasks: Sequence[_Task], cells: Sequence[_PlanCell]) -> List[_Unit]:
         group.append(task)
     return [
         _Unit(
-            uid,
             CELL_FUSED if len(group) > 1 else cells[group[0].cell].kind,
             tuple(group),
         )
-        for uid, group in enumerate(groups)
+        for group in groups
     ]
 
 
@@ -674,66 +584,39 @@ def _unit_spec(unit: _Unit, cells: Sequence[_PlanCell]) -> Dict[str, object]:
     return cells[unit.cells[0]].spec
 
 
-#: unique spec-cache keys; the pid prefix keeps keys from different
-#: driver processes (which may share a worker) from colliding
+#: unique spec-cache keys: the cached pool outlives a sweep, so a
+#: later sweep's cell 0 must not hit an earlier sweep's interned spec
 _spec_key_counter = itertools.count()
 
 
 def _next_spec_key(cells: Tuple[int, ...]) -> str:
     members = "+".join(map(str, cells))
-    return f"{os.getpid()}:{next(_spec_key_counter)}:{members}"
+    return f"{next(_spec_key_counter)}:{members}"
 
 
 class SweepExecutor:
     """Runs a :class:`SweepPlan` through one shared cross-cell queue.
 
-    The ``process`` and ``socket`` backends ship each cell's spec at
-    most once per worker and every chunk as seeds + grid indices (see
-    "Per-worker payload interning" in the module docstring); the
-    ``serial`` backend runs the chunks in process with no dispatch.
+    The ``process`` backend ships each cell's spec at most once per
+    worker and every chunk as seeds + grid indices (see "Per-worker
+    payload interning" in the module docstring); the ``serial``
+    backend runs the chunks in process with no dispatch.
 
     Parameters
     ----------
     backend:
-        ``"serial"`` / ``"process"`` / ``"socket"``; ``None`` resolves
-        via :func:`resolve_backend` (env var, then worker count).
+        ``"serial"`` / ``"process"``; ``None`` resolves via
+        :func:`resolve_backend` (env var, then worker count).
     workers:
         Worker processes for the ``process`` backend (``None``:
         ``REPRO_WORKERS``, else 1; ``0``: one per CPU) — resolved with
         :func:`repro.experiments.parallel.resolve_workers`.
-    hosts:
-        Socket worker addresses (``"host:port"`` strings) for the
-        ``socket`` backend; ``None`` falls back to ``REPRO_HOSTS``.
     checkpoint:
-        Directory for crash-safe resume (any backend): finished chunks
-        and completed cells persist as they land, and a re-run of the
-        same plan skips them (see the module docstring). ``None``
-        consults the ``REPRO_CHECKPOINT`` environment variable; unset
-        disables checkpointing.
-    auth_token:
-        Shared cluster token for the socket backend's frame HMAC;
-        ``None`` consults ``REPRO_AUTH_TOKEN`` (and with neither set,
-        frames carry an integrity-only tag — see
-        :mod:`repro.experiments.worker`).
-    connect_retry:
-        Total seconds of bounded exponential-backoff retry for initial
-        connects and mid-sweep reconnects to socket workers (``None``:
-        ``REPRO_CONNECT_RETRY``, else 30).
-    heartbeat_interval / heartbeat_timeout:
-        Socket-backend liveness cadence: a ``ping`` probe every
-        ``heartbeat_interval`` seconds while a chunk is outstanding
-        (workers answer even mid-chunk), and a worker silent —
-        no pong, no result — for ``heartbeat_timeout`` seconds is
-        declared dead and its chunk requeued. ``None`` consults
-        ``REPRO_HEARTBEAT_INTERVAL`` / ``REPRO_HEARTBEAT_TIMEOUT``
-        (defaults 5 / 30).
-    speculate:
-        Straggler deadline in seconds for the socket backend: a chunk
-        in flight longer than this is speculatively re-dispatched onto
-        an idle worker, first result wins (``0`` disables). ``None``
-        consults ``REPRO_SPECULATE``, else adapts to observed chunk
-        durations (see :data:`SPECULATE_ENV`). Never changes outputs —
-        chunks are pure functions of their seeds.
+        Directory for crash-safe resume (either backend): finished
+        chunks and completed cells persist as they land, and a re-run
+        of the same plan skips them (see the module docstring).
+        ``None`` consults the ``REPRO_CHECKPOINT`` environment
+        variable; unset disables checkpointing.
     """
 
     def __init__(
@@ -741,41 +624,21 @@ class SweepExecutor:
         *,
         backend: Optional[str] = None,
         workers: Optional[int] = None,
-        hosts=None,
         checkpoint=None,
-        auth_token: Optional[str] = None,
-        connect_retry: Optional[float] = None,
-        heartbeat_interval: Optional[float] = None,
-        heartbeat_timeout: Optional[float] = None,
-        speculate: Optional[float] = None,
     ) -> None:
         from repro.experiments.checkpoint import CHECKPOINT_ENV
 
         self.workers = parallel.resolve_workers(workers)
         self.backend = resolve_backend(backend, self.workers)
-        self._hosts = hosts
         if checkpoint is None:
             checkpoint = os.environ.get(CHECKPOINT_ENV) or None
         self.checkpoint = checkpoint
-        self.auth_token = auth_token
-        self.connect_retry = connect_retry
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        if speculate is None:
-            speculate = config.env_float(SPECULATE_ENV, minimum=0.0)
-        self.speculate = speculate
-        #: elasticity counters from the last socket run (speculated /
-        #: reconnects / heartbeat_timeouts / retired), for tests and
-        #: the chaos smoke
-        self.last_socket_stats: Optional[Dict[str, object]] = None
 
     # ---- plan explosion ----
 
     def _chunks_per_cell(self) -> int:
         if self.backend == "serial":
             return 1
-        if self.backend == "socket":
-            return len(parse_hosts(self._hosts)) * parallel._OVERSUBSCRIBE
         return self.workers * parallel._OVERSUBSCRIBE
 
     def _explode(self, plan: SweepPlan) -> List[_Task]:
@@ -937,10 +800,8 @@ class SweepExecutor:
             # and must still fold one result per cell)
             if self.backend == "serial":
                 self._execute_serial(units, cells, emit)
-            elif self.backend == "process":
-                self._execute_process(units, cells, emit)
             else:
-                self._execute_socket(units, cells, emit)
+                self._execute_process(units, cells, emit)
 
         missing = [ci for ci, left in enumerate(remaining) if left]
         if missing:  # pragma: no cover - backends raise before this
@@ -1033,316 +894,12 @@ class SweepExecutor:
                 unsent.extend((u, True) for u in pending.values())
                 parallel.shutdown_pool()
 
-    def _execute_socket(self, units, cells, emit) -> None:
-        """Drive remote socket workers elastically.
-
-        One feeder thread per host pulls chunks off the shared queue
-        over an authenticated connection established with
-        exponential-backoff retry. While a chunk is outstanding the
-        feeder probes the worker with ``ping`` frames (answered even
-        mid-chunk), so a worker silent past the heartbeat timeout is
-        declared dead and its chunk requeued; a transport error
-        triggers a backoff reconnect, and only
-        :data:`_MAX_WORKER_FAILURES` consecutive failures (or a
-        permanent auth/protocol rejection) retire the worker. The
-        driver loop speculatively re-dispatches stragglers onto idle
-        workers — chunks are pure functions of their seeds, so the
-        first result wins and duplicates are dropped by key.
-        Elasticity counters land in ``self.last_socket_stats``.
-        """
-        from repro.experiments import worker as worker_mod
-
-        addresses = parse_hosts(self._hosts)
-        auth_key = worker_mod.resolve_auth_key(self.auth_token)
-        hb_interval = self.heartbeat_interval
-        if hb_interval is None:
-            hb_interval = config.env_float(
-                worker_mod.HEARTBEAT_INTERVAL_ENV, positive=True
-            )
-            if hb_interval is None:
-                hb_interval = worker_mod.DEFAULT_HEARTBEAT_INTERVAL
-        hb_timeout = self.heartbeat_timeout
-        if hb_timeout is None:
-            hb_timeout = config.env_float(
-                worker_mod.HEARTBEAT_TIMEOUT_ENV, positive=True
-            )
-            if hb_timeout is None:
-                hb_timeout = worker_mod.DEFAULT_HEARTBEAT_TIMEOUT
-        keys = {u.cells: _next_spec_key(u.cells) for u in units}
-        task_queue: "queue_module.Queue[_Unit]" = queue_module.Queue()
-        for unit in units:
-            task_queue.put(unit)
-        results: "queue_module.Queue[tuple]" = queue_module.Queue()
-        done_event = threading.Event()
-
-        # Shared elasticity state, all under one lock: completed task
-        # keys (speculation dedup), in-flight chunks with start times
-        # (straggler detection), idle feeders (speculation targets),
-        # observed durations (the adaptive deadline), and counters.
-        lock = threading.Lock()
-        done_keys: set = set()
-        inflight: Dict[int, Tuple[float, _Unit]] = {}
-        idle: set = set()
-        durations: List[float] = []
-        stats = {
-            "speculated": 0,
-            "reconnects": 0,
-            "heartbeat_timeouts": 0,
-            "retired": [],
-        }
-
-        class _Abandoned(Exception):
-            """The sweep finished while this feeder awaited a reply."""
-
-        def await_reply(conn) -> tuple:
-            """Read the chunk reply, probing liveness while waiting.
-
-            Skips stray ``pong`` frames (a probe can race the result),
-            raises ``OSError`` after ``hb_timeout`` of total silence,
-            and :class:`_Abandoned` when the sweep completed under us.
-            """
-            now = time.monotonic()
-            last_heard = now
-            last_ping = now
-            while True:
-                if done_event.is_set():
-                    raise _Abandoned()
-                readable = worker_mod.wait_readable(
-                    conn, min(worker_mod.IO_POLL_TIMEOUT, hb_interval / 2)
-                )
-                now = time.monotonic()
-                if readable:
-                    reply = worker_mod.recv_message(conn, auth_key)
-                    if reply is None:
-                        raise OSError("connection closed by worker")
-                    last_heard = now
-                    if reply[0] == "pong":
-                        continue
-                    return reply
-                if now - last_heard > hb_timeout:
-                    with lock:
-                        stats["heartbeat_timeouts"] += 1
-                    raise OSError(
-                        f"worker silent for {now - last_heard:.1f}s "
-                        f"(heartbeat timeout {hb_timeout:.1f}s): "
-                        "no pong, no result"
-                    )
-                if now - last_ping >= hb_interval:
-                    worker_mod.send_message(conn, ("ping",), auth_key)
-                    last_ping = now
-
-        def drive(address: Tuple[str, int]) -> None:
-            conn = None
-            failures = 0
-            sent: set = set()
-
-            def reconnect() -> bool:
-                """(Re)establish the authenticated connection.
-
-                Returns ``False`` when the worker must be retired: the
-                retry budget ran out, the handshake was rejected
-                (permanent), or the sweep finished while backing off.
-                """
-                nonlocal conn, sent
-                if conn is not None:
-                    conn.close()
-                conn = None
-                sent = set()  # new connection: worker may have restarted
-                try:
-                    conn = worker_mod.connect_with_retry(
-                        address,
-                        key=auth_key,
-                        budget=self.connect_retry,
-                        cancelled=done_event.is_set,
-                    )
-                except Exception as exc:
-                    results.put(("worker-dead", address, exc))
-                    return False
-                return conn is not None  # None: cancelled mid-backoff
-
-            if not reconnect():
-                return
-            try:
-                while not done_event.is_set():
-                    try:
-                        unit = task_queue.get(timeout=0.05)
-                    except queue_module.Empty:
-                        with lock:
-                            idle.add(address)
-                        continue
-                    key = unit.uid
-                    with lock:
-                        idle.discard(address)
-                        if key in done_keys:
-                            continue  # speculation duplicate, resolved
-                        inflight[key] = (time.monotonic(), unit)
-                    try:
-                        if unit.cells not in sent:
-                            worker_mod.send_message(
-                                conn,
-                                ("spec", keys[unit.cells],
-                                 _unit_spec(unit, cells)),
-                                auth_key,
-                            )
-                            sent.add(unit.cells)
-                        worker_mod.send_message(
-                            conn,
-                            ("chunk", keys[unit.cells],
-                             unit.kind, unit.m, unit.seeds),
-                            auth_key,
-                        )
-                        start = time.monotonic()
-                        reply = await_reply(conn)
-                    except _Abandoned:
-                        with lock:
-                            inflight.pop(key, None)
-                        task_queue.put(unit)
-                        return
-                    except Exception as exc:
-                        # Not only transport errors (OSError/EOFError):
-                        # a corrupted or unverifiable reply must also
-                        # requeue the chunk, never die silently and
-                        # hang the sweep. Requeue before reporting, so
-                        # a surviving worker can pick the chunk up.
-                        with lock:
-                            inflight.pop(key, None)
-                        task_queue.put(unit)
-                        failures += 1
-                        if failures >= _MAX_WORKER_FAILURES:
-                            results.put(("worker-dead", address, exc))
-                            return
-                        results.put(("worker-retry", address, exc))
-                        if not reconnect():
-                            return
-                        continue
-                    with lock:
-                        inflight.pop(key, None)
-                    failures = 0  # a completed exchange resets the strike
-                    if reply[0] == "ok":
-                        results.put(
-                            ("ok", unit, reply[1],
-                             time.monotonic() - start)
-                        )
-                    else:
-                        results.put(("task-error", unit, reply[1]))
-                try:
-                    worker_mod.send_message(conn, ("close",), auth_key)
-                except OSError:
-                    pass
-            finally:
-                with lock:
-                    idle.discard(address)
-                if conn is not None:
-                    conn.close()
-
-        def speculation_deadline() -> Optional[float]:
-            if self.speculate is not None:
-                return self.speculate if self.speculate > 0 else None
-            if len(durations) < 3:
-                return None  # not enough evidence for a deadline yet
-            ordered = sorted(durations)
-            q75 = ordered[(3 * (len(ordered) - 1)) // 4]
-            return max(q75 * _SPECULATE_FACTOR, _SPECULATE_MIN_SECONDS)
-
-        speculated: set = set()
-
-        def maybe_speculate() -> None:
-            deadline = speculation_deadline()
-            if deadline is None:
-                return
-            now = time.monotonic()
-            with lock:
-                if not idle:
-                    return  # nobody free: re-dispatch would just queue
-                for key, (start, unit) in list(inflight.items()):
-                    if key in speculated or key in done_keys:
-                        continue
-                    if now - start > deadline:
-                        speculated.add(key)
-                        stats["speculated"] += 1
-                        task_queue.put(unit)
-
-        threads = [
-            threading.Thread(target=drive, args=(addr,), daemon=True)
-            for addr in addresses
-        ]
-        for thread in threads:
-            thread.start()
-        completed = 0
-        failure_notes: List[str] = []
-        try:
-            while completed < len(units):
-                maybe_speculate()
-                try:
-                    message = results.get(timeout=0.25)
-                except queue_module.Empty:
-                    if not any(t.is_alive() for t in threads):
-                        raise RuntimeError(
-                            "all socket workers exited with "
-                            f"{len(units) - completed} chunks unfinished"
-                            + (f" (failures: {failure_notes})"
-                               if failure_notes else "")
-                        )
-                    continue
-                if message[0] == "ok":
-                    _, unit, outcome, duration = message
-                    with lock:
-                        if unit.uid in done_keys:
-                            continue  # the speculation loser
-                        done_keys.add(unit.uid)
-                        durations.append(duration)
-                    emit(unit, outcome)
-                    completed += 1
-                elif message[0] == "task-error":
-                    raise RuntimeError(
-                        f"socket worker failed a chunk:\n{message[2]}"
-                    )
-                elif message[0] == "worker-retry":
-                    _, address, exc = message
-                    stats["reconnects"] += 1
-                    failure_notes.append(
-                        f"{address[0]}:{address[1]} (retried): {exc}"
-                    )
-                else:  # worker-dead
-                    _, address, exc = message
-                    stats["retired"].append(f"{address[0]}:{address[1]}")
-                    failure_notes.append(
-                        f"{address[0]}:{address[1]}: {exc}"
-                    )
-                    if len(stats["retired"]) == len(addresses):
-                        raise RuntimeError(
-                            "every socket worker failed: "
-                            + "; ".join(failure_notes)
-                        )
-        finally:
-            done_event.set()
-            for thread in threads:
-                thread.join(timeout=5.0)
-            # Fold in elasticity events that raced the sweep's finish
-            # (e.g. a worker declared dead just as the survivor
-            # completed its requeued chunk) so the counters reflect
-            # everything that happened, not just what the loop drained.
-            while True:
-                try:
-                    message = results.get_nowait()
-                except queue_module.Empty:
-                    break
-                if message[0] == "worker-retry":
-                    stats["reconnects"] += 1
-                elif message[0] == "worker-dead":
-                    _, address, _ = message
-                    stats["retired"].append(f"{address[0]}:{address[1]}")
-            self.last_socket_stats = stats
-
 
 __all__ = [
     "BACKENDS",
     "BACKEND_ENV",
-    "HOSTS_ENV",
-    "SPECULATE_ENV",
     "DESIGNS",
     "SweepPlan",
     "SweepExecutor",
     "resolve_backend",
-    "parse_hosts",
 ]

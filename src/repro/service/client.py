@@ -1,14 +1,13 @@
 """Synchronous client library for the online decode service.
 
-Mirrors the sweep socket backend's resilience policy
-(:func:`repro.experiments.worker.connect_with_retry`): transport
-failures — connection refused while the server restarts, a connection
-reset by a SIGKILLed server, a silent handshake — are retried with
-exponential backoff (0.25 s doubling, capped at 5 s per sleep) within
-a total budget (``REPRO_CONNECT_RETRY`` or explicit), while
-:class:`~repro.experiments.worker.AuthError` /
-:class:`~repro.experiments.worker.ProtocolError` are permanent and
-raised immediately. Retryable *service* errors (``overloaded``,
+Transport failures — connection refused while the server restarts, a
+connection reset by a SIGKILLed server, a handshake that gets no reply
+within :data:`~repro.service.wire.HANDSHAKE_TIMEOUT` — are retried
+with exponential backoff (0.25 s doubling, capped at 5 s per sleep)
+within a total budget (``REPRO_CONNECT_RETRY`` or explicit), while
+:class:`~repro.service.wire.AuthError` /
+:class:`~repro.service.wire.ProtocolError` are permanent and raised
+immediately. Retryable *service* errors (``overloaded``,
 ``deadline_exceeded``) back off under the same budget; terminal ones
 raise at once.
 
@@ -27,21 +26,21 @@ import time
 import uuid
 from typing import Optional, Sequence, Tuple, Union
 
-from repro.experiments.worker import (
+from repro.core.noise import Channel
+from repro.service.errors import ServiceError, error_from_wire
+from repro.service.session import channel_to_spec
+from repro.service.wire import (
     AuthError,
     ProtocolError,
+    client_handshake,
     connect,
     recv_message,
     resolve_auth_key,
     resolve_connect_retry,
     send_message,
 )
-from repro.core.noise import Channel
-from repro.service.errors import ServiceError, error_from_wire
-from repro.service.session import channel_to_spec
-from repro.service.wire import client_handshake
 
-#: backoff schedule shared with the sweep socket backend
+#: reconnect backoff schedule (seconds)
 _BACKOFF_START = 0.25
 _BACKOFF_CAP = 5.0
 

@@ -62,7 +62,7 @@ DEGRADE_DEPTH_ENV = "REPRO_SERVICE_DEGRADE_DEPTH"
 MAX_BATCH_ENV = "REPRO_SERVICE_MAX_BATCH"
 DEADLINE_ENV = "REPRO_SERVICE_DEADLINE"
 
-#: default decode-service port (distinct from the sweep worker's 7920)
+#: default decode-service port
 DEFAULT_PORT = 7930
 
 

@@ -11,8 +11,11 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_rejects_unknown_figure(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig99"])
+        # The socket-backend worker subcommand was removed: it is now
+        # as unknown as any other command.
+        for argv in (["fig99"], ["worker", "serve"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_accepts_options(self):
         args = build_parser().parse_args(
@@ -40,24 +43,9 @@ class TestParser:
                     [command, "--backend", backend]
                 )
                 assert args.backend == backend
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig2", "--backend", "quantum"])
-
-    def test_worker_serve_subcommand(self):
-        from repro.experiments.worker import DEFAULT_PORT
-
-        args = build_parser().parse_args(["worker", "serve"])
-        assert args.command == "worker"
-        assert args.worker_command == "serve"
-        assert args.host == "127.0.0.1"
-        assert args.port is None  # resolved to DEFAULT_PORT at serve time
-        args = build_parser().parse_args(
-            ["worker", "serve", "--host", "0.0.0.0", "--port", "7001"]
-        )
-        assert (args.host, args.port) == ("0.0.0.0", 7001)
-        assert DEFAULT_PORT == 7920
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["worker"])
+        for backend in ("quantum", "socket"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["fig6", "--backend", backend])
 
     def test_ablation_design_subcommand(self):
         args = build_parser().parse_args(["ablation_design", "--trials", "4"])
@@ -288,18 +276,18 @@ class TestMain:
 
 class TestRobustnessFlags:
     def test_checkpoint_and_auth_token_parse(self):
+        # --auth-token authenticates the decode service's wire only;
+        # the sweep subcommands have no wire and reject it.
         for command in ("fig2", "required-queries"):
             args = build_parser().parse_args([command])
             assert args.checkpoint is None
-            assert args.auth_token is None
             args = build_parser().parse_args(
-                [command, "--checkpoint", "/tmp/ckpt", "--auth-token", "s3"]
+                [command, "--checkpoint", "/tmp/ckpt"]
             )
             assert args.checkpoint == "/tmp/ckpt"
-            assert args.auth_token == "s3"
-        args = build_parser().parse_args(
-            ["worker", "serve", "--auth-token", "s3"]
-        )
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--auth-token", "s3"])
+        args = build_parser().parse_args(["serve", "--auth-token", "s3"])
         assert args.auth_token == "s3"
 
     def test_checkpoint_flag_writes_and_resumes(self, tmp_path, capsys,
@@ -324,19 +312,7 @@ class TestRobustnessFlags:
         assert (out_first.split("completed")[0]
                 == out_resumed.split("completed")[0])
 
-    def test_auth_token_flag_exports_env(self, monkeypatch, capsys):
-        import os
-
-        from repro.experiments.worker import AUTH_TOKEN_ENV
-
-        # As above: register an undo before main() exports the token.
-        monkeypatch.setenv(AUTH_TOKEN_ENV, "sentinel")
-        monkeypatch.delenv(AUTH_TOKEN_ENV)
-        assert main(["fig2", "--trials", "1", "--n-min", "60", "--n-max",
-                     "60", "--n-points", "1", "--auth-token", "hunter2"]) == 0
-        assert os.environ.get(AUTH_TOKEN_ENV) == "hunter2"
-
-    def test_worker_serve_bind_failure_exits_nonzero(self, capsys):
+    def test_serve_bind_failure_exits_nonzero(self, capsys):
         import socket
 
         blocker = socket.socket()
@@ -344,32 +320,8 @@ class TestRobustnessFlags:
         blocker.listen()
         port = blocker.getsockname()[1]
         try:
-            rc = main(["worker", "serve", "--port", str(port)])
+            rc = main(["serve", "--port", str(port)])
         finally:
             blocker.close()
         assert rc == 1
-        err = capsys.readouterr().err
-        assert "[worker] error:" in err
-
-    def test_worker_serve_banner_reports_auth_mode(self, capsys):
-        # Banner text is produced by _run_worker's ready callback; the
-        # auth wording is decided before serving, so bind failure after
-        # a deliberate conflict still exercises both branches cheaply.
-        import socket
-
-        from repro.experiments.worker import AUTH_TOKEN_ENV
-
-        blocker = socket.socket()
-        blocker.bind(("127.0.0.1", 0))
-        blocker.listen()
-        port = blocker.getsockname()[1]
-        try:
-            main(["worker", "serve", "--port", str(port)])
-            err_plain = capsys.readouterr().err
-            main(["worker", "serve", "--port", str(port), "--auth-token",
-                  "s3"])
-            err_auth = capsys.readouterr().err
-        finally:
-            blocker.close()
-        assert AUTH_TOKEN_ENV not in err_auth
-        assert "error" in err_plain
+        assert "[serve] error:" in capsys.readouterr().err

@@ -154,7 +154,7 @@ def test_workers_env_uses_config(monkeypatch):
 
 
 def test_frame_cap_env_uses_config(monkeypatch):
-    from repro.experiments.worker import MAX_FRAME_ENV, max_frame_bytes
+    from repro.service.wire import MAX_FRAME_ENV, max_frame_bytes
 
     monkeypatch.setenv(MAX_FRAME_ENV, "huge")
     with pytest.raises(ValueError, match=r"REPRO_MAX_FRAME_BYTES must be an integer >= 1"):
@@ -162,7 +162,7 @@ def test_frame_cap_env_uses_config(monkeypatch):
 
 
 def test_connect_retry_env_uses_config(monkeypatch):
-    from repro.experiments.worker import CONNECT_RETRY_ENV, resolve_connect_retry
+    from repro.service.wire import CONNECT_RETRY_ENV, resolve_connect_retry
 
     monkeypatch.setenv(CONNECT_RETRY_ENV, "forever")
     with pytest.raises(ValueError, match=r"REPRO_CONNECT_RETRY must be a number >= 0"):

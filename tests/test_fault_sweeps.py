@@ -1,8 +1,8 @@
 """Fault-scenario sweep cells: wiring, validation, and bit-identity.
 
 PR 8's acceptance contract: a corrupted-measurement or message-drop
-sweep cell produces bit-identical results on the serial, process
-(any worker count), and socket backends — every fault realization is a
+sweep cell produces bit-identical results on the serial and process
+(any worker count) backends — every fault realization is a
 pure function of the trial's child seed, drawn from a dedicated stream
 (:mod:`repro.core.corruption`), so no backend or chunk layout can
 perturb it. Also covers the scheduler's spec validation, the folded
@@ -30,17 +30,6 @@ from repro.experiments.scheduler import SweepPlan
 def _shutdown_pool_after():
     yield
     parallel.shutdown_pool()
-
-
-@pytest.fixture(scope="module")
-def socket_hosts():
-    """Two live localhost socket workers (the cross-host round trip)."""
-    from repro.experiments.worker import start_local_workers
-
-    hosts, shutdown = start_local_workers(2)
-    assert len(hosts) == 2
-    yield hosts
-    shutdown()
 
 
 def build_faulty_plan() -> SweepPlan:
@@ -75,12 +64,6 @@ class TestBitIdentity:
         self, serial_results, workers
     ):
         results = build_faulty_plan().run(backend="process", workers=workers)
-        assert repr(results) == repr(serial_results)
-
-    def test_socket_backend_round_trip(self, serial_results, socket_hosts):
-        results = build_faulty_plan().run(
-            backend="socket", hosts=socket_hosts
-        )
         assert repr(results) == repr(serial_results)
 
     def test_plans_are_reusable(self):

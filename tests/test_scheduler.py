@@ -4,8 +4,8 @@ The contract under test: a multi-cell :class:`SweepPlan` — mixed
 algorithms (greedy / amp), mixed engines (batch / legacy), mixed n,
 required-m and success-curve cells in one queue — returns results
 identical to running each cell through the pre-engine per-cell serial
-path on the same seeds, for every backend (``serial`` / ``process`` /
-``socket``) and several worker counts. The per-cell references below
+path on the same seeds, for both backends (``serial`` / ``process``) and several worker
+counts. The per-cell references below
 deliberately reimplement the old serial loops (BatchTrialRunner /
 required_queries / required_queries_amp / run_amp_trials on freshly
 spawned child seeds) so the engine is checked against the original
@@ -30,7 +30,6 @@ from repro.experiments.scheduler import (
     BACKENDS,
     SweepExecutor,
     SweepPlan,
-    parse_hosts,
     resolve_backend,
     _intern_spec,
     _SpecMissing,
@@ -43,17 +42,6 @@ from repro.utils.rng import spawn_rngs, spawn_seeds
 def _shutdown_pool_after():
     yield
     parallel.shutdown_pool()
-
-
-@pytest.fixture(scope="module")
-def socket_hosts():
-    """Two live localhost socket workers (the cross-host round trip)."""
-    from repro.experiments.worker import start_local_workers
-
-    hosts, shutdown = start_local_workers(2)
-    assert len(hosts) == 2
-    yield hosts
-    shutdown()
 
 
 # -- per-cell serial references (the pre-engine code shape) -------------
@@ -205,14 +193,6 @@ class TestBitIdentity:
         results = build_mixed_plan().run(backend="process", workers=workers)
         assert_matches_references(results)
 
-    def test_socket_backend_round_trip(self, socket_hosts):
-        # Localhost cross-host round trip with two worker processes:
-        # the full mixed sweep must come back bit-identical.
-        results = build_mixed_plan().run(
-            backend="socket", hosts=socket_hosts
-        )
-        assert_matches_references(results)
-
     def test_plans_are_reusable(self):
         plan = build_mixed_plan()
         first = plan.run(backend="serial")
@@ -244,52 +224,6 @@ class TestBitIdentity:
         assert results[1].trials == 2
 
 
-class TestSocketRobustness:
-    def test_dead_worker_does_not_lose_chunks(self, socket_hosts):
-        # One address refuses connections (a dead host): the surviving
-        # worker must pick up every chunk and the merge stays exact.
-        import socket as socket_module
-
-        probe = socket_module.socket()
-        probe.bind(("127.0.0.1", 0))
-        dead_port = probe.getsockname()[1]
-        probe.close()  # nothing listens here any more
-        hosts = [socket_hosts[0], f"127.0.0.1:{dead_port}"]
-        plan = SweepPlan()
-        plan.add_required_queries(
-            150, 4, repro.ZChannel(0.1), trials=7, seed=11
-        )
-        result = plan.run(
-            backend="socket", hosts=hosts, connect_retry=0.3
-        )[0]
-        values, failures = reference_required(
-            150, 4, repro.ZChannel(0.1), trials=7, seed=11
-        )
-        assert result.values == values
-        assert result.failures == failures
-
-    def test_all_workers_dead_raises(self):
-        import socket as socket_module
-
-        probe = socket_module.socket()
-        probe.bind(("127.0.0.1", 0))
-        dead_port = probe.getsockname()[1]
-        probe.close()
-        plan = SweepPlan()
-        plan.add_required_queries(
-            100, 3, repro.NoiselessChannel(), trials=2, seed=0
-        )
-        # A tiny retry budget keeps the failure fast: the default 30s
-        # backoff budget exists for workers that are still booting,
-        # not for tests that know the port is dead.
-        with pytest.raises((RuntimeError, OSError)):
-            plan.run(
-                backend="socket",
-                hosts=[f"127.0.0.1:{dead_port}"],
-                connect_retry=0.3,
-            )
-
-
 class TestBackendResolution:
     def test_default_by_workers(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -304,37 +238,34 @@ class TestBackendResolution:
         assert resolve_backend(None, 4) == "serial"
 
     def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            resolve_backend("quantum", 1)
-        assert set(BACKENDS) == {"serial", "process", "socket"}
+        # "socket" names the backend that was removed: it must fail as
+        # loudly as any other unknown name, listing the valid ones.
+        for name in ("quantum", "socket"):
+            with pytest.raises(
+                ValueError, match=r"backend.*valid: \('serial', 'process'\)"
+            ):
+                resolve_backend(name, 1)
+        assert BACKENDS == ("serial", "process")
 
     @pytest.mark.parametrize(
         "raw, expected",
-        [(" process ", "process"), ("bogus", None)],
-        ids=["whitespace-stripped", "unknown-named"],
+        [(" process ", "process"), ("bogus", None), ("socket", None)],
+        ids=["whitespace-stripped", "unknown-named", "removed-socket"],
     )
     def test_env_var_validated(self, monkeypatch, raw, expected):
         # REPRO_BACKEND goes through utils.config like every other
-        # knob: padding is stripped, and a bad value names the variable.
+        # knob: padding is stripped, and a bad value names the variable
+        # as soon as an executor is built.
         from repro.utils.config import ConfigError
 
         monkeypatch.setenv("REPRO_BACKEND", raw)
         if expected is None:
             with pytest.raises(ConfigError, match="REPRO_BACKEND"):
                 resolve_backend(None, 1)
+            with pytest.raises(ConfigError, match="REPRO_BACKEND"):
+                SweepExecutor()
         else:
             assert resolve_backend(None, 1) == expected
-
-    def test_parse_hosts(self, monkeypatch):
-        assert parse_hosts(["a:1", ("b", 2)]) == [("a", 1), ("b", 2)]
-        monkeypatch.setenv("REPRO_HOSTS", "x:7920, y:7921")
-        assert parse_hosts(None) == [("x", 7920), ("y", 7921)]
-        monkeypatch.setenv("REPRO_HOSTS", "")
-        with pytest.raises(ValueError, match="worker addresses"):
-            parse_hosts(None)
-        with pytest.raises(ValueError, match="host"):
-            parse_hosts(["no-port"])
-
 
 class TestPlanValidation:
     def test_bad_algorithm_rejected(self):
@@ -541,20 +472,12 @@ class TestDrawSharing:
 
     @pytest.mark.parametrize(
         "run_kwargs",
-        [
-            dict(backend="serial"),
-            dict(backend="process", workers=2),
-            dict(backend="socket"),
-        ],
-        ids=["serial", "process", "socket"],
+        [dict(backend="serial"), dict(backend="process", workers=2)],
+        ids=["serial", "process"],
     )
     def test_backends_match_unfused_reference(
-        self, run_kwargs, fused_reference, request
+        self, run_kwargs, fused_reference
     ):
-        if run_kwargs["backend"] == "socket":
-            run_kwargs = dict(
-                run_kwargs, hosts=request.getfixturevalue("socket_hosts")
-            )
         executor = SweepExecutor(**run_kwargs)
         assert executor.run_outcomes(build_fused_plan()) == fused_reference
 

@@ -17,6 +17,7 @@ Three layers:
 
 import asyncio
 import pickle
+import socket
 import threading
 
 import numpy as np
@@ -24,7 +25,6 @@ import pytest
 
 import repro
 from repro.amp import AMPConfig, AMPKernel, run_amp
-from repro.experiments.worker import AuthError
 from repro.service.batcher import DecodeBatcher
 from repro.service.client import ServiceClient
 from repro.service.errors import (
@@ -44,7 +44,19 @@ from repro.service.session import (
     channel_to_spec,
 )
 from repro.service.store import SessionStore
+from repro.service import wire
 from repro.service.testing import start_server
+from repro.service.wire import (
+    AUTH_TOKEN_ENV,
+    MAX_FRAME_ENV,
+    AuthError,
+    FrameTooLarge,
+    max_frame_bytes,
+    recv_message,
+    resolve_auth_key,
+    resolve_connect_retry,
+    send_message,
+)
 from repro.utils.config import ConfigError
 
 
@@ -122,6 +134,125 @@ class TestErrorTaxonomy:
         )
         assert isinstance(err, ServiceError)
         assert err.retryable
+
+
+# ---------------------------------------------------------------------------
+# wire framing and connect policy
+# ---------------------------------------------------------------------------
+
+
+class TestFrames:
+    def test_round_trip(self):
+        a, b = socket.socketpair()
+        try:
+            send_message(a, ("hello", 1))
+            assert recv_message(b) == ("hello", 1)
+        finally:
+            a.close()
+            b.close()
+
+    def test_oversized_frame_rejected_before_allocation(self):
+        a, b = socket.socketpair()
+        try:
+            # A hostile 1 TiB length prefix: the cap must reject it
+            # from the 8 header bytes alone, no allocation, no read.
+            a.sendall((1 << 40).to_bytes(8, "big"))
+            with pytest.raises(FrameTooLarge, match="cap"):
+                recv_message(b)
+        finally:
+            a.close()
+            b.close()
+
+    def test_frame_cap_env_override(self, monkeypatch):
+        monkeypatch.setenv(MAX_FRAME_ENV, "64")
+        assert max_frame_bytes() == 64
+        a, b = socket.socketpair()
+        try:
+            send_message(a, ("spec", "k", {"payload": "x" * 256}))
+            with pytest.raises(FrameTooLarge):
+                recv_message(b)
+        finally:
+            a.close()
+            b.close()
+        monkeypatch.setenv(MAX_FRAME_ENV, "not-a-number")
+        with pytest.raises(ValueError, match=MAX_FRAME_ENV):
+            max_frame_bytes()
+
+    def test_wrong_key_rejected_before_unpickle(self):
+        a, b = socket.socketpair()
+        try:
+            send_message(a, ("chunk",), key=resolve_auth_key("token-a"))
+            with pytest.raises(AuthError, match="HMAC"):
+                recv_message(b, key=resolve_auth_key("token-b"))
+        finally:
+            a.close()
+            b.close()
+
+    def test_tampered_payload_rejected(self):
+        a, b = socket.socketpair()
+        try:
+            import hashlib
+            import hmac as hmac_module
+
+            key = resolve_auth_key()
+            payload = pickle.dumps(("ok", [1, 2, 3]))
+            tag = hmac_module.new(key, payload, hashlib.sha256).digest()
+            tampered = bytes([payload[0] ^ 1]) + payload[1:]
+            a.sendall(wire._HEADER.pack(len(tampered)) + tag + tampered)
+            with pytest.raises(AuthError):
+                recv_message(b, key=key)
+        finally:
+            a.close()
+            b.close()
+
+    def test_resolve_auth_key(self, monkeypatch):
+        monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
+        integrity = resolve_auth_key()
+        assert resolve_auth_key() == integrity
+        monkeypatch.setenv(AUTH_TOKEN_ENV, "cluster-secret")
+        keyed = resolve_auth_key()
+        assert keyed != integrity
+        assert keyed == resolve_auth_key("cluster-secret")
+        assert resolve_auth_key("other") != keyed
+
+
+class TestConnectRetry:
+    def test_budget_resolution(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CONNECT_RETRY", raising=False)
+        assert resolve_connect_retry() == 30.0
+        monkeypatch.setenv("REPRO_CONNECT_RETRY", "3.5")
+        assert resolve_connect_retry() == 3.5
+        assert resolve_connect_retry(1.0) == 1.0
+        with pytest.raises(ValueError):
+            resolve_connect_retry(-1)
+
+    def test_silent_handshake_is_retried_then_raises(self, monkeypatch):
+        # A listener that accepts (the kernel completes the TCP
+        # handshake from the backlog) but never sends a byte: the
+        # client must time the handshake out and fall into its budgeted
+        # retry loop, not block in recv forever.
+        monkeypatch.setattr(wire, "HANDSHAKE_TIMEOUT", 0.2, raising=False)
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(8)
+        port = listener.getsockname()[1]
+        box = {}
+
+        def run():
+            try:
+                ServiceClient("127.0.0.1", port, retry_budget=1.0).connect()
+            except Exception as exc:  # noqa: BLE001 - inspected below
+                box["error"] = exc
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        try:
+            thread.join(timeout=15)
+            assert not thread.is_alive(), "client hung on a silent server"
+        finally:
+            listener.close()
+        assert isinstance(box.get("error"), OSError)
+        assert "attempts" in str(box["error"])
 
 
 # ---------------------------------------------------------------------------
