@@ -12,8 +12,8 @@ This package provides:
 * :func:`required_queries_amp` — the per-trial "smallest m on the
   check grid where AMP decodes exactly" scan: prefix replay of a
   once-sampled query stream plus a galloping bracket / stacked
-  bisection, grid-exact against the brute-force linear scan
-  (:func:`required_queries_amp_linear`);
+  bisection, grid-exact (with ``verify="full"``) against a brute-force
+  ascending scan;
 * denoisers (:class:`BayesBernoulliDenoiser`,
   :class:`SoftThresholdDenoiser`);
 * the compute kernel (:mod:`repro.amp.kernels`) — every AMP entry
@@ -35,7 +35,6 @@ from repro.amp.amp import (
 )
 from repro.amp.batch_amp import (
     required_queries_amp,
-    required_queries_amp_linear,
     run_amp_batch,
     run_amp_trials,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "run_amp_batch",
     "run_amp_trials",
     "required_queries_amp",
-    "required_queries_amp_linear",
     "standardize_system",
     "standardization_constants",
     "channel_corrected_results",

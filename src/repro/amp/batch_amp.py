@@ -18,7 +18,7 @@ standalone :func:`repro.amp.run_amp` call on the same spawned child
 seed, for any stack size:
 
 * the sampling prologue of :func:`run_amp_trials` consumes each
-  trial's child generator exactly like the legacy per-trial loop
+  trial's child generator exactly like the per-trial loop
   (truth, graph, channel noise, in that order);
 * the shared kernel (:func:`repro.amp.amp.iterate_amp`) performs only
   row-independent operations, and a block-diagonal CSR matvec computes
@@ -286,7 +286,6 @@ def run_amp_batch(
                 hamming_errors=int(errors[t]),
                 meta={
                     "algorithm": "amp",
-                    "engine": "batch",
                     "denoiser": denoiser_desc,
                     "iterations": int(iterations[t]),
                     "converged": bool(converged[t]),
@@ -333,7 +332,7 @@ def run_amp_trials(
 ) -> List[ReconstructionResult]:
     """Sample and batch-decode one AMP trial per seed.
 
-    Each seed's trial consumes its generator exactly like the legacy
+    Each seed's trial consumes its generator exactly like the
     per-trial loop of the experiment harness — ground truth, pooling
     graph, channel noise, in that order — and is then decoded through
     the stacked kernel, so ``run_amp_trials(...)[t]`` reproduces the
@@ -820,25 +819,6 @@ def _run_probe_round(
     return flags  # type: ignore[return-value]
 
 
-def _required_meta(
-    channel: Channel,
-    gamma: int,
-    max_m: int,
-    check_every: int,
-    denoiser: Denoiser,
-    engine: str,
-) -> Dict[str, object]:
-    return {
-        "algorithm": "amp",
-        "channel": channel.describe(),
-        "gamma": gamma,
-        "max_m": max_m,
-        "check_every": check_every,
-        "denoiser": denoiser.describe(),
-        "engine": engine,
-    }
-
-
 def required_queries_amp(
     n: int,
     k: int,
@@ -868,9 +848,9 @@ def required_queries_amp(
     (:class:`_RequiredMSearch`). With the default ``verify="full"``
     the returned m is **identical to a brute-force ascending scan**
     that runs standalone :func:`run_amp` at every ``check_every``
-    multiple of the same trial's prefix data
-    (:func:`required_queries_amp_linear` — pinned in
-    ``tests/test_amp_required.py``); ``verify="window"`` sweeps only
+    multiple of the same trial's prefix data (pinned in
+    ``tests/test_amp_required.py`` against the brute-force scan in
+    ``tests/reference.py``); ``verify="window"`` sweeps only
     the galloping bracket, and ``verify="none"`` trusts the
     quasi-monotone recovery profile outright and returns the bisection
     boundary with sublinearly many probes (the sweep-scale fast mode —
@@ -905,9 +885,16 @@ def required_queries_amp(
         return []
     step = check_every
     grid_max = (max_m // step) * step
-    meta = _required_meta(channel, gamma, max_m, check_every, denoiser, "batch")
-    meta["verify"] = verify
-    meta["kernel"] = kern.name
+    meta = {
+        "algorithm": "amp",
+        "channel": channel.describe(),
+        "gamma": gamma,
+        "max_m": max_m,
+        "check_every": check_every,
+        "denoiser": denoiser.describe(),
+        "verify": verify,
+        "kernel": kern.name,
+    }
 
     searches = [_RequiredMSearch(step, grid_max, verify) for _ in seeds]
     streams: List[MeasurementStream] = []
@@ -960,84 +947,6 @@ def required_queries_amp(
     ]
 
 
-def required_queries_amp_linear(
-    n: int,
-    k: int,
-    channel: Channel,
-    seeds: Sequence[RngLike],
-    *,
-    gamma: Optional[int] = None,
-    max_m: Optional[int] = None,
-    check_every: int = 1,
-    denoiser: Optional[Denoiser] = None,
-    config: Optional[AMPConfig] = None,
-    initial_block: int = DEFAULT_INITIAL_BLOCK,
-    block_elements: int = DEFAULT_BLOCK_ELEMENTS,
-    kernel=None,
-) -> List[RequiredQueriesResult]:
-    """Brute-force per-grid-point linear scan — the required-m reference.
-
-    Probes every ``check_every`` multiple in ascending order with a
-    standalone :func:`run_amp` on the trial's prefix data until the
-    first exact decode. This is the semantic definition
-    :func:`required_queries_amp` reproduces (and is pinned against);
-    it also serves as the ``engine="legacy"`` path of
-    ``required_queries_trials(algorithm="amp")``. Orders of magnitude
-    more matvec work at sweep scale — use the stacked scan for real
-    runs.
-    """
-    n = check_positive_int(n, "n")
-    k = check_positive_int(k, "k")
-    check_every = check_positive_int(check_every, "check_every")
-    gamma = default_gamma(n) if gamma is None else check_positive_int(gamma, "gamma")
-    if max_m is None:
-        max_m = default_max_queries(n, k, channel)
-    if denoiser is None:
-        denoiser = default_denoiser(n, k)
-    config = config if config is not None else _default_batch_config()
-    kern = resolve_kernel(kernel)
-    step = check_every
-    grid_max = (max_m // step) * step
-    meta = _required_meta(channel, gamma, max_m, check_every, denoiser, "legacy")
-    meta["kernel"] = kern.name
-    out: List[RequiredQueriesResult] = []
-    for seed in seeds:
-        gen = normalize_rng(seed)
-        truth = sample_ground_truth(n, k, gen)
-        stream = MeasurementStream(
-            n,
-            gamma,
-            channel,
-            truth,
-            gen,
-            max_m=max_m,
-            initial_block=initial_block,
-            block_elements=block_elements,
-            retain=True,
-        )
-        required: Optional[int] = None
-        checks = 0
-        for g in range(step, grid_max + 1, step):
-            stream.grow_to(g)
-            checks += 1
-            if _probe_standalone(
-                stream, g, n, gamma, channel, denoiser, config, kern
-            ):
-                required = g
-                break
-        out.append(
-            RequiredQueriesResult(
-                required_m=required,
-                n=n,
-                k=k,
-                succeeded=required is not None,
-                checks=checks,
-                meta=meta,
-            )
-        )
-    return out
-
-
 __all__ = [
     "DEFAULT_STACK_ELEMENTS",
     "STACK_NNZ_CUTOFF",
@@ -1048,5 +957,4 @@ __all__ = [
     "run_amp_trials",
     "run_amp_prepared",
     "required_queries_amp",
-    "required_queries_amp_linear",
 ]

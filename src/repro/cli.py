@@ -113,15 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     execution.add_argument("--seed", type=int, default=2022, help="root seed")
     execution.add_argument(
-        "--engine",
-        choices=("batch", "legacy"),
-        default="batch",
-        help="simulation engine: vectorized batch (default; stacks "
-        "greedy trials and runs AMP sweeps block-diagonally) or the "
-        "original per-query/per-trial loops — both produce identical "
-        "results for the same seed",
-    )
-    execution.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -341,15 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         "none = trust the quasi-monotone profile (fastest)",
     )
     rq.add_argument(
-        "--engine",
-        choices=("batch", "legacy"),
-        default="batch",
-        help="batch = chunked/stacked scan, legacy = per-query loop or "
-        "brute-force linear AMP scan; stopping m's are identical for "
-        "greedy and for AMP under --verify full (the window/none modes "
-        "trade that guarantee for fewer probes)",
-    )
-    rq.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -513,7 +495,6 @@ def _run_required_queries(args: argparse.Namespace) -> int:
         gamma=args.gamma,
         algorithm=args.algorithm,
         verify=args.verify,
-        engine=args.engine,
         workers=args.workers,
         backend=args.backend,
         kernel=args.kernel,
@@ -651,7 +632,6 @@ _PLOT_AXES = {
 def _figure_kwargs(args: argparse.Namespace, name: str) -> dict:
     kwargs: dict = {
         "seed": args.seed,
-        "engine": args.engine,
         "workers": args.workers,
         "backend": args.backend,
     }
@@ -665,10 +645,7 @@ def _figure_kwargs(args: argparse.Namespace, name: str) -> dict:
         kwargs["m_points"] = args.m_points
         return kwargs
     if name.startswith("robustness_"):
-        # Dedicated parsers as well; the figure functions have no
-        # engine seam (corrupted/distributed cells run the legacy
-        # per-trial loop by construction).
-        kwargs.pop("engine", None)
+        # Dedicated parsers as well.
         if args.trials is not None:
             kwargs["trials"] = args.trials
         optional = {

@@ -37,14 +37,16 @@ calls.  Consequently:
 * ``BatchTrialRunner.run_trials`` reproduces the legacy
   truth/graph/measure/decode trial loop bit for bit (same per-trial
   spawned seeds, same results);
-* the chunked simulator reproduces the legacy per-query
-  ``required_queries`` stopping ``m`` exactly for channels that draw no
-  per-query noise (the noiseless channel).  Channels that do draw
-  noise consume the stream in block order rather than query order, so
-  the chunked run is a different — equally valid and deterministic —
-  sample of the same process.
+* the chunked simulator reproduces the query-by-query procedure's
+  stopping ``m`` exactly for channels that draw no per-query noise
+  (the noiseless channel).  Channels that do draw noise consume the
+  stream in block order rather than query order, so the chunked run is
+  a different — equally valid and deterministic — sample of the same
+  process.
 
-``tests/test_batch.py`` pins all of these equivalences.
+``tests/test_batch.py`` pins all of these equivalences against the
+per-query references in ``tests/reference.py``, and checks that the
+two required-m samples agree in distribution on noisy channels.
 """
 
 from __future__ import annotations
@@ -1107,7 +1109,6 @@ class BatchTrialRunner:
                     hamming_errors=int(errors[t]),
                     meta={
                         "algorithm": "greedy",
-                        "engine": "batch",
                         "centering": self.centering,
                         "n": n,
                         "m": m,
@@ -1136,8 +1137,7 @@ class BatchTrialRunner:
         vectorized call, and locates the exact first query count with
         strictly separated scores — the same stopping rule (and, for
         channels that draw no per-query noise, the same stopping ``m``
-        for the same seed) as the legacy per-query
-        :func:`~repro.core.incremental.required_queries`.
+        for the same seed) as the query-by-query procedure.
         """
         check_every = check_positive_int(check_every, "check_every")
         gen = normalize_rng(rng)
@@ -1170,7 +1170,6 @@ class BatchTrialRunner:
             "channel": self.channel.describe(),
             "gamma": self.gamma,
             "max_m": max_m,
-            "engine": "batch",
         }
         checks = 0
         while True:

@@ -17,17 +17,20 @@ reconstruction, so the stopping criterion is
 
 :class:`IncrementalDecoder` maintains the running scores in O(distinct
 agents per query) per step; the success check is a vectorized O(n) scan.
+It is the streaming state the decode service keeps per session.
+:func:`required_queries` runs the procedure through the chunked
+simulator of :mod:`repro.core.batch`, which samples queries in blocks
+but reports the same query-by-query stopping rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.core.ground_truth import GroundTruth, sample_ground_truth
+from repro.core.ground_truth import GroundTruth
 from repro.core.noise import Channel, NoiselessChannel
 from repro.core.pooling import default_gamma, sample_query
 from repro.core.scores import separation_margin, top_k_estimate
@@ -184,9 +187,14 @@ def required_queries(
     check_every: int = 1,
     truth: Optional[GroundTruth] = None,
     centering: str = "half_k",
-    engine: str = "per-query",
 ) -> RequiredQueriesResult:
     """Run the paper's required-number-of-queries procedure once.
+
+    Runs the chunked simulator of
+    :meth:`repro.core.batch.BatchTrialRunner.required_queries`: queries
+    are sampled and measured in geometric-growth blocks, and the
+    reported stopping ``m`` is the exact first query count with
+    strictly separated scores, as in the query-by-query procedure.
 
     Parameters
     ----------
@@ -202,68 +210,18 @@ def required_queries(
         (default 1, matching the paper; larger values trade exactness
         of the reported ``required_m`` for speed).
     truth:
-        Optional pre-sampled ground truth (else drawn from the model).
-    engine:
-        ``"per-query"`` (this module's reference loop, one query per
-        step; ``"legacy"`` is accepted as an alias, matching the
-        experiments layer) or ``"batch"`` (the chunked vectorized
-        simulator of :class:`~repro.core.batch.BatchTrialRunner`,
-        which samples geometric-growth blocks but reports the same
-        exact stopping rule).
+        Optional pre-sampled ground truth of the same ``(n, k)`` (else
+        drawn from the model).
 
     Returns
     -------
     RequiredQueriesResult
     """
-    n = check_positive_int(n, "n")
-    k = check_positive_int(k, "k")
-    check_every = check_positive_int(check_every, "check_every")
-    if engine == "batch":
-        from repro.core.batch import BatchTrialRunner
+    from repro.core.batch import BatchTrialRunner
 
-        runner = BatchTrialRunner(n, k, channel, gamma=gamma, centering=centering)
-        return runner.required_queries(
-            rng, max_m=max_m, check_every=check_every, truth=truth
-        )
-    if engine not in ("per-query", "legacy"):
-        raise ValueError(
-            f"unknown engine {engine!r}; valid: ('per-query', 'legacy', 'batch')"
-        )
-    gen = normalize_rng(rng)
-    if truth is None:
-        truth = sample_ground_truth(n, k, gen)
-    if max_m is None:
-        max_m = default_max_queries(n, k, channel)
-    decoder = IncrementalDecoder(truth, channel, gamma, centering=centering)
-    checks = 0
-    while decoder.m < max_m:
-        decoder.add_query(gen)
-        if decoder.m % check_every == 0:
-            checks += 1
-            if decoder.is_successful():
-                return RequiredQueriesResult(
-                    required_m=decoder.m,
-                    n=n,
-                    k=k,
-                    succeeded=True,
-                    checks=checks,
-                    meta={
-                        "channel": decoder.channel.describe(),
-                        "gamma": decoder.gamma,
-                        "max_m": max_m,
-                    },
-                )
-    return RequiredQueriesResult(
-        required_m=None,
-        n=n,
-        k=k,
-        succeeded=False,
-        checks=checks,
-        meta={
-            "channel": decoder.channel.describe(),
-            "gamma": decoder.gamma,
-            "max_m": max_m,
-        },
+    runner = BatchTrialRunner(n, k, channel, gamma=gamma, centering=centering)
+    return runner.required_queries(
+        rng, max_m=max_m, check_every=check_every, truth=truth
     )
 
 

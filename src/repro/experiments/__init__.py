@@ -34,7 +34,6 @@ from repro.experiments.checkpoint import (
 )
 from repro.experiments.runner import (
     ALGORITHMS,
-    ENGINES,
     REQUIRED_QUERIES_ALGORITHMS,
     RequiredQueriesSample,
     SuccessCurve,
@@ -87,7 +86,6 @@ __all__ = [
     "plan_fingerprint",
     "ALGORITHMS",
     "REQUIRED_QUERIES_ALGORITHMS",
-    "ENGINES",
     "RequiredQueriesSample",
     "SuccessCurve",
     "required_queries_trials",

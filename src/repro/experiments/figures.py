@@ -135,7 +135,6 @@ def figure2(
     bound_p: float = 0.1,
     bound_eps: float = 0.05,
     algorithms: Sequence[str] = ("greedy",),
-    engine: str = "batch",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
@@ -162,7 +161,6 @@ def figure2(
                     seed=seed,
                     check_every=check_every,
                     algorithm=algorithm,
-                    engine=engine,
                 )
                 cells.append(
                     (_series_label(algorithm, f"p={p:g}", algorithms), n, k)
@@ -204,7 +202,6 @@ def figure3(
     include_bound: bool = True,
     bound_eps: float = 0.05,
     algorithms: Sequence[str] = ("greedy",),
-    engine: str = "batch",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
@@ -229,7 +226,6 @@ def figure3(
                     seed=seed,
                     check_every=check_every,
                     algorithm=algorithm,
-                    engine=engine,
                 )
                 cells.append(
                     (_series_label(algorithm, label, algorithms), n, k)
@@ -271,7 +267,6 @@ def figure4(
     bound_eps: float = 0.05,
     centering: str = "oracle",
     algorithms: Sequence[str] = ("greedy",),
-    engine: str = "batch",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
@@ -305,7 +300,6 @@ def figure4(
                     check_every=check_every,
                     centering=centering,
                     algorithm=algorithm,
-                    engine=engine,
                 )
                 cells.append(
                     (_series_label(algorithm, f"q={q:g}", algorithms), n, k)
@@ -348,7 +342,6 @@ def figure5(
     seed: RngLike = 2022,
     check_every: int = 1,
     algorithms: Sequence[str] = ("greedy",),
-    engine: str = "batch",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
@@ -382,7 +375,6 @@ def figure5(
                     seed=seed,
                     check_every=check_every,
                     algorithm=algorithm,
-                    engine=engine,
                 )
                 cells.append(
                     (_series_label(algorithm, label, algorithms), n, k)
@@ -433,7 +425,6 @@ def figure6(
     algorithms: Sequence[str] = ("greedy", "amp"),
     bound_p: float = 0.1,
     bound_eps: float = 0.1,
-    engine: str = "batch",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
@@ -444,9 +435,8 @@ def figure6(
 
     Series are paired on common instances: every series samples the
     same truth and graph at each ``(m, trial)`` (one seed for all
-    cells), and only the channel noise and the decoder differ. On the
-    batch engine the sweep draws each instance once and decodes it per
-    series.
+    cells), and only the channel noise and the decoder differ. The
+    sweep draws each instance once and decodes it per series.
     Repeated ``ps`` or ``algorithms`` entries raise ``ValueError``.
     """
     if m_values is None:
@@ -466,7 +456,6 @@ def figure6(
                 algorithm=algorithm,
                 trials=trials,
                 seed=seed,
-                engine=engine,
             )
             cells.append(f"{algorithm} p={p:g}")
     curves = plan.run(backend=backend, workers=workers)
@@ -517,7 +506,6 @@ def figure7(
     seed: RngLike = 2022,
     bound_p: float = 0.1,
     bound_eps: float = 0.1,
-    engine: str = "batch",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
@@ -542,7 +530,6 @@ def figure7(
             algorithm="greedy",
             trials=trials,
             seed=seed,
-            engine=engine,
         )
         cells.append(f"p={p:g}")
     curves = plan.run(backend=backend, workers=workers)
@@ -596,7 +583,6 @@ def figure_design_ablation(
     seed: RngLike = 2022,
     gamma: Optional[int] = None,
     designs: Sequence[str] = ("replacement", "regular"),
-    engine: str = "batch",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
@@ -634,7 +620,6 @@ def figure_design_ablation(
                 trials=trials,
                 seed=seed,
                 gamma=gamma,
-                engine=engine,
                 design=design,
             )
             cells.append((design, n, k))

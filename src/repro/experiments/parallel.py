@@ -15,26 +15,27 @@ exploits it without changing a single seeded output:
    (:func:`_fixed_m_group` — the chunk's instances drawn once, into
    one block-diagonal stack that every sibling cell sampling them
    reads for greedy scoring and AMP decoding, instead of chunk-size
-   serial runs), :class:`~repro.core.batch.BatchTrialRunner`, the stacked
-   AMP required-m scan (:func:`repro.amp.batch_amp.
-   required_queries_amp` — a chunk's trials share probe rounds), or
-   the legacy per-query loop inside a worker process, and the
-   per-trial outcomes are merged back in trial order.
+   serial runs), :class:`~repro.core.batch.BatchTrialRunner`'s chunked
+   required-m simulator, the stacked AMP required-m scan
+   (:func:`repro.amp.batch_amp.required_queries_amp` — a chunk's
+   trials share probe rounds), the generic prefix-replay scan, or the
+   per-trial fixed-m loop inside a worker process, and the per-trial
+   outcomes are merged back in trial order.
 
 Because a trial's result is a pure function of its own seed, the merged
 output is bit-identical to the serial run for any worker count — the
 seeded-equivalence tests in ``tests/test_parallel.py`` pin this for the
-greedy, AMP and distributed algorithms on both engines.
+greedy, AMP and distributed algorithms.
 
-As of PR 5 the scheduling itself lives in
-:mod:`repro.experiments.scheduler`: whole sweeps flatten into one
-global queue of ``(cell, chunk)`` work items executed out of order on
-a pluggable backend (``serial`` / ``process``). This
-module keeps the pieces the engine builds on — the cached process
-pool, the worker-side chunk functions, and the PR 2 scheduler entry
-points (:func:`required_queries_outcomes` /
-:func:`success_curve_outcomes`), which are now thin one-cell sweep
-plans on the ``process`` backend.
+The scheduling itself lives in :mod:`repro.experiments.scheduler`:
+whole sweeps flatten into one global queue of ``(cell, chunk)`` work
+items executed out of order on a pluggable backend (``serial`` /
+``process``). This module keeps the pieces the engine builds on — the
+cached process pool and the worker-side chunk functions. Sharded runs
+go through :func:`repro.experiments.runner.required_queries_trials` /
+:func:`~repro.experiments.runner.success_rate_curve` with
+``workers=N``, or through a multi-cell
+:class:`~repro.experiments.scheduler.SweepPlan`.
 
 Workers are plain module-level functions and every payload (channel,
 seeds, kwargs) is picklable, so the pool runs under the ``spawn`` start
@@ -67,7 +68,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.utils import config
-from repro.utils.rng import RngLike
 from repro.utils.validation import check_non_negative_int, check_positive_int
 
 #: environment variable consulted when ``workers`` is not given
@@ -163,38 +163,21 @@ def _required_queries_chunk(
         # Corrupted cells (any algorithm) and the two-stage robust
         # decoder run the generic prefix-replay exact-decode scan.
         return _required_queries_scan_chunk(spec, seeds)
-    out: List[Tuple[bool, Optional[int]]] = []
     if spec.get("algorithm", "greedy") == "amp":
-        from repro.amp.batch_amp import (
-            required_queries_amp,
-            required_queries_amp_linear,
-        )
+        from repro.amp.batch_amp import required_queries_amp
 
-        if spec["engine"] == "batch":
-            runs = required_queries_amp(
-                spec["n"],
-                spec["k"],
-                spec["channel"],
-                list(seeds),
-                gamma=spec["gamma"],
-                max_m=spec["max_m"],
-                check_every=spec["check_every"],
-                verify=spec.get("verify", "full"),
-                kernel=spec.get("kernel"),
-            )
-        else:
-            runs = required_queries_amp_linear(
-                spec["n"],
-                spec["k"],
-                spec["channel"],
-                list(seeds),
-                gamma=spec["gamma"],
-                max_m=spec["max_m"],
-                check_every=spec["check_every"],
-                kernel=spec.get("kernel"),
-            )
-        return [(result.succeeded, result.required_m) for result in runs]
-    if spec["engine"] == "batch":
+        runs = required_queries_amp(
+            spec["n"],
+            spec["k"],
+            spec["channel"],
+            list(seeds),
+            gamma=spec["gamma"],
+            max_m=spec["max_m"],
+            check_every=spec["check_every"],
+            verify=spec.get("verify", "full"),
+            kernel=spec.get("kernel"),
+        )
+    else:
         from repro.core.batch import BatchTrialRunner
 
         runner = BatchTrialRunner(
@@ -204,29 +187,15 @@ def _required_queries_chunk(
             gamma=spec["gamma"],
             centering=spec["centering"],
         )
-        for seq in seeds:
-            result = runner.required_queries(
+        runs = [
+            runner.required_queries(
                 np.random.default_rng(seq),
                 max_m=spec["max_m"],
                 check_every=spec["check_every"],
             )
-            out.append((result.succeeded, result.required_m))
-    else:
-        from repro.core.incremental import required_queries
-
-        for seq in seeds:
-            result = required_queries(
-                spec["n"],
-                spec["k"],
-                spec["channel"],
-                np.random.default_rng(seq),
-                max_m=spec["max_m"],
-                check_every=spec["check_every"],
-                gamma=spec["gamma"],
-                centering=spec["centering"],
-            )
-            out.append((result.succeeded, result.required_m))
-    return out
+            for seq in seeds
+        ]
+    return [(result.succeeded, result.required_m) for result in runs]
 
 
 def _scan_prefix_measurements(
@@ -284,9 +253,8 @@ def _required_queries_scan_chunk(
     corrupts it **once** with the trial's dedicated corruption
     generator — every probe then carves a prefix out of that single
     realization, so the outcome is a pure function of the child seed
-    (probe schedule, chunk layout and backend never show). Both
-    engines run this same linear scan (it has no stacked form), so
-    ``engine="batch"`` and ``"legacy"`` are identical by construction.
+    (probe schedule, chunk layout and backend never show). The scan is
+    linear: it has no stacked form.
     """
     from repro.core.batch import MeasurementStream
     from repro.core.corruption import apply_corruption, corruption_rng
@@ -352,11 +320,11 @@ def _fixed_m_chunk(
     Returns ``(exact, overlap)`` per trial, in chunk order. The heavy
     per-trial artifacts (score vectors, estimates) stay in the worker —
     only the curve statistics cross the process boundary. A chunk runs
-    whichever engine path the scheduler selected (``batch_mode``): the
-    stacked greedy/AMP engines as a draw-sharing group of one
-    (:func:`_fixed_m_group`), or the legacy per-trial loop. Each trial
-    is a pure function of its own seed in every mode, so the chunk
-    layout never shows in the merged output.
+    whichever path the scheduler derived for its cell (``batch_mode``):
+    the stacked greedy/AMP runners as a draw-sharing group of one
+    (:func:`_fixed_m_group`), or the per-trial loop. Each trial is a
+    pure function of its own seed on either path, so the chunk layout
+    never shows in the merged output.
     """
     if spec["batch_mode"] in ("greedy", "amp"):
         return _fixed_m_group([spec], m, seeds)[0]
@@ -429,7 +397,7 @@ def _fixed_m_group(
 ) -> List[List[Tuple[bool, float]]]:
     """Run one fixed-``m`` chunk for sibling cells that share their draws.
 
-    ``specs`` are stacked-engine success-curve specs (``batch_mode``
+    ``specs`` are stacked success-curve specs (``batch_mode``
     ``"greedy"`` or ``"amp"``) of one ``(n, k, gamma)``; they may differ
     in channel and algorithm kwargs. On equal seeds every member would
     sample the same truth and graph, so the chunk's instances are drawn
@@ -561,121 +529,9 @@ def _sample_design_graph(spec: Dict[str, object], m: int, gen):
     raise ValueError(f"unknown design {design!r}")
 
 
-# -- sharded schedulers (PR 2 API, now thin one-cell sweep plans) -------
-
-
-def required_queries_outcomes(
-    n: int,
-    k: int,
-    channel,
-    *,
-    trials: int,
-    seed: RngLike,
-    workers: int,
-    max_m: Optional[int] = None,
-    check_every: int = 1,
-    gamma: Optional[int] = None,
-    centering: str = "half_k",
-    algorithm: str = "greedy",
-    verify: str = "full",
-    engine: str = "batch",
-    kernel: Optional[str] = None,
-    checkpoint=None,
-) -> List[Tuple[bool, Optional[int]]]:
-    """Sharded required-queries trials; outcomes in trial order.
-
-    A one-cell :class:`~repro.experiments.scheduler.SweepPlan` run on
-    the ``process`` backend: the engine spawns the serial path's
-    per-trial child seeds, shards them into contiguous chunks through
-    the shared work queue, and concatenates the chunk outcomes —
-    bit-identical to the serial trial loop for both stopping rules
-    (``algorithm="greedy"`` / ``"amp"``). ``checkpoint`` names a
-    directory for crash-safe resume (``None``: the
-    ``REPRO_CHECKPOINT`` env var) — completed chunks are skipped on a
-    re-run with the same arguments.
-    """
-    from repro.experiments.scheduler import SweepExecutor, SweepPlan
-
-    plan = SweepPlan()
-    plan.add_required_queries(
-        n,
-        k,
-        channel,
-        trials=trials,
-        seed=seed,
-        max_m=max_m,
-        check_every=check_every,
-        gamma=gamma,
-        centering=centering,
-        algorithm=algorithm,
-        verify=verify,
-        engine=engine,
-        kernel=kernel,
-    )
-    executor = SweepExecutor(
-        backend="process", workers=workers, checkpoint=checkpoint
-    )
-    return executor.run_outcomes(plan)[0]
-
-
-def success_curve_outcomes(
-    n: int,
-    k: int,
-    channel,
-    m_values: Sequence[int],
-    *,
-    trials: int,
-    seed: RngLike,
-    workers: int,
-    algorithm: str = "greedy",
-    algorithm_kwargs: Optional[dict] = None,
-    gamma: Optional[int] = None,
-    batch_mode: Optional[str] = None,
-    checkpoint=None,
-) -> List[List[Tuple[bool, float]]]:
-    """Sharded fixed-``m`` trials for a whole m-grid.
-
-    Returns one ``(exact, overlap)`` list per ``m`` value, each in
-    trial order — a one-cell sweep plan on the ``process`` backend.
-    Seed derivation mirrors the serial curve exactly: one child
-    generator per grid point, then per-trial seeds spawned from it —
-    so every trial sees the same seed it would serially. All
-    ``(m, chunk)`` tasks share one submission wave of the engine's
-    global queue, which keeps the workers busy across grid points
-    instead of draining per point.
-
-    ``batch_mode`` selects the stacked chunk implementation
-    (``"greedy"`` / ``"amp"``; the scheduler trusts the caller that it
-    matches ``algorithm`` — :func:`repro.experiments.runner._batch_mode`
-    is the one place that decides). The default ``None`` runs the
-    legacy per-trial loop, which honors any ``algorithm``.
-    """
-    from repro.experiments.scheduler import SweepExecutor, SweepPlan
-
-    plan = SweepPlan()
-    plan.add_success_curve(
-        n,
-        k,
-        channel,
-        m_values,
-        algorithm=algorithm,
-        trials=trials,
-        seed=seed,
-        gamma=gamma,
-        algorithm_kwargs=algorithm_kwargs,
-        batch_mode=batch_mode,
-    )
-    executor = SweepExecutor(
-        backend="process", workers=workers, checkpoint=checkpoint
-    )
-    return executor.run_outcomes(plan)[0]
-
-
 __all__ = [
     "WORKERS_ENV",
     "START_METHOD",
     "resolve_workers",
     "shutdown_pool",
-    "required_queries_outcomes",
-    "success_curve_outcomes",
 ]

@@ -12,58 +12,54 @@ Each trial gets an independent child generator spawned from the root
 seed (see :mod:`repro.utils.rng`), so experiments are reproducible and
 embarrassingly parallel in structure.
 
-Both primitives default to the vectorized batch engine: graphs are
-sampled in one RNG call, the incremental procedure runs in
-geometric-growth blocks, and fixed-``m`` trials are scored/decoded as
-stacked computations. Pass ``engine="legacy"`` to force the original
-per-query/per-trial loops — every batch path is bit-for-bit
-seed-compatible with them, except the chunked incremental simulator,
-which is seed-compatible only for channels that draw no per-query
-noise (see ``tests/test_batch.py``).
+Both primitives run vectorized simulators: graphs are sampled in one
+RNG call, the incremental procedure runs in geometric-growth blocks, and fixed-``m`` trials are scored/decoded as
+stacked computations. Every fixed-``m`` path is bit-for-bit
+seed-compatible with the per-trial truth/graph/channel/decode loop.
+The chunked incremental simulator is seed-compatible with the
+query-by-query procedure only for channels that draw no per-query
+noise; on the others it is a different, equally valid sample of the
+same process (``tests/test_batch.py`` checks the two agree in
+distribution).
 
-Algorithm × engine support
---------------------------
+Algorithm support
+-----------------
 Fixed-``m`` trials (:func:`success_rate_curve`) and required-m trials
 (:func:`required_queries_trials`) dispatch per algorithm:
 
-==============  =======================================  ======================
-algorithm       ``engine="batch"``                       ``engine="legacy"``
-==============  =======================================  ======================
-``greedy``      fixed-m: stacked trials via              fixed-m: per-trial
-                :class:`~repro.core.batch.BatchTrialRunner`;  loop; required-m:
-                required-m: its chunked incremental      per-query
-                simulator                                :func:`~repro.core.
-                                                         incremental.required_queries`
-``amp``         fixed-m: block-diagonal batched AMP via  fixed-m: per-trial
-                :func:`repro.amp.batch_amp.run_amp_trials`;  :func:`~repro.amp.run_amp`;
-                required-m: prefix-replay galloping +    required-m: brute-force
-                stacked bisection scan                   per-grid-point linear
-                (:func:`repro.amp.batch_amp.             scan (:func:`repro.amp.
-                required_queries_amp`)                   batch_amp.required_queries_amp_linear`)
-``distributed``  fixed-m per-trial loop (no batch or     fixed-m per-trial loop
-                 required-m form); ``fault=`` injects
-                 seeded message drop/delay
-``distributed_amp``  fixed-m per-trial loop with the     fixed-m per-trial loop
-                 AMP communication bill in cell metrics
-``twostage``     fixed-m per-trial loop; required-m via  identical (the scan is
-                 the generic prefix-replay exact-decode  engine-independent)
-                 scan
-==============  =======================================  ======================
+===================  ==================================================
+algorithm            simulator
+===================  ==================================================
+``greedy``           fixed-m: stacked trials via
+                     :class:`~repro.core.batch.BatchTrialRunner`;
+                     required-m: its chunked incremental simulator
+``amp``              fixed-m: block-diagonal batched AMP via
+                     :func:`repro.amp.batch_amp.run_amp_trials`;
+                     required-m: prefix-replay galloping + stacked
+                     bisection scan
+                     (:func:`repro.amp.batch_amp.required_queries_amp`)
+``distributed``      fixed-m per-trial loop (no stacked or required-m
+                     form); ``fault=`` injects seeded message drop/delay
+``distributed_amp``  fixed-m per-trial loop with the AMP communication
+                     bill in cell metrics
+``twostage``         fixed-m per-trial loop; required-m via the generic
+                     prefix-replay exact-decode scan
+===================  ==================================================
 
-A ``corruption=`` model on either primitive forces the legacy
-per-trial loop (fixed-m) or the generic prefix-replay scan
-(required-m) — the stacked engines never see corrupted cells.
+A ``corruption=`` model on either primitive runs the per-trial loop
+(fixed-m) or the generic prefix-replay scan (required-m) — the stacked
+simulators never see corrupted cells.
 
-The batch greedy path covers ``algorithm_kwargs`` of ``centering`` in
-``("half_k", "oracle")``; the batch AMP path covers ``denoiser``,
-``config`` and the default ``sparse=True``. Any other keyword falls
-back to the seed-compatible legacy per-trial loop, so results never
+The stacked greedy path covers ``algorithm_kwargs`` of ``centering``
+in ``("half_k", "oracle")``; the stacked AMP path covers ``denoiser``,
+``config``, ``kernel`` and the default ``sparse=True``. Any other
+keyword runs the seed-compatible per-trial loop, so results never
 depend on which path ran. Required-m runs exist for ``greedy`` (the
 paper's incremental separation stopping rule) and ``amp`` ("smallest
-checked m whose prefix decodes exactly" — both engines return identical
-stopping m's by construction; the scan merely probes sublinearly and
-stacks probes block-diagonally). The greedy-only ``centering`` knob is
-ignored by the AMP required-m path.
+checked m whose prefix decodes exactly"; with ``verify="full"`` the
+scan returns the m a brute-force ascending scan would, while probing
+sublinearly and stacking probes block-diagonally). The greedy-only
+``centering`` knob is ignored by the AMP required-m path.
 
 Sweep engine and trial sharding
 -------------------------------
@@ -74,7 +70,7 @@ order-preserving chunks, runs the chunks on a pluggable backend
 (``serial`` / ``process``), and merges outcomes back in
 trial order with the serial accumulation code. Every trial is a pure
 function of its own child seed, so results are bit-identical for any
-backend, worker count, algorithm and engine.
+backend, worker count and algorithm.
 
 ``workers`` (default ``None``: the ``REPRO_WORKERS`` environment
 variable, else serial; ``0`` means one worker per CPU) sizes the
@@ -120,28 +116,19 @@ ALGORITHMS = ("greedy", "amp", "distributed", "distributed_amp", "twostage")
 #: :func:`repro.experiments.parallel._required_queries_scan_chunk`).
 REQUIRED_QUERIES_ALGORITHMS = ("greedy", "amp", "twostage")
 
-#: simulation engines: the vectorized batch engine vs the per-query loops
-ENGINES = ("batch", "legacy")
-
-#: accepted aliases (the core layer calls the legacy loop "per-query")
-_ENGINE_ALIASES = {"per-query": "legacy"}
-
-
-def _batch_mode(algorithm: str, engine: str, algorithm_kwargs: dict) -> Optional[str]:
+def _batch_mode(algorithm: str, algorithm_kwargs: dict) -> Optional[str]:
     """Which stacked fixed-``m`` path covers this dispatch, if any.
 
-    Returns ``"greedy"`` / ``"amp"`` when the batch engine has a
-    seed-identical stacked implementation for the request, else
-    ``None`` (per-trial legacy loop). See the module docstring's
-    support matrix for the covered ``algorithm_kwargs``.
+    Returns ``"greedy"`` / ``"amp"`` when a seed-identical stacked
+    implementation covers the request, else ``None`` (the per-trial
+    loop). See the module docstring's support matrix for the covered
+    ``algorithm_kwargs``.
     """
-    if engine != "batch":
-        return None
     if (
         algorithm == "greedy"
         and set(algorithm_kwargs) <= {"centering"}
         # the batch runner supports only these centerings; anything else
-        # (e.g. "none") falls back to the seed-compatible legacy loop
+        # (e.g. "none") falls back to the seed-compatible per-trial loop
         and algorithm_kwargs.get("centering", "half_k") in ("half_k", "oracle")
     ):
         return "greedy"
@@ -163,20 +150,6 @@ def _amp_batch_kwargs(algorithm_kwargs: dict) -> dict:
         for key, value in algorithm_kwargs.items()
         if key in ("denoiser", "config", "kernel")
     }
-
-
-def _check_engine(engine: str) -> str:
-    if engine in _ENGINE_ALIASES:
-        return _ENGINE_ALIASES[engine]
-    if engine not in ENGINES:
-        # List every canonical engine once, then any alias not already
-        # named — naive tuple concatenation would repeat an alias that
-        # is also canonical.
-        valid = ENGINES + tuple(
-            alias for alias in _ENGINE_ALIASES if alias not in ENGINES
-        )
-        raise ValueError(f"unknown engine {engine!r}; valid: {valid}")
-    return engine
 
 
 def _run_algorithm(
@@ -248,7 +221,6 @@ def required_queries_trials(
     centering: str = "half_k",
     algorithm: str = "greedy",
     verify: str = "full",
-    engine: str = "batch",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
     kernel: Optional[str] = None,
@@ -257,16 +229,13 @@ def required_queries_trials(
     """Run the required-m procedure ``trials`` times, collect required m.
 
     ``algorithm="greedy"`` (default) applies the paper's incremental
-    separation stopping rule — ``engine="batch"`` runs the chunked
-    vectorized simulator, ``engine="legacy"`` the original per-query
-    loop, both with the exact query-by-query semantics.
-    ``algorithm="amp"`` reports the smallest checked m whose
-    prefix-measured query stream decodes exactly under AMP —
-    ``engine="batch"`` runs the stacked galloping/bisection scan
-    (:func:`repro.amp.batch_amp.required_queries_amp`),
-    ``engine="legacy"`` the brute-force per-grid-point linear scan;
-    with the default ``verify="full"`` both return identical stopping
-    m's by construction (``verify="window"`` / ``"none"`` trade the
+    separation stopping rule through the chunked vectorized simulator,
+    with the exact query-by-query semantics. ``algorithm="amp"``
+    reports the smallest checked m whose prefix-measured query stream
+    decodes exactly under AMP, through the stacked galloping/bisection
+    scan (:func:`repro.amp.batch_amp.required_queries_amp`); with the
+    default ``verify="full"`` that is the m a brute-force ascending
+    scan returns (``verify="window"`` / ``"none"`` trade the
     below-candidate certificate sweep for sweep-scale probe counts —
     see :class:`repro.amp.batch_amp._RequiredMSearch`). The
     greedy-only ``centering`` knob is ignored for AMP, and ``verify``
@@ -275,7 +244,7 @@ def required_queries_trials(
     The call is a thin one-cell :class:`~repro.experiments.scheduler.
     SweepPlan`: ``workers > 1`` (or an explicit ``backend``) shards the
     trials through the sweep engine with bit-identical output for any
-    backend, worker count and mode (see the module docstring and
+    backend and worker count (see the module docstring and
     :mod:`repro.experiments.scheduler`). Multi-cell sweeps should
     build one plan directly so cells share the global work queue.
     ``kernel`` selects the AMP compute backend by name (AMP only; see
@@ -302,7 +271,6 @@ def required_queries_trials(
         centering=centering,
         algorithm=algorithm,
         verify=verify,
-        engine=engine,
         kernel=kernel,
         corruption=corruption,
     )
@@ -368,7 +336,6 @@ def success_rate_curve(
     seed: RngLike = 0,
     gamma: Optional[int] = None,
     algorithm_kwargs: Optional[dict] = None,
-    engine: str = "batch",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
     design: str = "replacement",
@@ -382,14 +349,12 @@ def success_rate_curve(
     drawn (fresh truth, graph and noise each time, matching the paper's
     "100 independent simulation runs" per data point).
 
-    With ``engine="batch"`` the greedy trials run through
+    The greedy trials run through
     :class:`~repro.core.batch.BatchTrialRunner` and the AMP trials
     through the block-diagonal stacked runner
     (:func:`repro.amp.batch_amp.run_amp_trials`) — both seed-identical
-    to the legacy per-trial loop, so both engines (and the distributed
-    runtime, which shares the loop) report identical curves for the
-    same seed. Algorithms without a batch implementation (distributed,
-    two-stage) always use the per-trial loop; see the module
+    to the per-trial loop. Algorithms without a stacked implementation
+    (distributed, two-stage) use the per-trial loop; see the module
     docstring's support matrix. ``design`` selects the pooling design
     (:data:`repro.experiments.scheduler.DESIGNS`; the non-default
     designs run the per-trial loop).
@@ -409,7 +374,7 @@ def success_rate_curve(
 
     ``corruption`` (a :class:`~repro.core.corruption.CorruptionModel`)
     corrupts every trial's measurements post-channel — any algorithm;
-    forces the legacy per-trial loop. ``fault`` (a
+    runs the per-trial loop. ``fault`` (a
     :class:`~repro.core.corruption.FaultSpec`) injects message
     drop/delay into the distributed protocol
     (``algorithm="distributed"`` only); per-trial
@@ -438,7 +403,6 @@ def success_rate_curve(
         seed=seed,
         gamma=gamma,
         algorithm_kwargs=algorithm_kwargs,
-        engine=engine,
         design=design,
         corruption=corruption,
         fault=fault,
@@ -519,7 +483,6 @@ def run_many(
 __all__ = [
     "ALGORITHMS",
     "REQUIRED_QUERIES_ALGORITHMS",
-    "ENGINES",
     "RequiredQueriesSample",
     "required_queries_trials",
     "fold_required_queries",

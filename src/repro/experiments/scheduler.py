@@ -32,7 +32,7 @@ contract of :mod:`repro.experiments.parallel` exactly:
 Because every trial is a pure function of its own pre-spawned child
 seed, the merged output of every backend is **bit-identical** to
 running each cell through the serial per-cell path — for any worker
-count, chunk layout, algorithm and engine (pinned in
+count, chunk layout and algorithm (pinned in
 ``tests/test_scheduler.py``).
 
 Backends
@@ -71,11 +71,11 @@ Draw sharing
 ------------
 Figure-style plans add many success-curve cells with one ``seed`` and
 one m-grid, so their chunks carry identical child seeds — and a
-stacked-engine trial draws truth, then graph, then channel noise from
-its seed. Before dispatch the executor therefore **fuses** pending
-chunks whose draws coincide — same ``n``, ``k``, resolved ``gamma``
-and ``m``, same seeds by ``(entropy, spawn_key)``, both on the
-``greedy``/``amp`` batch mode — into one ``CELL_FUSED`` work item:
+stacked trial draws truth, then graph, then channel noise from its
+seed. Before dispatch the executor therefore **fuses** pending chunks
+whose draws coincide — same ``n``, ``k``, resolved ``gamma`` and
+``m``, same seeds by ``(entropy, spawn_key)``, both on a stacked
+(``greedy``/``amp``) path — into one ``CELL_FUSED`` work item:
 the item's instances are drawn once, into one block-diagonal stack,
 and every member measures and decodes them on its own copy of each
 post-graph generator
@@ -223,7 +223,6 @@ class SweepPlan:
         centering: str = "half_k",
         algorithm: str = "greedy",
         verify: str = "full",
-        engine: str = "batch",
         kernel: Optional[str] = None,
         corruption=None,
     ) -> int:
@@ -240,10 +239,7 @@ class SweepPlan:
         exact-decode scan (any algorithm; also the ``twostage`` path).
         """
         from repro.core.corruption import CorruptionModel
-        from repro.experiments.runner import (
-            REQUIRED_QUERIES_ALGORITHMS,
-            _check_engine,
-        )
+        from repro.experiments.runner import REQUIRED_QUERIES_ALGORITHMS
 
         check_positive_int(trials, "trials")
         if algorithm not in REQUIRED_QUERIES_ALGORITHMS:
@@ -271,7 +267,6 @@ class SweepPlan:
             "centering": centering,
             "algorithm": algorithm,
             "verify": verify,
-            "engine": _check_engine(engine),
             "max_m": max_m,
             "check_every": check_every,
             "kernel": kernel,
@@ -299,9 +294,7 @@ class SweepPlan:
         seed: RngLike = 0,
         gamma: Optional[int] = None,
         algorithm_kwargs: Optional[dict] = None,
-        engine: str = "batch",
         design: str = "replacement",
-        batch_mode: str = "auto",
         corruption=None,
         fault=None,
     ) -> int:
@@ -310,19 +303,18 @@ class SweepPlan:
         Seed derivation matches the serial curve exactly: one child
         generator per grid point, then per-trial seeds spawned from it.
         ``design`` selects the pooling design (:data:`DESIGNS`); the
-        non-default designs run the seed-compatible legacy per-trial
-        loop, which is the one place that knows how to sample them.
-        Every grid point must be ``>= 0`` (``>= 1`` for the AMP
-        algorithms); a bad point raises here, before anything runs.
-        ``batch_mode="auto"`` (default) lets
-        :func:`repro.experiments.runner._batch_mode` pick the stacked
-        chunk implementation; pass ``None`` / ``"greedy"`` / ``"amp"``
-        to force one (the PR 2 scheduler API).
+        non-default designs run the seed-compatible per-trial loop,
+        which is the one place that knows how to sample them. Every
+        grid point must be ``>= 0`` (``>= 1`` for the AMP algorithms);
+        a bad point raises here, before anything runs. The chunk
+        implementation — a stacked path or the per-trial loop — is
+        derived from the cell by
+        :func:`repro.experiments.runner._batch_mode`.
 
         ``corruption`` (a :class:`~repro.core.corruption.
         CorruptionModel`) corrupts each trial's measurements
-        post-channel and forces the legacy per-trial loop (the stacked
-        engines never see corrupted cells); ``fault`` (a
+        post-channel and runs the per-trial loop (the stacked paths
+        never see corrupted cells); ``fault`` (a
         :class:`~repro.core.corruption.FaultSpec`) injects seeded
         message drop/delay into the distributed protocol and is valid
         only for ``algorithm="distributed"``. Both draw from dedicated
@@ -330,11 +322,7 @@ class SweepPlan:
         bit-identical on every backend, worker count and chunk layout.
         """
         from repro.core.corruption import CorruptionModel, FaultSpec
-        from repro.experiments.runner import (
-            ALGORITHMS,
-            _batch_mode,
-            _check_engine,
-        )
+        from repro.experiments.runner import ALGORITHMS, _batch_mode
 
         check_positive_int(trials, "trials")
         if algorithm not in ALGORITHMS:
@@ -343,7 +331,6 @@ class SweepPlan:
             )
         if design not in DESIGNS:
             raise ValueError(f"unknown design {design!r}; valid: {DESIGNS}")
-        engine = _check_engine(engine)
         algorithm_kwargs = algorithm_kwargs or {}
         if corruption is not None and not isinstance(
             corruption, CorruptionModel
@@ -364,28 +351,14 @@ class SweepPlan:
                     f"{algorithm!r} has no network to perturb"
                 )
         corrupted = corruption is not None and not corruption.is_null
-        if batch_mode == "auto":
-            # The stacked chunk paths only know the paper's
-            # with-replacement design and honest measurements; other
-            # designs — and corrupted cells — fall back to the legacy
-            # per-trial loop, which handles both.
-            batch_mode = (
-                _batch_mode(algorithm, engine, algorithm_kwargs)
-                if design == "replacement" and not corrupted
-                else None
-            )
-        elif batch_mode is not None and design != "replacement":
-            raise ValueError(
-                f"batch_mode {batch_mode!r} runs the stacked "
-                "with-replacement samplers and cannot honor design "
-                f"{design!r}; use batch_mode='auto' or None"
-            )
-        elif batch_mode is not None and corrupted:
-            raise ValueError(
-                f"batch_mode {batch_mode!r} runs the stacked engines, "
-                "which do not apply corruption; use batch_mode='auto' "
-                "or None"
-            )
+        # The stacked chunk paths only know the paper's with-replacement
+        # design and honest measurements; other designs — and corrupted
+        # cells — run the per-trial loop, which handles both.
+        batch_mode = (
+            _batch_mode(algorithm, algorithm_kwargs)
+            if design == "replacement" and not corrupted
+            else None
+        )
         spec = {
             "n": n,
             "k": k,
@@ -530,13 +503,13 @@ class _Unit:
 def _draw_key(cell: _PlanCell, task: _Task) -> Optional[tuple]:
     """Key under which a task's draws coincide with its siblings'.
 
-    A stacked-engine success-curve chunk draws each trial's truth and
-    then its graph from the trial's seed before the channel draws
+    A stacked success-curve chunk draws each trial's truth and then its
+    graph from the trial's seed before the channel draws
     (:func:`repro.core.batch.draw_instance`), so chunks with equal
     ``(n, k, gamma, m)`` and equal seeds sample identical instances,
     whatever their channels and algorithm kwargs. ``None`` for every
-    other task: legacy-loop cells (corrupted, non-replacement designs,
-    distributed algorithms) and required-m cells.
+    other task: per-trial-loop cells (corrupted, non-replacement
+    designs, distributed algorithms) and required-m cells.
     """
     spec = cell.spec
     if cell.kind != CELL_CURVE or spec["batch_mode"] not in ("greedy", "amp"):
@@ -702,9 +675,7 @@ class SweepExecutor:
 
         Required-queries cells yield ``[(succeeded, required_m), ...]``
         in trial order; success-curve cells yield one
-        ``[(exact, overlap), ...]`` list per grid point. This is the
-        layer the PR 2 compatibility wrappers in
-        :mod:`repro.experiments.parallel` consume.
+        ``[(exact, overlap), ...]`` list per grid point.
         """
         tasks = self._explode(plan)
         cells = plan._cells

@@ -2,9 +2,10 @@
 
 Transport failures — connection refused while the server restarts, a
 connection reset by a SIGKILLed server, a handshake that gets no reply
-within :data:`~repro.service.wire.HANDSHAKE_TIMEOUT` — are retried
-with exponential backoff (0.25 s doubling, capped at 5 s per sleep)
-within a total budget (``REPRO_CONNECT_RETRY`` or explicit), while
+within :data:`~repro.service.wire.HANDSHAKE_TIMEOUT`, a reply that
+stalls for :data:`REPLY_TIMEOUT` — are retried with exponential
+backoff (0.25 s doubling, capped at 5 s per sleep) within a total
+budget (``REPRO_CONNECT_RETRY`` or explicit), while
 :class:`~repro.service.wire.AuthError` /
 :class:`~repro.service.wire.ProtocolError` are permanent and raised
 immediately. Retryable *service* errors (``overloaded``,
@@ -44,6 +45,13 @@ from repro.service.wire import (
 _BACKOFF_START = 0.25
 _BACKOFF_CAP = 5.0
 
+#: longest wait, in seconds, for the next bytes of a reply (or for a
+#: send to drain); a connected server silent for longer — before or
+#: inside a frame — is treated like a reset connection: dropped, then
+#: retried under the budget. Fixed, and far above any batched decode, so
+#: a zero retry budget still lets every answered request through.
+REPLY_TIMEOUT = 60.0
+
 
 class ServiceClient:
     """One connection to a decode server, with retrying request calls."""
@@ -78,6 +86,9 @@ class ServiceClient:
             conn = None
             try:
                 conn = connect(self.address)
+                # A timeout drops the connection, so it can never leave
+                # a half-read frame on a live stream.
+                conn.settimeout(REPLY_TIMEOUT)
                 client_handshake(conn, self._key)
                 self._conn = conn
                 return

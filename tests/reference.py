@@ -1,0 +1,234 @@
+"""Test-only reference implementations the simulators are pinned against.
+
+The package runs one simulator per cell kind. These are the slow,
+obviously-correct forms of the same quantities, kept here so the
+equivalence and agreement tests have something independent to compare
+with:
+
+* :func:`required_queries_per_query` — the paper's required-m
+  procedure one query at a time (Section V, "Implementation
+  Details"): sample a query, measure it, update the running scores,
+  check separation. The chunked simulator
+  (:meth:`repro.core.batch.BatchTrialRunner.required_queries`) matches
+  it seed for seed on channels that draw no per-query noise, and in
+  distribution on the others.
+* :func:`required_queries_amp_linear` — the brute-force ascending AMP
+  required-m scan: a standalone ``run_amp`` at every ``check_every``
+  multiple of the trial's prefix data until the first exact decode.
+  :func:`repro.amp.batch_amp.required_queries_amp` with
+  ``verify="full"`` returns the same m by definition.
+* :func:`required_queries_decode_scan` — the same ascending scan for
+  any decoder (the generic prefix-replay scan's definition, which
+  ``algorithm="twostage"`` required-m cells run).
+* :func:`fixed_m_trial_outcomes` — the fixed-m trial loop (truth,
+  graph, channel, decode per trial), which the stacked greedy and AMP
+  runners reproduce bit for bit.
+"""
+
+from typing import List, Optional, Sequence
+
+from repro.amp.amp import AMPConfig, default_denoiser
+from repro.amp.batch_amp import _probe_standalone
+from repro.amp.denoisers import Denoiser
+from repro.amp.kernels import resolve_kernel
+from repro.core.batch import MeasurementStream
+from repro.core.ground_truth import GroundTruth, sample_ground_truth
+from repro.core.incremental import IncrementalDecoder, default_max_queries
+from repro.core.measurement import Measurements, measure
+from repro.core.noise import Channel
+from repro.core.pooling import PoolingGraph, default_gamma, sample_pooling_graph
+from repro.core.types import RequiredQueriesResult
+from repro.utils.rng import RngLike, normalize_rng, spawn_rngs
+from repro.utils.validation import check_positive_int
+
+
+def required_queries_per_query(
+    n: int,
+    k: int,
+    channel: Optional[Channel] = None,
+    rng: RngLike = None,
+    *,
+    gamma: Optional[int] = None,
+    max_m: Optional[int] = None,
+    check_every: int = 1,
+    truth: Optional[GroundTruth] = None,
+    centering: str = "half_k",
+) -> RequiredQueriesResult:
+    """One required-m run, one query per step (the paper's procedure)."""
+    n = check_positive_int(n, "n")
+    k = check_positive_int(k, "k")
+    check_every = check_positive_int(check_every, "check_every")
+    gen = normalize_rng(rng)
+    if truth is None:
+        truth = sample_ground_truth(n, k, gen)
+    if max_m is None:
+        max_m = default_max_queries(n, k, channel)
+    decoder = IncrementalDecoder(truth, channel, gamma, centering=centering)
+    meta = {
+        "channel": decoder.channel.describe(),
+        "gamma": decoder.gamma,
+        "max_m": max_m,
+    }
+    checks = 0
+    while decoder.m < max_m:
+        decoder.add_query(gen)
+        if decoder.m % check_every == 0:
+            checks += 1
+            if decoder.is_successful():
+                return RequiredQueriesResult(
+                    required_m=decoder.m, n=n, k=k, succeeded=True,
+                    checks=checks, meta=meta,
+                )
+    return RequiredQueriesResult(
+        required_m=None, n=n, k=k, succeeded=False, checks=checks, meta=meta
+    )
+
+
+def required_queries_amp_linear(
+    n: int,
+    k: int,
+    channel: Channel,
+    seeds: Sequence[RngLike],
+    *,
+    gamma: Optional[int] = None,
+    max_m: Optional[int] = None,
+    check_every: int = 1,
+    denoiser: Optional[Denoiser] = None,
+    config: Optional[AMPConfig] = None,
+    kernel=None,
+) -> List[RequiredQueriesResult]:
+    """Brute-force ascending AMP required-m scan, one result per seed."""
+    n = check_positive_int(n, "n")
+    k = check_positive_int(k, "k")
+    step = check_positive_int(check_every, "check_every")
+    gamma = default_gamma(n) if gamma is None else check_positive_int(gamma, "gamma")
+    if max_m is None:
+        max_m = default_max_queries(n, k, channel)
+    if denoiser is None:
+        denoiser = default_denoiser(n, k)
+    config = config if config is not None else AMPConfig(track_history=False)
+    kern = resolve_kernel(kernel)
+    meta = {
+        "algorithm": "amp",
+        "channel": channel.describe(),
+        "gamma": gamma,
+        "max_m": max_m,
+        "check_every": step,
+        "denoiser": denoiser.describe(),
+        "kernel": kern.name,
+    }
+    out: List[RequiredQueriesResult] = []
+    for seed in seeds:
+        gen = normalize_rng(seed)
+        truth = sample_ground_truth(n, k, gen)
+        stream = MeasurementStream(
+            n, gamma, channel, truth, gen, max_m=max_m, retain=True
+        )
+        required: Optional[int] = None
+        checks = 0
+        for g in range(step, (max_m // step) * step + 1, step):
+            stream.grow_to(g)
+            checks += 1
+            if _probe_standalone(
+                stream, g, n, gamma, channel, denoiser, config, kern
+            ):
+                required = g
+                break
+        out.append(
+            RequiredQueriesResult(
+                required_m=required, n=n, k=k,
+                succeeded=required is not None, checks=checks, meta=meta,
+            )
+        )
+    return out
+
+
+def required_queries_decode_scan(
+    n: int,
+    k: int,
+    channel: Channel,
+    seeds: Sequence[RngLike],
+    decode,
+    *,
+    max_m: int,
+    check_every: int = 1,
+) -> List[Optional[int]]:
+    """Smallest grid m whose prefix ``decode(measurements)`` gets exact.
+
+    One value per seed (``None``: no grid point decoded exactly).
+    """
+    gamma = default_gamma(n)
+    out: List[Optional[int]] = []
+    for seed in seeds:
+        gen = normalize_rng(seed)
+        truth = sample_ground_truth(n, k, gen)
+        stream = MeasurementStream(
+            n, gamma, channel, truth, gen, max_m=max_m, retain=True
+        )
+        required = None
+        for g in range(check_every, max_m + 1, check_every):
+            stream.grow_to(g)
+            indptr, agents, counts, results = stream.prefix(g)
+            graph = PoolingGraph(n, gamma, indptr, agents, counts)
+            meas = Measurements(
+                graph=graph, truth=truth, channel=channel, results=results
+            )
+            if decode(meas).exact:
+                required = g
+                break
+        out.append(required)
+    return out
+
+
+def fixed_m_trial_outcomes(
+    n: int,
+    k: int,
+    channel: Channel,
+    m: int,
+    seeds: Sequence[RngLike],
+    *,
+    algorithm: str = "greedy",
+    gamma: Optional[int] = None,
+    **algorithm_kwargs,
+) -> List[tuple]:
+    """``(exact, overlap)`` per seed from the per-trial fixed-m loop."""
+    from repro.experiments.runner import _run_algorithm
+
+    out = []
+    for seed in seeds:
+        gen = normalize_rng(seed)
+        truth = sample_ground_truth(n, k, gen)
+        graph = sample_pooling_graph(n, m, gamma, gen)
+        result = _run_algorithm(
+            algorithm, measure(graph, truth, channel, gen), **algorithm_kwargs
+        )
+        out.append((bool(result.exact), float(result.overlap)))
+    return out
+
+
+def fixed_m_curve(
+    n: int,
+    k: int,
+    channel: Channel,
+    m_values: Sequence[int],
+    *,
+    trials: int,
+    seed: RngLike,
+    algorithm: str = "greedy",
+    **algorithm_kwargs,
+):
+    """``(success_rates, overlaps)`` of the per-trial loop over a grid.
+
+    Seeds are derived as :func:`repro.experiments.runner.
+    success_rate_curve` derives them: one child generator per grid
+    point, then one per trial.
+    """
+    rates, overlaps = [], []
+    for m, m_rng in zip(m_values, spawn_rngs(seed, len(m_values))):
+        outcomes = fixed_m_trial_outcomes(
+            n, k, channel, int(m), spawn_rngs(m_rng, trials),
+            algorithm=algorithm, **algorithm_kwargs,
+        )
+        rates.append(sum(e for e, _ in outcomes) / trials)
+        overlaps.append(sum(o for _, o in outcomes) / trials)
+    return rates, overlaps

@@ -19,6 +19,8 @@ from repro.experiments import parallel
 from repro.experiments.runner import success_rate_curve
 from repro.utils.rng import spawn_rngs, spawn_seeds
 
+from reference import fixed_m_curve
+
 CHANNELS = [
     repro.NoiselessChannel(),
     repro.ZChannel(0.15),
@@ -209,7 +211,7 @@ class TestRunAmpBatchValidation:
 
 
 class TestHarnessDispatch:
-    """success_rate_curve(algorithm="amp"): batch engine + sharding."""
+    """success_rate_curve(algorithm="amp"): stacked runner + sharding."""
 
     @pytest.fixture(scope="class", autouse=True)
     def _shutdown_pool_after(self):
@@ -217,18 +219,19 @@ class TestHarnessDispatch:
         parallel.shutdown_pool()
 
     def test_batch_engine_matches_legacy_engine(self):
+        # the stacked runner vs per-trial run_amp (tests/reference.py)
         kwargs = dict(algorithm="amp", trials=6, seed=5)
-        legacy = success_rate_curve(
-            200, 4, repro.ZChannel(0.1), [60, 120], engine="legacy", **kwargs
+        rates, overlaps = fixed_m_curve(
+            200, 4, repro.ZChannel(0.1), [60, 120], **kwargs
         )
         batch = success_rate_curve(
-            200, 4, repro.ZChannel(0.1), [60, 120], engine="batch", **kwargs
+            200, 4, repro.ZChannel(0.1), [60, 120], **kwargs
         )
-        assert batch.success_rates == legacy.success_rates
-        assert batch.overlaps == legacy.overlaps
+        assert batch.success_rates == rates
+        assert batch.overlaps == overlaps
 
     def test_batch_engine_sharded_matches_serial(self):
-        kwargs = dict(algorithm="amp", trials=6, seed=7, engine="batch")
+        kwargs = dict(algorithm="amp", trials=6, seed=7)
         serial = success_rate_curve(
             150, 3, repro.NoiselessChannel(), [50, 90], **kwargs
         )
@@ -241,17 +244,13 @@ class TestHarnessDispatch:
     def test_unsupported_kwargs_fall_back_to_legacy_loop(self):
         # A dense-path override has no stacked implementation; the
         # harness must quietly run the (seed-compatible) per-trial loop.
-        kwargs = dict(
-            algorithm="amp",
-            trials=4,
-            seed=2,
-            algorithm_kwargs={"sparse": False},
-        )
-        legacy = success_rate_curve(
-            150, 3, repro.ZChannel(0.1), [70], engine="legacy", **kwargs
+        kwargs = dict(algorithm="amp", trials=4, seed=2)
+        rates, overlaps = fixed_m_curve(
+            150, 3, repro.ZChannel(0.1), [70], sparse=False, **kwargs
         )
         batch = success_rate_curve(
-            150, 3, repro.ZChannel(0.1), [70], engine="batch", **kwargs
+            150, 3, repro.ZChannel(0.1), [70],
+            algorithm_kwargs={"sparse": False}, **kwargs
         )
-        assert batch.success_rates == legacy.success_rates
-        assert batch.overlaps == legacy.overlaps
+        assert batch.success_rates == rates
+        assert batch.overlaps == overlaps

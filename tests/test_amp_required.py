@@ -4,7 +4,8 @@ The contract under test (``repro/amp/batch_amp.py``):
 
 * ``required_queries_amp`` returns, per trial, exactly the m a
   brute-force ascending per-grid-point ``run_amp`` scan over the same
-  trial's prefix data returns (``required_queries_amp_linear``) — for
+  trial's prefix data returns (``required_queries_amp_linear`` in
+  ``tests/reference.py``) — for
   every channel, ``check_every`` stride and stack budget;
 * each trial's query stream is sampled **once** and probes replay
   prefixes of it, so the trial is a pure function of its child seed —
@@ -24,7 +25,6 @@ from repro.amp.batch_amp import (
     _decode_prefix_stack,
     _RequiredMSearch,
     required_queries_amp,
-    required_queries_amp_linear,
 )
 from repro.core.batch import MeasurementStream
 from repro.experiments import parallel
@@ -33,6 +33,8 @@ from repro.experiments.runner import (
     required_queries_trials,
 )
 from repro.utils.rng import spawn_seeds
+
+from reference import required_queries_amp_linear
 
 CHANNELS = [
     repro.NoiselessChannel(),
@@ -61,7 +63,7 @@ class TestGridExactness:
             assert r.succeeded == (r.required_m is not None)
             if r.required_m is not None:
                 assert r.required_m % check_every == 0
-            assert r.meta["engine"] == "batch"
+            assert "engine" not in r.meta
             assert r.meta["algorithm"] == "amp"
 
     def test_stack_budget_boundaries_do_not_matter(self):
@@ -345,6 +347,8 @@ class TestHarnessDispatch:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("engine", ["batch", "legacy"])
     def test_workers_and_engines_bit_identical(self, engine, workers):
+        # Any worker count reproduces the serial scan ("batch") and the
+        # brute-force scan of tests/reference.py ("legacy").
         sample = required_queries_trials(
             150,
             3,
@@ -354,21 +358,29 @@ class TestHarnessDispatch:
             algorithm="amp",
             check_every=3,
             max_m=300,
-            engine=engine,
             workers=workers,
         )
-        baseline = required_queries_trials(
-            150,
-            3,
-            repro.ZChannel(0.1),
-            trials=5,
-            seed=7,
-            algorithm="amp",
-            check_every=3,
-            max_m=300,
-        )
-        assert sample.values == baseline.values
-        assert sample.failures == baseline.failures
+        if engine == "batch":
+            baseline = required_queries_trials(
+                150,
+                3,
+                repro.ZChannel(0.1),
+                trials=5,
+                seed=7,
+                algorithm="amp",
+                check_every=3,
+                max_m=300,
+            )
+            values, failures = baseline.values, baseline.failures
+        else:
+            runs = required_queries_amp_linear(
+                150, 3, repro.ZChannel(0.1), spawn_seeds(7, 5),
+                check_every=3, max_m=300,
+            )
+            values = [r.required_m for r in runs if r.succeeded]
+            failures = sum(not r.succeeded for r in runs)
+        assert sample.values == values
+        assert sample.failures == failures
         assert sample.algorithm == "amp"
 
     @pytest.mark.parametrize("verify", ["window", "none"])

@@ -1,16 +1,18 @@
-"""Seeded equivalence tests: batch engine vs the legacy per-query path.
+"""Seeded equivalence tests: batch simulators vs the per-query references.
 
-The batch engine (repro.core.batch) claims seed compatibility with the
-per-query PoolingGraphBuilder / IncrementalDecoder code paths. These
-tests pin that claim:
+The batch simulators (repro.core.batch) claim seed compatibility with
+the per-query sampler, the per-trial loop and the query-by-query
+required-m procedure (``tests/reference.py``). These tests pin that
+claim:
 
 * identical *graphs* for the same SeedSequence;
 * identical *results* (scores, estimates, evaluation) for the stacked
-  trial runner vs the legacy trial loop;
+  trial runner vs the per-trial loop;
 * identical *stopping m* for the chunked incremental simulator — exact
   stream equivalence for channels without per-query noise draws, and
   exact data-level equivalence (replaying the same measurements) for
-  every channel.
+  every channel, plus agreement in distribution for channels that
+  draw per-query noise.
 """
 
 import numpy as np
@@ -27,6 +29,8 @@ from repro.core.measurement import measure
 from repro.core.pooling import sample_pooling_graph
 from repro.experiments.runner import required_queries_trials, success_rate_curve
 from repro.utils.rng import spawn_rngs
+
+from reference import fixed_m_curve, required_queries_per_query
 
 
 class TestGraphEquivalence:
@@ -397,13 +401,13 @@ class TestRunTrialsEquivalence:
     def test_success_rate_curve_engines_agree(self):
         kwargs = dict(trials=10, seed=6)
         batch = success_rate_curve(
-            100, 3, repro.ZChannel(0.1), [20, 60], engine="batch", **kwargs
+            100, 3, repro.ZChannel(0.1), [20, 60], **kwargs
         )
-        legacy = success_rate_curve(
-            100, 3, repro.ZChannel(0.1), [20, 60], engine="legacy", **kwargs
+        rates, overlaps = fixed_m_curve(
+            100, 3, repro.ZChannel(0.1), [20, 60], **kwargs
         )
-        assert batch.success_rates == legacy.success_rates
-        assert batch.overlaps == legacy.overlaps
+        assert batch.success_rates == rates
+        assert batch.overlaps == overlaps
 
 
 class TestChunkedRequiredQueries:
@@ -412,23 +416,23 @@ class TestChunkedRequiredQueries:
         # No per-query noise draws -> the chunked engine consumes the
         # identical RNG stream and must report the identical stopping m.
         seq = lambda: np.random.SeedSequence(seed)  # noqa: E731
-        a = required_queries(200, 5, repro.NoiselessChannel(), rng=seq())
-        b = required_queries(
-            200, 5, repro.NoiselessChannel(), rng=seq(), engine="batch"
+        a = required_queries_per_query(
+            200, 5, repro.NoiselessChannel(), rng=seq()
         )
+        b = required_queries(200, 5, repro.NoiselessChannel(), rng=seq())
         assert a.succeeded and b.succeeded
         assert a.required_m == b.required_m
         assert a.checks == b.checks
 
     def test_noiseless_check_every_matches_per_query(self):
         for ce in (2, 7, 10):
-            a = required_queries(
+            a = required_queries_per_query(
                 200, 5, repro.NoiselessChannel(),
                 rng=np.random.SeedSequence(3), check_every=ce,
             )
             b = required_queries(
                 200, 5, repro.NoiselessChannel(),
-                rng=np.random.SeedSequence(3), check_every=ce, engine="batch",
+                rng=np.random.SeedSequence(3), check_every=ce,
             )
             assert a.required_m == b.required_m
             assert a.required_m % ce == 0
@@ -465,8 +469,10 @@ class TestChunkedRequiredQueries:
         assert res.succeeded
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            required_queries(100, 3, rng=0, engine="warp")
+        # one simulator per cell kind: no engine is selectable
+        for engine in ("warp", "batch", "legacy"):
+            with pytest.raises(TypeError, match="engine"):
+                required_queries(100, 3, rng=0, engine=engine)
 
     def test_trials_helper_runs_all(self):
         runner = BatchTrialRunner(100, 3, repro.ZChannel(0.1))
@@ -476,12 +482,54 @@ class TestChunkedRequiredQueries:
 
     def test_runner_trials_engines_agree_noiseless(self):
         a = required_queries_trials(
-            150, 4, repro.NoiselessChannel(), trials=5, seed=1, engine="batch"
+            150, 4, repro.NoiselessChannel(), trials=5, seed=1
         )
-        b = required_queries_trials(
-            150, 4, repro.NoiselessChannel(), trials=5, seed=1, engine="legacy"
-        )
-        assert a.values == b.values
+        b = [
+            required_queries_per_query(150, 4, repro.NoiselessChannel(), gen)
+            for gen in spawn_rngs(1, 5)
+        ]
+        assert a.values == [r.required_m for r in b if r.succeeded]
+
+
+#: (n, k, channel, trials) per cell of the estimator-agreement test; the
+#: NoisyChannel cell is smaller because its required m, and so the
+#: per-query loop's cost per trial, is several times the others'
+AGREEMENT_CELLS = {
+    "z": (120, 3, repro.ZChannel(0.1), 150),
+    "gaussian": (120, 3, repro.GaussianQueryNoise(1.0), 150),
+    "noisy": (100, 3, repro.NoisyChannel(0.1, 0.02), 120),
+}
+
+
+@pytest.fixture(scope="module", params=list(AGREEMENT_CELLS))
+def required_m_samples(request):
+    """Both greedy required-m estimators on one cell, disjoint seeds.
+
+    Channels that draw per-query noise consume the generator in block
+    order under the chunked simulator, so the two are not seed-for-seed
+    equal there: each sample is run once and compared in distribution.
+    """
+    n, k, channel, trials = AGREEMENT_CELLS[request.param]
+    chunked = required_queries_trials(n, k, channel, trials=trials, seed=0)
+    per_query = [
+        required_queries_per_query(n, k, channel, gen)
+        for gen in spawn_rngs(1, trials)
+    ]
+    return chunked, per_query
+
+
+class TestEstimatorAgreement:
+    def test_required_m_distributions_agree(self, required_m_samples):
+        from scipy.stats import ks_2samp
+
+        chunked, per_query = required_m_samples
+        values = [r.required_m for r in per_query if r.succeeded]
+        assert ks_2samp(chunked.values, values).pvalue > 1e-3
+
+    def test_failure_counts_agree(self, required_m_samples):
+        chunked, per_query = required_m_samples
+        failures = sum(not r.succeeded for r in per_query)
+        assert abs(chunked.failures - failures) <= 3
 
 
 class TestFirstSuccessM:

@@ -243,15 +243,29 @@ class TestMain:
         assert load_required_queries_sample(saved).algorithm == "amp"
 
     def test_required_queries_engines_agree(self, capsys):
+        import repro
+        from repro.utils.rng import spawn_seeds
+
+        from reference import required_queries_amp_linear
+
         common = ["required-queries", "--algorithm", "amp", "--n", "100",
                   "--k", "3", "--channel", "z", "--p", "0.1", "--trials",
                   "2", "--check-every", "4", "--max-m", "200"]
-        assert main(common + ["--engine", "batch"]) == 0
-        out_batch = capsys.readouterr().out
-        assert main(common + ["--engine", "legacy"]) == 0
-        out_legacy = capsys.readouterr().out
-        # identical stopping m's, identical report
-        assert out_batch.split("completed")[0] == out_legacy.split("completed")[0]
+        assert main(common) == 0
+        out = capsys.readouterr().out
+        # the reported stopping m's are the brute-force scan's
+        runs = required_queries_amp_linear(
+            100, 3, repro.ZChannel(0.1), spawn_seeds(2022, 2),
+            check_every=4, max_m=200,
+        )
+        values = [r.required_m for r in runs if r.succeeded]
+        assert ["values", str(values)] in [
+            line.split(None, 1) for line in out.splitlines()
+        ]
+        # --engine is gone from every subcommand
+        for command in (common, ["fig6"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--engine", "legacy"])
 
     def test_threshold_tiny(self, capsys):
         rc = main(["threshold", "--n", "100", "--k", "3", "--channel",

@@ -99,6 +99,10 @@ class TestRequiredQueriesSampleRoundTrip:
         assert loaded.values == [12, 15]
         # dict input is accepted directly, too
         assert load_required_queries_sample(legacy) == loaded
+        # artifacts from runs that recorded a simulation engine load
+        # unchanged: the field is ignored
+        engine_tagged = dict(legacy, meta={"engine": "legacy"}, engine="batch")
+        assert load_required_queries_sample(engine_tagged) == loaded
 
 
 class TestTables:

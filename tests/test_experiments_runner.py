@@ -1,15 +1,11 @@
 """Tests for the experiment trial runner."""
 
-import re
-
 import numpy as np
 import pytest
 
 import repro
 from repro.experiments.runner import (
-    ENGINES,
     RequiredQueriesSample,
-    _check_engine,
     required_queries_trials,
     run_many,
     success_rate_curve,
@@ -17,28 +13,41 @@ from repro.experiments.runner import (
 
 
 class TestCheckEngine:
-    def test_alias_maps_to_legacy(self):
-        assert _check_engine("per-query") == "legacy"
-
-    def test_canonical_engines_pass_through(self):
-        for engine in ENGINES:
-            assert _check_engine(engine) == engine
-
-    def test_error_lists_every_engine_exactly_once(self):
-        with pytest.raises(ValueError) as err:
-            _check_engine("warp")
-        message = str(err.value)
-        for name in (*ENGINES, "per-query"):
-            assert len(re.findall(f"'{name}'", message)) == 1
+    """One simulator per cell kind: no entry point takes ``engine=``."""
 
     def test_unknown_engine_rejected_by_entry_points(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            required_queries_trials(
-                100, 3, repro.ZChannel(0.1), trials=1, engine="warp"
-            )
-        with pytest.raises(ValueError, match="unknown engine"):
-            success_rate_curve(
-                100, 3, repro.ZChannel(0.1), [10], trials=1, engine="warp"
+        from repro.core.incremental import required_queries
+        from repro.experiments import figures
+
+        z = repro.ZChannel(0.1)
+        builders = (
+            figures.figure2, figures.figure3, figures.figure4,
+            figures.figure5, figures.figure6, figures.figure7,
+            figures.figure_design_ablation,
+        )
+        for engine in ("warp", "batch", "legacy"):
+            calls = [
+                lambda: required_queries_trials(
+                    100, 3, z, trials=1, engine=engine
+                ),
+                lambda: success_rate_curve(
+                    100, 3, z, [10], trials=1, engine=engine
+                ),
+                lambda: required_queries(100, 3, z, rng=0, engine=engine),
+            ]
+            calls += [
+                lambda build=build: build(trials=1, engine=engine)
+                for build in builders
+            ]
+            for call in calls:
+                with pytest.raises(TypeError, match="engine"):
+                    call()
+        # the brute-force AMP scan lives in tests/reference.py only
+        with pytest.raises(ImportError):
+            from repro.amp import required_queries_amp_linear  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.amp.batch_amp import (  # noqa: F401
+                required_queries_amp_linear,
             )
 
 

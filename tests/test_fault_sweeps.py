@@ -116,12 +116,19 @@ class TestSchedulerValidation:
             )
 
     def test_corruption_rejects_explicit_batch_mode(self):
+        # the chunk path is derived from the cell, never forced: a
+        # corrupted cell always runs the per-trial loop
         plan = SweepPlan()
-        with pytest.raises(ValueError, match="batch"):
+        with pytest.raises(TypeError, match="batch_mode"):
             plan.add_success_curve(
                 50, 3, repro.ZChannel(0.1), [30], batch_mode="greedy",
                 corruption=CorruptionModel(flip_rate=0.1),
             )
+        plan.add_success_curve(
+            50, 3, repro.ZChannel(0.1), [30],
+            corruption=CorruptionModel(flip_rate=0.1),
+        )
+        assert plan._cells[0].spec["batch_mode"] is None
 
 
 class TestFoldedMeta:
@@ -171,17 +178,23 @@ class TestTwoStageRequiredQueries:
         assert "twostage" in REQUIRED_QUERIES_ALGORITHMS
 
     def test_engines_agree(self):
+        # the prefix-replay scan vs the ascending scan of
+        # tests/reference.py, decoding each prefix with two-stage
+        from repro.core.twostage import two_stage_reconstruct
+        from repro.utils.rng import spawn_seeds
+
+        from reference import required_queries_decode_scan
+
         kwargs = dict(trials=3, seed=5, check_every=10, max_m=200)
-        batch = required_queries_trials(
-            80, 3, repro.ZChannel(0.1), algorithm="twostage",
-            engine="batch", **kwargs,
+        sample = required_queries_trials(
+            80, 3, repro.ZChannel(0.1), algorithm="twostage", **kwargs,
         )
-        legacy = required_queries_trials(
-            80, 3, repro.ZChannel(0.1), algorithm="twostage",
-            engine="legacy", **kwargs,
+        reference = required_queries_decode_scan(
+            80, 3, repro.ZChannel(0.1), spawn_seeds(5, 3),
+            two_stage_reconstruct, check_every=10, max_m=200,
         )
-        assert batch.values == legacy.values
-        assert batch.algorithm == "twostage"
+        assert sample.values == [m for m in reference if m is not None]
+        assert sample.algorithm == "twostage"
 
     def test_values_sit_on_the_check_grid(self):
         sample = required_queries_trials(

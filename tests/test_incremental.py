@@ -212,6 +212,23 @@ class TestRequiredQueries:
         res = required_queries(100, 4, rng=rng, truth=truth)
         assert res.succeeded
 
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            (dict(truth=repro.sample_ground_truth(50, 3, rng=0)), ValueError),
+            (dict(truth=repro.sample_ground_truth(100, 5, rng=0)), ValueError),
+            (dict(max_m=-5), ValueError),
+            (dict(max_m=2.5), TypeError),
+        ],
+        ids=["truth-wrong-n", "truth-wrong-k", "negative-max-m",
+             "fractional-max-m"],
+    )
+    def test_invalid_input_rejected(self, kwargs, error):
+        # A run with n=100, k=3 must not accept a truth drawn for
+        # another instance, nor a budget that is not a count.
+        with pytest.raises(error):
+            required_queries(100, 3, repro.NoiselessChannel(), rng=1, **kwargs)
+
     def test_determinism(self):
         a = required_queries(150, 4, repro.ZChannel(0.2), rng=9)
         b = required_queries(150, 4, repro.ZChannel(0.2), rng=9)

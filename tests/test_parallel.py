@@ -3,7 +3,7 @@
 The contract under test: sharding trials across worker processes
 (``workers > 1``) returns *bit-identical* results to the serial path —
 same ``RequiredQueriesSample`` values, same success-rate/overlap
-arrays — for every algorithm and engine, because the scheduler spawns
+arrays — for every algorithm, because the scheduler spawns
 the same per-trial child seeds, chunks them order-preservingly, and
 merges outcomes in trial order.
 """
@@ -24,6 +24,8 @@ from repro.experiments.runner import (
     required_queries_trials,
     success_rate_curve,
 )
+
+from reference import fixed_m_curve
 
 
 class _KillOnceChannel(repro.NoiselessChannel):
@@ -141,19 +143,12 @@ class TestStartMethod:
 
 
 class TestRequiredQueriesEquivalence:
-    @pytest.mark.parametrize("engine", ["batch", "legacy"])
-    def test_sharded_matches_serial(self, engine):
+    def test_sharded_matches_serial(self):
         serial = required_queries_trials(
-            150, 4, repro.ZChannel(0.1), trials=7, seed=11, engine=engine
+            150, 4, repro.ZChannel(0.1), trials=7, seed=11
         )
         sharded = required_queries_trials(
-            150,
-            4,
-            repro.ZChannel(0.1),
-            trials=7,
-            seed=11,
-            engine=engine,
-            workers=2,
+            150, 4, repro.ZChannel(0.1), trials=7, seed=11, workers=2
         )
         assert sharded.values == serial.values
         assert sharded.failures == serial.failures
@@ -177,33 +172,40 @@ class TestRequiredQueriesEquivalence:
         assert samples[0].values == samples[1].values == samples[2].values
 
 
+def _serial_curve(engine, n, k, channel, m_values, **kwargs):
+    """A serial curve's ``(success_rates, overlaps)``: the stacked run
+    (``"batch"``) or the per-trial loop of ``tests/reference.py``."""
+    if engine == "batch":
+        curve = success_rate_curve(n, k, channel, m_values, **kwargs)
+        return curve.success_rates, curve.overlaps
+    return fixed_m_curve(n, k, channel, m_values, **kwargs)
+
+
 class TestSuccessCurveEquivalence:
     @pytest.mark.parametrize("engine", ["batch", "legacy"])
     def test_greedy_sharded_matches_serial(self, engine):
-        kwargs = dict(trials=8, seed=4, engine=engine)
-        serial = success_rate_curve(
-            200, 4, repro.ZChannel(0.2), [30, 120], **kwargs
-        )
+        # "batch": the serial stacked run; "legacy": the per-trial loop
+        # of tests/reference.py. The sharded stacked run matches both.
+        kwargs = dict(trials=8, seed=4)
         sharded = success_rate_curve(
             200, 4, repro.ZChannel(0.2), [30, 120], workers=2, **kwargs
         )
-        assert sharded.success_rates == serial.success_rates
-        assert sharded.overlaps == serial.overlaps
+        assert (sharded.success_rates, sharded.overlaps) == _serial_curve(
+            engine, 200, 4, repro.ZChannel(0.2), [30, 120], **kwargs
+        )
 
     @pytest.mark.parametrize("engine", ["batch", "legacy"])
     def test_amp_sharded_matches_serial(self, engine):
-        # engine="batch" routes chunks through the block-diagonal
-        # stacked AMP runner; engine="legacy" through per-trial
-        # run_amp. Both must merge bit-identically to serial.
-        kwargs = dict(algorithm="amp", trials=5, seed=5, engine=engine)
-        serial = success_rate_curve(
-            120, 3, repro.NoiselessChannel(), [60], **kwargs
-        )
+        # Chunks run the block-diagonal stacked AMP runner; they must
+        # merge bit-identically to the serial stacked run ("batch") and
+        # to per-trial run_amp ("legacy", tests/reference.py).
+        kwargs = dict(algorithm="amp", trials=5, seed=5)
         sharded = success_rate_curve(
             120, 3, repro.NoiselessChannel(), [60], workers=2, **kwargs
         )
-        assert sharded.success_rates == serial.success_rates
-        assert sharded.overlaps == serial.overlaps
+        assert (sharded.success_rates, sharded.overlaps) == _serial_curve(
+            engine, 120, 3, repro.NoiselessChannel(), [60], **kwargs
+        )
 
     def test_distributed_sharded_matches_serial(self):
         kwargs = dict(algorithm="distributed", trials=4, seed=6)
@@ -326,19 +328,19 @@ class TestPoolLifecycle:
 
 
 class TestSchedulerInternals:
-    def test_required_queries_outcomes_trial_order(self):
+    def test_sharded_outcomes_trial_order(self):
         # Outcomes arrive in trial order regardless of chunk layout.
+        from repro.experiments.scheduler import SweepExecutor, SweepPlan
+
         serial = required_queries_trials(
             150, 4, repro.NoiselessChannel(), trials=6, seed=2
         )
-        outcomes = parallel.required_queries_outcomes(
-            150,
-            4,
-            repro.NoiselessChannel(),
-            trials=6,
-            seed=2,
-            workers=2,
+        plan = SweepPlan()
+        plan.add_required_queries(
+            150, 4, repro.NoiselessChannel(), trials=6, seed=2
         )
+        executor = SweepExecutor(backend="process", workers=2)
+        outcomes = executor.run_outcomes(plan)[0]
         assert [m for ok, m in outcomes if ok] == serial.values
 
     def test_pool_reuse_and_shutdown(self):

@@ -1,15 +1,15 @@
 """Bit-identity tests for the sweep execution engine.
 
 The contract under test: a multi-cell :class:`SweepPlan` — mixed
-algorithms (greedy / amp), mixed engines (batch / legacy), mixed n,
-required-m and success-curve cells in one queue — returns results
-identical to running each cell through the pre-engine per-cell serial
-path on the same seeds, for both backends (``serial`` / ``process``) and several worker
-counts. The per-cell references below
-deliberately reimplement the old serial loops (BatchTrialRunner /
-required_queries / required_queries_amp / run_amp_trials on freshly
-spawned child seeds) so the engine is checked against the original
-code shape, not against itself.
+algorithms (greedy / amp), mixed n, required-m and success-curve cells
+in one queue — returns results identical to running each cell through
+the pre-engine per-cell serial path on the same seeds, for both
+backends (``serial`` / ``process``) and several worker counts. The
+per-cell references below deliberately reimplement the old serial
+loops (BatchTrialRunner / required_queries_amp / run_amp_trials on
+freshly spawned child seeds, or the brute-force scan and per-trial
+loop of ``tests/reference.py``) so the engine is checked against the
+original code shape, not against itself.
 """
 
 import os
@@ -18,13 +18,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.amp.batch_amp import (
-    required_queries_amp,
-    required_queries_amp_linear,
-    run_amp_trials,
-)
+from repro.amp.batch_amp import required_queries_amp, run_amp_trials
 from repro.core.batch import BatchTrialRunner
-from repro.core.incremental import required_queries
 from repro.experiments import parallel
 from repro.experiments.scheduler import (
     BACKENDS,
@@ -37,6 +32,8 @@ from repro.experiments.scheduler import (
 )
 from repro.utils.rng import spawn_rngs, spawn_seeds
 
+from reference import fixed_m_trial_outcomes, required_queries_amp_linear
+
 
 @pytest.fixture(scope="module", autouse=True)
 def _shutdown_pool_after():
@@ -48,11 +45,15 @@ def _shutdown_pool_after():
 
 
 def reference_required(n, k, channel, *, trials, seed, algorithm="greedy",
-                       engine="batch", check_every=1, max_m=None):
-    """The pre-engine serial required-m loop, folded to (values, failures)."""
+                       reference="batch", check_every=1, max_m=None):
+    """The pre-engine serial required-m loop, folded to (values, failures).
+
+    ``reference="loop"`` checks an AMP cell against the brute-force
+    scan of ``tests/reference.py`` instead of the stacked scan.
+    """
     if algorithm == "amp":
         scan = (
-            required_queries_amp if engine == "batch"
+            required_queries_amp if reference == "batch"
             else required_queries_amp_linear
         )
         runs = scan(
@@ -60,7 +61,7 @@ def reference_required(n, k, channel, *, trials, seed, algorithm="greedy",
             check_every=check_every, max_m=max_m,
         )
         outcomes = [(r.succeeded, r.required_m) for r in runs]
-    elif engine == "batch":
+    else:
         runner = BatchTrialRunner(n, k, channel)
         outcomes = [
             (r.succeeded, r.required_m)
@@ -71,70 +72,61 @@ def reference_required(n, k, channel, *, trials, seed, algorithm="greedy",
                 for gen in spawn_rngs(seed, trials)
             )
         ]
-    else:
-        outcomes = []
-        for gen in spawn_rngs(seed, trials):
-            r = required_queries(
-                n, k, channel, gen, max_m=max_m, check_every=check_every
-            )
-            outcomes.append((r.succeeded, r.required_m))
     values = [int(m) for ok, m in outcomes if ok]
     failures = sum(1 for ok, _ in outcomes if not ok)
     return values, failures
 
 
 def reference_curve(n, k, channel, m_values, *, trials, seed,
-                    algorithm="greedy", engine="batch"):
-    """The pre-engine serial success-curve loop -> (rates, overlaps)."""
-    from repro.core.ground_truth import sample_ground_truth
-    from repro.core.measurement import measure
-    from repro.core.pooling import sample_pooling_graph
-    from repro.experiments.runner import _run_algorithm
+                    algorithm="greedy", reference="batch"):
+    """The pre-engine serial success-curve loop -> (rates, overlaps).
 
+    ``reference="loop"`` runs the per-trial loop of
+    ``tests/reference.py`` instead of the stacked entry points.
+    """
     rates, overlaps = [], []
     for m, m_rng in zip(m_values, spawn_rngs(seed, len(m_values))):
         m = int(m)
         outcomes = []
-        if algorithm == "greedy" and engine == "batch":
+        if algorithm == "greedy" and reference == "batch":
             runner = BatchTrialRunner(n, k, channel)
             for r in runner.run_trials(m, trials, seed=m_rng):
                 outcomes.append((bool(r.exact), float(r.overlap)))
-        elif algorithm == "amp" and engine == "batch":
+        elif algorithm == "amp" and reference == "batch":
             for r in run_amp_trials(
                 n, k, channel, m, spawn_rngs(m_rng, trials)
             ):
                 outcomes.append((bool(r.exact), float(r.overlap)))
         else:
-            for gen in spawn_rngs(m_rng, trials):
-                truth = sample_ground_truth(n, k, gen)
-                graph = sample_pooling_graph(n, m, None, gen)
-                meas = measure(graph, truth, channel, gen)
-                result = _run_algorithm(algorithm, meas)
-                outcomes.append((bool(result.exact), float(result.overlap)))
+            outcomes = fixed_m_trial_outcomes(
+                n, k, channel, m, spawn_rngs(m_rng, trials),
+                algorithm=algorithm,
+            )
         rates.append(sum(e for e, _ in outcomes) / trials)
         overlaps.append(sum(o for _, o in outcomes) / trials)
     return rates, overlaps
 
 
 #: the mixed sweep every backend must reproduce bit-identically:
-#: (kind, kwargs) — mixed algorithms, engines, n, and cell kinds
+#: (kind, kwargs) — mixed algorithms, n, cell kinds and references
+#: (``"loop"``: the brute-force scan / per-trial loop)
 MIXED_CELLS = [
     ("required", dict(n=150, k=4, channel=repro.ZChannel(0.1),
-                      trials=7, seed=11, algorithm="greedy", engine="batch")),
+                      trials=7, seed=11, algorithm="greedy")),
     ("required", dict(n=100, k=3, channel=repro.ZChannel(0.1),
-                      trials=4, seed=5, algorithm="greedy", engine="legacy")),
+                      trials=4, seed=5, algorithm="greedy")),
     ("required", dict(n=120, k=3, channel=repro.NoiselessChannel(),
-                      trials=3, seed=2, algorithm="amp", engine="batch",
+                      trials=3, seed=2, algorithm="amp",
                       check_every=4, max_m=400)),
     ("required", dict(n=90, k=3, channel=repro.NoiselessChannel(),
-                      trials=2, seed=9, algorithm="amp", engine="legacy",
+                      trials=2, seed=9, algorithm="amp", reference="loop",
                       check_every=8, max_m=300)),
     ("curve", dict(n=150, k=4, channel=repro.ZChannel(0.2),
                    m_values=[30, 90], trials=6, seed=4,
-                   algorithm="greedy", engine="batch")),
+                   algorithm="greedy")),
     ("curve", dict(n=120, k=3, channel=repro.NoiselessChannel(),
                    m_values=[60], trials=4, seed=5,
-                   algorithm="amp", engine="legacy")),
+                   algorithm="amp", reference="loop")),
 ]
 
 
@@ -145,7 +137,7 @@ def build_mixed_plan():
             plan.add_required_queries(
                 kwargs["n"], kwargs["k"], kwargs["channel"],
                 trials=kwargs["trials"], seed=kwargs["seed"],
-                algorithm=kwargs["algorithm"], engine=kwargs["engine"],
+                algorithm=kwargs["algorithm"],
                 check_every=kwargs.get("check_every", 1),
                 max_m=kwargs.get("max_m"),
             )
@@ -154,7 +146,6 @@ def build_mixed_plan():
                 kwargs["n"], kwargs["k"], kwargs["channel"],
                 kwargs["m_values"], trials=kwargs["trials"],
                 seed=kwargs["seed"], algorithm=kwargs["algorithm"],
-                engine=kwargs["engine"],
             )
     return plan
 
@@ -166,7 +157,8 @@ def assert_matches_references(results):
             values, failures = reference_required(
                 kwargs["n"], kwargs["k"], kwargs["channel"],
                 trials=kwargs["trials"], seed=kwargs["seed"],
-                algorithm=kwargs["algorithm"], engine=kwargs["engine"],
+                algorithm=kwargs["algorithm"],
+                reference=kwargs.get("reference", "batch"),
                 check_every=kwargs.get("check_every", 1),
                 max_m=kwargs.get("max_m"),
             )
@@ -178,7 +170,7 @@ def assert_matches_references(results):
                 kwargs["n"], kwargs["k"], kwargs["channel"],
                 kwargs["m_values"], trials=kwargs["trials"],
                 seed=kwargs["seed"], algorithm=kwargs["algorithm"],
-                engine=kwargs["engine"],
+                reference=kwargs.get("reference", "batch"),
             )
             assert result.success_rates == rates, kwargs
             assert result.overlaps == overlaps, kwargs
@@ -279,10 +271,16 @@ class TestPlanValidation:
             )
 
     def test_bad_engine_and_design_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            SweepPlan().add_required_queries(
-                100, 3, repro.ZChannel(0.1), engine="warp"
-            )
+        # one simulator per cell kind: no engine is selectable
+        for engine in ("warp", "batch", "legacy"):
+            with pytest.raises(TypeError, match="engine"):
+                SweepPlan().add_required_queries(
+                    100, 3, repro.ZChannel(0.1), engine=engine
+                )
+            with pytest.raises(TypeError, match="engine"):
+                SweepPlan().add_success_curve(
+                    100, 3, repro.ZChannel(0.1), [10], engine=engine
+                )
         with pytest.raises(ValueError, match="design"):
             SweepPlan().add_success_curve(
                 100, 3, repro.ZChannel(0.1), [10], design="fancy"
@@ -290,19 +288,21 @@ class TestPlanValidation:
 
     def test_forced_batch_mode_incompatible_with_design(self):
         # The stacked chunk paths sample the with-replacement design
-        # only; forcing one under another design must fail loudly
-        # instead of silently mislabeling the ablation data.
-        with pytest.raises(ValueError, match="batch_mode"):
-            SweepPlan().add_success_curve(
-                100, 3, repro.ZChannel(0.1), [10],
-                design="regular", batch_mode="greedy",
-            )
-        # the legacy per-trial loop does honor every design
+        # only, and the chunk path is always derived from the cell: a
+        # forced one is rejected for every value, so the ablation data
+        # can never be mislabeled.
+        for mode in ("greedy", "amp", None, "auto"):
+            with pytest.raises(TypeError, match="batch_mode"):
+                SweepPlan().add_success_curve(
+                    100, 3, repro.ZChannel(0.1), [10],
+                    design="regular", batch_mode=mode,
+                )
+        # the per-trial loop does honor every design
         plan = SweepPlan()
         plan.add_success_curve(
-            100, 3, repro.ZChannel(0.1), [10],
-            design="regular", batch_mode=None, trials=2,
+            100, 3, repro.ZChannel(0.1), [10], design="regular", trials=2,
         )
+        assert plan._cells[0].spec["batch_mode"] is None
         assert plan.run(backend="serial")[0].trials == 2
 
     def test_trials_validated(self):

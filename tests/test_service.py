@@ -254,6 +254,71 @@ class TestConnectRetry:
         assert isinstance(box.get("error"), OSError)
         assert "attempts" in str(box["error"])
 
+    @pytest.mark.parametrize(
+        "reply", [b"", b"\x00\x00"], ids=["silent", "partial-frame"]
+    )
+    def test_silent_reply_is_retried_then_raises(self, monkeypatch, reply):
+        # A server that completes the handshake and then never answers
+        # a request (or stalls inside its reply frame): the client must
+        # give up on each reply, reconnect under its budget, and finally
+        # raise instead of blocking.
+        from repro.service import client as client_module
+
+        monkeypatch.setattr(client_module, "REPLY_TIMEOUT", 0.2, raising=False)
+        key = wire.resolve_auth_key()
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(8)
+        listener.settimeout(0.1)
+        port = listener.getsockname()[1]
+        stop = threading.Event()
+        accepted = []
+
+        def serve():
+            # welcome every connection, read its request, then send at
+            # most the start of a reply and stay silent
+            while not stop.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except OSError:
+                    continue
+                conn.settimeout(None)
+                accepted.append(conn)
+                wire.recv_message(conn, key)
+                wire.send_message(
+                    conn,
+                    ("welcome", wire.SERVICE_FAMILY,
+                     wire.SERVICE_PROTOCOL_VERSION),
+                    key,
+                )
+                wire.recv_message(conn, key)
+                conn.sendall(reply)
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        box = {}
+
+        def run():
+            try:
+                ServiceClient("127.0.0.1", port, retry_budget=1.0).healthz()
+            except Exception as exc:  # noqa: BLE001 - inspected below
+                box["error"] = exc
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        try:
+            thread.join(timeout=15)
+            assert not thread.is_alive(), "client hung on a silent server"
+        finally:
+            stop.set()
+            server.join(timeout=5)
+            listener.close()
+            for conn in accepted:
+                conn.close()
+        assert isinstance(box.get("error"), OSError)
+        assert "timed out" in str(box["error"])
+        assert len(accepted) >= 2  # the silent connection was retried
+
 
 # ---------------------------------------------------------------------------
 # session state machine
