@@ -16,10 +16,8 @@ This package provides:
   ascending scan;
 * denoisers (:class:`BayesBernoulliDenoiser`,
   :class:`SoftThresholdDenoiser`);
-* the compute kernel (:mod:`repro.amp.kernels`) — every AMP entry
-  point takes ``kernel=`` (``"numpy"``, ``"numpy32"`` or an
-  :class:`AMPKernel` instance; default from the ``REPRO_KERNEL`` env
-  var) selecting the precision of the inner array passes;
+* the compute kernel (:mod:`repro.amp.kernels`) — the float64 array
+  passes every AMP entry point runs on;
 * :func:`state_evolution` — the scalar recursion predicting AMP's MSE
   trajectory.
 """
@@ -49,13 +47,7 @@ from repro.amp.denoisers import (
     Denoiser,
     SoftThresholdDenoiser,
 )
-from repro.amp.kernels import (
-    KERNEL_ENV,
-    KERNELS,
-    AMPKernel,
-    StackLayout,
-    resolve_kernel,
-)
+from repro.amp.kernels import AMPKernel, StackLayout
 from repro.amp.state_evolution import (
     StateEvolutionResult,
     denoiser_mse,
@@ -77,11 +69,8 @@ __all__ = [
     "Denoiser",
     "BayesBernoulliDenoiser",
     "SoftThresholdDenoiser",
-    "KERNEL_ENV",
-    "KERNELS",
     "AMPKernel",
     "StackLayout",
-    "resolve_kernel",
     "denoiser_mse",
     "state_evolution",
     "StateEvolutionResult",

@@ -49,10 +49,9 @@ The per-iteration array passes live in :mod:`repro.amp.kernels`:
 :class:`~repro.amp.kernels.StackLayout` describes uniform vs ragged)
 that alternates the kernel's two phases, ``adjoint_posterior`` and
 ``forward_residual``, each of which applies its own matvec through
-the stack operator. The default ``numpy`` kernel performs exactly the
+the stack operator. The kernel performs exactly the float64
 operations this module's pre-seam loops performed — bit-identical by
-construction — while ``"numpy32"`` computes the same operations in
-float32 (opt-in, tolerance-tested; see the kernels module docstring).
+construction (see the kernels module docstring).
 """
 
 from __future__ import annotations
@@ -64,10 +63,10 @@ import numpy as np
 
 from repro.amp.denoisers import BayesBernoulliDenoiser, Denoiser
 from repro.amp.kernels import (
+    AMP_KERNEL,
     CSRStackOperator,
     MatvecOperator,
     StackLayout,
-    resolve_kernel,
 )
 from repro.core.measurement import Measurements
 from repro.core.noise import Channel, GaussianQueryNoise, NoiselessChannel, NoisyChannel
@@ -182,7 +181,6 @@ def iterate_amp(
     n: int,
     restrict: Optional[Callable[[np.ndarray], object]] = None,
     row_sizes: Optional[np.ndarray] = None,
-    kernel=None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[List[List[dict]]]]:
     """Run the AMP iteration on a stack of ``T`` standardized systems.
 
@@ -198,10 +196,7 @@ def iterate_amp(
         ``matvec`` maps a ``(T*n,)`` stack of signal vectors to a
         ``(T*m,)`` stack of measurement vectors, ``rmatvec`` the
         reverse. For ``T = 1`` these are the ordinary
-        per-trial maps. Under a float32 kernel the operator must
-        produce the kernel dtype (cast the CSR data once; see
-        :mod:`repro.amp.batch_amp`); a :class:`CSRStackOperator` of
-        another dtype raises ``ValueError``.
+        per-trial maps.
     y:
         Standardized measurements, shape ``(T, m)`` (one row per trial),
         or — with ``row_sizes`` — one flat concatenation of the
@@ -227,12 +222,6 @@ def iterate_amp(
         standardized measurements, and matvec outputs / residuals are
         ragged flat stacks segmented by ``row_sizes``. ``None``
         (default) keeps the uniform-``m`` fast path.
-    kernel:
-        Compute backend for the per-iteration array passes: a name
-        from :data:`repro.amp.kernels.KERNELS`, a ready
-        :class:`~repro.amp.kernels.AMPKernel`, or ``None`` (the
-        ``REPRO_KERNEL`` environment variable, else the bit-identical
-        ``numpy`` reference).
 
     Returns
     -------
@@ -257,35 +246,26 @@ def iterate_amp(
     matvec-inclusive phase methods (``adjoint_posterior`` /
     ``forward_residual``) do the entire iteration body.
     """
-    kern = resolve_kernel(kernel)
-    if isinstance(operator, CSRStackOperator) and operator.dtype != kern.dtype:
-        # A wider stack would silently promote every pass (and loosen
-        # the denoiser's exp clip) under a float32 kernel.
-        raise ValueError(
-            f"stack operator dtype {operator.dtype} does not match the "
-            f"{kern.name!r} kernel dtype {kern.dtype}"
-        )
+    y = np.ascontiguousarray(y, dtype=np.float64)
     if row_sizes is None:
-        y = kern.as_working(y)
         total, m = y.shape
-        layout = StackLayout.for_uniform(total, n, m, kern.dtype)
+        layout = StackLayout.for_uniform(total, n, m)
     else:
         row_sizes = np.asarray(row_sizes, dtype=np.int64)
-        y = kern.as_working(y)
         total = row_sizes.size
         if y.shape != (int(row_sizes.sum()),):
             raise ValueError(
                 f"flat y must have shape ({int(row_sizes.sum())},), "
                 f"got {y.shape}"
             )
-        layout = StackLayout.for_ragged(n, row_sizes, kern.dtype)
+        layout = StackLayout.for_ragged(n, row_sizes)
 
     live = np.arange(total)  # original trial ids of the current rows
     active = np.ones(total, dtype=bool)  # per current row
     frozen = False  # whether some current row has stopped iterating
-    sigma = np.zeros((total, n), dtype=kern.dtype)
+    sigma = np.zeros((total, n), dtype=np.float64)
     z = y.copy()
-    out_sigma = np.zeros((total, n), dtype=kern.dtype)
+    out_sigma = np.zeros((total, n), dtype=np.float64)
     iterations = np.zeros(total, dtype=np.int64)
     converged = np.zeros(total, dtype=bool)
     histories: Optional[List[List[dict]]] = (
@@ -296,14 +276,14 @@ def iterate_amp(
 
     for t in range(config.max_iter):
         # Damping is skipped on the very first iteration (there is no
-        # previous state worth mixing in) — the kernels receive the
+        # previous state worth mixing in) — the kernel receives the
         # effective factor so the phase methods stay stateless.
         damping = config.damping if t > 0 else 0.0
 
-        sigma_new, onsager, tau, step = kern.adjoint_posterior(
+        sigma_new, onsager, tau, step = AMP_KERNEL.adjoint_posterior(
             operator, denoiser, sigma, z, layout, damping
         )
-        z_new = kern.forward_residual(
+        z_new = AMP_KERNEL.forward_residual(
             operator, y, sigma_new, z, onsager, layout, damping
         )
 
@@ -317,7 +297,7 @@ def iterate_amp(
             layout.restore_rows(z_new, z, inactive)
 
         if histories is not None:
-            z_norms = kern.residual_norms(z_new, layout)
+            z_norms = AMP_KERNEL.residual_norms(z_new, layout)
             for i in np.flatnonzero(active):
                 histories[live[i]].append(
                     {
@@ -365,7 +345,6 @@ def run_amp(
     denoiser: Optional[Denoiser] = None,
     config: Optional[AMPConfig] = None,
     sparse: Optional[bool] = True,
-    kernel=None,
 ) -> ReconstructionResult:
     """Run AMP on a set of pooled measurements and decode by top-k.
 
@@ -388,19 +367,12 @@ def run_amp(
         path (small-problem debugging; both paths compute identical
         iterates up to float round-off). ``None`` — the pre-sparse-era
         "choose automatically" sentinel — now also means sparse.
-    kernel:
-        Compute backend (see :mod:`repro.amp.kernels`): a name from
-        :data:`~repro.amp.kernels.KERNELS`, a ready kernel instance,
-        or ``None`` for the ``REPRO_KERNEL`` environment variable /
-        bit-identical ``numpy`` default. Under a float32 kernel the
-        adjacency data is cast once up front so the whole iteration —
-        matvecs included — runs in float32.
 
     Returns
     -------
     ReconstructionResult
-        With ``meta`` recording iterations, convergence flag, the
-        kernel backend and the per-iteration history.
+        With ``meta`` recording iterations, convergence flag and the
+        per-iteration history.
 
     For sweeps over many trials use
     :func:`repro.amp.batch_amp.run_amp_trials`, which stacks the trials
@@ -408,7 +380,6 @@ def run_amp(
     decode (estimate, exact, overlap, iterations) bit for bit.
     """
     config = config if config is not None else AMPConfig()
-    kern = resolve_kernel(kernel)
     graph = measurements.graph
     n, m, k = graph.n, graph.m, measurements.k
     if m == 0:
@@ -428,8 +399,6 @@ def run_amp(
     c, scale = standardization_constants(n, m, graph.gamma)
     y = (y_raw - c * k) / scale
     adjacency = graph.adjacency_sparse() if sparse else graph.adjacency_dense()
-    if kern.dtype != np.float64:
-        adjacency = adjacency.astype(kern.dtype)
     if sparse:
         # The one-trial stack operator: its transpose is the free CSC
         # view (no O(nnz) tocsr() per call), and its matvec/rmatvec
@@ -448,7 +417,7 @@ def run_amp(
         operator = MatvecOperator(matvec, rmatvec)
 
     stacked, iterations, converged, histories = iterate_amp(
-        operator, y[None, :], denoiser, config, n=n, kernel=kern
+        operator, y[None, :], denoiser, config, n=n
     )
     scores = stacked[0]
     estimate = top_k_estimate(scores, k)
@@ -471,7 +440,6 @@ def run_amp(
             "k": k,
             "channel": measurements.channel.describe(),
             "sparse": bool(sparse),
-            "kernel": kern.name,
             "history": histories[0] if histories is not None else [],
         },
     )

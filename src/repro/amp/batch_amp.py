@@ -55,7 +55,7 @@ from repro.amp.amp import (
     standardization_constants,
 )
 from repro.amp.denoisers import Denoiser
-from repro.amp.kernels import AMPKernel, CSRStackOperator, resolve_kernel
+from repro.amp.kernels import CSRStackOperator
 from repro.core.batch import (
     DEFAULT_BLOCK_ELEMENTS,
     DEFAULT_INITIAL_BLOCK,
@@ -103,7 +103,6 @@ def _default_batch_config() -> AMPConfig:
 def _stack_blocks(
     blocks: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     cols: int,
-    dtype=np.float64,
     origins: Optional[Sequence[int]] = None,
 ):
     """Assemble per-trial CSR triples into one block-diagonal CSR.
@@ -115,8 +114,7 @@ def _stack_blocks(
     indices shifted by ``t * cols``. Row contents (order and values)
     are exactly the per-trial rows, so a matvec on the stack computes
     every output coordinate by the same sequential sum as the per-trial
-    matvec. ``dtype`` is the stacked data dtype — float64 (default)
-    for the bit-identical path, float32 under a float32 kernel.
+    matvec.
 
     ``origins`` reads blocks that are views into another stack: block
     ``t``'s indices are already shifted by ``origins[t] * cols`` and its
@@ -141,7 +139,7 @@ def _stack_blocks(
     )
     indptr = np.empty(int(row_offsets[-1]) + 1, dtype=index_dtype)
     indptr[0] = 0
-    data = np.empty(offsets[-1], dtype=dtype)
+    data = np.empty(offsets[-1], dtype=np.float64)
     indices = np.empty(offsets[-1], dtype=index_dtype)
     for t, (block_indptr, block_indices, block_data) in enumerate(blocks):
         lo, hi = offsets[t], offsets[t + 1]
@@ -182,8 +180,6 @@ class _StackedOperators:
         self.n = n
         self.m = m
         self.c = c
-        # Plain floats are weak scalars: under a float32 kernel the
-        # standardization constants never upcast the working arrays.
         self.scale = float(scale)
 
     def operators(self, idx: Sequence[int]) -> CSRStackOperator:
@@ -197,7 +193,7 @@ class _StackedOperators:
                 rows = ptr[t * m : (t + 1) * m + 1]
                 lo, hi = rows[0], rows[-1]
                 views.append((rows, a.indices[lo:hi], a.data[lo:hi]))
-            a = _stack_blocks(views, self.n, a.dtype, origins=chosen)
+            a = _stack_blocks(views, self.n, origins=chosen)
         return CSRStackOperator(a, n=self.n, c=self.c, scale=self.scale)
 
 
@@ -206,7 +202,6 @@ def run_amp_batch(
     *,
     denoiser: Optional[Denoiser] = None,
     config: Optional[AMPConfig] = None,
-    kernel=None,
 ) -> List[ReconstructionResult]:
     """Run AMP on many same-cell measurement sets as one stacked system.
 
@@ -218,14 +213,11 @@ def run_amp_batch(
 
     ``config`` defaults to ``AMPConfig(track_history=False)`` (see
     :func:`_default_batch_config`); pass an explicit config with
-    ``track_history=True`` to retain per-iteration records. ``kernel``
-    selects the compute backend (see :mod:`repro.amp.kernels`); under
-    a float32 kernel the stacked CSR data is built in float32.
+    ``track_history=True`` to retain per-iteration records.
     """
     if not measurements:
         return []
     config = config if config is not None else _default_batch_config()
-    kern = resolve_kernel(kernel)
     first = measurements[0]
     n, m, k = first.n, first.m, first.k
     gamma = first.graph.gamma
@@ -254,16 +246,16 @@ def run_amp_batch(
         results_2d[t] = meas.results
     y = (channel_corrected_results(results_2d, gamma, first.channel) - c * k) / scale
 
-    # the fill loop casts int64 counts to the data dtype on assignment
+    # the fill loop casts int64 counts to float64 on assignment
     a = _stack_blocks(
         [(meas.graph.indptr, meas.graph.agents, meas.graph.counts)
          for meas in measurements],
-        n, kern.dtype,
+        n,
     )
     stacked = _StackedOperators(a, n, m, c, scale)
     scores, iterations, converged, histories = iterate_amp(
         stacked.operators(np.arange(trials)), y, denoiser, config, n=n,
-        restrict=stacked.operators, kernel=kern,
+        restrict=stacked.operators,
     )
 
     sigma_truth = np.empty((trials, n), dtype=np.int8)
@@ -294,7 +286,6 @@ def run_amp_batch(
                     "k": k,
                     "channel": channel_desc,
                     "sparse": True,
-                    "kernel": kern.name,
                     "history": histories[t] if histories is not None else [],
                 },
             )
@@ -328,7 +319,6 @@ def run_amp_trials(
     denoiser: Optional[Denoiser] = None,
     config: Optional[AMPConfig] = None,
     stack_elements: int = DEFAULT_STACK_ELEMENTS,
-    kernel=None,
 ) -> List[ReconstructionResult]:
     """Sample and batch-decode one AMP trial per seed.
 
@@ -337,10 +327,11 @@ def run_amp_trials(
     graph, channel noise, in that order — and is then decoded through
     the stacked kernel, so ``run_amp_trials(...)[t]`` reproduces the
     decode of a standalone ``run_amp`` on trial ``t``'s seed bit for
-    bit. This is the entry point both the serial sweep path and the
-    multiprocess chunk workers use (a contiguous chunk of a larger
-    seed list yields the same per-trial results, so sharded sweeps
-    stay bit-identical to serial ones).
+    bit, and a contiguous chunk of a larger seed list yields the same
+    per-trial results. Sweep chunks decode through
+    :func:`run_amp_prepared` on a shared instance stack instead (see
+    :func:`repro.experiments.parallel._fixed_m_group`); their outcomes
+    are pinned equal to this function's.
 
     Long seed lists are processed in consecutive stacks bounded by
     ``stack_elements`` incidences (peak-memory control only). Cells
@@ -348,9 +339,7 @@ def run_amp_trials(
     :data:`STACK_NNZ_CUTOFF` run standalone ``run_amp`` per trial
     instead — there a single trial's matvec is already memory-bound
     and stacking only adds assembly cost; the dispatch never changes
-    any output (shared kernel, bit-identical either way). ``kernel``
-    selects the compute backend for every trial, stacked or standalone
-    (see :mod:`repro.amp.kernels`).
+    any output (shared kernel, bit-identical either way).
     """
     n = check_positive_int(n, "n")
     m = check_positive_int(m, "m")
@@ -359,7 +348,6 @@ def run_amp_trials(
     if not seeds:
         return out
     config = config if config is not None else _default_batch_config()
-    kern = resolve_kernel(kernel)
     if _expected_trial_nnz(n, m, gamma) > STACK_NNZ_CUTOFF:
         for seed in seeds:
             gen, truth, graph = draw_instance(n, k, m, gamma, seed)
@@ -368,7 +356,6 @@ def run_amp_trials(
                     measure(graph, truth, channel, gen),
                     denoiser=denoiser,
                     config=config,
-                    kernel=kern,
                 )
             )
         return out
@@ -379,7 +366,7 @@ def run_amp_trials(
             gen, truth, graph = draw_instance(n, k, m, gamma, seed)
             batch.append(measure(graph, truth, channel, gen))
         out.extend(
-            run_amp_batch(batch, denoiser=denoiser, config=config, kernel=kern)
+            run_amp_batch(batch, denoiser=denoiser, config=config)
         )
     return out
 
@@ -395,11 +382,10 @@ def run_amp_prepared(
     gamma: Optional[int] = None,
     denoiser: Optional[Denoiser] = None,
     config: Optional[AMPConfig] = None,
-    kernel=None,
 ) -> List[Tuple[bool, float]]:
     """Decode an already stacked fixed-``m`` chunk; ``(exact, overlap)`` rows.
 
-    ``a`` is the chunk's block-diagonal CSR in the kernel dtype (trial
+    ``a`` is the chunk's float64 block-diagonal CSR (trial
     ``t``'s ``m`` rows at ``t * m``, its columns shifted by ``t * n``;
     see :class:`repro.core.batch.InstanceStack`), ``results`` the
     ``(trials, m)`` channel outputs and ``truth`` the ``(trials, n)``
@@ -414,7 +400,6 @@ def run_amp_prepared(
     """
     gamma = default_gamma(n) if gamma is None else gamma
     config = config if config is not None else _default_batch_config()
-    kern = resolve_kernel(kernel)
     if denoiser is None:
         denoiser = default_denoiser(n, k)
     m = results.shape[1]
@@ -423,7 +408,7 @@ def run_amp_prepared(
     stacked = _StackedOperators(a, n, m, c, scale)
     scores, _, _, _ = iterate_amp(
         stacked.operators(range(results.shape[0])), y, denoiser, config,
-        n=n, restrict=stacked.operators, kernel=kern,
+        n=n, restrict=stacked.operators,
     )
     _, errors, overlap, _ = decode_top_k_stacked(scores, truth, k)
     return [
@@ -462,23 +447,19 @@ class _PrefixStackOperators:
         m_per: np.ndarray,
         c: float,
         scales: np.ndarray,
-        dtype=np.float64,
     ):
         self.prefixes = list(prefixes)
         self.n = n
         self.m_per = np.asarray(m_per, dtype=np.int64)
         self.c = c
         self.scales = np.asarray(scales, dtype=np.float64)
-        self.dtype = np.dtype(dtype)
 
     def operators(self, idx: Sequence[int]) -> CSRStackOperator:
         """Build the ragged stack operator for the probe subset ``idx``."""
         chosen = [int(i) for i in idx]
         m_per = self.m_per[chosen]
         scales = self.scales[chosen]
-        a = _stack_blocks(
-            [self.prefixes[i] for i in chosen], self.n, self.dtype
-        )
+        a = _stack_blocks([self.prefixes[i] for i in chosen], self.n)
         return CSRStackOperator(
             a, n=self.n, c=self.c, m_per=m_per, scales=scales
         )
@@ -659,7 +640,6 @@ def _decode_prefix_stack(
     channel: Channel,
     denoiser: Denoiser,
     config: AMPConfig,
-    kernel: Optional[AMPKernel] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Decode one stacked round of ``(trial, m)`` prefix probes.
 
@@ -686,9 +666,8 @@ def _decode_prefix_stack(
             / scales[j]
         )
         sigma_truth[j] = streams[i].truth.sigma
-    kern = resolve_kernel(kernel)
     y = np.concatenate(y_parts)
-    ops = _PrefixStackOperators(prefixes, n, m_per, c, scales, dtype=kern.dtype)
+    ops = _PrefixStackOperators(prefixes, n, m_per, c, scales)
     scores, _, _, _ = iterate_amp(
         ops.operators(np.arange(trials)),
         y,
@@ -697,7 +676,6 @@ def _decode_prefix_stack(
         n=n,
         restrict=ops.operators,
         row_sizes=m_per,
-        kernel=kern,
     )
     _, errors, _, _ = decode_top_k_stacked(scores, sigma_truth, k)
     return errors == 0, scores
@@ -713,7 +691,6 @@ def decode_prefix_batch(
     gamma: Optional[int] = None,
     denoiser: Optional[Denoiser] = None,
     config: Optional[AMPConfig] = None,
-    kernel: Optional[AMPKernel] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Decode many stream prefixes in one ragged block-diagonal AMP call.
 
@@ -740,7 +717,7 @@ def decode_prefix_batch(
             raise ValueError(f"prefix decode requires m >= 1, got {m}")
         streams[i].grow_to(m)
     return _decode_prefix_stack(
-        jobs, streams, n, k, gamma, channel, denoiser, config, kernel
+        jobs, streams, n, k, gamma, channel, denoiser, config
     )
 
 
@@ -752,7 +729,6 @@ def _probe_standalone(
     channel: Channel,
     denoiser: Denoiser,
     config: AMPConfig,
-    kernel: Optional[AMPKernel] = None,
 ) -> bool:
     """Standalone ``run_amp`` probe of one trial's ``m``-query prefix."""
     indptr, agents, counts, results = stream.prefix(m)
@@ -760,9 +736,7 @@ def _probe_standalone(
     meas = Measurements(
         graph=graph, truth=stream.truth, channel=channel, results=results
     )
-    return bool(
-        run_amp(meas, denoiser=denoiser, config=config, kernel=kernel).exact
-    )
+    return bool(run_amp(meas, denoiser=denoiser, config=config).exact)
 
 
 def _run_probe_round(
@@ -775,7 +749,6 @@ def _run_probe_round(
     denoiser: Denoiser,
     config: AMPConfig,
     stack_elements: int,
-    kernel: Optional[AMPKernel] = None,
 ) -> List[bool]:
     """Execute one round of probes; returns exact flags aligned with jobs.
 
@@ -792,7 +765,7 @@ def _run_probe_round(
         streams[i].grow_to(m)
         if int(streams[i].indptr[m]) > STACK_NNZ_CUTOFF:
             flags[j] = _probe_standalone(
-                streams[i], m, n, gamma, channel, denoiser, config, kernel
+                streams[i], m, n, gamma, channel, denoiser, config
             )
         else:
             stacked.append(j)
@@ -811,7 +784,7 @@ def _run_probe_round(
         pack = stacked[lo:hi]
         exact, _ = _decode_prefix_stack(
             [jobs[j] for j in pack],
-            streams, n, k, gamma, channel, denoiser, config, kernel,
+            streams, n, k, gamma, channel, denoiser, config,
         )
         for j, ok in zip(pack, exact):
             flags[j] = bool(ok)
@@ -834,7 +807,6 @@ def required_queries_amp(
     initial_block: int = DEFAULT_INITIAL_BLOCK,
     block_elements: int = DEFAULT_BLOCK_ELEMENTS,
     stack_elements: int = DEFAULT_STACK_ELEMENTS,
-    kernel=None,
 ) -> List[RequiredQueriesResult]:
     """Smallest m per trial at which AMP decodes exactly (Figures 2-5).
 
@@ -880,7 +852,6 @@ def required_queries_amp(
     if denoiser is None:
         denoiser = default_denoiser(n, k)
     config = config if config is not None else _default_batch_config()
-    kern = resolve_kernel(kernel)
     if not seeds:
         return []
     step = check_every
@@ -893,7 +864,6 @@ def required_queries_amp(
         "check_every": check_every,
         "denoiser": denoiser.describe(),
         "verify": verify,
-        "kernel": kern.name,
     }
 
     searches = [_RequiredMSearch(step, grid_max, verify) for _ in seeds]
@@ -925,7 +895,7 @@ def required_queries_amp(
             break
         flags = _run_probe_round(
             jobs, streams, n, k, gamma, channel, denoiser, config,
-            stack_elements, kern,
+            stack_elements,
         )
         touched = []
         for (i, m), ok in zip(jobs, flags):

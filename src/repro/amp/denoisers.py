@@ -16,18 +16,7 @@ Two denoisers are provided:
 * :class:`SoftThresholdDenoiser` — the classical compressed-sensing
   soft threshold of Donoho-Maleki-Montanari, used by ablation A4.
 
-Dtype contract
---------------
-Every method computes in the dtype of its input: float64 inputs (the
-default everywhere) run the exact arithmetic they always ran, while
-float32 inputs — produced by the opt-in ``numpy32`` AMP kernel
-(:mod:`repro.amp.kernels`) — stay float32 end to end instead of being
-silently upcast through float64 intermediates. The scalar constants a
-denoiser bakes in (prior log-odds, threshold multipliers) are kept as
-Python floats, which NumPy treats as weak scalars: they never promote
-a float32 array. The exponent clip is dtype-dependent
-(:meth:`Denoiser.exp_clip_for`) because ``exp(88)`` already overflows
-float32.
+Every method computes in float64, whatever the input dtype.
 """
 
 from __future__ import annotations
@@ -44,28 +33,16 @@ TAU_FLOOR = 1e-8
 #: exponent clip to keep exp() finite in float64
 _EXP_CLIP = 500.0
 
-#: exponent clip for float32 computation (exp(89) overflows float32)
-_EXP_CLIP32 = 80.0
 
-
-def _working_dtype(x: np.ndarray) -> np.dtype:
-    """Computation dtype for an input: float32 stays, all else float64."""
-    if np.asarray(x).dtype == np.float32:
-        return np.dtype(np.float32)
-    return np.dtype(np.float64)
-
-
-def _floor_tau(tau, dtype=np.float64) -> np.ndarray:
+def _floor_tau(tau) -> np.ndarray:
     """Clamp the effective noise level at :data:`TAU_FLOOR`.
 
     ``tau`` may be a scalar (one trial) or an array broadcastable
     against ``x`` — the stacked AMP kernel passes a per-trial ``(T, 1)``
     column so every row of a trial stack sees exactly its own noise
     level. Both forms produce bit-identical per-element arithmetic.
-    ``dtype`` is the caller's working dtype (float64 default — the
-    pre-float32-era arithmetic unchanged).
     """
-    return np.maximum(np.asarray(tau, dtype=dtype), TAU_FLOOR)
+    return np.maximum(np.asarray(tau, dtype=np.float64), TAU_FLOOR)
 
 
 class Denoiser(ABC):
@@ -96,13 +73,6 @@ class Denoiser(ABC):
         """
         return self(x, tau), self.derivative(x, tau)
 
-    @staticmethod
-    def exp_clip_for(dtype) -> float:
-        """Largest safe ``exp()`` argument magnitude for ``dtype``."""
-        if np.dtype(dtype) == np.float32:
-            return _EXP_CLIP32
-        return _EXP_CLIP
-
     @abstractmethod
     def describe(self) -> str:
         """Short human-readable description."""
@@ -126,21 +96,17 @@ class BayesBernoulliDenoiser(Denoiser):
 
     def __init__(self, pi: float):
         self.pi = check_fraction(pi, "pi")
-        # A Python float: a weak scalar under NumPy promotion, so it
-        # never upcasts a float32 stack (float64 arithmetic unchanged).
         self._log_odds_prior = float(np.log((1.0 - self.pi) / self.pi))
 
     def __call__(self, x: np.ndarray, tau) -> np.ndarray:
-        dtype = _working_dtype(x)
-        x = np.asarray(x, dtype=dtype)
-        tau = _floor_tau(tau, dtype)
+        x = np.asarray(x, dtype=np.float64)
+        tau = _floor_tau(tau)
         exponent = self._log_odds_prior + (1.0 - 2.0 * x) / (2.0 * tau * tau)
-        clip = self.exp_clip_for(dtype)
-        exponent = np.clip(exponent, -clip, clip)
+        exponent = np.clip(exponent, -_EXP_CLIP, _EXP_CLIP)
         return 1.0 / (1.0 + np.exp(exponent))
 
     def derivative(self, x: np.ndarray, tau) -> np.ndarray:
-        tau = _floor_tau(tau, _working_dtype(x))
+        tau = _floor_tau(tau)
         eta = self(x, tau)
         return eta * (1.0 - eta) / (tau * tau)
 
@@ -158,15 +124,13 @@ class BayesBernoulliDenoiser(Denoiser):
         values (NaN included) without its wrapper, and flooring
         ``tau`` once equals flooring it twice.
         """
-        dtype = _working_dtype(x)
-        x = np.asarray(x, dtype=dtype)
-        tau = _floor_tau(tau, dtype)
+        x = np.asarray(x, dtype=np.float64)
+        tau = _floor_tau(tau)
         exponent = self._log_odds_prior + (1.0 - 2.0 * x) / (2.0 * tau * tau)
         if not isinstance(exponent, np.ndarray):
             exponent = np.asarray(exponent)  # 0-d: give the passes an array
-        clip = self.exp_clip_for(dtype)
-        np.maximum(exponent, -clip, out=exponent)
-        np.minimum(exponent, clip, out=exponent)
+        np.maximum(exponent, -_EXP_CLIP, out=exponent)
+        np.minimum(exponent, _EXP_CLIP, out=exponent)
         np.exp(exponent, out=exponent)
         exponent += 1.0
         eta = np.divide(1.0, exponent, out=exponent)
@@ -195,17 +159,15 @@ class SoftThresholdDenoiser(Denoiser):
         self.alpha = float(check_positive(alpha, "alpha"))
 
     def __call__(self, x: np.ndarray, tau) -> np.ndarray:
-        dtype = _working_dtype(x)
-        x = np.asarray(x, dtype=dtype)
-        tau = _floor_tau(tau, dtype)
+        x = np.asarray(x, dtype=np.float64)
+        tau = _floor_tau(tau)
         threshold = self.alpha * tau
         return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
 
     def derivative(self, x: np.ndarray, tau) -> np.ndarray:
-        dtype = _working_dtype(x)
-        x = np.asarray(x, dtype=dtype)
-        tau = _floor_tau(tau, dtype)
-        return (np.abs(x) > self.alpha * tau).astype(dtype)
+        x = np.asarray(x, dtype=np.float64)
+        tau = _floor_tau(tau)
+        return (np.abs(x) > self.alpha * tau).astype(np.float64)
 
     def describe(self) -> str:
         return f"soft-threshold(alpha={self.alpha:g})"

@@ -122,18 +122,14 @@ def run_distributed_amp(
     measurements: Measurements,
     *,
     config: Optional[AMPConfig] = None,
-    kernel=None,
 ) -> DistributedAMPReport:
     """Run AMP and attach its distributed communication bill.
 
     The iterate values come from the exact vectorized implementation;
     the cost model charges the message-passing schedule described in
     the module docstring for the number of iterations actually used.
-    ``kernel`` selects the compute backend exactly as in
-    :func:`~repro.amp.run_amp` (the cost model is backend-independent:
-    it charges the schedule, not the arithmetic).
     """
-    result = run_amp(measurements, config=config, kernel=kernel)
+    result = run_amp(measurements, config=config)
     cost = amp_communication_cost(measurements, result.meta["iterations"])
     meta = dict(result.meta)
     meta.update(

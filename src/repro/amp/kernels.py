@@ -26,32 +26,14 @@ the pre-seam centering and scaling) or, on the dense debugging path, a
 ``(T, m)`` or ragged ``row_sizes`` — so one driver and one kernel
 cover both stack shapes.
 
-Kernels
--------
-``numpy`` (default)
-    The reference kernel: performs exactly the floating-point
-    operations the pre-seam loops performed, in the same order, in
-    float64 — its outputs are **bit-identical by construction** to the
-    pre-refactor implementation (pinned against captured goldens in
-    ``tests/test_kernels.py``). It reaches them through as few Python
-    calls as it can: bare ufuncs and reductions, in-place passes, and
-    the sparse products without scipy's ``@`` dispatch.
-``numpy32``
-    The same operations computed in float32 end to end (inputs are
-    cast once at the seam; the denoisers honor the input dtype; the
-    stack operator must already hold float32 data). Opt-in,
-    tolerance-tested — halves the memory traffic of every pass.
-
-Selection
----------
-``resolve_kernel(kernel)`` resolves, in precedence order: an explicit
-:class:`AMPKernel` instance or name passed as ``kernel=`` to any AMP
-entry point, then the :data:`REPRO_KERNEL` environment variable, then
-``"numpy"``. Any other name raises: a ``ValueError`` for ``kernel=``,
-a :class:`~repro.utils.config.ConfigError` for the environment
-variable. The environment route reaches process-pool workers for free
-(spawned workers inherit the environment), so exporting
-``REPRO_KERNEL`` switches every backend of a sweep at once.
+The kernel runs in float64 only: it performs exactly the
+floating-point operations the pre-seam loops performed, in the same
+order, so its outputs are **bit-identical by construction** to the
+pre-refactor implementation (pinned against captured goldens in
+``tests/test_kernels.py``). It reaches them through as few Python
+calls as it can: bare ufuncs and reductions, in-place passes, and the
+sparse products without scipy's ``@`` dispatch. :data:`AMP_KERNEL` is
+the one instance every AMP path runs on.
 """
 
 from __future__ import annotations
@@ -61,10 +43,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.amp.denoisers import TAU_FLOOR, Denoiser
-from repro.utils.config import env_str
-
-#: environment variable consulted when ``kernel`` is not given
-KERNEL_ENV = "REPRO_KERNEL"
 
 
 # -- stack layout --------------------------------------------------------
@@ -97,13 +75,11 @@ class StackLayout:
     uniform ``(T, m)`` stack (every trial shares one query count) and
     the ragged flat stack segmented by per-trial ``row_sizes`` (the
     required-m prefix probes). The kernel reads per-trial
-    standardization scalars — ``sqrt_m``, ``n/m`` — from the layout;
-    the layout stores them in the kernel's dtype so a float32 kernel
-    never silently promotes through a float64 scalar.
+    standardization scalars — ``sqrt_m``, ``n/m`` — from the layout.
 
-    For the float64 reference kernel the stored scalars are exactly
-    the values the pre-seam loops computed inline (``np.sqrt(m)``,
-    ``n / m``, ``np.sqrt(m_cur.astype(float64))``, ``n / m_cur``), so
+    The stored scalars are exactly the values the pre-seam loops
+    computed inline (``np.sqrt(m)``, ``n / m``,
+    ``np.sqrt(m_cur.astype(float64))``, ``n / m_cur``), so
     layout-mediated arithmetic is bit-identical to the originals.
     """
 
@@ -112,25 +88,21 @@ class StackLayout:
         *,
         rows: int,
         n: int,
-        dtype: np.dtype,
         m: Optional[int] = None,
         m_cur: Optional[np.ndarray] = None,
     ) -> None:
         self.rows = rows
         self.n = n
-        self.dtype = np.dtype(dtype)
         self.m = m
         self.m_cur = m_cur
         self.uniform = m_cur is None
         if self.uniform:
-            self.sqrt_m = self.dtype.type(np.sqrt(m))
-            self.nm_ratio = self.dtype.type(n / m)
+            self.sqrt_m = np.sqrt(m)
+            self.nm_ratio = n / m
         else:
-            self.sqrt_m = np.sqrt(m_cur.astype(np.float64)).astype(
-                self.dtype, copy=False
-            )
-            self.nm_ratio = (n / m_cur).astype(self.dtype, copy=False)
-        self.sqrt_n = self.dtype.type(np.sqrt(n))
+            self.sqrt_m = np.sqrt(m_cur.astype(np.float64))
+            self.nm_ratio = n / m_cur
+        self.sqrt_n = np.sqrt(n)
         # np.mean's divisor: the intp count, which its float64 loop
         # converts exactly; a float64 ``n`` is the same divisor.
         self.n_items = np.float64(n)
@@ -138,13 +110,13 @@ class StackLayout:
         self._bounds: Optional[np.ndarray] = None
 
     @classmethod
-    def for_uniform(cls, rows: int, n: int, m: int, dtype) -> "StackLayout":
-        return cls(rows=rows, n=n, dtype=dtype, m=m)
+    def for_uniform(cls, rows: int, n: int, m: int) -> "StackLayout":
+        return cls(rows=rows, n=n, m=m)
 
     @classmethod
-    def for_ragged(cls, n: int, row_sizes: np.ndarray, dtype) -> "StackLayout":
+    def for_ragged(cls, n: int, row_sizes: np.ndarray) -> "StackLayout":
         m_cur = np.asarray(row_sizes, dtype=np.int64)
-        return cls(rows=m_cur.size, n=n, dtype=dtype, m_cur=m_cur)
+        return cls(rows=m_cur.size, n=n, m_cur=m_cur)
 
     @property
     def bounds(self) -> np.ndarray:
@@ -175,10 +147,8 @@ class StackLayout:
         """Layout for the surviving rows after stack compaction."""
         rows = int(np.count_nonzero(active))
         if self.uniform:
-            return StackLayout(rows=rows, n=self.n, dtype=self.dtype, m=self.m)
-        layout = StackLayout(
-            rows=rows, n=self.n, dtype=self.dtype, m_cur=self.m_cur[active]
-        )
+            return StackLayout(rows=rows, n=self.n, m=self.m)
+        layout = StackLayout(rows=rows, n=self.n, m_cur=self.m_cur[active])
         # Slice (not recompute) the standardization vectors, exactly
         # like the pre-seam compaction did.
         layout.sqrt_m = self.sqrt_m[active]
@@ -248,7 +218,7 @@ class CSRStackOperator:
     they are the same sequential per-row sums without scipy's
     per-call dispatch. Centering and scaling follow per element, in
     the pre-seam order (for ``T = 1`` exactly the standalone
-    ``run_amp`` closures). That keeps the default kernel's in-seam
+    ``run_amp`` closures). That keeps the kernel's in-seam
     matvec pinned to the captured goldens.
     """
 
@@ -273,7 +243,6 @@ class CSRStackOperator:
         self.trials = a.shape[1] // self.n
         self.c = c
         self.uniform = m_per is None
-        self.dtype = np.dtype(a.dtype)
         if self.uniform:
             if scale is None:
                 raise ValueError("uniform stacks require scale=")
@@ -287,25 +256,19 @@ class CSRStackOperator:
             self.scales = np.asarray(scales, dtype=np.float64)
             self.bounds = np.concatenate(([0], np.cumsum(self.m_per)))
             self.seg_len = _common_length(None, self.m_per)
-            # Per-trial scale vectors in the working dtype: float64
-            # stays the exact pre-float32 arithmetic, float32 avoids
-            # the silent promotion a float64 divisor would cause under
-            # NEP 50.
-            self.row_scale = np.repeat(self.scales, self.m_per).astype(
-                self.dtype, copy=False
-            )
-            self.scales_col = self.scales.astype(self.dtype, copy=False)[
-                :, None
-            ]
+            self.row_scale = np.repeat(self.scales, self.m_per)
+            self.scales_col = self.scales[:, None]
 
     def _product(self, routine, rows: int, cols: int, v: np.ndarray) -> np.ndarray:
         """``routine`` applied to the stored arrays, as scipy's ``@`` does.
 
         The routine accumulates into a zeroed output of the stack's
-        dtype (and raises if ``v`` would need a wider one).
+        data dtype, as ``@`` does for a float64 stack; a stack of any
+        narrower dtype raises ``ValueError`` on the float64 vectors of
+        an AMP run instead of silently changing precision.
         """
-        out = np.zeros(rows, dtype=self.dtype)
         a = self.a
+        out = np.zeros(rows, dtype=a.dtype)
         routine(rows, cols, a.indptr, a.indices, a.data, v, out)
         return out
 
@@ -344,29 +307,18 @@ class CSRStackOperator:
 
 
 class AMPKernel:
-    """The AMP compute kernel; ``numpy`` and ``numpy32`` are its instances.
+    """The AMP compute kernel; :data:`AMP_KERNEL` is its one instance.
 
-    The float64 instance of this class *is* the pre-refactor
-    implementation: each method performs the identical floating-point
-    operations, in the identical order, that the uniform and ragged
-    ``iterate_amp`` loops previously inlined — which is what makes the
-    default kernel bit-identical by construction. Only the calls that
-    reach them are leaner: ufuncs and their reductions
-    (``np.add.reduce``, in-place passes) instead of the ``np.sum`` /
-    ``np.mean`` / ``np.clip`` wrappers, which cost several times a
-    1000-element pass at the sizes the decode service runs.
+    This class *is* the pre-refactor implementation: each method
+    performs the identical floating-point operations, in the identical
+    order, that the uniform and ragged ``iterate_amp`` loops previously
+    inlined — which is what makes the kernel bit-identical by
+    construction. Only the calls that reach them are leaner: ufuncs
+    and their reductions (``np.add.reduce``, in-place passes) instead
+    of the ``np.sum`` / ``np.mean`` / ``np.clip`` wrappers, which cost
+    several times a 1000-element pass at the sizes the decode service
+    runs.
     """
-
-    def __init__(self, dtype=np.float64, name: str = "numpy") -> None:
-        self.dtype = np.dtype(dtype)
-        self.name = name
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(name={self.name!r}, dtype={self.dtype})"
-
-    def as_working(self, arr: np.ndarray) -> np.ndarray:
-        """Cast an input array to the kernel dtype (the one cast point)."""
-        return np.ascontiguousarray(arr, dtype=self.dtype)
 
     def segment_square_sums(
         self, arr: np.ndarray, layout: StackLayout
@@ -449,46 +401,14 @@ class AMPKernel:
         return z_new
 
 
-# -- registry ------------------------------------------------------------
-
-#: the registered kernels: one stateless instance per name
-_REGISTRY = {
-    "numpy": AMPKernel(np.float64, "numpy"),
-    "numpy32": AMPKernel(np.float32, "numpy32"),
-}
-
-#: registered kernel names (see the module docstring)
-KERNELS = tuple(_REGISTRY)
-
-
-def resolve_kernel(kernel=None) -> AMPKernel:
-    """Resolve a kernel request into an :class:`AMPKernel` instance.
-
-    Precedence: an explicit :class:`AMPKernel` instance passes
-    through; an explicit name string wins over the environment; then
-    the :data:`REPRO_KERNEL` environment variable; then ``"numpy"``.
-    An unknown name raises ``ValueError`` (``ConfigError`` when it
-    came from the environment).
-    """
-    if isinstance(kernel, AMPKernel):
-        return kernel
-    name = kernel if kernel is not None else env_str(KERNEL_ENV, choices=KERNELS)
-    if name is None:
-        return _REGISTRY["numpy"]
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown AMP kernel {name!r}; valid: {KERNELS}"
-        ) from None
+#: the kernel instance :func:`repro.amp.amp.iterate_amp` runs on
+AMP_KERNEL = AMPKernel()
 
 
 __all__ = [
-    "KERNEL_ENV",
-    "KERNELS",
     "StackLayout",
     "MatvecOperator",
     "CSRStackOperator",
     "AMPKernel",
-    "resolve_kernel",
+    "AMP_KERNEL",
 ]

@@ -38,7 +38,6 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.amp.kernels import KERNEL_ENV, KERNELS
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.runner import ALGORITHMS, REQUIRED_QUERIES_ALGORITHMS
 from repro.experiments.scheduler import BACKENDS
@@ -127,14 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep execution backend (default: the REPRO_BACKEND env "
         "var, else process when --workers > 1, serial otherwise); "
         "results are bit-identical on both backends",
-    )
-    execution.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default=None,
-        help="AMP compute kernel (default: the REPRO_KERNEL env var, "
-        "else numpy); numpy is the bit-identical float64 reference, "
-        "numpy32 runs the same passes in float32",
     )
     execution.add_argument(
         "--checkpoint",
@@ -345,13 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-identical output on both backends",
     )
     rq.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default=None,
-        help="AMP compute kernel (AMP algorithm only; numpy is the "
-        "bit-identical float64 reference, numpy32 runs in float32)",
-    )
-    rq.add_argument(
         "--checkpoint",
         type=str,
         default=None,
@@ -497,7 +481,6 @@ def _run_required_queries(args: argparse.Namespace) -> int:
         verify=args.verify,
         workers=args.workers,
         backend=args.backend,
-        kernel=args.kernel,
     )
     elapsed = time.perf_counter() - started
     print(
@@ -699,12 +682,8 @@ def _figure_kwargs(args: argparse.Namespace, name: str) -> dict:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # The figure pipelines resolve the kernel from the environment (the
-    # runner has no per-figure plumbing for it), and spawned pool
-    # workers inherit the variables either way — so the flags become
-    # env vars before any dispatch.
-    if getattr(args, "kernel", None) is not None:
-        os.environ[KERNEL_ENV] = args.kernel
+    # Spawned pool workers inherit the environment, so the flag becomes
+    # an env var before any dispatch.
     if getattr(args, "checkpoint", None):
         from repro.experiments.checkpoint import CHECKPOINT_ENV
 

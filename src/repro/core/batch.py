@@ -313,12 +313,12 @@ class InstanceStack:
             np.asarray(results, dtype=np.float64).ravel()
         )
 
-    def csr(self, dtype=np.float64):
-        """The stack as a scipy CSR matrix of ``dtype`` (float64: no copy)."""
+    def csr(self):
+        """The stack as a float64 scipy CSR matrix over its own arrays."""
         from scipy import sparse
 
         return sparse.csr_matrix(
-            (self.data.astype(dtype, copy=False), self.indices, self.indptr),
+            (self.data, self.indices, self.indptr),
             shape=(self.trials * self.m, self.trials * self.n),
         )
 

@@ -175,7 +175,6 @@ def _required_queries_chunk(
             max_m=spec["max_m"],
             check_every=spec["check_every"],
             verify=spec.get("verify", "full"),
-            kernel=spec.get("kernel"),
         )
     else:
         from repro.core.batch import BatchTrialRunner
@@ -274,8 +273,6 @@ def _required_queries_scan_chunk(
     algorithm = spec.get("algorithm", "greedy")
     if algorithm in ("greedy", "twostage"):
         algo_kwargs = {"centering": spec["centering"]}
-    elif algorithm == "amp" and spec.get("kernel") is not None:
-        algo_kwargs = {"kernel": spec["kernel"]}
     else:
         algo_kwargs = {}
 
@@ -409,8 +406,7 @@ def _fixed_m_group(
     generator states each of its members' own chunks would consume.
     Greedy members score with one adjoint product each
     (``Psi`` minus the centered ``Delta*``) and decode through the
-    stacked top-k scan; float64 AMP members decode on the stack itself,
-    float32 ones on one cast copy, through
+    stacked top-k scan; AMP members decode on the stack itself, through
     :func:`repro.amp.batch_amp.run_amp_prepared`. Outcomes are therefore
     bit-identical to per-cell chunks, and a lone cell is a group of
     one. The chunk runs in sub-stacks of at most
@@ -426,7 +422,6 @@ def _fixed_m_group(
         _stack_size,
         run_amp_prepared,
     )
-    from repro.amp.kernels import resolve_kernel
     from repro.core.batch import BatchTrialRunner, draw_instance_stack
     from repro.core.scores import decode_top_k_stacked
     from repro.experiments.runner import _amp_batch_kwargs
@@ -454,7 +449,6 @@ def _fixed_m_group(
     stack = _stack_size(n, m, gamma, DEFAULT_STACK_ELEMENTS)
     if amp and _expected_trial_nnz(n, m, gamma) > STACK_NNZ_CUTOFF:
         stack = 1
-    dtypes = {i: resolve_kernel(kw.get("kernel")).dtype for i, kw in amp.items()}
     sigma = np.empty((trials, n), dtype=np.int8)
     scores = {i: np.empty((trials, n), dtype=np.float64) for i in offsets}
     # Members with equal channels would measure the same E1 on copies
@@ -481,12 +475,12 @@ def _fixed_m_group(
             scores[i][lo:hi] = (
                 inst.neighborhood_sums(measured[keys[i]]) - delta_star * offset
             )
-        stacks = {dtype: inst.csr(dtype) for dtype in set(dtypes.values())}
+        a = inst.csr() if amp else None
         del inst  # drops the unit weights greedy scoring used
         for i, kwargs in amp.items():
             out[i].extend(
                 run_amp_prepared(
-                    n, k, specs[i]["channel"], stacks[dtypes[i]],
+                    n, k, specs[i]["channel"], a,
                     measured[keys[i]], sigma[lo:hi], gamma=gamma, **kwargs,
                 )
             )

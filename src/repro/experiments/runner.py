@@ -30,11 +30,15 @@ Fixed-``m`` trials (:func:`success_rate_curve`) and required-m trials
 ===================  ==================================================
 algorithm            simulator
 ===================  ==================================================
-``greedy``           fixed-m: stacked trials via
-                     :class:`~repro.core.batch.BatchTrialRunner`;
-                     required-m: its chunked incremental simulator
-``amp``              fixed-m: block-diagonal batched AMP via
-                     :func:`repro.amp.batch_amp.run_amp_trials`;
+``greedy``           fixed-m: one block-diagonal instance stack per
+                     chunk (:func:`repro.core.batch.
+                     draw_instance_stack`), stacked scores decoded by
+                     :func:`repro.core.scores.decode_top_k_stacked`;
+                     required-m:
+                     :class:`~repro.core.batch.BatchTrialRunner`'s
+                     chunked incremental simulator
+``amp``              fixed-m: the same instance stack, decoded by
+                     :func:`repro.amp.batch_amp.run_amp_prepared`;
                      required-m: prefix-replay galloping + stacked
                      bisection scan
                      (:func:`repro.amp.batch_amp.required_queries_amp`)
@@ -52,7 +56,9 @@ simulators never see corrupted cells.
 
 The stacked greedy path covers ``algorithm_kwargs`` of ``centering``
 in ``("half_k", "oracle")``; the stacked AMP path covers ``denoiser``,
-``config``, ``kernel`` and the default ``sparse=True``. Any other
+``config`` and the default ``sparse=True``. Both stacked paths run
+through :func:`repro.experiments.parallel._fixed_m_group`, where
+sibling cells on equal seeds share one instance stack. Any other
 keyword runs the seed-compatible per-trial loop, so results never
 depend on which path ran. Required-m runs exist for ``greedy`` (the
 paper's incremental separation stopping rule) and ``amp`` ("smallest
@@ -134,7 +140,7 @@ def _batch_mode(algorithm: str, algorithm_kwargs: dict) -> Optional[str]:
         return "greedy"
     if (
         algorithm == "amp"
-        and set(algorithm_kwargs) <= {"denoiser", "config", "sparse", "kernel"}
+        and set(algorithm_kwargs) <= {"denoiser", "config", "sparse"}
         # the stacked runner is sparse by construction; a dense
         # override runs through the per-trial loop
         and algorithm_kwargs.get("sparse", True) in (True, None)
@@ -144,11 +150,16 @@ def _batch_mode(algorithm: str, algorithm_kwargs: dict) -> Optional[str]:
 
 
 def _amp_batch_kwargs(algorithm_kwargs: dict) -> dict:
-    """Map harness ``algorithm_kwargs`` onto ``run_amp_trials`` kwargs."""
+    """Map harness ``algorithm_kwargs`` onto ``run_amp_prepared`` kwargs.
+
+    :func:`repro.experiments.parallel._fixed_m_group` passes them to
+    :func:`repro.amp.batch_amp.run_amp_prepared`; ``sparse`` is
+    dropped because the stacked decode is sparse by construction.
+    """
     return {
         key: value
         for key, value in algorithm_kwargs.items()
-        if key in ("denoiser", "config", "kernel")
+        if key in ("denoiser", "config")
     }
 
 
@@ -223,7 +234,6 @@ def required_queries_trials(
     verify: str = "full",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    kernel: Optional[str] = None,
     corruption=None,
 ) -> RequiredQueriesSample:
     """Run the required-m procedure ``trials`` times, collect required m.
@@ -247,9 +257,6 @@ def required_queries_trials(
     backend and worker count (see the module docstring and
     :mod:`repro.experiments.scheduler`). Multi-cell sweeps should
     build one plan directly so cells share the global work queue.
-    ``kernel`` selects the AMP compute backend by name (AMP only; see
-    :mod:`repro.amp.kernels`); it never changes any float64-default
-    output.
 
     ``algorithm="twostage"`` — and any algorithm under a
     ``corruption`` model (:class:`~repro.core.corruption.
@@ -271,7 +278,6 @@ def required_queries_trials(
         centering=centering,
         algorithm=algorithm,
         verify=verify,
-        kernel=kernel,
         corruption=corruption,
     )
     return plan.run(backend=backend, workers=workers)[0]
@@ -339,7 +345,6 @@ def success_rate_curve(
     workers: Optional[int] = None,
     backend: Optional[str] = None,
     design: str = "replacement",
-    kernel: Optional[str] = None,
     corruption=None,
     fault=None,
 ) -> SuccessCurve:
@@ -349,10 +354,10 @@ def success_rate_curve(
     drawn (fresh truth, graph and noise each time, matching the paper's
     "100 independent simulation runs" per data point).
 
-    The greedy trials run through
-    :class:`~repro.core.batch.BatchTrialRunner` and the AMP trials
-    through the block-diagonal stacked runner
-    (:func:`repro.amp.batch_amp.run_amp_trials`) — both seed-identical
+    Greedy and AMP trials run on one block-diagonal instance stack per
+    chunk (:func:`repro.experiments.parallel._fixed_m_group`: stacked
+    greedy scores decoded by top-k, AMP through
+    :func:`repro.amp.batch_amp.run_amp_prepared`) — both seed-identical
     to the per-trial loop. Algorithms without a stacked implementation
     (distributed, two-stage) use the per-trial loop; see the module
     docstring's support matrix. ``design`` selects the pooling design
@@ -367,11 +372,6 @@ def success_rate_curve(
     are bit-identical for every backend and worker count (see
     :mod:`repro.experiments.scheduler`).
 
-    ``kernel`` selects the AMP compute backend by name and is merged
-    into ``algorithm_kwargs`` (``"amp"`` and ``"distributed_amp"``
-    cells only — other algorithms reject it); it never changes any
-    float64-default output.
-
     ``corruption`` (a :class:`~repro.core.corruption.CorruptionModel`)
     corrupts every trial's measurements post-channel — any algorithm;
     runs the per-trial loop. ``fault`` (a
@@ -384,14 +384,6 @@ def success_rate_curve(
     results stay bit-identical on every backend / worker count / chunk
     layout.
     """
-    if kernel is not None:
-        if algorithm not in ("amp", "distributed_amp"):
-            raise ValueError(
-                f"kernel={kernel!r} selects an AMP compute backend; "
-                f"algorithm {algorithm!r} has none"
-            )
-        algorithm_kwargs = dict(algorithm_kwargs or {})
-        algorithm_kwargs["kernel"] = kernel
     plan = SweepPlan()
     plan.add_success_curve(
         n,

@@ -223,20 +223,17 @@ class SweepPlan:
         centering: str = "half_k",
         algorithm: str = "greedy",
         verify: str = "full",
-        kernel: Optional[str] = None,
         corruption=None,
     ) -> int:
         """Add one required-m cell; returns its index in the plan.
 
         Seed derivation matches the serial loop: ``trials`` child seeds
-        spawned from ``seed`` in trial order. ``kernel`` selects the
-        AMP compute backend by name (see :mod:`repro.amp.kernels`;
-        AMP cells only — the greedy scan has no kernel seam).
-        ``corruption`` (a :class:`~repro.core.corruption.
-        CorruptionModel`) corrupts each trial's full measurement
-        stream once — from a dedicated stream of the trial's child
-        seed — and the cell runs the generic prefix-replay
-        exact-decode scan (any algorithm; also the ``twostage`` path).
+        spawned from ``seed`` in trial order. ``corruption`` (a
+        :class:`~repro.core.corruption.CorruptionModel`) corrupts each
+        trial's full measurement stream once — from a dedicated stream
+        of the trial's child seed — and the cell runs the generic
+        prefix-replay exact-decode scan (any algorithm; also the
+        ``twostage`` path).
         """
         from repro.core.corruption import CorruptionModel
         from repro.experiments.runner import REQUIRED_QUERIES_ALGORITHMS
@@ -246,11 +243,6 @@ class SweepPlan:
             raise ValueError(
                 f"unknown required-queries algorithm {algorithm!r}; "
                 f"valid: {REQUIRED_QUERIES_ALGORITHMS}"
-            )
-        if kernel is not None and algorithm != "amp":
-            raise ValueError(
-                f"kernel={kernel!r} selects an AMP compute backend; "
-                f"algorithm {algorithm!r} has none"
             )
         if corruption is not None and not isinstance(
             corruption, CorruptionModel
@@ -269,7 +261,6 @@ class SweepPlan:
             "verify": verify,
             "max_m": max_m,
             "check_every": check_every,
-            "kernel": kernel,
             "corruption": corruption,
         }
         self._cells.append(
@@ -371,12 +362,12 @@ class SweepPlan:
             "corruption": corruption,
             "fault": fault,
         }
-        m_values = [int(m) for m in m_values]
         # Reject a bad grid point now, before any chunk of the plan
         # runs (AMP standardizes by m, so it needs at least one query).
         minimum = 1 if algorithm in ("amp", "distributed_amp") else 0
-        for m in m_values:
-            check_positive_int(m, "m", minimum=minimum)
+        m_values = [
+            check_positive_int(m, "m", minimum=minimum) for m in m_values
+        ]
         per_m_seeds = [
             spawn_seeds(m_rng, trials)
             for m_rng in spawn_rngs(seed, len(m_values))

@@ -87,7 +87,6 @@ class DecodeBatcher:
         max_queue: int = DEFAULT_MAX_QUEUE,
         degrade_depth: int = DEFAULT_DEGRADE_DEPTH,
         max_batch: int = DEFAULT_MAX_BATCH,
-        kernel=None,
     ):
         if not 1 <= degrade_depth <= max_queue:
             raise ValueError(
@@ -97,7 +96,6 @@ class DecodeBatcher:
         self.max_queue = max_queue
         self.degrade_depth = degrade_depth
         self.max_batch = max(1, max_batch)
-        self.kernel = kernel
         self._queue: Deque[_DecodeRequest] = deque()
         self._wakeup: Optional[asyncio.Event] = None
         self._task: Optional[asyncio.Task] = None
@@ -160,8 +158,8 @@ class DecodeBatcher:
             # Refusing is the robust answer: with no scheduler alive an
             # enqueued future would never resolve — a silent hang.
             raise Overloaded("decode scheduler is not running")
-        # The key is m alone: the kernel and AMPConfig are fixed for the
-        # batcher's lifetime, and a prefix never changes once ingested.
+        # The key is m alone: the AMPConfig is fixed for the batcher's
+        # lifetime, and a prefix never changes once ingested.
         cached = session.amp_result
         if cached is not None and cached.m == m:
             self.counters["cache_hits"] += 1
@@ -265,7 +263,6 @@ class DecodeBatcher:
                         k,
                         channel,
                         gamma=gamma,
-                        kernel=self.kernel,
                     ),
                 )
             except Exception as exc:  # surfaced per request, not fatal

@@ -37,7 +37,6 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.amp.kernels import resolve_kernel
 from repro.service import wire
 from repro.service.batcher import (
     DEFAULT_DEGRADE_DEPTH,
@@ -87,7 +86,6 @@ class DecodeService:
         degrade_depth: Optional[int] = None,
         max_batch: Optional[int] = None,
         default_deadline: Optional[float] = None,
-        kernel: Optional[str] = None,
     ):
         self.host = host
         self.port = port
@@ -115,9 +113,6 @@ class DecodeService:
             max_queue=max_queue,
             degrade_depth=min(degrade_depth, max_queue),
             max_batch=max_batch,
-            # Resolved once here, so a bad REPRO_KERNEL fails at
-            # startup rather than on every decode.
-            kernel=resolve_kernel(kernel),
         )
         self.sessions: dict = {}
         self._server: Optional[asyncio.AbstractServer] = None

@@ -1,7 +1,7 @@
 """Durable session storage for the online decode service.
 
 One JSON file per session under the server's state directory, written
-through :func:`repro.experiments.storage.save_json_atomic` — the
+through :func:`repro.utils.jsonio.save_json_atomic` — the
 write-to-temp-then-``os.replace`` primitive the sweep checkpoint layer
 already trusts. A reader therefore sees either the previous complete
 record or the new complete record, never a torn write, which is what
@@ -19,8 +19,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict
 
-from repro.experiments.storage import load_json, save_json_atomic
 from repro.service.session import Session
+from repro.utils.jsonio import load_json, save_json_atomic
 
 
 class SessionStore:

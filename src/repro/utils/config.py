@@ -2,8 +2,7 @@
 
 Every runtime knob the library reads from the environment —
 ``REPRO_WORKERS``, ``REPRO_CONNECT_RETRY``, ``REPRO_MAX_FRAME_BYTES``,
-``REPRO_BACKEND``, ``REPRO_KERNEL`` and the ``REPRO_SERVICE_*`` family
-— is parsed
+``REPRO_BACKEND`` and the ``REPRO_SERVICE_*`` family — is parsed
 through the helpers below, so a bad value always fails the same way: a
 ``ConfigError`` (a ``ValueError``) whose message leads with the
 variable name, states the expected shape, and quotes the offending

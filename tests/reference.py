@@ -30,7 +30,6 @@ from typing import List, Optional, Sequence
 from repro.amp.amp import AMPConfig, default_denoiser
 from repro.amp.batch_amp import _probe_standalone
 from repro.amp.denoisers import Denoiser
-from repro.amp.kernels import resolve_kernel
 from repro.core.batch import MeasurementStream
 from repro.core.ground_truth import GroundTruth, sample_ground_truth
 from repro.core.incremental import IncrementalDecoder, default_max_queries
@@ -95,7 +94,6 @@ def required_queries_amp_linear(
     check_every: int = 1,
     denoiser: Optional[Denoiser] = None,
     config: Optional[AMPConfig] = None,
-    kernel=None,
 ) -> List[RequiredQueriesResult]:
     """Brute-force ascending AMP required-m scan, one result per seed."""
     n = check_positive_int(n, "n")
@@ -107,7 +105,6 @@ def required_queries_amp_linear(
     if denoiser is None:
         denoiser = default_denoiser(n, k)
     config = config if config is not None else AMPConfig(track_history=False)
-    kern = resolve_kernel(kernel)
     meta = {
         "algorithm": "amp",
         "channel": channel.describe(),
@@ -115,7 +112,6 @@ def required_queries_amp_linear(
         "max_m": max_m,
         "check_every": step,
         "denoiser": denoiser.describe(),
-        "kernel": kern.name,
     }
     out: List[RequiredQueriesResult] = []
     for seed in seeds:
@@ -130,7 +126,7 @@ def required_queries_amp_linear(
             stream.grow_to(g)
             checks += 1
             if _probe_standalone(
-                stream, g, n, gamma, channel, denoiser, config, kern
+                stream, g, n, gamma, channel, denoiser, config
             ):
                 required = g
                 break

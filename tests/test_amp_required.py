@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.amp import AMPConfig, resolve_kernel, run_amp
+from repro.amp import AMPConfig, run_amp
 from repro.amp.batch_amp import (
     _decode_prefix_stack,
     _RequiredMSearch,
@@ -231,7 +231,6 @@ class TestRaggedKernelBitIdentity:
         y = (channel_corrected_results(results, gamma, channel) - c * k) / scale
         ops = _PrefixStackOperators(
             [(indptr, agents, counts)], n, np.array([m]), c, np.array([scale]),
-            dtype=resolve_kernel().dtype,
         )
         scores, iters, conv, hist = iterate_amp(
             ops.operators([0]), y, denoiser, config, n=n,

@@ -262,10 +262,11 @@ class TestMain:
         assert ["values", str(values)] in [
             line.split(None, 1) for line in out.splitlines()
         ]
-        # --engine is gone from every subcommand
+        # --engine and --kernel are gone from every subcommand
         for command in (common, ["fig6"]):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(command + ["--engine", "legacy"])
+            for flag in (["--engine", "legacy"], ["--kernel", "numpy"]):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(command + flag)
 
     def test_threshold_tiny(self, capsys):
         rc = main(["threshold", "--n", "100", "--k", "3", "--channel",

@@ -69,24 +69,6 @@ class TestRunDistributedAMP:
         assert np.array_equal(report.result.estimate, plain.estimate)
         assert report.result.meta["algorithm"] == "amp-distributed"
 
-    def test_kernel_flows_to_run_amp(self):
-        """``kernel=`` selects the backend and lands in result meta."""
-        meas = _measurements(m=100)
-        report = run_distributed_amp(meas, kernel="numpy")
-        assert report.result.meta["kernel"] == "numpy"
-        default = run_distributed_amp(meas)
-        assert np.array_equal(
-            report.result.estimate, default.result.estimate
-        )
-        assert report.cost == default.cost
-
-    def test_kernel_float32_changes_dtype_not_decode_contract(self):
-        """The float32 backend runs and reports its own kernel name."""
-        meas = _measurements(m=100)
-        report = run_distributed_amp(meas, kernel="numpy32")
-        assert report.result.meta["kernel"] == "numpy32"
-        assert report.result.scores.dtype == np.float32
-
     def test_cost_uses_actual_iterations(self):
         meas = _measurements(m=100)
         report = run_distributed_amp(meas)

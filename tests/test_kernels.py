@@ -1,19 +1,17 @@
-"""AMP kernel seam: registry resolution, golden bit-identity, float32.
+"""AMP kernel seam: golden bit-identity and the lean reference path.
 
-The contract under test (see :mod:`repro.amp.kernels`): the default
-float64 NumPy kernel performs exactly the array operations the
-pre-seam AMP loops performed, in the same order — so every AMP entry
-point's float64 output is **bit-identical** to the pre-refactor
-implementation. The golden hashes below were captured by running the
-pre-seam code on the pinned instances; the seam must keep reproducing
-them exactly, for the standalone runner, the block-diagonal batched
-runner, and the ragged required-m scan in every verify mode. The
-float32 kernel is opt-in and tolerance-tested; any other kernel name
-is rejected.
+The contract under test (see :mod:`repro.amp.kernels`): the float64
+NumPy kernel performs exactly the array operations the pre-seam AMP
+loops performed, in the same order — so every AMP entry point's output
+is **bit-identical** to the pre-refactor implementation. The golden
+hashes below were captured by running the pre-seam code on the pinned
+instances; the seam must keep reproducing them exactly, for the
+standalone runner, the block-diagonal batched runner, and the ragged
+required-m scan in every verify mode. There is one numeric: no kernel
+can be selected, and a float32 stack fails loudly.
 """
 
 import hashlib
-import re
 
 import numpy as np
 import pytest
@@ -21,15 +19,7 @@ import pytest
 import repro
 from repro.amp import AMPConfig, run_amp
 from repro.amp.batch_amp import required_queries_amp, run_amp_trials
-from repro.amp.kernels import (
-    KERNEL_ENV,
-    KERNELS,
-    AMPKernel,
-    CSRStackOperator,
-    StackLayout,
-    resolve_kernel,
-)
-from repro.utils.config import ConfigError
+from repro.amp.kernels import AMP_KERNEL, CSRStackOperator, StackLayout
 from repro.utils.rng import spawn_seeds
 
 
@@ -45,76 +35,99 @@ def _standalone_instance(seed=42, n=600, k=5, m=80, channel=None):
     return meas
 
 
-# -- registry / resolution ----------------------------------------------
+# -- one numeric: no kernel selection -----------------------------------
 
 
-def test_default_kernel_is_float64_numpy(monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
-    kern = resolve_kernel()
-    assert kern.name == "numpy"
-    assert kern.dtype == np.float64
+def _removed_kernel_calls():
+    """Every former way to select a kernel, as ``(id, call, error)``."""
+    from repro.amp import run_distributed_amp
+    from repro.amp.amp import iterate_amp
+    from repro.amp.batch_amp import (
+        decode_prefix_batch,
+        run_amp_batch,
+        run_amp_prepared,
+    )
+    from repro.experiments.runner import (
+        required_queries_trials,
+        success_rate_curve,
+    )
+    from repro.experiments.scheduler import SweepPlan
+    from repro.service.batcher import DecodeBatcher
+    from repro.service.server import DecodeService
+
+    z = repro.ZChannel(0.1)
+    kw = {"kernel": "numpy"}
+
+    def import_removed(name):
+        exec(f"from repro.amp import {name}")
+
+    calls = {
+        "iterate_amp": lambda: iterate_amp(
+            None, np.zeros((1, 1)), None, AMPConfig(), n=1, **kw
+        ),
+        "run_amp": lambda: run_amp(_standalone_instance(), **kw),
+        "run_amp_batch": lambda: run_amp_batch([], **kw),
+        "run_amp_trials": lambda: run_amp_trials(100, 3, z, 10, [], **kw),
+        "run_amp_prepared": lambda: run_amp_prepared(
+            100, 3, z, None, np.zeros((0, 10)), np.zeros((0, 100)), **kw
+        ),
+        "decode_prefix_batch": lambda: decode_prefix_batch(
+            [], [], 100, 3, z, **kw
+        ),
+        "required_queries_amp": lambda: required_queries_amp(
+            100, 3, z, [], **kw
+        ),
+        "run_distributed_amp": lambda: run_distributed_amp(
+            _standalone_instance(), **kw
+        ),
+        "required_queries_trials": lambda: required_queries_trials(
+            100, 3, z, trials=1, algorithm="amp", **kw
+        ),
+        "success_rate_curve": lambda: success_rate_curve(
+            100, 3, z, [10], algorithm="amp", trials=1, **kw
+        ),
+        "add_required_queries": lambda: SweepPlan().add_required_queries(
+            100, 3, z, algorithm="amp", **kw
+        ),
+        "DecodeBatcher": lambda: DecodeBatcher(**kw),
+        "DecodeService": lambda: DecodeService(**kw),
+        "algorithm_kwargs": lambda: success_rate_curve(
+            100, 3, z, [10], algorithm="amp", trials=1, algorithm_kwargs=kw,
+            backend="serial",
+        ),
+    }
+    out = [(name, call, TypeError) for name, call in calls.items()]
+    out += [
+        (f"import-{name}", lambda name=name: import_removed(name), ImportError)
+        for name in ("resolve_kernel", "KERNELS", "KERNEL_ENV")
+    ]
+    return out
 
 
-def test_named_kernels_resolve():
-    assert resolve_kernel("numpy").dtype == np.float64
-    kern32 = resolve_kernel("numpy32")
-    assert kern32.name == "numpy32"
-    assert kern32.dtype == np.float32
-
-
-def test_unknown_kernel_name_rejected():
-    with pytest.raises(ValueError, match="unknown AMP kernel"):
-        resolve_kernel("fortran")
-
-
-def test_instance_passes_through():
-    kern = AMPKernel(np.float32, "custom")
-    assert resolve_kernel(kern) is kern
-
-
-def test_env_selection_and_precedence(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "numpy32")
-    assert resolve_kernel().name == "numpy32"
-    # An explicit name always beats the environment.
-    assert resolve_kernel("numpy").name == "numpy"
-    monkeypatch.setenv(KERNEL_ENV, "")
-    assert resolve_kernel().name == "numpy"
-
-
-def test_resolved_kernels_are_cached():
-    assert resolve_kernel("numpy") is resolve_kernel("numpy")
-
-
-@pytest.mark.parametrize("name", ["numba", "numba32", "cupy", "cupy32"])
-def test_removed_kernel_names_rejected(name, monkeypatch):
-    # Only the two NumPy kernels exist: a former accelerator name fails
-    # loudly on both selection routes instead of falling back.
-    with pytest.raises(ValueError, match=re.escape("valid: ('numpy', 'numpy32')")):
-        resolve_kernel(name)
-    monkeypatch.setenv(KERNEL_ENV, name)
-    message = f"REPRO_KERNEL must be one of ('numpy', 'numpy32'), got '{name}'"
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        resolve_kernel()
-
-
-def test_registry_names_all_resolve():
-    assert KERNELS == ("numpy", "numpy32")
-    for name in KERNELS:
-        assert isinstance(resolve_kernel(name), AMPKernel)
+@pytest.mark.parametrize(
+    "call, error",
+    [pytest.param(call, error, id=name)
+     for name, call, error in _removed_kernel_calls()],
+)
+def test_removed_kernel_names_rejected(call, error):
+    # The kernel= keyword and the registry names are gone: every former
+    # selection route fails loudly instead of being ignored.
+    with pytest.raises(error, match="kernel|KERNEL"):
+        call()
 
 
 # -- stack layout --------------------------------------------------------
 
 
 def test_layout_uniform_bounds_and_scalars():
-    layout = StackLayout.for_uniform(3, 10, 4, np.float64)
+    layout = StackLayout.for_uniform(3, 10, 4)
     assert layout.uniform
     assert layout.sqrt_m == np.sqrt(4)
     assert layout.nm_ratio == 10 / 4
 
 
 def test_layout_ragged_restrict_slices_scalars():
-    layout = StackLayout.for_ragged(6, np.array([2, 3, 4]), np.float64)
+    layout = StackLayout.for_ragged(6, np.array([2, 3, 4]))
     assert not layout.uniform
     np.testing.assert_array_equal(layout.bounds, [0, 2, 5, 9])
     active = np.array([True, False, True])
@@ -128,7 +141,7 @@ def test_layout_ragged_restrict_slices_scalars():
 
 
 def test_layout_compact_and_restore_roundtrip():
-    layout = StackLayout.for_ragged(4, np.array([2, 3, 1]), np.float64)
+    layout = StackLayout.for_ragged(4, np.array([2, 3, 1]))
     z = np.arange(6, dtype=float)
     active = np.array([True, False, True])
     np.testing.assert_array_equal(
@@ -139,27 +152,19 @@ def test_layout_compact_and_restore_roundtrip():
     np.testing.assert_array_equal(dst, [0, 0, 2, 3, 4, 0])
 
 
-def test_layout_float32_scalars_stay_float32():
-    layout = StackLayout.for_ragged(8, np.array([3, 5]), np.float32)
-    assert layout.sqrt_m.dtype == np.float32
-    assert layout.nm_ratio.dtype == np.float32
-    assert np.dtype(type(layout.sqrt_n)) == np.float32
-
-
 def test_segment_square_sums_matches_reference():
-    kern = resolve_kernel("numpy")
     rng = np.random.default_rng(0)
     flat = rng.normal(size=9)
-    layout = StackLayout.for_ragged(5, np.array([2, 3, 4]), np.float64)
-    out = kern.segment_square_sums(flat, layout)
+    layout = StackLayout.for_ragged(5, np.array([2, 3, 4]))
+    out = AMP_KERNEL.segment_square_sums(flat, layout)
     expected = [np.sum(flat[a:b] ** 2) for a, b in ((0, 2), (2, 5), (5, 9))]
     np.testing.assert_allclose(out, expected)
     # Equal-length ragged segments take the reshape fast path; it must
     # agree with the generic per-segment reduction bit for bit.
     flat6 = rng.normal(size=6)
-    eq = StackLayout.for_ragged(5, np.array([3, 3]), np.float64)
+    eq = StackLayout.for_ragged(5, np.array([3, 3]))
     np.testing.assert_array_equal(
-        kern.segment_square_sums(flat6, eq),
+        AMP_KERNEL.segment_square_sums(flat6, eq),
         np.sum(flat6.reshape(2, 3) ** 2, axis=1),
     )
 
@@ -178,17 +183,22 @@ GOLDEN_CHECKS = {
 GOLDEN_GAUSS_DAMPED = "8a6dea18c59061fe"
 
 
-@pytest.mark.parametrize("kernel", [None, "numpy"])
+@pytest.mark.parametrize("kernel", [None, "numpy", "numpy32"])
 def test_golden_standalone_run_amp(kernel, monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
-    result = run_amp(_standalone_instance(), kernel=kernel)
+    # REPRO_KERNEL is no longer read: the float64 goldens hold whether it
+    # is unset or names a kernel that used to exist.
+    if kernel is None:
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
+    result = run_amp(_standalone_instance())
     assert _hash(result.scores) == GOLDEN_STANDALONE
+    assert result.scores.dtype == np.float64
     assert result.meta["iterations"] == 4
-    assert result.meta["kernel"] == "numpy"
+    assert "kernel" not in result.meta
 
 
-def test_golden_batched_trials(monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
+def test_golden_batched_trials():
     results = run_amp_trials(
         512, 4, repro.ZChannel(0.1), 90, spawn_seeds(7, 6), gamma=32
     )
@@ -198,18 +208,17 @@ def test_golden_batched_trials(monkeypatch):
 
 
 @pytest.mark.parametrize("verify", ["full", "window", "none"])
-def test_golden_required_m_scan(verify, monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
+def test_golden_required_m_scan(verify):
     results = required_queries_amp(
         256, 3, repro.ZChannel(0.1), spawn_seeds(11, 5),
         gamma=32, check_every=8, max_m=400, verify=verify,
     )
     assert [r.required_m for r in results] == GOLDEN_REQUIRED_M
     assert [r.checks for r in results] == GOLDEN_CHECKS[verify]
+    assert all("kernel" not in r.meta for r in results)
 
 
-def test_golden_gaussian_damped(monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
+def test_golden_gaussian_damped():
     meas = _standalone_instance(
         seed=5, n=400, k=4, m=70, channel=repro.GaussianQueryNoise(1.0)
     )
@@ -223,7 +232,6 @@ def test_matvec_runs_inside_the_seam(monkeypatch):
     # count operator applications during a run. One adjoint per
     # iteration, one forward per iteration (plus the initial
     # residual), and spying must not perturb the golden decode.
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
     calls = {"matvec": 0, "rmatvec": 0}
     orig_matvec = CSRStackOperator.matvec
     orig_rmatvec = CSRStackOperator.rmatvec
@@ -245,70 +253,28 @@ def test_matvec_runs_inside_the_seam(monkeypatch):
     assert calls["matvec"] >= iterations > 0
 
 
-def test_env_kernel_reaches_run_amp(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "numpy32")
-    result = run_amp(_standalone_instance())
-    assert result.meta["kernel"] == "numpy32"
-    assert result.scores.dtype == np.float32
-
-
-@pytest.mark.parametrize(
-    "stack_dtype, kernel", [(np.float64, "numpy32"), (np.float32, "numpy")]
-)
-def test_stack_dtype_must_match_kernel(stack_dtype, kernel):
-    # A float64 stack under numpy32 would silently promote every pass
-    # (and the denoiser's exp clip with it); iterate_amp refuses it.
+def test_stack_dtype_must_match_kernel():
+    # One numeric: a float32 stack cannot take the run's float64
+    # vectors into its float32 product output, so it fails loudly
+    # instead of computing in another precision.
     from repro.amp.amp import default_denoiser, iterate_amp
 
     meas = _standalone_instance()
     n, m = meas.graph.n, meas.graph.m
-    a = meas.graph.adjacency_sparse().astype(stack_dtype)
+    a = meas.graph.adjacency_sparse().astype(np.float32)
     op = CSRStackOperator(a, n=n, c=0.5, scale=1.0)
-    with pytest.raises(ValueError, match="does not match"):
+    with pytest.raises(ValueError, match="dtype"):
         iterate_amp(
             op, np.zeros((1, m)), default_denoiser(n, meas.k), AMPConfig(),
-            n=n, kernel=kernel,
+            n=n,
         )
-
-
-# -- float32 opt-in (tolerance, not bit-identity) ------------------------
-
-
-def test_float32_standalone_close_to_reference():
-    ref = run_amp(_standalone_instance(), kernel="numpy")
-    f32 = run_amp(_standalone_instance(), kernel="numpy32")
-    assert f32.scores.dtype == np.float32
-    assert f32.meta["kernel"] == "numpy32"
-    assert np.max(np.abs(ref.scores - f32.scores)) < 5e-6
-    np.testing.assert_array_equal(ref.estimate, f32.estimate)
-
-
-def test_float32_batched_close_to_reference():
-    ref = run_amp_trials(
-        512, 4, repro.ZChannel(0.1), 90, spawn_seeds(7, 6), gamma=32
-    )
-    f32 = run_amp_trials(
-        512, 4, repro.ZChannel(0.1), 90, spawn_seeds(7, 6), gamma=32,
-        kernel="numpy32",
-    )
-    for a, b in zip(ref, f32):
-        assert b.scores.dtype == np.float32
-        assert np.max(np.abs(a.scores - b.scores)) < 5e-5
-
-
-def test_float32_required_m_matches_on_pinned_instance():
-    f32 = required_queries_amp(
-        256, 3, repro.ZChannel(0.1), spawn_seeds(11, 5),
-        gamma=32, check_every=8, max_m=400, kernel="numpy32",
-    )
-    assert [r.required_m for r in f32] == GOLDEN_REQUIRED_M
 
 
 # -- the lean reference path: same products, no scipy dispatch -----------
 
 
-def _random_stack(rng, n, m_per, dtype, index_dtype):
-    """A column-shifted block-diagonal CSR stack with the given dtypes."""
+def _random_stack(rng, n, m_per, index_dtype):
+    """A column-shifted block-diagonal CSR stack with the given index dtype."""
     from scipy import sparse
 
     from repro.amp.batch_amp import _stack_blocks
@@ -323,13 +289,12 @@ def _random_stack(rng, n, m_per, dtype, index_dtype):
         )
         block.sum_duplicates()
         blocks.append((block.indptr, block.indices, block.data))
-    a = _stack_blocks(blocks, n, dtype)
+    a = _stack_blocks(blocks, n)
     a.indices = a.indices.astype(index_dtype)
     a.indptr = a.indptr.astype(index_dtype)
     return a
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
 @pytest.mark.parametrize(
     "m_per, ragged_form",
@@ -337,17 +302,17 @@ def _random_stack(rng, n, m_per, dtype, index_dtype):
      ([5, 12, 1, 8], True)],
     ids=["T1-uniform", "T1-ragged", "uniform", "equal-ragged", "ragged"],
 )
-def test_stack_products_equal_scipy_bytes(dtype, index_dtype, m_per, ragged_form):
+def test_stack_products_equal_scipy_bytes(index_dtype, m_per, ragged_form):
     # The operator's products run the sparsetools routines behind
     # scipy's ``@`` directly: raw products (c=0, unit scale) equal
     # ``a @ x`` / ``a.T @ z`` byte for byte, and the standardized ones
     # equal the pre-seam closure arithmetic on those products.
     rng = np.random.default_rng(len(m_per) * 10 + int(ragged_form))
     n, trials = 13, len(m_per)
-    a = _random_stack(rng, n, m_per, dtype, index_dtype)
-    assert a.indices.dtype == index_dtype and a.data.dtype == dtype
-    x = rng.normal(size=trials * n).astype(dtype)
-    z = rng.normal(size=a.shape[0]).astype(dtype)
+    a = _random_stack(rng, n, m_per, index_dtype)
+    assert a.indices.dtype == index_dtype and a.data.dtype == np.float64
+    x = rng.normal(size=trials * n)
+    z = rng.normal(size=a.shape[0])
     m_arr = np.asarray(m_per)
     scales = rng.uniform(0.5, 3.0, size=trials)
 
@@ -359,7 +324,7 @@ def test_stack_products_equal_scipy_bytes(dtype, index_dtype, m_per, ragged_form
 
     raw = make(0.0, True)
     mv, rmv = raw.matvec(x), raw.rmatvec(z)
-    assert mv.dtype == rmv.dtype == np.dtype(dtype)
+    assert mv.dtype == rmv.dtype == np.float64
     assert mv.tobytes() == (a @ x).tobytes()
     assert rmv.tobytes() == (a.T @ z).tobytes()
 
@@ -369,11 +334,11 @@ def test_stack_products_equal_scipy_bytes(dtype, index_dtype, m_per, ragged_form
     bounds = np.concatenate(([0], np.cumsum(m_arr)))
     sz = np.array([z[bounds[i] : bounds[i + 1]].sum() for i in range(trials)])
     if ragged_form:
-        row_scale = np.repeat(scales, m_arr).astype(dtype)
+        row_scale = np.repeat(scales, m_arr)
         ref_mv = (a @ x - c * np.repeat(sx, m_arr)) / row_scale
         ref_rmv = (
             ((a.T @ z).reshape(trials, n) - (c * sz)[:, None])
-            / scales.astype(dtype)[:, None]
+            / scales[:, None]
         ).reshape(-1)
     else:
         scale = float(scales[0])
@@ -392,7 +357,6 @@ def test_iteration_never_dispatches_through_scipy_matmul(monkeypatch):
 
     from repro.amp.batch_amp import decode_prefix_batch
 
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
     calls = {"n": 0}
     for name in ("__matmul__", "_matmul_dispatch"):
         orig = getattr(_base._spbase, name)
@@ -438,8 +402,7 @@ def _ragged_streams(count, n=200, k=3, gamma=50, max_m=260):
     return streams
 
 
-@pytest.mark.parametrize("kernel", ["numpy", "numpy32"])
-def test_ragged_damped_compacting_stack_matches_standalone(kernel, monkeypatch):
+def test_ragged_damped_compacting_stack_matches_standalone():
     # Unequal-m ragged stack, damping on, and trials freezing at
     # different iterations so the stack compacts mid-run: every trial's
     # scores, iteration count, convergence flag and history still equal
@@ -454,12 +417,10 @@ def test_ragged_damped_compacting_stack_matches_standalone(kernel, monkeypatch):
     from repro.core.measurement import Measurements
     from repro.core.pooling import PoolingGraph
 
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
     n, k, gamma = 200, 3, 50
     channel = repro.NoiselessChannel()
     config = AMPConfig(damping=0.2, max_iter=40, tol=1e-6, track_history=True)
     denoiser = default_denoiser(n, k)
-    kern = resolve_kernel(kernel)
     streams = _ragged_streams(5)
     m_per = np.array([250, 30, 240, 45, 260])
     prefixes, y_parts, scales = [], [], []
@@ -471,9 +432,7 @@ def test_ragged_damped_compacting_stack_matches_standalone(kernel, monkeypatch):
         y_parts.append(
             (channel_corrected_results(results, gamma, channel) - c * k) / scale
         )
-    ops = _PrefixStackOperators(
-        prefixes, n, m_per, gamma / n, np.array(scales), dtype=kern.dtype
-    )
+    ops = _PrefixStackOperators(prefixes, n, m_per, gamma / n, np.array(scales))
     restricted = []
 
     def restrict(live):
@@ -483,7 +442,6 @@ def test_ragged_damped_compacting_stack_matches_standalone(kernel, monkeypatch):
     scores, iterations, converged, histories = iterate_amp(
         ops.operators(np.arange(m_per.size)), np.concatenate(y_parts),
         denoiser, config, n=n, restrict=restrict, row_sizes=m_per,
-        kernel=kern,
     )
     # The combination under test really happened: a mid-run compaction
     # with trials still iterating, and mixed stopping iterations.
@@ -498,7 +456,7 @@ def test_ragged_damped_compacting_stack_matches_standalone(kernel, monkeypatch):
             channel=channel,
             results=results,
         )
-        single = run_amp(meas, denoiser=denoiser, config=config, kernel=kern)
+        single = run_amp(meas, denoiser=denoiser, config=config)
         assert single.scores.tobytes() == scores[i].tobytes()
         assert single.meta["iterations"] == int(iterations[i])
         assert single.meta["converged"] == bool(converged[i])

@@ -216,23 +216,21 @@ class TestSuccessCurveEquivalence:
         assert sharded.success_rates == serial.success_rates
         assert sharded.overlaps == serial.overlaps
 
-    def test_distributed_amp_honors_kernel(self):
-        # kernel= reaches run_distributed_amp through the cell's
-        # algorithm_kwargs; numpy is the reference backend, so the
-        # curve matches a kernel-less run exactly.
-        kwargs = dict(algorithm="distributed_amp", trials=4, seed=6)
-        plain = success_rate_curve(40, 3, repro.ZChannel(0.1), [40], **kwargs)
-        kerneled = success_rate_curve(
-            40, 3, repro.ZChannel(0.1), [40], kernel="numpy", **kwargs
-        )
-        assert kerneled.success_rates == plain.success_rates
-        assert kerneled.overlaps == plain.overlaps
-
     def test_kernel_rejected_for_non_amp_algorithms(self):
-        with pytest.raises(ValueError, match="has none"):
+        # No kernel is selectable: the keyword is unknown to every
+        # algorithm, and as an algorithm kwarg it reaches the
+        # decoder's signature and fails there.
+        for algorithm in ("greedy", "amp", "distributed_amp"):
+            with pytest.raises(TypeError, match="kernel"):
+                success_rate_curve(
+                    40, 3, repro.ZChannel(0.1), [30],
+                    trials=2, algorithm=algorithm, kernel="numpy",
+                )
+        with pytest.raises(TypeError, match="kernel"):
             success_rate_curve(
-                40, 3, repro.ZChannel(0.1), [30],
-                trials=2, algorithm="greedy", kernel="numpy",
+                40, 3, repro.ZChannel(0.1), [40], trials=2,
+                algorithm="distributed_amp",
+                algorithm_kwargs={"kernel": "numpy"},
             )
 
     def test_env_var_drives_sharding(self, monkeypatch):

@@ -361,8 +361,7 @@ class TestSearchThroughEngine:
 # -- draw sharing: fused sibling success-curve cells --------------------
 
 #: one plan mixing fusable siblings (greedy + AMP over several
-#: channels, a float32-kernel AMP member beside float64 ones, an oracle
-#: centering) with cells that must not fuse: a same-seed cell whose
+#: channels, an oracle centering) with cells that must not fuse: a same-seed cell whose
 #: m-grid order differs (so its per-m seeds differ by index), a
 #: different-k cell, a corrupted cell and a distributed cell
 FUSED_SEED = 21
@@ -386,8 +385,7 @@ def build_fused_plan():
         algorithm_kwargs={"centering": "oracle"}, **common,
     )
     plan.add_success_curve(
-        120, 3, repro.ZChannel(0.2), FUSED_M, algorithm="amp",
-        algorithm_kwargs={"kernel": "numpy32"}, **common,
+        120, 3, repro.ZChannel(0.2), FUSED_M, algorithm="amp", **common
     )
     plan.add_success_curve(
         120, 3, repro.ZChannel(0.2), FUSED_M[::-1], **common
@@ -629,7 +627,6 @@ UNIT_MEMBERS = [
     ("greedy", {"centering": "half_k"}),
     ("greedy", {"centering": "oracle"}),
     ("amp", {}),
-    ("amp", {"kernel": "numpy32"}),
 ]
 
 
@@ -647,7 +644,7 @@ def per_trial_reference(n, k, channel, m, seeds, mode, kwargs):
             n, k, channel, centering=kwargs["centering"]
         ).run_trials_seeded(m, seeds)
     else:
-        runs = run_amp_trials(n, k, channel, m, seeds, kernel=kwargs.get("kernel"))
+        runs = run_amp_trials(n, k, channel, m, seeds)
     return [(bool(r.exact), float(r.overlap)) for r in runs]
 
 
@@ -749,6 +746,17 @@ class TestGridValidation:
                 trials=2,
             )
         assert len(plan) == 1  # the rejected cell was not added
+
+    @pytest.mark.parametrize("bad", [2.5, "7", True], ids=["float", "str", "bool"])
+    def test_non_integer_m_rejected(self, bad):
+        # A grid point is validated as given, never coerced: 2.5 would
+        # silently run m=2, "7" m=7 and True m=1.
+        from repro.experiments.runner import success_rate_curve
+
+        with pytest.raises(TypeError, match="m must be an integer"):
+            SweepPlan().add_success_curve(50, 2, repro.ZChannel(0.1), [bad])
+        with pytest.raises(TypeError, match="m must be an integer"):
+            success_rate_curve(50, 2, repro.ZChannel(0.1), [bad], trials=1)
 
     def test_negative_m_rejected_for_every_algorithm(self):
         with pytest.raises(ValueError, match="m must be >= 0"):

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.amp import AMPConfig, AMPKernel, run_amp
+from repro.amp import AMPConfig, run_amp
 from repro.service.batcher import DecodeBatcher
 from repro.service.client import ServiceClient
 from repro.service.errors import (
@@ -57,7 +57,6 @@ from repro.service.wire import (
     resolve_connect_retry,
     send_message,
 )
-from repro.utils.config import ConfigError
 
 
 # ---------------------------------------------------------------------------
@@ -845,17 +844,25 @@ class TestDecodeResultCache:
 
 
 class TestDecodeServiceStartup:
-    def test_kernel_resolved_once_at_construction(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "numpy32")
-        service = DecodeService()
-        assert isinstance(service.batcher.kernel, AMPKernel)
-        assert service.batcher.kernel.name == "numpy32"
+    def test_server_imports_no_sweep_harness(self):
+        # The service shares only the JSON primitives with the sweep
+        # engine; importing the server must not load repro.experiments.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
 
-    def test_bad_kernel_fails_at_construction(self, monkeypatch):
-        # Not on the first decode: the constructor resolves the kernel.
-        monkeypatch.setenv("REPRO_KERNEL", "cupy")
-        with pytest.raises(ConfigError, match="REPRO_KERNEL must be one of"):
-            DecodeService()
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = (
+            "import sys, repro.service.server\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[:2] == ['repro', 'experiments']))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
