@@ -11,9 +11,9 @@ This package provides:
   ``run_amp`` on the same spawned seeds);
 * :func:`required_queries_amp` — the per-trial "smallest m on the
   check grid where AMP decodes exactly" scan: prefix replay of a
-  once-sampled query stream plus a galloping bracket / stacked
-  bisection, grid-exact (with ``verify="full"``) against a brute-force
-  ascending scan;
+  once-sampled query stream and one ascending scan whose rounds decode
+  stacked probes, returning exactly the m of a brute-force ascending
+  scan;
 * denoisers (:class:`BayesBernoulliDenoiser`,
   :class:`SoftThresholdDenoiser`);
 * the compute kernel (:mod:`repro.amp.kernels`) — the float64 array

@@ -32,8 +32,8 @@ Single-source kernel
 --------------------
 Standardization (:func:`channel_corrected_results`,
 :func:`standardization_constants`) and the iteration itself
-(:func:`iterate_amp`) are shared helpers: the dense and sparse paths of
-:func:`run_amp` run the kernel on a one-trial stack, and the batched
+(:func:`iterate_amp`) are shared helpers: :func:`run_amp` runs the
+kernel on a one-trial stack, and the batched
 runner (:mod:`repro.amp.batch_amp`) runs it on a ``T``-trial
 block-diagonal stack — uniform-``m`` (one sweep cell) or, via the
 ``row_sizes`` parameter, heterogeneous-``m`` (the required-queries
@@ -62,12 +62,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.amp.denoisers import BayesBernoulliDenoiser, Denoiser
-from repro.amp.kernels import (
-    AMP_KERNEL,
-    CSRStackOperator,
-    MatvecOperator,
-    StackLayout,
-)
+from repro.amp.kernels import AMP_KERNEL, CSRStackOperator, StackLayout
 from repro.core.measurement import Measurements
 from repro.core.noise import Channel, GaussianQueryNoise, NoiselessChannel, NoisyChannel
 from repro.core.scores import top_k_estimate
@@ -107,7 +102,7 @@ class AMPConfig:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
 
 
-# -- standardization (single source for dense / sparse / batched) -------
+# -- standardization (single source for standalone / batched) ----------
 
 
 def standardization_constants(n: int, m: int, gamma: int) -> Tuple[float, float]:
@@ -191,8 +186,7 @@ def iterate_amp(
         :class:`~repro.amp.kernels.CSRStackOperator` (raw block-
         diagonal CSR plus centering/scales), whose products the kernel
         phases apply. Any object with flat-vector ``matvec`` /
-        ``rmatvec`` methods works (e.g. a
-        :class:`~repro.amp.kernels.MatvecOperator` wrapping closures).
+        ``rmatvec`` methods works.
         ``matvec`` maps a ``(T*n,)`` stack of signal vectors to a
         ``(T*m,)`` stack of measurement vectors, ``rmatvec`` the
         reverse. For ``T = 1`` these are the ordinary
@@ -344,7 +338,6 @@ def run_amp(
     *,
     denoiser: Optional[Denoiser] = None,
     config: Optional[AMPConfig] = None,
-    sparse: Optional[bool] = True,
 ) -> ReconstructionResult:
     """Run AMP on a set of pooled measurements and decode by top-k.
 
@@ -358,15 +351,6 @@ def run_amp(
         :class:`BayesBernoulliDenoiser` with prior ``k/n``.
     config:
         Iteration parameters.
-    sparse:
-        Represent the pooling matrix sparsely and apply the centering
-        as a rank-one correction on the fly, never materializing any
-        dense ``m x n`` matrix — the default, which keeps AMP viable at
-        the paper's full scale (``n = 10^5``, where the dense adjacency
-        alone would be tens of GiB). Pass ``False`` to force the dense
-        path (small-problem debugging; both paths compute identical
-        iterates up to float round-off). ``None`` — the pre-sparse-era
-        "choose automatically" sentinel — now also means sparse.
 
     Returns
     -------
@@ -386,35 +370,25 @@ def run_amp(
         raise ValueError("AMP requires at least one query")
     if denoiser is None:
         denoiser = default_denoiser(n, k)
-    if sparse is None:
-        sparse = True
 
     # Standardization (see module docstring). The centered, scaled
     # matrix is A_s = (A - c) / s; both products are applied as the raw
-    # product plus a rank-one correction, which keeps the sparse path
-    # free of any dense m x n intermediate.
+    # sparse product plus a rank-one correction, so no dense m x n
+    # matrix is ever formed — which keeps AMP viable at the paper's full
+    # scale (n = 10^5, where the dense adjacency alone would be tens of
+    # GiB).
     y_raw = channel_corrected_results(
         measurements.results, graph.gamma, measurements.channel
     )
     c, scale = standardization_constants(n, m, graph.gamma)
     y = (y_raw - c * k) / scale
-    adjacency = graph.adjacency_sparse() if sparse else graph.adjacency_dense()
-    if sparse:
-        # The one-trial stack operator: its transpose is the free CSC
-        # view (no O(nnz) tocsr() per call), and its matvec/rmatvec
-        # perform the same pairwise sums and per-element
-        # centering/scaling as the pre-seam closures — bit-identical.
-        operator = CSRStackOperator(adjacency, n=n, c=c, scale=scale)
-    else:
-        adjacency_t = adjacency.T
-
-        def matvec(x: np.ndarray) -> np.ndarray:
-            return (adjacency @ x - c * x.sum()) / scale
-
-        def rmatvec(z: np.ndarray) -> np.ndarray:
-            return (adjacency_t @ z - c * z.sum()) / scale
-
-        operator = MatvecOperator(matvec, rmatvec)
+    # The one-trial stack operator: its transpose is the free CSC view
+    # (no O(nnz) tocsr() per call), and its matvec/rmatvec perform the
+    # same pairwise sums and per-element centering/scaling as the
+    # pre-seam closures — bit-identical.
+    operator = CSRStackOperator(
+        graph.adjacency_sparse(), n=n, c=c, scale=scale
+    )
 
     stacked, iterations, converged, histories = iterate_amp(
         operator, y[None, :], denoiser, config, n=n
@@ -439,7 +413,7 @@ def run_amp(
             "m": m,
             "k": k,
             "channel": measurements.channel.describe(),
-            "sparse": bool(sparse),
+            "sparse": True,
             "history": histories[0] if histories is not None else [],
         },
     )

@@ -34,15 +34,16 @@ mixed per-trial iteration counts and stack sizes.
 
 The module also hosts the AMP **required-queries scan**
 (:func:`required_queries_amp`): per trial, the smallest check-grid m
-whose prefix-measured query stream decodes exactly, located by prefix
-replay of a once-sampled stream plus a galloping bracket / stacked
-bisection over heterogeneous-m block-diagonal probe stacks — see the
-function docstring and :class:`_RequiredMSearch` for the contract.
+whose prefix-measured query stream decodes exactly, found by prefix
+replay of a once-sampled stream and one ascending scan
+(:func:`scan_required_m`) whose rounds decode heterogeneous-m
+block-diagonal probe stacks — see the function docstrings for the
+contract.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -416,11 +417,11 @@ def run_amp_prepared(
     ]
 
 
-# -- required-queries scan: galloping bracket + stacked bisection -------
+# -- required-queries scan: one ascending stacked scan -----------------
 
-#: verify-phase probes a trial contributes per stacked round; larger
-#: waves stack better, smaller ones exit earlier on non-monotone
-#: profiles — either value returns the identical stopping m.
+#: grid points a trial probes per stacked round (its lowest unprobed
+#: ones); larger waves stack better, smaller ones stop closer to the
+#: answer — either value returns the identical stopping m.
 VERIFY_WAVE = 8
 
 
@@ -465,175 +466,49 @@ class _PrefixStackOperators:
         )
 
 
-#: verify modes of the required-m search (see :class:`_RequiredMSearch`)
-VERIFY_MODES = ("full", "window", "none")
+def scan_required_m(
+    trials: int,
+    step: int,
+    grid_max: int,
+    probe: Callable[[List[Tuple[int, int]]], Sequence[bool]],
+    wave: int = VERIFY_WAVE,
+) -> Tuple[List[Optional[int]], List[int]]:
+    """Per trial, the smallest grid point whose probe succeeds.
 
+    The grid is ``step, 2*step, ..., grid_max``. Each round, every
+    unfinished trial submits its lowest ``wave`` unprobed grid points,
+    and ``probe(jobs)`` decodes the round's ``(trial, m)`` jobs at once,
+    returning one success flag per job. A trial stops at the first
+    success of its wave, or at the end of its grid. Every grid point
+    below a returned m was probed and failed, so the result is the
+    brute-force ascending scan's by construction, whatever the success
+    profile. A trial's probes depend only on its own outcomes, which is
+    what lets trials share rounds without any cross-trial coupling.
 
-class _RequiredMSearch:
-    """One trial's gallop -> bisect -> verify search over the check grid.
-
-    The search locates ``min{g on the grid : AMP decodes the g-query
-    prefix exactly}`` with three phases:
-
-    1. **gallop** — probe ``step, 2*step, 4*step, ...`` (clamped to the
-       last grid point) until the first success brackets the answer;
-    2. **bisect** — standard bisection inside the bracket, assuming the
-       quasi-monotone recovery profile, shrinking the smallest known
-       success (the *candidate*);
-    3. **verify** — probe still-unresolved grid points below the
-       candidate, in ascending waves. Because each wave is the lowest
-       pending chunk, the first wave containing a success yields the
-       scan's answer outright, and an all-fail verify certifies the
-       candidate.
-
-    The ``verify`` mode sets how much of the grid below the candidate
-    the third phase sweeps — the exactness/cost dial of the scan:
-
-    * ``"full"`` — every unresolved grid point below the candidate
-      (and, on a failed gallop, the whole grid). The result is
-      *identical to a brute-force ascending scan by construction*,
-      monotone profile or not: every grid point below the returned m
-      has been probed and failed. Probe count matches the brute-force
-      scan's (the certificate below the answer is the same set of
-      probes), so the savings over the naive loop come from prefix
-      replay and stacking, not probe count.
-    * ``"window"`` — only the galloping bracket window ``(last failed
-      gallop point, candidate)``. Exact for every profile whose
-      non-monotone dropouts lie inside the bracket (the common
-      near-threshold case); a success hiding at or below a *failed
-      gallop point* would be missed.
-    * ``"none"`` — trust quasi-monotonicity outright: the bisection
-      boundary is the answer (the bisection invariant already pins
-      ``candidate - step`` as a probed failure, which is all the
-      ISSUE-style downward linear-verify would re-check). Sublinearly
-      many probes — the sweep-scale mode; on fine check grids this is
-      orders of magnitude less matvec work than the per-grid-point
-      loop.
-
-    Probes are never repeated, and each phase transition depends only
-    on this trial's own probe outcomes — which is what lets the driver
-    stack many trials' probes into shared rounds without any
-    cross-trial coupling.
+    Returns ``(required, checks)``: the stopping m (``None`` when no
+    grid point succeeded) and the number of probes spent, per trial.
     """
-
-    GALLOP, BISECT, VERIFY, DONE = "gallop", "bisect", "verify", "done"
-
-    def __init__(self, step: int, grid_max: int, verify: str = "full"):
-        if verify not in VERIFY_MODES:
-            raise ValueError(
-                f"unknown verify mode {verify!r}; valid: {VERIFY_MODES}"
-            )
-        self.step = step
-        self.grid_max = grid_max
-        self.verify = verify
-        self.results: Dict[int, bool] = {}
-        self.required_m: Optional[int] = None
-        self.candidate: Optional[int] = None
-        self._lo = 0  # highest grid point known to fail below the bracket
-        self._gallop_lo = 0  # highest *gallop* probe that failed
-        self._next: Optional[int] = None
-        self._pending: List[int] = []
-        if grid_max < step:  # no checkable grid point within the budget
-            self.phase = self.DONE
-        else:
-            self.phase = self.GALLOP
-            self._next = step
-
-    @property
-    def done(self) -> bool:
-        return self.phase == self.DONE
-
-    @property
-    def checks(self) -> int:
-        return len(self.results)
-
-    def next_probes(self, budget: int) -> List[int]:
-        """Grid points this trial wants probed in the coming round."""
-        if self.phase in (self.GALLOP, self.BISECT):
-            return [self._next]
-        if self.phase == self.VERIFY:
-            return self._pending[:budget]
-        return []
-
-    def record(self, m: int, exact: bool) -> None:
-        self.results[m] = exact
-
-    def advance(self) -> None:
-        """Fold the round's recorded probes into the next phase."""
-        if self.phase == self.GALLOP:
-            m = self._next
-            if self.results[m]:
-                self.candidate = m
-                self._bisect_or_verify()
-            elif m >= self.grid_max:
-                self._gallop_lo = m
-                self._enter_verify()
-            else:
-                self._lo = m
-                self._gallop_lo = m
-                self._next = min(2 * m, self.grid_max)
-        elif self.phase == self.BISECT:
-            m = self._next
-            if self.results[m]:
-                self.candidate = m
-            else:
-                self._lo = m
-            self._bisect_or_verify()
-        elif self.phase == self.VERIFY:
-            probed = [g for g in self._pending if g in self.results]
-            successes = [g for g in probed if self.results[g]]
-            if successes:
-                # The wave was the lowest pending chunk, so everything
-                # below its first success is a resolved failure.
-                self._finish(min(successes))
-            else:
-                self._pending = self._pending[len(probed):]
-                if not self._pending:
-                    self._finish(self.candidate)
-
-    def _bisect_or_verify(self) -> None:
-        step = self.step
-        if self.candidate - self._lo > step:
-            self.phase = self.BISECT
-            mid_idx = (self._lo // step + self.candidate // step) // 2
-            self._next = mid_idx * step
-        else:
-            self._enter_verify()
-
-    def _enter_verify(self) -> None:
-        if self.verify == "none":
-            self._finish(self.candidate)
-            return
-        if self.candidate is None:
-            # Gallop exhausted the grid without any success.
-            if self.verify == "window":
-                # The failed gallop points are trusted as the profile's
-                # shape; nothing below them gets swept.
-                self._finish(None)
-                return
-            floor = 0
-            upper = self.grid_max + self.step
-        else:
-            floor = self._gallop_lo if self.verify == "window" else 0
-            upper = self.candidate
-        self._pending = [
-            g
-            for g in range(floor + self.step, upper, self.step)
-            if g not in self.results
-        ]
-        if self._pending:
-            self.phase = self.VERIFY
-        else:
-            self._finish(self.candidate)
-
-    def _finish(self, required_m: Optional[int]) -> None:
-        self.required_m = required_m
-        self.phase = self.DONE
+    required: List[Optional[int]] = [None] * trials
+    checks = [0] * trials
+    active = list(range(trials))
+    # Every unfinished trial has probed the same grid points so far, so
+    # the trials' waves move in lockstep.
+    for lo in range(step, grid_max + 1, wave * step):
+        if not active:
+            break
+        points = range(lo, min(lo + wave * step, grid_max + 1), step)
+        jobs = [(i, m) for i in active for m in points]
+        for (i, m), ok in zip(jobs, probe(jobs)):
+            checks[i] += 1
+            if ok and required[i] is None:
+                required[i] = m
+        active = [i for i in active if required[i] is None]
+    return required, checks
 
 
 def _decode_prefix_stack(
     jobs: Sequence[Tuple[int, int]],
-    streams: Sequence[MeasurementStream],
+    streams: Sequence,
     n: int,
     k: int,
     gamma: int,
@@ -644,14 +519,17 @@ def _decode_prefix_stack(
     """Decode one stacked round of ``(trial, m)`` prefix probes.
 
     Builds the heterogeneous-m block-diagonal system from the trials'
-    retained streams (free prefix views — no resampling, no
-    re-measurement) and runs one batched :func:`iterate_amp` call.
-    Returns ``(exact, scores)`` with one entry/row per job; each job's
-    decode is bit-identical to a standalone :func:`run_amp` on the same
-    prefix data.
+    prefix-replayable streams (free prefix views — no resampling, no
+    re-measurement) and runs one batched :func:`iterate_amp` call. A
+    block has as many rows as its prefix holds queries, which is fewer
+    than ``m`` when a corruption model dropped some (see
+    :class:`repro.experiments.parallel._CorruptedStream`); every prefix
+    must keep at least one. Returns ``(exact, scores)`` with one
+    entry/row per job; each job's decode is bit-identical to a
+    standalone :func:`run_amp` on the same prefix data.
     """
     trials = len(jobs)
-    m_per = np.array([m for _, m in jobs], dtype=np.int64)
+    m_per = np.empty(trials, dtype=np.int64)
     c = gamma / n
     scales = np.empty(trials, dtype=np.float64)
     prefixes: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -660,7 +538,8 @@ def _decode_prefix_stack(
     for j, (i, m) in enumerate(jobs):
         indptr, agents, counts, results = streams[i].prefix(m)
         prefixes.append((indptr, agents, counts))
-        scales[j] = standardization_constants(n, m, gamma)[1]
+        m_per[j] = results.size
+        scales[j] = standardization_constants(n, results.size, gamma)[1]
         y_parts.append(
             (channel_corrected_results(results, gamma, channel) - c * k)
             / scales[j]
@@ -722,7 +601,7 @@ def decode_prefix_batch(
 
 
 def _probe_standalone(
-    stream: MeasurementStream,
+    stream,
     m: int,
     n: int,
     gamma: int,
@@ -741,7 +620,7 @@ def _probe_standalone(
 
 def _run_probe_round(
     jobs: Sequence[Tuple[int, int]],
-    streams: Sequence[MeasurementStream],
+    streams: Sequence,
     n: int,
     k: int,
     gamma: int,
@@ -752,6 +631,9 @@ def _run_probe_round(
 ) -> List[bool]:
     """Execute one round of probes; returns exact flags aligned with jobs.
 
+    ``streams`` are prefix-replayable (a retained
+    :class:`~repro.core.batch.MeasurementStream`, or a corrupted view
+    of one). A prefix left with no query fails without a decode.
     Probes whose prefix incidence count exceeds
     :data:`STACK_NNZ_CUTOFF` run standalone ``run_amp`` (their matvec
     is memory-bound; stacking would only add assembly cost), the rest
@@ -759,29 +641,31 @@ def _run_probe_round(
     ``stack_elements`` incidences. The dispatch never changes a probe's
     outcome (shared kernel, bit-identical either way).
     """
-    flags: List[Optional[bool]] = [None] * len(jobs)
-    stacked: List[int] = []
+    flags = [False] * len(jobs)
+    stacked: List[Tuple[int, int]] = []  # (job index, prefix incidences)
     for j, (i, m) in enumerate(jobs):
         streams[i].grow_to(m)
-        if int(streams[i].indptr[m]) > STACK_NNZ_CUTOFF:
+        indptr = streams[i].prefix(m)[0]
+        nnz = int(indptr[-1])
+        if indptr.size == 1:
+            continue  # every query of the prefix was corrupted away
+        if nnz > STACK_NNZ_CUTOFF:
             flags[j] = _probe_standalone(
                 streams[i], m, n, gamma, channel, denoiser, config
             )
         else:
-            stacked.append(j)
+            stacked.append((j, nnz))
     lo = 0
     while lo < len(stacked):
         budget = 0
         hi = lo
         while hi < len(stacked):
-            j = stacked[hi]
-            i, m = jobs[j]
-            nnz = int(streams[i].indptr[m])
+            nnz = stacked[hi][1]
             if hi > lo and budget + nnz > stack_elements:
                 break
             budget += nnz
             hi += 1
-        pack = stacked[lo:hi]
+        pack = [j for j, _ in stacked[lo:hi]]
         exact, _ = _decode_prefix_stack(
             [jobs[j] for j in pack],
             streams, n, k, gamma, channel, denoiser, config,
@@ -789,7 +673,7 @@ def _run_probe_round(
         for j, ok in zip(pack, exact):
             flags[j] = bool(ok)
         lo = hi
-    return flags  # type: ignore[return-value]
+    return flags
 
 
 def required_queries_amp(
@@ -801,7 +685,6 @@ def required_queries_amp(
     gamma: Optional[int] = None,
     max_m: Optional[int] = None,
     check_every: int = 1,
-    verify: str = "full",
     denoiser: Optional[Denoiser] = None,
     config: Optional[AMPConfig] = None,
     initial_block: int = DEFAULT_INITIAL_BLOCK,
@@ -814,34 +697,27 @@ def required_queries_amp(
     geometric-growth blocks (:class:`~repro.core.batch.
     MeasurementStream`) and replays row-prefixes of it: a probe at
     ``m'`` is a free ``indptr[:m'+1]`` slice plus the matching results
-    slice. The stopping m is located per trial with a galloping upper
-    bracket followed by bisection and a verify sweep of the
-    still-unresolved grid points below the candidate
-    (:class:`_RequiredMSearch`). With the default ``verify="full"``
-    the returned m is **identical to a brute-force ascending scan**
-    that runs standalone :func:`run_amp` at every ``check_every``
-    multiple of the same trial's prefix data (pinned in
-    ``tests/test_amp_required.py`` against the brute-force scan in
-    ``tests/reference.py``); ``verify="window"`` sweeps only
-    the galloping bracket, and ``verify="none"`` trusts the
-    quasi-monotone recovery profile outright and returns the bisection
-    boundary with sublinearly many probes (the sweep-scale fast mode —
-    see :class:`_RequiredMSearch` for the exactness/cost dial).
+    slice. The stopping m is found by one ascending scan of the
+    ``check_every`` grid (:func:`scan_required_m`), so it is
+    **identical to a brute-force ascending scan** that runs standalone
+    :func:`run_amp` at every grid point of the same trial's prefix data
+    (pinned in ``tests/test_amp_required.py`` against the brute-force
+    scan in ``tests/reference.py``).
 
-    Execution is *stacked*: each probe round collects all still-active
-    trials' pending probes — heterogeneous per-trial m — into one
+    Execution is *stacked*: each round collects every unfinished
+    trial's wave of probes — heterogeneous per-trial m — into one
     block-diagonal CSR and runs a single batched
     :func:`~repro.amp.amp.iterate_amp` call (consecutive stacks bounded
     by ``stack_elements`` incidences; memory-bound probes above
     :data:`STACK_NNZ_CUTOFF` run standalone). Every trial is a pure
-    function of its child seed — probe schedules depend only on the
-    trial's own outcomes, and stacked iterates are bit-identical to
-    standalone ones — so contiguous chunks of a larger seed list
-    reproduce the same per-trial results, keeping sharded scans
-    (``workers=N``) bit-identical to serial ones.
+    function of its child seed — its probes depend only on its own
+    outcomes, and stacked iterates are bit-identical to standalone
+    ones — so contiguous chunks of a larger seed list reproduce the
+    same per-trial results, keeping sharded scans (``workers=N``)
+    bit-identical to serial ones.
 
     Returns one :class:`~repro.core.types.RequiredQueriesResult` per
-    seed, in order; ``checks`` counts the distinct probes spent.
+    seed, in order; ``checks`` counts the probes spent.
     """
     n = check_positive_int(n, "n")
     k = check_positive_int(k, "k")
@@ -854,8 +730,6 @@ def required_queries_amp(
     config = config if config is not None else _default_batch_config()
     if not seeds:
         return []
-    step = check_every
-    grid_max = (max_m // step) * step
     meta = {
         "algorithm": "amp",
         "channel": channel.describe(),
@@ -863,10 +737,7 @@ def required_queries_amp(
         "max_m": max_m,
         "check_every": check_every,
         "denoiser": denoiser.describe(),
-        "verify": verify,
     }
-
-    searches = [_RequiredMSearch(step, grid_max, verify) for _ in seeds]
     streams: List[MeasurementStream] = []
     for seed in seeds:
         gen = normalize_rng(seed)
@@ -884,47 +755,36 @@ def required_queries_amp(
                 retain=True,
             )
         )
-
-    # Every trial's search runs to completion over shared probe rounds.
-    while True:
-        jobs: List[Tuple[int, int]] = []
-        for i, search in enumerate(searches):
-            if not search.done:
-                jobs.extend((i, m) for m in search.next_probes(VERIFY_WAVE))
-        if not jobs:
-            break
-        flags = _run_probe_round(
+    required, checks = scan_required_m(
+        len(seeds),
+        check_every,
+        (max_m // check_every) * check_every,
+        lambda jobs: _run_probe_round(
             jobs, streams, n, k, gamma, channel, denoiser, config,
             stack_elements,
-        )
-        touched = []
-        for (i, m), ok in zip(jobs, flags):
-            searches[i].record(m, ok)
-            if i not in touched:
-                touched.append(i)
-        for i in touched:
-            searches[i].advance()
+        ),
+    )
     return [
         RequiredQueriesResult(
-            required_m=search.required_m,
+            required_m=m,
             n=n,
             k=k,
-            succeeded=search.required_m is not None,
-            checks=search.checks,
+            succeeded=m is not None,
+            checks=spent,
             meta=meta,
         )
-        for search in searches
+        for m, spent in zip(required, checks)
     ]
 
 
 __all__ = [
     "DEFAULT_STACK_ELEMENTS",
     "STACK_NNZ_CUTOFF",
-    "VERIFY_MODES",
     "VERIFY_WAVE",
     "decode_prefix_batch",
     "run_amp_batch",
     "run_amp_trials",
     "run_amp_prepared",
     "required_queries_amp",
+    "scan_required_m",
 ]

@@ -20,8 +20,7 @@ The driver hands each phase the stack operator: a
 :class:`CSRStackOperator` (the standardized block-diagonal stack in
 raw CSR form, whose products call scipy's sparsetools CSR / CSC
 routines on the stored arrays — the ones ``@`` dispatches to — then
-the pre-seam centering and scaling) or, on the dense debugging path, a
-:class:`MatvecOperator` wrapping plain closures. A
+the pre-seam centering and scaling). A
 :class:`StackLayout` value describes the trial stack — uniform
 ``(T, m)`` or ragged ``row_sizes`` — so one driver and one kernel
 cover both stack shapes.
@@ -177,25 +176,6 @@ class StackLayout:
 
 
 # -- stack operators -----------------------------------------------------
-
-
-class MatvecOperator:
-    """Adapter wrapping plain ``(matvec, rmatvec)`` flat-vector callables.
-
-    Used by paths that have no raw CSR stack to expose (the dense
-    debugging path of :func:`repro.amp.run_amp`); the kernel phases
-    call its ``matvec`` / ``rmatvec`` exactly as a CSR stack's.
-    """
-
-    def __init__(self, matvec, rmatvec) -> None:
-        self._matvec = matvec
-        self._rmatvec = rmatvec
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._matvec(x)
-
-    def rmatvec(self, z: np.ndarray) -> np.ndarray:
-        return self._rmatvec(z)
 
 
 class CSRStackOperator:
@@ -407,7 +387,6 @@ AMP_KERNEL = AMPKernel()
 
 __all__ = [
     "StackLayout",
-    "MatvecOperator",
     "CSRStackOperator",
     "AMPKernel",
     "AMP_KERNEL",

@@ -299,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
         "required-queries",
         parents=[instance],
         help="required-m sweep: smallest m per trial under the chosen "
-        "stopping rule (greedy separation or exact AMP decode)",
+        "stopping rule (greedy separation, or the first exact AMP decode "
+        "of an ascending scan over the --check-every grid)",
     )
     rq.add_argument(
         "--algorithm",
@@ -313,14 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rq.add_argument(
         "--max-m", type=int, default=None, help="query budget per trial"
-    )
-    rq.add_argument(
-        "--verify",
-        choices=("full", "window", "none"),
-        default="full",
-        help="AMP scan verify mode: full = brute-force-identical "
-        "certificate sweep (default), window = galloping-bracket sweep, "
-        "none = trust the quasi-monotone profile (fastest)",
     )
     rq.add_argument(
         "--workers",
@@ -478,7 +471,6 @@ def _run_required_queries(args: argparse.Namespace) -> int:
         check_every=args.check_every,
         gamma=args.gamma,
         algorithm=args.algorithm,
-        verify=args.verify,
         workers=args.workers,
         backend=args.backend,
     )

@@ -139,7 +139,11 @@ def _write_csr(bounds, runs, indptr, agents, counts) -> None:
 
 
 def _csr_from_draws(
-    draws: np.ndarray, n: int, *, narrow: bool = False
+    draws: np.ndarray,
+    n: int,
+    *,
+    agent_dtype: Optional[np.dtype] = np.int64,
+    count_dtype: np.dtype = np.int64,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collapse raw edge draws ``(b, gamma)`` into the CSR triple.
 
@@ -152,21 +156,43 @@ def _csr_from_draws(
     agents per row, which fixes ``indptr``; a second pass writes each
     chunk's runs straight into its slice of the preallocated outputs.
 
-    ``agents`` is int64 unless ``narrow`` asks to keep the sort dtype
-    (for consumers that only index with it); ``indptr`` and ``counts``
-    are always int64. ``draws`` of another dtype (the int32/int64
-    draws) are left unmodified; ``draws`` already in the sort dtype
-    are sorted in place (see :func:`_sorted_runs`).
+    ``agents`` and ``counts`` take the requested dtypes, which must
+    hold ``n - 1`` and ``gamma``; ``agent_dtype=None`` keeps the sort
+    dtype (for consumers that only index with it). ``indptr`` is always
+    int64. ``draws`` of another dtype (the int32/int64 draws) are left
+    unmodified; ``draws`` already in the sort dtype are sorted in place
+    (see :func:`_sorted_runs`).
     """
     dtype, bounds, runs = _sort_rows(draws, n)
     indptr = np.empty(draws.shape[0] + 1, dtype=np.int64)
     indptr[0] = 0
     _fill_indptr(runs, indptr)
     edges = int(indptr[-1])
-    agents = np.empty(edges, dtype=dtype if narrow else np.int64)
-    counts = np.empty(edges, dtype=np.int64)
+    agents = np.empty(edges, dtype=dtype if agent_dtype is None else agent_dtype)
+    counts = np.empty(edges, dtype=count_dtype)
     _write_csr(bounds, runs, indptr, agents, counts)
     return indptr, agents, counts
+
+
+def _narrowest_int(limit: int) -> np.dtype:
+    """The narrowest signed integer dtype holding ``0 .. limit``."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if limit <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def _merge_parts(*parts: List[np.ndarray]) -> Tuple[np.ndarray, ...]:
+    """Concatenate each list of array parts into one array.
+
+    Each whole array then replaces its list's parts, so a stream holds
+    one copy of its arrays, and the next merge copies the whole plus
+    only the parts appended since.
+    """
+    merged = tuple(np.concatenate(p) for p in parts)
+    for p, whole in zip(parts, merged):
+        p[:] = [whole]
+    return merged
 
 
 def _draw_agents(gen: np.random.Generator, n: int, shape) -> np.ndarray:
@@ -384,7 +410,9 @@ class MeasurementStream:
       graph at ``m'`` queries is a row-prefix of the graph at
       ``m >= m'``, so :meth:`prefix` is a free ``indptr[:m'+1]`` /
       ``agents[:indptr[m']]`` slice plus the matching results slice —
-      no resampling, no re-measurement.
+      no resampling, no re-measurement. A retained stream stores its
+      agent ids as int32 (when ``n <= 2**31``) and its multiplicities
+      in the narrowest signed integer holding ``gamma``.
 
     Memory contract: a block is drawn in row chunks of about
     :data:`_CSR_CHUNK_DRAWS` draws (the same values and generator
@@ -446,10 +474,16 @@ class MeasurementStream:
         # on every append, going quadratic once block growth hits the
         # element cap (dense gamma at paper scale).
         self._edges = 0
+        self._agent_dtype = np.dtype(np.int32 if self.n <= 2**31 else np.int64)
+        self._count_dtype = _narrowest_int(self.gamma)
         self._indptr_parts: List[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-        self._agents_parts: List[np.ndarray] = []
-        self._counts_parts: List[np.ndarray] = []
-        self._results_parts: List[np.ndarray] = []
+        self._agents_parts: List[np.ndarray] = [
+            np.zeros(0, dtype=self._agent_dtype)
+        ]
+        self._counts_parts: List[np.ndarray] = [
+            np.zeros(0, dtype=self._count_dtype)
+        ]
+        self._results_parts: List[np.ndarray] = [np.zeros(0)]
         self._consolidated = None
 
     def _sample_block(self) -> List[tuple]:
@@ -512,10 +546,16 @@ class MeasurementStream:
         self.slice_ones = (one_rows, one_agents)
         self.block_end = not self._slices
         # A streamed slice is only indexed with, so its agents may stay
-        # in the narrow sort dtype; retained ones become int64 arrays.
-        indptr, agents, counts = _csr_from_draws(
-            draws, self.n, narrow=not self.retain
-        )
+        # in the narrow sort dtype; retained ones are stored narrow.
+        if self.retain:
+            indptr, agents, counts = _csr_from_draws(
+                draws, self.n, agent_dtype=self._agent_dtype,
+                count_dtype=self._count_dtype,
+            )
+        else:
+            indptr, agents, counts = _csr_from_draws(
+                draws, self.n, agent_dtype=None
+            )
         if self.retain:
             self._indptr_parts.append(indptr[1:] + self._edges)
             self._edges += int(indptr[-1])
@@ -533,23 +573,11 @@ class MeasurementStream:
 
     def _consolidate(self):
         if self._consolidated is None:
-            self._consolidated = (
-                np.concatenate(self._indptr_parts),
-                (
-                    np.concatenate(self._agents_parts)
-                    if self._agents_parts
-                    else np.zeros(0, dtype=np.int64)
-                ),
-                (
-                    np.concatenate(self._counts_parts)
-                    if self._counts_parts
-                    else np.zeros(0, dtype=np.int64)
-                ),
-                (
-                    np.concatenate(self._results_parts)
-                    if self._results_parts
-                    else np.zeros(0, dtype=np.float64)
-                ),
+            self._consolidated = _merge_parts(
+                self._indptr_parts,
+                self._agents_parts,
+                self._counts_parts,
+                self._results_parts,
             )
         return self._consolidated
 
@@ -703,9 +731,9 @@ class SessionStream:
         self.m_done = 0
         self._edges = 0
         self._indptr_parts: List[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-        self._agents_parts: List[np.ndarray] = []
-        self._counts_parts: List[np.ndarray] = []
-        self._results_parts: List[np.ndarray] = []
+        self._agents_parts: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        self._counts_parts: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        self._results_parts: List[np.ndarray] = [np.zeros(0)]
         self._consolidated = None
 
     def append(self, agents, counts, result: float) -> int:
@@ -746,23 +774,11 @@ class SessionStream:
 
     def _consolidate(self):
         if self._consolidated is None:
-            self._consolidated = (
-                np.concatenate(self._indptr_parts),
-                (
-                    np.concatenate(self._agents_parts)
-                    if self._agents_parts
-                    else np.zeros(0, dtype=np.int64)
-                ),
-                (
-                    np.concatenate(self._counts_parts)
-                    if self._counts_parts
-                    else np.zeros(0, dtype=np.int64)
-                ),
-                (
-                    np.concatenate(self._results_parts)
-                    if self._results_parts
-                    else np.zeros(0, dtype=np.float64)
-                ),
+            self._consolidated = _merge_parts(
+                self._indptr_parts,
+                self._agents_parts,
+                self._counts_parts,
+                self._results_parts,
             )
         return self._consolidated
 

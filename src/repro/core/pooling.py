@@ -154,7 +154,9 @@ class PoolingGraph:
         sizes = np.zeros(self.m, dtype=np.int64)
         nonempty = np.flatnonzero(np.diff(self.indptr) > 0)
         if nonempty.size:
-            sizes[nonempty] = np.add.reduceat(self.counts, self.indptr[nonempty])
+            sizes[nonempty] = np.add.reduceat(
+                self.counts, self.indptr[nonempty], dtype=np.int64
+            )
         return sizes
 
     def distinct_sizes(self) -> np.ndarray:
@@ -380,15 +382,21 @@ def sample_regular_design(
             f"agent_degree must be <= m, got agent_degree={agent_degree}, m={m}"
         )
     gen = normalize_rng(rng)
-    per_query: List[List[int]] = [[] for _ in range(m)]
+    # One choice call per agent, in agent order (the seed contract);
+    # a stable sort by query then lists each query's agents ascending.
+    queries = np.empty((n, agent_degree), dtype=np.int64)
     for agent in range(n):
-        for q in gen.choice(m, size=agent_degree, replace=False):
-            per_query[int(q)].append(agent)
-    builder = PoolingGraphBuilder(n, gamma=max(1, round(n * agent_degree / m)))
-    for members in per_query:
-        agents = np.asarray(sorted(members), dtype=np.int64)
-        builder.add_query(agents, np.ones(agents.size, dtype=np.int64))
-    return builder.build()
+        queries[agent] = gen.choice(m, size=agent_degree, replace=False)
+    order = np.argsort(queries.ravel(), kind="stable")
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(queries.ravel(), minlength=m), out=indptr[1:])
+    return PoolingGraph(
+        n=n,
+        gamma=max(1, round(n * agent_degree / m)),
+        indptr=indptr,
+        agents=order // agent_degree,
+        counts=np.ones(order.size, dtype=np.int64),
+    )
 
 
 __all__ = [

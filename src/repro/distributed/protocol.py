@@ -92,7 +92,7 @@ class AgentNode(Node):
         self.output: Optional[int] = None
         self.key: Optional[Tuple[float, int]] = None
         self._schedule = schedule
-        self._participation = schedule.participation()
+        self._participation = schedule.participation
         self._depth = schedule.depth
         self._announced = False
         #: query results that arrived after the fold round (e.g. delayed

@@ -39,7 +39,7 @@ class SorterNode(Node):
         super().__init__(wire_name(wire))
         self.wire = wire
         self.key = tuple(key)
-        self._participation = schedule.participation()
+        self._participation = schedule.participation
         self._depth = schedule.depth
         self._done = schedule.depth == 0
 

@@ -15,6 +15,7 @@ descending score order with deterministic tie-breaks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 Comparator = Tuple[int, int]
@@ -63,11 +64,14 @@ class ComparatorSchedule:
         """Total number of comparators."""
         return sum(len(r) for r in self.rounds)
 
+    @cached_property
     def participation(self) -> List[Dict[int, Tuple[int, bool]]]:
         """Per round, map ``wire -> (partner, takes_min)``.
 
         Used by the distributed executor: an agent on wire ``w`` looks
-        up its partner and whether it keeps the smaller key.
+        up its partner and whether it keeps the smaller key. Built once
+        per schedule and shared, read-only, by every node: a per-node
+        copy would cost O(n * depth) for each of the n nodes.
         """
         table: List[Dict[int, Tuple[int, bool]]] = []
         for rnd in self.rounds:

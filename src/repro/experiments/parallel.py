@@ -18,7 +18,8 @@ exploits it without changing a single seeded output:
    serial runs), :class:`~repro.core.batch.BatchTrialRunner`'s chunked
    required-m simulator, the stacked AMP required-m scan
    (:func:`repro.amp.batch_amp.required_queries_amp` — a chunk's
-   trials share probe rounds), the generic prefix-replay scan, or the
+   trials share probe rounds), the prefix-replay scan of corrupted and
+   two-stage cells (on the same ascending scan driver), or the
    per-trial fixed-m loop inside a worker process, and the per-trial
    outcomes are merged back in trial order.
 
@@ -161,7 +162,7 @@ def _required_queries_chunk(
         "algorithm"
     ) == "twostage":
         # Corrupted cells (any algorithm) and the two-stage robust
-        # decoder run the generic prefix-replay exact-decode scan.
+        # decoder run the prefix-replay exact-decode scan.
         return _required_queries_scan_chunk(spec, seeds)
     if spec.get("algorithm", "greedy") == "amp":
         from repro.amp.batch_amp import required_queries_amp
@@ -174,7 +175,6 @@ def _required_queries_chunk(
             gamma=spec["gamma"],
             max_m=spec["max_m"],
             check_every=spec["check_every"],
-            verify=spec.get("verify", "full"),
         )
     else:
         from repro.core.batch import BatchTrialRunner
@@ -197,54 +197,60 @@ def _required_queries_chunk(
     return [(result.succeeded, result.required_m) for result in runs]
 
 
-def _scan_prefix_measurements(
-    stream, mp: int, kept, results_full, channel, truth
-):
-    """Measurements of the first ``mp`` stream queries, post-corruption.
+class _CorruptedStream:
+    """Prefix-replay view of a retained stream under one corruption.
 
-    ``kept``/``results_full`` are the full-stream corruption
-    realization aligned to original query indices (``None``: honest
-    stream — plain prefix replay). Dropped queries are removed as CSR
-    rows; returns ``None`` when no query of the prefix survived.
+    ``kept`` / ``results`` are the full-stream corruption realization
+    aligned to original query indices
+    (:class:`~repro.core.corruption.CorruptionReport`). :meth:`prefix`
+    carves the first ``m`` original queries out of it, dropping the
+    corrupted-away ones as CSR rows, so a prefix may hold fewer than
+    ``m`` queries — or none.
     """
-    from repro.core.measurement import Measurements
-    from repro.core.pooling import PoolingGraph
 
-    if kept is None:
-        indptr, agents, counts, results = stream.prefix(mp)
-    else:
-        kept_m = kept[:mp]
-        rows = int(kept_m.sum())
-        if rows == 0:
-            return None
-        full_indptr = stream.indptr
-        row_sizes = np.diff(full_indptr[: mp + 1])
-        edge_mask = np.repeat(kept_m, row_sizes)
-        indptr = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(row_sizes[kept_m], out=indptr[1:])
-        edges = int(full_indptr[mp])
-        agents = stream.agents[:edges][edge_mask]
-        counts = stream.counts[:edges][edge_mask]
-        results = results_full[:mp][kept_m]
-    graph = PoolingGraph._unchecked(
-        stream.n, stream.gamma, indptr, agents, counts
-    )
-    return Measurements(
-        graph=graph, truth=truth, channel=channel, results=results
-    )
+    def __init__(self, stream, kept: np.ndarray, results: np.ndarray):
+        self.stream = stream
+        self.truth = stream.truth
+        self.kept = kept
+        self.results = results
+
+    def grow_to(self, m: int) -> None:
+        self.stream.grow_to(m)
+
+    def prefix(self, m: int):
+        kept = self.kept[:m]
+        full_indptr = self.stream.indptr
+        row_sizes = np.diff(full_indptr[: m + 1])
+        edge_mask = np.repeat(kept, row_sizes)
+        indptr = np.zeros(int(kept.sum()) + 1, dtype=np.int64)
+        np.cumsum(row_sizes[kept], out=indptr[1:])
+        edges = int(full_indptr[m])
+        return (
+            indptr,
+            self.stream.agents[:edges][edge_mask],
+            self.stream.counts[:edges][edge_mask],
+            self.results[:m][kept],
+        )
 
 
 def _required_queries_scan_chunk(
     spec: Dict[str, object], seeds: Sequence[np.random.SeedSequence]
 ) -> List[Tuple[bool, Optional[int]]]:
-    """Generic prefix-replay required-m scan (robust/corrupted cells).
+    """Prefix-replay required-m scan of robust and corrupted cells.
 
-    Serves two cell families the specialized scans cannot:
+    Serves two cell families the specialized paths cannot:
     ``algorithm="twostage"`` (the robust repair decoder) and any
     algorithm under a ``corruption`` model. Stopping rule: the
     smallest checked m whose (corrupted) prefix decodes **exactly** —
     the AMP scan's rule, not the greedy separation rule, because
     corruption breaks the separation certificate's assumptions.
+
+    The chunk's trials share one ascending scan
+    (:func:`repro.amp.batch_amp.scan_required_m`). AMP cells decode
+    each round as stacked block-diagonal probes, a wave of grid points
+    per trial, exactly as the honest AMP scan does; every other decoder
+    probes one grid point per trial and round, so it never decodes a
+    prefix past its answer.
 
     Determinism: the trial's query stream is sampled once in
     append-only blocks (:class:`~repro.core.batch.MeasurementStream`),
@@ -252,18 +258,26 @@ def _required_queries_scan_chunk(
     corrupts it **once** with the trial's dedicated corruption
     generator — every probe then carves a prefix out of that single
     realization, so the outcome is a pure function of the child seed
-    (probe schedule, chunk layout and backend never show). The scan is
-    linear: it has no stacked form.
+    (probe schedule, chunk layout and backend never show).
     """
+    from repro.amp.amp import default_denoiser
+    from repro.amp.batch_amp import (
+        DEFAULT_STACK_ELEMENTS,
+        VERIFY_WAVE,
+        _default_batch_config,
+        _run_probe_round,
+        scan_required_m,
+    )
     from repro.core.batch import MeasurementStream
     from repro.core.corruption import apply_corruption, corruption_rng
     from repro.core.ground_truth import sample_ground_truth
     from repro.core.incremental import default_max_queries
-    from repro.core.pooling import default_gamma
+    from repro.core.measurement import Measurements
+    from repro.core.pooling import PoolingGraph
     from repro.experiments.runner import _run_algorithm
 
     n, k, channel = spec["n"], spec["k"], spec["channel"]
-    gamma = spec["gamma"] or default_gamma(n)
+    gamma = _spec_gamma(spec)
     max_m = spec["max_m"] or default_max_queries(n, k, channel)
     step = max(1, int(spec["check_every"]))
     grid_max = (max_m // step) * step
@@ -271,42 +285,71 @@ def _required_queries_scan_chunk(
     if model is not None and model.is_null:
         model = None
     algorithm = spec.get("algorithm", "greedy")
-    if algorithm in ("greedy", "twostage"):
-        algo_kwargs = {"centering": spec["centering"]}
-    else:
-        algo_kwargs = {}
 
-    out: List[Tuple[bool, Optional[int]]] = []
+    streams: list = []
     for seq in seeds:
         gen = np.random.default_rng(seq)
         truth = sample_ground_truth(n, k, gen)
         stream = MeasurementStream(
             n, gamma, channel, truth, gen, max_m=grid_max, retain=True
         )
-        kept = results_full = None
         if model is not None:
             # Corrupt the whole grid's stream in one draw so probe
             # prefixes share a single realization.
             stream.grow_to(grid_max)
-            full = _scan_prefix_measurements(
-                stream, stream.m_done, None, None, channel, truth
+            full = Measurements(
+                graph=PoolingGraph._unchecked(
+                    n, gamma, stream.indptr, stream.agents, stream.counts
+                ),
+                truth=truth,
+                channel=channel,
+                results=stream.results,
             )
             report = apply_corruption(full, model, corruption_rng(seq))
-            kept, results_full = report.kept, report.results_full
-        required = None
-        for g in range(step, grid_max + 1, step):
-            stream.grow_to(g)
-            meas = _scan_prefix_measurements(
-                stream, g, kept, results_full, channel, truth
+            stream = _CorruptedStream(stream, report.kept, report.results_full)
+        streams.append(stream)
+
+    if algorithm == "amp":
+        denoiser = default_denoiser(n, k)
+        config = _default_batch_config()
+
+        def probe(jobs):
+            return _run_probe_round(
+                jobs, streams, n, k, gamma, channel, denoiser, config,
+                DEFAULT_STACK_ELEMENTS,
             )
-            if meas is None:
-                continue  # every query of the prefix was corrupted away
-            result = _run_algorithm(algorithm, meas, **algo_kwargs)
-            if result.exact:
-                required = g
-                break
-        out.append((required is not None, required))
-    return out
+
+        wave = VERIFY_WAVE
+    else:
+        # greedy and twostage: the algorithms left in
+        # REQUIRED_QUERIES_ALGORITHMS, both taking a centering
+        centering = spec["centering"]
+
+        def probe(jobs):
+            flags = []
+            for i, m in jobs:
+                streams[i].grow_to(m)
+                indptr, agents, counts, results = streams[i].prefix(m)
+                if results.size == 0:
+                    # every query of the prefix was corrupted away
+                    flags.append(False)
+                    continue
+                meas = Measurements(
+                    graph=PoolingGraph._unchecked(
+                        n, gamma, indptr, agents, counts
+                    ),
+                    truth=streams[i].truth,
+                    channel=channel,
+                    results=results,
+                )
+                flags.append(
+                    bool(_run_algorithm(algorithm, meas, centering=centering).exact)
+                )
+            return flags
+
+        wave = 1
+    required, _ = scan_required_m(len(streams), step, grid_max, probe, wave)
+    return [(m is not None, m) for m in required]
 
 
 def _fixed_m_chunk(
@@ -424,7 +467,6 @@ def _fixed_m_group(
     )
     from repro.core.batch import BatchTrialRunner, draw_instance_stack
     from repro.core.scores import decode_top_k_stacked
-    from repro.experiments.runner import _amp_batch_kwargs
     from repro.utils.rng import copy_generator
 
     n, k = specs[0]["n"], specs[0]["k"]
@@ -441,7 +483,7 @@ def _fixed_m_group(
                 centering=kwargs.get("centering", "half_k"),
             )._offset()
         else:
-            amp[i] = _amp_batch_kwargs(kwargs)
+            amp[i] = kwargs
     m = check_positive_int(m, "m", minimum=1 if amp else 0)
     out: List[List[Tuple[bool, float]]] = [[] for _ in specs]
     if not trials:

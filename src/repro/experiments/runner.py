@@ -39,33 +39,34 @@ algorithm            simulator
                      chunked incremental simulator
 ``amp``              fixed-m: the same instance stack, decoded by
                      :func:`repro.amp.batch_amp.run_amp_prepared`;
-                     required-m: prefix-replay galloping + stacked
-                     bisection scan
+                     required-m: prefix-replay ascending scan with
+                     stacked probe rounds
                      (:func:`repro.amp.batch_amp.required_queries_amp`)
 ``distributed``      fixed-m per-trial loop (no stacked or required-m
                      form); ``fault=`` injects seeded message drop/delay
 ``distributed_amp``  fixed-m per-trial loop with the AMP communication
                      bill in cell metrics
-``twostage``         fixed-m per-trial loop; required-m via the generic
+``twostage``         fixed-m per-trial loop; required-m via the
                      prefix-replay exact-decode scan
 ===================  ==================================================
 
 A ``corruption=`` model on either primitive runs the per-trial loop
-(fixed-m) or the generic prefix-replay scan (required-m) — the stacked
-simulators never see corrupted cells.
+(fixed-m) or the prefix-replay scan (required-m); the fixed-m stacked
+simulators never see corrupted cells, and a corrupted AMP required-m
+cell stacks its probes as an honest one does.
 
 The stacked greedy path covers ``algorithm_kwargs`` of ``centering``
-in ``("half_k", "oracle")``; the stacked AMP path covers ``denoiser``,
-``config`` and the default ``sparse=True``. Both stacked paths run
-through :func:`repro.experiments.parallel._fixed_m_group`, where
-sibling cells on equal seeds share one instance stack. Any other
-keyword runs the seed-compatible per-trial loop, so results never
-depend on which path ran. Required-m runs exist for ``greedy`` (the
-paper's incremental separation stopping rule) and ``amp`` ("smallest
-checked m whose prefix decodes exactly"; with ``verify="full"`` the
-scan returns the m a brute-force ascending scan would, while probing
-sublinearly and stacking probes block-diagonally). The greedy-only
-``centering`` knob is ignored by the AMP required-m path.
+in ``("half_k", "oracle")``; any other greedy keyword runs the
+seed-compatible per-trial loop, so results never depend on which path
+ran. AMP takes ``denoiser`` and ``config`` only, and always runs
+stacked. Both stacked paths run through
+:func:`repro.experiments.parallel._fixed_m_group`, where sibling cells
+on equal seeds share one instance stack. Required-m runs exist for
+``greedy`` (the paper's incremental separation stopping rule) and
+``amp`` ("smallest checked m whose prefix decodes exactly": one
+ascending scan that returns the m a brute-force scan would, stacking
+each round's probes block-diagonally). The greedy-only ``centering``
+knob is ignored by the AMP required-m path.
 
 Sweep engine and trial sharding
 -------------------------------
@@ -117,7 +118,7 @@ ALGORITHMS = ("greedy", "amp", "distributed", "distributed_amp", "twostage")
 
 #: algorithms with a required-number-of-queries form (Figures 2-5);
 #: the single source of the harness's and the CLI's ``--algorithm``
-#: choice lists for required-m sweeps. ``twostage`` runs the generic
+#: choice lists for required-m sweeps. ``twostage`` runs the
 #: prefix-replay exact-decode scan (see
 #: :func:`repro.experiments.parallel._required_queries_scan_chunk`).
 REQUIRED_QUERIES_ALGORITHMS = ("greedy", "amp", "twostage")
@@ -128,7 +129,8 @@ def _batch_mode(algorithm: str, algorithm_kwargs: dict) -> Optional[str]:
     Returns ``"greedy"`` / ``"amp"`` when a seed-identical stacked
     implementation covers the request, else ``None`` (the per-trial
     loop). See the module docstring's support matrix for the covered
-    ``algorithm_kwargs``.
+    ``algorithm_kwargs``; an AMP keyword other than ``denoiser`` or
+    ``config`` raises.
     """
     if (
         algorithm == "greedy"
@@ -138,29 +140,15 @@ def _batch_mode(algorithm: str, algorithm_kwargs: dict) -> Optional[str]:
         and algorithm_kwargs.get("centering", "half_k") in ("half_k", "oracle")
     ):
         return "greedy"
-    if (
-        algorithm == "amp"
-        and set(algorithm_kwargs) <= {"denoiser", "config", "sparse"}
-        # the stacked runner is sparse by construction; a dense
-        # override runs through the per-trial loop
-        and algorithm_kwargs.get("sparse", True) in (True, None)
-    ):
+    if algorithm == "amp":
+        unknown = sorted(set(algorithm_kwargs) - {"denoiser", "config"})
+        if unknown:
+            raise TypeError(
+                f"unknown AMP algorithm_kwargs {unknown}; "
+                "valid: ['config', 'denoiser']"
+            )
         return "amp"
     return None
-
-
-def _amp_batch_kwargs(algorithm_kwargs: dict) -> dict:
-    """Map harness ``algorithm_kwargs`` onto ``run_amp_prepared`` kwargs.
-
-    :func:`repro.experiments.parallel._fixed_m_group` passes them to
-    :func:`repro.amp.batch_amp.run_amp_prepared`; ``sparse`` is
-    dropped because the stacked decode is sparse by construction.
-    """
-    return {
-        key: value
-        for key, value in algorithm_kwargs.items()
-        if key in ("denoiser", "config")
-    }
 
 
 def _run_algorithm(
@@ -231,7 +219,6 @@ def required_queries_trials(
     gamma: Optional[int] = None,
     centering: str = "half_k",
     algorithm: str = "greedy",
-    verify: str = "full",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
     corruption=None,
@@ -242,14 +229,10 @@ def required_queries_trials(
     separation stopping rule through the chunked vectorized simulator,
     with the exact query-by-query semantics. ``algorithm="amp"``
     reports the smallest checked m whose prefix-measured query stream
-    decodes exactly under AMP, through the stacked galloping/bisection
-    scan (:func:`repro.amp.batch_amp.required_queries_amp`); with the
-    default ``verify="full"`` that is the m a brute-force ascending
-    scan returns (``verify="window"`` / ``"none"`` trade the
-    below-candidate certificate sweep for sweep-scale probe counts —
-    see :class:`repro.amp.batch_amp._RequiredMSearch`). The
-    greedy-only ``centering`` knob is ignored for AMP, and ``verify``
-    is ignored for greedy.
+    decodes exactly under AMP, through one ascending scan with stacked
+    probe rounds (:func:`repro.amp.batch_amp.required_queries_amp`),
+    which returns the m a brute-force ascending scan returns. The
+    greedy-only ``centering`` knob is ignored for AMP.
 
     The call is a thin one-cell :class:`~repro.experiments.scheduler.
     SweepPlan`: ``workers > 1`` (or an explicit ``backend``) shards the
@@ -261,8 +244,8 @@ def required_queries_trials(
     ``algorithm="twostage"`` — and any algorithm under a
     ``corruption`` model (:class:`~repro.core.corruption.
     CorruptionModel`) — reports the smallest checked m whose
-    (corrupted) prefix decodes exactly, via the generic prefix-replay
-    scan; each trial's corruption realization is a pure function of
+    (corrupted) prefix decodes exactly, via the prefix-replay scan;
+    each trial's corruption realization is a pure function of
     its child seed, so faulty sweeps keep the bit-identity contract.
     """
     plan = SweepPlan()
@@ -277,7 +260,6 @@ def required_queries_trials(
         gamma=gamma,
         centering=centering,
         algorithm=algorithm,
-        verify=verify,
         corruption=corruption,
     )
     return plan.run(backend=backend, workers=workers)[0]

@@ -222,7 +222,6 @@ class SweepPlan:
         gamma: Optional[int] = None,
         centering: str = "half_k",
         algorithm: str = "greedy",
-        verify: str = "full",
         corruption=None,
     ) -> int:
         """Add one required-m cell; returns its index in the plan.
@@ -231,7 +230,7 @@ class SweepPlan:
         spawned from ``seed`` in trial order. ``corruption`` (a
         :class:`~repro.core.corruption.CorruptionModel`) corrupts each
         trial's full measurement stream once — from a dedicated stream
-        of the trial's child seed — and the cell runs the generic
+        of the trial's child seed — and the cell runs the
         prefix-replay exact-decode scan (any algorithm; also the
         ``twostage`` path).
         """
@@ -258,7 +257,6 @@ class SweepPlan:
             "gamma": gamma,
             "centering": centering,
             "algorithm": algorithm,
-            "verify": verify,
             "max_m": max_m,
             "check_every": check_every,
             "corruption": corruption,
@@ -345,11 +343,9 @@ class SweepPlan:
         # The stacked chunk paths only know the paper's with-replacement
         # design and honest measurements; other designs — and corrupted
         # cells — run the per-trial loop, which handles both.
-        batch_mode = (
-            _batch_mode(algorithm, algorithm_kwargs)
-            if design == "replacement" and not corrupted
-            else None
-        )
+        batch_mode = _batch_mode(algorithm, algorithm_kwargs)
+        if design != "replacement" or corrupted:
+            batch_mode = None
         spec = {
             "n": n,
             "k": k,

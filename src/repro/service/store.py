@@ -31,12 +31,21 @@ class SessionStore:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, session_id: str) -> Path:
-        # Session ids are client-chosen; flatten anything that is not
-        # filename-safe so an id can never escape the state directory.
-        safe = "".join(
-            ch if ch.isalnum() or ch in "-_." else "_" for ch in session_id
+        # Session ids are client-chosen. Letters, digits and "-_." stay
+        # as they are; every other character becomes "%XX" per UTF-8
+        # byte. No id can escape the state directory (no separator
+        # survives), and since "%" is escaped too, two ids never share
+        # a file.
+        stem = "".join(
+            ch
+            if ch.isalnum() or ch in "-_."
+            else "".join(
+                f"%{byte:02X}"
+                for byte in ch.encode("utf-8", "surrogatepass")
+            )
+            for ch in session_id
         )
-        return self.root / f"{safe}.session.json"
+        return self.root / f"{stem}.session.json"
 
     def save(self, session: Session) -> None:
         """Persist one session atomically (write-then-rename)."""
@@ -55,10 +64,15 @@ class SessionStore:
         the last acknowledged ingest. Leftover ``*.tmp`` files from an
         interrupted atomic write are ignored (the rename never
         happened, so the previous complete record is still in place).
+        So is a record whose ``session_id`` does not encode to its own
+        file name: it is not that file's session (an older store wrote
+        ``"a/b"`` and ``"a_b"`` to one file, whichever saved last).
         """
         sessions: Dict[str, Session] = {}
         for path in sorted(self.root.glob("*.session.json")):
             session = Session.from_record(load_json(path))
+            if self._path(session.session_id).name != path.name:
+                continue
             sessions[session.session_id] = session
         return sessions
 

@@ -10,9 +10,10 @@ Implements the probabilistic machinery of the paper's Section IV:
 * :mod:`repro.theory.neighborhood` — moments of the neighborhood sum
   ``Psi_j`` under the noise models (Lemmas 6-8, Corollary 9).
 
-These are used by the statistical test-suite to check the simulated
-system against the paper's distributional claims, and by the oracle
-centering / diagnostics in the core package.
+These serve the statistical test-suite, which checks the simulated
+system against the paper's distributional claims. Nothing else in the
+package imports them: the decoders and simulators do not depend on
+this module.
 """
 
 from repro.theory.concentration import (

@@ -15,27 +15,50 @@ with:
 * :func:`required_queries_amp_linear` — the brute-force ascending AMP
   required-m scan: a standalone ``run_amp`` at every ``check_every``
   multiple of the trial's prefix data until the first exact decode.
-  :func:`repro.amp.batch_amp.required_queries_amp` with
-  ``verify="full"`` returns the same m by definition.
+  :func:`repro.amp.batch_amp.required_queries_amp`, whose ascending
+  scan probes a wave of grid points per stacked round, returns the
+  same m by construction.
 * :func:`required_queries_decode_scan` — the same ascending scan for
-  any decoder (the generic prefix-replay scan's definition, which
-  ``algorithm="twostage"`` required-m cells run).
+  any decoder, optionally over a corrupted stream: the definition the
+  ``algorithm="twostage"`` and corrupted required-m cells follow.
 * :func:`fixed_m_trial_outcomes` — the fixed-m trial loop (truth,
   graph, channel, decode per trial), which the stacked greedy and AMP
   runners reproduce bit for bit.
+* :func:`run_amp_dense` — AMP on the dense adjacency, its products as
+  plain closures, which :func:`repro.amp.run_amp`'s sparse operator
+  matches up to float round-off.
+* :func:`sample_regular_design_loop` — the per-incidence loop of the
+  constant-column-weight design, which
+  :func:`repro.core.pooling.sample_regular_design` matches array for
+  array.
 """
 
 from typing import List, Optional, Sequence
 
-from repro.amp.amp import AMPConfig, default_denoiser
+import numpy as np
+
+from repro.amp.amp import (
+    AMPConfig,
+    channel_corrected_results,
+    default_denoiser,
+    iterate_amp,
+    standardization_constants,
+)
 from repro.amp.batch_amp import _probe_standalone
 from repro.amp.denoisers import Denoiser
 from repro.core.batch import MeasurementStream
+from repro.core.corruption import _drop_rows, apply_corruption, corruption_rng
 from repro.core.ground_truth import GroundTruth, sample_ground_truth
 from repro.core.incremental import IncrementalDecoder, default_max_queries
 from repro.core.measurement import Measurements, measure
 from repro.core.noise import Channel
-from repro.core.pooling import PoolingGraph, default_gamma, sample_pooling_graph
+from repro.core.pooling import (
+    PoolingGraph,
+    PoolingGraphBuilder,
+    default_gamma,
+    sample_pooling_graph,
+)
+from repro.core.scores import top_k_estimate
 from repro.core.types import RequiredQueriesResult
 from repro.utils.rng import RngLike, normalize_rng, spawn_rngs
 from repro.utils.validation import check_positive_int
@@ -148,24 +171,48 @@ def required_queries_decode_scan(
     *,
     max_m: int,
     check_every: int = 1,
+    corruption=None,
 ) -> List[Optional[int]]:
     """Smallest grid m whose prefix ``decode(measurements)`` gets exact.
 
-    One value per seed (``None``: no grid point decoded exactly).
+    One value per seed (``None``: no grid point decoded exactly). With
+    a ``corruption`` model, each trial's whole grid is measured and
+    corrupted once, from the trial's dedicated corruption stream, and
+    a probe decodes the first m queries with the corrupted-away ones
+    dropped (skipped when none is left).
     """
     gamma = default_gamma(n)
+    grid_max = (max_m // check_every) * check_every
     out: List[Optional[int]] = []
     for seed in seeds:
         gen = normalize_rng(seed)
         truth = sample_ground_truth(n, k, gen)
         stream = MeasurementStream(
-            n, gamma, channel, truth, gen, max_m=max_m, retain=True
+            n, gamma, channel, truth, gen, max_m=grid_max, retain=True
         )
+        report = None
+        if corruption is not None:
+            stream.grow_to(grid_max)
+            graph = PoolingGraph(
+                n, gamma, stream.indptr, stream.agents, stream.counts
+            )
+            report = apply_corruption(
+                Measurements(graph=graph, truth=truth, channel=channel,
+                             results=stream.results),
+                corruption,
+                corruption_rng(seed),
+            )
         required = None
-        for g in range(check_every, max_m + 1, check_every):
+        for g in range(check_every, grid_max + 1, check_every):
             stream.grow_to(g)
             indptr, agents, counts, results = stream.prefix(g)
             graph = PoolingGraph(n, gamma, indptr, agents, counts)
+            if report is not None:
+                kept = report.kept[:g]
+                if not kept.any():
+                    continue
+                graph, _ = _drop_rows(graph, kept)
+                results = report.results_full[:g][kept]
             meas = Measurements(
                 graph=graph, truth=truth, channel=channel, results=results
             )
@@ -228,3 +275,61 @@ def fixed_m_curve(
         rates.append(sum(e for e, _ in outcomes) / trials)
         overlaps.append(sum(o for _, o in outcomes) / trials)
     return rates, overlaps
+
+
+class MatvecOperator:
+    """Stack operator wrapping plain ``(matvec, rmatvec)`` callables."""
+
+    def __init__(self, matvec, rmatvec) -> None:
+        self.matvec = matvec
+        self.rmatvec = rmatvec
+
+
+def run_amp_dense(
+    measurements: Measurements,
+    *,
+    denoiser: Optional[Denoiser] = None,
+    config: Optional[AMPConfig] = None,
+):
+    """``(scores, estimate)`` of AMP run on the dense adjacency matrix.
+
+    The same standardization and iteration as :func:`repro.amp.run_amp`,
+    with the centered, scaled products applied as closures over the
+    dense ``m x n`` matrix instead of the sparse stack operator.
+    """
+    config = config if config is not None else AMPConfig()
+    graph = measurements.graph
+    n, m, k = graph.n, graph.m, measurements.k
+    if denoiser is None:
+        denoiser = default_denoiser(n, k)
+    c, scale = standardization_constants(n, m, graph.gamma)
+    y = (
+        channel_corrected_results(
+            measurements.results, graph.gamma, measurements.channel
+        )
+        - c * k
+    ) / scale
+    adjacency = graph.adjacency_dense()
+    adjacency_t = adjacency.T
+    operator = MatvecOperator(
+        lambda x: (adjacency @ x - c * x.sum()) / scale,
+        lambda z: (adjacency_t @ z - c * z.sum()) / scale,
+    )
+    scores = iterate_amp(operator, y[None, :], denoiser, config, n=n)[0][0]
+    return scores, top_k_estimate(scores, k)
+
+
+def sample_regular_design_loop(
+    n: int, m: int, agent_degree: int, rng: RngLike = None
+) -> PoolingGraph:
+    """The constant-column-weight design, one incidence at a time."""
+    gen = normalize_rng(rng)
+    per_query: List[List[int]] = [[] for _ in range(m)]
+    for agent in range(n):
+        for q in gen.choice(m, size=agent_degree, replace=False):
+            per_query[int(q)].append(agent)
+    builder = PoolingGraphBuilder(n, gamma=max(1, round(n * agent_degree / m)))
+    for members in per_query:
+        agents = np.asarray(sorted(members), dtype=np.int64)
+        builder.add_query(agents, np.ones(agents.size, dtype=np.int64))
+    return builder.build()

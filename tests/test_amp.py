@@ -288,18 +288,22 @@ class TestRunAMP:
         result = run_amp(meas)
         assert result.meta["sparse"] is True
         assert result.scores.shape == (300,)
-        # the legacy "auto" sentinel must also stay off the dense path
-        assert run_amp(meas, sparse=None).meta["sparse"] is True
+        # there is no dense path left to select
+        with pytest.raises(TypeError, match="sparse"):
+            run_amp(meas, sparse=None)
 
     def test_dense_override_matches_sparse(self):
+        # the dense closures of tests/reference.py against the sparse
+        # operator
+        from reference import run_amp_dense
+
         gen = np.random.default_rng(93)
         truth = repro.sample_ground_truth(150, 4, gen)
         graph = repro.sample_pooling_graph(150, 80, rng=gen)
         meas = repro.measure(graph, truth, rng=gen)
         sparse = run_amp(meas)
-        dense = run_amp(meas, sparse=False)
-        assert dense.meta["sparse"] is False
-        assert np.allclose(sparse.scores, dense.scores, atol=1e-9)
+        dense_scores, _ = run_amp_dense(meas)
+        assert np.allclose(sparse.scores, dense_scores, atol=1e-9)
 
 
 class TestStateEvolution:

@@ -241,16 +241,13 @@ class TestHarnessDispatch:
         assert sharded.success_rates == serial.success_rates
         assert sharded.overlaps == serial.overlaps
 
-    def test_unsupported_kwargs_fall_back_to_legacy_loop(self):
-        # A dense-path override has no stacked implementation; the
-        # harness must quietly run the (seed-compatible) per-trial loop.
-        kwargs = dict(algorithm="amp", trials=4, seed=2)
-        rates, overlaps = fixed_m_curve(
-            150, 3, repro.ZChannel(0.1), [70], sparse=False, **kwargs
-        )
-        batch = success_rate_curve(
-            150, 3, repro.ZChannel(0.1), [70],
-            algorithm_kwargs={"sparse": False}, **kwargs
-        )
-        assert batch.success_rates == rates
-        assert batch.overlaps == overlaps
+    def test_unsupported_kwargs_rejected(self):
+        # AMP cells always run stacked: a keyword run_amp does not take
+        # (such as the retired dense-path "sparse") raises before any
+        # trial runs, instead of selecting a per-trial loop.
+        for bad in ({"sparse": False}, {"sparse": True}, {"kernel": "numpy"}):
+            with pytest.raises(TypeError, match="algorithm_kwargs"):
+                success_rate_curve(
+                    150, 3, repro.ZChannel(0.1), [70], algorithm="amp",
+                    trials=2, algorithm_kwargs=bad,
+                )

@@ -22,9 +22,10 @@ import pytest
 import repro
 from repro.amp import AMPConfig, run_amp
 from repro.amp.batch_amp import (
+    VERIFY_WAVE,
     _decode_prefix_stack,
-    _RequiredMSearch,
     required_queries_amp,
+    scan_required_m,
 )
 from repro.core.batch import MeasurementStream
 from repro.experiments import parallel
@@ -32,6 +33,7 @@ from repro.experiments.runner import (
     REQUIRED_QUERIES_ALGORITHMS,
     required_queries_trials,
 )
+from repro.experiments.scheduler import SweepPlan
 from repro.utils.rng import spawn_seeds
 
 from reference import required_queries_amp_linear
@@ -139,28 +141,6 @@ class TestGridExactness:
     def test_empty_seed_list(self):
         assert required_queries_amp(100, 3, repro.NoiselessChannel(), []) == []
 
-    def test_window_mode_agrees_with_exact_scan_on_sampled_streams(self):
-        # The windowed sweep misses only a success hiding below a failed
-        # gallop point. On real streams that is rare: a collapse in
-        # agreement would mean the profile assumption (or the scan)
-        # broke. The exact scan never exhausts this budget.
-        n, trials = 1024, 8
-        kwargs = dict(gamma=64, check_every=8, max_m=1024)
-        k = repro.sublinear_k(n, 0.25)
-        exact, window = (
-            _required(
-                required_queries_amp(
-                    n, k, repro.ZChannel(0.1), spawn_seeds(2022, trials),
-                    verify=verify, **kwargs,
-                )
-            )
-            for verify in ("full", "window")
-        )
-        assert all(m is not None for m in exact)
-        assert sum(a == b for a, b in zip(exact, window)) >= (3 * trials) // 4
-        # the exact scan's answer is the smallest success on the grid
-        assert all(w >= e for e, w in zip(exact, window) if w is not None)
-
 
 class TestRaggedKernelBitIdentity:
     def test_heterogeneous_stack_matches_standalone_run_amp(self):
@@ -249,92 +229,101 @@ class TestRaggedKernelBitIdentity:
 
 
 class TestSearchStateMachine:
-    def _drive(self, step, grid_max, successes):
-        """Run the state machine against a fixed success-profile oracle."""
-        search = _RequiredMSearch(step, grid_max)
+    """The ascending scan driver against a synthetic success oracle."""
+
+    def _drive(self, step, grid_max, successes, wave=VERIFY_WAVE):
+        """Scan one trial whose probe at m succeeds iff m in successes."""
         probed = []
-        while not search.done:
-            wave = search.next_probes(8)
-            assert wave, "active search must request probes"
-            for m in wave:
+
+        def probe(jobs):
+            flags = []
+            for i, m in jobs:
+                assert i == 0
                 assert m not in probed, "probes must never repeat"
                 probed.append(m)
-                search.record(m, m in successes)
-            search.advance()
+                flags.append(m in successes)
+            return flags
+
+        required, checks = scan_required_m(1, step, grid_max, probe, wave)
         brute = next(
             (g for g in range(step, grid_max + 1, step) if g in successes),
             None,
         )
-        assert search.required_m == brute
+        assert required == [brute]
+        assert checks == [len(probed)]
+        assert probed == sorted(probed), "the scan only ascends"
         return probed
 
     def test_monotone_profile(self):
         successes = set(range(48, 1001))
         probed = self._drive(4, 1000, successes)
-        # galloping + bisection + verify below the answer only
-        assert max(probed) <= 64  # first successful gallop point
-        assert len(probed) <= 48 // 4 + 10
+        # every grid point below the answer, then the rest of its wave
+        assert probed[: 48 // 4] == list(range(4, 49, 4))
+        assert len(probed) <= 48 // 4 + VERIFY_WAVE - 1
 
     def test_non_monotone_profiles_stay_exact(self):
-        # isolated success below a failed gallop point
+        # isolated success far below the bulk of the profile
         self._drive(1, 64, {3})
-        # success run starting between gallop points
+        self._drive(1, 64, {3} | set(range(40, 65)))
+        # success run with a dropout right after its start
         self._drive(1, 64, set(range(5, 65)) - {9})
+        self._drive(4, 100, set(range(40, 101)) - {48})
         # failure everywhere
         probed = self._drive(2, 30, set())
-        assert sorted(probed) == list(range(2, 31, 2))
+        assert probed == list(range(2, 31, 2))
+
+    def test_wave_of_one_never_probes_past_the_answer(self):
+        # a decoder that does not stack probes one grid point per round
+        for successes in ({3}, set(range(17, 65)), set()):
+            probed = self._drive(1, 64, successes, wave=1)
+            brute = min(successes) if successes else 64
+            assert probed == list(range(1, brute + 1))
+
+    def test_trials_share_rounds_without_coupling(self):
+        # Each trial's probes depend only on its own outcomes: a shared
+        # scan returns what every trial's solo scan returns.
+        profiles = [set(range(20, 90)), {7}, set(), set(range(60, 90))]
+        rounds = []
+
+        def probe(jobs):
+            rounds.append(jobs)
+            return [m in profiles[i] for i, m in jobs]
+
+        together = scan_required_m(len(profiles), 1, 80, probe, 4)
+        alone = [
+            scan_required_m(
+                1, 1, 80, lambda jobs, p=p: [m in p for _, m in jobs], 4
+            )
+            for p in profiles
+        ]
+        assert together == (
+            [r[0][0] for r in alone], [r[1][0] for r in alone]
+        )
+        assert together[0] == [20, 7, None, 60]
+        assert len(rounds) == 80 // 4
 
     def test_degenerate_grid(self):
-        search = _RequiredMSearch(10, 0)
-        assert search.done and search.required_m is None
+        def probe(jobs):
+            raise AssertionError("no grid point to probe")
+
+        assert scan_required_m(2, 10, 0, probe) == ([None, None], [0, 0])
 
     def test_invalid_verify_mode_rejected(self):
-        with pytest.raises(ValueError, match="verify mode"):
-            _RequiredMSearch(1, 10, verify="paranoid")
-
-    def _drive_mode(self, step, grid_max, successes, verify):
-        search = _RequiredMSearch(step, grid_max, verify)
-        while not search.done:
-            wave = search.next_probes(8)
-            for m in wave:
-                search.record(m, m in successes)
-            search.advance()
-        return search
-
-    def test_window_mode_exact_for_in_bracket_dropouts(self):
-        # Monotone profile: all three modes agree with brute force.
-        successes = set(range(48, 1001))
-        for verify in ("full", "window", "none"):
-            assert self._drive_mode(4, 1000, successes, verify).required_m == 48
-        # Dropout inside the galloping bracket (32, 64]: bisection can
-        # land on it, but the window sweep still finds the first
-        # success at 40 — while "none" trusts the bisection boundary.
-        successes = set(range(40, 101)) - {48}
-        assert self._drive_mode(4, 100, successes, "full").required_m == 40
-        assert self._drive_mode(4, 100, successes, "window").required_m == 40
-
-    def test_window_mode_trusts_failed_gallop_points(self):
-        # An isolated success below a failed gallop point is invisible
-        # to the windowed sweep (that's the documented trade) but not
-        # to the full certificate.
-        successes = {3} | set(range(40, 65))
-        assert self._drive_mode(1, 64, successes, "full").required_m == 3
-        windowed = self._drive_mode(1, 64, successes, "window")
-        assert windowed.required_m == 40
-        assert windowed.checks < 64  # ...and it probes far fewer points
-
-    def test_none_mode_probe_count_is_sublinear(self):
-        successes = set(range(640, 4097))
-        search = self._drive_mode(1, 4096, successes, "none")
-        assert search.required_m == 640
-        # gallop (log) + bisection (log) only — no certificate sweep
-        assert search.checks <= 2 * 13
+        # The verify dial is gone: the one scan is the exact one.
+        channel = repro.NoiselessChannel()
+        with pytest.raises(TypeError, match="verify"):
+            required_queries_amp(50, 2, channel, [1], verify="full")
+        with pytest.raises(TypeError, match="verify"):
+            required_queries_trials(
+                50, 2, channel, algorithm="amp", verify="window"
+            )
+        with pytest.raises(TypeError, match="verify"):
+            SweepPlan().add_required_queries(50, 2, channel, verify="none")
 
     def test_failed_grid_modes(self):
-        assert self._drive_mode(2, 30, set(), "full").checks == 15
-        trusting = self._drive_mode(2, 30, set(), "window")
-        assert trusting.required_m is None
-        assert trusting.checks <= 5  # gallop probes only
+        # A failed grid is probed to its end, whatever the wave size.
+        for wave in (1, 4, VERIFY_WAVE, 100):
+            assert len(self._drive(2, 30, set(), wave)) == 15
 
 
 class TestHarnessDispatch:
@@ -381,19 +370,6 @@ class TestHarnessDispatch:
         assert sample.values == values
         assert sample.failures == failures
         assert sample.algorithm == "amp"
-
-    @pytest.mark.parametrize("verify", ["window", "none"])
-    def test_fast_verify_modes_bit_identical_across_workers(self, verify):
-        kwargs = dict(
-            trials=5, seed=7, algorithm="amp", check_every=3, max_m=300,
-            verify=verify,
-        )
-        serial = required_queries_trials(150, 3, repro.ZChannel(0.1), **kwargs)
-        sharded = required_queries_trials(
-            150, 3, repro.ZChannel(0.1), workers=2, **kwargs
-        )
-        assert sharded.values == serial.values
-        assert sharded.failures == serial.failures
 
     def test_greedy_default_unchanged(self):
         sample = required_queries_trials(

@@ -118,7 +118,7 @@ class TestCountingCsr:
         for n, dtype in cases:
             draws = np.random.default_rng(n).integers(0, n, size=(3, 40))
             draws[0, 0] = n - 1
-            _, agents, _ = _csr_from_draws(draws, n, narrow=True)
+            _, agents, _ = _csr_from_draws(draws, n, agent_dtype=None)
             assert agents.dtype == dtype
             assert agents.max() == n - 1
             indptr, agents, counts = _csr_from_draws(draws, n)
@@ -135,12 +135,20 @@ class TestCountingCsr:
         ],
     )
     def test_identical_to_sort_construction(self, n, m, gamma):
-        from repro.core.batch import _csr_from_draws
+        from repro.core.batch import _csr_from_draws, _narrowest_int
 
         draws = np.random.default_rng(13).integers(0, n, size=(m, gamma))
         expected = _reference_csr(draws)
-        for narrow in (False, True):
-            got = _csr_from_draws(draws.astype(np.int32), n, narrow=narrow)
+        # wide, streamed (sort-dtype agents) and retained (narrow) forms
+        for agent_dtype, count_dtype in (
+            (np.int64, np.int64),
+            (None, np.int64),
+            (np.int32, _narrowest_int(gamma)),
+        ):
+            got = _csr_from_draws(
+                draws.astype(np.int32), n,
+                agent_dtype=agent_dtype, count_dtype=count_dtype,
+            )
             for a, b in zip(got, expected):
                 assert np.array_equal(a, b)
         assert got[2].sum() == m * gamma
@@ -266,6 +274,36 @@ class TestStreamBlockMemory:
         # 12 bytes per draw
         assert peak / (rows * gamma) < 6.0
 
+    def test_retained_block_bytes_per_draw(self):
+        # The AMP required-m scan replays retained streams: int32 agent
+        # ids and int16 multiplicities (gamma = 5000), one copy each.
+        # int64 arrays plus their unconsolidated parts took 25 bytes.
+        import tracemalloc
+
+        from repro.core.batch import DEFAULT_BLOCK_ELEMENTS, MeasurementStream
+
+        n = 10_000
+        gamma = n // 2
+        gen = np.random.default_rng(3)
+        truth = repro.sample_ground_truth(n, round(n**0.25), gen)
+        rows = DEFAULT_BLOCK_ELEMENTS // gamma
+        stream = MeasurementStream(
+            n, gamma, repro.ZChannel(0.1), truth, gen,
+            max_m=rows, initial_block=rows, retain=True,
+        )
+        tracemalloc.start()
+        try:
+            stream.grow_to(rows)
+            indptr, agents, counts, _ = stream.prefix(rows)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (agents.dtype, counts.dtype) == (np.int32, np.int16)
+        assert int(counts.sum()) == rows * gamma
+        # about 0.79 distinct incidences per draw at gamma = n/2
+        assert held / (rows * gamma) < 6.0
+        assert peak / (rows * gamma) < 12.0
+
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_csr_leaves_wide_caller_draws_unmodified(self, dtype):
         from repro.core.batch import _csr_from_draws
@@ -273,8 +311,8 @@ class TestStreamBlockMemory:
         draws = np.random.default_rng(4).integers(0, 1000, size=(30, 500))
         draws = draws.astype(dtype)
         before = draws.copy()
-        for narrow in (False, True):
-            _csr_from_draws(draws, 1000, narrow=narrow)
+        for agent_dtype in (np.int64, None):
+            _csr_from_draws(draws, 1000, agent_dtype=agent_dtype)
             assert np.array_equal(draws, before)
 
 

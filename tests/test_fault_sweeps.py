@@ -223,6 +223,62 @@ class TestTwoStageRequiredQueries:
         assert all(v % 10 == 0 for v in mild.values)
 
 
+class TestCorruptedRequiredQueries:
+    """Corrupted required-m cells run the ascending scan driver."""
+
+    CORRUPTION = CorruptionModel(erasure_rate=0.1, flip_rate=0.03)
+
+    def _reference(self, decode, **kwargs):
+        from repro.utils.rng import spawn_seeds
+
+        from reference import required_queries_decode_scan
+
+        return required_queries_decode_scan(
+            90, 3, repro.ZChannel(0.1), spawn_seeds(13, 5), decode,
+            corruption=self.CORRUPTION, **kwargs,
+        )
+
+    def test_stacked_amp_cells_match_the_linear_scan(self, monkeypatch):
+        from repro.amp import AMPConfig, batch_amp, run_amp
+
+        stacks = []
+        decode_stack = batch_amp._decode_prefix_stack
+
+        def spy(jobs, *args):
+            stacks.append(len(jobs))
+            return decode_stack(jobs, *args)
+
+        monkeypatch.setattr(batch_amp, "_decode_prefix_stack", spy)
+        kwargs = dict(check_every=6, max_m=240)
+        # serial: the spy sees only this process's decodes
+        sample = required_queries_trials(
+            90, 3, repro.ZChannel(0.1), algorithm="amp", trials=5, seed=13,
+            corruption=self.CORRUPTION, backend="serial", **kwargs,
+        )
+        reference = self._reference(
+            lambda meas: run_amp(meas, config=AMPConfig(track_history=False)),
+            **kwargs,
+        )
+        assert sample.values == [m for m in reference if m is not None]
+        assert sample.failures == reference.count(None)
+        assert len(sample.values) >= 3
+        # corrupted AMP probes now stack: several per decode call
+        assert max(stacks) > 1
+
+    def test_greedy_cells_match_the_linear_scan(self):
+        from repro.core.greedy import greedy_reconstruct
+
+        kwargs = dict(check_every=10, max_m=800)
+        sample = required_queries_trials(
+            90, 3, repro.ZChannel(0.1), trials=5, seed=13,
+            corruption=self.CORRUPTION, **kwargs,
+        )
+        reference = self._reference(greedy_reconstruct, **kwargs)
+        assert sample.values == [m for m in reference if m is not None]
+        assert sample.failures == reference.count(None)
+        assert len(sample.values) >= 3
+
+
 class TestFaultModelDeterminism:
     """Satellite 1: rng=None with positive rates is now an error."""
 

@@ -19,6 +19,8 @@ from repro.core.incremental import IncrementalDecoder
 from repro.core.twostage import two_stage_reconstruct
 from repro.distributed import run_distributed_algorithm1
 
+from reference import run_amp_dense
+
 
 class TestStreamingEqualsBatch:
     """IncrementalDecoder.ingest_query replays a graph bit-exactly."""
@@ -83,20 +85,22 @@ class TestAlgorithmFrontendsAgree:
         for channel in (repro.ZChannel(0.1), repro.NoisyChannel(0.1, 0.02),
                         repro.GaussianQueryNoise(0.5)):
             meas = repro.measure(graph, truth, channel, gen)
-            dense = run_amp(meas, sparse=False)
-            sparse = run_amp(meas, sparse=True)
-            assert np.allclose(dense.scores, sparse.scores)
-            assert np.array_equal(dense.estimate, sparse.estimate)
-            assert sparse.meta["sparse"] and not dense.meta["sparse"]
+            dense_scores, dense_estimate = run_amp_dense(meas)
+            sparse = run_amp(meas)
+            assert np.allclose(dense_scores, sparse.scores)
+            assert np.array_equal(dense_estimate, sparse.estimate)
+            assert sparse.meta["sparse"]
 
     def test_amp_sparse_by_default(self):
         gen = np.random.default_rng(9)
         truth = repro.sample_ground_truth(100, 3, gen)
         graph = repro.sample_pooling_graph(100, 20, rng=gen)
         meas = repro.measure(graph, truth, rng=gen)
-        # Sparse is the default at every size; dense is opt-in only.
+        # Sparse at every size; the dense path lives only in
+        # tests/reference.py.
         assert run_amp(meas).meta["sparse"]
-        assert not run_amp(meas, sparse=False).meta["sparse"]
+        with pytest.raises(TypeError, match="sparse"):
+            run_amp(meas, sparse=False)
 
 
 class TestPhaseConsistency:

@@ -226,6 +226,24 @@ class TestPoolingGraph:
 
 
 class TestRegularDesign:
+    @pytest.mark.parametrize(
+        "n,m,degree",
+        [(1, 1, 1), (7, 3, 3), (60, 20, 5), (300, 41, 1), (500, 90, 37)],
+    )
+    def test_identical_to_per_incidence_loop(self, n, m, degree):
+        from reference import sample_regular_design_loop
+
+        gen_a = np.random.default_rng(n * m + degree)
+        gen_b = np.random.default_rng(n * m + degree)
+        got = sample_regular_design(n, m, degree, gen_a)
+        expected = sample_regular_design_loop(n, m, degree, gen_b)
+        assert got.gamma == expected.gamma
+        for name in ("indptr", "agents", "counts"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        # the generator stream is consumed identically
+        assert gen_a.bit_generator.state == gen_b.bit_generator.state
+
     def test_every_agent_has_exact_degree(self, rng):
         g = sample_regular_design(60, 20, agent_degree=5, rng=rng)
         assert np.array_equal(g.distinct_degrees(), np.full(60, 5))

@@ -406,8 +406,6 @@ def build_fused_plan():
 def reference_cell_outcomes(cell):
     """Per-cell, unfused outcomes: the stacked entry points for batch
     cells, the per-cell chunk function for the rest."""
-    from repro.experiments.runner import _amp_batch_kwargs
-
     spec = cell.spec
     out = []
     for m, seeds in zip(cell.m_values, cell.per_m_seeds):
@@ -420,7 +418,7 @@ def reference_cell_outcomes(cell):
         elif spec["batch_mode"] == "amp":
             runs = run_amp_trials(
                 spec["n"], spec["k"], spec["channel"], m, list(seeds),
-                **_amp_batch_kwargs(spec["algorithm_kwargs"]),
+                **spec["algorithm_kwargs"],
             )
         else:
             out.append(parallel._fixed_m_chunk(spec, m, list(seeds)))

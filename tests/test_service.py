@@ -458,6 +458,34 @@ class TestSessionStore:
         assert len(files) == 1
         assert files[0].resolve().parent == tmp_path.resolve()
 
+    def test_distinct_ids_never_share_a_record(self, tmp_path):
+        # "a/b", "a_b" and "a%2Fb" all flattened to one file name once.
+        ids = ["a/b", "a_b", "a%2Fb", "a b", "ä/\\ud800", "plain-id.1"]
+        store = SessionStore(tmp_path)
+        for m, session_id in enumerate(ids):
+            session, rng = make_session(
+                session_id, 30, 2, {"kind": "noiseless"}, 40 + m
+            )
+            session.ingest("r", measured_queries(session, rng, m))
+            store.save(session)
+        loaded = SessionStore(tmp_path).load_all()
+        assert sorted(loaded) == sorted(ids)
+        assert [loaded[i].m for i in ids] == list(range(len(ids)))
+        # ids of letters, digits and "-_." keep their file names
+        assert (tmp_path / "a_b.session.json").exists()
+        assert (tmp_path / "plain-id.1.session.json").exists()
+
+    def test_record_under_a_foreign_name_is_not_loaded(self, tmp_path):
+        # A record whose id does not encode to its file name belongs to
+        # no session stored there, as the flattened names of an older
+        # store did.
+        store = SessionStore(tmp_path)
+        session, _ = make_session("a/b", 30, 2, {"kind": "noiseless"}, 7)
+        store.save(session)
+        (path,) = tmp_path.glob("*.session.json")
+        path.rename(tmp_path / "a_b.session.json")
+        assert SessionStore(tmp_path).load_all() == {}
+
 
 # ---------------------------------------------------------------------------
 # micro-batching scheduler: robustness ladder + bit-identity
@@ -916,6 +944,24 @@ def reference_decode(n, truth, channel, queries):
             float(result),
         )
     return amp, decoder
+
+
+def test_colliding_session_ids_both_survive_a_restart(tmp_path):
+    channel = repro.NoiselessChannel()
+    proc = start_server(tmp_path)
+    try:
+        with ServiceClient(proc.host, proc.port) as client:
+            open_and_fill(client, "a/b", 40, 2, channel, 31, 7)
+            open_and_fill(client, "a_b", 40, 2, channel, 32, 3)
+    finally:
+        proc.stop()
+    proc = start_server(tmp_path)
+    try:
+        with ServiceClient(proc.host, proc.port) as client:
+            assert client.status("a/b")["m"] == 7
+            assert client.status("a_b")["m"] == 3
+    finally:
+        proc.stop()
 
 
 class TestEndToEnd:

@@ -40,7 +40,7 @@ class TestScheduleValidation:
 
     def test_participation_table(self):
         s = from_rounds(3, [[(2, 0)]])
-        table = s.participation()
+        table = s.participation
         assert table[0][2] == (0, True)  # wire 2 takes the min
         assert table[0][0] == (2, False)
         assert 1 not in table[0]
