@@ -13,8 +13,9 @@ run in-process.
 
 Must live in a real file (not a stdin heredoc): the child is launched
 as ``python <this file> --child``, and the process backend's workers
-start under the ``spawn`` method, which re-imports the parent's main
-module and cannot do so for ``<stdin>``.
+re-import the parent's main module, which they cannot do for
+``<stdin>``: ``spawn`` workers start a new interpreter, and workers
+forked from the ``forkserver`` (Linux) run the same preparation step.
 
 Run: ``PYTHONPATH=src python benchmarks/smoke_checkpoint_resume.py``
 """

@@ -14,8 +14,9 @@ corruption rate at fixed m must not improve the greedy decoder's
 overlap (beyond a small sampling tolerance).
 
 Must live in a real file (not a stdin heredoc): the worker processes
-start under the ``spawn`` method, which re-imports the driver's main
-module and cannot do so for ``<stdin>``.
+re-import the driver's main module, which they cannot do for
+``<stdin>`` — under ``spawn`` and under the ``forkserver`` (Linux)
+alike, whose forked workers run the same preparation step.
 
 Run: ``PYTHONPATH=src python benchmarks/smoke_fault_sweep.py``
 """

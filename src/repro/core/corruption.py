@@ -38,8 +38,14 @@ ascending small integers, the tags are large fixed constants.
 Corruption semantics
 --------------------
 :func:`apply_corruption` applies the stages in a fixed, documented
-order, each stage drawing full-length vectorized uniforms over all
-``m`` queries (so realizations are independent of any chunk layout):
+order. The dead-agent stage draws one uniform per agent; the
+per-query stages (2-4) then share one query-major ``(m, stages)``
+draw, one row per query and one column per active stage (two for
+outliers). Query ``j``'s corruption is thus a function of its own row
+alone: realizations are independent of any chunk layout, and
+corrupting a longer stream leaves the corruption of its first queries
+unchanged (so the ``max_m`` budget of a required-m scan does not
+change how the queries it shares with a longer scan are corrupted):
 
 1. **dead agents** — each of the ``n`` agents dies independently with
    ``dead_agent_rate``; every query touching a dead agent is dropped
@@ -51,8 +57,9 @@ order, each stage drawing full-length vectorized uniforms over all
    count (``y -> size - y``, the worst-case sign-inverting adversary),
    Gaussian channels negate (``y -> -y``);
 4. **heavy-tailed outliers** — with ``outlier_rate`` a query result
-   gains ``outlier_scale`` times a standard-Cauchy draw (undetectable
-   by variance-based filters).
+   gains ``outlier_scale`` times a standard-Cauchy value
+   ``tan(π(u - 1/2))`` of the query's second outlier uniform
+   (undetectable by variance-based filters).
 
 Stages with zero rate consume no draws, so a model's realization is a
 pure function of ``(model, rng)``; the null model is a bit-identical
@@ -299,17 +306,28 @@ def apply_corruption(
                 )
             kept &= ~touched
 
+    # 2-4. the per-query stages share one query-major draw: row j holds
+    # query j's uniforms, one column per active stage (two for
+    # outliers), so its corruption never depends on how many queries
+    # follow it.
+    stages = (
+        bool(model.erasure_rate)
+        + bool(model.flip_rate)
+        + 2 * bool(model.outlier_rate)
+    )
+    columns = iter(rng.random((m, stages)).T)
+
     # 2. erasures: per-query result loss.
     erased = 0
     if model.erasure_rate:
-        erase_mask = rng.random(m) < model.erasure_rate
+        erase_mask = next(columns) < model.erasure_rate
         erased = int(erase_mask.sum())
         kept &= ~erase_mask
 
     # 3. adversarial flips: mirror counting channels, negate Gaussian.
     flipped = 0
     if model.flip_rate:
-        flip_mask = rng.random(m) < model.flip_rate
+        flip_mask = next(columns) < model.flip_rate
         flipped = int(flip_mask.sum())
         if measurements.channel.integer_valued:
             sizes = graph.query_sizes()
@@ -319,15 +337,14 @@ def apply_corruption(
         else:
             corrupted[flip_mask] = -corrupted[flip_mask]
 
-    # 4. heavy-tailed outliers: additive scaled Cauchy.
+    # 4. heavy-tailed outliers: additive scaled Cauchy, by inversion
+    # of the column's own uniforms.
     outliers = 0
     if model.outlier_rate:
-        out_mask = rng.random(m) < model.outlier_rate
-        # Full-length draw: query j's outlier value never depends on
-        # which other queries drew one.
-        cauchy = rng.standard_cauchy(m)
+        out_mask = next(columns) < model.outlier_rate
+        cauchy = np.tan(np.pi * (next(columns)[out_mask] - 0.5))
         outliers = int(out_mask.sum())
-        corrupted[out_mask] += model.outlier_scale * cauchy[out_mask]
+        corrupted[out_mask] += model.outlier_scale * cauchy
 
     if kept.all():
         new_graph, new_results = graph, corrupted

@@ -39,15 +39,21 @@ go through :func:`repro.experiments.runner.required_queries_trials` /
 :class:`~repro.experiments.scheduler.SweepPlan`.
 
 Workers are plain module-level functions and every payload (channel,
-seeds, kwargs) is picklable, so the pool runs under the ``spawn`` start
-method — the only method available on Windows, and the one immune to
-fork-in-threaded-process hazards everywhere else. The executor is
-cached between calls (``spawn`` pays an interpreter start-up per
-worker, which would otherwise recur for every sweep cell); call
+seeds, kwargs) is picklable, so the pool never relies on inherited
+state. On Linux it runs under the ``forkserver`` start method: one
+server per driver process starts once, imports the chunk code
+(:data:`_PRELOAD` — the package and ``scipy.sparse``), and every later
+pool forks ready workers from it, so a new pool costs a fork rather
+than an interpreter start plus an import. Elsewhere it runs under
+``spawn`` (the only method on Windows), where each worker pays that
+start-up. Neither forks the driver itself, so both are immune to
+fork-in-threaded-process hazards. The executor is cached between calls
+(so even a fork does not recur for every sweep cell); call
 :func:`shutdown_pool` to release it explicitly — an ``atexit`` hook
 releases it at interpreter exit, and the engine's process backend
 retries a sweep once on a fresh pool when a worker dies mid-sweep
-(``BrokenProcessPool``).
+(``BrokenProcessPool``). A worker exits as soon as its driver dies
+(:func:`_exit_with_parent`), so a killed driver leaves no pool behind.
 
 When parallelism helps
 ----------------------
@@ -62,7 +68,10 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
+import multiprocessing.connection
 import os
+import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -76,10 +85,21 @@ from repro.utils.validation import check_non_negative_int, check_positive_int
 #: without touching call sites.
 WORKERS_ENV = "REPRO_WORKERS"
 
-#: pool start method: ``spawn`` is Windows-safe and gives identical
-#: behaviour on every platform (workers re-import the library instead
-#: of inheriting forked state).
-START_METHOD = "spawn"
+#: pool start method, the default CPython 3.14 picks per platform:
+#: ``forkserver`` on Linux (workers fork from a server that imported
+#: the package once), ``spawn`` elsewhere. Never plain ``fork``, which
+#: copies the driver's threads and locks.
+START_METHOD = "forkserver" if sys.platform.startswith("linux") else "spawn"
+
+#: modules the fork server imports before it forks any worker: the
+#: scheduler pulls in the package, and the AMP operators import
+#: ``scipy.sparse`` lazily, which would otherwise recur in every
+#: worker. ``multiprocessing`` skips a preload that fails to import
+#: without a word, so the tests pin that each one resolves. (Python
+#: 3.11's server imports with the driver's environment but not its
+#: ``sys.path``, so there the package preload takes effect only when the
+#: package is installed or on ``PYTHONPATH``.)
+_PRELOAD = ("repro.experiments.scheduler", "scipy.sparse")
 
 #: work items per worker that a sweep cell yields at least: a
 #: required-m cell splits its trials into this many chunks per worker
@@ -123,12 +143,34 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
     broken = _pool is not None and getattr(_pool, "_broken", False)
     if _pool is None or _pool_workers != workers or broken:
         shutdown_pool()
+        context = multiprocessing.get_context(START_METHOD)
+        if START_METHOD == "forkserver":
+            # Read only when the server starts (once per driver).
+            context.set_forkserver_preload(list(_PRELOAD))
         _pool = ProcessPoolExecutor(
             max_workers=workers,
-            mp_context=multiprocessing.get_context(START_METHOD),
+            mp_context=context,
+            initializer=_exit_with_parent,
         )
         _pool_workers = workers
     return _pool
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker as soon as its driver dies.
+
+    A worker blocked on the call queue never notices a SIGKILLed
+    driver; it would live on as an orphan, and keep the fork server
+    and the resource tracker alive with it. A daemon thread waits on
+    the parent's sentinel (readable once the parent is gone) instead.
+    """
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
 
 
 def shutdown_pool() -> None:
@@ -143,7 +185,7 @@ def shutdown_pool() -> None:
 atexit.register(shutdown_pool)
 
 
-# -- worker functions (module-level: picklable under spawn) -------------
+# -- worker functions (module-level: picklable by reference) ------------
 
 
 def _required_queries_chunk(

@@ -93,8 +93,10 @@ barrier).
 
 Sharding helps when per-trial work dominates dispatch overhead (large
 ``n``, dense ``gamma``, many trials); for small instances or few trials
-the serial path is faster — the pool pays a one-time ``spawn`` start-up
-per worker plus ~1 ms of pickling per chunk.
+the serial path is faster — the pool pays a one-time start-up per
+worker (a fork from the preloaded fork server on Linux, an interpreter
+start plus an import under ``spawn`` elsewhere) plus ~1 ms of pickling
+per chunk.
 """
 
 from __future__ import annotations

@@ -41,8 +41,9 @@ Backends
     In-process reference: runs the queue front to back with no
     pickling. The default when no sharding is requested.
 ``process``
-    The cached ``spawn``-start :class:`~concurrent.futures.
-    ProcessPoolExecutor` of :mod:`repro.experiments.parallel`,
+    The cached :class:`~concurrent.futures.ProcessPoolExecutor` of
+    :mod:`repro.experiments.parallel` (``forkserver`` on Linux,
+    ``spawn`` elsewhere),
     submitting through the shared queue over the pool pipe, with each
     cell's spec interned per worker (see below). A ``BrokenProcessPool``
     raised mid-sweep (a worker OOM-killed or segfaulted) is retried
@@ -781,7 +782,7 @@ class SweepExecutor:
             )
 
     def _execute_process(self, units, cells, emit) -> None:
-        """Submit the queue to the cached spawn pool; retry once if it
+        """Submit the queue to the cached pool; retry once if it
         breaks mid-sweep, resubmitting every unfinished chunk.
 
         Every ``pool.submit`` and ``future.result`` runs inside the

@@ -103,6 +103,41 @@ def test_realization_is_a_pure_function_of_the_seed(model):
     )
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        CorruptionModel(flip_rate=0.2),
+        CorruptionModel(erasure_rate=0.3),
+        CorruptionModel(outlier_rate=0.2, outlier_scale=3.0),
+        CorruptionModel(dead_agent_rate=0.1),
+        CorruptionModel(
+            flip_rate=0.1, erasure_rate=0.1, outlier_rate=0.1,
+            dead_agent_rate=0.05,
+        ),
+    ],
+    ids=["flip", "erasure", "outlier", "dead", "all"],
+)
+def test_prefix_corruption_does_not_depend_on_stream_length(model):
+    # Query j's corruption is drawn from its own row of uniforms, so
+    # corrupting the first q queries of a stream gives the same
+    # realization whether the stream holds q, m or m' > m queries —
+    # a required-m value does not depend on its max_m budget.
+    q = 70
+    full = _measurements(m=300, seed=6)
+    seq = np.random.SeedSequence(31, spawn_key=(4,))
+    reports = []
+    for m in (q, 150, 300):
+        head = repro.Measurements(
+            graph=full.graph.head(m), truth=full.truth,
+            channel=full.channel, results=full.results[:m],
+        )
+        reports.append(apply_corruption(head, model, corruption_rng(seq)))
+    first = reports[0]
+    for report in reports[1:]:
+        assert np.array_equal(report.kept[:q], first.kept)
+        assert np.array_equal(report.results_full[:q], first.results_full)
+
+
 def test_fault_stream_does_not_mutate_the_trial_seed():
     seq = np.random.SeedSequence(42)
     before = seq.spawn_key

@@ -23,7 +23,7 @@ from repro.experiments.runner import (
     required_queries_trials,
     success_rate_curve,
 )
-from repro.experiments.scheduler import SweepPlan
+from repro.experiments.scheduler import SweepExecutor, SweepPlan
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -277,6 +277,28 @@ class TestCorruptedRequiredQueries:
         assert sample.values == [m for m in reference if m is not None]
         assert sample.failures == reference.count(None)
         assert len(sample.values) >= 3
+
+    def _outcomes(self, max_m, backend="serial", workers=None):
+        plan = SweepPlan()
+        plan.add_required_queries(
+            90, 3, repro.ZChannel(0.1), trials=5, seed=13, check_every=10,
+            max_m=max_m, corruption=self.CORRUPTION,
+        )
+        return SweepExecutor(backend=backend, workers=workers).run_outcomes(
+            plan
+        )[0]
+
+    def test_required_m_does_not_depend_on_the_budget(self):
+        # A trial's corrupted stream is the same realization whatever
+        # the grid length, so every trial that resolves within the
+        # smaller budget reads the same required m under the larger.
+        short, long = self._outcomes(400), self._outcomes(800)
+        resolved = [i for i, (ok, _) in enumerate(short) if ok]
+        assert len(resolved) >= 3
+        assert [long[i] for i in resolved] == [short[i] for i in resolved]
+
+    def test_budget_outcomes_serial_equals_process(self):
+        assert self._outcomes(800, "process", 2) == self._outcomes(800)
 
 
 class TestFaultModelDeterminism:

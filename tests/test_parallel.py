@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ class _KillOnceChannel(repro.NoiselessChannel):
     The first worker to measure while the flag file exists removes it
     and dies with ``os._exit`` (simulating an OOM kill / segfault mid
     sweep); every later measurement — in particular the whole fresh
-    pool retry — behaves noiselessly. Module-level so ``spawn`` workers
+    pool retry — behaves noiselessly. Module-level so pool workers
     can unpickle it.
     """
 
@@ -135,11 +136,138 @@ class TestResolveWorkers:
             parallel.resolve_workers(True)
 
 
+def _program_env():
+    """Environment for a fresh interpreter that imports the package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop(parallel.WORKERS_ENV, None)
+    return env
+
+
+def _program_modules(modules):
+    """Names of the ``repro``/``scipy`` modules in ``modules``."""
+    return {m for m in modules if m.split(".")[0] in ("repro", "scipy")}
+
+
 class TestStartMethod:
-    def test_spawn_is_used(self):
-        # Windows has no fork; the subsystem must not rely on it.
-        assert parallel.START_METHOD == "spawn"
-        assert "spawn" in multiprocessing.get_all_start_methods()
+    def test_forkserver_on_linux_spawn_elsewhere(self):
+        # The defaults CPython 3.14 picks per platform; never plain
+        # fork, which copies the driver's threads and locks.
+        expected = "forkserver" if sys.platform.startswith("linux") else "spawn"
+        assert parallel.START_METHOD == expected
+        assert parallel.START_METHOD in multiprocessing.get_all_start_methods()
+
+    def test_every_preload_module_resolves(self):
+        # The fork server skips a preload that fails to import without
+        # a word, which would silently cost every worker an import.
+        # Import them as the server does: in a fresh interpreter.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import " + ", ".join(parallel._PRELOAD)],
+            capture_output=True, text=True, timeout=120, env=_program_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.skipif(
+        parallel.START_METHOD != "forkserver", reason="no fork server"
+    )
+    def test_worker_imports_nothing_beyond_the_preload(self):
+        # A worker forked from the server must find every module a
+        # chunk needs already imported: a lazy import left in a chunk
+        # would be paid again by every worker of every pool.
+        from repro.experiments.figures import figure6
+
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, " + ", ".join(parallel._PRELOAD)
+             + "; print(*sys.modules)"],
+            capture_output=True, text=True, timeout=120, env=_program_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        preloaded = _program_modules(proc.stdout.split())
+
+        parallel.shutdown_pool()
+        figure6(n=200, trials=2, m_values=[40, 80], seed=1,
+                backend="process", workers=1)
+        required_queries_trials(
+            150, 3, repro.ZChannel(0.1), algorithm="amp", trials=2, seed=1,
+            check_every=5, backend="process", workers=1,
+        )
+        loaded = parallel._get_pool(1).submit(
+            eval, "list(__import__('sys').modules)"
+        ).result()
+        assert _program_modules(loaded) - preloaded == set()
+
+
+def _proc_stat(pid):
+    """``(ppid, start time)`` of a live process, else ``None``."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            # the command name may hold spaces; the fields after it do
+            # not (state is field 3, ppid 4, start time 22)
+            fields = f.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    if fields[0] in "ZX":
+        return None
+    return int(fields[1]), fields[19]
+
+
+def _descendants(pid):
+    """``{pid: start time}`` of every live descendant of ``pid``."""
+    live = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(entry)
+            if stat is not None:
+                live[int(entry)] = stat
+    found, stack = {}, [pid]
+    while stack:
+        parent = stack.pop()
+        for child, (ppid, start) in live.items():
+            if ppid == parent:
+                found[child] = start
+                stack.append(child)
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+class TestKilledDriver:
+    def test_sigkilled_driver_leaves_no_process_behind(self):
+        # Pool workers blocked on the call queue never notice a
+        # SIGKILLed driver; each watches its parent's sentinel and
+        # exits, which lets the fork server and the resource tracker
+        # exit too.
+        code = textwrap.dedent(
+            """
+            from repro.experiments.figures import figure6
+
+            while True:
+                figure6(n=200, trials=2, m_values=[40, 80], seed=1,
+                        backend="process", workers=2)
+                print("SWEEPING", flush=True)
+            """
+        )
+        driver = subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE,
+            text=True, env=_program_env(),
+        )
+        try:
+            assert driver.stdout.readline().strip() == "SWEEPING"
+            left = _descendants(driver.pid)
+            assert len(left) >= 3  # two workers and the pool's helpers
+        finally:
+            driver.kill()
+            driver.wait()
+            driver.stdout.close()
+        deadline = time.monotonic() + 5.0
+        while left and time.monotonic() < deadline:
+            time.sleep(0.05)
+            left = {
+                p: t for p, t in left.items()
+                if (stat := _proc_stat(p)) and stat[1] == t
+            }
+        assert not left, f"still alive 5 s after the driver died: {left}"
 
 
 class TestRequiredQueriesEquivalence:
@@ -274,16 +402,12 @@ class TestPoolLifecycle:
             print("SWEEP_DONE", sample.values, flush=True)
             """
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        env.pop(parallel.WORKERS_ENV, None)
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
             timeout=180,
-            env=env,
+            env=_program_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert "SWEEP_DONE" in proc.stdout
