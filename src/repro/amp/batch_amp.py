@@ -518,15 +518,13 @@ def _decode_prefix_stack(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Decode one stacked round of ``(trial, m)`` prefix probes.
 
-    Builds the heterogeneous-m block-diagonal system from the trials'
-    prefix-replayable streams (free prefix views — no resampling, no
-    re-measurement) and runs one batched :func:`iterate_amp` call. A
-    block has as many rows as its prefix holds queries, which is fewer
-    than ``m`` when a corruption model dropped some (see
-    :class:`repro.experiments.parallel._CorruptedStream`); every prefix
-    must keep at least one. Returns ``(exact, scores)`` with one
-    entry/row per job; each job's decode is bit-identical to a
-    standalone :func:`run_amp` on the same prefix data.
+    Builds the heterogeneous-m block-diagonal system from the first
+    ``m`` queries of each job's :class:`~repro.core.batch.QueryStream`
+    (free prefix views — no resampling, no re-measurement) and runs one
+    batched :func:`iterate_amp` call; ``m >= 1`` for every job. Returns
+    ``(exact, scores)`` with one entry/row per job; each job's decode
+    is bit-identical to a standalone :func:`run_amp` on the same prefix
+    data.
     """
     trials = len(jobs)
     m_per = np.empty(trials, dtype=np.int64)
@@ -538,8 +536,8 @@ def _decode_prefix_stack(
     for j, (i, m) in enumerate(jobs):
         indptr, agents, counts, results = streams[i].prefix(m)
         prefixes.append((indptr, agents, counts))
-        m_per[j] = results.size
-        scales[j] = standardization_constants(n, results.size, gamma)[1]
+        m_per[j] = m
+        scales[j] = standardization_constants(n, m, gamma)[1]
         y_parts.append(
             (channel_corrected_results(results, gamma, channel) - c * k)
             / scales[j]
@@ -575,11 +573,12 @@ def decode_prefix_batch(
 
     The public request-batching seam of the heterogeneous-m stacking
     path: ``jobs`` is a list of ``(stream_index, m)`` pairs and
-    ``streams`` any prefix-replayable streams sharing ``(n, gamma,
-    channel)`` — :class:`~repro.core.batch.MeasurementStream`,
-    :class:`~repro.core.batch.ReplayedStream`, or the online decode
-    service's :class:`~repro.core.batch.SessionStream`, whose
-    concurrent sessions' decode requests stack here into a single
+    ``streams`` are :class:`~repro.core.batch.QueryStream` instances
+    sharing ``(n, gamma, channel)`` — sampled trials
+    (:class:`~repro.core.batch.MeasurementStream`, grown here as far
+    as a job asks) or the decode service's session snapshots
+    (:meth:`repro.service.session.Session.snapshot_stream`), whose
+    concurrent decode requests stack here into a single
     :func:`iterate_amp` call. Returns ``(exact, scores)`` with one
     flag / score row per job; each job's decode is bit-identical to a
     standalone :func:`run_amp` on the same prefix, so batching across
@@ -631,9 +630,11 @@ def _run_probe_round(
 ) -> List[bool]:
     """Execute one round of probes; returns exact flags aligned with jobs.
 
-    ``streams`` are prefix-replayable (a retained
-    :class:`~repro.core.batch.MeasurementStream`, or a corrupted view
-    of one). A prefix left with no query fails without a decode.
+    ``streams`` are :class:`~repro.core.batch.QueryStream` instances
+    (a :class:`~repro.core.batch.MeasurementStream` grows as far as a
+    job asks); a job ``(i, m)`` probes the first ``m`` stored queries
+    of stream ``i``. A job with ``m == 0`` (every query corrupted away)
+    fails without a decode.
     Probes whose prefix incidence count exceeds
     :data:`STACK_NNZ_CUTOFF` run standalone ``run_amp`` (their matvec
     is memory-bound; stacking would only add assembly cost), the rest
@@ -644,11 +645,10 @@ def _run_probe_round(
     flags = [False] * len(jobs)
     stacked: List[Tuple[int, int]] = []  # (job index, prefix incidences)
     for j, (i, m) in enumerate(jobs):
-        streams[i].grow_to(m)
-        indptr = streams[i].prefix(m)[0]
-        nnz = int(indptr[-1])
-        if indptr.size == 1:
+        if m == 0:
             continue  # every query of the prefix was corrupted away
+        streams[i].grow_to(m)
+        nnz = int(streams[i].prefix(m)[0][-1])
         if nnz > STACK_NNZ_CUTOFF:
             flags[j] = _probe_standalone(
                 streams[i], m, n, gamma, channel, denoiser, config
@@ -752,7 +752,6 @@ def required_queries_amp(
                 max_m=max_m,
                 initial_block=initial_block,
                 block_elements=block_elements,
-                retain=True,
             )
         )
     required, checks = scan_required_m(

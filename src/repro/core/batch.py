@@ -387,32 +387,202 @@ def draw_instance_stack(
     )
 
 
-class MeasurementStream:
-    """Block-grown, prefix-sliceable measured query stream of one trial.
+class QueryStream:
+    """Append-only measured query stream, replayable by row-prefix.
+
+    The one store of every replayable query stream: a sampled trial
+    grown by :meth:`MeasurementStream.grow_to` (the AMP required-m
+    scan), the surviving rows of a corrupted trial
+    (:class:`repro.core.corruption.CorruptedFeed`), and a decode
+    service session, whose queries arrive over the wire
+    (:meth:`append`). The pooling graph at ``m'`` queries is a
+    row-prefix of the graph at ``m >= m'``, so :meth:`prefix` is a
+    free ``indptr[:m'+1]`` / ``agents[:indptr[m']]`` slice plus the
+    matching results slice — no resampling, no re-measurement.
+
+    Agent ids are stored as int32 (when ``n <= 2**31``) and
+    multiplicities in the narrowest signed integer holding ``gamma``.
+    Appended rows accumulate in per-array part lists and are
+    concatenated lazily on the first array access after an append —
+    eager concatenation would re-copy the whole stream on every
+    append, going quadratic once block growth hits the element cap
+    (dense gamma at paper scale). Arrays handed out earlier (prefix
+    views, :meth:`snapshot`) are never written again.
+
+    Determinism/recovery contract: ``prefix(m)`` depends only on the
+    first ``m`` appended queries, so a stream rebuilt by re-appending
+    its queries in the original order is indistinguishable from the
+    uninterrupted one — same arrays, same float accumulation order
+    downstream. A stream has no generator of its own: growing it past
+    its length raises (:class:`MeasurementStream` overrides that).
+    """
+
+    def __init__(self, n: int, gamma: int, truth: GroundTruth):
+        self.n = check_positive_int(n, "n")
+        self.gamma = check_positive_int(gamma, "gamma")
+        if truth.sigma.size != self.n:
+            raise ValueError(
+                f"truth has {truth.sigma.size} agents, expected n={n}"
+            )
+        self.truth = truth
+        #: queries stored so far
+        self.m_done = 0
+        self._edges = 0
+        self._agent_dtype = np.dtype(np.int32 if self.n <= 2**31 else np.int64)
+        self._count_dtype = _narrowest_int(self.gamma)
+        self._parts: Tuple[List[np.ndarray], ...] = (
+            [np.zeros(1, dtype=np.int64)],
+            [np.zeros(0, dtype=self._agent_dtype)],
+            [np.zeros(0, dtype=self._count_dtype)],
+            [np.zeros(0)],
+        )
+        self._consolidated = None
+
+    def append(self, indptr, agents, counts, results) -> None:
+        """Append a block of measured queries, all or nothing.
+
+        The block is a local CSR (``indptr`` starting at 0) plus one
+        raw channel result per row. Every row must hold distinct agent
+        ids in ``[0, n)`` with multiplicities ``>= 1`` summing to
+        ``gamma``, and every result must be finite; otherwise
+        ``ValueError`` is raised and nothing is appended.
+        """
+        indptr = np.asarray(indptr, dtype=np.int64)
+        agents = np.asarray(agents, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        results = np.asarray(results, dtype=np.float64)
+        if agents.ndim != 1 or counts.ndim != 1 or agents.size != counts.size:
+            raise ValueError(
+                "agents and counts must be 1-D arrays of equal length"
+            )
+        if (
+            indptr.ndim != 1
+            or indptr.size == 0
+            or indptr[0] != 0
+            or indptr[-1] != agents.size
+            or np.any(np.diff(indptr) < 0)
+        ):
+            raise ValueError(
+                f"indptr must rise from 0 to the {agents.size} incidences"
+            )
+        if results.shape != (indptr.size - 1,):
+            raise ValueError(
+                f"expected {indptr.size - 1} results, got shape {results.shape}"
+            )
+        if agents.size:
+            if agents.min() < 0 or agents.max() >= self.n:
+                raise ValueError(f"agent ids must lie in [0, {self.n})")
+            if counts.min() < 1:
+                raise ValueError("incidence counts must be >= 1")
+        sums = np.diff(np.concatenate(([0], np.cumsum(counts)))[indptr])
+        if np.any(sums != self.gamma):
+            raise ValueError(
+                f"query incidences must sum to gamma={self.gamma}, "
+                f"got {int(sums[sums != self.gamma][0])}"
+            )
+        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        order = np.lexsort((agents, rows))
+        if np.any(
+            (np.diff(agents[order]) == 0) & (np.diff(rows[order]) == 0)
+        ):
+            raise ValueError("agent ids must be distinct within a query")
+        if not np.all(np.isfinite(results)):
+            raise ValueError("query results must be finite")
+        self._push(indptr, agents, counts, results)
+
+    def _push(self, indptr, agents, counts, results) -> None:
+        """Append a block known to be valid (see :meth:`append`)."""
+        indptr_p, agents_p, counts_p, results_p = self._parts
+        indptr_p.append(indptr[1:] + self._edges)
+        agents_p.append(np.asarray(agents, dtype=self._agent_dtype))
+        counts_p.append(np.asarray(counts, dtype=self._count_dtype))
+        results_p.append(np.asarray(results, dtype=np.float64))
+        self._edges += int(indptr[-1])
+        self.m_done += indptr.size - 1
+        self._consolidated = None
+
+    def _consolidate(self):
+        if self._consolidated is None:
+            self._consolidated = _merge_parts(*self._parts)
+        return self._consolidated
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """Consolidated CSR ``indptr`` of the stored queries."""
+        return self._consolidate()[0]
+
+    @property
+    def agents(self) -> np.ndarray:
+        """Consolidated distinct-agent ids of the stored queries."""
+        return self._consolidate()[1]
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Consolidated incidence multiplicities of the stored queries."""
+        return self._consolidate()[2]
+
+    @property
+    def results(self) -> np.ndarray:
+        """Consolidated channel results of the stored queries."""
+        return self._consolidate()[3]
+
+    def grow_to(self, m: int) -> None:
+        """No-op within the stored length; growing past it raises.
+
+        New queries come only through :meth:`append`, so a consumer
+        asking for more than was stored is a caller bug, not something
+        to paper over.
+        """
+        if m > self.m_done:
+            raise ValueError(
+                f"stream holds {self.m_done} queries and cannot grow to {m}"
+            )
+
+    def prefix(self, m: int):
+        """CSR triple + results views of the first ``m`` stored queries."""
+        if m > self.m_done:
+            raise ValueError(
+                f"prefix m={m} exceeds the stored stream length {self.m_done}"
+            )
+        indptr, agents, counts, results = self._consolidate()
+        edges = int(indptr[m])
+        return indptr[: m + 1], agents[:edges], counts[:edges], results[:m]
+
+    def snapshot(self, m: int) -> "QueryStream":
+        """A stream over the first ``m`` queries that appends never reach.
+
+        Its arrays are the consolidated prefix views themselves (no
+        copy), so a reader on another thread sees immutable arrays
+        while later appends land on this stream.
+        """
+        views = self.prefix(m)
+        snap = QueryStream(self.n, self.gamma, self.truth)
+        snap._parts = tuple([view] for view in views)
+        snap._consolidated = views
+        snap.m_done, snap._edges = m, int(views[0][-1])
+        return snap
+
+
+class MeasurementStream(QueryStream):
+    """Block-grown measured query stream of one trial.
 
     Samples one trial's query stream in geometric-growth blocks — each
     block is one ``(b, gamma)`` draw of agents plus one vectorized
     channel measurement — exactly the generator-consumption order of
     the chunked incremental simulator. E1 (the draws landing on
     1-agents, per row) is counted straight from the draws, so
-    measuring a block needs no CSR. Both incremental consumers share
-    the stream:
+    measuring a block needs no CSR. :meth:`next_block` hands out the
+    next **row slice** of the current block (about
+    :data:`_CSR_CHUNK_DRAWS` draws), with its CSR built only then.
+    Consumers take the stream one of two ways:
 
-    * the greedy required-queries path drives :meth:`next_block` with
-      ``retain=False``: each call hands out the next **row slice** of
-      the current block (about :data:`_CSR_CHUNK_DRAWS` draws), with
-      its CSR built only then, so a scan that stops mid-block never
-      builds or scans the rows past its stopping query. Nothing is
-      stored, matching the legacy streaming memory profile;
-    * the AMP required-m scan (:func:`repro.amp.batch_amp.
-      required_queries_amp`) drives :meth:`grow_to` with ``retain=True``
-      (one whole block per call) and replays **prefixes**: the pooling
-      graph at ``m'`` queries is a row-prefix of the graph at
-      ``m >= m'``, so :meth:`prefix` is a free ``indptr[:m'+1]`` /
-      ``agents[:indptr[m']]`` slice plus the matching results slice —
-      no resampling, no re-measurement. A retained stream stores its
-      agent ids as int32 (when ``n <= 2**31``) and its multiplicities
-      in the narrowest signed integer holding ``gamma``.
+    * the greedy required-queries scan calls only :meth:`next_block`,
+      so a scan that stops mid-block never builds or scans the rows
+      past its stopping query, and nothing is stored;
+    * prefix replay (the AMP required-m scan, :func:`repro.amp.
+      batch_amp.required_queries_amp`) calls :meth:`grow_to`, which
+      stores the slices it pulls in the :class:`QueryStream` it is, so
+      :meth:`~QueryStream.prefix` serves any grown length.
 
     Memory contract: a block is drawn in row chunks of about
     :data:`_CSR_CHUNK_DRAWS` draws (the same values and generator
@@ -448,43 +618,23 @@ class MeasurementStream:
         max_m: int,
         initial_block: int = DEFAULT_INITIAL_BLOCK,
         block_elements: int = DEFAULT_BLOCK_ELEMENTS,
-        retain: bool = True,
     ):
-        self.n = check_positive_int(n, "n")
-        self.gamma = check_positive_int(gamma, "gamma")
+        super().__init__(n, gamma, truth)
         self.channel = channel
-        self.truth = truth
         self.gen = normalize_rng(gen)
         self.max_m = check_positive_int(max_m, "max_m", minimum=0)
-        self.retain = retain
         self._one_flag = truth.sigma.astype(bool)
         # Bound the per-block incidence arrays (b * gamma) AND the
         # greedy scanner's (b, k) ones-prefix matrix — one shared
         # schedule for both consumers.
         self._cap = max(1, block_elements // max(self.gamma, truth.k, 1))
         self._block = min(check_positive_int(initial_block, "initial_block"), self._cap)
-        self.m_done = 0
+        #: queries sampled so far (handed out or pending in a block)
+        self._sampled = 0
         #: row slices of the current block not yet handed out
         self._slices: List[tuple] = []
         self.slice_ones: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self.block_end = True
-        # Retained blocks accumulate in per-block part lists and are
-        # concatenated lazily on first prefix access after growth —
-        # eager per-block concatenation would re-copy the whole stream
-        # on every append, going quadratic once block growth hits the
-        # element cap (dense gamma at paper scale).
-        self._edges = 0
-        self._agent_dtype = np.dtype(np.int32 if self.n <= 2**31 else np.int64)
-        self._count_dtype = _narrowest_int(self.gamma)
-        self._indptr_parts: List[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-        self._agents_parts: List[np.ndarray] = [
-            np.zeros(0, dtype=self._agent_dtype)
-        ]
-        self._counts_parts: List[np.ndarray] = [
-            np.zeros(0, dtype=self._count_dtype)
-        ]
-        self._results_parts: List[np.ndarray] = [np.zeros(0)]
-        self._consolidated = None
 
     def _sample_block(self) -> List[tuple]:
         """Draw and measure the next block; split it into row slices.
@@ -499,9 +649,9 @@ class MeasurementStream:
         measures the whole block in one call, after all of its draws.
 
         Returns ``(lo, draws, results, one_rows, one_agents)`` per
-        slice — one slice for a retained stream, else one per chunk.
+        chunk.
         """
-        b = min(self._block, self.max_m - self.m_done)
+        b = min(self._block, self.max_m - self._sampled)
         gamma = self.gamma
         bounds = chunk_bounds(b, -(-b * gamma // _CSR_CHUNK_DRAWS))
         block = np.empty((b, gamma), dtype=np.min_scalar_type(self.n - 1))
@@ -515,15 +665,9 @@ class MeasurementStream:
             ones.append((rows, draws.take(pos)))
             block[r0:r1] = draws
         results = self.channel.measure(e1, gamma, self.gen)
-        lo = self.m_done
-        self.m_done += b
+        lo = self._sampled
+        self._sampled += b
         self._block = min(self._block * 2, self._cap)
-        if self.retain:
-            one_rows = np.concatenate(
-                [rows + r0 for (r0, _), (rows, _) in zip(bounds, ones)]
-            )
-            one_agents = np.concatenate([agents for _, agents in ones])
-            return [(lo, block, results, one_rows, one_agents)]
         return [
             (lo + r0, block[r0:r1], results[r0:r1], rows, agents)
             for (r0, r1), (rows, agents) in zip(bounds, ones)
@@ -535,300 +679,30 @@ class MeasurementStream:
         Returns ``(lo, indptr, agents, counts, results)`` — the slice's
         0-based starting query index plus its *local* CSR triple and
         raw channel results — or ``None`` once ``max_m`` queries exist.
-        A retained stream hands out whole blocks and also appends them
-        to the stream arrays.
+        Nothing is stored.
         """
         if not self._slices:
-            if self.m_done >= self.max_m:
+            if self._sampled >= self.max_m:
                 return None
             self._slices = self._sample_block()
         lo, draws, results, one_rows, one_agents = self._slices.pop(0)
         self.slice_ones = (one_rows, one_agents)
         self.block_end = not self._slices
-        # A streamed slice is only indexed with, so its agents may stay
-        # in the narrow sort dtype; retained ones are stored narrow.
-        if self.retain:
-            indptr, agents, counts = _csr_from_draws(
-                draws, self.n, agent_dtype=self._agent_dtype,
-                count_dtype=self._count_dtype,
-            )
-        else:
-            indptr, agents, counts = _csr_from_draws(
-                draws, self.n, agent_dtype=None
-            )
-        if self.retain:
-            self._indptr_parts.append(indptr[1:] + self._edges)
-            self._edges += int(indptr[-1])
-            self._agents_parts.append(agents)
-            self._counts_parts.append(counts)
-            self._results_parts.append(np.asarray(results, dtype=np.float64))
-            self._consolidated = None
+        # Scans only index with a slice's agents, so they stay in the
+        # sort dtype; grow_to stores them as int32.
+        indptr, agents, counts = _csr_from_draws(
+            draws, self.n, agent_dtype=None, count_dtype=self._count_dtype
+        )
         return lo, indptr, agents, counts, results
 
     def grow_to(self, m: int) -> None:
-        """Ensure the first ``min(m, max_m)`` queries exist (retain mode)."""
-        target = min(m, self.max_m)
-        while self.m_done < target:
-            self.next_block()
+        """Store the first ``min(m, max_m)`` queries, pulling slices.
 
-    def _consolidate(self):
-        if self._consolidated is None:
-            self._consolidated = _merge_parts(
-                self._indptr_parts,
-                self._agents_parts,
-                self._counts_parts,
-                self._results_parts,
-            )
-        return self._consolidated
-
-    @property
-    def indptr(self) -> np.ndarray:
-        """Consolidated CSR ``indptr`` of the retained stream."""
-        return self._consolidate()[0]
-
-    @property
-    def agents(self) -> np.ndarray:
-        """Consolidated distinct-agent ids of the retained stream."""
-        return self._consolidate()[1]
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Consolidated incidence multiplicities of the retained stream."""
-        return self._consolidate()[2]
-
-    @property
-    def results(self) -> np.ndarray:
-        """Consolidated channel results of the retained stream."""
-        return self._consolidate()[3]
-
-    def prefix(self, m: int):
-        """CSR triple + results views of the first ``m`` queries.
-
-        Returns ``(indptr, agents, counts, results)`` slices — views
-        into the retained stream, so a probe at ``m`` costs no copies.
+        Replay and scan do not mix: the slices :meth:`next_block`
+        handed out are not stored.
         """
-        if not self.retain:
-            raise ValueError("prefix replay requires a retained stream")
-        if m > self.m_done:
-            raise ValueError(
-                f"prefix m={m} exceeds the grown stream length {self.m_done}"
-            )
-        edges = int(self.indptr[m])
-        return (
-            self.indptr[: m + 1],
-            self.agents[:edges],
-            self.counts[:edges],
-            self.results[:m],
-        )
-
-
-class ReplayedStream:
-    """Prefix-replay view over a fully grown, externally stored stream.
-
-    Mirrors the prefix-replay surface of :class:`MeasurementStream`
-    (``prefix`` / ``grow_to`` / the consolidated array properties /
-    ``truth``) on arrays that were grown *elsewhere*: the decode
-    service snapshots a session's consolidated prefix
-    (:meth:`repro.service.session.Session.snapshot_stream`) into this
-    class, so a decode thread reads immutable arrays while later
-    appends land on the live stream.
-
-    ``grow_to`` within the stored length is a no-op; growing past it
-    raises — a replayed stream carries no generator to extend it, and
-    a consumer probing beyond the stored prefix is a bug, not
-    something to paper over.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        gamma: int,
-        truth: GroundTruth,
-        indptr: np.ndarray,
-        agents: np.ndarray,
-        counts: np.ndarray,
-        results: np.ndarray,
-    ):
-        self.n = n
-        self.gamma = gamma
-        self.truth = truth
-        self.retain = True
-        self.m_done = int(indptr.size - 1)
-        self._indptr = indptr
-        self._agents = agents
-        self._counts = counts
-        self._results = results
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self._indptr
-
-    @property
-    def agents(self) -> np.ndarray:
-        return self._agents
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._counts
-
-    @property
-    def results(self) -> np.ndarray:
-        return self._results
-
-    def grow_to(self, m: int) -> None:
-        if m > self.m_done:
-            raise ValueError(
-                f"replayed stream holds {self.m_done} queries and cannot "
-                f"grow to {m}"
-            )
-
-    def prefix(self, m: int):
-        """CSR triple + results views of the first ``m`` stored queries."""
-        if m > self.m_done:
-            raise ValueError(
-                f"prefix m={m} exceeds the replayed stream length "
-                f"{self.m_done}"
-            )
-        edges = int(self._indptr[m])
-        return (
-            self._indptr[: m + 1],
-            self._agents[:edges],
-            self._counts[:edges],
-            self._results[:m],
-        )
-
-
-class SessionStream:
-    """Append-fed measured query stream with the prefix-replay surface.
-
-    The online decode service's server-side twin of
-    :class:`MeasurementStream`: a session's queries arrive from a
-    client over the wire — already sampled and measured elsewhere —
-    and :meth:`append` feeds them in, in arrival order. The stream
-    surface everything downstream consumes (``prefix`` / ``grow_to`` /
-    the consolidated array properties / ``truth``) is identical, so
-    the ragged block-diagonal stacking in :mod:`repro.amp.batch_amp`
-    decodes a session prefix bit-identically to a standalone run on
-    the same queries.
-
-    Determinism/recovery contract (the service's crash-recovery
-    foundation): the stream is append-only and ``prefix(m)`` depends
-    only on the first ``m`` appended queries, so a session restored
-    from a durable record by re-appending its queries in the original
-    order is indistinguishable from the uninterrupted stream — same
-    arrays, same float accumulation order downstream.
-    """
-
-    def __init__(self, n: int, gamma: int, truth: GroundTruth):
-        self.n = check_positive_int(n, "n")
-        self.gamma = check_positive_int(gamma, "gamma")
-        if truth.sigma.size != self.n:
-            raise ValueError(
-                f"truth has {truth.sigma.size} agents, expected n={n}"
-            )
-        self.truth = truth
-        self.retain = True
-        self.m_done = 0
-        self._edges = 0
-        self._indptr_parts: List[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-        self._agents_parts: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-        self._counts_parts: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-        self._results_parts: List[np.ndarray] = [np.zeros(0)]
-        self._consolidated = None
-
-    def append(self, agents, counts, result: float) -> int:
-        """Append one measured query; returns its 0-based index.
-
-        ``agents``/``counts`` are the query's distinct-agent CSR row
-        (multiplicities summing to ``gamma``), ``result`` the raw
-        channel measurement — the same row shape
-        :meth:`repro.core.incremental.IncrementalDecoder.ingest_query`
-        takes, so one wire payload can feed both consumers.
-        """
-        agents = np.ascontiguousarray(agents, dtype=np.int64)
-        counts = np.ascontiguousarray(counts, dtype=np.int64)
-        if agents.ndim != 1 or counts.ndim != 1 or agents.size != counts.size:
-            raise ValueError(
-                "agents and counts must be 1-D arrays of equal length"
-            )
-        if agents.size:
-            if agents.min() < 0 or agents.max() >= self.n:
-                raise ValueError(f"agent ids must lie in [0, {self.n})")
-            if counts.min() < 1:
-                raise ValueError("incidence counts must be >= 1")
-        if int(counts.sum()) != self.gamma:
-            raise ValueError(
-                f"query incidences must sum to gamma={self.gamma}, "
-                f"got {int(counts.sum())}"
-            )
-        self._indptr_parts.append(
-            np.array([self._edges + agents.size], dtype=np.int64)
-        )
-        self._edges += int(agents.size)
-        self._agents_parts.append(agents)
-        self._counts_parts.append(counts)
-        self._results_parts.append(np.array([result], dtype=np.float64))
-        self._consolidated = None
-        self.m_done += 1
-        return self.m_done - 1
-
-    def _consolidate(self):
-        if self._consolidated is None:
-            self._consolidated = _merge_parts(
-                self._indptr_parts,
-                self._agents_parts,
-                self._counts_parts,
-                self._results_parts,
-            )
-        return self._consolidated
-
-    @property
-    def indptr(self) -> np.ndarray:
-        """Consolidated CSR ``indptr`` of the appended stream."""
-        return self._consolidate()[0]
-
-    @property
-    def agents(self) -> np.ndarray:
-        """Consolidated distinct-agent ids of the appended stream."""
-        return self._consolidate()[1]
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Consolidated incidence multiplicities of the appended stream."""
-        return self._consolidate()[2]
-
-    @property
-    def results(self) -> np.ndarray:
-        """Consolidated channel results of the appended stream."""
-        return self._consolidate()[3]
-
-    def grow_to(self, m: int) -> None:
-        """No-op within the appended length; growing past it raises.
-
-        A session stream has no generator — new queries come only from
-        the client — so a consumer asking for more than was appended is
-        a caller bug, not something to paper over.
-        """
-        if m > self.m_done:
-            raise ValueError(
-                f"session stream holds {self.m_done} queries and cannot "
-                f"grow to {m}"
-            )
-
-    def prefix(self, m: int):
-        """CSR triple + results views of the first ``m`` appended queries."""
-        if m > self.m_done:
-            raise ValueError(
-                f"prefix m={m} exceeds the appended stream length "
-                f"{self.m_done}"
-            )
-        edges = int(self.indptr[m])
-        return (
-            self.indptr[: m + 1],
-            self.agents[:edges],
-            self.counts[:edges],
-            self.results[:m],
-        )
+        while self.m_done < min(m, self.max_m):
+            self._push(*self.next_block()[1:])
 
 
 class _SuccessScanner:
@@ -1169,7 +1043,7 @@ class BatchTrialRunner:
         offset = self._offset()
         scanner = _SuccessScanner(truth)
         # The shared block-grown stream (sampling + measurement); the
-        # greedy scan consumes it slice by slice and retains nothing, so
+        # greedy scan consumes it slice by slice and stores nothing, so
         # the slices past the stopping query are never built.
         stream = MeasurementStream(
             self.n,
@@ -1180,7 +1054,6 @@ class BatchTrialRunner:
             max_m=max_m,
             initial_block=self._initial_block,
             block_elements=self._block_elements,
-            retain=False,
         )
         meta = {
             "channel": self.channel.describe(),
@@ -1244,8 +1117,7 @@ __all__ = [
     "DEFAULT_INITIAL_BLOCK",
     "sample_pooling_graph_batch",
     "first_success_m",
+    "QueryStream",
     "MeasurementStream",
-    "ReplayedStream",
-    "SessionStream",
     "BatchTrialRunner",
 ]

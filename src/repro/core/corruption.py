@@ -74,6 +74,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.batch import QueryStream
 from repro.core.measurement import Measurements
 from repro.core.pooling import PoolingGraph
 from repro.utils.rng import RngLike
@@ -224,11 +225,10 @@ class CorruptionReport:
 
     ``measurements`` is the corrupted object the decoder sees (dropped
     queries removed). The remaining fields are aligned to the
-    *original* query indices so prefix-replay scans can corrupt a full
-    retained stream once and carve probe prefixes out of the
-    realization: ``kept[j]`` says whether original query ``j``
-    survived, and ``results_full[j]`` is its (possibly flipped /
-    outlier-shifted) result value regardless of survival.
+    *original* query indices, so any prefix of the stream can be
+    carved out of one realization: ``kept[j]`` says whether original
+    query ``j`` survived, and ``results_full[j]`` is its (possibly
+    flipped / outlier-shifted) result value regardless of survival.
     """
 
     measurements: Measurements
@@ -261,6 +261,90 @@ def _drop_rows(
     )
 
 
+def _dead_agent_mask(
+    model: CorruptionModel, rng: np.random.Generator, n: int
+) -> Optional[np.ndarray]:
+    """Stage 1's draw: one uniform per agent (none at zero rate)."""
+    if not model.dead_agent_rate:
+        return None
+    return rng.random(n) < model.dead_agent_rate
+
+
+def _corrupt_queries(
+    graph: PoolingGraph,
+    results: np.ndarray,
+    integer_valued: bool,
+    model: CorruptionModel,
+    dead: Optional[np.ndarray],
+    rng: np.random.Generator,
+):
+    """Stages 1-4 on a run of consecutive queries.
+
+    ``dead`` is the run's stage-1 mask (:func:`_dead_agent_mask`,
+    drawn once per trial). Returns ``(kept, corrupted, erased,
+    flipped, outliers)``: the survival mask and the corrupted results
+    of every query of the run. The per-query stages draw one
+    ``(m, stages)`` block, so corrupting a stream run by run, in
+    order, draws the same values as corrupting it whole.
+    """
+    m = graph.m
+    corrupted = np.array(results, dtype=np.float64)
+    kept = np.ones(m, dtype=bool)
+
+    # 1. dead agents: their queries never report.
+    if dead is not None and dead.any():
+        flags = dead[graph.agents]
+        row_sizes = np.diff(graph.indptr)
+        nonempty = row_sizes > 0
+        touched = np.zeros(m, dtype=bool)
+        if flags.size:
+            touched[nonempty] = (
+                np.add.reduceat(flags, graph.indptr[:-1][nonempty]) > 0
+            )
+        kept &= ~touched
+
+    # 2-4. the per-query stages share one query-major draw: row j holds
+    # query j's uniforms, one column per active stage (two for
+    # outliers), so its corruption never depends on how many queries
+    # follow it.
+    stages = (
+        bool(model.erasure_rate)
+        + bool(model.flip_rate)
+        + 2 * bool(model.outlier_rate)
+    )
+    columns = iter(rng.random((m, stages)).T)
+
+    # 2. erasures: per-query result loss.
+    erased = 0
+    if model.erasure_rate:
+        erase_mask = next(columns) < model.erasure_rate
+        erased = int(erase_mask.sum())
+        kept &= ~erase_mask
+
+    # 3. adversarial flips: mirror counting channels, negate Gaussian.
+    flipped = 0
+    if model.flip_rate:
+        flip_mask = next(columns) < model.flip_rate
+        flipped = int(flip_mask.sum())
+        if integer_valued:
+            sizes = graph.query_sizes()
+            corrupted[flip_mask] = (
+                sizes[flip_mask] - corrupted[flip_mask]
+            )
+        else:
+            corrupted[flip_mask] = -corrupted[flip_mask]
+
+    # 4. heavy-tailed outliers: additive scaled Cauchy, by inversion
+    # of the column's own uniforms.
+    outliers = 0
+    if model.outlier_rate:
+        out_mask = next(columns) < model.outlier_rate
+        cauchy = np.tan(np.pi * (next(columns)[out_mask] - 0.5))
+        outliers = int(out_mask.sum())
+        corrupted[out_mask] += model.outlier_scale * cauchy
+    return kept, corrupted, erased, flipped, outliers
+
+
 def apply_corruption(
     measurements: Measurements,
     model: Optional[CorruptionModel],
@@ -287,65 +371,15 @@ def apply_corruption(
         if isinstance(rng, np.random.Generator)
         else np.random.default_rng(rng)
     )
-    corrupted = np.array(measurements.results, dtype=np.float64)
-    kept = np.ones(m, dtype=bool)
-    dead_agents = 0
-
-    # 1. dead agents: their queries never report.
-    if model.dead_agent_rate:
-        dead = rng.random(graph.n) < model.dead_agent_rate
-        dead_agents = int(dead.sum())
-        if dead_agents:
-            flags = dead[graph.agents]
-            row_sizes = np.diff(graph.indptr)
-            nonempty = row_sizes > 0
-            touched = np.zeros(m, dtype=bool)
-            if flags.size:
-                touched[nonempty] = (
-                    np.add.reduceat(flags, graph.indptr[:-1][nonempty]) > 0
-                )
-            kept &= ~touched
-
-    # 2-4. the per-query stages share one query-major draw: row j holds
-    # query j's uniforms, one column per active stage (two for
-    # outliers), so its corruption never depends on how many queries
-    # follow it.
-    stages = (
-        bool(model.erasure_rate)
-        + bool(model.flip_rate)
-        + 2 * bool(model.outlier_rate)
+    dead = _dead_agent_mask(model, rng, graph.n)
+    kept, corrupted, erased, flipped, outliers = _corrupt_queries(
+        graph,
+        measurements.results,
+        measurements.channel.integer_valued,
+        model,
+        dead,
+        rng,
     )
-    columns = iter(rng.random((m, stages)).T)
-
-    # 2. erasures: per-query result loss.
-    erased = 0
-    if model.erasure_rate:
-        erase_mask = next(columns) < model.erasure_rate
-        erased = int(erase_mask.sum())
-        kept &= ~erase_mask
-
-    # 3. adversarial flips: mirror counting channels, negate Gaussian.
-    flipped = 0
-    if model.flip_rate:
-        flip_mask = next(columns) < model.flip_rate
-        flipped = int(flip_mask.sum())
-        if measurements.channel.integer_valued:
-            sizes = graph.query_sizes()
-            corrupted[flip_mask] = (
-                sizes[flip_mask] - corrupted[flip_mask]
-            )
-        else:
-            corrupted[flip_mask] = -corrupted[flip_mask]
-
-    # 4. heavy-tailed outliers: additive scaled Cauchy, by inversion
-    # of the column's own uniforms.
-    outliers = 0
-    if model.outlier_rate:
-        out_mask = next(columns) < model.outlier_rate
-        cauchy = np.tan(np.pi * (next(columns)[out_mask] - 0.5))
-        outliers = int(out_mask.sum())
-        corrupted[out_mask] += model.outlier_scale * cauchy
-
     if kept.all():
         new_graph, new_results = graph, corrupted
     else:
@@ -363,9 +397,62 @@ def apply_corruption(
         flipped=flipped,
         outliers=outliers,
         erased=erased,
-        dead_agents=dead_agents,
+        dead_agents=0 if dead is None else int(dead.sum()),
         dropped_queries=int(m - kept.sum()),
     )
+
+
+class CorruptedFeed:
+    """A trial's corrupted queries, stored as its source stream grows.
+
+    :meth:`grow_to` pulls the source's next slices
+    (:meth:`~repro.core.batch.MeasurementStream.next_block`), corrupts
+    each with the stages of :func:`apply_corruption` — the dead-agent
+    mask is drawn once, then each slice draws its own ``(b, stages)``
+    uniforms — and appends only the surviving rows to :attr:`store`.
+    Consecutive per-slice draws give the values of one whole-stream
+    draw, so the store holds exactly the rows :func:`apply_corruption`
+    keeps on the whole grown stream, but the source grows only as far
+    as the scan probes.
+    """
+
+    def __init__(self, source, model: CorruptionModel, rng: np.random.Generator):
+        self.source = source
+        self.model = model
+        self.rng = rng
+        self.store = QueryStream(source.n, source.gamma, source.truth)
+        self._dead = _dead_agent_mask(model, rng, source.n)
+        #: survivors among the first j source queries, for j = 0, 1, ...
+        self._survivors = np.zeros(1, dtype=np.int64)
+
+    def grow_to(self, m: int) -> int:
+        """Corrupt the source through query ``m``; return its survivors.
+
+        The store's first ``grow_to(m)`` queries are then the
+        corrupted prefix of the first ``m`` source queries.
+        """
+        source = self.source
+        while self._survivors.size <= m:
+            _, indptr, agents, counts, results = source.next_block()
+            graph = PoolingGraph._unchecked(
+                source.n, source.gamma, indptr, agents, counts
+            )
+            kept, corrupted, *_ = _corrupt_queries(
+                graph,
+                results,
+                source.channel.integer_valued,
+                self.model,
+                self._dead,
+                self.rng,
+            )
+            graph, _ = _drop_rows(graph, kept)
+            self.store._push(
+                graph.indptr, graph.agents, graph.counts, corrupted[kept]
+            )
+            self._survivors = np.concatenate(
+                (self._survivors, self._survivors[-1] + np.cumsum(kept))
+            )
+        return int(self._survivors[m])
 
 
 __all__ = [
@@ -373,6 +460,7 @@ __all__ = [
     "NETWORK_STREAM_KEY",
     "CorruptionModel",
     "CorruptionReport",
+    "CorruptedFeed",
     "FaultSpec",
     "apply_corruption",
     "corruption_rng",

@@ -239,42 +239,6 @@ def _required_queries_chunk(
     return [(result.succeeded, result.required_m) for result in runs]
 
 
-class _CorruptedStream:
-    """Prefix-replay view of a retained stream under one corruption.
-
-    ``kept`` / ``results`` are the full-stream corruption realization
-    aligned to original query indices
-    (:class:`~repro.core.corruption.CorruptionReport`). :meth:`prefix`
-    carves the first ``m`` original queries out of it, dropping the
-    corrupted-away ones as CSR rows, so a prefix may hold fewer than
-    ``m`` queries — or none.
-    """
-
-    def __init__(self, stream, kept: np.ndarray, results: np.ndarray):
-        self.stream = stream
-        self.truth = stream.truth
-        self.kept = kept
-        self.results = results
-
-    def grow_to(self, m: int) -> None:
-        self.stream.grow_to(m)
-
-    def prefix(self, m: int):
-        kept = self.kept[:m]
-        full_indptr = self.stream.indptr
-        row_sizes = np.diff(full_indptr[: m + 1])
-        edge_mask = np.repeat(kept, row_sizes)
-        indptr = np.zeros(int(kept.sum()) + 1, dtype=np.int64)
-        np.cumsum(row_sizes[kept], out=indptr[1:])
-        edges = int(full_indptr[m])
-        return (
-            indptr,
-            self.stream.agents[:edges][edge_mask],
-            self.stream.counts[:edges][edge_mask],
-            self.results[:m][kept],
-        )
-
-
 def _required_queries_scan_chunk(
     spec: Dict[str, object], seeds: Sequence[np.random.SeedSequence]
 ) -> List[Tuple[bool, Optional[int]]]:
@@ -294,13 +258,16 @@ def _required_queries_scan_chunk(
     probes one grid point per trial and round, so it never decodes a
     prefix past its answer.
 
-    Determinism: the trial's query stream is sampled once in
-    append-only blocks (:class:`~repro.core.batch.MeasurementStream`),
-    and a corrupted cell grows the stream to the full grid and
-    corrupts it **once** with the trial's dedicated corruption
-    generator — every probe then carves a prefix out of that single
-    realization, so the outcome is a pure function of the child seed
-    (probe schedule, chunk layout and backend never show).
+    Determinism: the trial's query stream is sampled in append-only
+    blocks (:class:`~repro.core.batch.MeasurementStream`) and grown
+    only as far as the scan probes. A corrupted cell grows it through
+    a :class:`~repro.core.corruption.CorruptedFeed`, which corrupts
+    each new slice with the trial's dedicated corruption generator and
+    stores the surviving rows; a probe at m decodes the survivors of
+    the first m queries. Corruption is query-major, so this is the
+    realization :func:`~repro.core.corruption.apply_corruption` draws
+    on the whole grid, and the outcome is a pure function of the child
+    seed (probe schedule, chunk layout and backend never show).
     """
     from repro.amp.amp import default_denoiser
     from repro.amp.batch_amp import (
@@ -311,7 +278,7 @@ def _required_queries_scan_chunk(
         scan_required_m,
     )
     from repro.core.batch import MeasurementStream
-    from repro.core.corruption import apply_corruption, corruption_rng
+    from repro.core.corruption import CorruptedFeed, corruption_rng
     from repro.core.ground_truth import sample_ground_truth
     from repro.core.incremental import default_max_queries
     from repro.core.measurement import Measurements
@@ -329,27 +296,24 @@ def _required_queries_scan_chunk(
     algorithm = spec.get("algorithm", "greedy")
 
     streams: list = []
+    feeds: list = []
     for seq in seeds:
         gen = np.random.default_rng(seq)
         truth = sample_ground_truth(n, k, gen)
         stream = MeasurementStream(
-            n, gamma, channel, truth, gen, max_m=grid_max, retain=True
+            n, gamma, channel, truth, gen, max_m=grid_max
         )
         if model is not None:
-            # Corrupt the whole grid's stream in one draw so probe
-            # prefixes share a single realization.
-            stream.grow_to(grid_max)
-            full = Measurements(
-                graph=PoolingGraph._unchecked(
-                    n, gamma, stream.indptr, stream.agents, stream.counts
-                ),
-                truth=truth,
-                channel=channel,
-                results=stream.results,
-            )
-            report = apply_corruption(full, model, corruption_rng(seq))
-            stream = _CorruptedStream(stream, report.kept, report.results_full)
+            feeds.append(CorruptedFeed(stream, model, corruption_rng(seq)))
+            stream = feeds[-1].store
         streams.append(stream)
+
+    def grown(jobs):
+        """Jobs on the probed streams: a corrupted probe at m reads the
+        survivors of the first m source queries."""
+        if not feeds:
+            return jobs
+        return [(i, feeds[i].grow_to(m)) for i, m in jobs]
 
     if algorithm == "amp":
         denoiser = default_denoiser(n, k)
@@ -357,8 +321,8 @@ def _required_queries_scan_chunk(
 
         def probe(jobs):
             return _run_probe_round(
-                jobs, streams, n, k, gamma, channel, denoiser, config,
-                DEFAULT_STACK_ELEMENTS,
+                grown(jobs), streams, n, k, gamma, channel, denoiser,
+                config, DEFAULT_STACK_ELEMENTS,
             )
 
         wave = VERIFY_WAVE
@@ -369,13 +333,13 @@ def _required_queries_scan_chunk(
 
         def probe(jobs):
             flags = []
-            for i, m in jobs:
-                streams[i].grow_to(m)
-                indptr, agents, counts, results = streams[i].prefix(m)
-                if results.size == 0:
+            for i, m in grown(jobs):
+                if m == 0:
                     # every query of the prefix was corrupted away
                     flags.append(False)
                     continue
+                streams[i].grow_to(m)
+                indptr, agents, counts, results = streams[i].prefix(m)
                 meas = Measurements(
                     graph=PoolingGraph._unchecked(
                         n, gamma, indptr, agents, counts

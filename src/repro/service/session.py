@@ -4,7 +4,7 @@ A session is one client's incremental-query run of the paper's
 procedure: the client streams measured pooled queries in, and the
 server accumulates them in two synchronized consumers —
 
-* a :class:`~repro.core.batch.SessionStream` (the prefix-replayable
+* a :class:`~repro.core.batch.QueryStream` (the prefix-replayable
   CSR stream the ragged AMP request batching decodes), and
 * an :class:`~repro.core.incremental.IncrementalDecoder` (Algorithm
   1's running greedy scores — the O(n) certificate and the overload
@@ -31,7 +31,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import ReplayedStream, SessionStream
+from repro.core.batch import QueryStream
 from repro.core.ground_truth import GroundTruth
 from repro.core.incremental import IncrementalDecoder
 from repro.core.noise import (
@@ -143,7 +143,7 @@ class Session:
         except ValueError as exc:
             raise InvalidRequest(str(exc)) from None
         self.channel = params.channel
-        self.stream = SessionStream(params.n, params.gamma, self.truth)
+        self.stream = QueryStream(params.n, params.gamma, self.truth)
         self.decoder = IncrementalDecoder(
             self.truth,
             self.channel,
@@ -196,30 +196,50 @@ class Session:
     ) -> int:
         """Apply one ingest request; returns the stream length after it.
 
+        All or nothing: every query is validated before any is applied
+        (:meth:`QueryStream.append`), so a rejected request leaves the
+        stream, the greedy decoder and the applied map as they were.
         Idempotent by ``request_id``: a retransmitted request (client
         retry after a lost ack) is acknowledged from the applied map
         without touching the stream.
         """
         if request_id in self.applied:
             return self.applied[request_id]
+        if not isinstance(queries, (list, tuple)):
+            raise InvalidRequest("queries must be a list of queries")
+        indptr, agents, counts, results = [0], [], [], []
         for query in queries:
             try:
-                agents, counts, result = query
-            except (TypeError, ValueError):
-                raise InvalidRequest(
-                    "each query must be (agents, counts, result)"
-                ) from None
-            try:
-                self.stream.append(agents, counts, float(result))
+                a, c, result = query
+                if len(a) != len(c):
+                    raise ValueError("agents and counts differ in length")
+                results.append(float(result))
             except (TypeError, ValueError) as exc:
-                raise InvalidRequest(str(exc)) from None
-            self.decoder.ingest_query(
-                np.asarray(agents, dtype=np.int64),
-                np.asarray(counts, dtype=np.int64),
-                float(result),
-            )
+                raise InvalidRequest(
+                    f"each query must be (agents, counts, result): {exc}"
+                ) from None
+            agents.extend(a)
+            counts.extend(c)
+            indptr.append(len(agents))
+        self._apply(indptr, agents, counts, results)
         self.applied[request_id] = self.stream.m_done
         return self.stream.m_done
+
+    def _apply(self, indptr, agents, counts, results) -> None:
+        """Append a query block to the stream, then to the decoder."""
+        try:
+            indptr, agents, counts = (
+                np.asarray(a, dtype=np.int64) for a in (indptr, agents, counts)
+            )
+            results = np.asarray(results, dtype=np.float64)
+            self.stream.append(indptr, agents, counts, results)
+        except (TypeError, ValueError) as exc:
+            raise InvalidRequest(str(exc)) from None
+        for i, result in enumerate(results):
+            lo, hi = int(indptr[i]), int(indptr[i + 1])
+            self.decoder.ingest_query(
+                agents[lo:hi], counts[lo:hi], float(result)
+            )
 
     # -- decode ---------------------------------------------------------
 
@@ -242,23 +262,14 @@ class Session:
             "degraded": bool(degraded),
         }
 
-    def snapshot_stream(self, m: int) -> ReplayedStream:
+    def snapshot_stream(self, m: int) -> QueryStream:
         """A frozen prefix view safe to decode off the event loop.
 
         Consolidation happens here (on the loop, where appends also
-        happen); the returned views alias immutable consolidated
+        happen); the returned stream aliases immutable consolidated
         arrays, so later appends can never race the decode thread.
         """
-        indptr, agents, counts, results = self.stream.prefix(m)
-        return ReplayedStream(
-            self.params.n,
-            self.params.gamma,
-            self.truth,
-            indptr,
-            agents,
-            counts,
-            results,
-        )
+        return self.stream.snapshot(m)
 
     # -- durability -----------------------------------------------------
 
@@ -282,7 +293,11 @@ class Session:
 
     @classmethod
     def from_record(cls, record: dict) -> "Session":
-        """Rebuild a session by replaying its record in arrival order."""
+        """Rebuild a session by replaying its record in arrival order.
+
+        The record's queries pass the checks of :meth:`ingest`; a record
+        that fails them raises :class:`InvalidRequest`.
+        """
         params = SessionParams.create(
             record["n"],
             record["gamma"],
@@ -290,18 +305,15 @@ class Session:
             record["centering"],
         )
         session = cls(str(record["session_id"]), params, record["sigma"])
-        indptr = np.asarray(record["indptr"], dtype=np.int64)
-        agents = np.asarray(record["agents"], dtype=np.int64)
-        counts = np.asarray(record["counts"], dtype=np.int64)
-        results = np.asarray(record["results"], dtype=np.float64)
-        for i in range(int(record["m"])):
-            lo, hi = int(indptr[i]), int(indptr[i + 1])
-            session.stream.append(
-                agents[lo:hi], counts[lo:hi], float(results[i])
+        if len(record["indptr"]) != int(record["m"]) + 1:
+            raise InvalidRequest(
+                f"record holds {len(record['indptr']) - 1} queries, "
+                f"not m={record['m']}"
             )
-            session.decoder.ingest_query(
-                agents[lo:hi], counts[lo:hi], float(results[i])
-            )
+        session._apply(
+            record["indptr"], record["agents"], record["counts"],
+            record["results"],
+        )
         session.applied = {
             str(k): int(v) for k, v in dict(record["applied"]).items()
         }

@@ -16,9 +16,11 @@ the client's idempotent retry re-delivers it.
 
 from __future__ import annotations
 
+import logging
 from pathlib import Path
 from typing import Dict
 
+from repro.service.errors import InvalidRequest
 from repro.service.session import Session
 from repro.utils.jsonio import load_json, save_json_atomic
 
@@ -67,10 +69,22 @@ class SessionStore:
         So is a record whose ``session_id`` does not encode to its own
         file name: it is not that file's session (an older store wrote
         ``"a/b"`` and ``"a_b"`` to one file, whichever saved last).
+
+        A record whose queries fail the ingest checks (a non-finite
+        result or a repeated agent id, which older servers accepted) is
+        skipped with a logged warning and left on disk untouched: one
+        bad record must not keep every other session from loading, and
+        no decode may read queries a live ingest would reject.
         """
         sessions: Dict[str, Session] = {}
         for path in sorted(self.root.glob("*.session.json")):
-            session = Session.from_record(load_json(path))
+            try:
+                session = Session.from_record(load_json(path))
+            except InvalidRequest as exc:
+                logging.getLogger(__name__).warning(
+                    "skipping session record %s: %s", path.name, exc
+                )
+                continue
             if self._path(session.session_id).name != path.name:
                 continue
             sessions[session.session_id] = session

@@ -141,7 +141,7 @@ def required_queries_amp_linear(
         gen = normalize_rng(seed)
         truth = sample_ground_truth(n, k, gen)
         stream = MeasurementStream(
-            n, gamma, channel, truth, gen, max_m=max_m, retain=True
+            n, gamma, channel, truth, gen, max_m=max_m
         )
         required: Optional[int] = None
         checks = 0
@@ -188,7 +188,7 @@ def required_queries_decode_scan(
         gen = normalize_rng(seed)
         truth = sample_ground_truth(n, k, gen)
         stream = MeasurementStream(
-            n, gamma, channel, truth, gen, max_m=grid_max, retain=True
+            n, gamma, channel, truth, gen, max_m=grid_max
         )
         report = None
         if corruption is not None:

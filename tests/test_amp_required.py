@@ -420,14 +420,14 @@ class TestMeasurementStream:
         stream = MeasurementStream(
             50, 25, repro.NoiselessChannel(), truth, gen, max_m=100
         )
-        with pytest.raises(ValueError, match="exceeds the grown stream"):
+        with pytest.raises(ValueError, match="exceeds the stored stream"):
             stream.prefix(10)
+        # next_block hands slices out without storing them
         streaming = MeasurementStream(
-            50, 25, repro.NoiselessChannel(), truth, gen, max_m=100,
-            retain=False,
+            50, 25, repro.NoiselessChannel(), truth, gen, max_m=100
         )
         streaming.next_block()
-        with pytest.raises(ValueError, match="retained stream"):
+        with pytest.raises(ValueError, match="exceeds the stored stream"):
             streaming.prefix(1)
 
     def test_stream_matches_batch_sampler_prefix(self):

@@ -139,7 +139,7 @@ class TestCountingCsr:
 
         draws = np.random.default_rng(13).integers(0, n, size=(m, gamma))
         expected = _reference_csr(draws)
-        # wide, streamed (sort-dtype agents) and retained (narrow) forms
+        # wide, sort-dtype agents (scanned slices) and stored narrow forms
         for agent_dtype, count_dtype in (
             (np.int64, np.int64),
             (None, np.int64),
@@ -260,22 +260,25 @@ class TestStreamBlockMemory:
         rows = DEFAULT_BLOCK_ELEMENTS // gamma
         stream = MeasurementStream(
             n, gamma, repro.ZChannel(0.1), truth, gen,
-            max_m=rows, initial_block=rows, retain=False,
+            max_m=rows, initial_block=rows,
         )
+        handed = 0
         tracemalloc.start()
         try:
-            while stream.next_block() is not None:
-                pass
+            while (part := stream.next_block()) is not None:
+                handed = part[0] + part[1].size - 1
+                del part
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert stream.m_done == rows
+        assert handed == rows
+        assert stream.m_done == 0  # a scan stores nothing
         # a whole-block int32 draw plus its intp cast alone would take
         # 12 bytes per draw
         assert peak / (rows * gamma) < 6.0
 
     def test_retained_block_bytes_per_draw(self):
-        # The AMP required-m scan replays retained streams: int32 agent
+        # The AMP required-m scan replays stored streams: int32 agent
         # ids and int16 multiplicities (gamma = 5000), one copy each.
         # int64 arrays plus their unconsolidated parts took 25 bytes.
         import tracemalloc
@@ -289,7 +292,7 @@ class TestStreamBlockMemory:
         rows = DEFAULT_BLOCK_ELEMENTS // gamma
         stream = MeasurementStream(
             n, gamma, repro.ZChannel(0.1), truth, gen,
-            max_m=rows, initial_block=rows, retain=True,
+            max_m=rows, initial_block=rows,
         )
         tracemalloc.start()
         try:
@@ -806,14 +809,14 @@ class TestSlicedStreamScan:
 
 
 class TestSessionStream:
-    """The decode service's append-fed stream (PR 10, satellite 3)."""
+    """A decode session's stream: a QueryStream fed by validated appends."""
 
     def _stream(self, n=60, gamma=30, seed=0):
-        from repro.core.batch import SessionStream
+        from repro.core.batch import QueryStream
 
         gen = np.random.default_rng(seed)
         truth = repro.sample_ground_truth(n, 3, gen)
-        return SessionStream(n, gamma, truth), gen
+        return QueryStream(n, gamma, truth), gen
 
     def _queries(self, stream, gen, count):
         sigma = stream.truth.sigma.astype(np.int64)
@@ -830,23 +833,46 @@ class TestSessionStream:
             out.append((agents, counts, result))
         return out
 
+    @staticmethod
+    def _append(stream, agents, counts, result):
+        stream.append([0, len(agents)], agents, counts, [result])
+
     def test_append_validation(self):
         stream, _ = self._stream()
         with pytest.raises(ValueError, match="equal length"):
-            stream.append([0, 1], [30], 1.0)
+            self._append(stream, [0, 1], [30], 1.0)
         with pytest.raises(ValueError, match="sum to gamma"):
-            stream.append([0], [7], 1.0)
+            self._append(stream, [0], [7], 1.0)
         with pytest.raises(ValueError, match=r"lie in \[0"):
-            stream.append([60], [30], 1.0)
+            self._append(stream, [60], [30], 1.0)
         with pytest.raises(ValueError, match=">= 1"):
-            stream.append([0, 1], [31, -1], 1.0)
+            self._append(stream, [0, 1], [31, -1], 1.0)
         assert stream.m_done == 0
+
+    def test_append_rejects_repeated_agents_and_non_finite_results(self):
+        stream, _ = self._stream()
+        with pytest.raises(ValueError, match="distinct"):
+            self._append(stream, [0, 0, 5], [10, 10, 10], 2.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                self._append(stream, [0, 5], [20, 10], bad)
+        # the same agent in two different queries is fine
+        stream.append([0, 2, 4], [0, 5, 0, 5], [20, 10, 20, 10], [1.0, 2.0])
+        assert stream.m_done == 2
+
+    def test_block_append_is_all_or_nothing(self):
+        stream, _ = self._stream()
+        with pytest.raises(ValueError, match=r"lie in \[0"):
+            stream.append([0, 2, 4], [0, 5, 0, 99], [20, 10, 20, 10], [2.0, 1.0])
+        assert stream.m_done == 0
+        assert stream.indptr.tolist() == [0]
+        assert stream.results.size == 0
 
     def test_prefix_matches_per_query_appends(self):
         # Feeding a generator stream's rows through append reproduces
-        # its consolidated CSR arrays bit for bit — SessionStream is a
-        # faithful wire-fed twin of MeasurementStream.
-        from repro.core.batch import MeasurementStream, SessionStream
+        # its consolidated CSR arrays bit for bit: a session's stream is
+        # a faithful wire-fed twin of a grown MeasurementStream.
+        from repro.core.batch import MeasurementStream, QueryStream
 
         n, gamma, m = 50, 25, 30
         gen = np.random.default_rng(5)
@@ -855,10 +881,11 @@ class TestSessionStream:
             n, gamma, repro.ZChannel(0.2), truth, gen, max_m=m
         )
         source.grow_to(m)
-        twin = SessionStream(n, gamma, truth)
+        twin = QueryStream(n, gamma, truth)
         for i in range(m):
             lo, hi = int(source.indptr[i]), int(source.indptr[i + 1])
-            twin.append(
+            self._append(
+                twin,
                 source.agents[lo:hi],
                 source.counts[lo:hi],
                 float(source.results[i]),
@@ -875,33 +902,25 @@ class TestSessionStream:
         # identical arrays, identical stacked-AMP decode. This is the
         # service's crash-recovery foundation.
         from repro.amp.batch_amp import decode_prefix_batch
-        from repro.core.batch import SessionStream
+        from repro.core.batch import QueryStream
 
         straight, gen = self._stream(seed=7)
         queries = self._queries(straight, gen, 40)
         for agents, counts, result in queries:
-            straight.append(agents, counts, result)
+            self._append(straight, agents, counts, result)
 
         # "checkpoint" after 25: replay the recorded arrays into a fresh
-        # stream, then keep appending the live tail.
-        resumed = SessionStream(
-            straight.n, straight.gamma, straight.truth
-        )
+        # stream in one block, then keep appending the live tail.
+        resumed = QueryStream(straight.n, straight.gamma, straight.truth)
         for agents, counts, result in queries[:25]:
-            resumed.append(agents, counts, result)
+            self._append(resumed, agents, counts, result)
         indptr, agents_arr, counts_arr, results_arr = (
             np.array(a) for a in resumed.prefix(25)
         )
-        replayed = SessionStream(
-            straight.n, straight.gamma, straight.truth
-        )
-        for i in range(25):
-            lo, hi = int(indptr[i]), int(indptr[i + 1])
-            replayed.append(
-                agents_arr[lo:hi], counts_arr[lo:hi], float(results_arr[i])
-            )
+        replayed = QueryStream(straight.n, straight.gamma, straight.truth)
+        replayed.append(indptr, agents_arr, counts_arr, results_arr)
         for agents, counts, result in queries[25:]:
-            replayed.append(agents, counts, result)
+            self._append(replayed, agents, counts, result)
 
         assert np.array_equal(replayed.indptr, straight.indptr)
         assert np.array_equal(replayed.agents, straight.agents)
@@ -922,24 +941,40 @@ class TestSessionStream:
     def test_grow_to_is_bounded_by_appends(self):
         stream, gen = self._stream()
         for agents, counts, result in self._queries(stream, gen, 6):
-            stream.append(agents, counts, result)
+            self._append(stream, agents, counts, result)
         stream.grow_to(6)  # no-op within the appended length
         stream.grow_to(0)
         with pytest.raises(ValueError, match=r"cannot[\s\S]*grow"):
             stream.grow_to(7)
-        with pytest.raises(ValueError, match="exceeds the appended"):
+        with pytest.raises(ValueError, match="exceeds the stored"):
             stream.prefix(7)
 
     def test_consolidation_invalidated_by_append(self):
         stream, gen = self._stream()
         queries = self._queries(stream, gen, 4)
         for agents, counts, result in queries[:2]:
-            stream.append(agents, counts, result)
+            self._append(stream, agents, counts, result)
         first = stream.indptr
         assert first.size == 3
         for agents, counts, result in queries[2:]:
-            stream.append(agents, counts, result)
+            self._append(stream, agents, counts, result)
         assert stream.indptr.size == 5
         # The earlier consolidated array is untouched (snapshots taken
         # by in-flight decodes stay valid).
         assert first.size == 3
+
+    def test_snapshot_aliases_the_prefix_and_ignores_later_appends(self):
+        stream, gen = self._stream()
+        queries = self._queries(stream, gen, 5)
+        for agents, counts, result in queries[:4]:
+            self._append(stream, agents, counts, result)
+        views = stream.prefix(3)
+        snap = stream.snapshot(3)
+        assert snap.m_done == 3
+        for view, got in zip(views, snap.prefix(3)):
+            assert np.shares_memory(view, got)  # no copy
+            assert np.array_equal(view, got)
+        self._append(stream, *queries[4])
+        assert snap.m_done == 3 and snap.indptr.size == 4
+        with pytest.raises(ValueError, match="exceeds the stored"):
+            snap.prefix(4)

@@ -300,6 +300,92 @@ class TestCorruptedRequiredQueries:
     def test_budget_outcomes_serial_equals_process(self):
         assert self._outcomes(800, "process", 2) == self._outcomes(800)
 
+    def test_source_grows_only_through_the_last_probe(self, monkeypatch):
+        # A corrupted trial corrupts its stream slice by slice as the
+        # scan grows it, so a trial that resolves early never samples
+        # the rest of a large grid: the greedy scan probes one grid
+        # point per round, and the doubling block holding the stopping
+        # m ends below 2 * m + DEFAULT_INITIAL_BLOCK.
+        from repro.core.batch import DEFAULT_INITIAL_BLOCK, MeasurementStream
+
+        sources = []
+        init, next_block = MeasurementStream.__init__, MeasurementStream.next_block
+
+        def spy_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self.handed = 0
+            sources.append(self)
+
+        def spy_next_block(self):
+            part = next_block(self)
+            if part is not None:
+                self.handed = part[0] + part[1].size - 1
+            return part
+
+        monkeypatch.setattr(MeasurementStream, "__init__", spy_init)
+        monkeypatch.setattr(MeasurementStream, "next_block", spy_next_block)
+        outcomes = required_queries_trials(
+            90, 3, repro.ZChannel(0.1), trials=5, seed=13, check_every=10,
+            max_m=40_000, corruption=self.CORRUPTION, backend="serial",
+        )
+        assert outcomes.failures == 0 and len(sources) == 5
+        for m, source in zip(outcomes.values, sources):
+            assert m <= source.handed < 2 * m + DEFAULT_INITIAL_BLOCK
+
+    @pytest.mark.parametrize("channel", [
+        repro.ZChannel(0.1), repro.GaussianQueryNoise(1.0),
+    ])
+    def test_feed_keeps_the_rows_of_one_whole_corruption(self, channel):
+        # Every stage active: the feed's store holds exactly the rows
+        # apply_corruption keeps when it corrupts the whole grown
+        # stream in one call, at every prefix the scan could probe.
+        from repro.core.batch import MeasurementStream
+        from repro.core.corruption import (
+            CorruptedFeed,
+            _drop_rows,
+            apply_corruption,
+            corruption_rng,
+        )
+        from repro.core.measurement import Measurements
+        from repro.core.pooling import PoolingGraph
+
+        model = CorruptionModel(
+            dead_agent_rate=0.01, erasure_rate=0.1, flip_rate=0.05,
+            outlier_rate=0.05,
+        )
+        n, gamma, m = 120, 60, 700
+        seq = np.random.SeedSequence(21)
+
+        def source():
+            gen = np.random.default_rng(seq)
+            truth = repro.sample_ground_truth(n, 3, gen)
+            return MeasurementStream(
+                n, gamma, channel, truth, gen, max_m=m, initial_block=16
+            )
+
+        whole = source()
+        whole.grow_to(m)
+        graph = PoolingGraph(n, gamma, whole.indptr, whole.agents, whole.counts)
+        report = apply_corruption(
+            Measurements(graph=graph, truth=whole.truth, channel=channel,
+                         results=whole.results),
+            model, corruption_rng(seq),
+        )
+        assert 0 < report.dropped_queries < m and report.flipped
+        feed = CorruptedFeed(source(), model, corruption_rng(seq))
+        for probe in (1, 37, 300, m):
+            survivors = feed.grow_to(probe)
+            kept = report.kept[:probe]
+            assert survivors == int(kept.sum())
+            expected, _ = _drop_rows(
+                PoolingGraph(n, gamma, *whole.prefix(probe)[:3]), kept
+            )
+            indptr, agents, counts, results = feed.store.prefix(survivors)
+            assert np.array_equal(indptr, expected.indptr)
+            assert np.array_equal(agents, expected.agents)
+            assert np.array_equal(counts, expected.counts)
+            assert np.array_equal(results, report.results_full[:probe][kept])
+
 
 class TestFaultModelDeterminism:
     """Satellite 1: rng=None with positive rates is now an error."""

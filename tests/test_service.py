@@ -381,6 +381,67 @@ class TestSession:
             session.ingest("r2", [([0], [5], 3.0)])  # sum != gamma
         assert session.m == 0
 
+    @staticmethod
+    def _state(session):
+        decoder = session.decoder
+        return (
+            session.m,
+            dict(session.applied),
+            session.record(),
+            [np.array(a) for a in (decoder.psi, decoder.delta_star,
+                                   decoder.delta, decoder.scores)],
+            decoder.m,
+        )
+
+    def _assert_unchanged(self, session, before):
+        after = self._state(session)
+        assert after[:3] == before[:3]
+        for a, b in zip(after[3], before[3]):
+            assert np.array_equal(a, b)
+        assert after[4] == before[4]
+
+    def test_rejected_ingest_applies_no_query(self):
+        # The second query's agent 99 is out of range: the first query,
+        # though valid, must not reach the stream, the greedy decoder,
+        # the applied map or the durable record.
+        sigma = np.zeros(20, dtype=np.int8)
+        sigma[:3] = 1
+        params = SessionParams.create(20, 4, {"kind": "z", "p": 0.1}, "oracle")
+        session = Session("a", params, sigma)
+        session.ingest("r0", [([1, 2], [2, 2], 3.0)])
+        before = self._state(session)
+        with pytest.raises(InvalidRequest, match=r"lie in \[0"):
+            session.ingest(
+                "r1", [([0, 5], [3, 1], 2.0), ([0, 99], [3, 1], 1.0)]
+            )
+        self._assert_unchanged(session, before)
+        with pytest.raises(InvalidRequest, match="length"):
+            session.ingest("r2", [([0, 5], [3, 1], 2.0), ([0, 5], [4], 1.0)])
+        self._assert_unchanged(session, before)
+        for queries in (None, 5):
+            with pytest.raises(InvalidRequest, match="list of queries"):
+                session.ingest("r4", queries)
+        self._assert_unchanged(session, before)
+        # the next ingest persists only its own query
+        assert session.ingest("r3", [([0, 5], [3, 1], 2.0)]) == 2
+        assert session.record()["indptr"] == [0, 2, 4]
+
+    @pytest.mark.parametrize("query", [
+        ([0, 5], [3, 1], float("nan")),
+        ([0, 5], [3, 1], float("inf")),
+        ([0, 5], [3, 1], float("-inf")),
+        ([0, 0, 5], [1, 2, 1], 2.0),
+    ])
+    def test_ingest_rejects_non_finite_results_and_repeated_agents(
+        self, query
+    ):
+        session, rng = make_session("s", 20, 3, {"kind": "noiseless"}, 0, 4)
+        session.ingest("r0", measured_queries(session, rng, 3))
+        before = self._state(session)
+        with pytest.raises(InvalidRequest, match="finite|distinct"):
+            session.ingest("r1", [query])
+        self._assert_unchanged(session, before)
+
     def test_record_round_trip_is_bit_identical(self):
         session, rng = make_session(
             "s", 80, 4, {"kind": "gaussian", "lam": 1.0}, 1
@@ -474,6 +535,37 @@ class TestSessionStore:
         # ids of letters, digits and "-_." keep their file names
         assert (tmp_path / "a_b.session.json").exists()
         assert (tmp_path / "plain-id.1.session.json").exists()
+
+    @pytest.mark.parametrize("field, index, value", [
+        ("results", 1, float("nan")),
+        ("results", 0, float("inf")),
+        ("agents", 1, None),  # repeat the row's first agent
+    ])
+    def test_record_failing_ingest_checks_is_skipped(
+        self, tmp_path, caplog, field, index, value
+    ):
+        # An older server accepted non-finite results and repeated agent
+        # ids. Such a record is skipped with a warning and left on disk;
+        # every other session still loads.
+        from repro.utils.jsonio import save_json_atomic
+
+        store = SessionStore(tmp_path)
+        good, rng = make_session("good", 40, 2, {"kind": "noiseless"}, 8)
+        good.ingest("r", measured_queries(good, rng, 4))
+        store.save(good)
+        bad, rng = make_session("bad", 40, 2, {"kind": "noiseless"}, 9)
+        bad.ingest("r", measured_queries(bad, rng, 4))
+        record = bad.record()
+        record[field][index] = (
+            record["agents"][0] if value is None else value
+        )
+        save_json_atomic(store._path("bad"), record)
+        with caplog.at_level("WARNING", logger="repro.service.store"):
+            loaded = SessionStore(tmp_path).load_all()
+        assert sorted(loaded) == ["good"]
+        assert np.array_equal(loaded["good"].decoder.scores, good.decoder.scores)
+        assert "bad.session.json" in caplog.text
+        assert store._path("bad").exists()
 
     def test_record_under_a_foreign_name_is_not_loaded(self, tmp_path):
         # A record whose id does not encode to its file name belongs to
