@@ -35,18 +35,19 @@ Standardization (:func:`channel_corrected_results`,
 (:func:`iterate_amp`) are shared helpers: :func:`run_amp` runs the
 kernel on a one-trial stack, and the batched
 runner (:mod:`repro.amp.batch_amp`) runs it on a ``T``-trial
-block-diagonal stack — uniform-``m`` (one sweep cell) or, via the
-``row_sizes`` parameter, heterogeneous-``m`` (the required-queries
-prefix probes). Every kernel operation is row-independent —
-reductions along the last axis of C-contiguous arrays (or pairwise
-sums over contiguous flat segments in the ragged case), elementwise
-broadcasts against per-trial ``(T, 1)`` scalars, and sequential
-per-row CSR matvecs — so a trial's iterate sequence is bit-identical
-no matter which stack (of any size or composition) it runs in.
+block-diagonal stack. There is one stack form: a flat concatenation
+of the per-trial measurement vectors segmented by ``row_sizes``,
+whether every trial shares one ``m`` (a sweep cell) or not (the
+required-queries prefix probes, the decode service). Every kernel
+operation is row-independent — pairwise sums over each trial's
+contiguous segment or row, elementwise broadcasts against per-trial
+``(T, 1)`` scalars, and sequential per-row CSR matvecs — so a trial's
+iterate sequence is bit-identical no matter which stack (of any size
+or composition) it runs in.
 
 The per-iteration array passes live in :mod:`repro.amp.kernels`:
-:func:`iterate_amp` is one stack-shape-agnostic driver (a
-:class:`~repro.amp.kernels.StackLayout` describes uniform vs ragged)
+:func:`iterate_amp` is one driver (a
+:class:`~repro.amp.kernels.StackLayout` describes the segments)
 that alternates the kernel's two phases, ``adjoint_posterior`` and
 ``forward_residual``, each of which applies its own matvec through
 the stack operator. The kernel performs exactly the float64
@@ -122,7 +123,7 @@ def channel_corrected_results(
     """Invert the channel's affine bias on raw query results.
 
     Elementwise, so it applies equally to one trial's ``(m,)`` result
-    vector and to a stacked ``(T, m)`` matrix of per-trial results.
+    vector and to a flat stack of per-trial results.
     Returns a fresh float64 array; raises ``TypeError`` for channel
     types AMP does not support.
     """
@@ -174,8 +175,8 @@ def iterate_amp(
     config: AMPConfig,
     *,
     n: int,
+    row_sizes: np.ndarray,
     restrict: Optional[Callable[[np.ndarray], object]] = None,
-    row_sizes: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[List[List[dict]]]]:
     """Run the AMP iteration on a stack of ``T`` standardized systems.
 
@@ -188,18 +189,22 @@ def iterate_amp(
         phases apply. Any object with flat-vector ``matvec`` /
         ``rmatvec`` methods works.
         ``matvec`` maps a ``(T*n,)`` stack of signal vectors to a
-        ``(T*m,)`` stack of measurement vectors, ``rmatvec`` the
-        reverse. For ``T = 1`` these are the ordinary
+        ``(sum(row_sizes),)`` stack of measurement vectors,
+        ``rmatvec`` the reverse. For ``T = 1`` these are the ordinary
         per-trial maps.
     y:
-        Standardized measurements, shape ``(T, m)`` (one row per trial),
-        or — with ``row_sizes`` — one flat concatenation of the
-        per-trial measurement vectors.
+        Standardized measurements: the flat ``(sum(row_sizes),)``
+        concatenation of the per-trial measurement vectors.
     denoiser:
         Scalar denoiser; evaluated with a per-trial ``(T, 1)`` noise
         level so each row sees exactly its own ``tau``.
     n:
         Signal dimension per trial.
+    row_sizes:
+        Per-trial measurement counts, segmenting ``y``, the matvec
+        outputs and the residuals. Trials may differ (the required-m
+        prefix probes run each trial on a different query-count
+        prefix of its stream) or share one ``m``.
     restrict:
         Optional stack compaction hook. When at most half the remaining
         trials are still active the kernel drops converged rows and
@@ -208,14 +213,6 @@ def iterate_amp(
         smaller stack. Compaction never changes any trial's iterates
         (every operation is row-independent); it only stops paying
         matvec time for trials that already froze.
-    row_sizes:
-        Per-trial measurement counts for a **heterogeneous-m** stack
-        (the required-m prefix probes, where every trial runs a
-        different query-count prefix of its stream). ``y`` is then the
-        flat ``(sum(row_sizes),)`` concatenation of the per-trial
-        standardized measurements, and matvec outputs / residuals are
-        ragged flat stacks segmented by ``row_sizes``. ``None``
-        (default) keeps the uniform-``m`` fast path.
 
     Returns
     -------
@@ -230,29 +227,24 @@ def iterate_amp(
     trial whose step norm drops below ``config.tol`` freezes — its row
     stops being written — while the remaining trials keep iterating.
 
-    Both stack shapes perform only row-independent operations (see the
+    The stack performs only row-independent operations (see the
     module docstring), so a trial's iterate sequence is bit-identical
     to a standalone one-trial run on the same standardized system no
-    matter which stack — uniform or ragged, of any size — it runs in.
-    The loop itself is one shape-agnostic driver: a
+    matter which stack, of any size or mix of ``m``, it runs in.
+    The loop itself is one driver: a
     :class:`~repro.amp.kernels.StackLayout` carries the per-trial
     standardization scalars and segment bounds, and the kernel's two
     matvec-inclusive phase methods (``adjoint_posterior`` /
     ``forward_residual``) do the entire iteration body.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
-    if row_sizes is None:
-        total, m = y.shape
-        layout = StackLayout.for_uniform(total, n, m)
-    else:
-        row_sizes = np.asarray(row_sizes, dtype=np.int64)
-        total = row_sizes.size
-        if y.shape != (int(row_sizes.sum()),):
-            raise ValueError(
-                f"flat y must have shape ({int(row_sizes.sum())},), "
-                f"got {y.shape}"
-            )
-        layout = StackLayout.for_ragged(n, row_sizes)
+    layout = StackLayout(n, row_sizes)
+    total = layout.rows
+    if y.shape != (int(layout.m_cur.sum()),):
+        raise ValueError(
+            f"flat y must have shape ({int(layout.m_cur.sum())},), "
+            f"got {y.shape}"
+        )
 
     live = np.arange(total)  # original trial ids of the current rows
     active = np.ones(total, dtype=bool)  # per current row
@@ -358,10 +350,14 @@ def run_amp(
         With ``meta`` recording iterations, convergence flag and the
         per-iteration history.
 
-    For sweeps over many trials use
-    :func:`repro.amp.batch_amp.run_amp_trials`, which stacks the trials
-    into one block-diagonal system and reproduces this function's
-    decode (estimate, exact, overlap, iterations) bit for bit.
+    This is the one-trial case of the stacked kernel. Batched callers
+    stack many trials into one block-diagonal system and reproduce
+    this function's decode (estimate, exact, overlap, iterations) bit
+    for bit: :func:`repro.amp.batch_amp.run_amp_batch` and
+    :func:`~repro.amp.batch_amp.run_amp_trials` for measurement sets,
+    :func:`~repro.amp.batch_amp.run_amp_prepared` for sweep chunks, and
+    :func:`~repro.amp.batch_amp.decode_prefix_batch` for stream
+    prefixes (required-m scans, the decode service).
     """
     config = config if config is not None else AMPConfig()
     graph = measurements.graph
@@ -386,12 +382,14 @@ def run_amp(
     # (no O(nnz) tocsr() per call), and its matvec/rmatvec perform the
     # same pairwise sums and per-element centering/scaling as the
     # pre-seam closures — bit-identical.
+    row_sizes = np.array([m])
     operator = CSRStackOperator(
-        graph.adjacency_sparse(), n=n, c=c, scale=scale
+        graph.adjacency_sparse(), n=n, c=c, m_per=row_sizes,
+        scales=np.array([scale]),
     )
 
     stacked, iterations, converged, histories = iterate_amp(
-        operator, y[None, :], denoiser, config, n=n
+        operator, y, denoiser, config, n=n, row_sizes=row_sizes
     )
     scores = stacked[0]
     estimate = top_k_estimate(scores, k)

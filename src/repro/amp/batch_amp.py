@@ -8,7 +8,15 @@ iteration — a dozen small numpy/scipy dispatches. This module stacks
 (column indices shifted by ``t * n``, one ``indptr`` of length
 ``T*m + 1``) so each AMP iteration is one sparse matvec on a ``(T*n,)``
 state vector, with ``tau``, the Onsager coefficients, denoiser
-applications, damping and step norms computed on ``(T, ·)`` reshapes.
+applications, damping and step norms computed per trial.
+
+Every stack here has one form: the trials' raw CSR blocks stacked by
+:func:`_stack_blocks` and their measurements concatenated into one
+flat vector segmented by per-trial ``row_sizes``. A sweep cell is the
+case where every segment has one length; the required-m prefix probes
+and the decode service stack different lengths. :func:`_iterate_stack`
+is the one standardize-and-iterate step all three batched entry points
+run, and :class:`_StackOperators` the one operator builder.
 
 Bit-identity contract
 ---------------------
@@ -26,7 +34,7 @@ seed, for any stack size:
   matrix;
 * per-trial convergence freezes a trial's rows (masked update) at the
   same iteration the standalone run would stop, and the kernel
-  compacts the stack — rebuilding the block-diagonal operators for the
+  compacts the stack — restacking per-trial views of it for the
   surviving trials — once at most half the trials remain active.
 
 ``tests/test_amp_batch.py`` pins the equivalence across channels,
@@ -155,47 +163,79 @@ def _stack_blocks(
     )
 
 
-class _StackedOperators:
-    """Standardized operators over a uniform-``m`` block-diagonal stack.
+class _StackOperators:
+    """Standardized operators over one raw block-diagonal trial stack.
 
-    Holds the raw stacked CSR ``a`` (``T`` trials of ``m`` rows, trial
-    ``t``'s columns shifted by ``t * n``) and materializes, for any
-    subset of trials, the stacked forward map ``x -> (A x - c s_t)/scale``
-    and its adjoint as a :class:`~repro.amp.kernels.CSRStackOperator`
-    for the kernel seam. The whole stack serves as is; a compacted
-    subset is rebuilt from per-trial views of it. The centering is
-    applied as a rank-one correction per trial block, so no dense matrix
-    is ever formed (the sparse-path contract of ``run_amp`` extends to
-    the whole stack).
-
-    The adjoint is the stacked matrix's free CSC transpose view — its
-    matvec scatters only within each trial's own output segment (the
-    block-diagonal structure keeps it cache-local) and matches the
-    converted-CSR matvec in speed without paying any O(nnz) ``tocsr``
-    conversion, exactly mirroring the per-trial :func:`~repro.amp.run_amp`
-    adjoint so stacked and standalone iterates stay bit-identical.
+    Holds the raw stacked CSR ``a`` (trial ``t``'s ``m_per[t]`` rows,
+    its columns shifted by ``t * n``; see :func:`_stack_blocks`) and
+    materializes, for a subset of trials, the stacked forward map
+    ``x -> (A x - c s_t) / scale_t`` and its adjoint as a
+    :class:`~repro.amp.kernels.CSRStackOperator` for the kernel seam.
+    The whole stack serves as it stands; a compacted subset is
+    restacked from per-trial views of it. The centering is applied as
+    a rank-one correction per trial block, so no dense matrix is ever
+    formed, and per coordinate the arithmetic is exactly the
+    standalone ``run_amp`` one, so stacked iterates stay bit-identical
+    to per-trial runs.
     """
 
-    def __init__(self, a, n: int, m: int, c: float, scale: float):
+    def __init__(self, a, n: int, c: float, m_per: np.ndarray, scales: np.ndarray):
         self.a = a
         self.n = n
-        self.m = m
         self.c = c
-        self.scale = float(scale)
+        self.m_per = np.asarray(m_per, dtype=np.int64)
+        self.scales = np.asarray(scales, dtype=np.float64)
+        self.bounds = np.concatenate(([0], np.cumsum(self.m_per)))
 
     def operators(self, idx: Sequence[int]) -> CSRStackOperator:
-        """Build the stack operator for the trial subset ``idx``."""
-        a, m = self.a, self.m
-        chosen = [int(i) for i in idx]
-        if chosen != list(range(a.shape[1] // self.n)):
-            ptr = a.indptr
+        """The stack operator for the ascending distinct trial ids ``idx``."""
+        live = np.asarray(idx, dtype=np.int64)
+        a = self.a
+        if live.size < self.m_per.size:
             views = []
-            for t in chosen:
-                rows = ptr[t * m : (t + 1) * m + 1]
+            for t in live:
+                rows = a.indptr[self.bounds[t] : self.bounds[t + 1] + 1]
                 lo, hi = rows[0], rows[-1]
                 views.append((rows, a.indices[lo:hi], a.data[lo:hi]))
-            a = _stack_blocks(views, self.n, origins=chosen)
-        return CSRStackOperator(a, n=self.n, c=self.c, scale=self.scale)
+            a = _stack_blocks(views, self.n, origins=live.tolist())
+        return CSRStackOperator(
+            a, n=self.n, c=self.c, m_per=self.m_per[live],
+            scales=self.scales[live],
+        )
+
+
+def _iterate_stack(
+    a,
+    results: np.ndarray,
+    row_sizes: np.ndarray,
+    n: int,
+    k: int,
+    gamma: int,
+    channel: Channel,
+    denoiser: Denoiser,
+    config: AMPConfig,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[List[List[dict]]]]:
+    """Standardize one raw block-diagonal stack and run AMP on it.
+
+    ``results`` is the flat concatenation of the trials' raw channel
+    outputs, segmented by ``row_sizes``. Each trial is centered and
+    scaled with its own :func:`standardization_constants`, element for
+    element as :func:`run_amp` does, and the kernel compacts through
+    :class:`_StackOperators` once at most half the trials remain
+    active. Returns :func:`iterate_amp`'s ``(sigma, iterations,
+    converged, histories)``.
+    """
+    c = gamma / n
+    scales = np.array(
+        [standardization_constants(n, int(m), gamma)[1] for m in row_sizes]
+    )
+    y = channel_corrected_results(results, gamma, channel) - c * k
+    y /= np.repeat(scales, row_sizes)
+    ops = _StackOperators(a, n, c, row_sizes, scales)
+    return iterate_amp(
+        ops.operators(np.arange(scales.size)), y, denoiser, config, n=n,
+        row_sizes=ops.m_per, restrict=ops.operators,
+    )
 
 
 def run_amp_batch(
@@ -241,22 +281,15 @@ def run_amp_batch(
         denoiser = default_denoiser(n, k)
 
     trials = len(measurements)
-    c, scale = standardization_constants(n, m, gamma)
-    results_2d = np.empty((trials, m), dtype=np.float64)
-    for t, meas in enumerate(measurements):
-        results_2d[t] = meas.results
-    y = (channel_corrected_results(results_2d, gamma, first.channel) - c * k) / scale
-
     # the fill loop casts int64 counts to float64 on assignment
     a = _stack_blocks(
         [(meas.graph.indptr, meas.graph.agents, meas.graph.counts)
          for meas in measurements],
         n,
     )
-    stacked = _StackedOperators(a, n, m, c, scale)
-    scores, iterations, converged, histories = iterate_amp(
-        stacked.operators(np.arange(trials)), y, denoiser, config, n=n,
-        restrict=stacked.operators,
+    scores, iterations, converged, histories = _iterate_stack(
+        a, np.concatenate([meas.results for meas in measurements]),
+        np.full(trials, m), n, k, gamma, first.channel, denoiser, config,
     )
 
     sigma_truth = np.empty((trials, n), dtype=np.int8)
@@ -391,9 +424,9 @@ def run_amp_prepared(
     see :class:`repro.core.batch.InstanceStack`), ``results`` the
     ``(trials, m)`` channel outputs and ``truth`` the ``(trials, n)``
     sigma rows. Runs one stacked :func:`~repro.amp.amp.iterate_amp`
-    call through the kernel seam, compacting from per-trial views of
-    ``a`` once at most half the trials remain active (as
-    :func:`run_amp_batch` does), so sibling cells that measured the
+    call through the kernel seam (the stack step :func:`run_amp_batch`
+    also runs), compacting from per-trial views of ``a`` once at most
+    half the trials remain active, so sibling cells that measured the
     same graphs share one stack. Per-trial outcomes are identical to
     :func:`run_amp_trials` on the same seeds: the stack-composition and
     compaction contracts make every trial's decode independent of how
@@ -403,13 +436,10 @@ def run_amp_prepared(
     config = config if config is not None else _default_batch_config()
     if denoiser is None:
         denoiser = default_denoiser(n, k)
-    m = results.shape[1]
-    c, scale = standardization_constants(n, m, gamma)
-    y = (channel_corrected_results(results, gamma, channel) - c * k) / scale
-    stacked = _StackedOperators(a, n, m, c, scale)
-    scores, _, _, _ = iterate_amp(
-        stacked.operators(range(results.shape[0])), y, denoiser, config,
-        n=n, restrict=stacked.operators,
+    trials, m = results.shape
+    scores, _, _, _ = _iterate_stack(
+        a, results.reshape(-1), np.full(trials, m), n, k, gamma, channel,
+        denoiser, config,
     )
     _, errors, overlap, _ = decode_top_k_stacked(scores, truth, k)
     return [
@@ -423,47 +453,6 @@ def run_amp_prepared(
 #: ones); larger waves stack better, smaller ones stop closer to the
 #: answer — either value returns the identical stopping m.
 VERIFY_WAVE = 8
-
-
-class _PrefixStackOperators:
-    """Standardized block-diagonal operators over heterogeneous-m prefixes.
-
-    Like :class:`_StackedOperators`, but every block is a *prefix* of a
-    different trial's query stream, so per-block row counts ``m_j`` —
-    and with them the standardization scales ``s_j = sqrt(m_j * c *
-    (1 - 1/n))`` — differ. The centering and scaling become per-trial
-    vectors broadcast onto the flat ragged stack; per coordinate the
-    arithmetic is exactly the standalone ``(A x - c s) / scale``, so the
-    stacked iterates stay bit-identical to per-prefix ``run_amp`` runs.
-    (:class:`_StackedOperators` is the uniform-``m`` scalar special
-    case of this; the two must stay arithmetically aligned — the
-    bit-identity tests in ``tests/test_amp_batch.py`` and
-    ``tests/test_amp_required.py`` pin both against ``run_amp``.)
-    """
-
-    def __init__(
-        self,
-        prefixes: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-        n: int,
-        m_per: np.ndarray,
-        c: float,
-        scales: np.ndarray,
-    ):
-        self.prefixes = list(prefixes)
-        self.n = n
-        self.m_per = np.asarray(m_per, dtype=np.int64)
-        self.c = c
-        self.scales = np.asarray(scales, dtype=np.float64)
-
-    def operators(self, idx: Sequence[int]) -> CSRStackOperator:
-        """Build the ragged stack operator for the probe subset ``idx``."""
-        chosen = [int(i) for i in idx]
-        m_per = self.m_per[chosen]
-        scales = self.scales[chosen]
-        a = _stack_blocks([self.prefixes[i] for i in chosen], self.n)
-        return CSRStackOperator(
-            a, n=self.n, c=self.c, m_per=m_per, scales=scales
-        )
 
 
 def scan_required_m(
@@ -526,33 +515,18 @@ def _decode_prefix_stack(
     is bit-identical to a standalone :func:`run_amp` on the same prefix
     data.
     """
-    trials = len(jobs)
-    m_per = np.empty(trials, dtype=np.int64)
-    c = gamma / n
-    scales = np.empty(trials, dtype=np.float64)
     prefixes: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    y_parts: List[np.ndarray] = []
-    sigma_truth = np.empty((trials, n), dtype=np.int8)
+    results: List[np.ndarray] = []
+    sigma_truth = np.empty((len(jobs), n), dtype=np.int8)
     for j, (i, m) in enumerate(jobs):
-        indptr, agents, counts, results = streams[i].prefix(m)
+        indptr, agents, counts, prefix_results = streams[i].prefix(m)
         prefixes.append((indptr, agents, counts))
-        m_per[j] = m
-        scales[j] = standardization_constants(n, m, gamma)[1]
-        y_parts.append(
-            (channel_corrected_results(results, gamma, channel) - c * k)
-            / scales[j]
-        )
+        results.append(prefix_results)
         sigma_truth[j] = streams[i].truth.sigma
-    y = np.concatenate(y_parts)
-    ops = _PrefixStackOperators(prefixes, n, m_per, c, scales)
-    scores, _, _, _ = iterate_amp(
-        ops.operators(np.arange(trials)),
-        y,
-        denoiser,
+    scores, _, _, _ = _iterate_stack(
+        _stack_blocks(prefixes, n), np.concatenate(results),
+        np.array([m for _, m in jobs]), n, k, gamma, channel, denoiser,
         config,
-        n=n,
-        restrict=ops.operators,
-        row_sizes=m_per,
     )
     _, errors, _, _ = decode_top_k_stacked(scores, sigma_truth, k)
     return errors == 0, scores

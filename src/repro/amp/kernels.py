@@ -21,9 +21,10 @@ The driver hands each phase the stack operator: a
 raw CSR form, whose products call scipy's sparsetools CSR / CSC
 routines on the stored arrays — the ones ``@`` dispatches to — then
 the pre-seam centering and scaling). A
-:class:`StackLayout` value describes the trial stack — uniform
-``(T, m)`` or ragged ``row_sizes`` — so one driver and one kernel
-cover both stack shapes.
+:class:`StackLayout` value describes the trial stack: one flat
+measurement vector segmented by per-trial ``row_sizes``. There is one
+stack form; a stack of equal-m trials is one whose segments share a
+length, and the passes then run on ``(T, m)`` reshaped views.
 
 The kernel runs in float64 only: it performs exactly the
 floating-point operations the pre-seam loops performed, in the same
@@ -47,12 +48,10 @@ from repro.amp.denoisers import TAU_FLOOR, Denoiser
 # -- stack layout --------------------------------------------------------
 
 
-def _common_length(m: Optional[int], m_cur: Optional[np.ndarray]) -> Optional[int]:
+def _common_length(row_sizes: np.ndarray) -> Optional[int]:
     """The one segment length of a stack, or ``None`` when lengths differ."""
-    if m_cur is None:
-        return int(m)
-    if m_cur.size and (m_cur == m_cur[0]).all():
-        return int(m_cur[0])
+    if row_sizes.size and (row_sizes == row_sizes[0]).all():
+        return int(row_sizes[0])
     return None
 
 
@@ -70,59 +69,40 @@ def _ragged_sums(flat: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 class StackLayout:
     """Shape descriptor for one AMP trial stack.
 
-    Unifies the two stack forms the iteration driver runs on: the
-    uniform ``(T, m)`` stack (every trial shares one query count) and
-    the ragged flat stack segmented by per-trial ``row_sizes`` (the
-    required-m prefix probes). The kernel reads per-trial
-    standardization scalars — ``sqrt_m``, ``n/m`` — from the layout.
+    A stack is one flat concatenation of the per-trial measurement
+    vectors, segmented by per-trial ``row_sizes``. The kernel reads
+    per-trial standardization scalars — ``sqrt_m``, ``n/m`` — from the
+    layout. When every segment has one length (``seg_len``, a fixed-m
+    sweep cell or a one-trial ``run_amp``), measurement-side passes
+    work on ``(rows, seg_len)`` reshaped views; otherwise they go
+    segment by segment. Both give every trial the same bits.
 
     The stored scalars are exactly the values the pre-seam loops
-    computed inline (``np.sqrt(m)``, ``n / m``,
-    ``np.sqrt(m_cur.astype(float64))``, ``n / m_cur``), so
-    layout-mediated arithmetic is bit-identical to the originals.
+    computed inline (``np.sqrt(m_cur.astype(float64))``,
+    ``n / m_cur``), so layout-mediated arithmetic is bit-identical to
+    the originals.
     """
 
-    def __init__(
-        self,
-        *,
-        rows: int,
-        n: int,
-        m: Optional[int] = None,
-        m_cur: Optional[np.ndarray] = None,
-    ) -> None:
-        self.rows = rows
+    def __init__(self, n: int, row_sizes: np.ndarray) -> None:
+        m_cur = np.asarray(row_sizes, dtype=np.int64)
+        self.rows = m_cur.size
         self.n = n
-        self.m = m
         self.m_cur = m_cur
-        self.uniform = m_cur is None
-        if self.uniform:
-            self.sqrt_m = np.sqrt(m)
-            self.nm_ratio = n / m
-        else:
-            self.sqrt_m = np.sqrt(m_cur.astype(np.float64))
-            self.nm_ratio = n / m_cur
+        self.sqrt_m = np.sqrt(m_cur.astype(np.float64))
+        self.nm_ratio = n / m_cur
         self.sqrt_n = np.sqrt(n)
         # np.mean's divisor: the intp count, which its float64 loop
         # converts exactly; a float64 ``n`` is the same divisor.
         self.n_items = np.float64(n)
-        self.seg_len = _common_length(m, m_cur)
+        self.seg_len = _common_length(m_cur)
         self._bounds: Optional[np.ndarray] = None
-
-    @classmethod
-    def for_uniform(cls, rows: int, n: int, m: int) -> "StackLayout":
-        return cls(rows=rows, n=n, m=m)
-
-    @classmethod
-    def for_ragged(cls, n: int, row_sizes: np.ndarray) -> "StackLayout":
-        m_cur = np.asarray(row_sizes, dtype=np.int64)
-        return cls(rows=m_cur.size, n=n, m_cur=m_cur)
 
     @property
     def bounds(self) -> np.ndarray:
-        """Ragged segment boundaries ``[0, m_0, m_0+m_1, ...]``.
+        """Segment boundaries ``[0, m_0, m_0+m_1, ...]``, built lazily.
 
-        Built lazily, and for ragged stacks only: a uniform stack works
-        on ``(rows, m)`` views instead.
+        Only stacks of unequal segments read them: equal ones work on
+        ``(rows, seg_len)`` views instead.
         """
         if self._bounds is None:
             bounds = np.empty(self.rows + 1, dtype=np.int64)
@@ -130,6 +110,10 @@ class StackLayout:
             np.cumsum(self.m_cur, out=bounds[1:])
             self._bounds = bounds
         return self._bounds
+
+    def rows_view(self, arr: np.ndarray) -> np.ndarray:
+        """``(rows, seg_len)`` view of a flat measurement-side array."""
+        return arr.reshape(self.rows, self.seg_len)
 
     def segment_sums(self, arr: np.ndarray) -> np.ndarray:
         """Per-trial sums of a measurement-side array (``y``/``z``).
@@ -139,15 +123,12 @@ class StackLayout:
         bits of its own ``segment.sum()``.
         """
         if self.seg_len is not None:
-            return np.add.reduce(arr.reshape(self.rows, self.seg_len), axis=1)
+            return np.add.reduce(self.rows_view(arr), axis=1)
         return _ragged_sums(arr, self.bounds)
 
     def restrict(self, active: np.ndarray) -> "StackLayout":
         """Layout for the surviving rows after stack compaction."""
-        rows = int(np.count_nonzero(active))
-        if self.uniform:
-            return StackLayout(rows=rows, n=self.n, m=self.m)
-        layout = StackLayout(rows=rows, n=self.n, m_cur=self.m_cur[active])
+        layout = StackLayout(self.n, self.m_cur[active])
         # Slice (not recompute) the standardization vectors, exactly
         # like the pre-seam compaction did.
         layout.sqrt_m = self.sqrt_m[active]
@@ -156,8 +137,8 @@ class StackLayout:
 
     def compact_measure(self, arr: np.ndarray, active: np.ndarray) -> np.ndarray:
         """Drop frozen rows from a measurement-side array (``y``/``z``)."""
-        if self.uniform:
-            return np.ascontiguousarray(arr[active])
+        if self.seg_len is not None:
+            return self.rows_view(arr)[active].reshape(-1)
         bounds = self.bounds
         return np.concatenate(
             [arr[bounds[i] : bounds[i + 1]] for i in np.flatnonzero(active)]
@@ -167,8 +148,8 @@ class StackLayout:
         self, dst: np.ndarray, src: np.ndarray, inactive: np.ndarray
     ) -> None:
         """Copy frozen rows of a measurement-side array back into ``dst``."""
-        if self.uniform:
-            dst[inactive] = src[inactive]
+        if self.seg_len is not None:
+            self.rows_view(dst)[inactive] = self.rows_view(src)[inactive]
             return
         bounds = self.bounds
         for i in np.flatnonzero(inactive):
@@ -185,11 +166,8 @@ class CSRStackOperator:
     forward map ``x -> (A x - c s_t) / scale_t`` and its adjoint
     itself: the stacked raw adjacency ``a`` (a scipy CSR matrix over
     the column-shifted block-diagonal arrays, shape
-    ``(sum(m_t), T*n)``), the centering constant ``c`` and the
-    per-trial standardization scales. ``m_per=None`` declares the
-    uniform stack (every trial shares ``m`` and one scalar ``scale``);
-    otherwise the stack is the ragged heterogeneous-m form with
-    per-trial ``scales``.
+    ``(sum(m_t), T*n)``), the centering constant ``c``, the per-trial
+    row counts ``m_per`` and standardization ``scales``.
 
     :meth:`matvec` / :meth:`rmatvec` are the reference
     implementations. The raw products call scipy's
@@ -198,8 +176,9 @@ class CSRStackOperator:
     they are the same sequential per-row sums without scipy's
     per-call dispatch. Centering and scaling follow per element, in
     the pre-seam order (for ``T = 1`` exactly the standalone
-    ``run_amp`` closures). That keeps the kernel's in-seam
-    matvec pinned to the captured goldens.
+    ``run_amp`` closures), on ``(T, m)`` views when every trial has
+    one ``m``. That keeps the kernel's in-seam matvec pinned to the
+    captured goldens.
     """
 
     def __init__(
@@ -208,9 +187,8 @@ class CSRStackOperator:
         *,
         n: int,
         c: float,
-        scale: Optional[float] = None,
-        m_per: Optional[np.ndarray] = None,
-        scales: Optional[np.ndarray] = None,
+        m_per: np.ndarray,
+        scales: np.ndarray,
     ) -> None:
         # ``a`` is a scipy matrix, so scipy.sparse is already imported;
         # importing it here keeps it off the package's import path.
@@ -222,22 +200,10 @@ class CSRStackOperator:
         self.n = int(n)
         self.trials = a.shape[1] // self.n
         self.c = c
-        self.uniform = m_per is None
-        if self.uniform:
-            if scale is None:
-                raise ValueError("uniform stacks require scale=")
-            self.m = a.shape[0] // max(self.trials, 1)
-            self.scale = float(scale)
-            self.seg_len = self.m
-        else:
-            if scales is None:
-                raise ValueError("ragged stacks require scales=")
-            self.m_per = np.asarray(m_per, dtype=np.int64)
-            self.scales = np.asarray(scales, dtype=np.float64)
-            self.bounds = np.concatenate(([0], np.cumsum(self.m_per)))
-            self.seg_len = _common_length(None, self.m_per)
-            self.row_scale = np.repeat(self.scales, self.m_per)
-            self.scales_col = self.scales[:, None]
+        self.layout = StackLayout(self.n, m_per)
+        self.scales_col = np.asarray(scales, dtype=np.float64)[:, None]
+        if self.layout.seg_len is None:
+            self.row_scale = np.repeat(self.scales_col[:, 0], self.layout.m_cur)
 
     def _product(self, routine, rows: int, cols: int, v: np.ndarray) -> np.ndarray:
         """``routine`` applied to the stored arrays, as scipy's ``@`` does.
@@ -258,28 +224,26 @@ class CSRStackOperator:
         centering = self.c * np.add.reduce(
             x.reshape(self.trials, self.n), axis=1
         )
-        if self.seg_len is not None:
-            view = out.reshape(self.trials, self.seg_len)
+        if self.layout.seg_len is not None:
+            view = self.layout.rows_view(out)
             view -= centering[:, None]
+            view /= self.scales_col
         else:
-            out -= np.repeat(centering, self.m_per)
-        out /= self.scale if self.uniform else self.row_scale
+            out -= np.repeat(centering, self.layout.m_cur)
+            out /= self.row_scale
         return out
 
     def rmatvec(self, z: np.ndarray) -> np.ndarray:
         rows, cols = self.a.shape
         # The transpose is the CSC reading of the same arrays.
         out = self._product(self._csc_matvec, cols, rows, z)
-        if self.seg_len is not None:
-            s = np.add.reduce(z.reshape(self.trials, self.seg_len), axis=1)
-        else:
-            s = _ragged_sums(z, self.bounds)
-        # Column side is uniform (n per trial): broadcast the per-trial
+        s = self.layout.segment_sums(z)
+        # Every trial has n columns: broadcast the per-trial
         # centering/scale on a (T, n) view, the same per-element
         # arithmetic as a flat np.repeat.
         view = out.reshape(self.trials, self.n)
         view -= (self.c * s)[:, None]
-        view /= self.scale if self.uniform else self.scales_col
+        view /= self.scales_col
         return out
 
 
@@ -291,7 +255,7 @@ class AMPKernel:
 
     This class *is* the pre-refactor implementation: each method
     performs the identical floating-point operations, in the identical
-    order, that the uniform and ragged ``iterate_amp`` loops previously
+    order, that the pre-seam ``iterate_amp`` loops previously
     inlined — which is what makes the kernel bit-identical by
     construction. Only the calls that reach them are leaner: ufuncs
     and their reductions (``np.add.reduce``, in-place passes) instead
@@ -369,12 +333,11 @@ class AMPKernel:
         damping: float,
     ) -> np.ndarray:
         """The forward matvec and the Onsager-corrected residual update."""
-        mv = op.matvec(sigma_new.reshape(-1))
-        if layout.uniform:
-            z_new = y - mv.reshape(layout.rows, layout.m)
-            z_new += onsager[:, None] * z
+        z_new = y - op.matvec(sigma_new.reshape(-1))
+        if layout.seg_len is not None:
+            view = layout.rows_view(z_new)
+            view += onsager[:, None] * layout.rows_view(z)
         else:
-            z_new = y - mv
             z_new += np.repeat(onsager, layout.m_cur) * z
         if damping > 0.0:
             z_new = (1.0 - damping) * z_new + damping * z

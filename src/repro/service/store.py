@@ -70,17 +70,19 @@ class SessionStore:
         file name: it is not that file's session (an older store wrote
         ``"a/b"`` and ``"a_b"`` to one file, whichever saved last).
 
-        A record whose queries fail the ingest checks (a non-finite
-        result or a repeated agent id, which older servers accepted) is
-        skipped with a logged warning and left on disk untouched: one
-        bad record must not keep every other session from loading, and
-        no decode may read queries a live ingest would reject.
+        A record that cannot be read back is skipped with a logged
+        warning and left on disk untouched: one that is not complete
+        JSON, lacks a key or holds a value of the wrong type, and one
+        whose queries fail the ingest checks (a non-finite result or a
+        repeated agent id, which older servers accepted). One bad
+        record must not keep every other session from loading, and no
+        decode may read queries a live ingest would reject.
         """
         sessions: Dict[str, Session] = {}
         for path in sorted(self.root.glob("*.session.json")):
             try:
                 session = Session.from_record(load_json(path))
-            except InvalidRequest as exc:
+            except (InvalidRequest, KeyError, TypeError, ValueError) as exc:
                 logging.getLogger(__name__).warning(
                     "skipping session record %s: %s", path.name, exc
                 )

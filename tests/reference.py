@@ -315,7 +315,9 @@ def run_amp_dense(
         lambda x: (adjacency @ x - c * x.sum()) / scale,
         lambda z: (adjacency_t @ z - c * z.sum()) / scale,
     )
-    scores = iterate_amp(operator, y[None, :], denoiser, config, n=n)[0][0]
+    scores = iterate_amp(
+        operator, y, denoiser, config, n=n, row_sizes=np.array([m])
+    )[0][0]
     return scores, top_k_estimate(scores, k)
 
 

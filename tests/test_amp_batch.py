@@ -30,7 +30,7 @@ CHANNELS = [
 
 
 def _per_trial_results(n, k, channel, m, seed, trials, config, denoiser=None):
-    """The legacy harness loop: one standalone run_amp per child seed."""
+    """The per-trial harness loop: one standalone run_amp per child seed."""
     out = []
     for gen in spawn_rngs(seed, trials):
         truth = repro.sample_ground_truth(n, k, gen)
@@ -218,7 +218,7 @@ class TestHarnessDispatch:
         yield
         parallel.shutdown_pool()
 
-    def test_batch_engine_matches_legacy_engine(self):
+    def test_stacked_matches_per_trial_reference(self):
         # the stacked runner vs per-trial run_amp (tests/reference.py)
         kwargs = dict(algorithm="amp", trials=6, seed=5)
         rates, overlaps = fixed_m_curve(
@@ -230,7 +230,7 @@ class TestHarnessDispatch:
         assert batch.success_rates == rates
         assert batch.overlaps == overlaps
 
-    def test_batch_engine_sharded_matches_serial(self):
+    def test_stacked_sharded_matches_serial(self):
         kwargs = dict(algorithm="amp", trials=6, seed=7)
         serial = success_rate_curve(
             150, 3, repro.NoiselessChannel(), [50, 90], **kwargs

@@ -195,10 +195,7 @@ class TestRaggedKernelBitIdentity:
         truth = repro.sample_ground_truth(n, k, gen)
         stream = MeasurementStream(n, gamma, channel, truth, gen, max_m=60)
         stream.grow_to(60)
-        from repro.amp.batch_amp import (
-            _PrefixStackOperators,
-            _stack_blocks,  # noqa: F401  (re-exported for kernel tests)
-        )
+        from repro.amp.batch_amp import _StackOperators, _stack_blocks
         from repro.amp.amp import (
             channel_corrected_results,
             iterate_amp,
@@ -209,8 +206,9 @@ class TestRaggedKernelBitIdentity:
         indptr, agents, counts, results = stream.prefix(m)
         c, scale = standardization_constants(n, m, gamma)
         y = (channel_corrected_results(results, gamma, channel) - c * k) / scale
-        ops = _PrefixStackOperators(
-            [(indptr, agents, counts)], n, np.array([m]), c, np.array([scale]),
+        ops = _StackOperators(
+            _stack_blocks([(indptr, agents, counts)], n), n, c, np.array([m]),
+            np.array([scale]),
         )
         scores, iters, conv, hist = iterate_amp(
             ops.operators([0]), y, denoiser, config, n=n,
@@ -333,10 +331,10 @@ class TestHarnessDispatch:
         parallel.shutdown_pool()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("engine", ["batch", "legacy"])
-    def test_workers_and_engines_bit_identical(self, engine, workers):
-        # Any worker count reproduces the serial scan ("batch") and the
-        # brute-force scan of tests/reference.py ("legacy").
+    @pytest.mark.parametrize("baseline", ["serial", "reference"])
+    def test_workers_bit_identical(self, baseline, workers):
+        # Any worker count reproduces the serial scan ("serial") and the
+        # brute-force scan of tests/reference.py ("reference").
         sample = required_queries_trials(
             150,
             3,
@@ -348,8 +346,8 @@ class TestHarnessDispatch:
             max_m=300,
             workers=workers,
         )
-        if engine == "batch":
-            baseline = required_queries_trials(
+        if baseline == "serial":
+            serial = required_queries_trials(
                 150,
                 3,
                 repro.ZChannel(0.1),
@@ -359,7 +357,7 @@ class TestHarnessDispatch:
                 check_every=3,
                 max_m=300,
             )
-            values, failures = baseline.values, baseline.failures
+            values, failures = serial.values, serial.failures
         else:
             runs = required_queries_amp_linear(
                 150, 3, repro.ZChannel(0.1), spawn_seeds(7, 5),

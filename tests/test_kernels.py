@@ -120,15 +120,18 @@ def test_removed_kernel_names_rejected(call, error):
 
 
 def test_layout_uniform_bounds_and_scalars():
-    layout = StackLayout.for_uniform(3, 10, 4)
-    assert layout.uniform
-    assert layout.sqrt_m == np.sqrt(4)
-    assert layout.nm_ratio == 10 / 4
+    # Equal segments are an ordinary layout whose rows share one length:
+    # the per-trial scalars are the standalone ones for every row.
+    layout = StackLayout(10, np.array([4, 4, 4]))
+    assert layout.seg_len == 4
+    np.testing.assert_array_equal(layout.bounds, [0, 4, 8, 12])
+    assert (layout.sqrt_m == np.sqrt(4)).all()
+    assert (layout.nm_ratio == 10 / 4).all()
 
 
 def test_layout_ragged_restrict_slices_scalars():
-    layout = StackLayout.for_ragged(6, np.array([2, 3, 4]))
-    assert not layout.uniform
+    layout = StackLayout(6, np.array([2, 3, 4]))
+    assert layout.seg_len is None
     np.testing.assert_array_equal(layout.bounds, [0, 2, 5, 9])
     active = np.array([True, False, True])
     sub = layout.restrict(active)
@@ -141,7 +144,7 @@ def test_layout_ragged_restrict_slices_scalars():
 
 
 def test_layout_compact_and_restore_roundtrip():
-    layout = StackLayout.for_ragged(4, np.array([2, 3, 1]))
+    layout = StackLayout(4, np.array([2, 3, 1]))
     z = np.arange(6, dtype=float)
     active = np.array([True, False, True])
     np.testing.assert_array_equal(
@@ -150,19 +153,27 @@ def test_layout_compact_and_restore_roundtrip():
     dst = np.zeros(6)
     layout.restore_rows(dst, z, ~active)
     np.testing.assert_array_equal(dst, [0, 0, 2, 3, 4, 0])
+    # Equal segments go through (rows, seg_len) views: same results.
+    eq = StackLayout(4, np.array([2, 2, 2]))
+    compact = eq.compact_measure(z, active)
+    np.testing.assert_array_equal(compact, [0, 1, 4, 5])
+    assert compact.flags.c_contiguous
+    dst = np.zeros(6)
+    eq.restore_rows(dst, z, ~active)
+    np.testing.assert_array_equal(dst, [0, 0, 2, 3, 0, 0])
 
 
 def test_segment_square_sums_matches_reference():
     rng = np.random.default_rng(0)
     flat = rng.normal(size=9)
-    layout = StackLayout.for_ragged(5, np.array([2, 3, 4]))
+    layout = StackLayout(5, np.array([2, 3, 4]))
     out = AMP_KERNEL.segment_square_sums(flat, layout)
     expected = [np.sum(flat[a:b] ** 2) for a, b in ((0, 2), (2, 5), (5, 9))]
     np.testing.assert_allclose(out, expected)
     # Equal-length ragged segments take the reshape fast path; it must
     # agree with the generic per-segment reduction bit for bit.
     flat6 = rng.normal(size=6)
-    eq = StackLayout.for_ragged(5, np.array([3, 3]))
+    eq = StackLayout(5, np.array([3, 3]))
     np.testing.assert_array_equal(
         AMP_KERNEL.segment_square_sums(flat6, eq),
         np.sum(flat6.reshape(2, 3) ** 2, axis=1),
@@ -260,11 +271,13 @@ def test_stack_dtype_must_match_kernel():
     meas = _standalone_instance()
     n, m = meas.graph.n, meas.graph.m
     a = meas.graph.adjacency_sparse().astype(np.float32)
-    op = CSRStackOperator(a, n=n, c=0.5, scale=1.0)
+    op = CSRStackOperator(
+        a, n=n, c=0.5, m_per=np.array([m]), scales=np.ones(1)
+    )
     with pytest.raises(ValueError, match="dtype"):
         iterate_amp(
-            op, np.zeros((1, m)), default_denoiser(n, meas.k), AMPConfig(),
-            n=n,
+            op, np.zeros(m), default_denoiser(n, meas.k), AMPConfig(),
+            n=n, row_sizes=np.array([m]),
         )
 
 
@@ -295,17 +308,16 @@ def _random_stack(rng, n, m_per, index_dtype):
 
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
 @pytest.mark.parametrize(
-    "m_per, ragged_form",
-    [([9], False), ([9], True), ([9, 9, 9], False), ([9, 9, 9], True),
-     ([5, 12, 1, 8], True)],
-    ids=["T1-uniform", "T1-ragged", "uniform", "equal-ragged", "ragged"],
+    "m_per",
+    [[9], [9, 9, 9], [5, 12, 1, 8]],
+    ids=["T1-ragged", "equal-ragged", "ragged"],
 )
-def test_stack_products_equal_scipy_bytes(index_dtype, m_per, ragged_form):
+def test_stack_products_equal_scipy_bytes(index_dtype, m_per):
     # The operator's products run the sparsetools routines behind
     # scipy's ``@`` directly: raw products (c=0, unit scale) equal
     # ``a @ x`` / ``a.T @ z`` byte for byte, and the standardized ones
     # equal the pre-seam closure arithmetic on those products.
-    rng = np.random.default_rng(len(m_per) * 10 + int(ragged_form))
+    rng = np.random.default_rng(len(m_per) * 10 + 1)
     n, trials = 13, len(m_per)
     a = _random_stack(rng, n, m_per, index_dtype)
     assert a.indices.dtype == index_dtype and a.data.dtype == np.float64
@@ -315,10 +327,8 @@ def test_stack_products_equal_scipy_bytes(index_dtype, m_per, ragged_form):
     scales = rng.uniform(0.5, 3.0, size=trials)
 
     def make(c, unit):
-        if ragged_form:
-            s = np.ones(trials) if unit else scales
-            return CSRStackOperator(a, n=n, c=c, m_per=m_arr, scales=s)
-        return CSRStackOperator(a, n=n, c=c, scale=1.0 if unit else scales[0])
+        s = np.ones(trials) if unit else scales
+        return CSRStackOperator(a, n=n, c=c, m_per=m_arr, scales=s)
 
     raw = make(0.0, True)
     mv, rmv = raw.matvec(x), raw.rmatvec(z)
@@ -331,17 +341,12 @@ def test_stack_products_equal_scipy_bytes(index_dtype, m_per, ragged_form):
     sx = x.reshape(trials, n).sum(axis=1)
     bounds = np.concatenate(([0], np.cumsum(m_arr)))
     sz = np.array([z[bounds[i] : bounds[i + 1]].sum() for i in range(trials)])
-    if ragged_form:
-        row_scale = np.repeat(scales, m_arr)
-        ref_mv = (a @ x - c * np.repeat(sx, m_arr)) / row_scale
-        ref_rmv = (
-            ((a.T @ z).reshape(trials, n) - (c * sz)[:, None])
-            / scales[:, None]
-        ).reshape(-1)
-    else:
-        scale = float(scales[0])
-        ref_mv = (a @ x - c * np.repeat(sx, m_per[0])) / scale
-        ref_rmv = (a.T @ z - c * np.repeat(sz, n)) / scale
+    row_scale = np.repeat(scales, m_arr)
+    ref_mv = (a @ x - c * np.repeat(sx, m_arr)) / row_scale
+    ref_rmv = (
+        ((a.T @ z).reshape(trials, n) - (c * sz)[:, None])
+        / scales[:, None]
+    ).reshape(-1)
     assert op.matvec(x).tobytes() == ref_mv.tobytes()
     assert op.rmatvec(z).tobytes() == ref_rmv.tobytes()
 
@@ -400,18 +405,24 @@ def _ragged_streams(count, n=200, k=3, gamma=50, max_m=260):
     return streams
 
 
-def test_ragged_damped_compacting_stack_matches_standalone():
-    # Unequal-m ragged stack, damping on, and trials freezing at
-    # different iterations so the stack compacts mid-run: every trial's
-    # scores, iteration count, convergence flag and history still equal
-    # a standalone run_amp on its own prefix.
+@pytest.mark.parametrize(
+    "m_per",
+    [[250, 30, 240, 45, 260], [100] * 5],
+    ids=["unequal-m", "equal-m"],
+)
+def test_ragged_damped_compacting_stack_matches_standalone(m_per):
+    # A stack of prefixes, damping on, and trials freezing at different
+    # iterations so the stack compacts mid-run: every trial's scores,
+    # iteration count, convergence flag and history still equal a
+    # standalone run_amp on its own prefix. The equal-m stack is a
+    # fixed-m sweep cell's shape, run on (rows, m) views.
     from repro.amp.amp import (
         channel_corrected_results,
         default_denoiser,
         iterate_amp,
         standardization_constants,
     )
-    from repro.amp.batch_amp import _PrefixStackOperators
+    from repro.amp.batch_amp import _StackOperators, _stack_blocks
     from repro.core.measurement import Measurements
     from repro.core.pooling import PoolingGraph
 
@@ -420,7 +431,7 @@ def test_ragged_damped_compacting_stack_matches_standalone():
     config = AMPConfig(damping=0.2, max_iter=40, tol=1e-6, track_history=True)
     denoiser = default_denoiser(n, k)
     streams = _ragged_streams(5)
-    m_per = np.array([250, 30, 240, 45, 260])
+    m_per = np.array(m_per)
     prefixes, y_parts, scales = [], [], []
     for stream, m in zip(streams, m_per):
         indptr, agents, counts, results = stream.prefix(int(m))
@@ -430,7 +441,9 @@ def test_ragged_damped_compacting_stack_matches_standalone():
         y_parts.append(
             (channel_corrected_results(results, gamma, channel) - c * k) / scale
         )
-    ops = _PrefixStackOperators(prefixes, n, m_per, gamma / n, np.array(scales))
+    ops = _StackOperators(
+        _stack_blocks(prefixes, n), n, gamma / n, m_per, np.array(scales)
+    )
     restricted = []
 
     def restrict(live):

@@ -567,6 +567,35 @@ class TestSessionStore:
         assert "bad.session.json" in caplog.text
         assert store._path("bad").exists()
 
+    @pytest.mark.parametrize("damage", ["truncated", "missing-key"])
+    def test_unparseable_record_is_skipped(self, tmp_path, caplog, damage):
+        # A record cut short (not JSON any more) or missing a key cannot
+        # be rebuilt. It is skipped with a warning and left on disk, and
+        # every other session still loads, so the server can start.
+        from repro.utils.jsonio import save_json_atomic
+
+        store = SessionStore(tmp_path)
+        good, rng = make_session("good", 40, 2, {"kind": "noiseless"}, 8)
+        good.ingest("r", measured_queries(good, rng, 4))
+        store.save(good)
+        bad, rng = make_session("bad", 40, 2, {"kind": "noiseless"}, 9)
+        bad.ingest("r", measured_queries(bad, rng, 4))
+        path = store._path("bad")
+        if damage == "truncated":
+            store.save(bad)
+            path.write_text(path.read_text()[:50])
+        else:
+            record = bad.record()
+            del record["results"]
+            save_json_atomic(path, record)
+        damaged = path.read_bytes()
+        with caplog.at_level("WARNING", logger="repro.service.store"):
+            loaded = SessionStore(tmp_path).load_all()
+        assert sorted(loaded) == ["good"]
+        assert np.array_equal(loaded["good"].decoder.scores, good.decoder.scores)
+        assert "bad.session.json" in caplog.text
+        assert path.read_bytes() == damaged
+
     def test_record_under_a_foreign_name_is_not_loaded(self, tmp_path):
         # A record whose id does not encode to its file name belongs to
         # no session stored there, as the flattened names of an older
