@@ -1,7 +1,8 @@
-"""Legacy setup shim.
+"""Bare setuptools shim.
 
-Allows ``pip install -e . --no-use-pep517`` in offline environments
-that lack the ``wheel`` package; all metadata lives in pyproject.toml.
+The repository has no pyproject.toml, and this call passes no
+metadata. Run the package from source with ``PYTHONPATH=src``, as the
+tests and the CI workflow do.
 """
 
 from setuptools import setup

@@ -9,7 +9,6 @@ and exposes the sweep primitives directly::
 
     python -m repro required-queries --algorithm amp --n 2000 \
         --channel z --p 0.1 --check-every 8 --workers 4
-    python -m repro threshold --algorithm amp --n 1000
 
 The fault-scenario figures put corrupted measurements and unreliable
 networks on the same sweep engine (seeded per trial, bit-identical on
@@ -23,25 +22,25 @@ every backend)::
 Use ``--full-scale`` to run the paper's complete grids (slow: the
 original sweeps extend to n = 10^5) and ``--workers N`` to shard the
 trials over N processes (``0`` = one per CPU) with bit-identical
-output. Algorithm choice lists come from the runner's shared
-constants
-(:data:`repro.experiments.runner.ALGORITHMS` /
-:data:`~repro.experiments.runner.REQUIRED_QUERIES_ALGORITHMS`), so the
+output. Algorithm choice lists come from the runner's shared constant
+:data:`repro.experiments.runner.REQUIRED_QUERIES_ALGORITHMS`, so the
 subcommands can never drift apart.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.experiments.figures import FIGURES, run_figure
-from repro.experiments.runner import ALGORITHMS, REQUIRED_QUERIES_ALGORITHMS
+from repro.experiments.runner import REQUIRED_QUERIES_ALGORITHMS
 from repro.experiments.scheduler import BACKENDS
 from repro.experiments.stats import geometric_space
+from repro.utils.validation import check_non_negative, check_probability
 
 #: channel constructors selectable on the command line
 CHANNELS = ("z", "noiseless", "gaussian", "noisy")
@@ -50,14 +49,32 @@ CHANNELS = ("z", "noiseless", "gaussian", "noisy")
 CORRUPTION_KINDS = ("erasure", "flip", "outlier", "dead")
 
 
-def _probability(text: str) -> float:
-    """argparse type for fault-rate flags: a probability in [0, 1]."""
-    from repro.utils.validation import check_probability
+def _checked_float(check: Callable[[float], float]):
+    """argparse type: parse a float, then validate it with ``check``.
 
-    try:
-        return check_probability(float(text), "probability", allow_one=True)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    A bad value exits 2 with a usage line, not a traceback.
+    """
+
+    def parse(text: str) -> float:
+        try:
+            return check(float(text))
+        except (TypeError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def _finite_non_negative(value: float, name: str) -> float:
+    value = check_non_negative(value, name)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+#: fault-rate flags: a probability in [0, 1]
+_probability = _checked_float(
+    lambda v: check_probability(v, "probability", allow_one=True)
+)
 
 
 def _instance_parent() -> argparse.ArgumentParser:
@@ -80,13 +97,22 @@ def _instance_parent() -> argparse.ArgumentParser:
         help="noise channel (default: Z-channel)",
     )
     parent.add_argument(
-        "--p", type=float, default=0.1, help="flip probability (z / noisy)"
+        "--p",
+        type=_checked_float(lambda v: check_probability(v, "p")),
+        default=0.1,
+        help="flip probability in [0, 1) (z / noisy)",
     )
     parent.add_argument(
-        "--q", type=float, default=0.05, help="false-positive rate (noisy)"
+        "--q",
+        type=_checked_float(lambda v: check_probability(v, "q")),
+        default=0.05,
+        help="false-positive rate in [0, 1) (noisy)",
     )
     parent.add_argument(
-        "--lam", type=float, default=1.0, help="noise scale lambda (gaussian)"
+        "--lam",
+        type=_checked_float(lambda v: _finite_non_negative(v, "lam")),
+        default=1.0,
+        help="finite noise scale lambda >= 0 (gaussian)",
     )
     parent.add_argument("--gamma", type=int, default=None, help="query size Gamma")
     parent.add_argument("--seed", type=int, default=2022, help="root seed")
@@ -336,42 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the REPRO_CHECKPOINT env var)",
     )
 
-    # -- threshold ------------------------------------------------------
-    th = sub.add_parser(
-        "threshold",
-        parents=[instance],
-        help="success-probability threshold search (bracket + bisection "
-        "over fresh instances)",
-    )
-    th.add_argument(
-        "--algorithm",
-        choices=ALGORITHMS,
-        default="greedy",
-        help="reconstruction algorithm (shared constant with the other "
-        "subcommands)",
-    )
-    th.add_argument("--trials", type=int, default=20, help="trials per probe")
-    th.add_argument(
-        "--level", type=float, default=0.5, help="target success probability"
-    )
-    th.add_argument("--m-init", type=int, default=8, help="first bracket probe")
-    th.add_argument("--m-cap", type=int, default=None, help="largest probe")
-    th.add_argument(
-        "--tolerance", type=int, default=4, help="bisection stopping width"
-    )
-    th.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes per probe (0 = one per CPU)",
-    )
-    th.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="sweep execution backend for the probe sweeps",
-    )
-
     # -- decode service --------------------------------------------------
     svc = sub.add_parser(
         "serve",
@@ -500,55 +490,6 @@ def _run_required_queries(args: argparse.Namespace) -> int:
         path = Path(args.out) / f"required_queries_{sample.algorithm}.json"
         save_json(path, sample)
         print(f"[required-queries] saved to {path}")
-    return 0
-
-
-def _run_threshold(args: argparse.Namespace) -> int:
-    from repro.experiments.search import success_probability_threshold
-    from repro.experiments.tables import render_kv
-
-    channel = _channel_from_args(args)
-    k = _resolve_k(args)
-    started = time.perf_counter()
-    estimate = success_probability_threshold(
-        args.n,
-        k,
-        channel,
-        level=args.level,
-        trials=args.trials,
-        seed=args.seed,
-        algorithm=args.algorithm,
-        m_init=args.m_init,
-        m_cap=args.m_cap,
-        tolerance=args.tolerance,
-        gamma=args.gamma,
-        workers=args.workers,
-        backend=args.backend,
-    )
-    elapsed = time.perf_counter() - started
-    print(
-        render_kv(
-            f"threshold ({args.algorithm})",
-            [
-                ("algorithm", args.algorithm),
-                ("n", args.n),
-                ("k", k),
-                ("channel", channel.describe()),
-                ("level", estimate.level),
-                ("threshold_m", estimate.threshold_m),
-                ("probes", len(estimate.probes)),
-            ],
-        )
-    )
-    print(f"[threshold] completed in {elapsed:.1f}s")
-    if args.out:
-        from pathlib import Path
-
-        from repro.experiments.storage import save_json
-
-        path = Path(args.out) / f"threshold_{args.algorithm}.json"
-        save_json(path, estimate)
-        print(f"[threshold] saved to {path}")
     return 0
 
 
@@ -682,8 +623,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ[CHECKPOINT_ENV] = args.checkpoint
     if args.command == "required-queries":
         return _run_required_queries(args)
-    if args.command == "threshold":
-        return _run_threshold(args)
     if args.command == "serve":
         return _run_serve(args)
     # `all` regenerates the paper's figures; the design ablation is an

@@ -44,17 +44,6 @@ from repro.core.corruption import (
     corruption_rng,
     network_fault_rng,
 )
-from repro.core.estimation import (
-    channel_moments,
-    effective_read_rate,
-    estimate_effective_rate,
-    measurement_sizes,
-    estimate_gaussian_noise,
-    estimate_general_channel,
-    estimate_symmetric_channel,
-    estimate_z_channel,
-    fit_channel,
-)
 from repro.core.greedy import greedy_reconstruct, run_greedy_trial
 from repro.core.incremental import (
     IncrementalDecoder,
@@ -140,16 +129,6 @@ __all__ = [
     "apply_corruption",
     "corruption_rng",
     "network_fault_rng",
-    # channel estimation
-    "channel_moments",
-    "effective_read_rate",
-    "measurement_sizes",
-    "estimate_effective_rate",
-    "estimate_z_channel",
-    "estimate_symmetric_channel",
-    "estimate_general_channel",
-    "estimate_gaussian_noise",
-    "fit_channel",
     # scores / greedy
     "CENTERING_MODES",
     "centered_scores",

@@ -41,11 +41,6 @@ from repro.experiments.runner import (
     run_many,
     success_rate_curve,
 )
-from repro.experiments.search import (
-    ThresholdEstimate,
-    compare_algorithm_thresholds,
-    success_probability_threshold,
-)
 from repro.experiments.stats import (
     BoxplotStats,
     binomial_confidence,
@@ -94,9 +89,6 @@ __all__ = [
     "WORKERS_ENV",
     "resolve_workers",
     "shutdown_pool",
-    "ThresholdEstimate",
-    "success_probability_threshold",
-    "compare_algorithm_thresholds",
     "BoxplotStats",
     "boxplot_stats",
     "binomial_confidence",

@@ -84,12 +84,11 @@ variable, else serial; ``0`` means one worker per CPU) sizes the
 ``process`` backend's pool; ``backend`` (default ``None``: the
 ``REPRO_BACKEND`` environment variable, else ``process`` when
 ``workers > 1`` and ``serial`` otherwise) selects where chunks run.
-The ``process`` backend has one dispatch path: chunks travel through
-the pool pipe as seeds + indices, and each cell's invariant spec is
-interned once per worker. Multi-cell sweeps — the figure pipelines —
-build one :class:`~repro.experiments.scheduler.SweepPlan` with many
-cells so all cells' chunks share one global work queue (no per-cell
-barrier).
+The ``process`` backend has one dispatch path: each chunk travels
+through the pool pipe with its cell's spec, seeds and grid indices.
+Multi-cell sweeps — the figure pipelines — build one
+:class:`~repro.experiments.scheduler.SweepPlan` with many cells so all
+cells' chunks share one global work queue (no per-cell barrier).
 
 Sharding helps when per-trial work dominates dispatch overhead (large
 ``n``, dense ``gamma``, many trials); for small instances or few trials

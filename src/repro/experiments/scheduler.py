@@ -44,11 +44,11 @@ Backends
     The cached :class:`~concurrent.futures.ProcessPoolExecutor` of
     :mod:`repro.experiments.parallel` (``forkserver`` on Linux,
     ``spawn`` elsewhere),
-    submitting through the shared queue over the pool pipe, with each
-    cell's spec interned per worker (see below). A ``BrokenProcessPool``
-    raised mid-sweep (a worker OOM-killed or segfaulted) is retried
-    once on a fresh pool before failing the sweep. The default when
-    ``workers > 1``.
+    submitting through the shared queue over the pool pipe; every
+    chunk carries its own spec (a fused figure 6 spec pickles to about
+    600 bytes). A ``BrokenProcessPool`` raised mid-sweep (a worker
+    OOM-killed or segfaulted) is retried once on a fresh pool before
+    failing the sweep. The default when ``workers > 1``.
 
 Select a backend per call (``backend=``), via the ``REPRO_BACKEND``
 environment variable, or implicitly (``workers > 1`` → ``process``).
@@ -87,18 +87,6 @@ A fused item rides the same chunk seam on both backends, its outcomes
 split back per member, and checkpoint records stay keyed per member
 chunk — a resume fuses only the members still missing.
 
-Per-worker payload interning
-----------------------------
-A chunk's payload splits into a per-cell **invariant** part (the
-channel object, algorithm kwargs, budgets — identical for every chunk
-of the cell) and a per-chunk **variant** part (the seed slice and grid
-indices). Re-shipping the invariant with every chunk is pure dispatch
-overhead, so the process backend interns it once per worker, keyed by
-a unique cell id: it seeds the first chunks of each cell with the
-pickled spec and retries on a worker-side cache miss. Steady-state
-chunk dispatch therefore ships only seeds + indices through the pool
-pipe, the backend's one dispatch path.
-
 When the engine helps
 ---------------------
 The flattened queue pays off whenever a sweep has more than one cell
@@ -110,10 +98,8 @@ backend runs the chunks with no dispatch overhead at all.
 
 from __future__ import annotations
 
-import itertools
 import os
-import pickle
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -144,16 +130,6 @@ CELL_FUSED = "fused_success_curve"
 #: with-replacement multigraph (default), the distinct-agents simple
 #: graph, and the constant-column-weight regular design (ablation)
 DESIGNS = ("replacement", "distinct", "regular")
-
-#: worker-side interned-spec cache size (entries, not bytes). Sized
-#: above the largest realistic plan (a full-scale two-algorithm
-#: figure 4 sweep is 2 x 5 x 13 = 130 cells) so live cells are not
-#: evicted mid-plan; specs are small dicts, so even the cap is only
-#: ~1 MB. An evicted-then-needed spec is re-fetched via the
-#: ``_SpecMissing`` retry, costing one extra round trip, not
-#: correctness.
-_SPEC_CACHE_LIMIT = 1024
-
 
 def resolve_backend(backend: Optional[str] = None, workers: int = 1) -> str:
     """Resolve a ``backend`` request into one of :data:`BACKENDS`.
@@ -412,41 +388,6 @@ def _run_chunk(spec: Dict[str, object], kind: str, m, seeds) -> list:
     raise ValueError(f"unknown cell kind {kind!r}")
 
 
-class _SpecMissing(Exception):
-    """Worker-side cache miss: the chunk arrived before its cell spec.
-
-    Raised inside a pool worker and caught by the process backend,
-    which resubmits the chunk with the pickled spec attached. At most
-    one miss per worker per cell.
-    """
-
-
-#: per-worker interned cell specs (populated in pool worker processes)
-_worker_specs: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
-
-
-def _intern_spec(key: str, blob: Optional[bytes]) -> Dict[str, object]:
-    """Return the cell spec for ``key``, interning ``blob`` if given."""
-    if blob is not None:
-        spec = pickle.loads(blob)
-        _worker_specs[key] = spec
-        _worker_specs.move_to_end(key)
-        while len(_worker_specs) > _SPEC_CACHE_LIMIT:
-            _worker_specs.popitem(last=False)
-        return spec
-    try:
-        spec = _worker_specs[key]
-    except KeyError:
-        raise _SpecMissing(key) from None
-    _worker_specs.move_to_end(key)
-    return spec
-
-
-def _process_chunk(key: str, blob: Optional[bytes], kind: str, m, seeds):
-    """Pool-worker entry point: intern the spec, run the chunk."""
-    return _run_chunk(_intern_spec(key, blob), kind, m, seeds)
-
-
 # -- executor -----------------------------------------------------------
 
 
@@ -545,23 +486,12 @@ def _unit_spec(unit: _Unit, cells: Sequence[_PlanCell]) -> Dict[str, object]:
     return cells[unit.cells[0]].spec
 
 
-#: unique spec-cache keys: the cached pool outlives a sweep, so a
-#: later sweep's cell 0 must not hit an earlier sweep's interned spec
-_spec_key_counter = itertools.count()
-
-
-def _next_spec_key(cells: Tuple[int, ...]) -> str:
-    members = "+".join(map(str, cells))
-    return f"{next(_spec_key_counter)}:{members}"
-
-
 class SweepExecutor:
     """Runs a :class:`SweepPlan` through one shared cross-cell queue.
 
-    The ``process`` backend ships each cell's spec at most once per
-    worker and every chunk as seeds + grid indices (see "Per-worker
-    payload interning" in the module docstring); the ``serial``
-    backend runs the chunks in process with no dispatch.
+    The ``process`` backend submits every chunk to the pool as
+    ``_run_chunk(spec, kind, m, seeds)``; the ``serial`` backend runs
+    the chunks in process with no dispatch.
 
     Parameters
     ----------
@@ -787,30 +717,12 @@ class SweepExecutor:
 
         Every ``pool.submit`` and ``future.result`` runs inside the
         retry scope: a ``BrokenProcessPool`` surfacing anywhere — the
-        initial wave, a miss-retry resubmission, or a result — parks
-        the affected chunks back on ``unsent`` and reruns them on a
-        fresh pool (results are pure functions of their seeds, so the
-        retry is bit-identical). A second breakage fails the sweep.
+        initial wave or a result — parks the affected chunks back on
+        ``unsent`` and reruns them on a fresh pool (results are pure
+        functions of their seeds, so the retry is bit-identical). A
+        second breakage fails the sweep.
         """
-        blobs = {}
-        for unit in units:
-            if unit.cells not in blobs:
-                blobs[unit.cells] = pickle.dumps(
-                    _unit_spec(unit, cells), pickle.HIGHEST_PROTOCOL
-                )
-        keys = {spec_id: _next_spec_key(spec_id) for spec_id in blobs}
-        # Seed each unit spec into the pool with its first chunks
-        # (likely to land on distinct workers); later chunks ship only
-        # seeds + indices and fall back to the miss-retry protocol.
-        # FIFO order matters: the blob-carrying chunks must reach the
-        # pool before their spec's blob-less ones.
-        unsent: "deque[Tuple[_Unit, bool]]" = deque()
-        seen: Dict[Tuple[int, ...], int] = {}
-        for unit in units:
-            shipped = seen.get(unit.cells, 0)
-            unsent.append((unit, shipped < self.workers))
-            seen[unit.cells] = shipped + 1
-
+        unsent: "deque[_Unit]" = deque(units)
         retried_broken = False
         while True:
             pool = parallel._get_pool(self.workers)
@@ -821,10 +733,9 @@ class SweepExecutor:
                         # peek, submit, then pop — a submit() that
                         # raises BrokenProcessPool leaves the chunk
                         # queued for the fresh-pool retry
-                        unit, with_blob = unsent[0]
-                        blob = blobs[unit.cells] if with_blob else None
+                        unit = unsent[0]
                         future = pool.submit(
-                            _process_chunk, keys[unit.cells], blob,
+                            _run_chunk, _unit_spec(unit, cells),
                             unit.kind, unit.m, unit.seeds,
                         )
                         unsent.popleft()
@@ -836,11 +747,8 @@ class SweepExecutor:
                         unit = pending.pop(future)
                         try:
                             result = future.result()
-                        except _SpecMissing:
-                            unsent.append((unit, True))
-                            continue
                         except BrokenProcessPool:
-                            unsent.append((unit, True))
+                            unsent.append(unit)
                             raise
                         emit(unit, result)
                 return
@@ -850,7 +758,7 @@ class SweepExecutor:
                 if retried_broken:
                     raise
                 retried_broken = True
-                unsent.extend((u, True) for u in pending.values())
+                unsent.extend(pending.values())
                 parallel.shutdown_pool()
 
 

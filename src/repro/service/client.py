@@ -199,7 +199,7 @@ class ServiceClient:
         return self.call({
             "op": "open_session",
             "session_id": session_id,
-            "n": int(n),
+            "n": n,
             "gamma": gamma,
             "channel": spec,
             "centering": centering,

@@ -44,6 +44,7 @@ from repro.core.noise import (
 )
 from repro.core.pooling import default_gamma
 from repro.service.errors import InvalidRequest
+from repro.utils.validation import check_positive_int
 
 #: valid centerings, mirroring :class:`IncrementalDecoder`
 CENTERINGS = ("half_k", "oracle")
@@ -89,12 +90,14 @@ class SessionParams:
         channel_spec: dict,
         centering: str,
     ) -> "SessionParams":
-        n = int(n)
-        if n < 1:
-            raise InvalidRequest(f"n must be >= 1, got {n}")
-        gamma = default_gamma(n) if gamma is None else int(gamma)
-        if gamma < 1:
-            raise InvalidRequest(f"gamma must be >= 1, got {gamma}")
+        try:
+            n = check_positive_int(n, "n")
+            gamma = (
+                default_gamma(n) if gamma is None
+                else check_positive_int(gamma, "gamma")
+            )
+        except (TypeError, ValueError) as exc:
+            raise InvalidRequest(str(exc)) from None
         if centering not in CENTERINGS:
             raise InvalidRequest(
                 f"unknown centering {centering!r}; valid: {CENTERINGS}"

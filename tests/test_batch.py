@@ -39,7 +39,7 @@ class TestGraphEquivalence:
         "n,m,gamma",
         [(100, 40, None), (57, 13, 9), (8, 5, 1), (200, 1, 300)],
     )
-    def test_same_graph_as_legacy(self, seed, n, m, gamma):
+    def test_batch_sampler_matches_per_query_sampler(self, seed, n, m, gamma):
         g1 = sample_pooling_graph(n, m, gamma, np.random.default_rng(seed))
         g2 = sample_pooling_graph_batch(n, m, gamma, np.random.default_rng(seed))
         assert np.array_equal(g1.indptr, g2.indptr)
@@ -402,7 +402,7 @@ class TestRunTrialsEquivalence:
         ],
         ids=["noiseless", "z", "noisy", "gaussian"],
     )
-    def test_matches_legacy_trial_loop(self, channel):
+    def test_matches_per_trial_greedy_loop(self, channel):
         n, k, m, trials, seed = 120, 4, 60, 6, 99
         batch = BatchTrialRunner(n, k, channel).run_trials(m, trials, seed=seed)
         for res, gen in zip(batch, spawn_rngs(seed, trials)):
@@ -439,7 +439,7 @@ class TestRunTrialsEquivalence:
         )
         assert 0.0 <= curve.success_rates[0] <= 1.0
 
-    def test_success_rate_curve_engines_agree(self):
+    def test_success_rate_curve_matches_reference(self):
         kwargs = dict(trials=10, seed=6)
         batch = success_rate_curve(
             100, 3, repro.ZChannel(0.1), [20, 60], **kwargs
@@ -521,7 +521,7 @@ class TestChunkedRequiredQueries:
         assert len(out) == 4
         assert all(r.succeeded for r in out)
 
-    def test_runner_trials_engines_agree_noiseless(self):
+    def test_runner_trials_match_per_query_noiseless(self):
         a = required_queries_trials(
             150, 4, repro.NoiselessChannel(), trials=5, seed=1
         )

@@ -11,9 +11,10 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_rejects_unknown_figure(self):
-        # The socket-backend worker subcommand was removed: it is now
-        # as unknown as any other command.
-        for argv in (["fig99"], ["worker", "serve"]):
+        # The socket-backend worker and the threshold-search
+        # subcommands were removed: they are now as unknown as any
+        # other command.
+        for argv in (["fig99"], ["worker", "serve"], ["threshold"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
 
@@ -36,7 +37,7 @@ class TestParser:
         # shared backend constants
         from repro.experiments.scheduler import BACKENDS
 
-        for command in ("fig2", "fig6", "required-queries", "threshold"):
+        for command in ("fig2", "fig6", "required-queries"):
             assert build_parser().parse_args([command]).backend is None
             for backend in BACKENDS:
                 args = build_parser().parse_args(
@@ -163,11 +164,8 @@ class TestParser:
 
     def test_algorithm_choices_come_from_shared_constants(self):
         # required-queries accepts exactly the required-m-capable
-        # algorithms; threshold accepts the full harness list.
-        from repro.experiments.runner import (
-            ALGORITHMS,
-            REQUIRED_QUERIES_ALGORITHMS,
-        )
+        # algorithms.
+        from repro.experiments.runner import REQUIRED_QUERIES_ALGORITHMS
 
         for algorithm in REQUIRED_QUERIES_ALGORITHMS:
             args = build_parser().parse_args(
@@ -178,11 +176,28 @@ class TestParser:
             build_parser().parse_args(
                 ["required-queries", "--algorithm", "distributed"]
             )
-        for algorithm in ALGORITHMS:
-            args = build_parser().parse_args(
-                ["threshold", "--algorithm", algorithm]
-            )
-            assert args.algorithm == algorithm
+
+    @pytest.mark.parametrize(
+        "flag, bad",
+        [
+            ("--p", "1.5"),
+            ("--p", "1.0"),
+            ("--p", "nan"),
+            ("--q", "-0.1"),
+            ("--lam", "nan"),
+            ("--lam", "inf"),
+            ("--lam", "-1"),
+        ],
+    )
+    def test_channel_flags_fail_at_parse_time(self, flag, bad, capsys):
+        # A bad channel parameter exits 2 with a usage line before any
+        # trial runs, instead of a ValueError traceback mid-sweep.
+        with pytest.raises(SystemExit) as exc:
+            main(["required-queries", flag, bad])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}" in err
 
 
 class TestMain:
@@ -267,13 +282,6 @@ class TestMain:
             for flag in (["--engine", "legacy"], ["--kernel", "numpy"]):
                 with pytest.raises(SystemExit):
                     build_parser().parse_args(command + flag)
-
-    def test_threshold_tiny(self, capsys):
-        rc = main(["threshold", "--n", "100", "--k", "3", "--channel",
-                   "noiseless", "--trials", "4", "--m-init", "8"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "threshold_m" in out
 
     def test_fig2_tiny_sharded_matches_serial(self, tmp_path, capsys):
         common = ["fig2", "--trials", "2", "--n-min", "60", "--n-max", "120",

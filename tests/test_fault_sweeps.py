@@ -177,7 +177,7 @@ class TestTwoStageRequiredQueries:
     def test_twostage_is_a_required_queries_algorithm(self):
         assert "twostage" in REQUIRED_QUERIES_ALGORITHMS
 
-    def test_engines_agree(self):
+    def test_matches_reference_decode_scan(self):
         # the prefix-replay scan vs the ascending scan of
         # tests/reference.py, decoding each prefix with two-stage
         from repro.core.twostage import two_stage_reconstruct

@@ -26,9 +26,6 @@ from repro.experiments.scheduler import (
     SweepExecutor,
     SweepPlan,
     resolve_backend,
-    _intern_spec,
-    _SpecMissing,
-    _worker_specs,
 )
 from repro.utils.rng import spawn_rngs, spawn_seeds
 
@@ -310,52 +307,6 @@ class TestPlanValidation:
             SweepPlan().add_required_queries(
                 100, 3, repro.ZChannel(0.1), trials=0
             )
-
-
-class TestSpecInterning:
-    def test_intern_then_hit(self):
-        import pickle
-
-        _worker_specs.clear()
-        spec = {"n": 10, "payload": "x" * 100}
-        blob = pickle.dumps(spec)
-        assert _intern_spec("k1", blob) == spec
-        # hit: no blob needed any more
-        assert _intern_spec("k1", None) == spec
-
-    def test_miss_raises_spec_missing(self):
-        _worker_specs.clear()
-        with pytest.raises(_SpecMissing):
-            _intern_spec("never-seen", None)
-
-    def test_cache_bounded(self):
-        import pickle
-
-        from repro.experiments.scheduler import _SPEC_CACHE_LIMIT
-
-        _worker_specs.clear()
-        for i in range(_SPEC_CACHE_LIMIT + 10):
-            _intern_spec(f"key-{i}", pickle.dumps({"i": i}))
-        assert len(_worker_specs) == _SPEC_CACHE_LIMIT
-        # oldest entries were evicted, newest retained
-        with pytest.raises(_SpecMissing):
-            _intern_spec("key-0", None)
-        assert _intern_spec(f"key-{_SPEC_CACHE_LIMIT + 9}", None)
-
-
-class TestSearchThroughEngine:
-    def test_threshold_backend_invariant(self):
-        from repro.experiments.search import success_probability_threshold
-
-        serial = success_probability_threshold(
-            200, 4, repro.NoiselessChannel(), trials=8, seed=0
-        )
-        sharded = success_probability_threshold(
-            200, 4, repro.NoiselessChannel(), trials=8, seed=0,
-            workers=2, backend="process",
-        )
-        assert serial.threshold_m == sharded.threshold_m
-        assert serial.probes == sharded.probes
 
 
 # -- draw sharing: fused sibling success-curve cells --------------------

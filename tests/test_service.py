@@ -360,6 +360,17 @@ class TestSessionParams:
                 base["centering"],
             )
 
+    @pytest.mark.parametrize(
+        "n, gamma",
+        [(2.5, None), (50, 2.5), ("12", None), (True, None)],
+        ids=["float-n", "float-gamma", "str-n", "bool-n"],
+    )
+    def test_non_integer_sizes_rejected(self, n, gamma):
+        # n and gamma are never truncated or coerced: n=2.5 must not
+        # open a session with n=2.
+        with pytest.raises(InvalidRequest, match="must be an integer"):
+            SessionParams.create(n, gamma, {"kind": "noiseless"}, "half_k")
+
 
 class TestSession:
     def test_ingest_is_idempotent(self):
