@@ -63,7 +63,12 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.amp.denoisers import BayesBernoulliDenoiser, Denoiser
-from repro.amp.kernels import AMP_KERNEL, CSRStackOperator, StackLayout
+from repro.amp.kernels import (
+    AMP_KERNEL,
+    CSRArrays,
+    CSRStackOperator,
+    StackLayout,
+)
 from repro.core.measurement import Measurements
 from repro.core.noise import Channel, GaussianQueryNoise, NoiselessChannel, NoisyChannel
 from repro.core.scores import top_k_estimate
@@ -378,14 +383,20 @@ def run_amp(
     )
     c, scale = standardization_constants(n, m, graph.gamma)
     y = (y_raw - c * k) / scale
-    # The one-trial stack operator: its transpose is the free CSC view
-    # (no O(nnz) tocsr() per call), and its matvec/rmatvec perform the
-    # same pairwise sums and per-element centering/scaling as the
-    # pre-seam closures — bit-identical.
+    # The one-trial stack operator over the graph's own arrays (counts
+    # as float64, one index dtype so the products convert nothing per
+    # call): its transpose is the CSC reading of the same arrays, and
+    # its matvec/rmatvec perform the same pairwise sums and per-element
+    # centering/scaling as the pre-seam closures — bit-identical.
     row_sizes = np.array([m])
+    adjacency = CSRArrays(
+        graph.indptr,
+        graph.agents.astype(graph.indptr.dtype, copy=False),
+        graph.counts.astype(np.float64),
+        (m, n),
+    )
     operator = CSRStackOperator(
-        graph.adjacency_sparse(), n=n, c=c, m_per=row_sizes,
-        scales=np.array([scale]),
+        adjacency, n=n, c=c, m_per=row_sizes, scales=np.array([scale]),
     )
 
     stacked, iterations, converged, histories = iterate_amp(

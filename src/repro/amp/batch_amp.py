@@ -64,7 +64,7 @@ from repro.amp.amp import (
     standardization_constants,
 )
 from repro.amp.denoisers import Denoiser
-from repro.amp.kernels import CSRStackOperator
+from repro.amp.kernels import CSRArrays, CSRStackOperator
 from repro.core.batch import (
     DEFAULT_BLOCK_ELEMENTS,
     DEFAULT_INITIAL_BLOCK,
@@ -113,7 +113,7 @@ def _stack_blocks(
     blocks: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     cols: int,
     origins: Optional[Sequence[int]] = None,
-):
+) -> CSRArrays:
     """Assemble per-trial CSR triples into one block-diagonal CSR.
 
     ``blocks[t]`` holds trial ``t``'s ``(indptr, indices, data)`` with
@@ -129,8 +129,6 @@ def _stack_blocks(
     ``t``'s indices are already shifted by ``origins[t] * cols`` and its
     ``indptr`` need not start at 0.
     """
-    from scipy import sparse
-
     trials = len(blocks)
     if origins is None:
         origins = [0] * trials
@@ -138,9 +136,9 @@ def _stack_blocks(
     offsets = np.concatenate(([0], np.cumsum(nnz)))
     rows = np.array([indptr.size - 1 for indptr, _, _ in blocks], dtype=np.int64)
     row_offsets = np.concatenate(([0], np.cumsum(rows)))
-    # int32 indices halve the matvec's index traffic (and match what
-    # scipy would downcast to); they must fit both the column ids and
-    # the cumulative incidence counts stored in indptr.
+    # int32 indices halve the matvec's index traffic; they must fit
+    # both the column ids and the cumulative incidence counts stored in
+    # indptr.
     index_dtype = (
         np.int32
         if max(trials * cols, int(offsets[-1])) < 2**31
@@ -158,8 +156,8 @@ def _stack_blocks(
         indptr[row_offsets[t] + 1 : row_offsets[t + 1] + 1] = (
             block_indptr[1:] + (lo - block_indptr[0])
         )
-    return sparse.csr_matrix(
-        (data, indices, indptr), shape=(int(row_offsets[-1]), trials * cols)
+    return CSRArrays(
+        indptr, indices, data, (int(row_offsets[-1]), trials * cols)
     )
 
 
@@ -179,7 +177,10 @@ class _StackOperators:
     to per-trial runs.
     """
 
-    def __init__(self, a, n: int, c: float, m_per: np.ndarray, scales: np.ndarray):
+    def __init__(
+        self, a: CSRArrays, n: int, c: float, m_per: np.ndarray,
+        scales: np.ndarray,
+    ):
         self.a = a
         self.n = n
         self.c = c
@@ -205,7 +206,7 @@ class _StackOperators:
 
 
 def _iterate_stack(
-    a,
+    a: CSRArrays,
     results: np.ndarray,
     row_sizes: np.ndarray,
     n: int,
@@ -409,7 +410,7 @@ def run_amp_prepared(
     n: int,
     k: int,
     channel: Channel,
-    a,
+    a: CSRArrays,
     results: np.ndarray,
     truth: np.ndarray,
     *,
@@ -419,7 +420,7 @@ def run_amp_prepared(
 ) -> List[Tuple[bool, float]]:
     """Decode an already stacked fixed-``m`` chunk; ``(exact, overlap)`` rows.
 
-    ``a`` is the chunk's float64 block-diagonal CSR (trial
+    ``a`` holds the chunk's float64 block-diagonal CSR arrays (trial
     ``t``'s ``m`` rows at ``t * m``, its columns shifted by ``t * n``;
     see :class:`repro.core.batch.InstanceStack`), ``results`` the
     ``(trials, m)`` channel outputs and ``truth`` the ``(trials, n)``

@@ -17,10 +17,11 @@ underneath that driver, grouped into the two phase calls of
     ``z' = y - A_s sigma + onsager * z`` and damping.
 
 The driver hands each phase the stack operator: a
-:class:`CSRStackOperator` (the standardized block-diagonal stack in
-raw CSR form, whose products call scipy's sparsetools CSR / CSC
-routines on the stored arrays — the ones ``@`` dispatches to — then
-the pre-seam centering and scaling). A
+:class:`CSRStackOperator` (the standardized block-diagonal stack as
+raw :class:`CSRArrays`, whose products call scipy's compiled CSR / CSC
+routines on the stored arrays — the ones ``@`` dispatches to, loaded
+by :mod:`repro.core.sparsetools` without the sparse package — then the
+pre-seam centering and scaling). A
 :class:`StackLayout` value describes the trial stack: one flat
 measurement vector segmented by per-trial ``row_sizes``. There is one
 stack form; a stack of equal-m trials is one whose segments share a
@@ -38,7 +39,7 @@ the one instance every AMP path runs on.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -159,43 +160,69 @@ class StackLayout:
 # -- stack operators -----------------------------------------------------
 
 
+class CSRArrays(NamedTuple):
+    """A CSR matrix as its raw arrays, the form the sparse products read.
+
+    ``indptr`` and ``indices`` share one integer dtype, ``data`` is
+    float64 and ``shape`` is ``(rows, cols)``: exactly the arrays a
+    scipy ``csr_matrix`` would store, without scipy.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: Tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries, as scipy counts them."""
+        return int(self.indptr[-1])
+
+
 class CSRStackOperator:
     """Standardized block-diagonal trial stack in raw CSR form.
 
     Carries everything the kernel needs to apply the standardized
     forward map ``x -> (A x - c s_t) / scale_t`` and its adjoint
-    itself: the stacked raw adjacency ``a`` (a scipy CSR matrix over
-    the column-shifted block-diagonal arrays, shape
+    itself: the stacked raw adjacency ``a`` (the :class:`CSRArrays`
+    of the column-shifted block-diagonal stack, shape
     ``(sum(m_t), T*n)``), the centering constant ``c``, the per-trial
     row counts ``m_per`` and standardization ``scales``.
 
     :meth:`matvec` / :meth:`rmatvec` are the reference
-    implementations. The raw products call scipy's
-    ``csr_matvec`` / ``csc_matvec`` sparsetools routines on the stored
-    arrays — the routines ``a @ x`` and ``a.T @ z`` end up in — so
-    they are the same sequential per-row sums without scipy's
-    per-call dispatch. Centering and scaling follow per element, in
-    the pre-seam order (for ``T = 1`` exactly the standalone
-    ``run_amp`` closures), on ``(T, m)`` views when every trial has
-    one ``m``. That keeps the kernel's in-seam matvec pinned to the
-    captured goldens.
+    implementations. The raw products call scipy's compiled
+    ``csr_matvec`` / ``csc_matvec`` (:mod:`repro.core.sparsetools`) on
+    the stored arrays — the routines ``a @ x`` and ``a.T @ z`` end up
+    in for a scipy matrix over the same arrays — so they are the same
+    sequential per-row sums without scipy's per-call dispatch.
+    Centering and scaling follow per element, in the pre-seam order
+    (for ``T = 1`` exactly the standalone ``run_amp`` closures), on
+    ``(T, m)`` views when every trial has one ``m``. That keeps the
+    kernel's in-seam matvec pinned to the captured goldens.
     """
 
     def __init__(
         self,
-        a,
+        a: CSRArrays,
         *,
         n: int,
         c: float,
         m_per: np.ndarray,
         scales: np.ndarray,
     ) -> None:
-        # ``a`` is a scipy matrix, so scipy.sparse is already imported;
-        # importing it here keeps it off the package's import path.
-        from scipy.sparse import _sparsetools
+        # Imported here, not at module level, to keep the extension off
+        # ``import repro``.
+        from repro.core import sparsetools
 
-        self._csr_matvec = _sparsetools.csr_matvec
-        self._csc_matvec = _sparsetools.csc_matvec
+        self._csr_matvec = sparsetools.csr_matvec
+        self._csc_matvec = sparsetools.csc_matvec
+        # The compiled products index the arrays without bounds checks.
+        if a.indptr.size != a.shape[0] + 1 or a.indices.size != a.data.size:
+            raise ValueError(
+                f"CSR arrays do not fit shape {a.shape}: indptr has "
+                f"{a.indptr.size} entries, indices {a.indices.size}, "
+                f"data {a.data.size}"
+            )
         self.a = a
         self.n = int(n)
         self.trials = a.shape[1] // self.n
@@ -214,7 +241,7 @@ class CSRStackOperator:
         an AMP run instead of silently changing precision.
         """
         a = self.a
-        out = np.zeros(rows, dtype=a.dtype)
+        out = np.zeros(rows, dtype=a.data.dtype)
         routine(rows, cols, a.indptr, a.indices, a.data, v, out)
         return out
 
@@ -350,6 +377,7 @@ AMP_KERNEL = AMPKernel()
 
 __all__ = [
     "StackLayout",
+    "CSRArrays",
     "CSRStackOperator",
     "AMPKernel",
     "AMP_KERNEL",

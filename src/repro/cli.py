@@ -40,6 +40,7 @@ from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.runner import REQUIRED_QUERIES_ALGORITHMS
 from repro.experiments.scheduler import BACKENDS
 from repro.experiments.stats import geometric_space
+from repro.utils.config import ConfigError
 from repro.utils.validation import check_non_negative, check_probability
 
 #: channel constructors selectable on the command line
@@ -77,13 +78,44 @@ _probability = _checked_float(
 )
 
 
+def _bounded_int(minimum: int, maximum: Optional[int] = None):
+    """argparse type: an integer in ``[minimum, maximum]``.
+
+    A bad value exits 2 with a usage line, not a traceback.
+    """
+    bounds = (
+        f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+    )
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < minimum or (maximum is not None and value > maximum):
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    return parse
+
+
+#: count flags (agents, trials, query budgets, strides, grid points)
+_positive_int = _bounded_int(1)
+#: flags where 0 means "none" or "auto" (workers, seeds, delays)
+_non_negative_int = _bounded_int(0)
+
+
 def _instance_parent() -> argparse.ArgumentParser:
     """Shared instance/channel options of the sweep subcommands."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--n", type=int, default=1000, help="number of agents")
+    parent.add_argument(
+        "--n", type=_positive_int, default=1000, help="number of agents"
+    )
     parent.add_argument(
         "--k",
-        type=int,
+        type=_positive_int,
         default=None,
         help="number of 1-agents (default: sublinear n**theta)",
     )
@@ -114,8 +146,12 @@ def _instance_parent() -> argparse.ArgumentParser:
         default=1.0,
         help="finite noise scale lambda >= 0 (gaussian)",
     )
-    parent.add_argument("--gamma", type=int, default=None, help="query size Gamma")
-    parent.add_argument("--seed", type=int, default=2022, help="root seed")
+    parent.add_argument(
+        "--gamma", type=_positive_int, default=None, help="query size Gamma"
+    )
+    parent.add_argument(
+        "--seed", type=_non_negative_int, default=2022, help="root seed"
+    )
     parent.add_argument("--out", type=str, default=None, help="save JSON here")
     return parent
 
@@ -134,12 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
     # parent holds the fig2-7 grid knobs the ablation does not accept.
     execution = argparse.ArgumentParser(add_help=False)
     execution.add_argument(
-        "--trials", type=int, default=None, help="trials per point"
+        "--trials", type=_positive_int, default=None, help="trials per point"
     )
-    execution.add_argument("--seed", type=int, default=2022, help="root seed")
+    execution.add_argument(
+        "--seed", type=_non_negative_int, default=2022, help="root seed"
+    )
     execution.add_argument(
         "--workers",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="worker processes for trial sharding; 0 = one per CPU "
         "(default: the REPRO_WORKERS env var, else 1 = serial); "
@@ -173,17 +211,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     figures = argparse.ArgumentParser(add_help=False)
     figures.add_argument(
-        "--n-min", type=int, default=100, help="smallest n on the grid (figs 2-4)"
+        "--n-min", type=_positive_int, default=100,
+        help="smallest n on the grid (figs 2-4)",
     )
     figures.add_argument(
-        "--n-max", type=int, default=10_000, help="largest n on the grid (figs 2-4)"
+        "--n-max", type=_positive_int, default=10_000,
+        help="largest n on the grid (figs 2-4)",
     )
     figures.add_argument(
-        "--n-points", type=int, default=9, help="points on the n grid (figs 2-4)"
+        "--n-points", type=_positive_int, default=9,
+        help="points on the n grid (figs 2-4)",
     )
     figures.add_argument(
         "--check-every",
-        type=int,
+        type=_positive_int,
         default=1,
         help="success-check stride of the incremental simulator",
     )
@@ -225,12 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
         "constant-column-weight regular design, at matched edge budget",
     )
     ablation.add_argument(
-        "--n-values", type=int, nargs="+", default=None,
+        "--n-values", type=_positive_int, nargs="+", default=None,
         help="agent counts, one success-curve cell per (design, n) "
         "(default: 300 600 1200)",
     )
     ablation.add_argument(
-        "--m-points", type=int, default=10,
+        "--m-points", type=_positive_int, default=10,
         help="points on each per-n geometric m grid",
     )
     ablation.set_defaults(figure="ablation_design")
@@ -245,10 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
         "one seeded corruption realization per trial",
     )
     degradation.add_argument(
-        "--n", type=int, default=None, help="number of agents (default 300)"
+        "--n", type=_positive_int, default=None,
+        help="number of agents (default 300)",
     )
     degradation.add_argument(
-        "--m", type=int, default=None,
+        "--m", type=_positive_int, default=None,
         help="fixed query budget (default 0.6 n, above the clean "
         "phase transition)",
     )
@@ -280,10 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
         "network metrics folded into the curve",
     )
     loss.add_argument(
-        "--n", type=int, default=None, help="number of agents (default 128)"
+        "--n", type=_positive_int, default=None,
+        help="number of agents (default 128)",
     )
     loss.add_argument(
-        "--m", type=int, default=None, help="query budget (default 220)"
+        "--m", type=_positive_int, default=None,
+        help="query budget (default 220)",
     )
     loss.add_argument(
         "--drop", type=_probability, nargs="+", default=None, metavar="P",
@@ -296,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-delay >= 1)",
     )
     loss.add_argument(
-        "--max-delay", type=int, default=None,
+        "--max-delay", type=_non_negative_int, default=None,
         help="largest extra delivery delay in rounds (default 0)",
     )
     loss.set_defaults(figure="robustness_loss")
@@ -309,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         "the network simulator)",
     )
     comm.add_argument(
-        "--n-values", type=int, nargs="+", default=None,
+        "--n-values", type=_positive_int, nargs="+", default=None,
         help="agent counts, one distributed and one distributed_amp "
         "cell each (default: 64 128 256)",
     )
@@ -334,16 +378,20 @@ def build_parser() -> argparse.ArgumentParser:
         default="greedy",
         help="stopping rule (shared constant with the other subcommands)",
     )
-    rq.add_argument("--trials", type=int, default=10, help="independent trials")
     rq.add_argument(
-        "--check-every", type=int, default=1, help="success-check stride"
+        "--trials", type=_positive_int, default=10, help="independent trials"
     )
     rq.add_argument(
-        "--max-m", type=int, default=None, help="query budget per trial"
+        "--check-every", type=_positive_int, default=1,
+        help="success-check stride",
+    )
+    rq.add_argument(
+        "--max-m", type=_positive_int, default=None,
+        help="query budget per trial",
     )
     rq.add_argument(
         "--workers",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="worker processes (0 = one per CPU); bit-identical output",
     )
@@ -378,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         "format is pickle)",
     )
     svc.add_argument(
-        "--port", type=int, default=None,
+        "--port", type=_bounded_int(0, 65535), default=None,
         help="TCP port (default %(default)s -> service default; "
         "0 = ephemeral, printed in the ready banner)",
     )
@@ -389,19 +437,19 @@ def build_parser() -> argparse.ArgumentParser:
         "survive a restart",
     )
     svc.add_argument(
-        "--max-queue", type=int, default=None,
+        "--max-queue", type=_positive_int, default=None,
         help="decode queue bound; requests beyond it are shed with a "
         "retryable 'overloaded' error (default REPRO_SERVICE_MAX_QUEUE "
         "or 64)",
     )
     svc.add_argument(
-        "--degrade-depth", type=int, default=None,
+        "--degrade-depth", type=_positive_int, default=None,
         help="queue depth at which AMP decodes degrade to the instant "
         "greedy scorer with degraded=True (default "
         "REPRO_SERVICE_DEGRADE_DEPTH or 16)",
     )
     svc.add_argument(
-        "--max-batch", type=int, default=None,
+        "--max-batch", type=_positive_int, default=None,
         help="max decode requests stacked into one batched AMP call "
         "(default REPRO_SERVICE_MAX_BATCH or 16)",
     )
@@ -615,6 +663,16 @@ def _figure_kwargs(args: argparse.Namespace, name: str) -> dict:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ConfigError as exc:
+        # A bad REPRO_* variable is a usage error like a bad flag: its
+        # one-line message and exit status 2, not a traceback.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
     # Spawned pool workers inherit the environment, so the flag becomes
     # an env var before any dispatch.
     if getattr(args, "checkpoint", None):

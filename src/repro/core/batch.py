@@ -288,15 +288,15 @@ class InstanceStack:
     """
 
     def __init__(self, n, m, gens, sigma, indptr, indices, data):
-        from scipy.sparse import _sparsetools
+        from repro.core import sparsetools
 
         self.n, self.m = n, m
         self.gens = gens
         self.sigma = sigma
         self.indptr, self.indices, self.data = indptr, indices, data
         self._unit = None
-        self._csr_matvec = _sparsetools.csr_matvec
-        self._csc_matvec = _sparsetools.csc_matvec
+        self._csr_matvec = sparsetools.csr_matvec
+        self._csc_matvec = sparsetools.csc_matvec
 
     @property
     def trials(self) -> int:
@@ -337,15 +337,6 @@ class InstanceStack:
         """``Psi`` per agent, ``(T, n)``, for ``(T, m)`` query ``results``."""
         return self._pattern_adjoint(
             np.asarray(results, dtype=np.float64).ravel()
-        )
-
-    def csr(self):
-        """The stack as a float64 scipy CSR matrix over its own arrays."""
-        from scipy import sparse
-
-        return sparse.csr_matrix(
-            (self.data, self.indices, self.indptr),
-            shape=(self.trials * self.m, self.trials * self.n),
         )
 
 

@@ -69,8 +69,9 @@ class GroundTruth:
         sigma = np.asarray(self.sigma)
         if sigma.ndim != 1:
             raise ValueError(f"sigma must be one-dimensional, got shape {sigma.shape}")
-        values = np.unique(sigma)
-        if not np.all(np.isin(values, (0, 1))):
+        # Two comparisons, not np.unique: in NumPy 2.4 unique imports
+        # numpy.ma, which nothing else on a decode or a sweep worker needs.
+        if not np.all((sigma == 0) | (sigma == 1)):
             raise ValueError("sigma must be a 0/1 vector")
         object.__setattr__(self, "sigma", sigma.astype(np.int8, copy=False))
 

@@ -218,24 +218,6 @@ class PoolingGraph:
         a[rows, self.agents] = self.counts
         return a
 
-    def adjacency_sparse(self):
-        """Sparse CSR ``(m, n)`` adjacency with multiplicities."""
-        from scipy import sparse
-
-        return sparse.csr_matrix(
-            (self.counts.astype(np.float64), self.agents, self.indptr),
-            shape=(self.m, self.n),
-        )
-
-    def distinct_incidence_sparse(self):
-        """Sparse CSR ``(m, n)`` 0/1 distinct-incidence matrix."""
-        from scipy import sparse
-
-        return sparse.csr_matrix(
-            (np.ones(self.agents.size), self.agents, self.indptr),
-            shape=(self.m, self.n),
-        )
-
     def head(self, m: int) -> "PoolingGraph":
         """The subgraph consisting of the first ``m`` queries."""
         if not 0 <= m <= self.m:

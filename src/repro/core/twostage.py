@@ -111,7 +111,14 @@ def two_stage_reconstruct(
     stage1_scores = scores_from_measurements(measurements, mode=centering)
     estimate = top_k_estimate(stage1_scores, k)
 
-    adjacency = graph.adjacency_sparse()
+    # A and A^T are applied by the compiled CSR/CSC products scipy's
+    # ``@`` runs on a CSR matrix over these arrays: the same sums. One
+    # index dtype, so the products convert no array on each call.
+    from repro.core import sparsetools
+
+    indptr = graph.indptr
+    agents = graph.agents.astype(indptr.dtype, copy=False)
+    weights = graph.counts.astype(np.float64)
     y = channel_corrected_results(
         measurements.results, graph.gamma, measurements.channel
     )
@@ -127,8 +134,14 @@ def two_stage_reconstruct(
     support_changes: List[int] = []
     for _ in range(config.max_rounds):
         rounds_used += 1
-        residual = y - adjacency @ x
-        scores = x + eta * (adjacency.T @ residual)
+        ax = np.zeros(m)
+        sparsetools.csr_matvec(m, n, indptr, agents, weights, x, ax)
+        residual = y - ax
+        correction = np.zeros(n)
+        sparsetools.csc_matvec(
+            n, m, indptr, agents, weights, residual, correction
+        )
+        scores = x + eta * correction
         new_estimate = top_k_estimate(scores, k)
         changed = int(np.count_nonzero(new_estimate != estimate))
         support_changes.append(changed)

@@ -45,12 +45,22 @@ than queue position, so a resume with a different worker count or
 backend (hence a different chunk layout) still reuses every record
 whose trial range matches — and recomputes the rest, which is always
 correct because chunks are pure.
+
+Records are input read from disk, so opening a checkpoint checks every
+one before anything resumes: a record that does not parse, names no
+cell of the plan, or holds a different number of outcomes than its
+cell (trials, per grid point) or chunk key (``hi - lo``) implies raises
+:class:`CheckpointError` naming the file. It is never dropped and
+recomputed in silence: the writer is atomic, so such a record means
+outside damage, which the user should see; deleting the file makes
+the next run recompute it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
+import re
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -66,8 +76,41 @@ CHECKPOINT_VERSION = 1
 CHECKPOINT_ENV = "REPRO_CHECKPOINT"
 
 
-class CheckpointMismatch(RuntimeError):
+class CheckpointError(RuntimeError):
+    """A checkpoint cannot be resumed as it stands on disk."""
+
+
+class CheckpointMismatch(CheckpointError):
     """A manifest's plan fingerprint disagrees with the live plan."""
+
+
+#: record file stems: ``cell_<index>`` and ``chunk_c<cell>_m<part>_<lo>_<hi>``
+_CELL_STEM = re.compile(r"cell_(\d+)")
+_CHUNK_STEM = re.compile(r"chunk_(c\d+_m(?:r|\d+)_(\d+)_(\d+))")
+
+
+def _read_outcomes(path: Path) -> list:
+    """A record's outcome list; :class:`CheckpointError` if unreadable."""
+    try:
+        return load_json(path)["outcomes"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(
+            f"unreadable checkpoint record {path}: {exc!r}"
+        ) from exc
+
+
+def _expect_outcomes(path: Path, outcomes, count: int) -> None:
+    """:class:`CheckpointError` unless ``outcomes`` is a list of ``count``."""
+    if not isinstance(outcomes, list) or len(outcomes) != count:
+        held = (
+            f"{len(outcomes)} outcomes"
+            if isinstance(outcomes, list)
+            else f"a {type(outcomes).__name__}"
+        )
+        raise CheckpointError(
+            f"checkpoint record {path} holds {held} where its key implies "
+            f"{count} outcomes; delete it to recompute"
+        )
 
 
 def _seed_fingerprint(seed) -> tuple:
@@ -183,17 +226,43 @@ class SweepCheckpoint:
                 },
             )
         ckpt = cls(directory, fingerprint, len(plan._cells))
-        ckpt._load_records()
+        ckpt._load_records(plan._cells)
         return ckpt
 
-    def _load_records(self) -> None:
-        """Read every surviving cell/chunk record into memory once."""
+    def _load_records(self, cells) -> None:
+        """Read and check every surviving cell/chunk record once.
+
+        Each record's outcome count must match the plan: a cell holds
+        one outcome per trial (per grid point for a success curve), a
+        chunk ``hi - lo``. Anything else raises :class:`CheckpointError`
+        naming the file (see the module docstring).
+        """
         for path in sorted(self.directory.glob("cell_*.json")):
-            record = load_json(path)
-            self._cells[int(path.stem.split("_")[1])] = record["outcomes"]
+            match = _CELL_STEM.fullmatch(path.stem)
+            if match is None or int(match.group(1)) >= len(cells):
+                raise CheckpointError(
+                    f"checkpoint record {path} names no cell of this plan"
+                )
+            index = int(match.group(1))
+            cell = cells[index]
+            outcomes = _read_outcomes(path)
+            if cell.m_values is None:
+                _expect_outcomes(path, outcomes, cell.trials)
+            else:
+                _expect_outcomes(path, outcomes, len(cell.m_values))
+                for per_m in outcomes:
+                    _expect_outcomes(path, per_m, cell.trials)
+            self._cells[index] = outcomes
         for path in sorted(self.directory.glob("chunk_*.json")):
-            record = load_json(path)
-            self._chunks[path.stem[len("chunk_"):]] = record["outcomes"]
+            match = _CHUNK_STEM.fullmatch(path.stem)
+            if match is None:
+                raise CheckpointError(
+                    f"checkpoint record {path} has no chunk key"
+                )
+            lo, hi = int(match.group(2)), int(match.group(3))
+            outcomes = _read_outcomes(path)
+            _expect_outcomes(path, outcomes, hi - lo)
+            self._chunks[match.group(1)] = outcomes
 
     # ---- resume side ----
 
@@ -239,6 +308,7 @@ class SweepCheckpoint:
 __all__ = [
     "CHECKPOINT_ENV",
     "CHECKPOINT_VERSION",
+    "CheckpointError",
     "CheckpointMismatch",
     "SweepCheckpoint",
     "chunk_key",

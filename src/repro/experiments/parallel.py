@@ -42,10 +42,12 @@ Workers are plain module-level functions and every payload (channel,
 seeds, kwargs) is picklable, so the pool never relies on inherited
 state. On Linux it runs under the ``forkserver`` start method: one
 server per driver process starts once, imports the chunk code
-(:data:`_PRELOAD` — the package and ``scipy.sparse``), and every later
-pool forks ready workers from it, so a new pool costs a fork rather
-than an interpreter start plus an import. Elsewhere it runs under
-``spawn`` (the only method on Windows), where each worker pays that
+(:data:`_PRELOAD` — the package and scipy's compiled sparse products,
+:mod:`repro.core.sparsetools`, not the whole sparse package), and
+every later pool forks ready workers from it, so a new pool costs a
+fork rather than an interpreter start plus an import. Elsewhere it
+runs under ``spawn`` (the only method on Windows), where each worker
+pays that
 start-up. Neither forks the driver itself, so both are immune to
 fork-in-threaded-process hazards. The executor is cached between calls
 (so even a fork does not recur for every sweep cell); call
@@ -92,14 +94,15 @@ WORKERS_ENV = "REPRO_WORKERS"
 START_METHOD = "forkserver" if sys.platform.startswith("linux") else "spawn"
 
 #: modules the fork server imports before it forks any worker: the
-#: scheduler pulls in the package, and the AMP operators import
-#: ``scipy.sparse`` lazily, which would otherwise recur in every
-#: worker. ``multiprocessing`` skips a preload that fails to import
-#: without a word, so the tests pin that each one resolves. (Python
+#: scheduler pulls in the package, and the instance stacks and AMP
+#: operators load scipy's compiled sparse products
+#: (:mod:`repro.core.sparsetools`) lazily, which would otherwise recur
+#: in every worker. ``multiprocessing`` skips a preload that fails to
+#: import without a word, so the tests pin that each one resolves. (Python
 #: 3.11's server imports with the driver's environment but not its
 #: ``sys.path``, so there the package preload takes effect only when the
 #: package is installed or on ``PYTHONPATH``.)
-_PRELOAD = ("repro.experiments.scheduler", "scipy.sparse")
+_PRELOAD = ("repro.experiments.scheduler", "repro.core.sparsetools")
 
 #: work items per worker that a sweep cell yields at least: a
 #: required-m cell splits its trials into this many chunks per worker
@@ -471,6 +474,7 @@ def _fixed_m_group(
         _stack_size,
         run_amp_prepared,
     )
+    from repro.amp.kernels import CSRArrays
     from repro.core.batch import BatchTrialRunner, draw_instance_stack
     from repro.core.scores import decode_top_k_stacked
     from repro.utils.rng import copy_generator
@@ -523,7 +527,10 @@ def _fixed_m_group(
             scores[i][lo:hi] = (
                 inst.neighborhood_sums(measured[keys[i]]) - delta_star * offset
             )
-        a = inst.csr() if amp else None
+        a = None
+        if amp:
+            shape = (inst.trials * m, inst.trials * n)
+            a = CSRArrays(inst.indptr, inst.indices, inst.data, shape)
         del inst  # drops the unit weights greedy scoring used
         for i, kwargs in amp.items():
             out[i].extend(

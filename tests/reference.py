@@ -31,6 +31,9 @@ with:
   constant-column-weight design, which
   :func:`repro.core.pooling.sample_regular_design` matches array for
   array.
+* :func:`adjacency_sparse` / :func:`distinct_incidence_sparse` — a
+  graph as scipy CSR matrices, the operators the package's raw-array
+  products are checked against.
 """
 
 from typing import List, Optional, Sequence
@@ -335,3 +338,23 @@ def sample_regular_design_loop(
         agents = np.asarray(sorted(members), dtype=np.int64)
         builder.add_query(agents, np.ones(agents.size, dtype=np.int64))
     return builder.build()
+
+
+def adjacency_sparse(graph: PoolingGraph):
+    """Scipy CSR ``(m, n)`` adjacency of ``graph`` with multiplicities."""
+    from scipy import sparse
+
+    return sparse.csr_matrix(
+        (graph.counts.astype(np.float64), graph.agents, graph.indptr),
+        shape=(graph.m, graph.n),
+    )
+
+
+def distinct_incidence_sparse(graph: PoolingGraph):
+    """Scipy CSR ``(m, n)`` 0/1 distinct-incidence matrix of ``graph``."""
+    from scipy import sparse
+
+    return sparse.csr_matrix(
+        (np.ones(graph.agents.size), graph.agents, graph.indptr),
+        shape=(graph.m, graph.n),
+    )

@@ -18,6 +18,7 @@ import repro
 from repro.experiments import parallel
 from repro.experiments.checkpoint import (
     CHECKPOINT_ENV,
+    CheckpointError,
     CheckpointMismatch,
     SweepCheckpoint,
     chunk_key,
@@ -194,3 +195,72 @@ class TestStaleRejection:
         manifest.write_text(json.dumps(record))
         with pytest.raises(CheckpointMismatch, match="version"):
             SweepCheckpoint.open(manifest.parent, make_plan())
+
+
+class TestDamagedRecords:
+    """A record that does not parse, or whose outcome count differs from
+    its cell or chunk key, stops the resume with an error naming the
+    file; it is never resumed as written nor recomputed in silence."""
+
+    def _plan_dir(self, tmp_path):
+        make_plan().run(backend="serial", checkpoint=tmp_path)
+        return next(tmp_path.glob("plan-*"))
+
+    def _expect_error(self, tmp_path, path, match):
+        with pytest.raises(CheckpointError, match=match) as exc:
+            make_plan().run(backend="serial", checkpoint=tmp_path)
+        assert str(path) in str(exc.value)
+
+    def test_cut_required_cell_record(self, tmp_path):
+        # Cell 0 has 6 trials; a record cut to 2 used to resume as a
+        # 2-trial cell under the same fingerprint.
+        path = self._plan_dir(tmp_path) / "cell_0000.json"
+        record = load_json(path)
+        assert len(record["outcomes"]) == 6
+        save_json_atomic(path, {"outcomes": record["outcomes"][:2]})
+        self._expect_error(tmp_path, path, "holds 2 outcomes")
+
+    def test_cut_grid_point_of_curve_cell_record(self, tmp_path):
+        path = self._plan_dir(tmp_path) / "cell_0001.json"
+        outcomes = load_json(path)["outcomes"]
+        assert [len(per_m) for per_m in outcomes] == [4, 4]
+        outcomes[1] = outcomes[1][:3]
+        save_json_atomic(path, {"outcomes": outcomes})
+        self._expect_error(tmp_path, path, "holds 3 outcomes")
+
+    def test_chunk_record_count_differs_from_its_key(self, tmp_path):
+        plan_dir = self._plan_dir(tmp_path)
+        (plan_dir / "cell_0000.json").unlink()
+        path = plan_dir / f"chunk_{chunk_key(0, None, 0, 6)}.json"
+        save_json_atomic(path, {"outcomes": [[True, 12]] * 5})
+        self._expect_error(tmp_path, path, "holds 5 outcomes")
+
+    @pytest.mark.parametrize(
+        "text", ['{"outcomes": [[true, 1', '[1, 2]', '{"other": []}'],
+        ids=["cut-mid-json", "no-object", "no-outcomes"],
+    )
+    def test_unparseable_record(self, tmp_path, text):
+        path = self._plan_dir(tmp_path) / "cell_0000.json"
+        path.write_text(text)
+        self._expect_error(tmp_path, path, "unreadable checkpoint record")
+
+    @pytest.mark.parametrize(
+        "name, match",
+        [("cell_0099.json", "names no cell"), ("chunk_c0_0_6.json", "no chunk key")],
+    )
+    def test_record_name_outside_the_plan(self, tmp_path, name, match):
+        path = self._plan_dir(tmp_path) / name
+        save_json_atomic(path, {"outcomes": []})
+        self._expect_error(tmp_path, path, match)
+
+    def test_intact_records_still_resume(self, tmp_path):
+        plan_dir = self._plan_dir(tmp_path)
+        assert sorted(p.name for p in plan_dir.glob("cell_*.json")) == [
+            "cell_0000.json", "cell_0001.json",
+        ]
+        ref = make_plan().run(backend="serial")
+        got = make_plan().run(backend="serial", checkpoint=tmp_path)
+        assert repr(got) == repr(ref)
+
+    def test_mismatch_is_a_checkpoint_error(self):
+        assert issubclass(CheckpointMismatch, CheckpointError)

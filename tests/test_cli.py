@@ -5,6 +5,29 @@ import pytest
 from repro.cli import build_parser, main
 
 
+#: a non-integer or out-of-range value per integer flag, and the flag
+#: the usage error must name
+_BAD_INTEGER_FLAGS = [
+    (["required-queries", "--n", "0"], "--n"),
+    (["required-queries", "--n", "100", "--k", "3", "--trials", "0"],
+     "--trials"),
+    (["required-queries", "--k", "-1"], "--k"),
+    (["required-queries", "--max-m", "0"], "--max-m"),
+    (["required-queries", "--check-every", "0"], "--check-every"),
+    (["required-queries", "--gamma", "2.5"], "--gamma"),
+    (["required-queries", "--seed", "-1"], "--seed"),
+    (["required-queries", "--workers", "-2"], "--workers"),
+    (["fig2", "--n-points", "0"], "--n-points"),
+    (["fig2", "--trials", "many"], "--trials"),
+    (["robustness_degradation", "--m", "0"], "--m"),
+    (["robustness_loss", "--max-delay", "-1"], "--max-delay"),
+    (["robustness_comm", "--n-values", "64", "0"], "--n-values"),
+    (["ablation_design", "--m-points", "0"], "--m-points"),
+    (["serve", "--port", "70000"], "--port"),
+    (["serve", "--max-batch", "0"], "--max-batch"),
+]
+
+
 class TestParser:
     def test_requires_figure(self):
         with pytest.raises(SystemExit):
@@ -198,6 +221,38 @@ class TestParser:
         err = capsys.readouterr().err
         assert err.startswith("usage:")
         assert f"argument {flag}" in err
+
+
+    @pytest.mark.parametrize(
+        "argv, flag", _BAD_INTEGER_FLAGS,
+        ids=[" ".join(argv) for argv, _ in _BAD_INTEGER_FLAGS],
+    )
+    def test_integer_flags_fail_at_parse_time(self, argv, flag, capsys):
+        # A bad integer exits 2 with a usage line before any trial runs,
+        # instead of a ValueError traceback from the library.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}" in err
+
+    def test_bad_environment_variable_exits_2_with_its_message(
+        self, monkeypatch, capsys
+    ):
+        # A ConfigError from a REPRO_* variable is reported like a bad
+        # flag: one line on stderr and exit status 2, no traceback.
+        from repro.experiments.parallel import WORKERS_ENV
+
+        monkeypatch.setenv(WORKERS_ENV, "1.5")
+        rc = main(["required-queries", "--n", "100", "--k", "3",
+                   "--trials", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"repro: error: {WORKERS_ENV} must be an integer >= 0, "
+            "got '1.5'\n"
+        )
 
 
 class TestMain:

@@ -101,6 +101,25 @@ class TestGroundTruth:
         with pytest.raises(ValueError):
             GroundTruth(np.array([0, 1, 2]))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[0.0, np.nan, 1.0], [0, 2, 1], [-1, 0, 1]],
+        ids=["nan", "two", "minus-one"],
+    )
+    def test_constructor_rejects_values_off_zero_one(self, bad):
+        with pytest.raises(ValueError, match="0/1"):
+            GroundTruth(np.array(bad))
+
+    @pytest.mark.parametrize(
+        "good",
+        [[False, True, True], [0.0, 1.0, 0.0], [1, 1, 1], []],
+        ids=["bool", "float", "all-ones", "empty"],
+    )
+    def test_constructor_accepts_zero_one_of_any_dtype(self, good):
+        truth = GroundTruth(np.array(good))
+        assert truth.sigma.dtype == np.int8
+        assert truth.sigma.tolist() == [int(v) for v in good]
+
     def test_constructor_rejects_2d(self):
         with pytest.raises(ValueError):
             GroundTruth(np.zeros((3, 3)))

@@ -19,8 +19,15 @@ import pytest
 import repro
 from repro.amp import AMPConfig, run_amp
 from repro.amp.batch_amp import required_queries_amp, run_amp_trials
-from repro.amp.kernels import AMP_KERNEL, CSRStackOperator, StackLayout
+from repro.amp.kernels import (
+    AMP_KERNEL,
+    CSRArrays,
+    CSRStackOperator,
+    StackLayout,
+)
 from repro.utils.rng import spawn_seeds
+
+from reference import adjacency_sparse
 
 
 def _hash(arr):
@@ -270,14 +277,31 @@ def test_stack_dtype_must_match_kernel():
 
     meas = _standalone_instance()
     n, m = meas.graph.n, meas.graph.m
-    a = meas.graph.adjacency_sparse().astype(np.float32)
+    a = adjacency_sparse(meas.graph).astype(np.float32)
     op = CSRStackOperator(
-        a, n=n, c=0.5, m_per=np.array([m]), scales=np.ones(1)
+        CSRArrays(a.indptr, a.indices, a.data, a.shape),
+        n=n, c=0.5, m_per=np.array([m]), scales=np.ones(1),
     )
     with pytest.raises(ValueError, match="dtype"):
         iterate_amp(
             op, np.zeros(m), default_denoiser(n, meas.k), AMPConfig(),
             n=n, row_sizes=np.array([m]),
+        )
+
+
+def test_operator_rejects_arrays_that_do_not_fit_the_shape():
+    # The compiled products read the arrays unchecked, so a shape the
+    # arrays do not fit fails before any product runs.
+    indptr, indices = np.array([0, 1, 2]), np.array([0, 1])
+    with pytest.raises(ValueError, match="do not fit"):
+        CSRStackOperator(
+            CSRArrays(indptr, indices, np.ones(2), (3, 2)),
+            n=2, c=0.0, m_per=np.array([3]), scales=np.ones(1),
+        )
+    with pytest.raises(ValueError, match="do not fit"):
+        CSRStackOperator(
+            CSRArrays(indptr, indices, np.ones(3), (2, 2)),
+            n=2, c=0.0, m_per=np.array([2]), scales=np.ones(1),
         )
 
 
@@ -301,9 +325,10 @@ def _random_stack(rng, n, m_per, index_dtype):
         block.sum_duplicates()
         blocks.append((block.indptr, block.indices, block.data))
     a = _stack_blocks(blocks, n)
-    a.indices = a.indices.astype(index_dtype)
-    a.indptr = a.indptr.astype(index_dtype)
-    return a
+    return a._replace(
+        indices=a.indices.astype(index_dtype),
+        indptr=a.indptr.astype(index_dtype),
+    )
 
 
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
@@ -317,10 +342,18 @@ def test_stack_products_equal_scipy_bytes(index_dtype, m_per):
     # scipy's ``@`` directly: raw products (c=0, unit scale) equal
     # ``a @ x`` / ``a.T @ z`` byte for byte, and the standardized ones
     # equal the pre-seam closure arithmetic on those products.
+    from scipy import sparse
+
     rng = np.random.default_rng(len(m_per) * 10 + 1)
     n, trials = 13, len(m_per)
-    a = _random_stack(rng, n, m_per, index_dtype)
-    assert a.indices.dtype == index_dtype and a.data.dtype == np.float64
+    stack = _random_stack(rng, n, m_per, index_dtype)
+    assert stack.indices.dtype == index_dtype
+    assert stack.data.dtype == np.float64
+    # The scipy matrix over the same arrays, kept at their index dtype.
+    a = sparse.csr_matrix(
+        (stack.data, stack.indices, stack.indptr), shape=stack.shape
+    )
+    a.indices, a.indptr = stack.indices, stack.indptr
     x = rng.normal(size=trials * n)
     z = rng.normal(size=a.shape[0])
     m_arr = np.asarray(m_per)
@@ -328,7 +361,7 @@ def test_stack_products_equal_scipy_bytes(index_dtype, m_per):
 
     def make(c, unit):
         s = np.ones(trials) if unit else scales
-        return CSRStackOperator(a, n=n, c=c, m_per=m_arr, scales=s)
+        return CSRStackOperator(stack, n=n, c=c, m_per=m_arr, scales=s)
 
     raw = make(0.0, True)
     mv, rmv = raw.matvec(x), raw.rmatvec(z)
@@ -385,7 +418,7 @@ def test_iteration_never_dispatches_through_scipy_matmul(monkeypatch):
     decode_prefix_batch([(0, 40)], [stream], 200, 3, repro.NoiselessChannel(), gamma=50)
     assert calls["n"] == 0
 
-    graph = _standalone_instance().graph.adjacency_sparse()
+    graph = adjacency_sparse(_standalone_instance().graph)
     graph @ np.ones(graph.shape[1])
     assert calls["n"] > 0
 
