@@ -51,7 +51,7 @@ def measure_queries(truth, rng, count):
     sigma = truth.sigma.astype(np.int64)
     queries = []
     for _ in range(count):
-        agents, counts = repro.sample_query(N, GAMMA, rng)
+        agents, counts = repro.sample_pooling_graph(N, 1, GAMMA, rng).query(0)
         total = int(np.dot(counts, sigma[agents]))
         result = float(
             channel.measure(np.asarray([total]), int(counts.sum()), rng)[0]

@@ -41,7 +41,12 @@ from repro.experiments.runner import REQUIRED_QUERIES_ALGORITHMS
 from repro.experiments.scheduler import BACKENDS
 from repro.experiments.stats import geometric_space
 from repro.utils.config import ConfigError
-from repro.utils.validation import check_non_negative, check_probability
+from repro.utils.validation import (
+    check_fraction,
+    check_non_negative,
+    check_positive,
+    check_probability,
+)
 
 #: channel constructors selectable on the command line
 CHANNELS = ("z", "noiseless", "gaussian", "noisy")
@@ -67,6 +72,13 @@ def _checked_float(check: Callable[[float], float]):
 
 def _finite_non_negative(value: float, name: str) -> float:
     value = check_non_negative(value, name)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _finite_positive(value: float, name: str) -> float:
+    value = check_positive(value, name)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
@@ -120,7 +132,10 @@ def _instance_parent() -> argparse.ArgumentParser:
         help="number of 1-agents (default: sublinear n**theta)",
     )
     parent.add_argument(
-        "--theta", type=float, default=0.25, help="sublinear exponent for k"
+        "--theta",
+        type=_checked_float(lambda v: check_fraction(v, "theta")),
+        default=0.25,
+        help="sublinear exponent for k, in (0, 1)",
     )
     parent.add_argument(
         "--channel",
@@ -358,8 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
         "cell each (default: 64 128 256)",
     )
     comm.add_argument(
-        "--m-fraction", type=float, default=None,
-        help="query budget per cell as a fraction of n (default 0.4)",
+        "--m-fraction",
+        type=_checked_float(lambda v: _finite_positive(v, "m-fraction")),
+        default=None,
+        help="query budget per cell as a finite fraction > 0 of n "
+        "(default 0.4)",
     )
     comm.set_defaults(figure="robustness_comm")
 
@@ -661,8 +679,29 @@ def _figure_kwargs(args: argparse.Namespace, name: str) -> dict:
     return kwargs
 
 
+def _cross_flag_error(args: argparse.Namespace) -> Optional[str]:
+    """Why two flags contradict each other, or ``None`` when they agree.
+
+    Each flag is validated on its own at parse time; these are the
+    pairs a single flag's type cannot see.
+    """
+    k = getattr(args, "k", None)
+    if k is not None and k > args.n:
+        return f"--k must be <= --n, got --k {k} --n {args.n}"
+    n_min, n_max = getattr(args, "n_min", None), getattr(args, "n_max", None)
+    if n_min is not None and n_min > n_max:
+        return f"--n-min must be <= --n-max, got {n_min} > {n_max}"
+    if getattr(args, "delay", None) and not getattr(args, "max_delay", None):
+        return "--delay > 0 requires --max-delay >= 1"
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    conflict = _cross_flag_error(args)
+    if conflict is not None:
+        parser.error(conflict)
     try:
         return _run(args)
     except ConfigError as exc:

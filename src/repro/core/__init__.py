@@ -50,7 +50,7 @@ from repro.core.incremental import (
     default_max_queries,
     required_queries,
 )
-from repro.core.measurement import Measurements, measure, measure_query
+from repro.core.measurement import Measurements, measure
 from repro.core.noise import (
     Channel,
     GaussianQueryNoise,
@@ -65,12 +65,12 @@ from repro.core.pooling import (
     PoolingGraphBuilder,
     default_gamma,
     sample_pooling_graph,
-    sample_query,
     sample_regular_design,
 )
 from repro.core.scores import (
-    CENTERING_MODES,
+    CENTERINGS,
     centered_scores,
+    centering_offset,
     expected_query_result,
     scores_from_measurements,
     separation_margin,
@@ -101,7 +101,6 @@ __all__ = [
     "PoolingGraphBuilder",
     "sample_pooling_graph",
     "sample_pooling_graph_batch",
-    "sample_query",
     "sample_regular_design",
     "default_gamma",
     # batch engine
@@ -121,7 +120,6 @@ __all__ = [
     # measurement
     "Measurements",
     "measure",
-    "measure_query",
     # fault scenarios (measurement corruption + network-fault specs)
     "CorruptionModel",
     "CorruptionReport",
@@ -130,8 +128,9 @@ __all__ = [
     "corruption_rng",
     "network_fault_rng",
     # scores / greedy
-    "CENTERING_MODES",
+    "CENTERINGS",
     "centered_scores",
+    "centering_offset",
     "expected_query_result",
     "scores_from_measurements",
     "top_k_estimate",

@@ -1,18 +1,12 @@
 """Vectorized batch simulation engine for the paper's experiments.
 
-The figure pipelines (Figs. 2-5) historically simulated one query node
-at a time: :func:`~repro.core.pooling.sample_pooling_graph` runs one
-``np.unique`` per query, and
-:meth:`~repro.core.incremental.IncrementalDecoder.add_query` makes one
-RNG call per query. Both loops dominate every benchmark. This module
-replaces them with batched equivalents:
+The figure pipelines draw their queries in blocks, never one query
+node at a time. This module holds the simulators built on the
+vectorized sampler of :mod:`repro.core.pooling` (one ``integers`` call
+per block, one CSR construction instead of a Python loop per query):
 
-* :func:`sample_pooling_graph_batch` draws all ``m * gamma`` edges with
-  a **single** ``rng.integers`` call and assembles the CSR layout with
-  one construction instead of ``m`` Python iterations: rows sorted as
-  the narrowest unsigned dtype holding the agent ids (a radix sort up
-  to 2**8 agents), run starts counted per row, and the runs written
-  into preallocated outputs, in row chunks;
+* :func:`draw_instance` / :func:`draw_instance_stack` draw fixed-``m``
+  trials, one by one or into one block-diagonal stack;
 * :class:`BatchTrialRunner` runs many independent trials
   (graph -> measure -> score -> decode) with per-trial child seeds,
   stacking the decode/evaluate stages into single array operations
@@ -29,13 +23,12 @@ Seed compatibility
 NumPy's ``Generator`` draws bounded integers, binomials and normals
 element by element from the underlying bit stream, so one batched call
 consumes the stream exactly like the equivalent sequence of per-query
-calls.  Consequently:
+calls. Consequently:
 
-* ``sample_pooling_graph_batch(n, m, gamma, rng)`` returns the *same
-  graph* as the legacy per-query ``sample_pooling_graph`` for the same
-  seed;
-* ``BatchTrialRunner.run_trials`` reproduces the legacy
-  truth/graph/measure/decode trial loop bit for bit (same per-trial
+* :func:`~repro.core.pooling.sample_pooling_graph` returns the *same
+  graph* as drawing its queries one at a time on the same seed;
+* ``BatchTrialRunner.run_trials`` reproduces the per-trial
+  truth/graph/measure/decode loop bit for bit (same per-trial
   spawned seeds, same results);
 * the chunked simulator reproduces the query-by-query procedure's
   stopping ``m`` exactly for channels that draw no per-query noise
@@ -59,8 +52,18 @@ from repro.core.chunking import chunk_bounds
 from repro.core.ground_truth import GroundTruth, sample_ground_truth
 from repro.core.incremental import default_max_queries
 from repro.core.noise import Channel, NoiselessChannel
-from repro.core.pooling import PoolingGraph, default_gamma, sample_pooling_graph
-from repro.core.scores import decode_top_k_stacked, expected_query_result
+from repro.core.pooling import (
+    _CSR_CHUNK_DRAWS,
+    PoolingGraph,
+    _csr_from_draws,
+    _draw_agents,
+    _fill_indptr,
+    _sort_rows,
+    _write_csr,
+    default_gamma,
+    sample_pooling_graph,
+)
+from repro.core.scores import centering_offset, decode_top_k_stacked
 from repro.core.types import ReconstructionResult, RequiredQueriesResult
 from repro.utils.rng import RngLike, normalize_rng, spawn_rngs
 from repro.utils.validation import check_positive_int
@@ -75,103 +78,6 @@ DEFAULT_BLOCK_ELEMENTS = 2**22
 #: first block size of the chunked incremental simulator; blocks then
 #: grow geometrically (doubling) up to the element cap.
 DEFAULT_INITIAL_BLOCK = 32
-
-#: draws per row chunk of the CSR construction, per draw call of a
-#: :class:`MeasurementStream` block, and per row slice a streaming
-#: stream hands out. Bounds a chunk's transients (its int32 draws,
-#: their intp cast for the 1-agent lookup, the run flags and run
-#: indices) to a few MiB.
-_CSR_CHUNK_DRAWS = 2**18
-
-
-def _sorted_runs(draws: np.ndarray, dtype: np.dtype):
-    """Sort a row chunk narrowed to ``dtype``; flag where value runs start.
-
-    A chunk of another dtype is sorted in a narrowed copy. A chunk
-    already in ``dtype`` is sorted in place: the caller hands over a
-    buffer it owns (:class:`MeasurementStream` stores its blocks in
-    the sort dtype for this). Returns the sorted rows, the
-    ``(rows, gamma)`` run-start flags and the number of distinct
-    agents per row.
-    """
-    rows = draws.astype(dtype, copy=False)
-    # Sorted integer rows are unique, so the kind never shows in the
-    # output. NumPy's radix sort ("stable") pays only for 1-byte keys;
-    # for wider keys the default sort measured 2-5x faster.
-    rows.sort(axis=1, kind="stable" if dtype.itemsize == 1 else None)
-    starts = np.empty(rows.shape, dtype=bool)
-    starts[:, 0] = True
-    np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
-    return rows, starts, np.count_nonzero(starts, axis=1)
-
-
-def _write_runs(rows, starts, agents: np.ndarray, counts: np.ndarray) -> None:
-    """Write a chunk's run values and run lengths into output slices."""
-    idx = np.flatnonzero(starts)
-    agents[:] = rows.ravel()[idx]
-    np.subtract(idx[1:], idx[:-1], out=counts[:-1])
-    counts[-1] = rows.size - idx[-1]
-
-
-def _sort_rows(draws: np.ndarray, n: int):
-    """First CSR pass: sort ``draws`` in row chunks, narrowed for ``n`` agents.
-
-    Returns the sort dtype, the chunks' row bounds and their
-    :func:`_sorted_runs`.
-    """
-    b, gamma = draws.shape
-    dtype = np.min_scalar_type(n - 1)
-    bounds = chunk_bounds(b, -(-b * gamma // _CSR_CHUNK_DRAWS))
-    return dtype, bounds, [_sorted_runs(draws[lo:hi], dtype) for lo, hi in bounds]
-
-
-def _fill_indptr(runs, indptr: np.ndarray) -> None:
-    """Write ``indptr[1:]`` from the runs' per-row sizes, after ``indptr[0]``."""
-    np.cumsum(np.concatenate([sizes for _, _, sizes in runs]), out=indptr[1:])
-    indptr[1:] += indptr[0]
-
-
-def _write_csr(bounds, runs, indptr, agents, counts) -> None:
-    """Second CSR pass: write each chunk's runs at its ``indptr`` slice."""
-    for (lo, hi), (rows, starts, _) in zip(bounds, runs):
-        e_lo, e_hi = indptr[lo], indptr[hi]
-        _write_runs(rows, starts, agents[e_lo:e_hi], counts[e_lo:e_hi])
-
-
-def _csr_from_draws(
-    draws: np.ndarray,
-    n: int,
-    *,
-    agent_dtype: Optional[np.dtype] = np.int64,
-    count_dtype: np.dtype = np.int64,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse raw edge draws ``(b, gamma)`` into the CSR triple.
-
-    Each row is sorted, and runs of equal values become one distinct
-    incidence with a multiplicity — the batched equivalent of the
-    per-query ``np.unique(..., return_counts=True)``. Rows are sorted as
-    the narrowest unsigned integers holding ``n - 1`` (a radix sort up
-    to 2**8 agents, a sort over fewer bytes than int64 above). The work
-    runs in row chunks — a first pass sorts and counts the distinct
-    agents per row, which fixes ``indptr``; a second pass writes each
-    chunk's runs straight into its slice of the preallocated outputs.
-
-    ``agents`` and ``counts`` take the requested dtypes, which must
-    hold ``n - 1`` and ``gamma``; ``agent_dtype=None`` keeps the sort
-    dtype (for consumers that only index with it). ``indptr`` is always
-    int64. ``draws`` of another dtype (the int32/int64 draws) are left
-    unmodified; ``draws`` already in the sort dtype are sorted in place
-    (see :func:`_sorted_runs`).
-    """
-    dtype, bounds, runs = _sort_rows(draws, n)
-    indptr = np.empty(draws.shape[0] + 1, dtype=np.int64)
-    indptr[0] = 0
-    _fill_indptr(runs, indptr)
-    edges = int(indptr[-1])
-    agents = np.empty(edges, dtype=dtype if agent_dtype is None else agent_dtype)
-    counts = np.empty(edges, dtype=count_dtype)
-    _write_csr(bounds, runs, indptr, agents, counts)
-    return indptr, agents, counts
 
 
 def _narrowest_int(limit: int) -> np.dtype:
@@ -195,62 +101,15 @@ def _merge_parts(*parts: List[np.ndarray]) -> Tuple[np.ndarray, ...]:
     return merged
 
 
-def _draw_agents(gen: np.random.Generator, n: int, shape) -> np.ndarray:
-    """Uniform agent ids in ``[0, n)``; int32 whenever they fit.
-
-    An int32 draw yields the same values as the default int64 one and
-    leaves the generator in the same state, in half the memory.
-    (Narrower draws do not: 16-bit draws consume the stream
-    differently.)
-    """
-    if n <= 2**31:
-        return gen.integers(0, n, size=shape, dtype=np.int32)
-    return gen.integers(0, n, size=shape)
-
-
 def _rows_of(indptr: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """CSR rows owning the incidence ``positions`` (empty rows allowed)."""
     return np.searchsorted(indptr, positions, side="right") - 1
 
 
-def sample_pooling_graph_batch(
-    n: int,
-    m: int,
-    gamma: Optional[int] = None,
-    rng: RngLike = None,
-    *,
-    with_replacement: bool = True,
-) -> PoolingGraph:
-    """Draw a pooling graph from the paper's model in one vectorized pass.
-
-    Seed-compatible with :func:`~repro.core.pooling.sample_pooling_graph`:
-    for the same ``rng`` state both functions return identical graphs,
-    because a single ``integers`` call of shape ``(m, gamma)`` consumes
-    the generator exactly like ``m`` sequential per-query calls.
-
-    The ``with_replacement=False`` ablation design draws each query
-    without replacement; that path has no batched ``Generator``
-    primitive with the same stream, so it delegates to the legacy
-    per-query sampler to keep seed compatibility.
-    """
-    n = check_positive_int(n, "n")
-    m = check_positive_int(m, "m", minimum=0)
-    gamma = default_gamma(n) if gamma is None else check_positive_int(gamma, "gamma")
-    if not with_replacement:
-        return sample_pooling_graph(n, m, gamma, rng, with_replacement=False)
-    if m == 0:
-        return PoolingGraph(
-            n=n,
-            gamma=gamma,
-            indptr=np.zeros(1, dtype=np.int64),
-            agents=np.zeros(0, dtype=np.int64),
-            counts=np.zeros(0, dtype=np.int64),
-        )
-    draws = _draw_agents(normalize_rng(rng), n, (m, gamma))
-    indptr, agents, counts = _csr_from_draws(draws, n)
-    # The construction guarantees the CSR invariants, so skip the
-    # multi-pass __post_init__ validation on this hot path.
-    return PoolingGraph._unchecked(n, gamma, indptr, agents, counts)
+#: A second name for :func:`~repro.core.pooling.sample_pooling_graph`.
+#: perfbench wraps and calls ``batch.sample_pooling_graph_batch``, and
+#: its files stay fixed so that runs compare across versions.
+sample_pooling_graph_batch = sample_pooling_graph
 
 
 def draw_instance(
@@ -267,7 +126,7 @@ def draw_instance(
     """
     gen = normalize_rng(seed)
     truth = sample_ground_truth(n, k, gen)
-    return gen, truth, sample_pooling_graph_batch(n, m, gamma, gen)
+    return gen, truth, sample_pooling_graph(n, m, gamma, gen)
 
 
 class InstanceStack:
@@ -700,7 +559,7 @@ class _SuccessScanner:
     """Exact first-success scan with a lazy zeros-maximum certificate.
 
     Checking strict score separation after every query costs O(n) per
-    query in the legacy loop, and a dense O(block x n) cumulative
+    query in a query-by-query loop, and a dense O(block x n) cumulative
     matrix would make blocks no cheaper. The scanner instead tracks,
     per slice of queries:
 
@@ -850,16 +709,7 @@ def first_success_m(
     results = np.asarray(results, dtype=np.float64)
     if results.shape != (graph.m,):
         raise ValueError(f"results must have shape ({graph.m},), got {results.shape}")
-    if centering == "half_k":
-        offset = truth.k / 2.0
-    elif centering == "oracle":
-        if channel is None:
-            raise ValueError("oracle centering requires the channel")
-        offset = expected_query_result(channel, graph.n, truth.k, graph.gamma)
-    else:
-        raise ValueError(
-            f"unknown centering {centering!r}; valid: ('half_k', 'oracle')"
-        )
+    offset = centering_offset(centering, channel, graph.n, truth.k, graph.gamma)
     deltas = results - offset
     scanner = _SuccessScanner(truth)
     block = max(1, block_elements // max(int(graph.gamma), truth.k, 1))
@@ -889,12 +739,12 @@ class BatchTrialRunner:
     """Vectorized many-trial simulation for one ``(n, k, channel)`` cell.
 
     Two entry points, both returning the same result types as the
-    legacy per-query code paths:
+    per-trial decoders:
 
     * :meth:`run_trials` — fixed-``m`` reconstruction trials
       (graph -> measure -> score -> decode), sampled with per-trial
       child seeds and decoded/evaluated as one stacked computation.
-      Bit-for-bit identical to running the legacy
+      Bit-for-bit identical to running the per-trial
       truth/graph/measure/:func:`~repro.core.greedy.greedy_reconstruct`
       loop over ``spawn_rngs(seed, trials)``.
     * :meth:`required_queries` — the chunked incremental simulator:
@@ -920,18 +770,14 @@ class BatchTrialRunner:
         self.k = check_positive_int(k, "k")
         self.channel = channel if channel is not None else NoiselessChannel()
         self.gamma = default_gamma(n) if gamma is None else check_positive_int(gamma, "gamma")
-        if centering not in ("half_k", "oracle"):
-            raise ValueError(
-                f"unknown centering {centering!r}; valid: ('half_k', 'oracle')"
-            )
+        #: per-query score offset of the centering (see
+        #: :func:`repro.core.scores.centering_offset`)
+        self.offset = centering_offset(
+            centering, self.channel, self.n, self.k, self.gamma
+        )
         self.centering = centering
         self._initial_block = check_positive_int(initial_block, "initial_block")
         self._block_elements = check_positive_int(block_elements, "block_elements")
-
-    def _offset(self) -> float:
-        if self.centering == "oracle":
-            return expected_query_result(self.channel, self.n, self.k, self.gamma)
-        return self.k / 2.0
 
     # -- fixed-m stacked trials -----------------------------------------
 
@@ -963,7 +809,7 @@ class BatchTrialRunner:
         trials = len(seeds)
         if trials == 0:
             return []
-        n, k, offset = self.n, self.k, self._offset()
+        n, k, offset = self.n, self.k, self.offset
         scores = np.empty((trials, n), dtype=np.float64)
         sigma = np.empty((trials, n), dtype=np.int8)
         for t, seed_t in enumerate(seeds):
@@ -1031,7 +877,7 @@ class BatchTrialRunner:
             )
         if max_m is None:
             max_m = default_max_queries(self.n, self.k, self.channel)
-        offset = self._offset()
+        offset = self.offset
         scanner = _SuccessScanner(truth)
         # The shared block-grown stream (sampling + measurement); the
         # greedy scan consumes it slice by slice and stores nothing, so

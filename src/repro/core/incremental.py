@@ -1,4 +1,4 @@
-"""Incremental query-by-query simulation (required number of queries).
+"""Incremental query-by-query decoding (required number of queries).
 
 The paper measures "the required number of queries" (Figures 2-5) with
 the following procedure (Section V, "Implementation Details"):
@@ -17,10 +17,13 @@ reconstruction, so the stopping criterion is
 
 :class:`IncrementalDecoder` maintains the running scores in O(distinct
 agents per query) per step; the success check is a vectorized O(n) scan.
-It is the streaming state the decode service keeps per session.
-:func:`required_queries` runs the procedure through the chunked
-simulator of :mod:`repro.core.batch`, which samples queries in blocks
-but reports the same query-by-query stopping rule.
+It is the streaming state the decode service keeps per session, fed
+measured queries through :meth:`~IncrementalDecoder.ingest_query`; it
+samples nothing itself. :func:`required_queries` runs the procedure
+through the chunked simulator of :mod:`repro.core.batch`, which samples
+queries in blocks but reports the same query-by-query stopping rule
+(the one-query-per-step form is the test reference
+``tests/reference.py::required_queries_per_query``).
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ import numpy as np
 
 from repro.core.ground_truth import GroundTruth
 from repro.core.noise import Channel, NoiselessChannel
-from repro.core.pooling import default_gamma, sample_query
-from repro.core.scores import separation_margin, top_k_estimate
+from repro.core.pooling import default_gamma
+from repro.core.scores import centering_offset, separation_margin, top_k_estimate
 from repro.core.types import ReconstructionResult, RequiredQueriesResult, evaluate_estimate
-from repro.utils.rng import RngLike, normalize_rng
+from repro.utils.rng import RngLike
 from repro.utils.validation import check_positive_int
 
 
@@ -53,50 +56,21 @@ class IncrementalDecoder:
         self.n = truth.n
         self.k = truth.k
         self.gamma = default_gamma(self.n) if gamma is None else check_positive_int(gamma, "gamma")
-        if centering == "half_k":
-            # Algorithm 1, line 14: subtract k/2 per distinct query.
-            self._offset = self.k / 2.0
-        elif centering == "oracle":
-            # The analysis-side centering (Eq. 3-4): subtract the
-            # channel-aware expected query result. Identical to half_k
-            # for the noiseless channel; essential for q > 0, where the
-            # false-positive bias otherwise couples with Delta*
-            # fluctuations and inflates the score variance.
-            from repro.core.scores import expected_query_result
-
-            self._offset = expected_query_result(
-                self.channel, self.n, self.k, self.gamma
-            )
-        else:
-            raise ValueError(
-                f"unknown centering {centering!r}; valid: ('half_k', 'oracle')"
-            )
+        # Algorithm 1, line 14 subtracts k/2 per distinct query; the
+        # oracle centering (Eq. 3-4) subtracts the channel-aware
+        # expected query result instead. The two coincide for the
+        # noiseless channel; the oracle matters for q > 0, where the
+        # false-positive bias otherwise couples with Delta*
+        # fluctuations and inflates the score variance.
+        self._offset = centering_offset(
+            centering, self.channel, self.n, self.k, self.gamma
+        )
         self.centering = centering
         self.m = 0
         self.psi = np.zeros(self.n, dtype=np.float64)
         self.delta_star = np.zeros(self.n, dtype=np.int64)
         self.delta = np.zeros(self.n, dtype=np.int64)
         self.scores = np.zeros(self.n, dtype=np.float64)
-        self._sigma64 = truth.sigma.astype(np.int64)
-        self._ones_mask = truth.sigma == 1
-
-    def add_query(self, rng: RngLike = None) -> float:
-        """Sample one query, measure it through the channel, update state.
-
-        Returns the (noisy) query result.
-        """
-        gen = normalize_rng(rng)
-        agents, counts = sample_query(self.n, self.gamma, gen)
-        e1 = int(np.dot(counts, self._sigma64[agents]))
-        # The channel must see the *actual* number of edges, not the
-        # nominal gamma: for the paper's with-replacement design they
-        # coincide (counts.sum() == gamma), but variable-size designs
-        # (e.g. sample_regular_design) would otherwise get the wrong
-        # Bin(gamma - e1, q) noise law.
-        size = int(counts.sum())
-        result = float(self.channel.measure(np.asarray([e1]), size, gen)[0])
-        self.ingest_query(agents, counts, result)
-        return result
 
     def ingest_query(
         self, agents: np.ndarray, counts: np.ndarray, result: float
@@ -105,9 +79,10 @@ class IncrementalDecoder:
 
         ``agents`` are the query's distinct members, ``counts`` their
         multiplicities and ``result`` the (noisy) measured sum. This is
-        the entry point for replaying recorded pooling data or feeding
-        a pre-sampled :class:`~repro.core.pooling.PoolingGraph` — the
-        scores then match the batch decoder on the same data exactly.
+        the one way in: the decode service feeds it wire-delivered
+        queries and replays recorded ones, and a pre-sampled
+        :class:`~repro.core.pooling.PoolingGraph` can be fed row by row
+        — the scores then match the batch decoder on the same data.
         """
         agents = np.asarray(agents, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)

@@ -79,32 +79,4 @@ def measure(
     return Measurements(graph=graph, truth=truth, channel=channel, results=results)
 
 
-def measure_query(
-    agents: np.ndarray,
-    counts: np.ndarray,
-    sigma: np.ndarray,
-    channel: Channel,
-    gamma: Optional[int] = None,
-    rng: RngLike = None,
-) -> float:
-    """Measure a single query (used by the incremental simulator).
-
-    Parameters mirror one row of the CSR pooling graph. Returns the
-    (possibly noisy) query result.
-
-    The noise law is driven by the query's *actual* edge count
-    ``counts.sum()``, not the design's nominal ``gamma``: the two
-    coincide for the paper's fixed-size design, but variable-size
-    designs (e.g. :func:`~repro.core.pooling.sample_regular_design`)
-    would otherwise draw ``Bin(gamma - e1, q)`` with the wrong size.
-    ``gamma`` is retained for call-site compatibility and ignored.
-    """
-    gen = normalize_rng(rng)
-    counts = np.asarray(counts, dtype=np.int64)
-    e1 = int(np.dot(counts, sigma[agents].astype(np.int64)))
-    size = int(counts.sum())
-    result = channel.measure(np.asarray([e1]), size, gen)[0]
-    return float(result)
-
-
-__all__ = ["Measurements", "measure", "measure_query"]
+__all__ = ["Measurements", "measure"]

@@ -11,6 +11,9 @@ Under noise the expected query result shifts (Eq. 4 of the paper), so we
 also provide an *oracle* centering that uses the channel's edge mean.
 Because the degrees ``Delta*_i`` concentrate (Corollary 5), the choice
 barely matters — ablation A2 quantifies this.
+
+:func:`centering_offset` is the one place a centering name becomes an
+offset; every decoder, simulator and the decode service go through it.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import numpy as np
 from repro.core.measurement import Measurements
 from repro.core.noise import Channel
 
-#: valid centering mode names
-CENTERING_MODES = ("half_k", "oracle", "none")
+#: valid centering names
+CENTERINGS = ("half_k", "oracle")
 
 
 def expected_query_result(channel: Channel, n: int, k: int, gamma: int) -> float:
@@ -36,61 +39,51 @@ def expected_query_result(channel: Channel, n: int, k: int, gamma: int) -> float
     return gamma * channel.edge_mean(k / n)
 
 
-def centered_scores(
-    psi: np.ndarray,
-    delta_star: np.ndarray,
-    k: int,
-    *,
-    mode: str = "half_k",
-    expected_result: Optional[float] = None,
-) -> np.ndarray:
-    """Apply a centering mode to raw neighborhood sums.
+def centering_offset(
+    centering: str, channel: Optional[Channel], n: int, k: int, gamma: int
+) -> float:
+    """The score offset a centering subtracts per distinct query.
 
-    Parameters
-    ----------
-    psi:
-        Raw neighborhood sums ``Psi_i``.
-    delta_star:
-        Distinct degrees ``Delta*_i``.
-    k:
-        Number of 1-agents (known to the algorithm, as in the paper).
-    mode:
-        ``"half_k"`` — the paper's ``Psi_i - Delta*_i * k/2``;
-        ``"oracle"`` — ``Psi_i - Delta*_i * expected_result`` with the
-        channel-aware expected query result;
-        ``"none"`` — raw ``Psi_i``.
-    expected_result:
-        Required when ``mode == "oracle"``.
+    ``"half_k"`` is the paper's ``k / 2`` (Algorithm 1, line 14);
+    ``"oracle"`` is the channel-aware :func:`expected_query_result`,
+    which needs the ``channel``. Any other name raises ``ValueError``.
+    """
+    if centering == "half_k":
+        return k / 2.0
+    if centering == "oracle":
+        if channel is None:
+            raise ValueError("oracle centering requires the channel")
+        return expected_query_result(channel, n, k, gamma)
+    raise ValueError(f"unknown centering {centering!r}; valid: {CENTERINGS}")
+
+
+def centered_scores(
+    psi: np.ndarray, delta_star: np.ndarray, offset: float
+) -> np.ndarray:
+    """``Psi_i - Delta*_i * offset`` for raw neighborhood sums.
+
+    ``offset`` is a centering's per-query offset
+    (:func:`centering_offset`).
     """
     psi = np.asarray(psi, dtype=np.float64)
     delta_star = np.asarray(delta_star, dtype=np.float64)
     if psi.shape != delta_star.shape:
         raise ValueError("psi and delta_star must have the same shape")
-    if mode == "half_k":
-        return psi - delta_star * (k / 2.0)
-    if mode == "oracle":
-        if expected_result is None:
-            raise ValueError("oracle centering requires expected_result")
-        return psi - delta_star * float(expected_result)
-    if mode == "none":
-        return psi.copy()
-    raise ValueError(f"unknown centering mode {mode!r}; valid: {CENTERING_MODES}")
+    return psi - delta_star * float(offset)
 
 
 def scores_from_measurements(
     measurements: Measurements, *, mode: str = "half_k"
 ) -> np.ndarray:
-    """Compute centered scores directly from a :class:`Measurements`."""
+    """Centered scores of a :class:`Measurements` under centering ``mode``."""
     graph = measurements.graph
-    psi = graph.neighborhood_sums(measurements.results)
-    delta_star = graph.distinct_degrees()
-    expected = None
-    if mode == "oracle":
-        expected = expected_query_result(
-            measurements.channel, graph.n, measurements.k, graph.gamma
-        )
+    offset = centering_offset(
+        mode, measurements.channel, graph.n, measurements.k, graph.gamma
+    )
     return centered_scores(
-        psi, delta_star, measurements.k, mode=mode, expected_result=expected
+        graph.neighborhood_sums(measurements.results),
+        graph.distinct_degrees(),
+        offset,
     )
 
 
@@ -176,8 +169,9 @@ def separation_margin(scores: np.ndarray, sigma: np.ndarray) -> float:
 
 
 __all__ = [
-    "CENTERING_MODES",
+    "CENTERINGS",
     "expected_query_result",
+    "centering_offset",
     "centered_scores",
     "scores_from_measurements",
     "top_k_estimate",

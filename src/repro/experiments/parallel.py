@@ -475,8 +475,8 @@ def _fixed_m_group(
         run_amp_prepared,
     )
     from repro.amp.kernels import CSRArrays
-    from repro.core.batch import BatchTrialRunner, draw_instance_stack
-    from repro.core.scores import decode_top_k_stacked
+    from repro.core.batch import draw_instance_stack
+    from repro.core.scores import centering_offset, decode_top_k_stacked
     from repro.utils.rng import copy_generator
 
     n, k = specs[0]["n"], specs[0]["k"]
@@ -488,10 +488,9 @@ def _fixed_m_group(
     for i, spec in enumerate(specs):
         kwargs = spec["algorithm_kwargs"]
         if spec["batch_mode"] == "greedy":
-            offsets[i] = BatchTrialRunner(
-                n, k, spec["channel"], gamma=gamma,
-                centering=kwargs.get("centering", "half_k"),
-            )._offset()
+            offsets[i] = centering_offset(
+                kwargs.get("centering", "half_k"), spec["channel"], n, k, gamma
+            )
         else:
             amp[i] = kwargs
     m = check_positive_int(m, "m", minimum=1 if amp else 0)

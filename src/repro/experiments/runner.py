@@ -30,8 +30,8 @@ Fixed-``m`` trials (:func:`success_rate_curve`) and required-m trials
 ===================  ==================================================
 algorithm            simulator
 ===================  ==================================================
-``greedy``           fixed-m: one block-diagonal instance stack per
-                     chunk (:func:`repro.core.batch.
+``greedy``           fixed-m (every centering): one block-diagonal
+                     instance stack per chunk (:func:`repro.core.batch.
                      draw_instance_stack`), stacked scores decoded by
                      :func:`repro.core.scores.decode_top_k_stacked`;
                      required-m:
@@ -55,11 +55,12 @@ A ``corruption=`` model on either primitive runs the per-trial loop
 simulators never see corrupted cells, and a corrupted AMP required-m
 cell stacks its probes as an honest one does.
 
-The stacked greedy path covers ``algorithm_kwargs`` of ``centering``
-in ``("half_k", "oracle")``; any other greedy keyword runs the
-seed-compatible per-trial loop, so results never depend on which path
-ran. AMP takes ``denoiser`` and ``config`` only, and always runs
-stacked. Both stacked paths run through
+Greedy takes ``centering`` (one of
+:data:`~repro.core.scores.CENTERINGS`) as its only ``algorithm_kwargs``
+and AMP takes ``denoiser`` and ``config``; any other keyword or
+centering raises when the cell is planned. So every honest greedy or
+AMP cell on the paper's with-replacement design runs stacked, for
+every centering. Both stacked paths run through
 :func:`repro.experiments.parallel._fixed_m_group`, where sibling cells
 on equal seeds share one instance stack. Required-m runs exist for
 ``greedy`` (the paper's incremental separation stopping rule) and
@@ -108,6 +109,7 @@ import numpy as np
 from repro.amp import AMPConfig, run_amp
 from repro.core.greedy import greedy_reconstruct
 from repro.core.noise import Channel
+from repro.core.scores import CENTERINGS
 from repro.core.types import ReconstructionResult
 from repro.distributed.runner import run_distributed_algorithm1
 from repro.experiments.scheduler import SweepPlan
@@ -130,16 +132,21 @@ def _batch_mode(algorithm: str, algorithm_kwargs: dict) -> Optional[str]:
     Returns ``"greedy"`` / ``"amp"`` when a seed-identical stacked
     implementation covers the request, else ``None`` (the per-trial
     loop). See the module docstring's support matrix for the covered
-    ``algorithm_kwargs``; an AMP keyword other than ``denoiser`` or
-    ``config`` raises.
+    ``algorithm_kwargs``; a greedy keyword other than ``centering``, a
+    centering outside :data:`~repro.core.scores.CENTERINGS`, or an AMP
+    keyword other than ``denoiser`` or ``config`` raises.
     """
-    if (
-        algorithm == "greedy"
-        and set(algorithm_kwargs) <= {"centering"}
-        # the batch runner supports only these centerings; anything else
-        # (e.g. "none") falls back to the seed-compatible per-trial loop
-        and algorithm_kwargs.get("centering", "half_k") in ("half_k", "oracle")
-    ):
+    if algorithm == "greedy":
+        unknown = sorted(set(algorithm_kwargs) - {"centering"})
+        if unknown:
+            raise TypeError(
+                f"unknown greedy algorithm_kwargs {unknown}; valid: ['centering']"
+            )
+        centering = algorithm_kwargs.get("centering", "half_k")
+        if centering not in CENTERINGS:
+            raise ValueError(
+                f"unknown centering {centering!r}; valid: {CENTERINGS}"
+            )
         return "greedy"
     if algorithm == "amp":
         unknown = sorted(set(algorithm_kwargs) - {"denoiser", "config"})

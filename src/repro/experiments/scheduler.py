@@ -212,6 +212,7 @@ class SweepPlan:
         ``twostage`` path).
         """
         from repro.core.corruption import CorruptionModel
+        from repro.core.scores import CENTERINGS
         from repro.experiments.runner import REQUIRED_QUERIES_ALGORITHMS
 
         check_positive_int(trials, "trials")
@@ -219,6 +220,10 @@ class SweepPlan:
             raise ValueError(
                 f"unknown required-queries algorithm {algorithm!r}; "
                 f"valid: {REQUIRED_QUERIES_ALGORITHMS}"
+            )
+        if centering not in CENTERINGS:
+            raise ValueError(
+                f"unknown centering {centering!r}; valid: {CENTERINGS}"
             )
         if corruption is not None and not isinstance(
             corruption, CorruptionModel

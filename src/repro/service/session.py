@@ -43,11 +43,9 @@ from repro.core.noise import (
     make_channel,
 )
 from repro.core.pooling import default_gamma
+from repro.core.scores import CENTERINGS
 from repro.service.errors import InvalidRequest
 from repro.utils.validation import check_positive_int
-
-#: valid centerings, mirroring :class:`IncrementalDecoder`
-CENTERINGS = ("half_k", "oracle")
 
 
 def channel_to_spec(channel: Channel) -> dict:
@@ -324,7 +322,6 @@ class Session:
 
 
 __all__ = [
-    "CENTERINGS",
     "channel_to_spec",
     "channel_from_spec",
     "SessionParams",

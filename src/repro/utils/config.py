@@ -21,11 +21,6 @@ from __future__ import annotations
 import os
 from typing import Optional, Sequence
 
-#: spellings accepted by :func:`env_flag` (case-insensitive)
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off")
-
-
 class ConfigError(ValueError):
     """An environment variable held an invalid value.
 
@@ -96,24 +91,6 @@ def env_float(
     return value
 
 
-def env_flag(name: str) -> bool:
-    """Parse a boolean switch; unset/blank means ``False``.
-
-    Accepts the usual spellings case-insensitively (``1/true/yes/on``
-    and ``0/false/no/off``); anything else is an error rather than a
-    silent "off" — a typo in a switch must never quietly disable it.
-    """
-    raw = env_raw(name)
-    if raw is None:
-        return False
-    word = raw.lower()
-    if word in _TRUE_WORDS:
-        return True
-    if word in _FALSE_WORDS:
-        return False
-    raise _fail(name, f"one of {_TRUE_WORDS + _FALSE_WORDS}", raw)
-
-
 def env_str(
     name: str, *, choices: Optional[Sequence[str]] = None
 ) -> Optional[str]:
@@ -131,6 +108,5 @@ __all__ = [
     "env_raw",
     "env_int",
     "env_float",
-    "env_flag",
     "env_str",
 ]

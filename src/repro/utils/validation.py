@@ -77,20 +77,6 @@ def check_in_range(
     return value
 
 
-def env_int(name: str) -> Optional[int]:
-    """Parse an integer environment variable, or ``None`` when unset/blank.
-
-    Kept as a re-export seam: the implementation (and the single error
-    format every ``REPRO_*`` variable shares) lives in
-    :mod:`repro.utils.config`; range rules belong to the caller (e.g.
-    ``REPRO_WORKERS`` accepts 0 = one per CPU) or to the ``minimum=``
-    option of :func:`repro.utils.config.env_int`.
-    """
-    from repro.utils.config import env_int as config_env_int
-
-    return config_env_int(name)
-
-
 def _as_float(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(
         value, (int, float, np.integer, np.floating)
@@ -110,5 +96,4 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_in_range",
-    "env_int",
 ]

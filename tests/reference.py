@@ -5,6 +5,15 @@ obviously-correct forms of the same quantities, kept here so the
 equivalence and agreement tests have something independent to compare
 with:
 
+* :func:`sample_query` / :func:`sample_pooling_graph_per_query` — the
+  paper's pooling model one query at a time: one ``integers`` call and
+  one ``np.unique`` per query. :func:`repro.core.pooling.
+  sample_pooling_graph`, which draws all queries in one call, returns
+  the same graph seed for seed.
+* :func:`measured_query` / :func:`add_sampled_query` — one query
+  sampled, measured through a channel, and (for the latter) folded
+  into an :class:`~repro.core.incremental.IncrementalDecoder` through
+  its ``ingest_query``.
 * :func:`required_queries_per_query` — the paper's required-m
   procedure one query at a time (Section V, "Implementation
   Details"): sample a query, measure it, update the running scores,
@@ -22,8 +31,8 @@ with:
   any decoder, optionally over a corrupted stream: the definition the
   ``algorithm="twostage"`` and corrupted required-m cells follow.
 * :func:`fixed_m_trial_outcomes` — the fixed-m trial loop (truth,
-  graph, channel, decode per trial), which the stacked greedy and AMP
-  runners reproduce bit for bit.
+  per-query graph, channel, decode per trial), which the stacked greedy
+  and AMP runners reproduce bit for bit.
 * :func:`run_amp_dense` — AMP on the dense adjacency, its products as
   plain closures, which :func:`repro.amp.run_amp`'s sparse operator
   matches up to float round-off.
@@ -36,7 +45,7 @@ with:
   products are checked against.
 """
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,16 +64,61 @@ from repro.core.ground_truth import GroundTruth, sample_ground_truth
 from repro.core.incremental import IncrementalDecoder, default_max_queries
 from repro.core.measurement import Measurements, measure
 from repro.core.noise import Channel
-from repro.core.pooling import (
-    PoolingGraph,
-    PoolingGraphBuilder,
-    default_gamma,
-    sample_pooling_graph,
-)
+from repro.core.pooling import PoolingGraph, PoolingGraphBuilder, default_gamma
 from repro.core.scores import top_k_estimate
 from repro.core.types import RequiredQueriesResult
 from repro.utils.rng import RngLike, normalize_rng, spawn_rngs
 from repro.utils.validation import check_positive_int
+
+
+def sample_query(
+    n: int, gamma: int, rng: RngLike = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One query: ``gamma`` agents uniformly at random with replacement.
+
+    Returns the distinct agent ids (sorted) and their multiplicities,
+    which sum to ``gamma``.
+    """
+    draws = normalize_rng(rng).integers(0, n, size=gamma)
+    agents, counts = np.unique(draws, return_counts=True)
+    return agents.astype(np.int64, copy=False), counts.astype(np.int64, copy=False)
+
+
+def sample_pooling_graph_per_query(
+    n: int, m: int, gamma: Optional[int] = None, rng: RngLike = None
+) -> PoolingGraph:
+    """The paper's with-replacement design, one :func:`sample_query` per row."""
+    gamma = default_gamma(n) if gamma is None else gamma
+    gen = normalize_rng(rng)
+    builder = PoolingGraphBuilder(n, gamma)
+    for _ in range(m):
+        builder.add_query(*sample_query(n, gamma, gen))
+    return builder.build()
+
+
+def measured_query(
+    n: int, gamma: int, sigma: np.ndarray, channel: Channel, rng: RngLike
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Sample one query and measure it: ``(agents, counts, result)``.
+
+    The channel sees the query's realized edge count and its count of
+    edges into 1-agents, as :func:`repro.core.measurement.measure` does
+    for a whole graph.
+    """
+    gen = normalize_rng(rng)
+    agents, counts = sample_query(n, gamma, gen)
+    e1 = int(np.dot(counts, np.asarray(sigma, dtype=np.int64)[agents]))
+    result = float(channel.measure(np.asarray([e1]), int(counts.sum()), gen)[0])
+    return agents, counts, result
+
+
+def add_sampled_query(decoder: IncrementalDecoder, rng: RngLike) -> float:
+    """Sample, measure and ingest one query; return its result."""
+    agents, counts, result = measured_query(
+        decoder.n, decoder.gamma, decoder.truth.sigma, decoder.channel, rng
+    )
+    decoder.ingest_query(agents, counts, result)
+    return result
 
 
 def required_queries_per_query(
@@ -96,7 +150,7 @@ def required_queries_per_query(
     }
     checks = 0
     while decoder.m < max_m:
-        decoder.add_query(gen)
+        add_sampled_query(decoder, gen)
         if decoder.m % check_every == 0:
             checks += 1
             if decoder.is_successful():
@@ -244,7 +298,7 @@ def fixed_m_trial_outcomes(
     for seed in seeds:
         gen = normalize_rng(seed)
         truth = sample_ground_truth(n, k, gen)
-        graph = sample_pooling_graph(n, m, gamma, gen)
+        graph = sample_pooling_graph_per_query(n, m, gamma, gen)
         result = _run_algorithm(
             algorithm, measure(graph, truth, channel, gen), **algorithm_kwargs
         )

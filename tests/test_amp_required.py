@@ -429,10 +429,9 @@ class TestMeasurementStream:
             streaming.prefix(1)
 
     def test_stream_matches_batch_sampler_prefix(self):
-        # The stream's CSR prefix equals a one-shot batch-sampled graph
-        # on the same seed for the noiseless channel (no interleaved
-        # noise draws), for any prefix covered by the first block.
-        from repro.core.batch import sample_pooling_graph_batch
+        # The stream's CSR prefix equals a one-shot sampled graph on
+        # the same seed for the noiseless channel (no interleaved noise
+        # draws), for any prefix covered by the first block.
 
         n, gamma, m = 80, 40, 16
         truth = repro.sample_ground_truth(n, 3, np.random.default_rng(1))
@@ -441,7 +440,7 @@ class TestMeasurementStream:
             np.random.default_rng(42), max_m=m, initial_block=m,
         )
         stream.grow_to(m)
-        graph = sample_pooling_graph_batch(
+        graph = repro.sample_pooling_graph(
             n, m, gamma, np.random.default_rng(42)
         )
         indptr, agents, counts, _ = stream.prefix(m)

@@ -19,18 +19,19 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.batch import (
-    BatchTrialRunner,
-    first_success_m,
-    sample_pooling_graph_batch,
-)
+from repro.core.batch import BatchTrialRunner, first_success_m
 from repro.core.incremental import IncrementalDecoder, required_queries
 from repro.core.measurement import measure
 from repro.core.pooling import sample_pooling_graph
 from repro.experiments.runner import required_queries_trials, success_rate_curve
 from repro.utils.rng import spawn_rngs
 
-from reference import fixed_m_curve, required_queries_per_query
+from reference import (
+    fixed_m_curve,
+    measured_query,
+    required_queries_per_query,
+    sample_pooling_graph_per_query,
+)
 
 
 class TestGraphEquivalence:
@@ -40,8 +41,8 @@ class TestGraphEquivalence:
         [(100, 40, None), (57, 13, 9), (8, 5, 1), (200, 1, 300)],
     )
     def test_batch_sampler_matches_per_query_sampler(self, seed, n, m, gamma):
-        g1 = sample_pooling_graph(n, m, gamma, np.random.default_rng(seed))
-        g2 = sample_pooling_graph_batch(n, m, gamma, np.random.default_rng(seed))
+        g1 = sample_pooling_graph_per_query(n, m, gamma, np.random.default_rng(seed))
+        g2 = sample_pooling_graph(n, m, gamma, np.random.default_rng(seed))
         assert np.array_equal(g1.indptr, g2.indptr)
         assert np.array_equal(g1.agents, g2.agents)
         assert np.array_equal(g1.counts, g2.counts)
@@ -49,28 +50,18 @@ class TestGraphEquivalence:
 
     def test_same_graph_beyond_uint16_agent_ids(self):
         # n > 2**16 exercises the comparison-sort path.
-        g1 = sample_pooling_graph(70_000, 4, 50, np.random.default_rng(7))
-        g2 = sample_pooling_graph_batch(70_000, 4, 50, np.random.default_rng(7))
+        g1 = sample_pooling_graph_per_query(70_000, 4, 50, np.random.default_rng(7))
+        g2 = sample_pooling_graph(70_000, 4, 50, np.random.default_rng(7))
         assert np.array_equal(g1.agents, g2.agents)
         assert np.array_equal(g1.counts, g2.counts)
 
     def test_empty_graph(self):
-        g = sample_pooling_graph_batch(50, 0, rng=0)
+        g = sample_pooling_graph(50, 0, rng=0)
         assert g.m == 0
         assert g.total_edges == 0
 
-    def test_without_replacement_delegates(self):
-        g1 = sample_pooling_graph(
-            60, 10, 20, np.random.default_rng(3), with_replacement=False
-        )
-        g2 = sample_pooling_graph_batch(
-            60, 10, 20, np.random.default_rng(3), with_replacement=False
-        )
-        assert np.array_equal(g1.agents, g2.agents)
-        assert np.all(g2.counts == 1)
-
     def test_csr_invariants(self):
-        g = sample_pooling_graph_batch(37, 25, 50, rng=5)
+        g = sample_pooling_graph(37, 25, 50, rng=5)
         assert g.indptr[0] == 0
         assert g.indptr[-1] == g.agents.size == g.counts.size
         assert np.all(np.diff(g.indptr) >= 1)
@@ -110,7 +101,7 @@ class TestCountingCsr:
     """
 
     def test_dispatch_rule(self):
-        from repro.core.batch import _csr_from_draws
+        from repro.core.pooling import _csr_from_draws
 
         # rows sort as the narrowest unsigned dtype holding n - 1
         cases = [(256, np.uint8), (257, np.uint16), (65_536, np.uint16),
@@ -135,7 +126,8 @@ class TestCountingCsr:
         ],
     )
     def test_identical_to_sort_construction(self, n, m, gamma):
-        from repro.core.batch import _csr_from_draws, _narrowest_int
+        from repro.core.batch import _narrowest_int
+        from repro.core.pooling import _csr_from_draws
 
         draws = np.random.default_rng(13).integers(0, n, size=(m, gamma))
         expected = _reference_csr(draws)
@@ -155,28 +147,28 @@ class TestCountingCsr:
 
     def test_seed_identical_to_legacy_sampler_dense_regime(self):
         # The sampler must return the same *graph* (not just the
-        # same edge multiset) as the legacy per-query sampler.
+        # same edge multiset) as the per-query reference sampler.
         n, m = 70_000, 5
-        g1 = sample_pooling_graph(n, m, None, np.random.default_rng(41))
-        g2 = sample_pooling_graph_batch(n, m, None, np.random.default_rng(41))
+        g1 = sample_pooling_graph_per_query(n, m, None, np.random.default_rng(41))
+        g2 = sample_pooling_graph(n, m, None, np.random.default_rng(41))
         assert np.array_equal(g1.indptr, g2.indptr)
         assert np.array_equal(g1.agents, g2.agents)
         assert np.array_equal(g1.counts, g2.counts)
 
     def test_many_rows_match_legacy(self):
         n, m = 66_000, 40
-        g1 = sample_pooling_graph_batch(n, m, n // 8, np.random.default_rng(5))
-        g2 = sample_pooling_graph(n, m, n // 8, np.random.default_rng(5))
+        g1 = sample_pooling_graph(n, m, n // 8, np.random.default_rng(5))
+        g2 = sample_pooling_graph_per_query(n, m, n // 8, np.random.default_rng(5))
         assert np.array_equal(g1.indptr, g2.indptr)
         assert np.array_equal(g1.agents, g2.agents)
         assert np.array_equal(g1.counts, g2.counts)
 
     def test_sparse_uint32_sort_path_matches_legacy(self):
         # n > 2**16 and sparse: the uint32-narrowed sort must still
-        # return the legacy graph.
+        # return the per-query reference graph.
         n, m, gamma = 70_000, 30, 500
-        g1 = sample_pooling_graph(n, m, gamma, np.random.default_rng(19))
-        g2 = sample_pooling_graph_batch(n, m, gamma, np.random.default_rng(19))
+        g1 = sample_pooling_graph_per_query(n, m, gamma, np.random.default_rng(19))
+        g2 = sample_pooling_graph(n, m, gamma, np.random.default_rng(19))
         assert np.array_equal(g1.indptr, g2.indptr)
         assert np.array_equal(g1.agents, g2.agents)
         assert np.array_equal(g1.counts, g2.counts)
@@ -192,7 +184,7 @@ class TestAgentDraws:
     )
     @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (4, 1000)])
     def test_same_values_and_generator_state(self, seed, n, shape):
-        from repro.core.batch import _draw_agents
+        from repro.core.pooling import _draw_agents
 
         wide_gen = np.random.default_rng(seed)
         narrow_gen = np.random.default_rng(seed)
@@ -216,7 +208,7 @@ class TestAgentDraws:
         # A block drawn in consecutive row chunks (MeasurementStream)
         # is the one-shot draw: 7-column rows give odd-sized chunks,
         # which end on a half-word buffered in the bit generator.
-        from repro.core.batch import _draw_agents
+        from repro.core.pooling import _draw_agents
 
         rows, gamma = 23, 7
         one_gen = np.random.Generator(bit_generator(5))
@@ -239,7 +231,7 @@ class TestAgentDraws:
         )
 
     def test_wide_agent_sets_draw_int64(self):
-        from repro.core.batch import _draw_agents
+        from repro.core.pooling import _draw_agents
 
         draws = _draw_agents(np.random.default_rng(0), 2**31 + 1, (4,))
         assert draws.dtype == np.int64
@@ -309,7 +301,7 @@ class TestStreamBlockMemory:
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_csr_leaves_wide_caller_draws_unmodified(self, dtype):
-        from repro.core.batch import _csr_from_draws
+        from repro.core.pooling import _csr_from_draws
 
         draws = np.random.default_rng(4).integers(0, 1000, size=(30, 500))
         draws = draws.astype(dtype)
@@ -323,31 +315,34 @@ class TestCsrRowChunks:
     """Calls spanning many row chunks build the same CSR triple.
 
     Each test shrinks ``_CSR_CHUNK_DRAWS`` so a small call runs the
-    chunked two-pass construction over many row chunks.
+    chunked two-pass construction over many row chunks (and a stream's
+    blocks over many row slices).
     """
 
     @staticmethod
-    def _small_chunks(monkeypatch, batch_mod):
-        monkeypatch.setattr(batch_mod, "_CSR_CHUNK_DRAWS", 2**10)
+    def _small_chunks(monkeypatch):
+        from repro.core import batch as batch_mod
+        from repro.core import pooling as pooling_mod
+
+        for module in (pooling_mod, batch_mod):
+            monkeypatch.setattr(module, "_CSR_CHUNK_DRAWS", 2**10)
 
     def test_multi_chunk_triple_identical_to_reference(self, monkeypatch):
-        from repro.core import batch as batch_mod
+        from repro.core.pooling import _csr_from_draws
 
-        self._small_chunks(monkeypatch, batch_mod)
+        self._small_chunks(monkeypatch)
         for n, m, gamma in [(70_000, 16, 35_000), (1000, 37, 500), (200, 9, 3)]:
             draws = np.random.default_rng(23).integers(0, n, size=(m, gamma))
-            got = batch_mod._csr_from_draws(draws, n)
+            got = _csr_from_draws(draws, n)
             for a, b in zip(got, _reference_csr(draws)):
                 assert a.dtype == np.int64
                 assert np.array_equal(a, b)
 
     def test_multi_chunk_sampler_seed_identical(self, monkeypatch):
-        from repro.core import batch as batch_mod
-
-        self._small_chunks(monkeypatch, batch_mod)
+        self._small_chunks(monkeypatch)
         n, m = 70_000, 8
-        g1 = sample_pooling_graph_batch(n, m, None, np.random.default_rng(41))
-        g2 = sample_pooling_graph(n, m, None, np.random.default_rng(41))
+        g1 = sample_pooling_graph(n, m, None, np.random.default_rng(41))
+        g2 = sample_pooling_graph_per_query(n, m, None, np.random.default_rng(41))
         assert np.array_equal(g1.indptr, g2.indptr)
         assert np.array_equal(g1.agents, g2.agents)
         assert np.array_equal(g1.counts, g2.counts)
@@ -355,11 +350,9 @@ class TestCsrRowChunks:
     def test_greedy_required_queries_unchanged_across_chunk_sizes(
         self, monkeypatch
     ):
-        from repro.core import batch as batch_mod
-
         runner = BatchTrialRunner(600, 4, repro.ZChannel(0.2))
         default = runner.required_queries_trials(4, seed=11)
-        self._small_chunks(monkeypatch, batch_mod)
+        self._small_chunks(monkeypatch)
         chunked = runner.required_queries_trials(4, seed=11)
         assert [r.required_m for r in default] == [r.required_m for r in chunked]
         assert [r.checks for r in default] == [r.checks for r in chunked]
@@ -407,7 +400,7 @@ class TestRunTrialsEquivalence:
         batch = BatchTrialRunner(n, k, channel).run_trials(m, trials, seed=seed)
         for res, gen in zip(batch, spawn_rngs(seed, trials)):
             truth = repro.sample_ground_truth(n, k, gen)
-            graph = sample_pooling_graph(n, m, rng=gen)
+            graph = sample_pooling_graph_per_query(n, m, rng=gen)
             meas = measure(graph, truth, channel, gen)
             legacy = repro.greedy_reconstruct(meas)
             assert np.array_equal(res.estimate, legacy.estimate)
@@ -424,20 +417,33 @@ class TestRunTrialsEquivalence:
         batch = runner.run_trials(m, trials, seed=seed)
         for res, gen in zip(batch, spawn_rngs(seed, trials)):
             truth = repro.sample_ground_truth(n, k, gen)
-            graph = sample_pooling_graph(n, m, rng=gen)
+            graph = sample_pooling_graph_per_query(n, m, rng=gen)
             meas = measure(graph, truth, channel, gen)
             legacy = repro.greedy_reconstruct(meas, centering="oracle")
             assert np.array_equal(res.scores, legacy.scores)
 
-    def test_unsupported_centering_falls_back_to_legacy(self):
-        # centering="none" is valid for the legacy greedy decoder but
-        # not implemented by the batch runner; the curve must fall back
-        # instead of crashing under the default engine.
-        curve = success_rate_curve(
-            60, 3, repro.ZChannel(0.1), [20], trials=5, seed=2,
-            algorithm_kwargs={"centering": "none"},
-        )
-        assert 0.0 <= curve.success_rates[0] <= 1.0
+    def test_unknown_centering_raises_at_plan_time(self):
+        # Every greedy centering stacks, so an unknown centering or
+        # greedy keyword is refused when the cell is planned, before
+        # any chunk runs.
+        from repro.experiments.scheduler import SweepPlan
+
+        channel = repro.ZChannel(0.1)
+        with pytest.raises(ValueError, match="unknown centering 'none'"):
+            SweepPlan().add_success_curve(
+                60, 3, channel, [20], trials=5,
+                algorithm_kwargs={"centering": "none"},
+            )
+        with pytest.raises(TypeError, match="unknown greedy algorithm_kwargs"):
+            SweepPlan().add_success_curve(
+                60, 3, channel, [20], trials=5,
+                algorithm_kwargs={"centring": "oracle"},
+            )
+        for algorithm in ("greedy", "amp"):
+            with pytest.raises(ValueError, match="unknown centering 'none'"):
+                SweepPlan().add_required_queries(
+                    60, 3, channel, algorithm=algorithm, centering="none"
+                )
 
     def test_success_rate_curve_matches_reference(self):
         kwargs = dict(trials=10, seed=6)
@@ -636,7 +642,7 @@ def _whole_block_required_queries(runner, seed, max_m, check_every):
     n, k, gamma = runner.n, runner.k, runner.gamma
     gen = np.random.default_rng(seed)
     truth = repro.sample_ground_truth(n, k, gen)
-    offset = runner._offset()
+    offset = runner.offset
     cap = max(1, DEFAULT_BLOCK_ELEMENTS // max(gamma, k, 1))
     size = min(DEFAULT_INITIAL_BLOCK, cap)
     scores = np.zeros(n)
@@ -739,7 +745,7 @@ class TestSlicedStreamScan:
 
         gen = np.random.default_rng(11)
         truth = repro.sample_ground_truth(self.N, self.K, gen)
-        graph = sample_pooling_graph_batch(self.N, 90, 60, gen)
+        graph = sample_pooling_graph(self.N, 90, 60, gen)
         deltas = gen.normal(size=graph.m) / 3.0
         never = np.zeros(graph.m, dtype=bool)
 
@@ -819,19 +825,11 @@ class TestSessionStream:
         return QueryStream(n, gamma, truth), gen
 
     def _queries(self, stream, gen, count):
-        sigma = stream.truth.sigma.astype(np.int64)
         channel = repro.ZChannel(0.1)
-        out = []
-        for _ in range(count):
-            agents, counts = repro.sample_query(stream.n, stream.gamma, gen)
-            total = int(np.dot(counts, sigma[agents]))
-            result = float(
-                channel.measure(
-                    np.asarray([total]), int(counts.sum()), gen
-                )[0]
-            )
-            out.append((agents, counts, result))
-        return out
+        return [
+            measured_query(stream.n, stream.gamma, stream.truth.sigma, channel, gen)
+            for _ in range(count)
+        ]
 
     @staticmethod
     def _append(stream, agents, counts, result):

@@ -27,6 +27,30 @@ _BAD_INTEGER_FLAGS = [
     (["serve", "--max-batch", "0"], "--max-batch"),
 ]
 
+#: a bad value per validated float flag outside the channel flags
+_BAD_FLOAT_FLAGS = [
+    (["required-queries", "--theta", "5"], "--theta"),
+    (["required-queries", "--theta", "nan"], "--theta"),
+    (["robustness_comm", "--n-values", "8", "--trials", "1",
+      "--m-fraction", "-1"], "--m-fraction"),
+    (["robustness_comm", "--n-values", "8", "--trials", "1",
+      "--m-fraction", "inf"], "--m-fraction"),
+]
+
+#: flag pairs that contradict each other, and the error they report
+_CONTRADICTING_FLAGS = [
+    (["required-queries", "--n", "10", "--k", "20", "--trials", "1"],
+     "--k must be <= --n, got --k 20 --n 10"),
+    (["fig2", "--n-min", "500", "--n-max", "100"],
+     "--n-min must be <= --n-max, got 500 > 100"),
+    (["all", "--n-min", "500", "--n-max", "100"],
+     "--n-min must be <= --n-max"),
+    (["robustness_loss", "--delay", "0.5"],
+     "--delay > 0 requires --max-delay >= 1"),
+    (["robustness_loss", "--delay", "0.5", "--max-delay", "0"],
+     "--delay > 0 requires --max-delay >= 1"),
+]
+
 
 class TestParser:
     def test_requires_figure(self):
@@ -236,6 +260,33 @@ class TestParser:
         err = capsys.readouterr().err
         assert err.startswith("usage:")
         assert f"argument {flag}" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag", _BAD_FLOAT_FLAGS,
+        ids=[" ".join(argv) for argv, _ in _BAD_FLOAT_FLAGS],
+    )
+    def test_float_flags_fail_at_parse_time(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}" in err
+
+    @pytest.mark.parametrize(
+        "argv, message", _CONTRADICTING_FLAGS,
+        ids=[" ".join(argv) for argv, _ in _CONTRADICTING_FLAGS],
+    )
+    def test_contradicting_flags_exit_2_with_usage(self, argv, message, capsys):
+        # Two flags that each parse but contradict each other exit 2
+        # with a usage line before any trial runs, instead of a
+        # ValueError traceback from the library.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert message in err
 
     def test_bad_environment_variable_exits_2_with_its_message(
         self, monkeypatch, capsys

@@ -11,7 +11,6 @@ import pytest
 from repro.utils import config
 from repro.utils.config import (
     ConfigError,
-    env_flag,
     env_float,
     env_int,
     env_raw,
@@ -99,31 +98,6 @@ def test_float_minimum_and_positive(monkeypatch):
     monkeypatch.setenv(NAME, "-1")
     with pytest.raises(ConfigError, match=r"a number >= 0, got '-1'"):
         env_float(NAME, minimum=0.0)
-
-
-# -- env_flag ------------------------------------------------------------
-
-
-@pytest.mark.parametrize("raw", ["1", "true", "YES", " On "])
-def test_flag_truthy(monkeypatch, raw):
-    monkeypatch.setenv(NAME, raw)
-    assert env_flag(NAME) is True
-
-
-@pytest.mark.parametrize("raw", ["0", "false", "NO", "off"])
-def test_flag_falsy(monkeypatch, raw):
-    monkeypatch.setenv(NAME, raw)
-    assert env_flag(NAME) is False
-
-
-def test_flag_unset_is_false():
-    assert env_flag(NAME) is False
-
-
-def test_flag_garbage_raises(monkeypatch):
-    monkeypatch.setenv(NAME, "2")
-    with pytest.raises(ConfigError, match="REPRO_TEST_KNOB"):
-        env_flag(NAME)
 
 
 # -- env_str -------------------------------------------------------------

@@ -10,6 +10,8 @@ from repro.core.incremental import (
     required_queries,
 )
 
+from reference import add_sampled_query, measured_query
+
 
 class TestIncrementalDecoder:
     def test_state_matches_batch_decoder(self, rng):
@@ -18,7 +20,7 @@ class TestIncrementalDecoder:
         n, k = 150, 5
         truth = repro.sample_ground_truth(n, k, rng)
         dec = IncrementalDecoder(truth, repro.NoiselessChannel())
-        results = [dec.add_query(rng) for _ in range(40)]
+        results = [add_sampled_query(dec, rng) for _ in range(40)]
 
         # Rebuild psi/delta* from scratch using the recorded totals.
         assert dec.m == 40
@@ -31,14 +33,14 @@ class TestIncrementalDecoder:
     def test_noiseless_results_are_integers(self, rng):
         truth = repro.sample_ground_truth(100, 5, rng)
         dec = IncrementalDecoder(truth)
-        r = dec.add_query(rng)
+        r = add_sampled_query(dec, rng)
         assert r == int(r)
 
     def test_reconstruction_consistency(self, rng):
         truth = repro.sample_ground_truth(200, 5, rng)
         dec = IncrementalDecoder(truth, repro.ZChannel(0.1))
         for _ in range(200):
-            dec.add_query(rng)
+            add_sampled_query(dec, rng)
         rec = dec.reconstruction()
         assert rec.estimate.sum() == truth.k
         if dec.is_successful():
@@ -48,17 +50,17 @@ class TestIncrementalDecoder:
         truth = repro.sample_ground_truth(300, 6, rng)
         dec = IncrementalDecoder(truth, repro.NoiselessChannel())
         for _ in range(10):
-            dec.add_query(rng)
+            add_sampled_query(dec, rng)
         early = dec.separation()
         for _ in range(290):
-            dec.add_query(rng)
+            add_sampled_query(dec, rng)
         late = dec.separation()
         assert late > early
 
     def test_custom_gamma(self, rng):
         truth = repro.sample_ground_truth(100, 5, rng)
         dec = IncrementalDecoder(truth, gamma=10)
-        dec.add_query(rng)
+        add_sampled_query(dec, rng)
         assert dec.delta.sum() == 10
 
 
@@ -66,18 +68,10 @@ class TestIngestQuery:
     """The decode service's wire-fed entry point (PR 10, satellite 3)."""
 
     def _measured(self, n, gamma, channel, truth, rng, count):
-        sigma = truth.sigma.astype(np.int64)
-        queries = []
-        for _ in range(count):
-            agents, counts = repro.sample_query(n, gamma, rng)
-            total = int(np.dot(counts, sigma[agents]))
-            result = float(
-                channel.measure(
-                    np.asarray([total]), int(counts.sum()), rng
-                )[0]
-            )
-            queries.append((agents, counts, result))
-        return queries
+        return [
+            measured_query(n, gamma, truth.sigma, channel, rng)
+            for _ in range(count)
+        ]
 
     def test_matches_batch_greedy_scores(self, rng):
         # Streaming externally measured queries one at a time must land
@@ -133,8 +127,9 @@ class TestIngestQuery:
         assert replayed.separation() == straight.separation()
 
     def test_ingest_matches_add_query(self, rng):
-        # add_query == sample + measure + ingest_query on shared rng
-        # state: the streaming entry point is the simulator's own path.
+        # The per-query reference step (sample, measure, ingest_query)
+        # consumes the generator like the package's one-row sample and
+        # measure, so both feed the decoder the same queries.
         n, k, gamma = 80, 3, 40
         truth = repro.sample_ground_truth(n, k, rng)
         channel = repro.ZChannel(0.1)
@@ -143,20 +138,14 @@ class TestIngestQuery:
         auto = IncrementalDecoder(truth, channel, gamma)
         gen = np.random.default_rng(seed)
         for _ in range(20):
-            auto.add_query(gen)
+            add_sampled_query(auto, gen)
 
         manual = IncrementalDecoder(truth, channel, gamma)
         gen = np.random.default_rng(seed)
-        sigma = truth.sigma.astype(np.int64)
         for _ in range(20):
-            agents, counts = repro.sample_query(n, gamma, gen)
-            total = int(np.dot(counts, sigma[agents]))
-            result = float(
-                channel.measure(
-                    np.asarray([total]), int(counts.sum()), gen
-                )[0]
-            )
-            manual.ingest_query(agents, counts, result)
+            graph = repro.sample_pooling_graph(n, 1, gamma, gen)
+            result = repro.measure(graph, truth, channel, gen).results[0]
+            manual.ingest_query(*graph.query(0), result)
 
         assert np.array_equal(manual.scores, auto.scores)
         assert manual.separation() == auto.separation()

@@ -37,7 +37,7 @@ def _hash(arr):
 def _standalone_instance(seed=42, n=600, k=5, m=80, channel=None):
     gen = np.random.default_rng(seed)
     truth = repro.sample_ground_truth(n, k, gen)
-    graph = repro.sample_pooling_graph_batch(n, m, rng=gen)
+    graph = repro.sample_pooling_graph(n, m, rng=gen)
     meas = repro.measure(graph, truth, channel or repro.ZChannel(0.1), gen)
     return meas
 

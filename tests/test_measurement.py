@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.measurement import Measurements, measure, measure_query
+from repro.core.measurement import Measurements, measure
 
 
 class TestMeasure:
@@ -64,40 +64,30 @@ class TestMeasure:
 
 
 class TestMeasureQuery:
-    def test_matches_graph_measurement_noiseless(self, rng):
-        truth = repro.sample_ground_truth(100, 10, rng)
-        graph = repro.sample_pooling_graph(100, 5, rng=rng)
-        channel = repro.NoiselessChannel()
-        for j in range(graph.m):
-            agents, counts = graph.query(j)
-            result = measure_query(agents, counts, truth.sigma, channel, graph.gamma, rng)
-            assert result == graph.edges_into_ones(truth.sigma)[j]
+    """The noise law of a single query inside :func:`measure`.
 
-    def test_gaussian_single_query(self, rng):
-        truth = repro.sample_ground_truth(100, 10, rng)
-        graph = repro.sample_pooling_graph(100, 1, rng=rng)
-        agents, counts = graph.query(0)
-        result = measure_query(
-            agents, counts, truth.sigma, repro.GaussianQueryNoise(1.0), graph.gamma, rng
-        )
-        assert isinstance(result, float)
+    (The class keeps the name of the one-query measurement helper it
+    once tested; :func:`measure` is now the one measurement path.)
+    """
 
     def test_variable_size_query_uses_actual_edge_count(self, rng):
-        # Regression: the noise law must be driven by counts.sum(), not
-        # the nominal gamma. With q close to 1 almost every 0-edge reads
-        # as 1, so a 3-edge query measured under a nominal gamma of
-        # 1000 would report ~ Bin(1000, q) ~ 900 instead of <= 3.
-        sigma = np.zeros(50, dtype=np.int8)
-        agents = np.array([0])
-        counts = np.array([3])
-        channel = repro.NoisyChannel(0.0, 0.9)
+        # Regression: the noise law must be driven by the query's
+        # realized edge count, not the nominal gamma. With q close to 1
+        # almost every 0-edge reads as 1, so a 3-edge query measured
+        # under a nominal gamma of 1000 would report ~ Bin(1000, q) ~
+        # 900 instead of <= 3.
+        truth = repro.GroundTruth(np.zeros(50, dtype=np.int8))
+        builder = repro.PoolingGraphBuilder(50, gamma=1000)
         for _ in range(20):
-            result = measure_query(agents, counts, sigma, channel, 1000, rng)
-            assert 0 <= result <= 3
+            builder.add_query(np.array([0]), np.array([3]))
+        results = measure(
+            builder.build(), truth, repro.NoisyChannel(0.0, 0.9), rng
+        ).results
+        assert np.all((0 <= results) & (results <= 3))
 
     def test_variable_size_matches_batch_measure(self, rng):
-        # measure() and measure_query() must apply the same noise law on
-        # the variable-size regular design.
+        # measure() must apply the per-query noise law on the
+        # variable-size regular design.
         truth = repro.sample_ground_truth(60, 6, rng)
         graph = repro.sample_regular_design(60, 12, agent_degree=4, rng=rng)
         sizes = graph.query_sizes()
@@ -106,9 +96,3 @@ class TestMeasureQuery:
         batch = measure(graph, truth, channel, rng).results
         # with q ~ 1 every 0-edge flips: results == sizes almost surely
         assert np.array_equal(batch, sizes)
-        for j in range(graph.m):
-            agents, counts = graph.query(j)
-            result = measure_query(
-                agents, counts, truth.sigma, channel, graph.gamma, rng
-            )
-            assert result == counts.sum()

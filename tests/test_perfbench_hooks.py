@@ -28,12 +28,15 @@ def test_layer_hooks_install_and_restore(tmp_path):
 
     import repro
     from repro.amp import batch_amp
-    from repro.core import batch
+    from repro.core import batch, pooling
     from repro.service.session import Session, SessionParams
     from repro.service.store import SessionStore
 
     layers, spans = _load("layers"), _load("spans")
+    # perfbench wraps and calls the sampler under its batch-module name
+    assert batch.sample_pooling_graph_batch is pooling.sample_pooling_graph
     watched = [
+        (batch, "sample_pooling_graph_batch"),
         (batch.MeasurementStream, "next_block"),
         (batch.BatchTrialRunner, "run_trials_seeded"),
         (batch_amp, "run_amp_batch"),

@@ -9,9 +9,13 @@ from repro.core.pooling import (
     PoolingGraphBuilder,
     default_gamma,
     sample_pooling_graph,
-    sample_query,
     sample_regular_design,
 )
+
+
+def sample_query(n, gamma, rng):
+    """One row of the paper's design: a one-query pooling graph's query."""
+    return sample_pooling_graph(n, 1, gamma, rng).query(0)
 
 
 class TestDefaultGamma:
@@ -28,6 +32,8 @@ class TestDefaultGamma:
 
 
 class TestSampleQuery:
+    """Each row of :func:`sample_pooling_graph` is one query of the model."""
+
     def test_total_multiplicity_is_gamma(self, rng):
         agents, counts = sample_query(100, 50, rng)
         assert counts.sum() == 50
@@ -54,7 +60,7 @@ class TestSampleQuery:
         # E[distinct] = n(1 - (1-1/n)^Gamma) ~ n(1 - e^{-1/2}) for Gamma=n/2.
         gen = np.random.default_rng(3)
         n, gamma, trials = 2000, 1000, 50
-        distinct = [sample_query(n, gamma, gen)[0].size for _ in range(trials)]
+        distinct = sample_pooling_graph(n, trials, gamma, gen).distinct_sizes()
         expected = n * (1 - (1 - 1 / n) ** gamma)
         assert abs(np.mean(distinct) - expected) < 0.02 * expected
 
@@ -290,12 +296,18 @@ class TestRegularDesign:
 
 class TestPoolingGraphBuilder:
     def test_incremental_build_matches_batch_semantics(self, rng):
+        sampled = sample_pooling_graph(50, 6, 25, rng)
         builder = PoolingGraphBuilder(50, gamma=25)
-        for _ in range(6):
-            builder.sample_and_add(rng)
+        for agents, counts in sampled.iter_queries():
+            builder.add_query(agents, counts)
         g = builder.build()
         assert g.m == 6
         assert g.total_edges == 6 * 25
+        for a, b in zip(
+            (g.indptr, g.agents, g.counts),
+            (sampled.indptr, sampled.agents, sampled.counts),
+        ):
+            assert np.array_equal(a, b)
 
     def test_add_query_validates_range(self):
         builder = PoolingGraphBuilder(5)

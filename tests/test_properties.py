@@ -17,6 +17,8 @@ from repro.theory.concentration import (
     gaussian_tail_upper,
 )
 
+from reference import sample_pooling_graph_per_query
+
 # Keep the per-test example budget modest: every example builds real
 # numpy structures, and the suite runs hundreds of tests.
 COMMON_SETTINGS = settings(max_examples=40, deadline=None)
@@ -29,7 +31,7 @@ COMMON_SETTINGS = settings(max_examples=40, deadline=None)
     seed=st.integers(0, 2**31 - 1),
 )
 def test_sampled_query_mass_conservation(n, gamma, seed):
-    agents, counts = repro.sample_query(n, gamma, seed)
+    agents, counts = repro.sample_pooling_graph(n, 1, gamma, rng=seed).query(0)
     assert counts.sum() == gamma
     assert agents.size == np.unique(agents).size
     assert np.all(np.diff(agents) > 0)
@@ -66,7 +68,7 @@ def test_query_sizes_sum_to_total_edges_across_designs(n, m, seed, data):
     agent_degree = data.draw(st.integers(1, m))
     graphs = [
         repro.sample_pooling_graph(n, m, gamma, rng=seed),
-        repro.sample_pooling_graph_batch(n, m, gamma, rng=seed),
+        sample_pooling_graph_per_query(n, m, gamma, rng=seed),
         repro.sample_pooling_graph(
             n, m, min(gamma, n), rng=seed, with_replacement=False
         ),

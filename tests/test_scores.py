@@ -5,7 +5,9 @@ import pytest
 
 import repro
 from repro.core.scores import (
+    CENTERINGS,
     centered_scores,
+    centering_offset,
     expected_query_result,
     scores_from_measurements,
     separation_margin,
@@ -17,32 +19,32 @@ class TestCenteredScores:
     def test_half_k_formula(self):
         psi = np.array([10.0, 20.0])
         ds = np.array([2, 4])
-        out = centered_scores(psi, ds, k=4, mode="half_k")
+        offset = centering_offset("half_k", None, n=8, k=4, gamma=4)
+        assert offset == 2.0
+        out = centered_scores(psi, ds, offset)
         assert np.allclose(out, [10 - 4, 20 - 8])
 
-    def test_none_mode_is_copy(self):
-        psi = np.array([1.0, 2.0])
-        out = centered_scores(psi, np.array([1, 1]), k=2, mode="none")
-        assert np.allclose(out, psi)
-        out[0] = 99
-        assert psi[0] == 1.0  # original untouched
-
     def test_oracle_mode(self):
-        psi = np.array([10.0])
-        out = centered_scores(psi, np.array([2]), k=3, mode="oracle", expected_result=4.0)
+        channel = repro.NoiselessChannel()
+        offset = centering_offset("oracle", channel, n=100, k=10, gamma=40)
+        assert offset == expected_query_result(channel, 100, 10, 40) == 4.0
+        out = centered_scores(np.array([10.0]), np.array([2]), offset)
         assert np.allclose(out, [2.0])
 
     def test_oracle_requires_expected(self):
-        with pytest.raises(ValueError):
-            centered_scores(np.array([1.0]), np.array([1]), k=1, mode="oracle")
+        # The oracle offset is the channel's expected query result.
+        with pytest.raises(ValueError, match="requires the channel"):
+            centering_offset("oracle", None, n=10, k=1, gamma=5)
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            centered_scores(np.array([1.0]), np.array([1]), k=1, mode="bogus")
+        for name in ("bogus", "none"):
+            with pytest.raises(ValueError, match="unknown centering"):
+                centering_offset(name, repro.NoiselessChannel(), 10, 1, 5)
+        assert CENTERINGS == ("half_k", "oracle")
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            centered_scores(np.array([1.0, 2.0]), np.array([1]), k=1)
+            centered_scores(np.array([1.0, 2.0]), np.array([1]), 0.5)
 
 
 class TestExpectedQueryResult:

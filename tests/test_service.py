@@ -58,6 +58,8 @@ from repro.service.wire import (
     send_message,
 )
 
+from reference import measured_query
+
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -73,17 +75,11 @@ def make_session(session_id, n, k, channel_spec, seed, gamma=None):
 
 def measured_queries(session, rng, count):
     """Sample + measure ``count`` queries for a session (client side)."""
-    sigma = session.truth.sigma.astype(np.int64)
     queries = []
     for _ in range(count):
-        agents, counts = repro.sample_query(
-            session.params.n, session.params.gamma, rng
-        )
-        total = int(np.dot(counts, sigma[agents]))
-        result = float(
-            session.channel.measure(
-                np.asarray([total]), int(counts.sum()), rng
-            )[0]
+        agents, counts, result = measured_query(
+            session.params.n, session.params.gamma, session.truth.sigma,
+            session.channel, rng,
         )
         queries.append((agents.tolist(), counts.tolist(), result))
     return queries
@@ -1040,15 +1036,12 @@ def server(tmp_path_factory):
 def open_and_fill(client, session_id, n, k, channel, seed, m):
     rng = np.random.default_rng(seed)
     truth = repro.sample_ground_truth(n, k, rng)
-    sigma = truth.sigma.astype(np.int64)
     client.open_session(session_id, n, truth.sigma, channel=channel)
     gamma = repro.default_gamma(n)
     queries = []
     for _ in range(m):
-        agents, counts = repro.sample_query(n, gamma, rng)
-        total = int(np.dot(counts, sigma[agents]))
-        result = float(
-            channel.measure(np.asarray([total]), int(counts.sum()), rng)[0]
+        agents, counts, result = measured_query(
+            n, gamma, truth.sigma, channel, rng
         )
         queries.append((agents.tolist(), counts.tolist(), result))
     client.ingest(session_id, queries)
@@ -1423,16 +1416,11 @@ class TestChaos:
             channel = repro.ZChannel(0.1)
             rng = np.random.default_rng(100 + index)
             truth = repro.sample_ground_truth(self.N, self.K, rng)
-            sigma = truth.sigma.astype(np.int64)
             gamma = repro.default_gamma(self.N)
             queries = []
             for _ in range(self.M_TOTAL):
-                agents, counts = repro.sample_query(self.N, gamma, rng)
-                total = int(np.dot(counts, sigma[agents]))
-                result = float(
-                    channel.measure(
-                        np.asarray([total]), int(counts.sum()), rng
-                    )[0]
+                agents, counts, result = measured_query(
+                    self.N, gamma, truth.sigma, channel, rng
                 )
                 queries.append((agents.tolist(), counts.tolist(), result))
 

@@ -99,7 +99,7 @@ def test_decode_paths_import_neither_scipy_sparse_nor_numpy_ma():
 
         n, channel = 300, repro.ZChannel(0.1)
         truth = repro.sample_ground_truth(n, 3, rng=1)
-        graph = repro.sample_pooling_graph_batch(n, 150, rng=2)
+        graph = repro.sample_pooling_graph(n, 150, rng=2)
         meas = repro.measure(graph, truth, channel, rng=3)
         queries = [
             (graph.agents[lo:hi].tolist(), graph.counts[lo:hi].tolist(),
