@@ -22,10 +22,17 @@ Choreography:
 4. Each session is then decoded twice more: the second answer must
    equal the first and come from the result cache (``cache_hits``
    rises, ``decoded`` does not).
+5. Before the restart, the state dir is also seeded with one session
+   record in the version-1 JSON layout (one file holding every query,
+   the layout older servers wrote). The restarted server converts it
+   to a log, and its decode must equal a standalone ``run_amp``
+   bit-for-bit.
 
 Run: ``PYTHONPATH=src python benchmarks/smoke_service.py``
 """
 
+import json
+import os
 import tempfile
 import threading
 
@@ -60,6 +67,60 @@ def measure_queries(truth, rng, count):
     return queries
 
 
+#: the session seeded as a version-1 record
+V1_SESSION = "legacy-v1"
+
+
+def write_v1_record(state):
+    """Seed ``state`` with one session in the version-1 JSON layout."""
+    rng = np.random.default_rng(900)
+    truth = repro.sample_ground_truth(N, K, rng)
+    queries = measure_queries(truth, rng, M_TOTAL // 2)
+    indptr = np.cumsum([0] + [len(agents) for agents, _, _ in queries])
+    record = {
+        "version": 1,
+        "session_id": V1_SESSION,
+        "n": N,
+        "gamma": GAMMA,
+        "channel": {"kind": "z", "p": CHANNEL_P},
+        "centering": "half_k",
+        "sigma": truth.sigma.tolist(),
+        "m": len(queries),
+        "indptr": indptr.tolist(),
+        "agents": [a for agents, _, _ in queries for a in agents],
+        "counts": [c for _, counts, _ in queries for c in counts],
+        "results": [result for _, _, result in queries],
+        "applied": {"v1-ingest": len(queries)},
+    }
+    with open(os.path.join(state, f"{V1_SESSION}.session.json"), "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+    return {"truth": truth, "queries": queries}
+
+
+def verify_v1_conversion(client, state, seeded):
+    amp = client.decode(V1_SESSION, return_scores=True)
+    ref = run_amp(reference_measurements(seeded),
+                  config=AMPConfig(track_history=False))
+    assert amp["m"] == len(seeded["queries"]), f"lost queries: m={amp['m']}"
+    assert np.array_equal(np.asarray(amp["scores"]), ref.scores), (
+        "converted v1 session's AMP scores diverged from run_amp"
+    )
+    assert not os.path.exists(
+        os.path.join(state, f"{V1_SESSION}.session.json")
+    ), "the v1 record was not converted"
+
+
+def reference_measurements(record):
+    builder = repro.PoolingGraphBuilder(N, GAMMA)
+    for agents, counts, _ in record["queries"]:
+        builder.add_query(np.asarray(agents), np.asarray(counts))
+    return repro.Measurements(
+        graph=builder.build(), truth=record["truth"],
+        channel=repro.ZChannel(CHANNEL_P),
+        results=np.asarray([result for _, _, result in record["queries"]]),
+    )
+
+
 def client_run(host, port, index, barrier, results):
     session_id = f"smoke-{index}"
     rng = np.random.default_rng(500 + index)
@@ -90,18 +151,11 @@ def client_run(host, port, index, barrier, results):
 
 
 def verify(record):
-    builder = repro.PoolingGraphBuilder(N, GAMMA)
     dec = IncrementalDecoder(record["truth"], repro.ZChannel(CHANNEL_P), GAMMA)
-    measured = []
     for agents, counts, result in record["queries"]:
-        builder.add_query(np.asarray(agents), np.asarray(counts))
         dec.ingest_query(np.asarray(agents), np.asarray(counts), result)
-        measured.append(result)
-    meas = repro.Measurements(
-        graph=builder.build(), truth=record["truth"],
-        channel=repro.ZChannel(CHANNEL_P), results=np.asarray(measured),
-    )
-    ref = run_amp(meas, config=AMPConfig(track_history=False))
+    ref = run_amp(reference_measurements(record),
+                  config=AMPConfig(track_history=False))
 
     amp = record["amp"]
     assert amp["m"] == M_TOTAL, f"lost queries: m={amp['m']}"
@@ -143,6 +197,7 @@ def main() -> int:
         barrier.wait(timeout=120)  # all clients two blocks deep
         port = server.port
         server.kill()
+        seeded = write_v1_record(state)
         server = start_server(state, port=port)
         barrier.wait(timeout=120)  # release the clients into the outage
         for t in threads:
@@ -155,10 +210,12 @@ def main() -> int:
         with ServiceClient(server.host, server.port) as client:
             for i in range(JOBS):
                 verify_cache_hit(client, f"smoke-{i}")
+            verify_v1_conversion(client, state, seeded)
         print(
             f"service smoke ok: {JOBS} sessions rode through a SIGKILL "
-            "restart, all bit-identical to standalone decoding, and "
-            "repeated decodes were served from the result cache"
+            "restart, all bit-identical to standalone decoding, "
+            "repeated decodes were served from the result cache, and a "
+            "version-1 record converted to a bit-identical log"
         )
         return 0
     finally:

@@ -40,7 +40,6 @@ from typing import Optional
 from repro.amp.amp import AMPConfig, run_amp
 from repro.core.measurement import Measurements
 from repro.core.types import ReconstructionResult
-from repro.distributed.sorting.batcher import make_sorting_network
 
 #: bits per scalar on the wire (matching repro.distributed.messages)
 _SCALAR_BITS = 64
@@ -59,6 +58,17 @@ class CommunicationCost:
         return self.messages / n
 
 
+def _batcher_schedule(n: int):
+    """Batcher's sorting network on ``n`` agents.
+
+    Imported here, so that importing :mod:`repro.amp` (the decode
+    service's AMP) does not load the distributed runtime.
+    """
+    from repro.distributed.sorting.batcher import make_sorting_network
+
+    return make_sorting_network("batcher", n)
+
+
 def greedy_communication_cost(measurements: Measurements) -> CommunicationCost:
     """Exact communication bill of distributed Algorithm 1.
 
@@ -67,7 +77,7 @@ def greedy_communication_cost(measurements: Measurements) -> CommunicationCost:
     rounds = sorting depth + 3 (see :mod:`repro.distributed.protocol`).
     """
     graph = measurements.graph
-    schedule = make_sorting_network("batcher", graph.n)
+    schedule = _batcher_schedule(graph.n)
     broadcast = int(graph.distinct_sizes().sum())
     sort_msgs = 2 * schedule.size
     announcements = measurements.k
@@ -98,7 +108,7 @@ def amp_communication_cost(
     graph = measurements.graph
     incidences = int(graph.distinct_sizes().sum())
     per_iteration = 2 * incidences + graph.n
-    schedule = make_sorting_network("batcher", graph.n)
+    schedule = _batcher_schedule(graph.n)
     sort_msgs = 2 * schedule.size + measurements.k
     messages = iterations * per_iteration + sort_msgs
     bits = messages * 2 * _SCALAR_BITS

@@ -22,9 +22,12 @@ every backend)::
 Use ``--full-scale`` to run the paper's complete grids (slow: the
 original sweeps extend to n = 10^5) and ``--workers N`` to shard the
 trials over N processes (``0`` = one per CPU) with bit-identical
-output. Algorithm choice lists come from the runner's shared constant
-:data:`repro.experiments.runner.REQUIRED_QUERIES_ALGORITHMS`, so the
-subcommands can never drift apart.
+output.
+
+The sweep harness (:mod:`repro.experiments`) is imported only by the
+commands that run it, so ``repro serve`` starts on the service alone.
+The parser's figure, algorithm and backend names come from
+:mod:`repro.utils.names`, which the harness's registries use too.
 """
 
 from __future__ import annotations
@@ -36,17 +39,21 @@ import sys
 import time
 from typing import Callable, List, Optional
 
-from repro.experiments.figures import FIGURES, run_figure
-from repro.experiments.runner import REQUIRED_QUERIES_ALGORITHMS
-from repro.experiments.scheduler import BACKENDS
-from repro.experiments.stats import geometric_space
 from repro.utils.config import ConfigError
+from repro.utils.names import (
+    BACKENDS,
+    FIGURE_NAMES,
+    REQUIRED_QUERIES_ALGORITHMS,
+)
 from repro.utils.validation import (
     check_fraction,
     check_non_negative,
     check_positive,
     check_probability,
 )
+
+#: the paper's figures: what ``repro all`` regenerates
+PAPER_FIGURES = tuple(name for name in FIGURE_NAMES if name.startswith("fig"))
 
 #: channel constructors selectable on the command line
 CHANNELS = ("z", "noiseless", "gaussian", "noisy")
@@ -256,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the paper's full grids (n up to 1e5, 100 trials)",
     )
-    paper_figures = sorted(name for name in FIGURES if name.startswith("fig"))
-    for name in paper_figures + ["all"]:
+    for name in PAPER_FIGURES + ("all",):
         fig_parser = sub.add_parser(
             name,
             parents=[execution, figures],
@@ -450,9 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     svc.add_argument(
         "--state-dir", default=None,
-        help="directory for durable session records (atomic "
-        "write-then-rename); omit for in-memory sessions that do NOT "
-        "survive a restart",
+        help="directory for durable session logs (one append-only "
+        "log per session, each ack flushed to the OS first); omit for "
+        "in-memory sessions that do NOT survive a restart",
     )
     svc.add_argument(
         "--max-queue", type=_positive_int, default=None,
@@ -472,7 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(default REPRO_SERVICE_MAX_BATCH or 16)",
     )
     svc.add_argument(
-        "--deadline", type=float, default=None,
+        "--deadline",
+        type=_checked_float(lambda v: _finite_positive(v, "deadline")),
+        default=None,
         help="default per-request decode budget in seconds; expired "
         "requests get a retryable 'deadline_exceeded' error (default "
         "REPRO_SERVICE_DEADLINE or unlimited)",
@@ -611,7 +619,16 @@ _PLOT_AXES = {
 }
 
 
+def run_figure(name: str, **kwargs):
+    """:func:`repro.experiments.figures.run_figure`, imported on use."""
+    from repro.experiments.figures import run_figure as run
+
+    return run(name, **kwargs)
+
+
 def _figure_kwargs(args: argparse.Namespace, name: str) -> dict:
+    from repro.experiments.stats import geometric_space
+
     kwargs: dict = {
         "seed": args.seed,
         "workers": args.workers,
@@ -725,7 +742,7 @@ def _run(args: argparse.Namespace) -> int:
     # `all` regenerates the paper's figures; the design ablation is an
     # add-on pipeline with its own grid and runs only by name.
     if args.figure == "all":
-        names = sorted(name for name in FIGURES if name.startswith("fig"))
+        names = list(PAPER_FIGURES)
     else:
         names = [args.figure]
     for name in names:

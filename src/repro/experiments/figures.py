@@ -42,6 +42,7 @@ from repro.experiments.scheduler import SweepPlan
 from repro.experiments.stats import boxplot_stats, geometric_space
 from repro.experiments.storage import save_csv, save_json
 from repro.experiments.tables import render_table
+from repro.utils.names import FIGURE_NAMES
 from repro.utils.rng import RngLike
 
 #: default log-spaced n grid (paper: 10^2 .. 10^5; default stops at 10^4)
@@ -895,18 +896,18 @@ def figure_robustness_comm(
     )
 
 
-FIGURES = {
-    "fig2": figure2,
-    "fig3": figure3,
-    "fig4": figure4,
-    "fig5": figure5,
-    "fig6": figure6,
-    "fig7": figure7,
-    "ablation_design": figure_design_ablation,
-    "robustness_degradation": figure_robustness_degradation,
-    "robustness_loss": figure_robustness_loss,
-    "robustness_comm": figure_robustness_comm,
-}
+#: figure name (:data:`repro.utils.names.FIGURE_NAMES`) -> entry point
+FIGURES = dict(
+    zip(
+        FIGURE_NAMES,
+        (
+            figure2, figure3, figure4, figure5, figure6, figure7,
+            figure_design_ablation, figure_robustness_degradation,
+            figure_robustness_loss, figure_robustness_comm,
+        ),
+        strict=True,
+    )
+)
 
 
 def run_figure(name: str, **kwargs) -> FigureResult:

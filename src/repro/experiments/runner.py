@@ -113,18 +113,13 @@ from repro.core.scores import CENTERINGS
 from repro.core.types import ReconstructionResult
 from repro.distributed.runner import run_distributed_algorithm1
 from repro.experiments.scheduler import SweepPlan
+from repro.utils.names import REQUIRED_QUERIES_ALGORITHMS
 from repro.utils.rng import RngLike, spawn_rngs
 from repro.utils.validation import check_positive_int
 
 #: algorithms runnable by the harness
 ALGORITHMS = ("greedy", "amp", "distributed", "distributed_amp", "twostage")
 
-#: algorithms with a required-number-of-queries form (Figures 2-5);
-#: the single source of the harness's and the CLI's ``--algorithm``
-#: choice lists for required-m sweeps. ``twostage`` runs the
-#: prefix-replay exact-decode scan (see
-#: :func:`repro.experiments.parallel._required_queries_scan_chunk`).
-REQUIRED_QUERIES_ALGORITHMS = ("greedy", "amp", "twostage")
 
 def _batch_mode(algorithm: str, algorithm_kwargs: dict) -> Optional[str]:
     """Which stacked fixed-``m`` path covers this dispatch, if any.

@@ -110,11 +110,9 @@ import numpy as np
 from repro.core.chunking import chunk_bounds
 from repro.experiments import parallel
 from repro.utils import config
+from repro.utils.names import BACKENDS, REQUIRED_QUERIES_ALGORITHMS
 from repro.utils.rng import RngLike, spawn_rngs, spawn_seeds
 from repro.utils.validation import check_positive_int
-
-#: pluggable execution backends (see the module docstring)
-BACKENDS = ("serial", "process")
 
 #: environment variable consulted when ``backend`` is not given
 BACKEND_ENV = "REPRO_BACKEND"
@@ -213,7 +211,6 @@ class SweepPlan:
         """
         from repro.core.corruption import CorruptionModel
         from repro.core.scores import CENTERINGS
-        from repro.experiments.runner import REQUIRED_QUERIES_ALGORITHMS
 
         check_positive_int(trials, "trials")
         if algorithm not in REQUIRED_QUERIES_ALGORITHMS:

@@ -17,10 +17,15 @@ decode needs no request-id bookkeeping: it is answered again, from the
 cache when nothing was ingested in between.
 
 Durability: every state-changing request persists its session through
-:class:`~repro.service.store.SessionStore` (atomic write-then-rename)
-**before** the acknowledgement is sent, so anything a client saw
-acked survives a SIGKILL; on restart :meth:`DecodeService.start`
-replays the stored records back into identical in-memory state.
+:class:`~repro.service.store.SessionStore` **before** the
+acknowledgement is sent: an open writes the session's log, an ingest
+appends one frame to it, and either is flushed to the operating system
+before the ack. Anything a client saw acked therefore survives a
+SIGKILL (not a power loss: there is no ``fsync``). A retransmitted
+open or ingest saves too, which writes nothing unless an earlier save
+of that request failed. On restart :meth:`DecodeService.start` replays the
+logs back into identical in-memory state, converting version-1 JSON
+records on the way.
 
 Probes: the ``healthz`` op answers whenever the event loop is alive
 (liveness); ``readyz`` answers whether the store has been loaded and
@@ -260,6 +265,9 @@ class DecodeService:
                     f"session {session_id!r} already exists with "
                     "different parameters"
                 )
+            if self.store is not None:
+                # Writes the log only if the first open's save failed.
+                self.store.save(existing)
             return {"session_id": session_id, "m": existing.m, "resumed": True}
         session = Session(session_id, params, sigma)
         self.sessions[session_id] = session
@@ -276,9 +284,10 @@ class DecodeService:
             raise InvalidRequest(f"ingest missing {exc.args[0]!r}") from None
         replay = request_id in session.applied
         m = session.ingest(request_id, queries)
-        if not replay and self.store is not None:
+        if self.store is not None:
             # Write-ahead: persist before the ack, so an acked ingest
-            # survives a SIGKILL.
+            # survives a SIGKILL. A retransmit saves too: it appends
+            # nothing, unless the first attempt's save failed.
             self.store.save(session)
         return {"session_id": session.session_id, "m": m, "replayed": replay}
 

@@ -15,13 +15,16 @@ reproduction setting the client *is* the simulator, and the server
 certifies exact reconstruction / strict score separation on its
 behalf, exactly like the paper's required-queries stopping rule.
 
-Recovery contract: :meth:`Session.record` captures everything —
-parameters, sigma, the consolidated query arrays in arrival order,
-and the ingest idempotency map — as one JSON-able dict, and
-:meth:`Session.from_record` rebuilds the session by re-ingesting the
-queries *in the original order* through both consumers. Per-query
-ingestion re-runs the identical float accumulations, so a restored
-session is bit-for-bit the uninterrupted one.
+Recovery contract: a session is rebuilt by re-ingesting its queries
+*in the original order* through both consumers. Per-query ingestion
+re-runs the identical float accumulations, so a restored session is
+bit-for-bit the uninterrupted one. The store
+(:mod:`repro.service.store`) logs one frame per acked ingest and
+replays each through :meth:`Session.replay`, which also rebuilds the
+ingest idempotency map. :meth:`Session.from_record` reads the
+version-1 layout (parameters, sigma, every query and the idempotency
+map in one JSON dict), which the store reads only to convert old
+state directories.
 """
 
 from __future__ import annotations
@@ -155,6 +158,10 @@ class Session:
         #: ingest was applied (persisted; a replayed frame is acked
         #: from here instead of double-appending)
         self.applied: Dict[str, int] = {}
+        #: ``(stream length before, (indptr, agents, counts, results))``
+        #: of the last applied block, so the store can log an ingest
+        #: without reading the whole stream back
+        self.last_block: Optional[Tuple[int, tuple]] = None
         #: the latest completed AMP decode, owned by
         #: :class:`~repro.service.batcher.DecodeBatcher` (in-memory
         #: only: the first decode after a restart recomputes it)
@@ -226,8 +233,20 @@ class Session:
         self.applied[request_id] = self.stream.m_done
         return self.stream.m_done
 
+    def replay(self, request_id, indptr, agents, counts, results) -> None:
+        """Re-apply one logged ingest (store recovery).
+
+        The same checks and accumulations as :meth:`ingest`, given the
+        ingest's local CSR block; a non-``None`` ``request_id`` enters
+        the applied map at the stream length after the block.
+        """
+        self._apply(indptr, agents, counts, results)
+        if request_id is not None:
+            self.applied[request_id] = self.stream.m_done
+
     def _apply(self, indptr, agents, counts, results) -> None:
         """Append a query block to the stream, then to the decoder."""
+        m_before = self.stream.m_done
         try:
             indptr, agents, counts = (
                 np.asarray(a, dtype=np.int64) for a in (indptr, agents, counts)
@@ -236,6 +255,7 @@ class Session:
             self.stream.append(indptr, agents, counts, results)
         except (TypeError, ValueError) as exc:
             raise InvalidRequest(str(exc)) from None
+        self.last_block = (m_before, (indptr, agents, counts, results))
         for i, result in enumerate(results):
             lo, hi = int(indptr[i]), int(indptr[i + 1])
             self.decoder.ingest_query(
@@ -274,30 +294,13 @@ class Session:
 
     # -- durability -----------------------------------------------------
 
-    def record(self) -> dict:
-        """The session's durable JSON-able record (see module notes)."""
-        return {
-            "version": 1,
-            "session_id": self.session_id,
-            "n": self.params.n,
-            "gamma": self.params.gamma,
-            "channel": dict(self.params.channel_spec),
-            "centering": self.params.centering,
-            "sigma": self.truth.sigma.tolist(),
-            "m": self.stream.m_done,
-            "indptr": self.stream.indptr.tolist(),
-            "agents": self.stream.agents.tolist(),
-            "counts": self.stream.counts.tolist(),
-            "results": self.stream.results.tolist(),
-            "applied": dict(self.applied),
-        }
-
     @classmethod
     def from_record(cls, record: dict) -> "Session":
         """Rebuild a session by replaying its record in arrival order.
 
-        The record's queries pass the checks of :meth:`ingest`; a record
-        that fails them raises :class:`InvalidRequest`.
+        The record's queries pass the checks of :meth:`ingest`, and its
+        applied map points inside the stream; a record that fails them
+        raises :class:`InvalidRequest`.
         """
         params = SessionParams.create(
             record["n"],
@@ -318,6 +321,10 @@ class Session:
         session.applied = {
             str(k): int(v) for k, v in dict(record["applied"]).items()
         }
+        if not all(0 <= m <= session.m for m in session.applied.values()):
+            raise InvalidRequest(
+                f"record's applied map points outside its {session.m} queries"
+            )
         return session
 
 

@@ -54,8 +54,14 @@ def load_json(path: PathLike) -> Any:
 
 
 def save_json_atomic(path: PathLike, obj: Any) -> Path:
-    """Crash-safe :func:`save_json`: write to a sibling temp file, then
-    ``os.replace`` into place.
+    """Crash-safe :func:`save_json` (see :func:`write_bytes_atomic`)."""
+    text = json.dumps(_to_jsonable(obj), indent=2, sort_keys=True) + "\n"
+    return write_bytes_atomic(path, text.encode("utf-8"))
+
+
+def write_bytes_atomic(path: PathLike, data: bytes) -> Path:
+    """Write ``data`` to a sibling temp file, then ``os.replace`` it into
+    place.
 
     A reader (or a resumed driver) therefore sees either the previous
     complete file or the new complete file, never a torn write — the
@@ -72,9 +78,8 @@ def save_json_atomic(path: PathLike, obj: Any) -> Path:
         prefix=path.name + ".", suffix=".tmp", dir=path.parent
     )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(_to_jsonable(obj), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -85,4 +90,4 @@ def save_json_atomic(path: PathLike, obj: Any) -> Path:
     return path
 
 
-__all__ = ["save_json", "load_json", "save_json_atomic"]
+__all__ = ["save_json", "load_json", "save_json_atomic", "write_bytes_atomic"]

@@ -43,6 +43,9 @@ with:
 * :func:`adjacency_sparse` / :func:`distinct_incidence_sparse` — a
   graph as scipy CSR matrices, the operators the package's raw-array
   products are checked against.
+* :func:`v1_record` — a service session in the version-1 JSON record
+  layout, which :meth:`repro.service.session.Session.from_record`
+  reads when the session store converts an old state directory.
 """
 
 from typing import List, Optional, Sequence, Tuple
@@ -412,3 +415,25 @@ def distinct_incidence_sparse(graph: PoolingGraph):
         (np.ones(graph.agents.size), graph.agents, graph.indptr),
         shape=(graph.m, graph.n),
     )
+
+
+def v1_record(session) -> dict:
+    """``session`` as a version-1 JSON-able record: parameters, sigma,
+    the consolidated query arrays in arrival order and the ingest
+    idempotency map."""
+    stream, params = session.stream, session.params
+    return {
+        "version": 1,
+        "session_id": session.session_id,
+        "n": params.n,
+        "gamma": params.gamma,
+        "channel": dict(params.channel_spec),
+        "centering": params.centering,
+        "sigma": session.truth.sigma.tolist(),
+        "m": stream.m_done,
+        "indptr": stream.indptr.tolist(),
+        "agents": stream.agents.tolist(),
+        "counts": stream.counts.tolist(),
+        "results": stream.results.tolist(),
+        "applied": dict(session.applied),
+    }

@@ -273,6 +273,41 @@ class TestParser:
         assert err.startswith("usage:")
         assert f"argument {flag}" in err
 
+    @pytest.mark.parametrize("bad", ["-1", "0", "nan", "inf"])
+    def test_serve_deadline_fails_at_parse_time(self, bad, capsys):
+        # Parsed only: a value the parser let through would start a
+        # server that never expires a decode (or expires every one).
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--deadline", bad])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "argument --deadline" in err
+
+    def test_serve_imports_neither_sweeps_nor_distributed_runtime(self):
+        # What `repro serve` and its first AMP decode import: the CLI,
+        # the server and the batched AMP. None may load the sweep
+        # harness or the distributed runtime.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = (
+            "import sys, repro.cli, repro.service.server, "
+            "repro.amp.batch_amp\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['repro', 'experiments'], ['repro', 'distributed'])))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "[]"
+
     @pytest.mark.parametrize(
         "argv, message", _CONTRADICTING_FLAGS,
         ids=[" ".join(argv) for argv, _ in _CONTRADICTING_FLAGS],

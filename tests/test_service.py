@@ -44,6 +44,7 @@ from repro.service.session import (
     channel_to_spec,
 )
 from repro.service.store import SessionStore
+from repro.utils.jsonio import save_json_atomic
 from repro.service import wire
 from repro.service.testing import start_server
 from repro.service.wire import (
@@ -58,7 +59,7 @@ from repro.service.wire import (
     send_message,
 )
 
-from reference import measured_query
+from reference import measured_query, v1_record
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +395,7 @@ class TestSession:
         return (
             session.m,
             dict(session.applied),
-            session.record(),
+            v1_record(session),
             [np.array(a) for a in (decoder.psi, decoder.delta_star,
                                    decoder.delta, decoder.scores)],
             decoder.m,
@@ -431,7 +432,7 @@ class TestSession:
         self._assert_unchanged(session, before)
         # the next ingest persists only its own query
         assert session.ingest("r3", [([0, 5], [3, 1], 2.0)]) == 2
-        assert session.record()["indptr"] == [0, 2, 4]
+        assert v1_record(session)["indptr"] == [0, 2, 4]
 
     @pytest.mark.parametrize("query", [
         ([0, 5], [3, 1], float("nan")),
@@ -455,7 +456,7 @@ class TestSession:
         )
         session.ingest("a", measured_queries(session, rng, 12))
         session.ingest("b", measured_queries(session, rng, 7))
-        restored = Session.from_record(session.record())
+        restored = Session.from_record(v1_record(session))
         assert restored.m == session.m
         assert restored.applied == session.applied
         assert np.array_equal(restored.stream.indptr, session.stream.indptr)
@@ -478,7 +479,7 @@ class TestSession:
 
         broken, _ = make_session("s", 70, 3, {"kind": "z", "p": 0.2}, 2)
         broken.ingest("first", queries[:18])
-        resumed = Session.from_record(broken.record())
+        resumed = Session.from_record(v1_record(broken))
         resumed.ingest("rest", queries[18:])
         assert np.array_equal(
             resumed.decoder.scores, straight.decoder.scores
@@ -522,26 +523,32 @@ class TestSessionStore:
             "../../escape attempt", 30, 2, {"kind": "noiseless"}, 6
         )
         store.save(session)
-        files = list(tmp_path.glob("*.session.json"))
+        files = list(tmp_path.glob("*.session.log"))
         assert len(files) == 1
         assert files[0].resolve().parent == tmp_path.resolve()
 
     def test_distinct_ids_never_share_a_record(self, tmp_path):
         # "a/b", "a_b" and "a%2Fb" all flattened to one file name once.
+        # Neither the log names nor the v1 names they convert from
+        # collide.
         ids = ["a/b", "a_b", "a%2Fb", "a b", "ä/\\ud800", "plain-id.1"]
-        store = SessionStore(tmp_path)
+        store = SessionStore(tmp_path / "log")
+        v1 = SessionStore(tmp_path / "v1")
         for m, session_id in enumerate(ids):
             session, rng = make_session(
                 session_id, 30, 2, {"kind": "noiseless"}, 40 + m
             )
             session.ingest("r", measured_queries(session, rng, m))
             store.save(session)
-        loaded = SessionStore(tmp_path).load_all()
-        assert sorted(loaded) == sorted(ids)
-        assert [loaded[i].m for i in ids] == list(range(len(ids)))
-        # ids of letters, digits and "-_." keep their file names
-        assert (tmp_path / "a_b.session.json").exists()
-        assert (tmp_path / "plain-id.1.session.json").exists()
+            save_json_atomic(v1._v1_path(session_id), v1_record(session))
+        # v1 ids of letters, digits and "-_." kept their file names
+        assert (tmp_path / "v1" / "a_b.session.json").exists()
+        assert (tmp_path / "v1" / "plain-id.1.session.json").exists()
+        for root in ("log", "v1"):
+            loaded = SessionStore(tmp_path / root).load_all()
+            assert sorted(loaded) == sorted(ids)
+            assert [loaded[i].m for i in ids] == list(range(len(ids)))
+        assert not list((tmp_path / "v1").glob("*.session.json"))
 
     @pytest.mark.parametrize("field, index, value", [
         ("results", 1, float("nan")),
@@ -552,47 +559,45 @@ class TestSessionStore:
         self, tmp_path, caplog, field, index, value
     ):
         # An older server accepted non-finite results and repeated agent
-        # ids. Such a record is skipped with a warning and left on disk;
-        # every other session still loads.
-        from repro.utils.jsonio import save_json_atomic
-
+        # ids. Such a v1 record is skipped with a warning and left on
+        # disk, unconverted; every other session still loads.
         store = SessionStore(tmp_path)
         good, rng = make_session("good", 40, 2, {"kind": "noiseless"}, 8)
         good.ingest("r", measured_queries(good, rng, 4))
-        store.save(good)
+        save_json_atomic(store._v1_path("good"), v1_record(good))
         bad, rng = make_session("bad", 40, 2, {"kind": "noiseless"}, 9)
         bad.ingest("r", measured_queries(bad, rng, 4))
-        record = bad.record()
+        record = v1_record(bad)
         record[field][index] = (
             record["agents"][0] if value is None else value
         )
-        save_json_atomic(store._path("bad"), record)
+        save_json_atomic(store._v1_path("bad"), record)
         with caplog.at_level("WARNING", logger="repro.service.store"):
             loaded = SessionStore(tmp_path).load_all()
         assert sorted(loaded) == ["good"]
         assert np.array_equal(loaded["good"].decoder.scores, good.decoder.scores)
         assert "bad.session.json" in caplog.text
-        assert store._path("bad").exists()
+        assert store._v1_path("bad").exists()
+        assert not store._path("bad").exists()
 
     @pytest.mark.parametrize("damage", ["truncated", "missing-key"])
     def test_unparseable_record_is_skipped(self, tmp_path, caplog, damage):
-        # A record cut short (not JSON any more) or missing a key cannot
-        # be rebuilt. It is skipped with a warning and left on disk, and
-        # every other session still loads, so the server can start.
-        from repro.utils.jsonio import save_json_atomic
-
+        # A v1 record cut short (not JSON any more) or missing a key
+        # cannot be rebuilt. It is skipped with a warning and left on
+        # disk, and every other session still loads, so the server can
+        # start.
         store = SessionStore(tmp_path)
         good, rng = make_session("good", 40, 2, {"kind": "noiseless"}, 8)
         good.ingest("r", measured_queries(good, rng, 4))
-        store.save(good)
+        save_json_atomic(store._v1_path("good"), v1_record(good))
         bad, rng = make_session("bad", 40, 2, {"kind": "noiseless"}, 9)
         bad.ingest("r", measured_queries(bad, rng, 4))
-        path = store._path("bad")
+        path = store._v1_path("bad")
+        record = v1_record(bad)
         if damage == "truncated":
-            store.save(bad)
+            save_json_atomic(path, record)
             path.write_text(path.read_text()[:50])
         else:
-            record = bad.record()
             del record["results"]
             save_json_atomic(path, record)
         damaged = path.read_bytes()
@@ -604,14 +609,16 @@ class TestSessionStore:
         assert path.read_bytes() == damaged
 
     def test_record_under_a_foreign_name_is_not_loaded(self, tmp_path):
-        # A record whose id does not encode to its file name belongs to
-        # no session stored there, as the flattened names of an older
-        # store did.
+        # A v1 record whose id does not encode to its file name belongs
+        # to no session stored there, as the flattened names of an
+        # older store did; so does a log.
         store = SessionStore(tmp_path)
         session, _ = make_session("a/b", 30, 2, {"kind": "noiseless"}, 7)
-        store.save(session)
-        (path,) = tmp_path.glob("*.session.json")
+        path = save_json_atomic(store._v1_path("a/b"), v1_record(session))
         path.rename(tmp_path / "a_b.session.json")
+        assert SessionStore(tmp_path).load_all() == {}
+        store.save(session)
+        store._path("a/b").rename(store._path("a_b"))
         assert SessionStore(tmp_path).load_all() == {}
 
 
