@@ -446,8 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     svc.add_argument(
         "--host", default="127.0.0.1",
         help="interface to bind (default 127.0.0.1; use 0.0.0.0 to "
-        "accept remote clients — trusted networks only, the wire "
-        "format is pickle)",
+        "accept remote clients — trusted networks only, or share an "
+        "--auth-token with every client: without one any peer that "
+        "reaches the port can open, grow and decode sessions)",
     )
     svc.add_argument(
         "--port", type=_bounded_int(0, 65535), default=None,

@@ -233,6 +233,8 @@ def make_channel(
     ``kind`` is one of ``"noiseless"``, ``"z"``, ``"channel"`` (general
     noisy channel) or ``"gaussian"``.
     """
+    if not isinstance(kind, str):
+        raise TypeError(f"channel kind must be a string, got {kind!r}")
     kind = kind.lower()
     if kind == "noiseless":
         return NoiselessChannel()

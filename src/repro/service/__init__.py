@@ -1,16 +1,17 @@
-"""Resilient online decode service (PR 10).
+"""Online decode service.
 
-The serving layer of the ROADMAP's "millions of users" north star:
-a long-lived asyncio server (``repro serve``) keeps one incremental
-decode session per client and micro-batches concurrent sessions' AMP
-decode requests into single ragged block-diagonal ``iterate_amp``
-calls — batching *across users, not trials* — while staying
-bit-identical to standalone decodes. Robustness is the design center:
-admission control with explicit load shedding, graceful degradation
-to the greedy scorer under overload, per-request deadlines, durable
-crash-recoverable append-only session logs, idempotent retrying clients, and
-liveness/readiness probes. See the ROADMAP's "Online decode service
-contract (PR 10)" section for the full contract.
+A long-lived asyncio server (``repro serve``) runs the paper's
+incremental procedure online: it keeps one decode session per client,
+takes its measured pooled queries as they arrive, and micro-batches
+concurrent sessions' AMP decode requests into single ragged
+block-diagonal ``iterate_amp`` calls — batching *across users, not
+trials* — while staying bit-identical to standalone decodes.
+Robustness is the design center: admission control with explicit load
+shedding, graceful degradation to the greedy scorer under overload,
+per-request deadlines, durable crash-recoverable append-only session
+logs, idempotent retrying clients, liveness/readiness probes, and one
+body format (a JSON header plus raw arrays) on the wire and in the
+logs. See the ROADMAP's "Online decode service contract" section.
 """
 
 from repro.service.batcher import DecodeBatcher

@@ -292,7 +292,8 @@ class DecodeBatcher:
 def _amp_response(
     session: Session, result: AMPResult, return_scores: bool
 ) -> dict:
-    """The wire answer of one AMP decode, computed or cached."""
+    """The answer of one AMP decode, computed or cached (``scores`` is
+    the cached array itself: the server only frames it)."""
     response = {
         "session_id": session.session_id,
         "algorithm": "amp",
@@ -302,7 +303,7 @@ def _amp_response(
         "batch_size": result.batch_size,
     }
     if return_scores:
-        response["scores"] = result.scores.tolist()
+        response["scores"] = result.scores
     return response
 
 

@@ -27,6 +27,8 @@ import time
 import uuid
 from typing import Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.noise import Channel
 from repro.service.errors import ServiceError, error_from_wire
 from repro.service.session import channel_to_spec
@@ -35,10 +37,12 @@ from repro.service.wire import (
     ProtocolError,
     client_handshake,
     connect,
+    ingest_parts,
     recv_message,
     resolve_auth_key,
     resolve_connect_retry,
     send_message,
+    unpack_response,
 )
 
 #: reconnect backoff schedule (seconds)
@@ -111,11 +115,9 @@ class ServiceClient:
                 delay *= 2
 
     def close(self) -> None:
+        """Drop the connection; the server sees end of file at a frame
+        boundary and lets go of it."""
         if self._conn is not None:
-            try:
-                send_message(self._conn, {"op": "close"}, self._key)
-            except OSError:
-                pass
             self._conn.close()
             self._conn = None
 
@@ -126,19 +128,15 @@ class ServiceClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _drop(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
-
     # -- request machinery ----------------------------------------------
 
     def request_id(self) -> str:
         """A fresh idempotent request id (stable across its retries)."""
         return f"{self._client}:{next(self._ids)}"
 
-    def call(self, request: dict) -> dict:
-        """Send one request, retrying per the module's policy."""
+    def call(self, request: dict, arrays=()) -> dict:
+        """Send one request header (plus raw ``arrays``), retrying per
+        the module's policy."""
         budget = resolve_connect_retry(self._retry_budget)
         deadline = time.monotonic() + budget
         delay = _BACKOFF_START
@@ -146,18 +144,19 @@ class ServiceClient:
         while True:
             try:
                 self.connect()
-                send_message(self._conn, request, self._key)
-                response = recv_message(self._conn, self._key)
-                if response is None:
+                send_message(self._conn, self._key, request, arrays)
+                reply = recv_message(self._conn, self._key)
+                if reply is None:
                     raise EOFError("server closed the connection")
+                response = unpack_response(*reply)
             except (AuthError, ProtocolError):
-                self._drop()
+                self.close()
                 raise
             except (OSError, EOFError) as exc:
                 # Transport failure — e.g. the server was SIGKILLed.
                 # Reconnect and retransmit: every mutating op is
                 # idempotent by request id, so this is always safe.
-                self._drop()
+                self.close()
                 last = exc
                 response = None
             if response is not None:
@@ -203,8 +202,7 @@ class ServiceClient:
             "gamma": gamma,
             "channel": spec,
             "centering": centering,
-            "sigma": [int(v) for v in sigma],
-        })
+        }, (np.asarray(sigma, dtype="<i1"),))
 
     def ingest(
         self,
@@ -213,17 +211,22 @@ class ServiceClient:
         *,
         request_id: Optional[str] = None,
     ) -> dict:
-        """Stream a block of measured queries into a session."""
-        return self.call({
-            "op": "ingest",
-            "session_id": session_id,
-            "request_id": request_id or self.request_id(),
-            "queries": [
-                ([int(a) for a in agents], [int(c) for c in counts],
-                 float(result))
-                for agents, counts, result in queries
-            ],
-        })
+        """Stream a block of ``(agents, counts, result)`` queries into a
+        session, packed as one local CSR block."""
+        indptr, agents, counts, results = [0], [], [], []
+        for query_agents, query_counts, result in queries:
+            agents.extend(query_agents)
+            counts.extend(query_counts)
+            results.append(result)
+            indptr.append(len(agents))
+        return self.call(*ingest_parts(
+            {
+                "op": "ingest",
+                "session_id": session_id,
+                "request_id": request_id or self.request_id(),
+            },
+            indptr, agents, counts, results,
+        ))
 
     def decode(
         self,

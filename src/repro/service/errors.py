@@ -4,31 +4,10 @@ Every failure the server reports crosses the wire as a ``{"code",
 "message", "retryable"}`` dict, and the client rehydrates it into the
 matching exception class — so both sides agree, by construction, on
 the one question that matters to a caller: *is retrying this request
-ever going to help?*
-
-Retryable (transient server state — back off and retry):
-
-``overloaded``
-    The decode queue is full and the request was shed at admission.
-``deadline_exceeded``
-    The request's deadline expired before a result could be returned
-    (either while queued or because the decode finished past budget
-    and its result was discarded). Retrying with a larger budget may
-    succeed.
-
-Terminal (the request itself is wrong — retrying is futile):
-
-``invalid_request``
-    Malformed or inconsistent request payload.
-``unknown_session``
-    The named session does not exist on this server.
-``session_conflict``
-    ``open_session`` re-used an existing session id with different
-    parameters.
-``internal``
-    An unexpected server-side failure; reported with the repr of the
-    underlying error. Terminal because blind retries of a bug are
-    worse than surfacing it.
+ever going to help?* Retryable errors (``overloaded``,
+``deadline_exceeded``) are transient server state: back off and
+retry. The others are terminal; ``internal`` too, because blind
+retries of a bug are worse than surfacing it.
 
 Clean shedding is the point of the taxonomy: an overloaded or
 deadline-blown request is *answered* — with a machine-readable reason —

@@ -7,25 +7,21 @@ the loop and runs stacked AMP decodes in a worker thread. Concurrent
 clients on separate connections therefore batch *across users* while
 every individual result stays bit-identical to a standalone decode.
 
-Decodes are validated in full (``m``, ``deadline``, ``return_scores``)
-for both algorithms before anything is answered. An AMP decode goes to
-the batcher, which answers a repeat of the session's latest decoded
-prefix from its one-entry result cache; the greedy certificate exists
-only at the current prefix, so a greedy decode at any other ``m`` is
-refused. A decode never changes a session's stream, so a retransmitted
-decode needs no request-id bookkeeping: it is answered again, from the
-cache when nothing was ingested in between.
+Requests arrive as :mod:`repro.service.wire` frames. Session and
+request ids must be non-empty strings, never coerced. Decodes are
+validated in full (``m``, ``deadline``, ``return_scores``) for both
+algorithms before anything is answered. An AMP decode goes to the
+batcher, which answers a repeat of the session's latest decoded prefix
+from its one-entry result cache; the greedy certificate exists only at
+the current prefix, so a greedy decode at any other ``m`` is refused.
+A decode never changes a session's stream, so a retransmitted decode
+needs no request-id bookkeeping.
 
-Durability: every state-changing request persists its session through
-:class:`~repro.service.store.SessionStore` **before** the
-acknowledgement is sent: an open writes the session's log, an ingest
-appends one frame to it, and either is flushed to the operating system
-before the ack. Anything a client saw acked therefore survives a
-SIGKILL (not a power loss: there is no ``fsync``). A retransmitted
-open or ingest saves too, which writes nothing unless an earlier save
-of that request failed. On restart :meth:`DecodeService.start` replays the
-logs back into identical in-memory state, converting version-1 JSON
-records on the way.
+Durability: every state-changing request (an open, an ingest, or a
+retransmit of either) saves its session through
+:class:`~repro.service.store.SessionStore` **before** the ack is sent,
+under the store's durability promise; :meth:`DecodeService.start`
+replays the logs back into identical in-memory state.
 
 Probes: the ``healthz`` op answers whenever the event loop is alive
 (liveness); ``readyz`` answers whether the store has been loaded and
@@ -164,15 +160,15 @@ class DecodeService:
                 return
             while True:
                 try:
-                    request = await wire.read_frame(reader, self.key)
-                except (wire.AuthError, wire.ProtocolError, EOFError):
+                    frame = await wire.read_frame(reader, self.key)
+                except (wire.ProtocolError, EOFError):
                     return  # protocol violation: drop the connection
-                if request is None:
+                if frame is None:
                     return
-                if isinstance(request, dict) and request.get("op") == "close":
-                    return
-                response = await self._safe_dispatch(request)
-                await wire.write_frame(writer, response, self.key)
+                response = await self._safe_dispatch(*frame)
+                await wire.write_frame(
+                    writer, self.key, *wire.pack_response(response)
+                )
         except (ConnectionError, OSError):
             pass  # client vanished; its session state is unaffected
         finally:
@@ -182,14 +178,13 @@ class DecodeService:
             except (ConnectionError, OSError):
                 pass
 
-    async def _safe_dispatch(self, request) -> dict:
+    async def _safe_dispatch(self, request: dict, payload=b"") -> dict:
+        """Answer one request header (plus its raw arrays, ``payload``)."""
         self.counters["requests"] += 1
         try:
-            if not isinstance(request, dict) or "op" not in request:
-                raise InvalidRequest("requests must be dicts with an 'op'")
-            payload = await self._dispatch(request)
-            payload["ok"] = True
-            return payload
+            response = await self._dispatch(request, payload)
+            response["ok"] = True
+            return response
         except ServiceError as exc:
             self.counters["errors"] += 1
             return {"ok": False, "error": exc.to_wire()}
@@ -200,8 +195,8 @@ class DecodeService:
 
     # -- request dispatch -----------------------------------------------
 
-    async def _dispatch(self, request: dict) -> dict:
-        op = request["op"]
+    async def _dispatch(self, request: dict, payload) -> dict:
+        op = request.get("op")
         if op == "healthz":
             return {"status": "alive"}
         if op == "readyz":
@@ -218,9 +213,9 @@ class DecodeService:
                 **self.batcher.counters,
             }
         if op == "open_session":
-            return self._open_session(request)
+            return self._open_session(request, payload)
         if op == "ingest":
-            return self._ingest(request)
+            return self._ingest(request, payload)
         if op == "decode":
             return await self._decode(request)
         if op == "status":
@@ -234,31 +229,30 @@ class DecodeService:
         raise InvalidRequest(f"unknown op {op!r}")
 
     def _session(self, request: dict) -> Session:
-        session_id = str(request.get("session_id", ""))
+        session_id = _id_field(request, "session_id")
         session = self.sessions.get(session_id)
         if session is None:
             raise UnknownSession(f"no session {session_id!r} on this server")
         return session
 
-    def _open_session(self, request: dict) -> dict:
+    def _open_session(self, request: dict, payload) -> dict:
+        session_id = _id_field(request, "session_id")
         try:
-            session_id = str(request["session_id"])
             params = SessionParams.create(
                 request["n"],
                 request.get("gamma"),
                 request["channel"],
                 request.get("centering", "half_k"),
             )
-            sigma = request["sigma"]
         except KeyError as exc:
             raise InvalidRequest(f"open_session missing {exc.args[0]!r}") from None
+        sigma = np.frombuffer(payload, dtype="<i1").copy()
         existing = self.sessions.get(session_id)
         if existing is not None:
             # Idempotent reopen (client retry / reconnect) — but only
             # for the *same* session definition.
-            same = existing.params == params and (
-                existing.truth.sigma.tolist()
-                == list(int(v) for v in sigma)
+            same = existing.params == params and np.array_equal(
+                existing.truth.sigma, sigma
             )
             if not same:
                 raise SessionConflict(
@@ -275,15 +269,15 @@ class DecodeService:
             self.store.save(session)
         return {"session_id": session_id, "m": 0, "resumed": False}
 
-    def _ingest(self, request: dict) -> dict:
+    def _ingest(self, request: dict, payload) -> dict:
         session = self._session(request)
+        request_id = _id_field(request, "request_id")
         try:
-            request_id = str(request["request_id"])
-            queries = request["queries"]
-        except KeyError as exc:
-            raise InvalidRequest(f"ingest missing {exc.args[0]!r}") from None
+            block = wire.ingest_arrays(request, payload)
+        except ValueError as exc:
+            raise InvalidRequest(f"malformed ingest: {exc}") from None
         replay = request_id in session.applied
-        m = session.ingest(request_id, queries)
+        m = session.ingest(request_id, *block)
         if self.store is not None:
             # Write-ahead: persist before the ack, so an acked ingest
             # survives a SIGKILL. A retransmit saves too: it appends
@@ -328,6 +322,16 @@ class DecodeService:
         return await self.batcher.submit(
             session, m, deadline=deadline, return_scores=return_scores
         )
+
+
+def _id_field(request: dict, name: str) -> str:
+    """A session or request id: a non-empty string, never coerced."""
+    value = request.get(name)
+    if not isinstance(value, str) or not value:
+        raise InvalidRequest(
+            f"{name} must be a non-empty string, got {value!r}"
+        )
+    return value
 
 
 def _decode_m(value, session_m: int) -> int:

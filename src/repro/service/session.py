@@ -20,11 +20,11 @@ Recovery contract: a session is rebuilt by re-ingesting its queries
 re-runs the identical float accumulations, so a restored session is
 bit-for-bit the uninterrupted one. The store
 (:mod:`repro.service.store`) logs one frame per acked ingest and
-replays each through :meth:`Session.replay`, which also rebuilds the
-ingest idempotency map. :meth:`Session.from_record` reads the
-version-1 layout (parameters, sigma, every query and the idempotency
-map in one JSON dict), which the store reads only to convert old
-state directories.
+replays each through :meth:`Session.ingest`, the path a live ingest
+takes, which also rebuilds the ingest idempotency map.
+:meth:`Session.from_record` reads the version-1 layout (parameters,
+sigma, every query and the idempotency map in one JSON dict), which
+the store reads only to convert old state directories.
 """
 
 from __future__ import annotations
@@ -198,54 +198,23 @@ class Session:
     # -- ingest ---------------------------------------------------------
 
     def ingest(
-        self,
-        request_id: str,
-        queries: Sequence[Tuple[Sequence[int], Sequence[int], float]],
+        self, request_id: Optional[str], indptr, agents, counts, results
     ) -> int:
-        """Apply one ingest request; returns the stream length after it.
+        """Apply one ingest block; returns the stream length after it.
 
-        All or nothing: every query is validated before any is applied
-        (:meth:`QueryStream.append`), so a rejected request leaves the
-        stream, the greedy decoder and the applied map as they were.
-        Idempotent by ``request_id``: a retransmitted request (client
-        retry after a lost ack) is acknowledged from the applied map
-        without touching the stream.
+        The block is a local CSR (``indptr`` rising from 0) plus one
+        raw result per query: a wire ``ingest`` or a logged one being
+        replayed. All or nothing: every query is validated before any
+        is applied (:meth:`QueryStream.append`), so a rejected block
+        leaves the stream, the greedy decoder and the applied map as
+        they were. Idempotent by ``request_id``: a retransmitted
+        request (client retry after a lost ack) is acknowledged from
+        the applied map without touching the stream. A ``None`` id (a
+        logged block no request covers, from a converted v1 record) is
+        applied and not recorded.
         """
         if request_id in self.applied:
             return self.applied[request_id]
-        if not isinstance(queries, (list, tuple)):
-            raise InvalidRequest("queries must be a list of queries")
-        indptr, agents, counts, results = [0], [], [], []
-        for query in queries:
-            try:
-                a, c, result = query
-                if len(a) != len(c):
-                    raise ValueError("agents and counts differ in length")
-                results.append(float(result))
-            except (TypeError, ValueError) as exc:
-                raise InvalidRequest(
-                    f"each query must be (agents, counts, result): {exc}"
-                ) from None
-            agents.extend(a)
-            counts.extend(c)
-            indptr.append(len(agents))
-        self._apply(indptr, agents, counts, results)
-        self.applied[request_id] = self.stream.m_done
-        return self.stream.m_done
-
-    def replay(self, request_id, indptr, agents, counts, results) -> None:
-        """Re-apply one logged ingest (store recovery).
-
-        The same checks and accumulations as :meth:`ingest`, given the
-        ingest's local CSR block; a non-``None`` ``request_id`` enters
-        the applied map at the stream length after the block.
-        """
-        self._apply(indptr, agents, counts, results)
-        if request_id is not None:
-            self.applied[request_id] = self.stream.m_done
-
-    def _apply(self, indptr, agents, counts, results) -> None:
-        """Append a query block to the stream, then to the decoder."""
         m_before = self.stream.m_done
         try:
             indptr, agents, counts = (
@@ -261,6 +230,9 @@ class Session:
             self.decoder.ingest_query(
                 agents[lo:hi], counts[lo:hi], float(result)
             )
+        if request_id is not None:
+            self.applied[request_id] = self.stream.m_done
+        return self.stream.m_done
 
     # -- decode ---------------------------------------------------------
 
@@ -314,8 +286,8 @@ class Session:
                 f"record holds {len(record['indptr']) - 1} queries, "
                 f"not m={record['m']}"
             )
-        session._apply(
-            record["indptr"], record["agents"], record["counts"],
+        session.ingest(
+            None, record["indptr"], record["agents"], record["counts"],
             record["results"],
         )
         session.applied = {

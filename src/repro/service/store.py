@@ -10,16 +10,16 @@ of frames::
 
     4-byte LE body length | 4-byte LE CRC32 of the body | body
 
-and every body is a 4-byte LE header length, a JSON header, then raw
-little-endian arrays read back with ``np.frombuffer``:
+and every body is the wire's (:mod:`repro.service.wire`): a 4-byte LE
+header length, a JSON header, then raw little-endian arrays:
 
 * the **open frame** (always first): header ``{"version": 2,
   "session_id", "n", "gamma", "channel", "centering"}``, then sigma as
   ``n`` int8 bytes;
 * one **ingest frame** per acknowledged ingest: header
-  ``{"request_id", "queries": b}``, then the ingest's local CSR
-  ``indptr`` (``b + 1`` int64), ``agents`` and ``counts`` (int64
-  each) and ``results`` (``b`` float64).
+  ``{"request_id", "queries": b}``, then the arrays of a wire
+  ``ingest`` (:func:`~repro.service.wire.ingest_parts`), the ingest's
+  local CSR as int64 and its ``b`` results as float64.
 
 :meth:`SessionStore.save` appends only the frames a session gained
 since its last save, so persisting an ingest costs O(ingest), not
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import logging
 import os
 import struct
@@ -70,12 +69,16 @@ import numpy as np
 
 from repro.service.errors import InvalidRequest
 from repro.service.session import Session, SessionParams
+from repro.service.wire import (
+    ingest_arrays,
+    ingest_parts,
+    pack_body,
+    parse_body,
+)
 from repro.utils.jsonio import load_json, write_bytes_atomic
 
 #: frame prefix: body length, CRC32 of the body
 _FRAME = struct.Struct("<II")
-#: body prefix: JSON header length
-_HEADER = struct.Struct("<I")
 #: the log layout written by this module (v1 was the JSON record)
 LOG_VERSION = 2
 
@@ -83,14 +86,7 @@ _log = logging.getLogger(__name__)
 
 
 def _frame(header: dict, *arrays: np.ndarray) -> bytes:
-    # ``default``: a channel parameter may arrive as a NumPy scalar
-    head = json.dumps(
-        header, sort_keys=True, default=lambda value: value.item()
-    ).encode("ascii")
-    body = b"".join(
-        [_HEADER.pack(len(head)), head]
-        + [np.ascontiguousarray(a).tobytes() for a in arrays]
-    )
+    body = pack_body(header, *arrays)
     return _FRAME.pack(len(body), zlib.crc32(body)) + body
 
 
@@ -110,12 +106,8 @@ def _open_frame(session: Session) -> bytes:
 
 
 def _ingest_frame(request_id: Optional[str], block) -> bytes:
-    indptr, agents, counts, results = block
-    return _frame(
-        {"request_id": request_id, "queries": len(results)},
-        indptr.astype("<i8"), agents.astype("<i8"), counts.astype("<i8"),
-        results.astype("<f8"),
-    )
+    header, arrays = ingest_parts({"request_id": request_id}, *block)
+    return _frame(header, *arrays)
 
 
 def _rows(session: Session, lo: int, hi: int):
@@ -172,19 +164,8 @@ def _read_frames(data: bytes):
         offset = end
 
 
-def _parse_body(body: bytes) -> Tuple[dict, memoryview]:
-    (head_len,) = _HEADER.unpack_from(body)
-    end = _HEADER.size + head_len
-    if end > len(body):
-        raise ValueError("frame header overruns its body")
-    header = json.loads(body[_HEADER.size:end].decode("ascii"))
-    if not isinstance(header, dict):
-        raise ValueError("frame header is not an object")
-    return header, memoryview(body)[end:]
-
-
 def _open_session(body: bytes) -> Session:
-    header, payload = _parse_body(body)
+    header, payload = parse_body(body)
     if header["version"] != LOG_VERSION:
         raise ValueError(f"unknown log version {header['version']!r}")
     params = SessionParams.create(
@@ -195,27 +176,11 @@ def _open_session(body: bytes) -> Session:
 
 
 def _replay_ingest(session: Session, body: bytes) -> None:
-    header, payload = _parse_body(body)
-    request_id, b = header["request_id"], header["queries"]
+    header, payload = parse_body(body)
+    request_id = header["request_id"]
     if not (request_id is None or isinstance(request_id, str)):
         raise ValueError(f"bad request id {request_id!r}")
-    if isinstance(b, bool) or not isinstance(b, int) or b < 0:
-        raise ValueError(f"bad query count {b!r}")
-    indptr = np.frombuffer(payload, dtype="<i8", count=b + 1)
-    nnz = int(indptr[-1])
-    if nnz < 0 or len(payload) != 8 * (b + 1) + 16 * nnz + 8 * b:
-        raise ValueError("frame arrays do not match their indptr")
-    offset = 8 * (b + 1)
-    agents = np.frombuffer(payload, dtype="<i8", count=nnz, offset=offset)
-    counts = np.frombuffer(
-        payload, dtype="<i8", count=nnz, offset=offset + 8 * nnz
-    )
-    # copied: the stream keeps float64 results as given, and a view
-    # would pin the whole frame body in memory
-    results = np.frombuffer(
-        payload, dtype="<f8", count=b, offset=offset + 16 * nnz
-    ).copy()
-    session.replay(request_id, indptr, agents, counts, results)
+    session.ingest(request_id, *ingest_arrays(header, payload))
 
 
 def _append(path: Path, data: bytes) -> None:

@@ -1,33 +1,35 @@
 """Wire protocol of the online decode service.
 
-Authenticated length-prefixed pickle frames::
+Authenticated length-prefixed frames::
 
-    8-byte big-endian payload length | 32-byte HMAC-SHA256 tag | payload
+    8-byte big-endian body length | 32-byte HMAC-SHA256 tag | body
 
-The tag is computed over the payload with a key derived from the
-``REPRO_AUTH_TOKEN`` environment variable (or an explicit token on the
-server / client). With no token set on either side, a fixed well-known
-key is used, which still detects frame corruption but authenticates
-nothing — set a shared token on both sides for anything beyond
-localhost. Two non-negotiables hold on every receive path: the length
-prefix is checked against :func:`max_frame_bytes` **before** the
-receive buffer is allocated, and the HMAC tag is verified **before**
-the payload is unpickled, so a peer with the wrong token (or a
-corrupted/hostile frame) is rejected without executing any pickle and
-without unbounded allocation. The server is a single-threaded event
-loop and reads through the asyncio stream variants
-(:func:`read_frame` / :func:`write_frame`); the client uses the
-synchronous socket ones (:func:`send_message` / :func:`recv_message`).
+A body is the service's one body format, on the wire as in the
+session logs (:mod:`repro.service.store`): a 4-byte LE header length,
+a JSON header (each message is one header), then raw little-endian
+arrays in fixed layouts — sigma of an ``open_session`` as int8, an
+``ingest``'s local CSR (:func:`ingest_parts`), an AMP answer's scores
+(:func:`pack_response`). The tag is keyed by ``REPRO_AUTH_TOKEN`` (or
+an explicit token). On both receive paths, sync (:func:`recv_message`)
+and asyncio (:func:`read_frame`), the length prefix is checked against
+:func:`max_frame_bytes` **before** the body buffer is allocated, and
+the tag is verified **before** the body is parsed.
 
-Every conversation opens with the service handshake —
-``("hello", "service", version)`` / ``("welcome", "service",
-version)`` — or an authenticated ``("reject", reason)`` on a family or
-version mismatch; an unauthenticated peer is simply disconnected.
+Every conversation opens with the handshake ``{"op": "hello",
+"family": "service", "version": 2}``, answered by ``{"op":
+"welcome", ...}`` or, on a family or version mismatch, an
+authenticated ``{"op": "reject", "reason": ...}``; a first frame that
+fails its tag or does not parse (an older pickle peer's included) gets
+a silent disconnect.
 
-**Trust model:** frame *payloads* are pickles, which execute code when
-loaded. The HMAC tag means only peers holding the shared token can get
-a frame loaded at all, but anyone who has the token can still execute
-code on the server, so share it like an SSH key.
+**Trust model:** nothing a peer sends is executed. Headers are JSON,
+and arrays are read with ``np.frombuffer`` at sizes checked against
+the body, so a frame can at worst be malformed, and a malformed frame
+drops the connection or answers ``invalid_request``. With a shared
+token, only its holders get a frame read at all. With no token (the
+default) the key is a constant of this module: the tag detects
+corruption only, and any peer that reaches the port can open, grow or
+decode any session. Bind to localhost, or set a token.
 """
 
 from __future__ import annotations
@@ -35,36 +37,45 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import hmac
+import json
 import os
-import pickle
 import select
 import socket
 import struct
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.utils import config
 
 #: service wire protocol version; bump on any frame or message-shape
 #: change so mismatched versions reject at the handshake
-SERVICE_PROTOCOL_VERSION = 1
+SERVICE_PROTOCOL_VERSION = 2
 
 #: the handshake family tag naming decode-service conversations
 SERVICE_FAMILY = "service"
 
-#: frame header: 8-byte big-endian payload length
-_HEADER = struct.Struct(">Q")
+_HELLO = {
+    "op": "hello", "family": SERVICE_FAMILY,
+    "version": SERVICE_PROTOCOL_VERSION,
+}
+_WELCOME = {**_HELLO, "op": "welcome"}
 
-#: HMAC-SHA256 tag length (bytes), between the header and the payload
+#: frame prefix: 8-byte big-endian body length
+_LENGTH = struct.Struct(">Q")
+
+#: HMAC-SHA256 tag length (bytes), between the length and the body
 _TAG_SIZE = hashlib.sha256().digest_size
+
+#: body prefix: JSON header length
+_HEAD = struct.Struct("<I")
 
 #: environment variable holding the shared auth token
 AUTH_TOKEN_ENV = "REPRO_AUTH_TOKEN"
 
 #: fallback HMAC key when no token is configured: frames still carry a
-#: verified tag (corruption detection) but any same-version peer can
-#: produce it — integrity without authentication. The key bytes (and
-#: the ``repro-sweep-token:`` prefix of a token-derived key) predate
-#: the service and stay as they are, so the wire bytes never change.
+#: verified tag (corruption detection) but any peer can produce it —
+#: integrity without authentication
 _INTEGRITY_KEY = b"repro-sweep-integrity-v1"
 
 #: environment variable overriding the frame-size cap (bytes)
@@ -102,7 +113,96 @@ class FrameTooLarge(ProtocolError):
 
 
 class AuthError(ProtocolError):
-    """A frame's HMAC tag did not verify; nothing was unpickled."""
+    """A frame's HMAC tag did not verify; nothing was parsed."""
+
+
+# -- bodies -------------------------------------------------------------
+
+
+def pack_body(header: dict, *arrays: np.ndarray) -> bytes:
+    """One body: the JSON ``header``, then each array's raw bytes."""
+    # ``default``: a channel parameter may arrive as a NumPy scalar
+    head = json.dumps(
+        header, sort_keys=True, default=lambda value: value.item()
+    ).encode("ascii")
+    return b"".join(
+        [_HEAD.pack(len(head)), head]
+        + [np.ascontiguousarray(a).tobytes() for a in arrays]
+    )
+
+
+def parse_body(body) -> Tuple[dict, memoryview]:
+    """A body's header and the raw bytes after it; ``ValueError`` (or
+    ``struct.error``) if it is malformed."""
+    (head_len,) = _HEAD.unpack_from(body)
+    end = _HEAD.size + head_len
+    if end > len(body):
+        raise ValueError("header overruns its body")
+    try:
+        header = json.loads(bytes(body[_HEAD.size:end]).decode("ascii"))
+    except RecursionError:
+        raise ValueError("header nests too deep") from None
+    if not isinstance(header, dict):
+        raise ValueError("header is not an object")
+    return header, memoryview(body)[end:]
+
+
+def ingest_parts(
+    header: dict, indptr, agents, counts, results
+) -> Tuple[dict, tuple]:
+    """An ingest body's header and arrays (the layout
+    :func:`ingest_arrays` reads): ``header`` plus the query count, then
+    the block's local CSR as int64 and its results as float64."""
+    return {**header, "queries": len(results)}, (
+        np.asarray(indptr, dtype="<i8"), np.asarray(agents, dtype="<i8"),
+        np.asarray(counts, dtype="<i8"), np.asarray(results, dtype="<f8"),
+    )
+
+
+def ingest_arrays(header: dict, payload) -> Tuple[np.ndarray, ...]:
+    """An ingest body's ``(indptr, agents, counts, results)``, sizes
+    checked against the header's query count before any array is read
+    (``ValueError``). The queries themselves are checked by
+    :meth:`QueryStream.append`."""
+    b = header.get("queries")
+    if isinstance(b, bool) or not isinstance(b, int) or b < 0:
+        raise ValueError(f"bad query count {b!r}")
+    offset = 8 * (b + 1)
+    if len(payload) < offset:
+        raise ValueError(f"payload too short for {b} queries")
+    indptr = np.frombuffer(payload, dtype="<i8", count=b + 1)
+    nnz = int(indptr[-1])
+    if nnz < 0 or len(payload) != offset + 16 * nnz + 8 * b:
+        raise ValueError("ingest arrays do not match their indptr")
+    agents = np.frombuffer(payload, dtype="<i8", count=nnz, offset=offset)
+    counts = np.frombuffer(
+        payload, dtype="<i8", count=nnz, offset=offset + 8 * nnz
+    )
+    # copied: the stream keeps float64 results as given, and a view
+    # would pin the whole body in memory
+    results = np.frombuffer(
+        payload, dtype="<f8", count=b, offset=offset + 16 * nnz
+    ).copy()
+    return indptr, agents, counts, results
+
+
+def pack_response(response: dict) -> Tuple[dict, tuple]:
+    """A response's header and arrays: scores, if any, travel raw."""
+    scores = response.get("scores")
+    if scores is None:
+        return response, ()
+    return {**response, "scores": len(scores)}, (
+        np.asarray(scores, dtype="<f8"),
+    )
+
+
+def unpack_response(header: dict, payload) -> dict:
+    """The response :func:`pack_response` framed, scores as a list."""
+    if "scores" in header:
+        if len(payload) % 8 or len(payload) // 8 != header["scores"]:
+            raise ProtocolError("response scores do not match their count")
+        header["scores"] = np.frombuffer(payload, dtype="<f8").tolist()
+    return header
 
 
 # -- framing ------------------------------------------------------------
@@ -114,7 +214,7 @@ def resolve_auth_key(token: Union[str, bytes, None] = None) -> bytes:
     ``None`` falls back to the environment variable; with neither set,
     a fixed integrity-only key is used (corruption detection, no
     authentication). Both sides of a connection must resolve the same
-    key or every frame is rejected before unpickling.
+    key or every frame is rejected before it is parsed.
     """
     if token is None:
         token = os.environ.get(AUTH_TOKEN_ENV) or None
@@ -131,15 +231,47 @@ def max_frame_bytes() -> int:
     return DEFAULT_MAX_FRAME_BYTES if value is None else value
 
 
+def _seal(key: bytes, header: dict, arrays: Sequence[np.ndarray]) -> bytes:
+    """One whole frame: length, tag, body."""
+    body = pack_body(header, *arrays)
+    tag = hmac.new(key, body, hashlib.sha256).digest()
+    return _LENGTH.pack(len(body)) + tag + body
+
+
+def _frame_length(prefix: bytes) -> int:
+    """Open step 1: the tag-plus-body size a length prefix announces,
+    checked against the cap before anything is allocated."""
+    (length,) = _LENGTH.unpack(prefix)
+    cap = max_frame_bytes()
+    if length > cap:
+        raise FrameTooLarge(
+            f"frame announces {length} body bytes, above the {cap}-byte "
+            f"cap ({MAX_FRAME_ENV} raises it); refusing the allocation"
+        )
+    return _TAG_SIZE + length
+
+
+def _open(key: bytes, rest: bytes) -> Tuple[dict, memoryview]:
+    """Open step 2: verify the tag, then parse the body."""
+    tag, body = rest[:_TAG_SIZE], memoryview(rest)[_TAG_SIZE:]
+    expected = hmac.new(key, body, hashlib.sha256).digest()
+    if not hmac.compare_digest(tag, expected):
+        raise AuthError(
+            "frame HMAC verification failed (wrong or missing "
+            f"{AUTH_TOKEN_ENV} on one side, or a corrupted frame); "
+            "body discarded unread"
+        )
+    try:
+        return parse_body(body)
+    except (ValueError, struct.error) as exc:
+        raise ProtocolError(f"malformed frame body: {exc}") from None
+
+
 def send_message(
-    conn: socket.socket, obj, key: Optional[bytes] = None
+    conn: socket.socket, key: bytes, header: dict, arrays=()
 ) -> None:
-    """Send one authenticated length-prefixed pickle frame."""
-    if key is None:
-        key = resolve_auth_key()
-    payload = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    tag = hmac.new(key, payload, hashlib.sha256).digest()
-    conn.sendall(_HEADER.pack(len(payload)) + tag + payload)
+    """Send one authenticated frame: ``header`` plus raw ``arrays``."""
+    conn.sendall(_seal(key, header, arrays))
 
 
 def _recv_exact(conn: socket.socket, count: int) -> Optional[bytes]:
@@ -154,93 +286,39 @@ def _recv_exact(conn: socket.socket, count: int) -> Optional[bytes]:
 
 
 def recv_message(
-    conn: socket.socket,
-    key: Optional[bytes] = None,
-    max_bytes: Optional[int] = None,
-):
-    """Receive one frame; ``None`` on clean EOF at a frame boundary.
-
-    The length prefix is checked against ``max_bytes`` (default:
-    :func:`max_frame_bytes`) **before** the payload buffer is
-    allocated, and the HMAC tag is verified **before** the payload is
-    unpickled — so neither a hostile length prefix nor a frame from a
-    peer without the shared token ever reaches ``pickle.loads`` or an
-    unbounded allocation.
-    """
-    if key is None:
-        key = resolve_auth_key()
-    if max_bytes is None:
-        max_bytes = max_frame_bytes()
-    header = _recv_exact(conn, _HEADER.size)
-    if header is None:
+    conn: socket.socket, key: bytes
+) -> Optional[Tuple[dict, memoryview]]:
+    """Receive one frame as ``(header, payload)``; ``None`` on clean EOF
+    at a frame boundary. The cap is checked before the body is
+    allocated, and the tag verified before it is parsed."""
+    prefix = _recv_exact(conn, _LENGTH.size)
+    if prefix is None:
         return None
-    (length,) = _HEADER.unpack(header)
-    if length > max_bytes:
-        raise FrameTooLarge(
-            f"frame announces {length} payload bytes, above the "
-            f"{max_bytes}-byte cap ({MAX_FRAME_ENV} raises it); "
-            "refusing the allocation"
-        )
-    tag = _recv_exact(conn, _TAG_SIZE)
-    if tag is None:
+    rest = _recv_exact(conn, _frame_length(prefix))
+    if rest is None:
         raise EOFError("connection closed mid-frame")
-    payload = _recv_exact(conn, length)
-    if payload is None:
-        raise EOFError("connection closed mid-frame")
-    expected = hmac.new(key, payload, hashlib.sha256).digest()
-    if not hmac.compare_digest(tag, expected):
-        raise AuthError(
-            "frame HMAC verification failed (wrong or missing "
-            f"{AUTH_TOKEN_ENV} on one side, or a corrupted frame); "
-            "payload discarded unread"
-        )
-    return pickle.loads(payload)
+    return _open(key, rest)
 
 
 async def read_frame(
-    reader: asyncio.StreamReader,
-    key: bytes,
-    max_bytes: Optional[int] = None,
-):
-    """Read one authenticated frame; ``None`` on clean EOF at a boundary.
-
-    The asyncio twin of :func:`recv_message`, with the identical
-    cap-before-allocate / verify-before-unpickle order.
-    """
-    if max_bytes is None:
-        max_bytes = max_frame_bytes()
+    reader: asyncio.StreamReader, key: bytes
+) -> Optional[Tuple[dict, memoryview]]:
+    """The asyncio twin of :func:`recv_message`, with the same open steps."""
     try:
-        header = await reader.readexactly(_HEADER.size)
+        prefix = await reader.readexactly(_LENGTH.size)
+        rest = await reader.readexactly(_frame_length(prefix))
     except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise EOFError("connection closed mid-frame") from exc
-    (length,) = _HEADER.unpack(header)
-    if length > max_bytes:
-        raise ProtocolError(
-            f"frame announces {length} payload bytes, above the "
-            f"{max_bytes}-byte cap; refusing the allocation"
-        )
-    try:
-        tag = await reader.readexactly(_TAG_SIZE)
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise EOFError("connection closed mid-frame") from exc
-    expected = hmac.new(key, payload, hashlib.sha256).digest()
-    if not hmac.compare_digest(tag, expected):
-        raise AuthError(
-            "frame HMAC verification failed; payload discarded unread"
-        )
-    return pickle.loads(payload)
+        if exc.partial or exc.expected != _LENGTH.size:
+            raise EOFError("connection closed mid-frame") from exc
+        return None
+    return _open(key, rest)
 
 
 async def write_frame(
-    writer: asyncio.StreamWriter, obj, key: bytes
+    writer: asyncio.StreamWriter, key: bytes, header: dict, arrays=()
 ) -> None:
     """Send one authenticated frame on an asyncio stream."""
-    payload = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    tag = hmac.new(key, payload, hashlib.sha256).digest()
-    writer.write(_HEADER.pack(len(payload)) + tag + payload)
+    writer.write(_seal(key, header, arrays))
     await writer.drain()
 
 
@@ -297,43 +375,30 @@ async def server_handshake(
 ) -> bool:
     """Serve the handshake; returns ``False`` when the peer was rejected.
 
-    An unauthenticated hello (wrong token) gets a silent disconnect —
-    nothing is revealed to a peer that cannot produce a valid tag. A
-    wrong family or version gets an authenticated rejection naming the
-    reason.
+    A hello that fails its tag (wrong token) or does not parse gets a
+    silent disconnect — nothing is revealed to a peer that cannot
+    produce a valid frame. A wrong family or version gets an
+    authenticated rejection naming the reason.
     """
     try:
-        hello = await read_frame(reader, key)
-    except (AuthError, ProtocolError, EOFError):
+        opened = await read_frame(reader, key)
+    except (ProtocolError, EOFError):
         return False
-    if hello is None:
+    if opened is None:
         return False
-    if (
-        not isinstance(hello, tuple)
-        or len(hello) != 3
-        or hello[0] != "hello"
-        or hello[1] != SERVICE_FAMILY
-    ):
-        await write_frame(
-            writer,
-            ("reject", "this port speaks the repro decode-service protocol"),
-            key,
+    hello, _ = opened
+    if (hello.get("op"), hello.get("family")) != ("hello", SERVICE_FAMILY):
+        reason = "this port speaks the repro decode-service protocol"
+    elif hello.get("version") != SERVICE_PROTOCOL_VERSION:
+        reason = (
+            f"service protocol {hello.get('version')!r} != "
+            f"{SERVICE_PROTOCOL_VERSION}"
         )
-        return False
-    if hello[2] != SERVICE_PROTOCOL_VERSION:
-        await write_frame(
-            writer,
-            (
-                "reject",
-                f"service protocol {hello[2]} != {SERVICE_PROTOCOL_VERSION}",
-            ),
-            key,
-        )
-        return False
-    await write_frame(
-        writer, ("welcome", SERVICE_FAMILY, SERVICE_PROTOCOL_VERSION), key
-    )
-    return True
+    else:
+        await write_frame(writer, key, _WELCOME)
+        return True
+    await write_frame(writer, key, {"op": "reject", "reason": reason})
+    return False
 
 
 def client_handshake(conn: socket.socket, key: bytes) -> None:
@@ -347,7 +412,7 @@ def client_handshake(conn: socket.socket, key: bytes) -> None:
     i.e. retryable). The wait happens before the frame read, so a slow
     reply never loses partially received bytes to a timeout.
     """
-    send_message(conn, ("hello", SERVICE_FAMILY, SERVICE_PROTOCOL_VERSION), key)
+    send_message(conn, key, _HELLO)
     if not select.select([conn], [], [], HANDSHAKE_TIMEOUT)[0]:
         raise OSError(
             f"no handshake reply within {HANDSHAKE_TIMEOUT:.0f}s"
@@ -358,11 +423,14 @@ def client_handshake(conn: socket.socket, key: bytes) -> None:
             "server closed the connection during the handshake — almost "
             "always an auth-token mismatch between client and server"
         )
-    if isinstance(reply, tuple) and reply and reply[0] == "reject":
-        raise ProtocolError(f"server rejected the handshake: {reply[1]}")
-    if reply != ("welcome", SERVICE_FAMILY, SERVICE_PROTOCOL_VERSION):
+    header, _ = reply
+    if header.get("op") == "reject":
         raise ProtocolError(
-            f"unexpected handshake reply {reply!r} (client speaks "
+            f"server rejected the handshake: {header.get('reason')}"
+        )
+    if header != _WELCOME:
+        raise ProtocolError(
+            f"unexpected handshake reply {header!r} (client speaks "
             f"service protocol {SERVICE_PROTOCOL_VERSION})"
         )
 
@@ -380,6 +448,12 @@ __all__ = [
     "ProtocolError",
     "FrameTooLarge",
     "AuthError",
+    "pack_body",
+    "parse_body",
+    "ingest_parts",
+    "ingest_arrays",
+    "pack_response",
+    "unpack_response",
     "resolve_auth_key",
     "max_frame_bytes",
     "send_message",

@@ -46,6 +46,10 @@ with:
 * :func:`v1_record` — a service session in the version-1 JSON record
   layout, which :meth:`repro.service.session.Session.from_record`
   reads when the session store converts an old state directory.
+* :func:`pack_queries` — ``(agents, counts, result)`` query tuples as
+  the local CSR block :meth:`repro.service.session.Session.ingest`
+  takes, one query at a time; :func:`wire_request` — a service request
+  as the server reads it off the wire.
 """
 
 from typing import List, Optional, Sequence, Tuple
@@ -437,3 +441,24 @@ def v1_record(session) -> dict:
         "results": stream.results.tolist(),
         "applied": dict(session.applied),
     }
+
+
+def pack_queries(queries) -> Tuple[list, list, list, list]:
+    """``(agents, counts, result)`` tuples as ``(indptr, agents,
+    counts, results)``: each query's agents and counts appended in
+    turn, ``indptr`` counting its agents."""
+    indptr, agents, counts, results = [0], [], [], []
+    for query_agents, query_counts, result in queries:
+        agents += list(query_agents)
+        counts += list(query_counts)
+        results.append(result)
+        indptr.append(len(agents))
+    return indptr, agents, counts, results
+
+
+def wire_request(header: dict, arrays=()) -> Tuple[dict, memoryview]:
+    """``(header, payload)`` of a request framed with ``arrays``, as
+    :meth:`repro.service.server.DecodeService._safe_dispatch` takes it."""
+    from repro.service.wire import pack_body, parse_body
+
+    return parse_body(pack_body(header, *arrays))

@@ -59,7 +59,7 @@ from repro.service.wire import (
     send_message,
 )
 
-from reference import measured_query, v1_record
+from reference import measured_query, pack_queries, v1_record, wire_request
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +138,16 @@ class TestErrorTaxonomy:
 
 
 class TestFrames:
+    KEY = resolve_auth_key("frames")
+
     def test_round_trip(self):
         a, b = socket.socketpair()
         try:
-            send_message(a, ("hello", 1))
-            assert recv_message(b) == ("hello", 1)
+            scores = np.array([0.5, -1.25, np.inf])
+            send_message(a, self.KEY, {"op": "hello", "n": 1}, (scores,))
+            header, payload = recv_message(b, self.KEY)
+            assert header == {"op": "hello", "n": 1}
+            assert np.array_equal(np.frombuffer(payload), scores)
         finally:
             a.close()
             b.close()
@@ -154,19 +159,31 @@ class TestFrames:
             # from the 8 header bytes alone, no allocation, no read.
             a.sendall((1 << 40).to_bytes(8, "big"))
             with pytest.raises(FrameTooLarge, match="cap"):
-                recv_message(b)
+                recv_message(b, self.KEY)
         finally:
             a.close()
             b.close()
+
+    def test_oversized_frame_rejected_on_the_asyncio_path(self):
+        # The server's reader raises the client's error, naming the
+        # variable that raises the cap.
+        async def read(data):
+            reader = asyncio.StreamReader()
+            reader.feed_data(data)
+            reader.feed_eof()
+            return await wire.read_frame(reader, self.KEY)
+
+        with pytest.raises(FrameTooLarge, match=MAX_FRAME_ENV):
+            asyncio.run(read((1 << 40).to_bytes(8, "big")))
 
     def test_frame_cap_env_override(self, monkeypatch):
         monkeypatch.setenv(MAX_FRAME_ENV, "64")
         assert max_frame_bytes() == 64
         a, b = socket.socketpair()
         try:
-            send_message(a, ("spec", "k", {"payload": "x" * 256}))
+            send_message(a, self.KEY, {"op": "spec", "payload": "x" * 256})
             with pytest.raises(FrameTooLarge):
-                recv_message(b)
+                recv_message(b, self.KEY)
         finally:
             a.close()
             b.close()
@@ -177,9 +194,9 @@ class TestFrames:
     def test_wrong_key_rejected_before_unpickle(self):
         a, b = socket.socketpair()
         try:
-            send_message(a, ("chunk",), key=resolve_auth_key("token-a"))
+            send_message(a, resolve_auth_key("token-a"), {"op": "chunk"})
             with pytest.raises(AuthError, match="HMAC"):
-                recv_message(b, key=resolve_auth_key("token-b"))
+                recv_message(b, resolve_auth_key("token-b"))
         finally:
             a.close()
             b.close()
@@ -191,12 +208,12 @@ class TestFrames:
             import hmac as hmac_module
 
             key = resolve_auth_key()
-            payload = pickle.dumps(("ok", [1, 2, 3]))
-            tag = hmac_module.new(key, payload, hashlib.sha256).digest()
-            tampered = bytes([payload[0] ^ 1]) + payload[1:]
-            a.sendall(wire._HEADER.pack(len(tampered)) + tag + tampered)
+            body = wire.pack_body({"op": "ok"}, np.array([1, 2, 3]))
+            tag = hmac_module.new(key, body, hashlib.sha256).digest()
+            tampered = body[:-1] + bytes([body[-1] ^ 1])
+            a.sendall(wire._LENGTH.pack(len(tampered)) + tag + tampered)
             with pytest.raises(AuthError):
-                recv_message(b, key=key)
+                recv_message(b, key)
         finally:
             a.close()
             b.close()
@@ -281,12 +298,10 @@ class TestConnectRetry:
                 conn.settimeout(None)
                 accepted.append(conn)
                 wire.recv_message(conn, key)
-                wire.send_message(
-                    conn,
-                    ("welcome", wire.SERVICE_FAMILY,
-                     wire.SERVICE_PROTOCOL_VERSION),
-                    key,
-                )
+                wire.send_message(conn, key, {
+                    "op": "welcome", "family": wire.SERVICE_FAMILY,
+                    "version": wire.SERVICE_PROTOCOL_VERSION,
+                })
                 wire.recv_message(conn, key)
                 conn.sendall(reply)
 
@@ -340,6 +355,7 @@ class TestSessionParams:
             {"gamma": 0},
             {"centering": "nope"},
             {"channel_spec": {"kind": "nope"}},
+            {"channel_spec": {"kind": ["z"]}},
             {"channel_spec": {"kind": "z", "p": 2.0}},
         ],
     )
@@ -373,10 +389,10 @@ class TestSession:
     def test_ingest_is_idempotent(self):
         session, rng = make_session("s", 60, 3, {"kind": "z", "p": 0.1}, 0)
         queries = measured_queries(session, rng, 5)
-        m1 = session.ingest("req-0", queries)
+        m1 = session.ingest("req-0", *pack_queries(queries))
         scores = np.array(session.decoder.scores)
         # A retransmitted frame is acked from the applied map.
-        m2 = session.ingest("req-0", queries)
+        m2 = session.ingest("req-0", *pack_queries(queries))
         assert m1 == m2 == 5
         assert session.m == 5
         assert np.array_equal(session.decoder.scores, scores)
@@ -384,9 +400,11 @@ class TestSession:
     def test_ingest_rejects_malformed_queries(self):
         session, _ = make_session("s", 60, 3, {"kind": "noiseless"}, 0)
         with pytest.raises(InvalidRequest):
-            session.ingest("r1", [([0, 1], [1], 3.0)])  # shape mismatch
+            # shape mismatch
+            session.ingest("r1", *pack_queries([([0, 1], [1], 3.0)]))
         with pytest.raises(InvalidRequest):
-            session.ingest("r2", [([0], [5], 3.0)])  # sum != gamma
+            # sum != gamma
+            session.ingest("r2", *pack_queries([([0], [5], 3.0)]))
         assert session.m == 0
 
     @staticmethod
@@ -416,22 +434,25 @@ class TestSession:
         sigma[:3] = 1
         params = SessionParams.create(20, 4, {"kind": "z", "p": 0.1}, "oracle")
         session = Session("a", params, sigma)
-        session.ingest("r0", [([1, 2], [2, 2], 3.0)])
+        session.ingest("r0", *pack_queries([([1, 2], [2, 2], 3.0)]))
         before = self._state(session)
         with pytest.raises(InvalidRequest, match=r"lie in \[0"):
-            session.ingest(
-                "r1", [([0, 5], [3, 1], 2.0), ([0, 99], [3, 1], 1.0)]
-            )
+            session.ingest("r1", *pack_queries(
+                [([0, 5], [3, 1], 2.0), ([0, 99], [3, 1], 1.0)]
+            ))
         self._assert_unchanged(session, before)
         with pytest.raises(InvalidRequest, match="length"):
-            session.ingest("r2", [([0, 5], [3, 1], 2.0), ([0, 5], [4], 1.0)])
+            session.ingest("r2", *pack_queries(
+                [([0, 5], [3, 1], 2.0), ([0, 5], [4], 1.0)]
+            ))
         self._assert_unchanged(session, before)
-        for queries in (None, 5):
-            with pytest.raises(InvalidRequest, match="list of queries"):
-                session.ingest("r4", queries)
+        for block in (None, 5):
+            with pytest.raises(InvalidRequest):
+                session.ingest("r4", block, block, block, block)
         self._assert_unchanged(session, before)
         # the next ingest persists only its own query
-        assert session.ingest("r3", [([0, 5], [3, 1], 2.0)]) == 2
+        block = pack_queries([([0, 5], [3, 1], 2.0)])
+        assert session.ingest("r3", *block) == 2
         assert v1_record(session)["indptr"] == [0, 2, 4]
 
     @pytest.mark.parametrize("query", [
@@ -444,18 +465,18 @@ class TestSession:
         self, query
     ):
         session, rng = make_session("s", 20, 3, {"kind": "noiseless"}, 0, 4)
-        session.ingest("r0", measured_queries(session, rng, 3))
+        session.ingest("r0", *pack_queries(measured_queries(session, rng, 3)))
         before = self._state(session)
         with pytest.raises(InvalidRequest, match="finite|distinct"):
-            session.ingest("r1", [query])
+            session.ingest("r1", *pack_queries([query]))
         self._assert_unchanged(session, before)
 
     def test_record_round_trip_is_bit_identical(self):
         session, rng = make_session(
             "s", 80, 4, {"kind": "gaussian", "lam": 1.0}, 1
         )
-        session.ingest("a", measured_queries(session, rng, 12))
-        session.ingest("b", measured_queries(session, rng, 7))
+        session.ingest("a", *pack_queries(measured_queries(session, rng, 12)))
+        session.ingest("b", *pack_queries(measured_queries(session, rng, 7)))
         restored = Session.from_record(v1_record(session))
         assert restored.m == session.m
         assert restored.applied == session.applied
@@ -475,12 +496,12 @@ class TestSession:
         # checkpoint -> restore -> grow further == never interrupted
         straight, rng = make_session("s", 70, 3, {"kind": "z", "p": 0.2}, 2)
         queries = measured_queries(straight, rng, 30)
-        straight.ingest("all", queries)
+        straight.ingest("all", *pack_queries(queries))
 
         broken, _ = make_session("s", 70, 3, {"kind": "z", "p": 0.2}, 2)
-        broken.ingest("first", queries[:18])
+        broken.ingest("first", *pack_queries(queries[:18]))
         resumed = Session.from_record(v1_record(broken))
-        resumed.ingest("rest", queries[18:])
+        resumed.ingest("rest", *pack_queries(queries[18:]))
         assert np.array_equal(
             resumed.decoder.scores, straight.decoder.scores
         )
@@ -490,7 +511,7 @@ class TestSession:
 
     def test_greedy_response_shape(self):
         session, rng = make_session("sid", 60, 3, {"kind": "noiseless"}, 3)
-        session.ingest("r", measured_queries(session, rng, 40))
+        session.ingest("r", *pack_queries(measured_queries(session, rng, 40)))
         response = session.greedy_response(degraded=True)
         assert response["session_id"] == "sid"
         assert response["algorithm"] == "greedy"
@@ -499,11 +520,70 @@ class TestSession:
         assert response["separated"] == (response["separation"] > 0)
 
 
+class TestRequestIds:
+    """``session_id`` and ``request_id`` are non-empty strings, never
+    coerced: anything else is ``invalid_request`` and changes nothing."""
+
+    BAD = [None, 5, "", ["s"]]
+
+    @staticmethod
+    def _service():
+        service = DecodeService()
+        session, rng = make_session("s", 30, 2, {"kind": "noiseless"}, 50)
+        service.sessions["s"] = session
+        return service, session, measured_queries(session, rng, 3)
+
+    @staticmethod
+    def _call(service, header, arrays=()):
+        return asyncio.run(
+            service._safe_dispatch(*wire_request(header, arrays))
+        )
+
+    def _assert_invalid(self, reply, field):
+        assert reply["ok"] is False
+        assert reply["error"]["code"] == "invalid_request"
+        assert field in reply["error"]["message"]
+
+    @pytest.mark.parametrize("value", BAD + ["missing"])
+    def test_open_session_id(self, value):
+        service, session, _ = self._service()
+        header = {
+            "op": "open_session", "n": 30, "channel": {"kind": "noiseless"}
+        }
+        if value != "missing":
+            header["session_id"] = value
+        reply = self._call(service, header, (session.truth.sigma,))
+        self._assert_invalid(reply, "session_id")
+        assert list(service.sessions) == ["s"]
+
+    @pytest.mark.parametrize("op", ["ingest", "status", "decode"])
+    @pytest.mark.parametrize("value", BAD + ["missing"])
+    def test_session_id_of_a_session_op(self, op, value):
+        service, _, _ = self._service()
+        header = {"op": op, "request_id": "r"}
+        if value != "missing":
+            header["session_id"] = value
+        self._assert_invalid(self._call(service, header), "session_id")
+
+    @pytest.mark.parametrize("value", BAD + ["missing"])
+    def test_ingest_request_id(self, value):
+        service, session, queries = self._service()
+        header = {"op": "ingest", "session_id": "s"}
+        if value != "missing":
+            header["request_id"] = value
+        for _ in range(2):  # a null id used to be applied once, as "None"
+            reply = self._call(
+                service, *wire.ingest_parts(header, *pack_queries(queries))
+            )
+            self._assert_invalid(reply, "request_id")
+        assert session.m == 0 and session.applied == {}
+
+
 class TestSessionStore:
     def test_save_load_delete(self, tmp_path):
         store = SessionStore(tmp_path)
         session, rng = make_session("alpha", 50, 2, {"kind": "noiseless"}, 4)
-        session.ingest("r", measured_queries(session, rng, 6))
+        session.ingest("r", *pack_queries(measured_queries(session, rng, 6)))
         store.save(session)
         other, _ = make_session("beta", 50, 2, {"kind": "noiseless"}, 5)
         store.save(other)
@@ -538,7 +618,9 @@ class TestSessionStore:
             session, rng = make_session(
                 session_id, 30, 2, {"kind": "noiseless"}, 40 + m
             )
-            session.ingest("r", measured_queries(session, rng, m))
+            session.ingest(
+                "r", *pack_queries(measured_queries(session, rng, m))
+            )
             store.save(session)
             save_json_atomic(v1._v1_path(session_id), v1_record(session))
         # v1 ids of letters, digits and "-_." kept their file names
@@ -563,10 +645,10 @@ class TestSessionStore:
         # disk, unconverted; every other session still loads.
         store = SessionStore(tmp_path)
         good, rng = make_session("good", 40, 2, {"kind": "noiseless"}, 8)
-        good.ingest("r", measured_queries(good, rng, 4))
+        good.ingest("r", *pack_queries(measured_queries(good, rng, 4)))
         save_json_atomic(store._v1_path("good"), v1_record(good))
         bad, rng = make_session("bad", 40, 2, {"kind": "noiseless"}, 9)
-        bad.ingest("r", measured_queries(bad, rng, 4))
+        bad.ingest("r", *pack_queries(measured_queries(bad, rng, 4)))
         record = v1_record(bad)
         record[field][index] = (
             record["agents"][0] if value is None else value
@@ -588,10 +670,10 @@ class TestSessionStore:
         # start.
         store = SessionStore(tmp_path)
         good, rng = make_session("good", 40, 2, {"kind": "noiseless"}, 8)
-        good.ingest("r", measured_queries(good, rng, 4))
+        good.ingest("r", *pack_queries(measured_queries(good, rng, 4)))
         save_json_atomic(store._v1_path("good"), v1_record(good))
         bad, rng = make_session("bad", 40, 2, {"kind": "noiseless"}, 9)
-        bad.ingest("r", measured_queries(bad, rng, 4))
+        bad.ingest("r", *pack_queries(measured_queries(bad, rng, 4)))
         path = store._v1_path("bad")
         record = v1_record(bad)
         if damage == "truncated":
@@ -634,7 +716,9 @@ class TestDecodeBatcher:
             session, rng = make_session(
                 f"b{i}", 90, 4, {"kind": "z", "p": 0.1}, seed0 + i
             )
-            session.ingest("fill", measured_queries(session, rng, m))
+            session.ingest(
+                "fill", *pack_queries(measured_queries(session, rng, m))
+            )
             sessions.append(session)
         return sessions
 
@@ -798,7 +882,7 @@ def cache_session(cache_inputs, m, session_id="cache"):
     """A fresh session holding the first ``m`` queries (empty cache)."""
     params, sigma, queries = cache_inputs
     session = Session(session_id, params, sigma)
-    session.ingest("fill", queries[:m])
+    session.ingest("fill", *pack_queries(queries[:m]))
     return session
 
 
@@ -814,6 +898,11 @@ def with_batcher(scenario, **knobs):
             await batcher.stop()
 
     return asyncio.run(main())
+
+
+def as_sent(response):
+    """A server response as the client reads it (scores as a list)."""
+    return wire.unpack_response(*wire_request(*wire.pack_response(response)))
 
 
 def assert_matches(response, reference):
@@ -847,7 +936,7 @@ class TestDecodeResultCache:
         if hit_scores:
             assert_matches(hit, cache_refs[60])
         if miss_scores and hit_scores:
-            assert hit == miss
+            assert as_sent(hit) == as_sent(miss)
         assert session.amp_result.scores.base is None  # its own copy
 
     def test_ingest_makes_the_next_decode_a_miss(
@@ -858,7 +947,7 @@ class TestDecodeResultCache:
 
         async def scenario(batcher):
             await batcher.submit(session, session.m)
-            session.ingest("grow", queries[40:])
+            session.ingest("grow", *pack_queries(queries[40:]))
             grown = await batcher.submit(
                 session, session.m, return_scores=True
             )
@@ -970,7 +1059,7 @@ class TestDecodeResultCache:
 
         again, counters = with_batcher(after_restart)
         assert counters["decoded"] == 1 and counters["cache_hits"] == 0
-        assert again == answer
+        assert as_sent(again) == as_sent(answer)
 
     def test_decode_state_stays_constant_over_many_decodes(self, cache_inputs):
         # Decodes with fresh request ids used to pile up one stored
@@ -1491,19 +1580,22 @@ class TestChaos:
             # -- fault 3: load shedding / degradation under a burst.
             # max_queue=2, degrade_depth=1: concurrent decode bursts
             # must trip the ladder; shed requests are retried by the
-            # client, degraded ones come back flagged.
+            # client, degraded ones come back flagged. Every request
+            # asks for a prefix no earlier one asked for, so none is a
+            # cache hit (a hit is never queued, so never shed).
             degraded_seen = shed_seen = 0
-            for _ in range(10):
+            for rnd in range(10):
                 burst_results = []
 
-                def burst(idx):
+                def burst(idx, rnd=rnd):
                     with ServiceClient(
                         host, port, retry_budget=60.0
                     ) as cli:
-                        for _ in range(4):
-                            burst_results.append(
-                                cli.decode(f"chaos-{idx % self.JOBS}")
-                            )
+                        for j in range(4):
+                            burst_results.append(cli.decode(
+                                f"chaos-{idx % self.JOBS}",
+                                m=self.M_TOTAL - 1 - 4 * rnd - j,
+                            ))
 
                 burst_threads = [
                     threading.Thread(target=burst, args=(i,))

@@ -11,6 +11,7 @@ the same bytes however long the session already is.
 
 import asyncio
 import functools
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -24,9 +25,10 @@ from repro.service.batcher import DecodeBatcher
 from repro.service.server import DecodeService
 from repro.service.session import Session, SessionParams
 from repro.service.store import SessionStore
+from repro.service.wire import ingest_parts, pack_response, unpack_response
 from repro.utils.jsonio import save_json_atomic
 
-from reference import v1_record
+from reference import pack_queries, v1_record, wire_request
 
 N, K, GAMMA = 40, 3, 6
 CHANNEL = {"kind": "z", "p": 0.1}
@@ -73,7 +75,7 @@ def valid_log():
         ends, states = [path.stat().st_size], [state(session)]
         start = 0
         for i, b in enumerate(BLOCKS):
-            session.ingest(f"r{i}", queries[start:start + b])
+            session.ingest(f"r{i}", *pack_queries(queries[start:start + b]))
             start += b
             store.save(session)
             ends.append(path.stat().st_size)
@@ -122,6 +124,17 @@ def test_garbled_byte_loads_the_frames_before_it(data):
     assert_prefix_loaded(bytes(damaged), sum(end <= position for end in ends))
 
 
+def test_log_bytes_are_pinned():
+    # The log layout is fixed: the same session writes the same bytes
+    # (pinned when the wire took over the log's body codec), and they
+    # replay to the session's final state.
+    log, _, states, _ = valid_log()
+    assert hashlib.sha256(log).hexdigest() == (
+        "304da7b808f6eec0b849626bf656e1c48f5efc5f8d4dfe153490cff43fe0923e"
+    )
+    assert_prefix_loaded(log, len(states))
+
+
 class TestRecovery:
     def test_torn_tail_is_truncated_with_a_warning(self, caplog):
         log, ends, _, _ = valid_log()
@@ -151,7 +164,9 @@ class TestRecovery:
         store = SessionStore(tmp_path)
         session = store.load_all()["s"]
         assert state(session) == states[2]
-        session.ingest("later", measured(N, GAMMA, session.truth, 2, 9))
+        session.ingest(
+            "later", *pack_queries(measured(N, GAMMA, session.truth, 2, 9))
+        )
         store.save(session)
         assert state(SessionStore(tmp_path).load_all()["s"]) == state(session)
 
@@ -192,7 +207,9 @@ def test_long_session_ids_load_from_logs_and_v1_records(tmp_path, length):
     # hex id (a sha512 digest) or longer fits the file system's limit.
     long_id = ("0123456789abcdef" * 63)[:length]
     session = new_session(long_id)
-    session.ingest("r", measured(N, GAMMA, session.truth, 4, 11))
+    session.ingest(
+        "r", *pack_queries(measured(N, GAMMA, session.truth, 4, 11))
+    )
     SessionStore(tmp_path / "log").save(session)
     assert state(SessionStore(tmp_path / "log").load_all()[long_id]) == state(
         session
@@ -215,7 +232,9 @@ def test_v1_record_that_cannot_be_converted_stops_no_other(
     sessions = {sid: new_session(sid, seed=i) for i, sid in enumerate("ab")}
     store = SessionStore(tmp_path)
     for sid, session in sessions.items():
-        session.ingest("r", measured(N, GAMMA, session.truth, 3, 12))
+        session.ingest(
+            "r", *pack_queries(measured(N, GAMMA, session.truth, 3, 12))
+        )
         save_json_atomic(store._v1_path(sid), v1_record(session))
     write = store_module.write_bytes_atomic
 
@@ -243,32 +262,40 @@ def test_converted_record_left_on_disk_never_replaces_its_log(tmp_path):
     store = SessionStore(tmp_path)
     loaded = store.load_all()["s"]
     save_json_atomic(store._v1_path("s"), v1_record(session))
-    loaded.ingest("r", measured(N, GAMMA, loaded.truth, 3, 13))
+    loaded.ingest("r", *pack_queries(measured(N, GAMMA, loaded.truth, 3, 13)))
     store.save(loaded)
     restored = SessionStore(tmp_path).load_all()["s"]
     assert state(restored) == state(loaded)
     assert not store._v1_path("s").exists()
 
 
+def open_request(session):
+    return wire_request({
+        "op": "open_session", "session_id": "s", "n": N, "gamma": GAMMA,
+        "channel": CHANNEL,
+    }, (session.truth.sigma,))
+
+
+def ingest_request(request_id, queries):
+    return wire_request(*ingest_parts(
+        {"op": "ingest", "session_id": "s", "request_id": request_id},
+        *pack_queries(queries),
+    ))
+
+
 def test_replayed_request_id_after_restart_appends_nothing(tmp_path):
     session = new_session()
-    ingest = {
-        "op": "ingest", "session_id": "s", "request_id": "req-1",
-        "queries": measured(N, GAMMA, session.truth, 5, 2),
-    }
+    ingest = ingest_request("req-1", measured(N, GAMMA, session.truth, 5, 2))
 
     async def serve(*requests):
         service = DecodeService(state_dir=tmp_path)
         await service.start()
         try:
-            return [await service._safe_dispatch(r) for r in requests]
+            return [await service._safe_dispatch(*r) for r in requests]
         finally:
             await service.stop()
 
-    opened, acked = asyncio.run(serve({
-        "op": "open_session", "session_id": "s", "n": N, "gamma": GAMMA,
-        "channel": CHANNEL, "sigma": session.truth.sigma.tolist(),
-    }, ingest))
+    opened, acked = asyncio.run(serve(open_request(session), ingest))
     assert opened["ok"]
     assert acked == {"session_id": "s", "m": 5, "replayed": False, "ok": True}
     path = SessionStore(tmp_path)._path("s")
@@ -290,16 +317,10 @@ def test_retransmit_after_a_failed_save_logs_the_ingest(
     service = DecodeService(state_dir=tmp_path)
 
     def call(request):
-        return asyncio.run(service._safe_dispatch(request))
+        return asyncio.run(service._safe_dispatch(*request))
 
-    assert call({
-        "op": "open_session", "session_id": "s", "n": N, "gamma": GAMMA,
-        "channel": CHANNEL, "sigma": session.truth.sigma.tolist(),
-    })["ok"]
-    ingest = {
-        "op": "ingest", "session_id": "s", "request_id": "req-1",
-        "queries": measured(N, GAMMA, session.truth, 5, 3),
-    }
+    assert call(open_request(session))["ok"]
+    ingest = ingest_request("req-1", measured(N, GAMMA, session.truth, 5, 3))
 
     def disk_full(path, data):
         raise OSError("no space left on device")
@@ -320,25 +341,22 @@ def test_retried_open_after_a_failed_save_logs_the_session(
 
     session = new_session()
     service = DecodeService(state_dir=tmp_path)
-    open_request = {
-        "op": "open_session", "session_id": "s", "n": N, "gamma": GAMMA,
-        "channel": CHANNEL, "sigma": session.truth.sigma.tolist(),
-    }
+    request = open_request(session)
 
     def disk_full(path, data):
         raise OSError("no space left on device")
 
     with monkeypatch.context() as patch:
         patch.setattr(store_module, "write_bytes_atomic", disk_full)
-        assert asyncio.run(service._safe_dispatch(open_request))["ok"] is False
+        assert asyncio.run(service._safe_dispatch(*request))["ok"] is False
     assert SessionStore(tmp_path).load_all() == {}
-    again = asyncio.run(service._safe_dispatch(open_request))
+    again = asyncio.run(service._safe_dispatch(*request))
     assert again["resumed"] is True
     assert state(SessionStore(tmp_path).load_all()["s"]) == state(session)
 
 
 def decode(session):
-    """The service's AMP answer for the whole session."""
+    """The service's AMP answer for the whole session, as sent."""
 
     async def main():
         batcher = DecodeBatcher()
@@ -350,7 +368,7 @@ def decode(session):
         finally:
             await batcher.stop()
 
-    return asyncio.run(main())
+    return unpack_response(*wire_request(*pack_response(asyncio.run(main()))))
 
 
 def test_v1_record_converts_to_a_log_that_decodes_bit_identically(tmp_path):
@@ -358,7 +376,7 @@ def test_v1_record_converts_to_a_log_that_decodes_bit_identically(tmp_path):
     gamma = session.params.gamma
     queries = measured(90, gamma, session.truth, 70, 5)
     for i, (lo, hi) in enumerate([(0, 30), (30, 30), (30, 55), (55, 70)]):
-        session.ingest(f"r{i}", queries[lo:hi])
+        session.ingest(f"r{i}", *pack_queries(queries[lo:hi]))
     record = v1_record(session)
     store = SessionStore(tmp_path)
     v1_path = save_json_atomic(store._v1_path("v1 session"), record)
@@ -384,10 +402,10 @@ def test_ingest_appends_the_same_bytes_at_any_session_length(tmp_path):
     for held in (10, 1000):
         store = SessionStore(tmp_path / str(held))
         session = new_session()
-        session.ingest("fill", fill[:held])
+        session.ingest("fill", *pack_queries(fill[:held]))
         store.save(session)
         before = store._path("s").read_bytes()
-        session.ingest("next", block)
+        session.ingest("next", *pack_queries(block))
         store.save(session)
         after = store._path("s").read_bytes()
         assert after[:len(before)] == before
@@ -407,6 +425,8 @@ def test_a_save_logs_every_ingest_since_the_last(tmp_path, gained):
     session = new_session()
     store.save(session)
     for i in range(gained):
-        session.ingest(f"r{i}", measured(N, GAMMA, session.truth, 3, 10 + i))
+        session.ingest(f"r{i}", *pack_queries(
+            measured(N, GAMMA, session.truth, 3, 10 + i)
+        ))
     store.save(session)
     assert state(SessionStore(tmp_path).load_all()["s"]) == state(session)

@@ -94,6 +94,7 @@ def test_decode_paths_import_neither_scipy_sparse_nor_numpy_ma():
         from repro.amp import run_amp
         from repro.core.twostage import two_stage_reconstruct
         from repro.experiments.figures import figure6
+        from repro.service import wire
         from repro.service.server import DecodeService
         from repro.service.session import channel_to_spec
 
@@ -101,29 +102,29 @@ def test_decode_paths_import_neither_scipy_sparse_nor_numpy_ma():
         truth = repro.sample_ground_truth(n, 3, rng=1)
         graph = repro.sample_pooling_graph(n, 150, rng=2)
         meas = repro.measure(graph, truth, channel, rng=3)
-        queries = [
-            (graph.agents[lo:hi].tolist(), graph.counts[lo:hi].tolist(),
-             float(result))
-            for lo, hi, result in zip(
-                graph.indptr[:-1], graph.indptr[1:], meas.results
-            )
+        requests = [
+            ({"op": "open_session", "session_id": "s", "n": n,
+              "gamma": graph.gamma, "channel": channel_to_spec(channel),
+              "centering": "half_k"}, (truth.sigma,)),
+            wire.ingest_parts(
+                {"op": "ingest", "session_id": "s", "request_id": "i"},
+                graph.indptr, graph.agents, graph.counts, meas.results,
+            ),
+            ({"op": "decode", "session_id": "s", "request_id": "d",
+              "algorithm": "amp", "m": None, "deadline": None,
+              "return_scores": False}, ()),
         ]
 
         async def session():
             service = DecodeService()
             service.batcher.start()
-            requests = [
-                {"op": "open_session", "session_id": "s", "n": n,
-                 "gamma": graph.gamma, "channel": channel_to_spec(channel),
-                 "centering": "half_k", "sigma": truth.sigma.tolist()},
-                {"op": "ingest", "session_id": "s", "request_id": "i",
-                 "queries": queries},
-                {"op": "decode", "session_id": "s", "request_id": "d",
-                 "algorithm": "amp", "m": None, "deadline": None,
-                 "return_scores": False},
-            ]
             try:
-                return [await service._safe_dispatch(r) for r in requests]
+                return [
+                    await service._safe_dispatch(
+                        *wire.parse_body(wire.pack_body(header, *arrays))
+                    )
+                    for header, arrays in requests
+                ]
             finally:
                 await service.batcher.stop()
 
