@@ -267,7 +267,13 @@ class QueryStream:
     its length raises (:class:`MeasurementStream` overrides that).
     """
 
-    def __init__(self, n: int, gamma: int, truth: GroundTruth):
+    def __init__(
+        self,
+        n: int,
+        gamma: int,
+        truth: GroundTruth,
+        channel: Optional[Channel] = None,
+    ):
         self.n = check_positive_int(n, "n")
         self.gamma = check_positive_int(gamma, "gamma")
         if truth.sigma.size != self.n:
@@ -275,6 +281,9 @@ class QueryStream:
                 f"truth has {truth.sigma.size} agents, expected n={n}"
             )
         self.truth = truth
+        #: the channel that measured the queries; when known, it fixes
+        #: the results :meth:`append` accepts
+        self.channel = channel
         #: queries stored so far
         self.m_done = 0
         self._edges = 0
@@ -294,7 +303,10 @@ class QueryStream:
         The block is a local CSR (``indptr`` starting at 0) plus one
         raw channel result per row. Every row must hold distinct agent
         ids in ``[0, n)`` with multiplicities ``>= 1`` summing to
-        ``gamma``, and every result must be finite; otherwise
+        ``gamma``, and every result must be finite and, when the
+        stream's :attr:`channel` is known, inside its
+        :meth:`~repro.core.noise.Channel.result_range` (an integer
+        there, under an integer-valued channel); otherwise
         ``ValueError`` is raised and nothing is appended.
         """
         indptr = np.asarray(indptr, dtype=np.int64)
@@ -330,15 +342,36 @@ class QueryStream:
                 f"query incidences must sum to gamma={self.gamma}, "
                 f"got {int(sums[sums != self.gamma][0])}"
             )
-        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-        order = np.lexsort((agents, rows))
-        if np.any(
-            (np.diff(agents[order]) == 0) & (np.diff(rows[order]) == 0)
-        ):
-            raise ValueError("agent ids must be distinct within a query")
+        # Every row holds at least one agent (its counts sum to gamma),
+        # so indptr[1:-1] - 1 are the steps that cross a row boundary.
+        # Rows written ascending, as the sampler writes them, pass in
+        # one pass; others are checked on sorted (row, agent) keys.
+        ascending = np.diff(agents) > 0
+        ascending[indptr[1:-1] - 1] = True
+        if not ascending.all():
+            rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+            if np.any(np.diff(np.sort(rows * self.n + agents)) == 0):
+                raise ValueError("agent ids must be distinct within a query")
         if not np.all(np.isfinite(results)):
             raise ValueError("query results must be finite")
+        if self.channel is not None:
+            self._check_range(results)
         self._push(indptr, agents, counts, results)
+
+    def _check_range(self, results: np.ndarray) -> None:
+        """``ValueError`` unless every (finite) result is one the
+        stream's channel can produce."""
+        lo, hi = self.channel.result_range(self.gamma)
+        outside = (results < lo) | (results > hi)
+        if self.channel.integer_valued:
+            outside |= results != np.rint(results)
+        if outside.any():
+            kind = "integers" if self.channel.integer_valued else "values"
+            bad = float(results[outside][0])
+            raise ValueError(
+                f"query results under {self.channel.describe()} must be "
+                f"{kind} in [{lo:g}, {hi:g}], got {bad!r}"
+            )
 
     def _push(self, indptr, agents, counts, results) -> None:
         """Append a block known to be valid (see :meth:`append`)."""
@@ -406,7 +439,7 @@ class QueryStream:
         while later appends land on this stream.
         """
         views = self.prefix(m)
-        snap = QueryStream(self.n, self.gamma, self.truth)
+        snap = QueryStream(self.n, self.gamma, self.truth, self.channel)
         snap._parts = tuple([view] for view in views)
         snap._consolidated = views
         snap.m_done, snap._edges = m, int(views[0][-1])
@@ -469,8 +502,7 @@ class MeasurementStream(QueryStream):
         initial_block: int = DEFAULT_INITIAL_BLOCK,
         block_elements: int = DEFAULT_BLOCK_ELEMENTS,
     ):
-        super().__init__(n, gamma, truth)
-        self.channel = channel
+        super().__init__(n, gamma, truth, channel)
         self.gen = normalize_rng(gen)
         self.max_m = check_positive_int(max_m, "max_m", minimum=0)
         self._one_flag = truth.sigma.astype(bool)

@@ -27,7 +27,7 @@ faithful distributed runtime and for the statistical tests of Lemmas
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -84,6 +84,13 @@ class Channel(ABC):
     def query_level_noise(self, rng: RngLike = None) -> float:
         """Additive per-query noise (non-zero only for query-level models)."""
         return 0.0
+
+    def result_range(self, gamma: int) -> Tuple[float, float]:
+        """The closed interval holding every result of a size-``gamma``
+        query: ``[0, gamma]`` unless the channel adds query noise. Under
+        an :attr:`integer_valued` channel the results are also integers.
+        """
+        return 0.0, float(gamma)
 
     @abstractmethod
     def describe(self) -> str:
@@ -185,6 +192,11 @@ class ZChannel(NoisyChannel):
         return f"z-channel(p={self.p:g})"
 
 
+#: how many standard deviations of query noise a Gaussian result may
+#: stray outside ``[0, gamma]`` (:meth:`GaussianQueryNoise.result_range`)
+_GAUSSIAN_REACH = 50.0
+
+
 class GaussianQueryNoise(Channel):
     """The noisy query model: exact sums plus ``N(0, lambda**2)`` per query."""
 
@@ -213,6 +225,13 @@ class GaussianQueryNoise(Channel):
         if self.lam == 0.0:
             return 0.0
         return float(normalize_rng(rng).normal(0.0, self.lam))
+
+    def result_range(self, gamma: int) -> Tuple[float, float]:
+        """``[-50 lambda, gamma + 50 lambda]``: the exact sum lies in
+        ``[0, gamma]``, and ``P(|W| > 50 lambda) = erfc(50 / sqrt(2))``
+        is about 1e-545, far below the smallest float64, so no draw of
+        the channel ever falls outside."""
+        return -_GAUSSIAN_REACH * self.lam, gamma + _GAUSSIAN_REACH * self.lam
 
     def describe(self) -> str:
         return f"gaussian-query(lambda={self.lam:g})"

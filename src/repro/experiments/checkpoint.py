@@ -46,12 +46,13 @@ backend (hence a different chunk layout) still reuses every record
 whose trial range matches — and recomputes the rest, which is always
 correct because chunks are pure.
 
-Records are input read from disk, so opening a checkpoint checks every
-one before anything resumes: a record that does not parse, names no
-cell of the plan, or holds a different number of outcomes than its
+The manifest and the records are input read from disk, so opening a
+checkpoint checks each before anything resumes: a manifest or record
+that does not parse as a JSON object, a record that names no cell of
+the plan, or one that holds a different number of outcomes than its
 cell (trials, per grid point) or chunk key (``hi - lo``) implies raises
 :class:`CheckpointError` naming the file. It is never dropped and
-recomputed in silence: the writer is atomic, so such a record means
+recomputed in silence: the writer is atomic, so such a file means
 outside damage, which the user should see; deleting the file makes
 the next run recompute it.
 """
@@ -89,14 +90,31 @@ _CELL_STEM = re.compile(r"cell_(\d+)")
 _CHUNK_STEM = re.compile(r"chunk_(c\d+_m(?:r|\d+)_(\d+)_(\d+))")
 
 
+def _read_object(path: Path, what: str) -> dict:
+    """A checkpoint file's JSON object; :class:`CheckpointError` naming
+    the file (``what``: "record" or "manifest") if it is unreadable."""
+    try:
+        value = load_json(path)
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(
+            f"unreadable checkpoint {what} {path}: {exc!r}"
+        ) from exc
+    if not isinstance(value, dict):
+        raise CheckpointError(
+            f"unreadable checkpoint {what} {path}: holds a "
+            f"{type(value).__name__}, not an object"
+        )
+    return value
+
+
 def _read_outcomes(path: Path) -> list:
     """A record's outcome list; :class:`CheckpointError` if unreadable."""
-    try:
-        return load_json(path)["outcomes"]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    record = _read_object(path, "record")
+    if "outcomes" not in record:
         raise CheckpointError(
-            f"unreadable checkpoint record {path}: {exc!r}"
-        ) from exc
+            f"unreadable checkpoint record {path}: no 'outcomes' field"
+        )
+    return record["outcomes"]
 
 
 def _expect_outcomes(path: Path, outcomes, count: int) -> None:
@@ -194,7 +212,7 @@ class SweepCheckpoint:
             directory = root / f"plan-{fingerprint[:16]}"
         manifest_path = directory / "manifest.json"
         if manifest_path.exists():
-            manifest = load_json(manifest_path)
+            manifest = _read_object(manifest_path, "manifest")
             if manifest.get("version") != CHECKPOINT_VERSION:
                 raise CheckpointMismatch(
                     f"checkpoint {directory} has manifest version "

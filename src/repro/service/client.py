@@ -5,7 +5,8 @@ connection reset by a SIGKILLed server, a handshake that gets no reply
 within :data:`~repro.service.wire.HANDSHAKE_TIMEOUT`, a reply that
 stalls for :data:`REPLY_TIMEOUT` — are retried with exponential
 backoff (0.25 s doubling, capped at 5 s per sleep) within a total
-budget (``REPRO_CONNECT_RETRY`` or explicit), while
+budget (``REPRO_CONNECT_RETRY`` or explicit, read once when the client
+is built), while
 :class:`~repro.service.wire.AuthError` /
 :class:`~repro.service.wire.ProtocolError` are permanent and raised
 immediately. Retryable *service* errors (``overloaded``,
@@ -34,6 +35,7 @@ from repro.service.errors import ServiceError, error_from_wire
 from repro.service.session import channel_to_spec
 from repro.service.wire import (
     AuthError,
+    FrameCodec,
     ProtocolError,
     client_handshake,
     connect,
@@ -69,8 +71,10 @@ class ServiceClient:
         retry_budget: Optional[float] = None,
     ):
         self.address = (host, int(port))
-        self._key = resolve_auth_key(token)
-        self._retry_budget = retry_budget
+        # Key pads, frame cap and retry budget are resolved once here,
+        # not per frame or per call.
+        self._frames = FrameCodec(resolve_auth_key(token))
+        self._retry_budget = resolve_connect_retry(retry_budget)
         self._conn = None
         self._ids = itertools.count()
         self._client = uuid.uuid4().hex[:12]
@@ -81,7 +85,7 @@ class ServiceClient:
         """Connect and handshake, with bounded exponential backoff."""
         if self._conn is not None:
             return
-        budget = resolve_connect_retry(self._retry_budget)
+        budget = self._retry_budget
         deadline = time.monotonic() + budget
         delay = _BACKOFF_START
         attempt = 0
@@ -93,7 +97,7 @@ class ServiceClient:
                 # A timeout drops the connection, so it can never leave
                 # a half-read frame on a live stream.
                 conn.settimeout(REPLY_TIMEOUT)
-                client_handshake(conn, self._key)
+                client_handshake(conn, self._frames)
                 self._conn = conn
                 return
             except (AuthError, ProtocolError):
@@ -137,15 +141,15 @@ class ServiceClient:
     def call(self, request: dict, arrays=()) -> dict:
         """Send one request header (plus raw ``arrays``), retrying per
         the module's policy."""
-        budget = resolve_connect_retry(self._retry_budget)
+        budget = self._retry_budget
         deadline = time.monotonic() + budget
         delay = _BACKOFF_START
         last: Optional[BaseException] = None
         while True:
             try:
                 self.connect()
-                send_message(self._conn, self._key, request, arrays)
-                reply = recv_message(self._conn, self._key)
+                send_message(self._conn, self._frames, request, arrays)
+                reply = recv_message(self._conn, self._frames)
                 if reply is None:
                     raise EOFError("server closed the connection")
                 response = unpack_response(*reply)

@@ -91,6 +91,8 @@ class DecodeService:
         self.host = host
         self.port = port
         self.key = wire.resolve_auth_key(token)
+        #: this server's seal and open steps (HMAC pads, frame cap)
+        self.frames = wire.FrameCodec(self.key)
         self.store = SessionStore(state_dir) if state_dir is not None else None
         max_queue = _resolve_knob(
             max_queue, MAX_QUEUE_ENV, DEFAULT_MAX_QUEUE,
@@ -156,18 +158,18 @@ class DecodeService:
     ) -> None:
         self.counters["connections"] += 1
         try:
-            if not await wire.server_handshake(reader, writer, self.key):
+            if not await wire.server_handshake(reader, writer, self.frames):
                 return
             while True:
                 try:
-                    frame = await wire.read_frame(reader, self.key)
+                    frame = await wire.read_frame(reader, self.frames)
                 except (wire.ProtocolError, EOFError):
                     return  # protocol violation: drop the connection
                 if frame is None:
                     return
                 response = await self._safe_dispatch(*frame)
                 await wire.write_frame(
-                    writer, self.key, *wire.pack_response(response)
+                    writer, self.frames, *wire.pack_response(response)
                 )
         except (ConnectionError, OSError):
             pass  # client vanished; its session state is unaffected

@@ -147,7 +147,9 @@ class Session:
         except ValueError as exc:
             raise InvalidRequest(str(exc)) from None
         self.channel = params.channel
-        self.stream = QueryStream(params.n, params.gamma, self.truth)
+        self.stream = QueryStream(
+            params.n, params.gamma, self.truth, self.channel
+        )
         self.decoder = IncrementalDecoder(
             self.truth,
             self.channel,

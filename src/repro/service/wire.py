@@ -12,8 +12,20 @@ arrays in fixed layouts — sigma of an ``open_session`` as int8, an
 (:func:`pack_response`). The tag is keyed by ``REPRO_AUTH_TOKEN`` (or
 an explicit token). On both receive paths, sync (:func:`recv_message`)
 and asyncio (:func:`read_frame`), the length prefix is checked against
-:func:`max_frame_bytes` **before** the body buffer is allocated, and
-the tag is verified **before** the body is parsed.
+the frame cap **before** the body buffer is allocated, and the tag is
+verified **before** the body is parsed.
+
+Each endpoint seals and opens frames through one :class:`FrameCodec`,
+built once per server or client. It holds the key's HMAC-SHA256 inner
+and outer pad states, precomputed as RFC 2104 describes, so tagging a
+frame is two ``sha256().copy()`` updates; the tags are bit-identical
+to ``hmac.new(key, body, sha256).digest()``. It reads the frame cap
+(:func:`max_frame_bytes`) once, when it is built. The header encoder
+and scanner are CPython's C ones, built once per process with
+``json.dumps(header, sort_keys=True, default=...)``'s settings, so the
+bytes on the wire and in the logs are unchanged. The module functions
+also take a raw key; each call then builds its own codec and reads the
+cap afresh.
 
 Every conversation opens with the handshake ``{"op": "hello",
 "family": "service", "version": 2}``, answered by ``{"op":
@@ -38,6 +50,9 @@ import asyncio
 import hashlib
 import hmac
 import json
+import json.decoder
+import json.encoder
+import json.scanner
 import os
 import select
 import socket
@@ -118,13 +133,27 @@ class AuthError(ProtocolError):
 
 # -- bodies -------------------------------------------------------------
 
+#: the header encoder ``json.dumps(header, sort_keys=True, default=...)``
+#: builds on every call, built once: same separators, ASCII escapes,
+#: NaN allowed, sorted keys. ``default``: a channel parameter may arrive
+#: as a NumPy scalar. No circular-reference markers: headers are trees,
+#: and one shared marker dict would keep stale ids after a failed call.
+_encode_header = json.encoder.c_make_encoder(
+    None, lambda value: value.item(), json.encoder.encode_basestring_ascii,
+    None, ": ", ", ", True, False, True,
+)
+
+#: the header scanner ``json.loads`` runs, built once: ``(value, end)``
+#: of the JSON value at an index, ``StopIteration`` if none starts there
+_scan_header = json.scanner.make_scanner(json.JSONDecoder())
+
+#: the whitespace ``json.loads`` allows around a value
+_SPACE = json.decoder.WHITESPACE
+
 
 def pack_body(header: dict, *arrays: np.ndarray) -> bytes:
     """One body: the JSON ``header``, then each array's raw bytes."""
-    # ``default``: a channel parameter may arrive as a NumPy scalar
-    head = json.dumps(
-        header, sort_keys=True, default=lambda value: value.item()
-    ).encode("ascii")
+    head = "".join(_encode_header(header, 0)).encode("ascii")
     return b"".join(
         [_HEAD.pack(len(head)), head]
         + [np.ascontiguousarray(a).tobytes() for a in arrays]
@@ -133,15 +162,22 @@ def pack_body(header: dict, *arrays: np.ndarray) -> bytes:
 
 def parse_body(body) -> Tuple[dict, memoryview]:
     """A body's header and the raw bytes after it; ``ValueError`` (or
-    ``struct.error``) if it is malformed."""
+    ``struct.error``) if it is malformed. The header is what
+    ``json.loads`` accepts: one JSON value, nothing but whitespace
+    around it."""
     (head_len,) = _HEAD.unpack_from(body)
     end = _HEAD.size + head_len
     if end > len(body):
         raise ValueError("header overruns its body")
+    text = bytes(body[_HEAD.size:end]).decode("ascii")
     try:
-        header = json.loads(bytes(body[_HEAD.size:end]).decode("ascii"))
+        header, stop = _scan_header(text, _SPACE.match(text).end())
+    except StopIteration:
+        raise ValueError("header is not JSON") from None
     except RecursionError:
         raise ValueError("header nests too deep") from None
+    if _SPACE.match(text, stop).end() != len(text):
+        raise ValueError("trailing data after the header")
     if not isinstance(header, dict):
         raise ValueError("header is not an object")
     return header, memoryview(body)[end:]
@@ -231,47 +267,85 @@ def max_frame_bytes() -> int:
     return DEFAULT_MAX_FRAME_BYTES if value is None else value
 
 
-def _seal(key: bytes, header: dict, arrays: Sequence[np.ndarray]) -> bytes:
-    """One whole frame: length, tag, body."""
-    body = pack_body(header, *arrays)
-    tag = hmac.new(key, body, hashlib.sha256).digest()
-    return _LENGTH.pack(len(body)) + tag + body
+#: HMAC-SHA256 block size and the RFC 2104 pad translations
+_BLOCK = hashlib.sha256().block_size
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
-def _frame_length(prefix: bytes) -> int:
-    """Open step 1: the tag-plus-body size a length prefix announces,
-    checked against the cap before anything is allocated."""
-    (length,) = _LENGTH.unpack(prefix)
-    cap = max_frame_bytes()
-    if length > cap:
-        raise FrameTooLarge(
-            f"frame announces {length} body bytes, above the {cap}-byte "
-            f"cap ({MAX_FRAME_ENV} raises it); refusing the allocation"
-        )
-    return _TAG_SIZE + length
+class FrameCodec:
+    """One endpoint's seal and open steps under one key.
+
+    Built once per server or client: the key's HMAC-SHA256 pad states
+    are hashed here, and the frame cap is read here
+    (:func:`max_frame_bytes`), so no frame re-derives either.
+    """
+
+    __slots__ = ("cap", "_inner", "_outer")
+
+    def __init__(self, key: bytes):
+        self.cap = max_frame_bytes()
+        if len(key) > _BLOCK:
+            key = hashlib.sha256(key).digest()
+        key = key.ljust(_BLOCK, b"\0")
+        self._inner = hashlib.sha256(key.translate(_IPAD))
+        self._outer = hashlib.sha256(key.translate(_OPAD))
+
+    def tag(self, body) -> bytes:
+        """``hmac.new(key, body, sha256).digest()``, from the pads."""
+        inner = self._inner.copy()
+        inner.update(body)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+    def seal(self, header: dict, arrays: Sequence[np.ndarray] = ()) -> bytes:
+        """One whole frame: length, tag, body."""
+        body = pack_body(header, *arrays)
+        return _LENGTH.pack(len(body)) + self.tag(body) + body
+
+    def frame_length(self, prefix: bytes) -> int:
+        """Open step 1: the tag-plus-body size a length prefix
+        announces, checked against the cap before anything is
+        allocated."""
+        (length,) = _LENGTH.unpack(prefix)
+        if length > self.cap:
+            raise FrameTooLarge(
+                f"frame announces {length} body bytes, above the "
+                f"{self.cap}-byte cap ({MAX_FRAME_ENV} raises it); "
+                "refusing the allocation"
+            )
+        return _TAG_SIZE + length
+
+    def open(self, rest: bytes) -> Tuple[dict, memoryview]:
+        """Open step 2: verify the tag, then parse the body."""
+        body = memoryview(rest)[_TAG_SIZE:]
+        if not hmac.compare_digest(rest[:_TAG_SIZE], self.tag(body)):
+            raise AuthError(
+                "frame HMAC verification failed (wrong or missing "
+                f"{AUTH_TOKEN_ENV} on one side, or a corrupted frame); "
+                "body discarded unread"
+            )
+        try:
+            return parse_body(body)
+        except (ValueError, struct.error) as exc:
+            raise ProtocolError(f"malformed frame body: {exc}") from None
 
 
-def _open(key: bytes, rest: bytes) -> Tuple[dict, memoryview]:
-    """Open step 2: verify the tag, then parse the body."""
-    tag, body = rest[:_TAG_SIZE], memoryview(rest)[_TAG_SIZE:]
-    expected = hmac.new(key, body, hashlib.sha256).digest()
-    if not hmac.compare_digest(tag, expected):
-        raise AuthError(
-            "frame HMAC verification failed (wrong or missing "
-            f"{AUTH_TOKEN_ENV} on one side, or a corrupted frame); "
-            "body discarded unread"
-        )
-    try:
-        return parse_body(body)
-    except (ValueError, struct.error) as exc:
-        raise ProtocolError(f"malformed frame body: {exc}") from None
+#: a frame function's key: an endpoint's codec, or raw key bytes (a
+#: codec built for the one call)
+Key = Union[FrameCodec, bytes]
+
+
+def _codec(key: Key) -> FrameCodec:
+    return key if isinstance(key, FrameCodec) else FrameCodec(key)
 
 
 def send_message(
-    conn: socket.socket, key: bytes, header: dict, arrays=()
+    conn: socket.socket, key: Key, header: dict, arrays=()
 ) -> None:
     """Send one authenticated frame: ``header`` plus raw ``arrays``."""
-    conn.sendall(_seal(key, header, arrays))
+    conn.sendall(_codec(key).seal(header, arrays))
 
 
 def _recv_exact(conn: socket.socket, count: int) -> Optional[bytes]:
@@ -286,39 +360,41 @@ def _recv_exact(conn: socket.socket, count: int) -> Optional[bytes]:
 
 
 def recv_message(
-    conn: socket.socket, key: bytes
+    conn: socket.socket, key: Key
 ) -> Optional[Tuple[dict, memoryview]]:
     """Receive one frame as ``(header, payload)``; ``None`` on clean EOF
     at a frame boundary. The cap is checked before the body is
     allocated, and the tag verified before it is parsed."""
+    codec = _codec(key)
     prefix = _recv_exact(conn, _LENGTH.size)
     if prefix is None:
         return None
-    rest = _recv_exact(conn, _frame_length(prefix))
+    rest = _recv_exact(conn, codec.frame_length(prefix))
     if rest is None:
         raise EOFError("connection closed mid-frame")
-    return _open(key, rest)
+    return codec.open(rest)
 
 
 async def read_frame(
-    reader: asyncio.StreamReader, key: bytes
+    reader: asyncio.StreamReader, key: Key
 ) -> Optional[Tuple[dict, memoryview]]:
     """The asyncio twin of :func:`recv_message`, with the same open steps."""
+    codec = _codec(key)
     try:
         prefix = await reader.readexactly(_LENGTH.size)
-        rest = await reader.readexactly(_frame_length(prefix))
+        rest = await reader.readexactly(codec.frame_length(prefix))
     except asyncio.IncompleteReadError as exc:
         if exc.partial or exc.expected != _LENGTH.size:
             raise EOFError("connection closed mid-frame") from exc
         return None
-    return _open(key, rest)
+    return codec.open(rest)
 
 
 async def write_frame(
-    writer: asyncio.StreamWriter, key: bytes, header: dict, arrays=()
+    writer: asyncio.StreamWriter, key: Key, header: dict, arrays=()
 ) -> None:
     """Send one authenticated frame on an asyncio stream."""
-    writer.write(_seal(key, header, arrays))
+    writer.write(_codec(key).seal(header, arrays))
     await writer.drain()
 
 
@@ -371,7 +447,7 @@ def resolve_connect_retry(budget: Optional[float] = None) -> float:
 async def server_handshake(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
-    key: bytes,
+    key: Key,
 ) -> bool:
     """Serve the handshake; returns ``False`` when the peer was rejected.
 
@@ -380,6 +456,7 @@ async def server_handshake(
     produce a valid frame. A wrong family or version gets an
     authenticated rejection naming the reason.
     """
+    key = _codec(key)
     try:
         opened = await read_frame(reader, key)
     except (ProtocolError, EOFError):
@@ -401,7 +478,7 @@ async def server_handshake(
     return False
 
 
-def client_handshake(conn: socket.socket, key: bytes) -> None:
+def client_handshake(conn: socket.socket, key: Key) -> None:
     """Run the client side of the service handshake on a sync socket.
 
     Raises :class:`AuthError` on a silent disconnect (token mismatch)
@@ -412,6 +489,7 @@ def client_handshake(conn: socket.socket, key: bytes) -> None:
     i.e. retryable). The wait happens before the frame read, so a slow
     reply never loses partially received bytes to a timeout.
     """
+    key = _codec(key)
     send_message(conn, key, _HELLO)
     if not select.select([conn], [], [], HANDSHAKE_TIMEOUT)[0]:
         raise OSError(
@@ -448,6 +526,7 @@ __all__ = [
     "ProtocolError",
     "FrameTooLarge",
     "AuthError",
+    "FrameCodec",
     "pack_body",
     "parse_body",
     "ingest_parts",

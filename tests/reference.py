@@ -46,6 +46,10 @@ with:
 * :func:`v1_record` — a service session in the version-1 JSON record
   layout, which :meth:`repro.service.session.Session.from_record`
   reads when the session store converts an old state directory.
+* :func:`rows_repeat_an_agent` — the repeated-agent check of
+  :meth:`repro.core.batch.QueryStream.append` as a ``lexsort`` of the
+  block's agents by row, which the stream's within-row-ascending fast
+  path and sorted-key fallback must agree with.
 * :func:`pack_queries` — ``(agents, counts, result)`` query tuples as
   the local CSR block :meth:`repro.service.session.Session.ingest`
   takes, one query at a time; :func:`wire_request` — a service request
@@ -441,6 +445,18 @@ def v1_record(session) -> dict:
         "results": stream.results.tolist(),
         "applied": dict(session.applied),
     }
+
+
+def rows_repeat_an_agent(indptr, agents) -> bool:
+    """Whether some row of the local CSR ``(indptr, agents)`` names an
+    agent twice, by a ``lexsort`` of the agents by row."""
+    indptr = np.asarray(indptr, dtype=np.int64)
+    agents = np.asarray(agents, dtype=np.int64)
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    order = np.lexsort((agents, rows))
+    return bool(np.any(
+        (np.diff(agents[order]) == 0) & (np.diff(rows[order]) == 0)
+    ))
 
 
 def pack_queries(queries) -> Tuple[list, list, list, list]:

@@ -245,6 +245,20 @@ class TestDamagedRecords:
         self._expect_error(tmp_path, path, "unreadable checkpoint record")
 
     @pytest.mark.parametrize(
+        "damage", ["cut-to-20-bytes", "not-an-object"],
+    )
+    def test_damaged_manifest(self, tmp_path, damage):
+        # A manifest cut short used to stop the resume with a bare
+        # JSONDecodeError, and a non-object one with an AttributeError;
+        # neither named the file.
+        path = self._plan_dir(tmp_path) / "manifest.json"
+        if damage == "cut-to-20-bytes":
+            path.write_bytes(path.read_bytes()[:20])
+        else:
+            path.write_text('["version", 1]')
+        self._expect_error(tmp_path, path, "unreadable checkpoint manifest")
+
+    @pytest.mark.parametrize(
         "name, match",
         [("cell_0099.json", "names no cell"), ("chunk_c0_0_6.json", "no chunk key")],
     )

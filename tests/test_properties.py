@@ -17,7 +17,7 @@ from repro.theory.concentration import (
     gaussian_tail_upper,
 )
 
-from reference import sample_pooling_graph_per_query
+from reference import rows_repeat_an_agent, sample_pooling_graph_per_query
 
 # Keep the per-test example budget modest: every example builds real
 # numpy structures, and the suite runs hundreds of tests.
@@ -256,3 +256,40 @@ def test_greedy_estimate_weight_always_k(n, seed):
     meas = repro.measure(graph, truth, repro.ZChannel(0.3), gen)
     result = repro.greedy_reconstruct(meas)
     assert int(result.estimate.sum()) == k
+
+
+@COMMON_SETTINGS
+@given(
+    n=st.integers(2, 6),
+    rows=st.lists(
+        st.lists(st.integers(0, 5), min_size=1, max_size=5), max_size=6
+    ),
+    sort_rows=st.booleans(),
+)
+def test_stream_repeat_check_matches_lexsort(n, rows, sort_rows):
+    # QueryStream.append rejects a block whose row repeats an agent
+    # exactly when the lexsort reference says so, whether its rows
+    # ascend (the one-pass check) or not (the sorted-key fallback).
+    from repro.core.batch import QueryStream
+
+    gamma = 5
+    rows = [[a % n for a in row] for row in rows]
+    if sort_rows:
+        rows = [sorted(row) for row in rows]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    agents = np.array([a for row in rows for a in row], dtype=np.int64)
+    # each row's counts: ones, then what is left of gamma
+    counts = np.concatenate([[0]] + [
+        [1] * (len(row) - 1) + [gamma + 1 - len(row)] for row in rows
+    ])[1:]
+    truth = repro.sample_ground_truth(n, 1, rng=0)
+    stream = QueryStream(n, gamma, truth)
+    try:
+        stream.append(indptr, agents, counts, np.zeros(len(rows)))
+        accepted = True
+    except ValueError as exc:
+        assert "distinct" in str(exc)
+        accepted = False
+    assert accepted is not rows_repeat_an_agent(indptr, agents)
+    assert stream.m_done == (len(rows) if accepted else 0)
+

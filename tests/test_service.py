@@ -471,6 +471,44 @@ class TestSession:
             session.ingest("r1", *pack_queries([query]))
         self._assert_unchanged(session, before)
 
+    @pytest.mark.parametrize("spec, result", [
+        ({"kind": "z", "p": 0.1}, 1e300),
+        ({"kind": "z", "p": 0.1}, -1.0),
+        ({"kind": "z", "p": 0.1}, 16.0),
+        ({"kind": "z", "p": 0.1}, 2.5),
+        ({"kind": "noiseless"}, 15.5),
+        ({"kind": "channel", "p": 0.1, "q": 0.2}, -1e-9),
+        ({"kind": "gaussian", "lam": 0.5}, 15.0 + 25.5),
+        ({"kind": "gaussian", "lam": 0.5}, -25.5),
+    ])
+    def test_ingest_rejects_results_outside_the_channel_range(
+        self, spec, result
+    ):
+        # A Z session (n=30, gamma=15) once took a result of 1e300 into
+        # its append-only stream, and every later decode overflowed.
+        session, rng = make_session("s", 30, 2, spec, 0, gamma=15)
+        session.ingest("r0", *pack_queries(measured_queries(session, rng, 3)))
+        before = self._state(session)
+        agents, counts, _ = measured_queries(session, rng, 1)[0]
+        with pytest.raises(InvalidRequest, match="results under"):
+            session.ingest("r1", *pack_queries([(agents, counts, result)]))
+        self._assert_unchanged(session, before)
+
+    @pytest.mark.parametrize("spec, result", [
+        ({"kind": "z", "p": 0.1}, 0.0),
+        ({"kind": "z", "p": 0.1}, 15.0),
+        ({"kind": "channel", "p": 0.1, "q": 0.2}, 7.0),
+        ({"kind": "gaussian", "lam": 0.5}, 15.0 + 25.0),
+        ({"kind": "gaussian", "lam": 0.5}, -25.0),
+        ({"kind": "gaussian", "lam": 0.5}, 3.7),
+    ])
+    def test_ingest_accepts_the_channel_range(self, spec, result):
+        session, rng = make_session("s", 30, 2, spec, 0, gamma=15)
+        agents, counts, _ = measured_queries(session, rng, 1)[0]
+        assert session.ingest(
+            "r0", *pack_queries([(agents, counts, result)])
+        ) == 1
+
     def test_record_round_trip_is_bit_identical(self):
         session, rng = make_session(
             "s", 80, 4, {"kind": "gaussian", "lam": 1.0}, 1
@@ -661,6 +699,46 @@ class TestSessionStore:
         assert "bad.session.json" in caplog.text
         assert store._v1_path("bad").exists()
         assert not store._path("bad").exists()
+
+    def test_record_with_a_result_outside_the_range_is_skipped(
+        self, tmp_path, caplog
+    ):
+        # An older server took any finite result; a v1 record holding
+        # one the channel cannot produce is skipped like the others.
+        store = SessionStore(tmp_path)
+        bad, rng = make_session("bad", 40, 2, {"kind": "z", "p": 0.1}, 9)
+        bad.ingest("r", *pack_queries(measured_queries(bad, rng, 4)))
+        record = v1_record(bad)
+        record["results"][2] = 1e300
+        save_json_atomic(store._v1_path("bad"), record)
+        with caplog.at_level("WARNING", logger="repro.service.store"):
+            assert SessionStore(tmp_path).load_all() == {}
+        assert "bad.session.json" in caplog.text
+        assert store._v1_path("bad").exists()
+
+    def test_log_with_a_result_outside_the_range_is_skipped(
+        self, tmp_path, caplog
+    ):
+        # A log frame that passes its CRC but holds a result outside
+        # the channel's range fails to replay: the log is skipped with
+        # a warning and left as it is.
+        from repro.service.store import _ingest_frame
+
+        store = SessionStore(tmp_path)
+        session, rng = make_session("s", 40, 2, {"kind": "z", "p": 0.1}, 3)
+        session.ingest("r0", *pack_queries(measured_queries(session, rng, 2)))
+        store.save(session)
+        agents, counts, _ = measured_queries(session, rng, 1)[0]
+        path = store._path("s")
+        with path.open("ab") as log:
+            log.write(_ingest_frame(
+                "r1", pack_queries([(agents, counts, 1e300)])
+            ))
+        damaged = path.read_bytes()
+        with caplog.at_level("WARNING", logger="repro.service.store"):
+            assert SessionStore(tmp_path).load_all() == {}
+        assert "fails to replay" in caplog.text
+        assert path.read_bytes() == damaged
 
     @pytest.mark.parametrize("damage", ["truncated", "missing-key"])
     def test_unparseable_record_is_skipped(self, tmp_path, caplog, damage):

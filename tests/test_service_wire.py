@@ -10,6 +10,10 @@ one byte flipped, and arbitrary JSON headers. Each must end in an
 answer that is not an internal error, or in a dropped connection; none
 may hang, and none may change a session's queries or applied map
 without acknowledging an ingest.
+
+The frame bytes are pinned too: a :class:`~repro.service.wire.FrameCodec`
+seals exactly the bytes ``json.dumps(..., sort_keys=True)`` and
+``hmac.new(key, body, sha256)`` give, under any key length.
 """
 
 import ast
@@ -18,6 +22,7 @@ import contextlib
 import hashlib
 import hmac
 import itertools
+import json
 import pickle
 import socket
 import threading
@@ -249,3 +254,144 @@ def test_hostile_frames_answer_or_drop(fuzzed, data):
     for session_id, held in before.items():
         if session_id != acked:
             assert after[session_id] == held, (reply, body)
+
+
+# -- frame bytes --------------------------------------------------------
+
+#: a token's key is a sha256 digest (32 bytes); the integrity key is 24
+#: bytes; a raw key past the 64-byte block is hashed first (RFC 2104)
+KEYS = [
+    wire.resolve_auth_key(None), wire.resolve_auth_key("a token"),
+    bytes(range(100)),
+]
+
+header_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.floats(width=64).map(np.float64)
+    | st.booleans().map(np.bool_)
+)
+frame_headers = st.dictionaries(
+    st.text(max_size=8),
+    st.recursive(
+        header_scalars,
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4),
+        max_leaves=12,
+    ),
+    max_size=6,
+)
+frame_arrays = st.lists(
+    st.sampled_from(["<i8", "<f8", "<i1", "<u2"]).flatmap(
+        lambda dtype: st.lists(st.integers(0, 100), max_size=9).map(
+            lambda values: np.array(values, dtype=dtype)[::2]
+        )
+    ),
+    max_size=3,
+)
+
+
+def golden_frame(key, header, arrays):
+    """The frame the pre-codec seal wrote: ``json.dumps`` header, body,
+    then ``hmac.new`` tag."""
+    head = json.dumps(
+        header, sort_keys=True, default=lambda value: value.item()
+    ).encode("ascii")
+    body = b"".join(
+        [wire._HEAD.pack(len(head)), head]
+        + [np.ascontiguousarray(a).tobytes() for a in arrays]
+    )
+    tag = hmac.new(key, body, hashlib.sha256).digest()
+    return wire._LENGTH.pack(len(body)) + tag + body
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.sampled_from(KEYS) | st.binary(max_size=160),
+    header=frame_headers,
+    arrays=frame_arrays,
+)
+def test_seal_writes_the_golden_bytes(key, header, arrays):
+    codec = wire.FrameCodec(key)
+    frame = golden_frame(key, header, arrays)
+    assert codec.seal(header, arrays) == frame
+    assert codec.tag(b"") == hmac.new(key, b"", hashlib.sha256).digest()
+    opened, payload = codec.open(frame[wire._LENGTH.size:])
+    assert wire.pack_body(opened) == wire.pack_body(header)
+    assert bytes(payload) == b"".join(
+        np.ascontiguousarray(a).tobytes() for a in arrays
+    )
+
+
+@pytest.mark.parametrize("key", KEYS, ids=["integrity", "token", "long"])
+def test_every_send_path_writes_the_golden_bytes(key):
+    header = {"op": "decode", "m": np.int64(20), "p": np.float64(0.1)}
+    arrays = [np.arange(4, dtype="<f8")]
+    frame = golden_frame(key, header, arrays)
+    a, b = socket.socketpair()
+    try:
+        for sealer in (key, wire.FrameCodec(key)):
+            wire.send_message(a, sealer, header, arrays)
+            assert b.recv(len(frame) + 1) == frame
+
+        async def written():
+            transport = []
+
+            class Writer:
+                write = transport.append
+
+                async def drain(self):
+                    pass
+
+            await wire.write_frame(
+                Writer(), wire.FrameCodec(key), header, arrays
+            )
+            return b"".join(transport)
+
+        assert asyncio.run(written()) == frame
+    finally:
+        a.close()
+        b.close()
+
+
+@pytest.mark.parametrize(
+    "text", ['{"op": "x"} {"op": "y"}', '{"op": "x"}x', '{"op": "x"}]'],
+)
+def test_open_rejects_trailing_header_bytes(text):
+    codec = wire.FrameCodec(KEYS[0])
+    head = text.encode("ascii")
+    frame = tagged(KEYS[0], wire._HEAD.pack(len(head)) + head)
+    with pytest.raises(wire.ProtocolError, match="trailing"):
+        codec.open(frame[wire._LENGTH.size:])
+
+
+@pytest.mark.parametrize("at", [0, 31], ids=["first", "last"])
+def test_open_rejects_a_tampered_tag(at):
+    codec = wire.FrameCodec(KEYS[1])
+    frame = bytearray(codec.seal({"op": "ok"}, [np.arange(3)]))
+    frame[wire._LENGTH.size + at] ^= 1
+    with pytest.raises(wire.AuthError):
+        codec.open(bytes(frame[wire._LENGTH.size:]))
+
+
+def test_a_codec_reads_the_frame_cap_once(monkeypatch):
+    monkeypatch.setenv(wire.MAX_FRAME_ENV, "64")
+    codec = wire.FrameCodec(KEYS[0])
+    monkeypatch.setenv(wire.MAX_FRAME_ENV, str(1 << 20))
+    assert codec.frame_length(wire._LENGTH.pack(64)) == 32 + 64
+    with pytest.raises(wire.FrameTooLarge, match="64-byte cap"):
+        codec.frame_length(wire._LENGTH.pack(65))
+
+
+
+def test_endpoints_read_their_settings_once(monkeypatch):
+    # The frame cap and the retry budget are read when a client or a
+    # server is built, never per frame or per call.
+    monkeypatch.setenv(wire.MAX_FRAME_ENV, "64")
+    monkeypatch.setenv(wire.CONNECT_RETRY_ENV, "0.5")
+    client = ServiceClient("127.0.0.1", 9)
+    service = DecodeService()
+    monkeypatch.setenv(wire.MAX_FRAME_ENV, "not-a-number")
+    monkeypatch.setenv(wire.CONNECT_RETRY_ENV, "not-a-number")
+    assert client._frames.cap == service.frames.cap == 64
+    assert client._retry_budget == 0.5
